@@ -14,7 +14,9 @@ package kylix_test
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
+	"time"
 
 	"kylix"
 	"kylix/internal/bench"
@@ -32,6 +34,29 @@ func BenchmarkFigure2PacketSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if tab := bench.Figure2(model); len(tab.Rows) == 0 {
 			b.Fatal("empty table")
+		}
+	}
+}
+
+// BenchmarkFigure2Measured sweeps real loopback sockets and reports the
+// smallest and largest packet's throughput; scripts/bench.sh --gate
+// asserts the rise between them (the minimum-efficient-packet shape),
+// which as a wall-clock comparison has no place in go test ./... .
+func BenchmarkFigure2Measured(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		tab, err := bench.Figure2Measured(250 * time.Millisecond)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			row  int
+			unit string
+		}{{0, "smallpkt-Gbps"}, {len(tab.Rows) - 1, "largepkt-Gbps"}} {
+			gbps, err := strconv.ParseFloat(tab.Rows[c.row][1], 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(gbps, c.unit)
 		}
 	}
 }

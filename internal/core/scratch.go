@@ -37,6 +37,10 @@ type genBufs struct {
 	// Nil when quantization is off.
 	qscatter [][]comm.QVals
 	qgather  [][]comm.QVals
+	// stage is the out-value staging buffer StageOut hands out
+	// (len = |outSet| * width); nil until a caller asks for it, so
+	// callers that pass Reduce their own vector never pay for it.
+	stage []float32
 }
 
 // scratch is a Config's two-generation reduction arena plus the
@@ -102,10 +106,45 @@ type quantState struct {
 // returns its buffers.
 func (c *Config) flip(s *scratch) *genBufs {
 	s.gen ^= 1
-	if !s.ready[s.gen] {
-		c.buildGen(s, s.gen)
+	return c.generation(s, s.gen)
+}
+
+// generation returns a generation's buffers, building them on first use.
+func (c *Config) generation(s *scratch, gen int) *genBufs {
+	if !s.ready[gen] {
+		c.buildGen(s, gen)
 	}
-	return &s.bufs[s.gen]
+	return &s.bufs[gen]
+}
+
+// StageOut returns the buffer the next Reduce on this Config should be
+// fed from: Width values per key of OutSet(), in key order, owned by the
+// arena generation that Reduce will flip to. Reduce's layer-1 scatter
+// sends slices of its argument without copying, and a transport (or a
+// slow replica) may still be reading them after the pass has returned
+// everywhere else; a caller that cannot promise to leave its own vector
+// alone that long fills this buffer instead and passes it to Reduce.
+// The quiescence argument is the arena's (see scratch): the buffer is
+// next written two rounds later.
+//
+//kylix:hotpath
+func (c *Config) StageOut() ([]float32, error) {
+	if c.poisoned {
+		return nil, &PoisonedError{Rank: c.mach.Rank()}
+	}
+	s := c.ensureScratch()
+	g := c.generation(s, s.gen^1)
+	if g.stage == nil {
+		c.buildStage(g)
+	}
+	return g.stage, nil
+}
+
+// buildStage sizes one generation's staging buffer.
+//
+//kylix:coldpath
+func (c *Config) buildStage(g *genBufs) {
+	g.stage = make([]float32, len(c.outSet)*c.mach.opts.Width)
 }
 
 // ensureScratch builds the Config's receive state on first use; the

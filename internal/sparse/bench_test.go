@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -100,16 +101,37 @@ func BenchmarkSplitOffsets(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSet prices the caller-order -> key-order step of the root
+// API at a minibatch (2^11) and a graph-partition (2^14) size, on the
+// three inputs that matter: caller order unrelated to key order
+// (shuffled), a set that has been through the protocol once (sorted:
+// the sort is skipped), and that set with a tenth of its indices
+// replaced in place (tenth-replaced: nearly sorted, the minibatch
+// Reconfigure input).
 func BenchmarkNewSet(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	idx := make([]int32, 1<<14)
-	for i := range idx {
-		idx[i] = rng.Int31n(1 << 20)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := NewSet(idx); err != nil {
-			b.Fatal(err)
+	for _, logN := range []int{11, 14} {
+		rng := rand.New(rand.NewSource(3))
+		shuffled := make([]int32, 1<<logN)
+		for i := range shuffled {
+			shuffled[i] = rng.Int31n(1 << 20)
+		}
+		sorted := MustNewSet(shuffled).Indices()
+		replaced := append([]int32(nil), sorted...)
+		for i := 0; i < len(replaced); i += 10 {
+			replaced[i] = rng.Int31n(1 << 20)
+		}
+		for _, c := range []struct {
+			name string
+			idx  []int32
+		}{{"sorted", sorted}, {"shuffled", shuffled}, {"tenth-replaced", replaced}} {
+			b.Run(fmt.Sprintf("%s/%d", c.name, len(c.idx)), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := NewSet(c.idx); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

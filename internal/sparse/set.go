@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -13,31 +14,42 @@ type Set []Key
 // collapsed. The second return value maps each input position to the
 // position of its key in the resulting Set, so callers can translate
 // between their original index order and the protocol's sorted order.
+//
+// hash32 is a bijection, so the hash half of a Key alone orders and
+// dedups: the sort runs on packed hash32<<32 | position words (plain
+// integer comparisons), and the index half is filled in afterwards, in
+// place, turning the sorted words into the Set itself. Input already
+// ascending in key order — every set that has been through the protocol
+// once — skips the sort.
 func NewSet(indices []int32) (Set, []int32, error) {
-	type tagged struct {
-		key Key
-		pos int32
-	}
-	tmp := make([]tagged, len(indices))
+	set := make(Set, len(indices))
+	ascending := true
 	for i, idx := range indices {
 		if idx < 0 {
 			return nil, nil, fmt.Errorf("sparse: negative feature index %d at position %d", idx, i)
 		}
-		tmp[i] = tagged{MakeKey(idx), int32(i)}
-	}
-	sort.Slice(tmp, func(a, b int) bool { return tmp[a].key < tmp[b].key })
-
-	set := make(Set, 0, len(tmp))
-	perm := make([]int32, len(indices))
-	for i := 0; i < len(tmp); {
-		k := tmp[i].key
-		set = append(set, k)
-		slot := int32(len(set) - 1)
-		for ; i < len(tmp) && tmp[i].key == k; i++ {
-			perm[tmp[i].pos] = slot
+		set[i] = Key(uint64(hash32(uint32(idx)))<<32 | uint64(i))
+		if i > 0 && set[i] < set[i-1] {
+			ascending = false
 		}
 	}
-	return set, perm, nil
+	if !ascending {
+		slices.Sort(set)
+	}
+
+	perm := make([]int32, len(indices))
+	n := 0
+	for _, packed := range set {
+		pos := uint32(packed)
+		if n == 0 || set[n-1].Hash() != packed.Hash() {
+			// n never passes the read cursor, so the word being replaced
+			// has already been consumed.
+			set[n] = Key(uint64(packed.Hash())<<32 | uint64(uint32(indices[pos])))
+			n++
+		}
+		perm[pos] = int32(n - 1)
+	}
+	return set[:n], perm, nil
 }
 
 // MustNewSet is NewSet for inputs known to be valid; it panics on error.

@@ -1,7 +1,10 @@
 package sparse
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -69,6 +72,74 @@ func TestNewSetEmpty(t *testing.T) {
 	if err != nil || len(set) != 0 || len(perm) != 0 {
 		t.Fatalf("empty input: set=%v perm=%v err=%v", set, perm, err)
 	}
+}
+
+// refNewSet is the sort.Slice implementation NewSet replaced, kept as
+// the reference FuzzNewSet compares against.
+func refNewSet(indices []int32) (Set, []int32, error) {
+	type tagged struct {
+		key Key
+		pos int32
+	}
+	tmp := make([]tagged, len(indices))
+	for i, idx := range indices {
+		if idx < 0 {
+			return nil, nil, fmt.Errorf("sparse: negative feature index %d at position %d", idx, i)
+		}
+		tmp[i] = tagged{MakeKey(idx), int32(i)}
+	}
+	sort.Slice(tmp, func(a, b int) bool { return tmp[a].key < tmp[b].key })
+	set, perm := Set{}, make([]int32, len(indices))
+	for _, e := range tmp {
+		if len(set) == 0 || set[len(set)-1] != e.key {
+			set = append(set, e.key)
+		}
+		perm[e.pos] = int32(len(set) - 1)
+	}
+	return set, perm, nil
+}
+
+// FuzzNewSet checks NewSet against the reference on arbitrary index
+// lists: same set, same perm, same error (negative indices rejected at
+// the same position). Four bytes make one index; the second argument
+// picks the pre-arrangement, so the skip-the-sort path (input already in
+// key order, with and without adjacent duplicates) is fuzzed as hard as
+// the general one.
+func FuzzNewSet(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 9}, uint8(0))
+	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 9}, uint8(1))
+	f.Add([]byte{0, 0, 0, 1, 0x80, 0, 0, 2, 0, 0, 0, 3}, uint8(2))
+	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, uint8(1))
+	f.Fuzz(func(t *testing.T, raw []byte, arrange uint8) {
+		idx := make([]int32, 0, len(raw)/4)
+		for i := 0; i+3 < len(raw); i += 4 {
+			idx = append(idx, int32(binary.BigEndian.Uint32(raw[i:])))
+		}
+		switch arrange % 3 {
+		case 1: // key order, duplicates adjacent
+			sort.Slice(idx, func(a, b int) bool {
+				return hash32(uint32(idx[a])) < hash32(uint32(idx[b]))
+			})
+		case 2: // low range: many duplicates
+			for i := range idx {
+				if idx[i] >= 0 {
+					idx[i] %= 8
+				}
+			}
+		}
+		wantSet, wantPerm, wantErr := refNewSet(idx)
+		set, perm, err := NewSet(idx)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("error %v, reference %v", err, wantErr)
+		}
+		if !slices.Equal(set, wantSet) {
+			t.Fatalf("set %v, reference %v (input %v)", set, wantSet, idx)
+		}
+		if !slices.Equal(perm, wantPerm) {
+			t.Fatalf("perm %v, reference %v (input %v)", perm, wantPerm, idx)
+		}
+	})
 }
 
 func TestSetContainsPosition(t *testing.T) {

@@ -3,6 +3,7 @@ package kylix
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"kylix/internal/comm"
 	"kylix/internal/core"
@@ -40,17 +41,7 @@ func newNode(ep comm.Endpoint, bf *topo.Butterfly, cfg config, roundBase uint32,
 	if err != nil {
 		return nil, err
 	}
-	mach, err := core.NewMachine(lep, bf, core.Options{
-		Width:          cfg.width,
-		Reducer:        cfg.reducer,
-		Strict:         cfg.strict,
-		Channel:        cfg.channel,
-		Stream:         cfg.stream,
-		RoundBase:      roundBase,
-		Quant:          cfg.quant,
-		Tracer:         cfg.obsv.Node(physRank),
-		CombineWorkers: cfg.combineWorkers,
-	})
+	mach, err := core.NewMachine(lep, bf, coreOptions(cfg, roundBase, physRank))
 	if err != nil {
 		return nil, err
 	}
@@ -58,6 +49,23 @@ func newNode(ep comm.Endpoint, bf *topo.Butterfly, cfg config, roundBase uint32,
 		mach: mach, ep: lep, bf: bf, cfg: cfg, base: roundBase,
 		physRank: physRank, width: cfg.width,
 	}, nil
+}
+
+// coreOptions is the one place a node's config becomes its machine's
+// options; base offsets the tag sequence past earlier machines on the
+// same endpoint.
+func coreOptions(cfg config, base uint32, physRank int) core.Options {
+	return core.Options{
+		Width:          cfg.width,
+		Reducer:        cfg.reducer,
+		Strict:         cfg.strict,
+		Channel:        cfg.channel,
+		Stream:         cfg.stream,
+		RoundBase:      base,
+		Quant:          cfg.quant,
+		Tracer:         cfg.obsv.Node(physRank),
+		CombineWorkers: cfg.combineWorkers,
+	}
 }
 
 // Channel derives a second, independent allreduce network over the same
@@ -83,17 +91,7 @@ func (n *Node) Channel(ch uint8, opts ...Option) (*Node, error) {
 	if cfg.channel != ch {
 		return nil, fmt.Errorf("kylix: channel option conflicts with Channel(%d)", ch)
 	}
-	mach, err := core.NewMachine(n.ep, n.bf, core.Options{
-		Width:          cfg.width,
-		Reducer:        cfg.reducer,
-		Strict:         cfg.strict,
-		Channel:        ch,
-		Stream:         cfg.stream,
-		RoundBase:      n.base,
-		Quant:          cfg.quant,
-		Tracer:         cfg.obsv.Node(n.physRank),
-		CombineWorkers: cfg.combineWorkers,
-	})
+	mach, err := core.NewMachine(n.ep, n.bf, coreOptions(cfg, n.base, n.physRank))
 	if err != nil {
 		return nil, err
 	}
@@ -152,12 +150,24 @@ func (n *Node) Close() error {
 // PageRank pattern). Values are exchanged in the caller's original
 // index order.
 type Reduction struct {
-	node    *Node
-	cfg     *core.Config
-	inPerm  []int32 // user in position -> key-ordered position
-	outPerm []int32
-	nIn     int
-	nOut    int
+	node *Node
+	cfg  *core.Config
+	om   orderMaps
+}
+
+// orderMaps translates between the caller's index order and the
+// protocol's key (hash) order. Both maps are built when the sets are
+// configured and applied by the same gather kernel as the protocol's
+// own position maps; a nil map is the identity (the caller's order is
+// already key order), applied as one copy.
+type orderMaps struct {
+	// in maps a caller in-position to its row of the key-ordered
+	// result (duplicates in the caller's list share a row).
+	in []int32
+	// out maps a key-ordered out row to the caller position holding
+	// its values: the inverse of the permutation NewSet reports, which
+	// exists because out has no duplicates.
+	out []int32
 }
 
 // Configure runs the downward configuration pass for the given index
@@ -165,7 +175,7 @@ type Reduction struct {
 // lists the indices it will contribute values for. in may contain
 // duplicates (each position receives the value); out must not.
 func (n *Node) Configure(in, out []int32) (*Reduction, error) {
-	inSet, inPerm, outSet, outPerm, err := n.prepareSets(in, out)
+	inSet, outSet, om, err := prepareSets(in, out)
 	if err != nil {
 		return nil, err
 	}
@@ -173,28 +183,29 @@ func (n *Node) Configure(in, out []int32) (*Reduction, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reduction{node: n, cfg: cfg, inPerm: inPerm, outPerm: outPerm, nIn: len(in), nOut: len(out)}, nil
+	return &Reduction{node: n, cfg: cfg, om: om}, nil
 }
 
 // ConfigureReduce fuses configuration and reduction into one network
 // pass — the efficient path when the index sets change on every call
 // (minibatch training). It returns the reusable Reduction and the
-// reduced values for in, in the caller's order.
+// reduced values for in, in the caller's order. outVals is not retained.
 func (n *Node) ConfigureReduce(in, out []int32, outVals []float32) (*Reduction, []float32, error) {
-	inSet, inPerm, outSet, outPerm, err := n.prepareSets(in, out)
+	inSet, outSet, om, err := prepareSets(in, out)
 	if err != nil {
 		return nil, nil, err
 	}
-	sorted, err := permuteOut(outVals, outPerm, len(outSet), n.width, len(out))
+	// No Config exists yet to own the staging buffer, so this pass gets
+	// a fresh one, which nothing ever rewrites.
+	staged := make([]float32, len(outSet)*n.width)
+	if err := om.stageOut(staged, outVals, n.width); err != nil {
+		return nil, nil, err
+	}
+	cfg, gathered, err := n.mach.ConfigureReduce(inSet, outSet, staged)
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg, gathered, err := n.mach.ConfigureReduce(inSet, outSet, sorted)
-	if err != nil {
-		return nil, nil, err
-	}
-	red := &Reduction{node: n, cfg: cfg, inPerm: inPerm, outPerm: outPerm, nIn: len(in), nOut: len(out)}
-	return red, permuteIn(gathered, inPerm, n.width), nil
+	return &Reduction{node: n, cfg: cfg, om: om}, om.unstageIn(gathered, n.width), nil
 }
 
 // TreeAllreduce runs the tree-topology baseline (§II-A1) in one shot:
@@ -203,34 +214,89 @@ func (n *Node) ConfigureReduce(in, out []int32, outVals []float32) (*Reduction, 
 // returns the reduced in-values in caller order and the largest
 // intermediate union size this machine held.
 func (n *Node) TreeAllreduce(in, out []int32, outVals []float32) ([]float32, int, error) {
-	inSet, inPerm, outSet, outPerm, err := n.prepareSets(in, out)
+	inSet, outSet, om, err := prepareSets(in, out)
 	if err != nil {
 		return nil, 0, err
 	}
-	sorted, err := permuteOut(outVals, outPerm, len(outSet), n.width, len(out))
+	staged := make([]float32, len(outSet)*n.width)
+	if err := om.stageOut(staged, outVals, n.width); err != nil {
+		return nil, 0, err
+	}
+	gathered, maxUnion, err := n.mach.TreeAllreduce(inSet, outSet, staged)
 	if err != nil {
 		return nil, 0, err
 	}
-	gathered, maxUnion, err := n.mach.TreeAllreduce(inSet, outSet, sorted)
-	if err != nil {
-		return nil, 0, err
-	}
-	return permuteIn(gathered, inPerm, n.width), maxUnion, nil
+	return om.unstageIn(gathered, n.width), maxUnion, nil
 }
 
-func (n *Node) prepareSets(in, out []int32) (sparse.Set, []int32, sparse.Set, []int32, error) {
+// prepareSets turns the caller's index lists into key-ordered Sets and
+// the maps between the two orders. Callers that reduce over one vertex
+// set pass the same slice twice; it is sorted once and shared.
+func prepareSets(in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err error) {
 	inSet, inPerm, err := sparse.NewSet(in)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("kylix: in indices: %w", err)
+		return nil, nil, om, fmt.Errorf("kylix: in indices: %w", err)
 	}
-	outSet, outPerm, err := sparse.NewSet(out)
-	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("kylix: out indices: %w", err)
+	outSet, outPerm := inSet, inPerm
+	if !(len(in) == len(out) && (len(in) == 0 || &in[0] == &out[0])) {
+		if outSet, outPerm, err = sparse.NewSet(out); err != nil {
+			return nil, nil, om, fmt.Errorf("kylix: out indices: %w", err)
+		}
 	}
 	if len(outSet) != len(out) {
-		return nil, nil, nil, nil, fmt.Errorf("kylix: out indices contain duplicates (%d unique of %d)", len(outSet), len(out))
+		return nil, nil, om, fmt.Errorf("kylix: out indices contain duplicates (%d unique of %d)", len(outSet), len(out))
 	}
-	return inSet, inPerm, outSet, outPerm, nil
+	if !isIdentity(inPerm) {
+		om.in = inPerm
+	}
+	if !isIdentity(outPerm) {
+		om.out = make([]int32, len(outPerm))
+		for p, row := range outPerm {
+			om.out[row] = int32(p)
+		}
+	}
+	return inSet, outSet, om, nil
+}
+
+func isIdentity(perm []int32) bool {
+	for p, row := range perm {
+		if int(row) != p {
+			return false
+		}
+	}
+	return true
+}
+
+// stageOut fills dst, a key-ordered out vector (one row per out index),
+// from the caller's outVals. dst is what the protocol sends from, so the
+// caller is free to overwrite outVals as soon as the call that staged it
+// returns.
+//
+//kylix:hotpath
+func (om *orderMaps) stageOut(dst, outVals []float32, width int) error {
+	if len(outVals) != len(dst) {
+		return fmt.Errorf("kylix: got %d values, want %d (%d out indices x width %d)", len(outVals), len(dst), len(dst)/width, width)
+	}
+	if om.out == nil {
+		copy(dst, outVals)
+	} else {
+		sparse.GatherInto(dst, om.out, outVals, width, 0)
+	}
+	return nil
+}
+
+// unstageIn returns the caller-ordered, caller-owned copy of a
+// key-ordered result that belongs to the protocol's arena.
+//
+//kylix:hotpath
+func (om *orderMaps) unstageIn(gathered []float32, width int) []float32 {
+	if om.in == nil {
+		return slices.Clone(gathered)
+	}
+	//kylix:allow hotpathalloc:make -- the result is the one allocation a pass makes: the caller owns it
+	res := make([]float32, len(om.in)*width)
+	sparse.GatherInto(res, om.in, gathered, width, 0)
+	return res
 }
 
 // Missing reports how many requested in-indices had no contributor in
@@ -239,18 +305,23 @@ func (r *Reduction) Missing() int { return r.cfg.Missing() }
 
 // Reduce pushes this node's contribution (one Width-sized row per out
 // index, in the order passed to Configure) and returns the reduced
-// values for the in indices, in their original order.
+// values for the in indices, in their original order. outVals is not
+// retained: it is copied into the Reduction's own staging buffer before
+// anything is sent, and the result is a fresh slice the caller owns.
 func (r *Reduction) Reduce(outVals []float32) ([]float32, error) {
 	w := r.node.width
-	sorted, err := permuteOut(outVals, r.outPerm, len(r.cfg.OutSet()), w, r.nOut)
+	staged, err := r.cfg.StageOut()
 	if err != nil {
 		return nil, err
 	}
-	gathered, err := r.cfg.Reduce(sorted)
+	if err := r.om.stageOut(staged, outVals, w); err != nil {
+		return nil, err
+	}
+	gathered, err := r.cfg.Reduce(staged)
 	if err != nil {
 		return nil, err
 	}
-	return permuteIn(gathered, r.inPerm, w), nil
+	return r.om.unstageIn(gathered, w), nil
 }
 
 // Reconfigure rebinds the Reduction to new index sets incrementally,
@@ -267,16 +338,14 @@ func (r *Reduction) Reduce(outVals []float32) ([]float32, error) {
 // same SPMD call sequence. On error the Reduction is poisoned and must
 // be replaced via Configure; see Config.Reconfigure.
 func (r *Reduction) Reconfigure(in, out []int32) error {
-	n := r.node
-	inSet, inPerm, outSet, outPerm, err := n.prepareSets(in, out)
+	inSet, outSet, om, err := prepareSets(in, out)
 	if err != nil {
 		return err
 	}
 	if err := r.cfg.Reconfigure(inSet, outSet); err != nil {
 		return err
 	}
-	r.inPerm, r.outPerm = inPerm, outPerm
-	r.nIn, r.nOut = len(in), len(out)
+	r.om = om
 	return nil
 }
 
@@ -286,24 +355,3 @@ func (r *Reduction) Reconfigure(in, out []int32) error {
 // identically; the chaos suite uses it to prove reconfiguration under
 // faults converges to exactly the fault-free state.
 func (r *Reduction) ConfigDigest() uint64 { return r.cfg.Digest() }
-
-// permuteOut reorders caller-order values into key order.
-func permuteOut(vals []float32, perm []int32, setLen, width, nOut int) ([]float32, error) {
-	if len(vals) != nOut*width {
-		return nil, fmt.Errorf("kylix: got %d values, want %d (%d out indices x width %d)", len(vals), nOut*width, nOut, width)
-	}
-	sorted := make([]float32, setLen*width)
-	for p := 0; p < nOut; p++ {
-		copy(sorted[int(perm[p])*width:(int(perm[p])+1)*width], vals[p*width:(p+1)*width])
-	}
-	return sorted, nil
-}
-
-// permuteIn reorders key-order gathered values into caller order.
-func permuteIn(gathered []float32, perm []int32, width int) []float32 {
-	out := make([]float32, len(perm)*width)
-	for p := range perm {
-		copy(out[p*width:(p+1)*width], gathered[int(perm[p])*width:(int(perm[p])+1)*width])
-	}
-	return out
-}

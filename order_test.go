@@ -1,0 +1,359 @@
+package kylix_test
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"kylix"
+	"kylix/internal/sparse"
+)
+
+// The root API speaks the caller's index order; the protocol speaks key
+// (hash) order. These tests pin the adapter between the two: the order
+// the caller happens to hold its indices in, duplicates in `in`, and
+// whether `in` and `out` are one slice or two must change nothing but
+// where each value sits in the result.
+
+const orderRanks = 4
+
+// orderCase is one rank's inputs for one way of presenting the same
+// sets: in and out index lists and one row of values per out index.
+type orderCase struct {
+	in, out []int32
+	vals    []float32
+}
+
+// orderInputs builds rank r's key-ordered sets for one generation (gen 0
+// is configured first, gen 1 is what Reconfigure moves to: a tenth of
+// the indices differ) and its values, a pure function of (r, index,
+// column), so every presentation of the sets carries the same data.
+func orderInputs(r, gen, width int) (keyed []int32, val func(idx int32, c int) float32) {
+	rng := rand.New(rand.NewSource(int64(1000 + r)))
+	idx := make([]int32, 0, 60)
+	for len(idx) < 60 {
+		idx = append(idx, int32(rng.Intn(200)))
+	}
+	if gen == 1 {
+		for i := 0; i < len(idx); i += 10 {
+			idx[i] = int32(200 + rng.Intn(50))
+		}
+	}
+	return sparse.MustNewSet(idx).Indices(), func(idx int32, c int) float32 {
+		return float32(math.Sin(float64(int(idx)*31+r*7+c*3+gen))) * 10
+	}
+}
+
+func rowsFor(out []int32, width int, val func(int32, int) float32) []float32 {
+	vals := make([]float32, 0, len(out)*width)
+	for _, idx := range out {
+		for c := 0; c < width; c++ {
+			vals = append(vals, val(idx, c))
+		}
+	}
+	return vals
+}
+
+// presentations returns the three ways a caller may hold the same sets:
+// (a) one key-ordered slice passed as both in and out, (b) a seeded
+// shuffle with duplicates injected into in, (c) in and out as distinct
+// slices with equal contents.
+func presentations(r, gen, width int) map[string]orderCase {
+	keyed, val := orderInputs(r, gen, width)
+	rng := rand.New(rand.NewSource(int64(77 + r + 10*gen)))
+	shuffledOut := append([]int32(nil), keyed...)
+	rng.Shuffle(len(shuffledOut), func(i, j int) { shuffledOut[i], shuffledOut[j] = shuffledOut[j], shuffledOut[i] })
+	shuffledIn := append([]int32(nil), keyed...)
+	for i := 0; i < 9; i++ {
+		shuffledIn = append(shuffledIn, keyed[rng.Intn(len(keyed))])
+	}
+	rng.Shuffle(len(shuffledIn), func(i, j int) { shuffledIn[i], shuffledIn[j] = shuffledIn[j], shuffledIn[i] })
+	return map[string]orderCase{
+		"keyed":    {keyed, keyed, rowsFor(keyed, width, val)},
+		"shuffled": {shuffledIn, shuffledOut, rowsFor(shuffledOut, width, val)},
+		"distinct": {append([]int32(nil), keyed...), append([]int32(nil), keyed...), rowsFor(keyed, width, val)},
+	}
+}
+
+// unshuffle returns res (one row per position of in) as one row per
+// index of keyed; two positions holding the same index must agree.
+func unshuffle(res []float32, in, keyed []int32, width int) ([]float32, error) {
+	if len(res) != len(in)*width {
+		return nil, fmt.Errorf("result has %d values for %d in indices x width %d", len(res), len(in), width)
+	}
+	rows := map[int32][]float32{}
+	for p, idx := range in {
+		row := res[p*width : (p+1)*width]
+		if prev, ok := rows[idx]; ok && !bitsEqual(prev, row) {
+			return nil, fmt.Errorf("index %d delivered %v and %v at two positions", idx, prev, row)
+		}
+		rows[idx] = row
+	}
+	flat := make([]float32, 0, len(keyed)*width)
+	for _, idx := range keyed {
+		flat = append(flat, rows[idx]...)
+	}
+	return flat, nil
+}
+
+// orderResult is what one rank saw under one presentation, un-shuffled:
+// a vector per root-API entry point, and the routing digest before and
+// after Reconfigure.
+type orderResult struct {
+	vecs    map[string][]float32
+	digests [2]uint64
+}
+
+func runOrderCase(node *kylix.Node, name string, width int) (orderResult, error) {
+	r := node.Rank()
+	c0, c1 := presentations(r, 0, width)[name], presentations(r, 1, width)[name]
+	keyed0, _ := orderInputs(r, 0, width)
+	keyed1, _ := orderInputs(r, 1, width)
+	res := orderResult{vecs: map[string][]float32{}}
+	keep := func(call string, got []float32, err error, in, keyed []int32) error {
+		if err == nil {
+			res.vecs[call], err = unshuffle(got, in, keyed, width)
+		}
+		if err != nil {
+			return fmt.Errorf("rank %d %s %s: %w", r, name, call, err)
+		}
+		return nil
+	}
+
+	red, err := node.Configure(c0.in, c0.out)
+	if err != nil {
+		return res, err
+	}
+	res.digests[0] = red.ConfigDigest()
+	got, err := red.Reduce(c0.vals)
+	if err := keep("Reduce", got, err, c0.in, keyed0); err != nil {
+		return res, err
+	}
+	_, got, err = node.ConfigureReduce(c0.in, c0.out, c0.vals)
+	if err := keep("ConfigureReduce", got, err, c0.in, keyed0); err != nil {
+		return res, err
+	}
+	if err := red.Reconfigure(c1.in, c1.out); err != nil {
+		return res, err
+	}
+	res.digests[1] = red.ConfigDigest()
+	got, err = red.Reduce(c1.vals)
+	if err := keep("Reconfigure+Reduce", got, err, c1.in, keyed1); err != nil {
+		return res, err
+	}
+	got, _, err = node.TreeAllreduce(c0.in, c0.out, c0.vals)
+	return res, keep("TreeAllreduce", got, err, c0.in, keyed0)
+}
+
+func TestRootOrderInvariance(t *testing.T) {
+	reducers := map[string]kylix.Reducer{"sum": kylix.Sum, "max": kylix.Max}
+	for _, transport := range []kylix.Transport{kylix.TransportMemory, kylix.TransportTCP} {
+		for _, width := range []int{1, 3, 4} {
+			for redName, reducer := range reducers {
+				t.Run(fmt.Sprintf("%v/w%d/%s", transport, width, redName), func(t *testing.T) {
+					cluster, err := kylix.NewCluster(orderRanks, kylix.WithTransport(transport), kylix.WithDegrees(2, 2),
+						kylix.WithWidth(width), kylix.WithReducer(reducer), kylix.WithRecvTimeout(15*time.Second))
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer cluster.Close()
+					names := []string{"keyed", "shuffled", "distinct"}
+					results := make([]map[string]orderResult, orderRanks)
+					var mu sync.Mutex
+					err = cluster.Run(func(node *kylix.Node) error {
+						mine := map[string]orderResult{}
+						for _, name := range names {
+							res, err := runOrderCase(node, name, width)
+							if err != nil {
+								return err
+							}
+							mine[name] = res
+						}
+						mu.Lock()
+						results[node.Rank()] = mine
+						mu.Unlock()
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for r, mine := range results {
+						want := mine["keyed"]
+						for _, name := range names[1:] {
+							got := mine[name]
+							if got.digests != want.digests {
+								t.Errorf("rank %d %s: config digests %x, key-ordered %x", r, name, got.digests, want.digests)
+							}
+							for call, vec := range want.vecs {
+								if !bitsEqual(got.vecs[call], vec) {
+									t.Errorf("rank %d %s %s: un-shuffled result differs from key-ordered call", r, name, call)
+								}
+								if g, w := kylix.ValuesDigest(got.vecs[call]), kylix.ValuesDigest(vec); g != w {
+									t.Errorf("rank %d %s %s: values digest %x, key-ordered %x", r, name, call, g, w)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestReduceDoesNotRetainOutVals is the staging buffer's reason to
+// exist: Reduce sends from a buffer the Reduction owns, so the caller
+// may overwrite outVals the moment Reduce returns — even while a slow
+// replica has not yet consumed the pass's messages.
+func TestReduceDoesNotRetainOutVals(t *testing.T) {
+	const (
+		logical = 4
+		rounds  = 12
+	)
+	for _, transport := range []kylix.Transport{kylix.TransportMemory, kylix.TransportTCP} {
+		for _, name := range []string{"keyed", "shuffled"} {
+			t.Run(fmt.Sprintf("%v/%s", transport, name), func(t *testing.T) {
+				cluster, err := kylix.NewCluster(2*logical, kylix.WithTransport(transport), kylix.WithReplication(2),
+					kylix.WithDegrees(2, 2), kylix.WithRecvTimeout(15*time.Second),
+					kylix.WithFaults(kylix.FaultPlan{Seed: 5, Delay: 0.5, MaxDelay: 3 * time.Millisecond}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cluster.Close()
+				// Small integers, so the expected sums are exact whatever
+				// the fold order.
+				contrib := func(q, round int, idx int32) float32 { return float32((q+1)*(round+1) + int(idx)%5) }
+				holders := map[int32][]int{} // index -> logical ranks contributing it
+				for q := 0; q < logical; q++ {
+					keyed, _ := orderInputs(q, 0, 1)
+					for _, idx := range keyed {
+						holders[idx] = append(holders[idx], q)
+					}
+				}
+				want := func(round int, idx int32) (sum float32) {
+					for _, q := range holders[idx] {
+						sum += contrib(q, round, idx)
+					}
+					return sum
+				}
+				err = cluster.Run(func(node *kylix.Node) error {
+					q := node.Rank()
+					c := presentations(q, 0, 1)[name]
+					red, err := node.Configure(c.in, c.out)
+					if err != nil {
+						return err
+					}
+					buf := make([]float32, len(c.out))
+					for round := 0; round < rounds; round++ {
+						for p, idx := range c.out {
+							buf[p] = contrib(q, round, idx)
+						}
+						res, err := red.Reduce(buf)
+						for p := range buf {
+							buf[p] = float32(math.NaN())
+						}
+						if err != nil {
+							return err
+						}
+						for p, idx := range c.in {
+							if w := want(round, idx); res[p] != w {
+								return fmt.Errorf("rank %d round %d index %d: got %v, want %v", node.PhysicalRank(), round, idx, res[p], w)
+							}
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st := cluster.Faults().Stats(); st.Delayed == 0 {
+					t.Fatalf("delay schedule never engaged: %+v", st)
+				}
+			})
+		}
+	}
+}
+
+// barrier is a reusable rendezvous for n goroutines that allocates
+// nothing per use.
+type barrier struct {
+	mu      sync.Mutex
+	cond    *sync.Cond
+	n       int
+	waiting int
+	round   int
+}
+
+func newBarrier(n int) *barrier {
+	b := &barrier{n: n}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+func (b *barrier) wait() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	round := b.round
+	if b.waiting++; b.waiting == b.n {
+		b.waiting = 0
+		b.round++
+		b.cond.Broadcast()
+	}
+	for round == b.round {
+		b.cond.Wait()
+	}
+}
+
+// TestReduceAllocatesOnlyTheResult gates the adapter's cost: a warm
+// Reduce over the memory transport allocates the slice it returns and
+// nothing else, on every rank.
+func TestReduceAllocatesOnlyTheResult(t *testing.T) {
+	const runs = 20
+	for _, name := range []string{"keyed", "shuffled"} {
+		t.Run(name, func(t *testing.T) {
+			cluster, err := kylix.NewCluster(orderRanks, kylix.WithDegrees(2, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			var perPass float64
+			done := newBarrier(orderRanks)
+			err = cluster.Run(func(node *kylix.Node) error {
+				c := presentations(node.Rank(), 0, 1)[name]
+				red, err := node.Configure(c.in, c.out)
+				if err != nil {
+					return err
+				}
+				// AllocsPerRun counts the whole process. A pass ends when
+				// every rank's Reduce has returned, so one counted pass is
+				// exactly one Reduce on every rank.
+				pass := func() {
+					if _, rerr := red.Reduce(c.vals); rerr != nil && err == nil {
+						err = rerr
+					}
+					done.wait()
+				}
+				// Both arena generations are built before anything is
+				// counted.
+				pass()
+				pass()
+				if node.Rank() == 0 {
+					perPass = testing.AllocsPerRun(runs, pass)
+				} else {
+					for i := 0; i <= runs; i++ { // AllocsPerRun adds a warm-up call
+						pass()
+					}
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if perPass != orderRanks {
+				t.Fatalf("a warm pass on %d ranks allocated %v times, want %d (the result, once per rank)", orderRanks, perPass, orderRanks)
+			}
+		})
+	}
+}

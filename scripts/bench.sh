@@ -24,7 +24,11 @@
 #                               # quantized warm Reduce (fp16 and int8) to
 #                               # stay at 0 allocs/op and fp16 to ship
 #                               # >=1.7x fewer value-plane payload bytes
-#                               # than raw float32
+#                               # than raw float32, and the measured
+#                               # Figure 2 sweep to show loopback
+#                               # throughput rising from 1 KB to 4 MB
+#                               # packets (a wall-clock shape, so it is
+#                               # gated here and not in go test ./...)
 #
 # BENCH_reduce.json is the checked-in record of the hot-path numbers;
 # regenerate it when the hot path changes and commit both runs'
@@ -320,4 +324,20 @@ if [ "$gate" = 1 ]; then
         exit 1
     fi
     echo "bench gate OK: wire batching at $fpw frames/writev"
+
+    # Figure 2 shape gate: over real loopback sockets the largest packet
+    # must move more bits per second than the smallest. This is the
+    # wall-clock half of TestFigure2Measured, which under go test ./...
+    # only checks that the table is produced.
+    small_gbps="$(awk '$1 ~ /^BenchmarkFigure2Measured(-[0-9]+)?$/ { for (i = 2; i <= NF; i++) if ($(i) == "smallpkt-Gbps") print $(i-1) }' "$out")"
+    large_gbps="$(awk '$1 ~ /^BenchmarkFigure2Measured(-[0-9]+)?$/ { for (i = 2; i <= NF; i++) if ($(i) == "largepkt-Gbps") print $(i-1) }' "$out")"
+    if [ -z "$small_gbps" ] || [ -z "$large_gbps" ]; then
+        echo "bench gate: BenchmarkFigure2Measured did not report its throughputs" >&2
+        exit 1
+    fi
+    if awk -v s="$small_gbps" -v l="$large_gbps" 'BEGIN { exit !(l <= s) }'; then
+        echo "bench gate: no loopback throughput rise with packet size: $small_gbps Gbps at 1 KB vs $large_gbps Gbps at 4 MB" >&2
+        exit 1
+    fi
+    echo "bench gate OK: loopback throughput rises with packet size ($small_gbps Gbps at 1 KB, $large_gbps Gbps at 4 MB)"
 fi

@@ -110,7 +110,7 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 		}
 		c.fabric = fab
 	}
-	var rec comm.Recorder = comm.NopRecorder{}
+	var rec comm.Recorder // nil: untraced
 	if cfg.trace {
 		c.collector = trace.NewCollector(capacity)
 		rec = c.collector
@@ -123,12 +123,10 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 			memnet.WithRecvObserver(c.obs.RecvObserver))
 	case TransportTCP:
 		nodes, err := tcpnet.LocalCluster(capacity, tcpnet.Options{
-			RecvTimeout:   cfg.recvTimeout,
-			MaxBatchBytes: cfg.maxBatchBytes,
-			EnableNagle:   cfg.nagle,
-			Recorder:      rec,
-			RecvObserver:  c.obs.RecvObserver,
-			Metrics:       c.obs.Transport(),
+			RecvTimeout:  cfg.recvTimeout,
+			Recorder:     rec,
+			RecvObserver: c.obs.RecvObserver,
+			Metrics:      c.obs.Transport(),
 		})
 		if err != nil {
 			return nil, err
@@ -477,11 +475,9 @@ func ListenNode(rank int, addrs []string, opts ...Option) (*Node, error) {
 		cfg.obsv = obs.New(len(addrs), 0)
 	}
 	tn, err := tcpnet.Listen(rank, addrs, tcpnet.Options{
-		RecvTimeout:   cfg.recvTimeout,
-		MaxBatchBytes: cfg.maxBatchBytes,
-		EnableNagle:   cfg.nagle,
-		RecvObserver:  cfg.obsv.RecvObserver,
-		Metrics:       cfg.obsv.Transport(),
+		RecvTimeout:  cfg.recvTimeout,
+		RecvObserver: cfg.obsv.RecvObserver,
+		Metrics:      cfg.obsv.Transport(),
 	})
 	if err != nil {
 		return nil, err

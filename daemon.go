@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"kylix/internal/comm"
-	"kylix/internal/core"
 )
 
 // StreamCtl is the tenant-stream control-plane message served by the
@@ -79,26 +78,7 @@ func (n *Node) Stream(id uint16, opts ...Option) (*Node, error) {
 	}
 	cfg := n.cfg
 	cfg.stream = comm.StreamID(id)
-	for _, o := range opts {
-		o(&cfg)
-	}
-	mach, err := core.NewMachine(n.ep, n.bf, core.Options{
-		Width:          cfg.width,
-		Reducer:        cfg.reducer,
-		Strict:         cfg.strict,
-		Channel:        cfg.channel,
-		Quant:          cfg.quant,
-		Stream:         cfg.stream,
-		Tracer:         cfg.obsv.Node(n.physRank),
-		CombineWorkers: cfg.combineWorkers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Node{
-		mach: mach, ep: n.ep, bf: n.bf, cfg: cfg,
-		physRank: n.physRank, width: cfg.width, tn: n.tn,
-	}, nil
+	return n.derive(cfg, 0, opts)
 }
 
 // CloseStream purges the given tenant stream's namespace from this

@@ -39,6 +39,15 @@
 // OR-reduce sketch network plus a sum-reduce convergence counter — can
 // interleave over one cluster.
 //
+// The 17 options, by what they choose: the topology (WithDegrees,
+// WithBinaryButterfly), the transport (WithTransport, WithRecvTimeout),
+// the values (WithWidth, WithReducer, WithQuantization, WithStrict,
+// WithCombineWorkers), fault tolerance (WithReplication, WithFaults,
+// WithElastic), tenant admission (WithMaxStreams, WithStreamInflight,
+// WithStreamSlots) and visibility (WithTrace, WithObservability). Tag
+// namespaces are not options: a channel is chosen only by Node.Channel,
+// a tenant stream only by Cluster.OpenStream or Node.Stream.
+//
 // DesignDegrees implements the paper's §IV workflow for choosing optimal
 // layer degrees from the data's power-law statistics, and the repository
 // regenerates every table and figure of the paper's evaluation (see

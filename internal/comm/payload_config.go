@@ -8,17 +8,10 @@ import (
 	"kylix/internal/sparse"
 )
 
-// Additional wire discriminators (continuing payload.go's space).
-//
-// The configuration pass originally shipped index sets in the raw
-// 8-byte-per-key formats 6 and 7. Version 2 of the config wire format
-// adds the compressed forms 8–10 (index sets encoded with
-// sparse.AppendCompressed) and the incremental-reconfigure marker 11.
-// Encoders emit only the compressed discriminators; decoders keep
-// accepting the raw ones so mixed-version traffic still parses.
+// Additional wire discriminators (continuing payload.go's space): the
+// configuration pass's index-set payloads, encoded with
+// sparse.AppendCompressed, and the incremental-reconfigure marker.
 const (
-	wireInOut     = 6  // raw InOut (decode-only)
-	wireCombined  = 7  // raw Combined (decode-only)
 	wireKeysC     = 8  // compressed Keys
 	wireInOutC    = 9  // compressed InOut
 	wireCombinedC = 10 // compressed Combined
@@ -185,17 +178,6 @@ func (p *Delta) RawWireSize() int {
 	return n
 }
 
-func decodeKeys(buf []byte, n uint32) (sparse.Set, []byte, error) {
-	if len(buf) < int(n)*8 {
-		return nil, nil, fmt.Errorf("comm: truncated key block")
-	}
-	keys := make(sparse.Set, n)
-	for i := range keys {
-		keys[i] = sparse.Key(binary.LittleEndian.Uint64(buf[i*8:]))
-	}
-	return keys, buf[n*8:], nil
-}
-
 // decodeConfigPayload handles the discriminators defined in this file;
 // it is called from DecodePayload's default branch. Decoded compressed
 // payloads have their memoized wire size preset (the decoder knows the
@@ -203,62 +185,7 @@ func decodeKeys(buf []byte, n uint32) (sparse.Set, []byte, error) {
 // does not re-run the codec.
 func decodeConfigPayload(kind byte, buf []byte) (Payload, error) {
 	whole := len(buf) + 1 // discriminator byte included
-	readU32 := func() (uint32, error) {
-		if len(buf) < 4 {
-			return 0, fmt.Errorf("comm: truncated payload")
-		}
-		v := binary.LittleEndian.Uint32(buf)
-		buf = buf[4:]
-		return v, nil
-	}
 	switch kind {
-	case wireInOut:
-		ni, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		no, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		in, rest, err := decodeKeys(buf, ni)
-		if err != nil {
-			return nil, err
-		}
-		out, _, err := decodeKeys(rest, no)
-		if err != nil {
-			return nil, err
-		}
-		return &InOut{In: in, Out: out}, nil
-	case wireCombined:
-		ni, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		no, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		nv, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		in, rest, err := decodeKeys(buf, ni)
-		if err != nil {
-			return nil, err
-		}
-		out, rest, err := decodeKeys(rest, no)
-		if err != nil {
-			return nil, err
-		}
-		if len(rest) < int(nv)*4 {
-			return nil, fmt.Errorf("comm: truncated combined values")
-		}
-		vals := make([]float32, nv)
-		for i := range vals {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[i*4:]))
-		}
-		return &Combined{In: in, Out: out, Vals: vals}, nil
 	case wireKeysC:
 		keys, rest, err := sparse.DecodeCompressed(nil, buf)
 		if err != nil {

@@ -18,27 +18,14 @@ type RecvObserver interface {
 }
 
 // Recorder observes transport sends for traffic accounting. Transports
-// call Record once per message with the payload's wire size; recording
-// happens at send time, so traffic toward dead machines is charged to
-// the sender exactly as a physical NIC would be.
+// call Record once per message with the payload's wire size and its
+// uncompressed size (RawWireSize), so compression ratios surface in
+// traffic reports without a second accounting pass; recording happens
+// at send time, so traffic toward dead machines is charged to the
+// sender exactly as a physical NIC would be. A nil Recorder is off:
+// transports then skip the WireSize call entirely, so untraced runs
+// never pay for encoding payloads that in-memory delivery would not
+// otherwise serialize.
 type Recorder interface {
-	Record(from, to int, tag Tag, bytes int)
+	Record(from, to int, tag Tag, wire, raw int)
 }
-
-// RawRecorder is an optional Recorder extension for transports that
-// also know a payload's uncompressed size (RawWireSize). Transports
-// prefer RecordRaw when the recorder implements it, so compression
-// ratios surface in traffic reports without a second accounting pass.
-type RawRecorder interface {
-	Recorder
-	RecordRaw(from, to int, tag Tag, wireBytes, rawBytes int)
-}
-
-// NopRecorder discards all samples. Transports special-case it: when
-// the configured recorder is a NopRecorder they skip the WireSize call
-// entirely, so untraced runs never pay for encoding payloads that
-// in-memory delivery would not otherwise serialize.
-type NopRecorder struct{}
-
-// Record implements Recorder.
-func (NopRecorder) Record(from, to int, tag Tag, bytes int) {}

@@ -210,9 +210,10 @@ type Config struct {
 	// missing counts in-indices with no contributor in this machine's
 	// bottom range.
 	missing int
-	// scratch is the reusable two-generation reduction arena, built
-	// lazily on the first Reduce so Configure-only uses pay nothing.
-	scratch *scratch
+	// scratch is the reusable two-generation reduction arena; each
+	// generation is built lazily at its first Reduce, so Configure-only
+	// uses pay nothing.
+	scratch scratch
 	// reconfigReady records that a Reconfigure pass has populated every
 	// layer's recvIn/recvOut. The first Reconfigure on a Config ships
 	// full pieces unconditionally (Configure does not retain received

@@ -94,7 +94,7 @@ func (c *Config) Reconfigure(inSet, outSet sparse.Set) (err error) {
 	if !allFast {
 		// Buffer sizes may have changed somewhere; rebuild the reduction
 		// arena lazily on the next Reduce.
-		c.scratch = nil
+		c.scratch = scratch{}
 	}
 	c.reconfigReady = true
 	return nil

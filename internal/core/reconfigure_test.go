@@ -147,7 +147,7 @@ func TestReconfigureWarmUnchangedKeepsScratch(t *testing.T) {
 		if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
 			return err
 		}
-		if cfg.scratch != nil {
+		if cfg.scratch.ready != [2]bool{} {
 			t.Errorf("rank %d: first Reconfigure kept the reduction arena", r)
 		}
 		if _, err := cfg.Reduce(ws[r].vals); err != nil {
@@ -159,7 +159,7 @@ func TestReconfigureWarmUnchangedKeepsScratch(t *testing.T) {
 		if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
 			return err
 		}
-		if cfg.scratch == nil {
+		if cfg.scratch.ready == [2]bool{} {
 			t.Errorf("rank %d: warm unchanged Reconfigure dropped the reduction arena", r)
 		}
 		if got := cfg.Digest(); got != before {

@@ -44,8 +44,7 @@ func (c *Config) Reduce(outVals []float32) (res []float32, err error) {
 			m.Rank(), len(outVals), len(c.outSet)*w, len(c.outSet), w)
 	}
 	round := m.nextRound()
-	s := c.ensureScratch()
-	g := c.flip(s)
+	g := c.flip()
 	// The pool's workers live for this pass only: the first fold or
 	// gather big enough to shard spawns them, and the pass joins them on
 	// every exit path, so Machines never accumulate goroutines.
@@ -59,14 +58,11 @@ func (c *Config) Reduce(outVals []float32) (res []float32, err error) {
 	// Downward scatter-reduce.
 	cur := outVals
 	for i := range c.layers {
-		acc, err := c.scatterLayer(i, round, cur, s, g, tr)
-		if err != nil {
-			return nil, err
+		if cur, err = c.scatterLayer(i, round, cur, g, tr); err != nil {
+			return nil, fmt.Errorf("core: rank %d reduce layer %d: %w", m.Rank(), i+1, err)
 		}
-		cur = acc
 	}
-
-	return c.gatherUp(cur, round, s, g)
+	return c.gatherUp(cur, round, g)
 }
 
 // scatterLayer runs one layer of the downward scatter-reduce: issue
@@ -78,105 +74,48 @@ func (c *Config) Reduce(outVals []float32) (res []float32, err error) {
 // combine sequence stays exactly the in-order one.
 //
 //kylix:hotpath
-func (c *Config) scatterLayer(i int, round uint32, cur []float32, s *scratch, g *genBufs, tr *obs.Tracer) (acc []float32, err error) {
+func (c *Config) scatterLayer(i int, round uint32, cur []float32, g *genBufs, tr *obs.Tracer) (acc []float32, err error) {
 	m := c.mach
 	w := m.opts.Width
 	ls := &c.layers[i]
-	layer := i + 1
-	sp := tr.Begin(comm.KindReduce, layer)
-	sp.Peers = len(ls.group)
+	d := len(ls.group)
+	sp := tr.Begin(comm.KindReduce, i+1)
+	sp.Peers = d
 	defer func() { sp.Err = err; tr.End(&sp) }()
-	tag := m.tag(comm.KindReduce, layer, round)
+	tag := m.tag(comm.KindReduce, i+1, round)
 
-	quant := m.opts.Quant
-	if quant != sparse.QuantOff {
-		// Quantized plane: encode each piece (folding in the piece's
-		// error-feedback residual) into its reusable QVals header and ship
-		// that instead of raw floats.
-		qsends := g.qscatter[i]
-		for t, member := range ls.group {
-			q := &qsends[t]
-			seg := cur[int(ls.outOffsets[t])*w : int(ls.outOffsets[t+1])*w]
-			var res []float32
-			if s.quant.resScatter != nil {
-				res = s.quant.resScatter[i][t]
-			}
-			sparse.Quantize(quant, q.Data, seg, res)
-			sp.BytesOut += int64(q.WireSize())
-			tr.CountValueBytes(int64(q.RawWireSize()), int64(q.WireSize()))
-			if err := m.ep.Send(member, tag, q); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		sends := g.scatter[i]
-		for t, member := range ls.group {
-			f := &sends[t]
-			f.Vals = cur[int(ls.outOffsets[t])*w : int(ls.outOffsets[t+1])*w]
-			n := int64(f.WireSize())
-			sp.BytesOut += n
-			tr.CountValueBytes(n, n)
-			if err := m.ep.Send(member, tag, f); err != nil {
-				return nil, err
-			}
+	pieces := g.scatter[i]
+	for t, member := range ls.group {
+		p := &pieces[t]
+		p.f.Vals = cur[int(ls.outOffsets[t])*w : int(ls.outOffsets[t+1])*w]
+		if err := m.sendPiece(member, tag, p, &sp); err != nil {
+			return nil, err
 		}
 	}
 
 	acc = g.acc[i]
 	tr.CountCombineShards(m.pool.Fill(acc, m.opts.Reducer.Identity()))
 
-	stage := s.stage[:len(ls.group)]
-	for t := range stage {
-		stage[t] = nil
-	}
+	staged, seen := m.cfg.valP[:d], m.cfg.seen[:d]
+	clear(seen)
 	folded := 0
-	for received := 0; received < len(ls.group); {
-		from, p, err := m.ep.RecvGroup(s.groups[i], tag)
+	for received := 0; received < d; received++ {
+		t, pl, err := c.recvPiece(i, tag, seen)
+		if err == nil {
+			// No fixed destination: a raw piece is folded from the received
+			// payload itself, a packed one from its landing buffer.
+			staged[t], err = m.landPiece(ls.group[t], pl, &pieces[t], nil, len(ls.outMaps[t])*w, &sp)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("core: rank %d reduce layer %d recv: %w", m.Rank(), layer, err)
+			return nil, err
 		}
-		t := memberIndex(ls.group, from)
-		if t < 0 {
-			return nil, fmt.Errorf("core: rank %d reduce layer %d: piece from %d outside group", m.Rank(), layer, from)
-		}
-		if stage[t] != nil {
-			continue // duplicate delivery (chaotic transport)
-		}
-		if quant != sparse.QuantOff {
-			q, ok := p.(*comm.QVals)
-			if !ok || q.Mode != quant {
-				return nil, fmt.Errorf("core: rank %d reduce layer %d: unexpected payload %T (quantization %v)", m.Rank(), layer, p, quant)
-			}
-			if q.N != len(ls.outMaps[t])*w {
-				return nil, fmt.Errorf("core: rank %d reduce layer %d: piece from %d has %d values, want %d",
-					m.Rank(), layer, from, q.N, len(ls.outMaps[t])*w)
-			}
-			// Dequantize into the piece's landing buffer; the staged fold
-			// below consumes it before this layer returns, so one landing
-			// buffer per (layer, member) serves every generation.
-			land := &s.quant.recv[i][t]
-			sparse.Dequantize(quant, land.Vals, q.Data)
-			sp.BytesIn += int64(q.WireSize())
-			stage[t] = land
-		} else {
-			f, ok := p.(*comm.Floats)
-			if !ok {
-				return nil, fmt.Errorf("core: rank %d reduce layer %d: unexpected payload %T", m.Rank(), layer, p)
-			}
-			if len(f.Vals) != len(ls.outMaps[t])*w {
-				return nil, fmt.Errorf("core: rank %d reduce layer %d: piece from %d has %d values, want %d",
-					m.Rank(), layer, from, len(f.Vals), len(ls.outMaps[t])*w)
-			}
-			sp.BytesIn += int64(f.WireSize())
-			stage[t] = f
-		}
-		received++
-		for folded < len(ls.group) && stage[folded] != nil {
+		for folded < d && seen[folded] {
 			// Each staged piece is folded by the sharded kernel: its map is
 			// injective into the union, so shards touch disjoint rows and
 			// the per-row fold order — piece by piece, in member order —
 			// is exactly the serial one.
-			tr.CountCombineShards(m.pool.CombineInto(m.opts.Reducer, acc, ls.outMaps[folded], stage[folded].Vals, w))
+			tr.CountCombineShards(m.pool.CombineInto(m.opts.Reducer, acc, ls.outMaps[folded], staged[folded], w))
+			staged[folded] = nil // do not pin received payload memory past the fold
 			folded++
 		}
 	}
@@ -188,7 +127,7 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, s *scratch, g 
 // arena generation; the returned slice is g.next[0].
 //
 //kylix:hotpath
-func (c *Config) gatherUp(cur []float32, round uint32, s *scratch, g *genBufs) (res []float32, err error) {
+func (c *Config) gatherUp(cur []float32, round uint32, g *genBufs) (res []float32, err error) {
 	m := c.mach
 	tr := m.opts.Tracer
 	outer := tr.Begin(comm.KindGather, 0)
@@ -203,121 +142,136 @@ func (c *Config) gatherUp(cur []float32, round uint32, s *scratch, g *genBufs) (
 
 	// Upward allgather, layer l..1.
 	for i := len(c.layers) - 1; i >= 0; i-- {
-		next, err := c.gatherLayer(i, round, inVals, s, g, tr)
-		if err != nil {
-			return nil, err
+		if err := c.gatherLayer(i, round, inVals, g, tr); err != nil {
+			return nil, fmt.Errorf("core: rank %d gather layer %d: %w", m.Rank(), i+1, err)
 		}
-		inVals = next
+		inVals = g.next[i]
 	}
 	return inVals, nil
 }
 
-// quantGathered marks a gather slot as received when the segment was
-// dequantized straight into place and there is no Floats payload to
-// store (the stage slots only need any non-nil value for duplicate
-// detection).
-var quantGathered = &comm.Floats{}
-
 // gatherLayer runs one layer of the upward allgather: extract and
 // return to each member the values for the in-piece it sent down during
 // configuration (the g maps), all sends issued before any receive, then
-// copy received segments into place in arrival order — segments are
+// land received segments in g.next[i] in arrival order — segments are
 // disjoint, so there is no ordering constraint at all.
 //
 //kylix:hotpath
-func (c *Config) gatherLayer(i int, round uint32, inVals []float32, s *scratch, g *genBufs, tr *obs.Tracer) (next []float32, err error) {
+func (c *Config) gatherLayer(i int, round uint32, inVals []float32, g *genBufs, tr *obs.Tracer) (err error) {
 	m := c.mach
 	w := m.opts.Width
 	ls := &c.layers[i]
-	layer := i + 1
-	sp := tr.Begin(comm.KindGather, layer)
-	sp.Peers = len(ls.group)
+	d := len(ls.group)
+	sp := tr.Begin(comm.KindGather, i+1)
+	sp.Peers = d
 	defer func() { sp.Err = err; tr.End(&sp) }()
-	tag := m.tag(comm.KindGather, layer, round)
+	tag := m.tag(comm.KindGather, i+1, round)
 
-	sends := g.gather[i]
-	quant := m.opts.Quant
-	if quant != sparse.QuantOff {
-		// Quantized plane: gather into the piece's float staging buffer,
-		// then encode (with error feedback) into its QVals header.
-		qsends := g.qgather[i]
-		for t, member := range ls.group {
-			f := &sends[t]
-			tr.CountCombineShards(m.pool.GatherInto(f.Vals, ls.inMaps[t], inVals, w, 0))
-			q := &qsends[t]
-			var res []float32
-			if s.quant.resGather != nil {
-				res = s.quant.resGather[i][t]
-			}
-			sparse.Quantize(quant, q.Data, f.Vals, res)
-			sp.BytesOut += int64(q.WireSize())
-			tr.CountValueBytes(int64(q.RawWireSize()), int64(q.WireSize()))
-			if err := m.ep.Send(member, tag, q); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for t, member := range ls.group {
-			f := &sends[t]
-			tr.CountCombineShards(m.pool.GatherInto(f.Vals, ls.inMaps[t], inVals, w, 0))
-			n := int64(f.WireSize())
-			sp.BytesOut += n
-			tr.CountValueBytes(n, n)
-			if err := m.ep.Send(member, tag, f); err != nil {
-				return nil, err
-			}
+	pieces := g.gather[i]
+	for t, member := range ls.group {
+		p := &pieces[t]
+		tr.CountCombineShards(m.pool.GatherInto(p.f.Vals, ls.inMaps[t], inVals, w, 0))
+		if err := m.sendPiece(member, tag, p, &sp); err != nil {
+			return err
 		}
 	}
 
-	next = g.next[i]
-	seen := s.stage[:len(ls.group)]
-	for t := range seen {
-		seen[t] = nil
-	}
-	for received := 0; received < len(ls.group); {
-		from, p, err := m.ep.RecvGroup(s.groups[i], tag)
+	next, seen := g.next[i], m.cfg.seen[:d]
+	clear(seen)
+	for received := 0; received < d; received++ {
+		t, pl, err := c.recvPiece(i, tag, seen)
+		if err == nil {
+			seg := next[int(ls.inOffsets[t])*w : int(ls.inOffsets[t+1])*w]
+			_, err = m.landPiece(ls.group[t], pl, &pieces[t], seg, len(seg), &sp)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("core: rank %d gather layer %d recv: %w", m.Rank(), layer, err)
+			return err
 		}
-		t := memberIndex(ls.group, from)
-		if t < 0 {
-			return nil, fmt.Errorf("core: rank %d gather layer %d: piece from %d outside group", m.Rank(), layer, from)
-		}
-		if seen[t] != nil {
-			continue // duplicate delivery
-		}
-		seg := next[int(ls.inOffsets[t])*w : int(ls.inOffsets[t+1])*w]
-		if quant != sparse.QuantOff {
-			q, ok := p.(*comm.QVals)
-			if !ok || q.Mode != quant {
-				return nil, fmt.Errorf("core: rank %d gather layer %d: unexpected payload %T (quantization %v)", m.Rank(), layer, p, quant)
-			}
-			if q.N != len(seg) {
-				return nil, fmt.Errorf("core: rank %d gather layer %d: segment from %d has %d values, want %d",
-					m.Rank(), layer, from, q.N, len(seg))
-			}
-			sp.BytesIn += int64(q.WireSize())
-			// Gather segments are disjoint, so dequantize straight into
-			// place; mark the slot with the sentinel for duplicate
-			// detection.
-			sparse.Dequantize(quant, seg, q.Data)
-			seen[t] = quantGathered
-		} else {
-			f, ok := p.(*comm.Floats)
-			if !ok {
-				return nil, fmt.Errorf("core: rank %d gather layer %d: unexpected payload %T", m.Rank(), layer, p)
-			}
-			if len(f.Vals) != len(seg) {
-				return nil, fmt.Errorf("core: rank %d gather layer %d: segment from %d has %d values, want %d",
-					m.Rank(), layer, from, len(f.Vals), len(seg))
-			}
-			sp.BytesIn += int64(f.WireSize())
-			copy(seg, f.Vals)
-			seen[t] = f
-		}
-		received++
 	}
-	return next, nil
+	return nil
+}
+
+// sendPiece is the send step of both directions: it puts the piece's
+// float view p.f.Vals into its wire form — the raw header itself, or
+// p.pk.q refilled by the quantize kernel, which also folds the piece's
+// error-feedback residual in and leaves this round's error there —
+// charges the layer span and the value-byte counters, and hands the
+// payload to the endpoint.
+//
+//kylix:hotpath
+func (m *Machine) sendPiece(to int, tag comm.Tag, p *piece, sp *obs.Span) error {
+	raw := int64(p.f.WireSize())
+	wire, pl := raw, comm.Payload(&p.f)
+	if quant := m.opts.Quant; quant != sparse.QuantOff {
+		sparse.Quantize(quant, p.pk.q.Data, p.f.Vals, p.pk.res)
+		wire, pl = int64(p.pk.q.WireSize()), &p.pk.q
+	}
+	sp.BytesOut += wire
+	m.opts.Tracer.CountValueBytes(raw, wire)
+	return m.ep.Send(to, tag, pl)
+}
+
+// recvPiece is the receive skeleton of both directions: it takes the
+// layer's next piece in arrival order, skipping duplicate deliveries
+// (chaotic transports), which seen guards, and returns the sender's
+// slot in the layer group with the payload.
+//
+//kylix:hotpath
+func (c *Config) recvPiece(i int, tag comm.Tag, seen []bool) (int, comm.Payload, error) {
+	m := c.mach
+	for {
+		from, pl, err := m.ep.RecvGroup(m.cfg.groups[i], tag)
+		if err != nil {
+			return -1, nil, fmt.Errorf("recv: %w", err)
+		}
+		t := memberIndex(c.layers[i].group, from)
+		if t < 0 {
+			return -1, nil, fmt.Errorf("piece from %d outside group", from)
+		}
+		if !seen[t] {
+			seen[t] = true
+			return t, pl, nil
+		}
+	}
+}
+
+// landPiece is the land step of both directions: it checks the payload
+// received from a member against the configured wire form (payload
+// type, quantization mode, the n values expected) and yields its floats
+// in dst — copied or dequantized there — or, when dst is nil, zero-copy
+// as the received Floats.Vals (raw) or in the piece's own landing buffer
+// (packed).
+//
+//kylix:hotpath
+func (m *Machine) landPiece(from int, pl comm.Payload, p *piece, dst []float32, n int, sp *obs.Span) ([]float32, error) {
+	if quant := m.opts.Quant; quant != sparse.QuantOff {
+		q, ok := pl.(*comm.QVals)
+		if !ok || q.Mode != quant {
+			return nil, fmt.Errorf("piece from %d: unexpected payload %T (quantization %v)", from, pl, quant)
+		}
+		if q.N != n {
+			return nil, fmt.Errorf("piece from %d has %d values, want %d", from, q.N, n)
+		}
+		sp.BytesIn += int64(q.WireSize())
+		if dst == nil {
+			dst = p.pk.land
+		}
+		sparse.Dequantize(quant, dst, q.Data)
+		return dst, nil
+	}
+	f, ok := pl.(*comm.Floats)
+	if !ok {
+		return nil, fmt.Errorf("piece from %d: unexpected payload %T (quantization off)", from, pl)
+	}
+	if len(f.Vals) != n {
+		return nil, fmt.Errorf("piece from %d has %d values, want %d", from, len(f.Vals), n)
+	}
+	sp.BytesIn += int64(f.WireSize())
+	if dst == nil {
+		return f.Vals, nil
+	}
+	copy(dst, f.Vals)
+	return dst, nil
 }
 
 // ConfigureReduce fuses configuration and reduction in a single downward
@@ -364,10 +318,9 @@ func (m *Machine) ConfigureReduce(inSet, outSet sparse.Set, outVals []float32) (
 	if err := cfg.finishBottom(inCur, outCur); err != nil {
 		return nil, nil, err
 	}
-	s := cfg.ensureScratch()
-	g := cfg.flip(s)
+	g := cfg.flip()
 	tr.CountArenaFlip()
-	inVals, err := cfg.gatherUp(cur, round, s, g)
+	inVals, err := cfg.gatherUp(cur, round, g)
 	if err != nil {
 		return nil, nil, err
 	}

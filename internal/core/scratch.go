@@ -5,54 +5,82 @@ import (
 	"kylix/internal/sparse"
 )
 
+// piece is one value piece exchanged with one member of a layer group,
+// in every form it takes: the float view the kernels read and write and
+// the wire form — raw or packed — the send step ships it in. Raw or
+// quantized is a property of the piece, not of the code that moves it:
+// only the cold builder below and the send and land steps (reduce.go)
+// look at Options.Quant.
+type piece struct {
+	// f is the raw wire form, and f.Vals the float view the send step
+	// ships (raw) or encodes from (quantized): on the way down it is
+	// re-pointed each round at a segment of the current value vector, on
+	// the way up it is a fixed buffer (len = |inMaps[t]| * width)
+	// refilled by GatherInto each round.
+	f comm.Floats
+	// pk is the packed side when Options.Quant is a lossy mode; nil
+	// otherwise, so a raw piece weighs one pointer more than its header.
+	pk *packed
+}
+
+// packed is the quantized side of a piece.
+type packed struct {
+	// q is the packed wire form; its Data, sized exactly by
+	// sparse.QuantizedSize, is refilled by the quantize kernel each
+	// round. Like the piece's value buffer, the bytes may still be
+	// draining through a transport when the round ends, so each
+	// generation has its own.
+	q comm.QVals
+	// res is the error-feedback residual of the piece sent (len =
+	// len(f.Vals)): each round's quantization error is left here and
+	// added to the next round's values before encoding. It is not scratch
+	// in the reuse sense — it carries state from round to round and is
+	// never cleared — so both generations share one. Nil under
+	// Options.QuantNoFeedback.
+	res []float32
+	// land is where the member's own piece is dequantized on the way down
+	// (len = |outMaps[t]| * width). The staged fold consumes it within the
+	// layer on the same goroutine, so both generations share one. Unused
+	// on the way up: segments of the assembly buffer are disjoint, so
+	// pieces are dequantized straight into place.
+	land []float32
+}
+
 // genBufs is one generation of a Config's reusable reduction buffers.
-// Every slice a warm Reduce writes — layer accumulators, send payload
-// headers, gather extraction buffers, the turnaround vector and the
-// per-layer assembly buffers — is carved here once, so steady-state
-// rounds allocate nothing.
+// Every slice a warm Reduce writes — layer accumulators, value pieces,
+// the turnaround vector and the per-layer assembly buffers — is carved
+// here once, so steady-state rounds allocate nothing.
 type genBufs struct {
 	// acc[i] is layer i+1's scatter-reduce accumulator
 	// (len = |outUnion| * width).
 	acc [][]float32
-	// scatter[i][t] is the reusable send header for the scatter piece to
-	// layer i+1's member t; its Vals is re-pointed at a segment of the
-	// current value vector each round.
-	scatter [][]comm.Floats
-	// gather[i][t] is the send header for the allgather piece to layer
-	// i+1's member t; its Vals is a fixed buffer (len = |inMaps[t]| *
-	// width) refilled by GatherInto each round.
-	gather [][]comm.Floats
+	// scatter[i][t] / gather[i][t] are the pieces exchanged with layer
+	// i+1's member t on the way down / up.
+	scatter, gather [][]piece
 	// inVals is the bottom turnaround vector (len = |bottomIn| * width).
 	inVals []float32
 	// next[i] is the allgather assembly buffer below layer i+1
 	// (len = |inSet| * width for i == 0, |layers[i-1].inUnion| * width
 	// otherwise). next[0] is the vector handed back to the caller.
 	next [][]float32
-	// qscatter/qgather mirror scatter/gather when Options.Quant is a
-	// lossy mode: reusable QVals send headers whose Data (sized exactly
-	// by sparse.QuantizedSize) is refilled by the quantize kernels each
-	// round. Like gather value buffers, the Data bytes may still be
-	// draining through a transport when the round ends, so they live in
-	// the two-generation arena and are only rewritten once quiescent.
-	// Nil when quantization is off.
-	qscatter [][]comm.QVals
-	qgather  [][]comm.QVals
 	// stage is the out-value staging buffer StageOut hands out
 	// (len = |outSet| * width); nil until a caller asks for it, so
 	// callers that pass Reduce their own vector never pay for it.
 	stage []float32
 }
 
-// scratch is a Config's two-generation reduction arena plus the
-// generation-independent receive state. Rounds alternate generations:
-// round N reuses the buffers of round N-2, which are quiescent by then —
-// any rank entering round N has completed round N-1, which required a
-// message from every group member at every layer, which those members
-// only send after finishing round N-2 and therefore after consuming
-// every round-N-2 payload addressed to them. (Send-side transports
-// either finish reading a payload before the receiver can complete the
-// round it belongs to, or deep-copy it up front, so the same bound
-// covers them.)
+// scratch is a Config's two-generation reduction arena. Rounds
+// alternate generations: round N reuses the buffers of round N-2, which
+// are quiescent by then — any rank entering round N has completed round
+// N-1, which required a message from every group member at every layer,
+// which those members only send after finishing round N-2 and therefore
+// after consuming every round-N-2 payload addressed to them. (Send-side
+// transports either finish reading a payload before the receiver can
+// complete the round it belongs to, or deep-copy it up front, so the
+// same bound covers them.) The generation-independent receive state —
+// singleton receive groups, the arrival-order staging slots and their
+// duplicate-delivery guards — is the machine-level cfgScratch's: one
+// goroutine per machine, and each layer clears what it uses.
 //
 // Generations are built lazily: a fused ConfigureReduce performs one
 // allgather and then often hands the Config to a caller that never
@@ -65,56 +93,21 @@ type scratch struct {
 	gen   int
 	bufs  [2]genBufs
 	ready [2]bool
-	// stage holds arrival-order receipts until they can be folded in
-	// canonical member order; sized to the widest layer group. Non-nil
-	// entries double as duplicate-delivery guards. Shared from the
-	// machine-level cfgScratch (one goroutine per machine, and each
-	// Reduce clears it before use).
-	stage []*comm.Floats
-	// groups[i][t] is the singleton group {layers[i].group[t]} — the
-	// RecvGroup argument that makes receives pure arrival-order with no
-	// cancellation. Shared from the machine-level cfgScratch: the layer
-	// groups are fixed by the topology, not by the Config.
-	groups [][][]int
-	// quant is the quantization working state (dequantize landing
-	// buffers and error-feedback residuals); nil when Options.Quant is
-	// off. It lives on the scratch for lifetime convenience, but the
-	// residuals are not scratch in the reuse sense: they carry state
-	// from round to round and must never be cleared between rounds.
-	quant *quantState
-}
-
-// quantState is a Config's quantization working state.
-type quantState struct {
-	// recv[i][t] is the dequantize landing buffer for the scatter piece
-	// received from layer i+1's member t (len = |outMaps[t]| * width).
-	// Received QVals decode into it and the existing staged-fold
-	// machinery consumes it within the same layer on the same
-	// goroutine, so one instance (not one per generation) suffices.
-	recv [][]comm.Floats
-	// resScatter[i][t] is the error-feedback residual of the scatter
-	// piece sent to layer i+1's member t (len = the piece's value
-	// count); resGather[i][t] likewise for the allgather piece
-	// (len = |inMaps[t]| * width). Each round's quantization error is
-	// left here and added to the next round's values before encoding.
-	// Nil (kernels run without feedback) when Options.QuantNoFeedback.
-	resScatter [][][]float32
-	resGather  [][][]float32
 }
 
 // flip advances to the next generation — building it on first use — and
 // returns its buffers.
-func (c *Config) flip(s *scratch) *genBufs {
-	s.gen ^= 1
-	return c.generation(s, s.gen)
+func (c *Config) flip() *genBufs {
+	c.scratch.gen ^= 1
+	return c.generation(c.scratch.gen)
 }
 
 // generation returns a generation's buffers, building them on first use.
-func (c *Config) generation(s *scratch, gen int) *genBufs {
-	if !s.ready[gen] {
-		c.buildGen(s, gen)
+func (c *Config) generation(gen int) *genBufs {
+	if !c.scratch.ready[gen] {
+		c.buildGen(gen)
 	}
-	return &s.bufs[gen]
+	return &c.scratch.bufs[gen]
 }
 
 // StageOut returns the buffer the next Reduce on this Config should be
@@ -132,8 +125,7 @@ func (c *Config) StageOut() ([]float32, error) {
 	if c.poisoned {
 		return nil, &PoisonedError{Rank: c.mach.Rank()}
 	}
-	s := c.ensureScratch()
-	g := c.generation(s, s.gen^1)
+	g := c.generation(c.scratch.gen ^ 1)
 	if g.stage == nil {
 		c.buildStage(g)
 	}
@@ -147,96 +139,57 @@ func (c *Config) buildStage(g *genBufs) {
 	g.stage = make([]float32, len(c.outSet)*c.mach.opts.Width)
 }
 
-// ensureScratch builds the Config's receive state on first use; the
-// per-generation value buffers follow lazily at each generation's first
-// flip. Sizes are fully determined by the configuration, so every warm
-// Reduce is allocation-free.
+// buildGen sizes one generation of the reduction arena; sizes are fully
+// determined by the configuration, so every warm Reduce is
+// allocation-free. The second generation to be built adopts the first's residuals and dequantize
+// buffers (zero-initialised: the first round has no prior error to fold
+// in) instead of making its own.
 //
 //kylix:coldpath
-func (c *Config) ensureScratch() *scratch {
-	if c.scratch != nil {
-		return c.scratch
-	}
-	cs := c.mach.ensureCfgScratch()
-	c.scratch = &scratch{stage: cs.stage, groups: cs.groups}
-	if c.mach.opts.Quant != sparse.QuantOff {
-		c.scratch.quant = c.buildQuantState()
-	}
-	return c.scratch
-}
-
-// buildQuantState sizes the dequantize landing buffers and, unless
-// feedback is disabled, the per-piece error-feedback residuals
-// (zero-initialised: the first round has no prior error to fold in).
-//
-//kylix:coldpath
-func (c *Config) buildQuantState() *quantState {
-	w := c.mach.opts.Width
-	ef := !c.mach.opts.QuantNoFeedback
-	qs := &quantState{recv: make([][]comm.Floats, len(c.layers))}
-	if ef {
-		qs.resScatter = make([][][]float32, len(c.layers))
-		qs.resGather = make([][][]float32, len(c.layers))
-	}
-	for i := range c.layers {
-		ls := &c.layers[i]
-		qs.recv[i] = make([]comm.Floats, len(ls.group))
-		if ef {
-			qs.resScatter[i] = make([][]float32, len(ls.group))
-			qs.resGather[i] = make([][]float32, len(ls.group))
-		}
-		for t := range ls.group {
-			qs.recv[i][t].Vals = make([]float32, len(ls.outMaps[t])*w)
-			if ef {
-				qs.resScatter[i][t] = make([]float32, int(ls.outOffsets[t+1]-ls.outOffsets[t])*w)
-				qs.resGather[i][t] = make([]float32, len(ls.inMaps[t])*w)
-			}
-		}
-	}
-	return qs
-}
-
-// buildGen sizes one generation of the reduction arena.
-//
-//kylix:coldpath
-func (c *Config) buildGen(s *scratch, gen int) {
+func (c *Config) buildGen(gen int) {
 	w := c.mach.opts.Width
 	quant := c.mach.opts.Quant
-	g := &s.bufs[gen]
+	s := &c.scratch
+	g, twin := &s.bufs[gen], &s.bufs[gen^1]
 	g.acc = make([][]float32, len(c.layers))
-	g.scatter = make([][]comm.Floats, len(c.layers))
-	g.gather = make([][]comm.Floats, len(c.layers))
+	g.scatter = make([][]piece, len(c.layers))
+	g.gather = make([][]piece, len(c.layers))
 	g.next = make([][]float32, len(c.layers))
 	g.inVals = make([]float32, len(c.bottomIn())*w)
-	if quant != sparse.QuantOff {
-		g.qscatter = make([][]comm.QVals, len(c.layers))
-		g.qgather = make([][]comm.QVals, len(c.layers))
-	}
 	for i := range c.layers {
 		ls := &c.layers[i]
-		g.acc[i] = make([]float32, len(ls.outUnion)*w)
-		g.scatter[i] = make([]comm.Floats, len(ls.group))
-		g.gather[i] = make([]comm.Floats, len(ls.group))
-		if quant != sparse.QuantOff {
-			g.qscatter[i] = make([]comm.QVals, len(ls.group))
-			g.qgather[i] = make([]comm.QVals, len(ls.group))
-		}
-		for t := range ls.group {
-			g.gather[i][t].Vals = make([]float32, len(ls.inMaps[t])*w)
-			if quant != sparse.QuantOff {
-				ns := int(ls.outOffsets[t+1]-ls.outOffsets[t]) * w
-				g.qscatter[i][t] = comm.QVals{Mode: quant, N: ns,
-					Data: make([]byte, sparse.QuantizedSize(quant, ns))}
-				ng := len(ls.inMaps[t]) * w
-				g.qgather[i][t] = comm.QVals{Mode: quant, N: ng,
-					Data: make([]byte, sparse.QuantizedSize(quant, ng))}
-			}
-		}
 		below := c.inSet
 		if i > 0 {
 			below = c.layers[i-1].inUnion
 		}
+		g.acc[i] = make([]float32, len(ls.outUnion)*w)
 		g.next[i] = make([]float32, len(below)*w)
+		g.scatter[i] = make([]piece, len(ls.group))
+		g.gather[i] = make([]piece, len(ls.group))
+		var pks []packed
+		if quant != sparse.QuantOff {
+			pks = make([]packed, 2*len(ls.group))
+		}
+		for t := range ls.group {
+			down, up := &g.scatter[i][t], &g.gather[i][t]
+			nd, nu := int(ls.outOffsets[t+1]-ls.outOffsets[t])*w, len(ls.inMaps[t])*w
+			up.f.Vals = make([]float32, nu)
+			if pks == nil {
+				continue
+			}
+			down.pk, up.pk = &pks[2*t], &pks[2*t+1]
+			down.pk.q = comm.QVals{Mode: quant, N: nd, Data: make([]byte, sparse.QuantizedSize(quant, nd))}
+			up.pk.q = comm.QVals{Mode: quant, N: nu, Data: make([]byte, sparse.QuantizedSize(quant, nu))}
+			if s.ready[gen^1] {
+				old := twin.scatter[i][t].pk
+				down.pk.land, down.pk.res, up.pk.res = old.land, old.res, twin.gather[i][t].pk.res
+				continue
+			}
+			down.pk.land = make([]float32, len(ls.outMaps[t])*w)
+			if !c.mach.opts.QuantNoFeedback {
+				down.pk.res, up.pk.res = make([]float32, nd), make([]float32, nu)
+			}
+		}
 	}
 	s.ready[gen] = true
 }
@@ -254,10 +207,12 @@ type cfgScratch struct {
 	groupOf [][]int
 	// groups[layer-1][t] is the singleton receive group {groupOf[t]}.
 	groups [][][]int
-	// stage is the reduction's arrival-order staging (see scratch.stage).
-	stage []*comm.Floats
-	// inP/outP/valP/seen stage one layer's received configuration
-	// pieces, indexed by group slot; sized to the widest layer.
+	// inP/outP/valP/seen stage one layer's received pieces, indexed by
+	// group slot and sized to the widest layer: sets and fused values in
+	// the configuration pass, and in a reduction the arrival-order
+	// receipts (valP) awaiting their canonical-order fold with their
+	// duplicate-delivery guards (seen). Passes on a machine never overlap
+	// and each layer clears what it uses.
 	inP, outP []sparse.Set
 	valP      [][]float32
 	seen      []bool
@@ -293,7 +248,6 @@ func (m *Machine) ensureCfgScratch() *cfgScratch {
 			cs.groups[layer-1][t] = group[t : t+1 : t+1]
 		}
 	}
-	cs.stage = make([]*comm.Floats, maxDeg)
 	cs.inP = make([]sparse.Set, maxDeg)
 	cs.outP = make([]sparse.Set, maxDeg)
 	cs.valP = make([][]float32, maxDeg)

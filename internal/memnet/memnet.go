@@ -43,26 +43,16 @@ type Network struct {
 	size    int
 	boxes   []*comm.Mailbox
 	dead    []atomic.Bool
-	rec     comm.Recorder
-	rawRec  comm.RawRecorder // non-nil when rec also takes raw sizes
-	record  bool             // false when rec is a NopRecorder
+	rec     comm.Recorder // nil when nobody accounts traffic
 	recvObs func(rank int) comm.RecvObserver
 	timeout time.Duration
 }
 
 // New creates a network of m machines.
 func New(m int, opts ...Option) *Network {
-	n := &Network{size: m, rec: comm.NopRecorder{}, timeout: 30 * time.Second}
+	n := &Network{size: m, timeout: 30 * time.Second}
 	for _, o := range opts {
 		o(n)
-	}
-	// Payload encoding (WireSize) exists purely for accounting on this
-	// zero-copy transport, so skip it entirely when nobody is listening —
-	// compressed config payloads would otherwise run their codec once per
-	// send in untraced runs.
-	if _, nop := n.rec.(comm.NopRecorder); !nop {
-		n.record = true
-		n.rawRec, _ = n.rec.(comm.RawRecorder)
 	}
 	n.boxes = make([]*comm.Mailbox, m)
 	n.dead = make([]atomic.Bool, m)
@@ -155,13 +145,13 @@ func (e *endpoint) Send(to int, tag comm.Tag, p comm.Payload) error {
 	if e.net.dead[e.rank].Load() {
 		return comm.ErrClosed
 	}
-	// Charge the sender's NIC whether or not the target is alive.
-	if e.net.record {
-		if e.net.rawRec != nil {
-			e.net.rawRec.RecordRaw(e.rank, to, tag, p.WireSize(), comm.RawWireSize(p))
-		} else {
-			e.net.rec.Record(e.rank, to, tag, p.WireSize())
-		}
+	// Charge the sender's NIC whether or not the target is alive. Payload
+	// encoding (WireSize) exists purely for accounting on this zero-copy
+	// transport, so it is skipped entirely when nobody is listening —
+	// compressed config payloads would otherwise run their codec once per
+	// send in untraced runs.
+	if rec := e.net.rec; rec != nil {
+		rec.Record(e.rank, to, tag, p.WireSize(), comm.RawWireSize(p))
 	}
 	if e.net.dead[to].Load() {
 		return nil // silently dropped, like a packet into a dead host

@@ -111,11 +111,11 @@ func TestEstimateSeparatesPhases(t *testing.T) {
 	col := trace.NewCollector(4)
 	// Config traffic at layer 1, reduce at layers 1-2, gather at 1.
 	for from := 0; from < 4; from++ {
-		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindConfig, 1, 0), 1<<20)
-		col.Record(from, from, comm.MakeTag(comm.KindConfig, 1, 0), 1<<20) // self: free
-		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindReduce, 1, 0), 1<<20)
-		col.Record(from, (from+2)%4, comm.MakeTag(comm.KindReduce, 2, 0), 1<<19)
-		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindGather, 1, 0), 1<<19)
+		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindConfig, 1, 0), 1<<20, 1<<20)
+		col.Record(from, from, comm.MakeTag(comm.KindConfig, 1, 0), 1<<20, 1<<20) // self: free
+		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindReduce, 1, 0), 1<<20, 1<<20)
+		col.Record(from, (from+2)%4, comm.MakeTag(comm.KindReduce, 2, 0), 1<<19, 1<<19)
+		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindGather, 1, 0), 1<<19, 1<<19)
 	}
 	rep := Estimate(col, EC2(), 16)
 	if rep.ConfigSec <= 0 || rep.ReduceSec <= 0 {
@@ -145,7 +145,7 @@ func TestEstimateSmallPacketsCostMore(t *testing.T) {
 	mkCol := func(msgs int, msgSize int) *trace.Collector {
 		col := trace.NewCollector(2)
 		for i := 0; i < msgs; i++ {
-			col.Record(0, 1, comm.MakeTag(comm.KindReduce, 1, uint32(i)), msgSize)
+			col.Record(0, 1, comm.MakeTag(comm.KindReduce, 1, uint32(i)), msgSize, msgSize)
 		}
 		return col
 	}
@@ -160,7 +160,7 @@ func TestEstimateSmallPacketsCostMore(t *testing.T) {
 
 func TestEstimateFusedConfigReduceCountsAsConfig(t *testing.T) {
 	col := trace.NewCollector(2)
-	col.Record(0, 1, comm.MakeTag(comm.KindConfigReduce, 1, 0), 1<<20)
+	col.Record(0, 1, comm.MakeTag(comm.KindConfigReduce, 1, 0), 1<<20, 1<<20)
 	rep := Estimate(col, EC2(), 4)
 	if rep.ConfigSec <= 0 || rep.ReduceSec != 0 {
 		t.Fatalf("fused traffic misclassified: %+v", rep)

@@ -91,7 +91,7 @@ type Options struct {
 	// survivors to keep streaming to dead peers without erroring); turn
 	// it on for unreplicated deployments that want prompt failure.
 	FailFast bool
-	// Recorder observes sends for traffic accounting.
+	// Recorder observes sends for traffic accounting; nil is off.
 	Recorder comm.Recorder
 	// RecvObserver, when set, builds the per-rank receive observer that
 	// is installed on the node's mailbox (the observability layer's
@@ -122,9 +122,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatchBytes == 0 {
 		o.MaxBatchBytes = 1 << 20
 	}
-	if o.Recorder == nil {
-		o.Recorder = comm.NopRecorder{}
-	}
 	if o.Metrics == nil {
 		o.Metrics = obs.NewTransportMetrics(nil)
 	}
@@ -138,12 +135,6 @@ type Node struct {
 	opts  Options
 	box   *comm.Mailbox
 	ln    net.Listener
-
-	// record is false when the recorder is a NopRecorder, letting Send
-	// skip WireSize (loopback sends never serialize otherwise); rawRec
-	// is set when the recorder also accounts uncompressed sizes.
-	record bool
-	rawRec comm.RawRecorder
 
 	mu      sync.Mutex
 	peers   map[int]*peer
@@ -347,10 +338,6 @@ func Listen(rank int, addrs []string, opts Options) (*Node, error) {
 		recvSeq: make([]uint64, len(addrs)),
 	}
 	n.addrs[rank] = ln.Addr().String()
-	if _, nop := opts.Recorder.(comm.NopRecorder); !nop {
-		n.record = true
-		n.rawRec, _ = opts.Recorder.(comm.RawRecorder)
-	}
 	if opts.RecvObserver != nil {
 		if ro := opts.RecvObserver(rank); ro != nil {
 			n.box.SetRecvObserver(ro)
@@ -379,12 +366,10 @@ func (n *Node) Send(to int, tag comm.Tag, p comm.Payload) error {
 	if to < 0 || to >= len(n.addrs) {
 		return fmt.Errorf("tcpnet: send to rank %d out of [0,%d)", to, len(n.addrs))
 	}
-	if n.record {
-		if n.rawRec != nil {
-			n.rawRec.RecordRaw(n.rank, to, tag, p.WireSize(), comm.RawWireSize(p))
-		} else {
-			n.opts.Recorder.Record(n.rank, to, tag, p.WireSize())
-		}
+	// Untraced sends skip WireSize (loopback sends never serialize
+	// otherwise).
+	if rec := n.opts.Recorder; rec != nil {
+		rec.Record(n.rank, to, tag, p.WireSize(), comm.RawWireSize(p))
 	}
 	if to == n.rank {
 		// Loopback without the kernel round-trip, mirroring the paper's

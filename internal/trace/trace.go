@@ -97,13 +97,7 @@ func NewCollector(m int) *Collector {
 // than folded into network totals with missing attribution, which
 // would silently skew MaxNode* (a bogus rank is a caller bug, not
 // traffic).
-func (c *Collector) Record(from, to int, tag comm.Tag, bytes int) {
-	c.RecordRaw(from, to, tag, bytes, bytes)
-}
-
-// RecordRaw implements comm.RawRecorder: like Record, with the
-// payload's uncompressed size accounted alongside its wire size.
-func (c *Collector) RecordRaw(from, to int, tag comm.Tag, bytes, rawBytes int) {
+func (c *Collector) Record(from, to int, tag comm.Tag, bytes, rawBytes int) {
 	if from < 0 || from >= c.m || to < 0 || to >= c.m {
 		c.invalid.Add(1)
 		return

@@ -13,10 +13,10 @@ func TestCollectorAggregates(t *testing.T) {
 	c := NewCollector(4)
 	tag1 := comm.MakeTag(comm.KindConfig, 1, 0)
 	tag2 := comm.MakeTag(comm.KindConfig, 2, 0)
-	c.Record(0, 1, tag1, 100)
-	c.Record(0, 0, tag1, 50) // self send
-	c.Record(1, 2, tag1, 100)
-	c.Record(2, 3, tag2, 10)
+	c.Record(0, 1, tag1, 100, 100)
+	c.Record(0, 0, tag1, 50, 50) // self send
+	c.Record(1, 2, tag1, 100, 100)
+	c.Record(2, 3, tag2, 10, 10)
 
 	layers := c.KindLayers(comm.KindConfig)
 	if len(layers) != 2 {
@@ -42,9 +42,9 @@ func TestCollectorAggregates(t *testing.T) {
 
 func TestCollectorLayersSorted(t *testing.T) {
 	c := NewCollector(2)
-	c.Record(0, 1, comm.MakeTag(comm.KindReduce, 3, 0), 1)
-	c.Record(0, 1, comm.MakeTag(comm.KindConfig, 2, 0), 1)
-	c.Record(0, 1, comm.MakeTag(comm.KindConfig, 1, 0), 1)
+	c.Record(0, 1, comm.MakeTag(comm.KindReduce, 3, 0), 1, 1)
+	c.Record(0, 1, comm.MakeTag(comm.KindConfig, 2, 0), 1, 1)
+	c.Record(0, 1, comm.MakeTag(comm.KindConfig, 1, 0), 1, 1)
 	layers := c.Layers()
 	if len(layers) != 3 {
 		t.Fatalf("want 3 cells, got %d", len(layers))
@@ -57,7 +57,7 @@ func TestCollectorLayersSorted(t *testing.T) {
 
 func TestCollectorReset(t *testing.T) {
 	c := NewCollector(2)
-	c.Record(0, 1, comm.MakeTag(comm.KindConfig, 1, 0), 9)
+	c.Record(0, 1, comm.MakeTag(comm.KindConfig, 1, 0), 9, 9)
 	c.Reset()
 	if len(c.Layers()) != 0 {
 		t.Fatal("reset did not clear")
@@ -72,7 +72,7 @@ func TestCollectorMachines(t *testing.T) {
 
 func TestCollectorString(t *testing.T) {
 	c := NewCollector(2)
-	c.Record(0, 1, comm.MakeTag(comm.KindGather, 1, 0), 42)
+	c.Record(0, 1, comm.MakeTag(comm.KindGather, 1, 0), 42, 42)
 	s := c.String()
 	if !strings.Contains(s, "gather") || !strings.Contains(s, "42") {
 		t.Fatalf("String() = %q", s)
@@ -87,7 +87,7 @@ func TestCollectorConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				c.Record(g, (g+1)%8, comm.MakeTag(comm.KindReduce, 1, 0), 10)
+				c.Record(g, (g+1)%8, comm.MakeTag(comm.KindReduce, 1, 0), 10, 10)
 			}
 		}(g)
 	}
@@ -101,18 +101,18 @@ func TestCollectorConcurrent(t *testing.T) {
 func TestCollectorRejectsInvalidRanks(t *testing.T) {
 	c := NewCollector(4)
 	tag := comm.MakeTag(comm.KindReduce, 1, 0)
-	c.Record(-1, 0, tag, 10)
-	c.Record(4, 0, tag, 10)
-	c.Record(0, -1, tag, 10)
-	c.Record(0, 4, tag, 10)
+	c.Record(-1, 0, tag, 10, 10)
+	c.Record(4, 0, tag, 10, 10)
+	c.Record(0, -1, tag, 10, 10)
+	c.Record(0, 4, tag, 10, 10)
 	if len(c.Layers()) != 0 {
 		t.Fatalf("invalid ranks produced traffic cells: %+v", c.Layers())
 	}
 	if got := c.InvalidRecords(); got != 4 {
 		t.Fatalf("InvalidRecords = %d, want 4", got)
 	}
-	c.Record(0, 3, tag, 10) // valid boundary ranks still count
-	c.Record(3, 0, tag, 10)
+	c.Record(0, 3, tag, 10, 10) // valid boundary ranks still count
+	c.Record(3, 0, tag, 10, 10)
 	if got := c.KindLayers(comm.KindReduce)[0].Msgs; got != 2 {
 		t.Fatalf("valid boundary records lost: msgs = %d", got)
 	}
@@ -127,9 +127,9 @@ func TestCollectorPerReceiverMax(t *testing.T) {
 	tag := comm.MakeTag(comm.KindReduce, 1, 0)
 	// Rank 3 is the fan-in hotspot: every sender targets it.
 	for from := 0; from < 4; from++ {
-		c.Record(from, 3, tag, 100)
+		c.Record(from, 3, tag, 100, 100)
 	}
-	c.Record(0, 1, tag, 50)
+	c.Record(0, 1, tag, 50, 50)
 	lt := c.KindLayers(comm.KindReduce)[0]
 	if lt.MaxNodeRecvBytes != 400 || lt.MaxNodeRecvMsgs != 4 {
 		t.Fatalf("per-receiver max = (%d bytes, %d msgs), want (400, 4)", lt.MaxNodeRecvBytes, lt.MaxNodeRecvMsgs)
@@ -155,7 +155,7 @@ func TestCollectorHammer(t *testing.T) {
 			defer recorders.Done()
 			tag := comm.MakeTag(comm.KindReduce, 1+g%3, 0)
 			for i := 0; i < 5000; i++ {
-				c.Record(g, (g+i)%m, tag, 8)
+				c.Record(g, (g+i)%m, tag, 8, 8)
 			}
 		}(g)
 	}
@@ -194,7 +194,7 @@ func BenchmarkCollectorRecordParallel(b *testing.B) {
 		tag := comm.MakeTag(comm.KindReduce, 1, 0)
 		to := 0
 		for pb.Next() {
-			c.Record(from, to, tag, 64)
+			c.Record(from, to, tag, 64, 64)
 			to = (to + 1) % m
 		}
 	})

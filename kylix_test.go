@@ -663,9 +663,6 @@ func TestChannelValidation(t *testing.T) {
 		if _, err := node.Channel(0); err == nil {
 			t.Error("accepted the node's own channel")
 		}
-		if _, err := node.Channel(1, kylix.WithChannel(2)); err == nil {
-			t.Error("accepted conflicting channel option")
-		}
 		ch, err := node.Channel(3, kylix.WithWidth(2))
 		if err != nil {
 			return err

@@ -85,22 +85,30 @@ func (n *Node) Channel(ch uint8, opts ...Option) (*Node, error) {
 	}
 	cfg := n.cfg
 	cfg.channel = ch
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.channel != ch {
-		return nil, fmt.Errorf("kylix: channel option conflicts with Channel(%d)", ch)
-	}
-	mach, err := core.NewMachine(n.ep, n.bf, coreOptions(cfg, n.base, n.physRank))
+	derived, err := n.derive(cfg, n.base, opts)
 	if err != nil {
 		return nil, err
 	}
-	derived := &Node{
-		mach: mach, ep: n.ep, bf: n.bf, cfg: cfg, base: n.base,
-		physRank: n.physRank, width: cfg.width,
-	}
 	n.channels = append(n.channels, derived)
 	return derived, nil
+}
+
+// derive builds a second machine over this node's endpoint and topology
+// — the one path behind Channel and Stream. cfg is the node's config with
+// the derived namespace already set; opts override on top of it, and
+// base offsets the new machine's tag sequence.
+func (n *Node) derive(cfg config, base uint32, opts []Option) (*Node, error) {
+	for _, o := range opts {
+		o(&cfg)
+	}
+	mach, err := core.NewMachine(n.ep, n.bf, coreOptions(cfg, base, n.physRank))
+	if err != nil {
+		return nil, err
+	}
+	return &Node{
+		mach: mach, ep: n.ep, bf: n.bf, cfg: cfg, base: base,
+		physRank: n.physRank, width: cfg.width, tn: n.tn,
+	}, nil
 }
 
 // roundsUsed reports the maximum tag rounds consumed by this node and

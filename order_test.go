@@ -311,9 +311,16 @@ func (b *barrier) wait() {
 // nothing else, on every rank.
 func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 	const runs = 20
-	for _, name := range []string{"keyed", "shuffled"} {
-		t.Run(name, func(t *testing.T) {
-			cluster, err := kylix.NewCluster(orderRanks, kylix.WithDegrees(2, 2))
+	for _, tc := range []struct {
+		name  string
+		quant kylix.Quantization
+	}{
+		{"keyed", kylix.QuantOff}, {"shuffled", kylix.QuantOff},
+		{"keyed", kylix.QuantFP16}, {"shuffled", kylix.QuantINT8},
+	} {
+		name := tc.name
+		t.Run(fmt.Sprintf("%s/%v", name, tc.quant), func(t *testing.T) {
+			cluster, err := kylix.NewCluster(orderRanks, kylix.WithDegrees(2, 2), kylix.WithQuantization(tc.quant))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -57,5 +57,5 @@ func ConvertedStreamID() comm.StreamID {
 
 func NamedStreamIDs(id comm.StreamID) comm.Tag {
 	_ = comm.MakeStreamTag(comm.DefaultStream, comm.KindConfig, 0, 1) // accepted: named constant
-	return comm.MakeStreamTag(id, comm.KindReduce, 3, 9)             // accepted: registry-allocated id
+	return comm.MakeStreamTag(id, comm.KindReduce, 3, 9)              // accepted: registry-allocated id
 }

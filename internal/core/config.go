@@ -149,8 +149,13 @@ func (m *Machine) configureLayer(ls *layerState, layer int, round uint32, inCur,
 		default:
 			return fmt.Errorf("unexpected payload %T from %d", p, from)
 		}
+		// Both directions feed this layer's unions and the next layer's
+		// split, which assumes everything lies in this rank's sub-range.
+		if err := sparse.CheckInRange(inP[t], myRange); err != nil {
+			return fmt.Errorf("in piece from %d: %w", from, err)
+		}
 		if err := sparse.CheckInRange(outP[t], myRange); err != nil {
-			return fmt.Errorf("piece from %d: %w", from, err)
+			return fmt.Errorf("out piece from %d: %w", from, err)
 		}
 		if obsOn {
 			sp.BytesIn += int64(p.WireSize())
@@ -182,31 +187,43 @@ func (m *Machine) configureLayer(ls *layerState, layer int, round uint32, inCur,
 }
 
 // buildUnions computes a layer's in/out unions and position maps from
-// the received pieces. The unions are merged in the machine's reusable
-// arena and cloned out; the 2d position maps are carved from a single
-// data block, so the whole step costs four retained allocations.
+// the received pieces. Each union is merged in the machine's reusable
+// arena and cloned out, and a direction's d position maps are carved
+// from a single data block.
+//
+// When every member sent the same set in both directions — what a
+// caller reducing over one vertex set produces at the top, and what a
+// symmetric layer hands the next, since its two unions are then one
+// slice — the layer is symmetric: one union and one map family serve
+// both directions (outUnion/outMaps alias inUnion/inMaps). Nothing
+// writes a layerState's unions or maps after this, so the sharing is
+// invisible to the reduction and to Digest. The comparison is O(1) per
+// piece on zero-copy transports, where the two pieces are one slice,
+// and a linear scan on decoding ones.
 func (m *Machine) buildUnions(ls *layerState, inPieces, outPieces []sparse.Set) {
-	d := len(inPieces)
+	ls.inUnion, ls.inMaps = m.unionMaps(inPieces)
+	for t, p := range inPieces {
+		if !p.Equal(outPieces[t]) {
+			ls.outUnion, ls.outMaps = m.unionMaps(outPieces)
+			return
+		}
+	}
+	ls.outUnion, ls.outMaps = ls.inUnion, ls.inMaps
+}
+
+// unionMaps is one direction of buildUnions: the retained union of the
+// pieces and their position maps into it.
+func (m *Machine) unionMaps(pieces []sparse.Set) (sparse.Set, [][]int32) {
 	total := 0
-	for t := 0; t < d; t++ {
-		total += len(inPieces[t]) + len(outPieces[t])
+	for _, p := range pieces {
+		total += len(p)
 	}
 	data := make([]int32, total)
-	hdr := make([][]int32, 2*d)
-	ls.inMaps = hdr[:d:d]
-	ls.outMaps = hdr[d:]
-	off := 0
-	for t, p := range inPieces {
-		ls.inMaps[t] = data[off : off+len(p) : off+len(p)]
-		off += len(p)
+	maps := make([][]int32, len(pieces))
+	for t, p := range pieces {
+		maps[t], data = data[:len(p):len(p)], data[len(p):]
 	}
-	for t, p := range outPieces {
-		ls.outMaps[t] = data[off : off+len(p) : off+len(p)]
-		off += len(p)
-	}
-	uni := &m.cfg.uni
-	ls.inUnion = uni.UnionMaps(inPieces, ls.inMaps).Clone()
-	ls.outUnion = uni.UnionMaps(outPieces, ls.outMaps).Clone()
+	return m.cfg.uni.UnionMaps(pieces, maps).Clone(), maps
 }
 
 // finishBottom builds the turnaround map from the bottom in-union into

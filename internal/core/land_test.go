@@ -13,10 +13,10 @@ import (
 	"kylix/internal/topo"
 )
 
-// rewriteEndpoint hands its machine one doctored piece: the first
-// payload RecvGroup delivers on the given kind and layer goes through
-// rewrite, which may replace the payload and the sender it is
-// attributed to. Everything else passes through.
+// rewriteEndpoint hands its machine one doctored piece: payloads
+// RecvGroup delivers on the given kind and layer go through rewrite,
+// which may replace the payload and the sender it is attributed to,
+// until it does. Everything else passes through.
 type rewriteEndpoint struct {
 	comm.Endpoint
 	kind    comm.Kind
@@ -28,10 +28,42 @@ type rewriteEndpoint struct {
 func (e *rewriteEndpoint) RecvGroup(groups [][]int, tag comm.Tag) (int, comm.Payload, error) {
 	from, p, err := e.Endpoint.RecvGroup(groups, tag)
 	if err == nil && !e.done && tag.Kind() == e.kind && tag.Layer() == e.layer {
-		e.done = true
+		was, by := p, from
 		from, p = e.rewrite(from, p)
+		e.done = p != was || from != by
 	}
 	return from, p, err
+}
+
+// runWithVictim runs body on every rank of an in-memory cluster, with
+// rank 0 — the victim — behind a rewriteEndpoint for the given kind and
+// layer, and returns the victim's error (a panic included). The
+// victim's failure strands its peers mid-pass; closing the network when
+// it returns fails their receives at once.
+func runWithVictim(bf *topo.Butterfly, kind comm.Kind, layer int, rewrite func(int, comm.Payload) (int, comm.Payload), body func(r int, ep comm.Endpoint) error) (victimErr error) {
+	net := memnet.New(bf.M())
+	defer net.Close()
+	var wg sync.WaitGroup
+	for r := 0; r < bf.M(); r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			ep := net.Endpoint(r)
+			if r != 0 {
+				_ = body(r, ep) // stranded by design
+				return
+			}
+			defer net.Close()
+			defer func() {
+				if rec := recover(); rec != nil {
+					victimErr = fmt.Errorf("panic: %v", rec)
+				}
+			}()
+			victimErr = body(r, &rewriteEndpoint{Endpoint: ep, kind: kind, layer: layer, rewrite: rewrite})
+		}(r)
+	}
+	wg.Wait()
+	return victimErr
 }
 
 func qvals(mode sparse.Quantization, n int) *comm.QVals {
@@ -90,45 +122,112 @@ func TestLandStepRejections(t *testing.T) {
 		for _, kind := range []comm.Kind{comm.KindReduce, comm.KindGather} {
 			for layer := 1; layer <= len(degrees); layer++ {
 				t.Run(fmt.Sprintf("%s/%v/layer%d", tc.name, kind, layer), func(t *testing.T) {
-					net := memnet.New(bf.M())
-					defer net.Close()
-					var victimErr error
-					var wg sync.WaitGroup
-					for r := 0; r < bf.M(); r++ {
-						wg.Add(1)
-						go func(r int) {
-							defer wg.Done()
-							ep := net.Endpoint(r)
-							if r == 0 {
-								ep = &rewriteEndpoint{Endpoint: ep, kind: kind, layer: layer, rewrite: tc.rewrite}
-								// The victim's failure strands its peers mid-pass;
-								// closing the network fails their receives at once.
-								defer net.Close()
-								defer func() {
-									if rec := recover(); rec != nil {
-										victimErr = fmt.Errorf("panic: %v", rec)
-									}
-								}()
-							}
-							m, err := NewMachine(ep, bf, Options{Quant: tc.quant})
-							if err == nil {
-								var cfg *Config
-								if cfg, err = m.Configure(ws[r].in, ws[r].out); err == nil {
-									_, err = cfg.Reduce(ws[r].vals)
-								}
-							}
-							if r == 0 {
-								victimErr = err
-							}
-						}(r)
-					}
-					wg.Wait()
+					victimErr := runWithVictim(bf, kind, layer, tc.rewrite, func(r int, ep comm.Endpoint) error {
+						m, err := NewMachine(ep, bf, Options{Quant: tc.quant})
+						if err != nil {
+							return err
+						}
+						cfg, err := m.Configure(ws[r].in, ws[r].out)
+						if err != nil {
+							return err
+						}
+						_, err = cfg.Reduce(ws[r].vals)
+						return err
+					})
 					if victimErr == nil {
 						t.Fatal("Reduce accepted the doctored piece")
 					}
 					where := fmt.Sprintf("rank 0 %v layer %d", kind, layer)
 					if msg := victimErr.Error(); !strings.Contains(msg, where) || !strings.Contains(msg, tc.want) {
 						t.Fatalf("error %q does not name %q and %q", msg, where, tc.want)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestConfigurationRejectsEscapingPieces doctors one configuration
+// piece on its way into rank 0 so that one direction lies outside the
+// hash sub-range rank 0 owns at that layer. Either direction must fail
+// the pass there: an escaping in piece would otherwise join the in
+// union and be split, at the next layer, as if it were in range.
+func TestConfigurationRejectsEscapingPieces(t *testing.T) {
+	degrees := []int{2, 2}
+	bf := topo.MustNew(degrees)
+	ws := randWorkloads(rand.New(rand.NewSource(37)), bf.M(), 256, 48, 1, true)
+	// Rank 0 owns the bottom of the hash space at every layer; the top
+	// key of the space is outside all of its sub-ranges.
+	escaping := sparse.Set{sparse.FullRange().Hi - 1}
+	for layer := 1; layer <= len(degrees); layer++ {
+		if err := sparse.CheckInRange(escaping, bf.RangeAt(0, layer)); err == nil {
+			t.Fatalf("test key lies inside rank 0's layer-%d range", layer)
+		}
+	}
+	passes := []struct {
+		name string
+		kind comm.Kind
+		// delta: doctor the first Delta, letting the InOut pieces of the
+		// Configure before it through.
+		delta bool
+		run   func(m *Machine, w workload) error
+	}{
+		{"config", comm.KindConfig, false, func(m *Machine, w workload) error {
+			_, err := m.Configure(w.in, w.out)
+			return err
+		}},
+		{"config+reduce", comm.KindConfigReduce, false, func(m *Machine, w workload) error {
+			_, _, err := m.ConfigureReduce(w.in, w.out, w.vals)
+			return err
+		}},
+		{"reconfigure", comm.KindConfig, true, func(m *Machine, w workload) error {
+			cfg, err := m.Configure(w.in, w.out)
+			if err != nil {
+				return err
+			}
+			return cfg.Reconfigure(w.in, w.out)
+		}},
+	}
+	for _, pass := range passes {
+		for _, dir := range []string{"in", "out"} {
+			for layer := 1; layer <= len(degrees); layer++ {
+				t.Run(fmt.Sprintf("%s/%s/layer%d", pass.name, dir, layer), func(t *testing.T) {
+					escape := func(in, out sparse.Set) (sparse.Set, sparse.Set) {
+						if dir == "in" {
+							return escaping, out
+						}
+						return in, escaping
+					}
+					rewrite := func(from int, p comm.Payload) (int, comm.Payload) {
+						if _, isDelta := p.(*comm.Delta); isDelta != pass.delta {
+							return from, p
+						}
+						switch q := p.(type) {
+						case *comm.InOut:
+							in, out := escape(q.In, q.Out)
+							return from, &comm.InOut{In: in, Out: out}
+						case *comm.Combined:
+							in, out := escape(q.In, q.Out)
+							return from, &comm.Combined{In: in, Out: out, Vals: q.Vals}
+						case *comm.Delta:
+							in, out := escape(q.In, q.Out)
+							return from, &comm.Delta{In: in, Out: out}
+						}
+						return from, p
+					}
+					victimErr := runWithVictim(bf, pass.kind, layer, rewrite, func(r int, ep comm.Endpoint) error {
+						m, err := NewMachine(ep, bf, Options{})
+						if err != nil {
+							return err
+						}
+						return pass.run(m, ws[r])
+					})
+					if victimErr == nil {
+						t.Fatal("the pass accepted the escaping piece")
+					}
+					where := fmt.Sprintf("rank 0 %s layer %d: %s piece from", pass.name, layer, dir)
+					if msg := victimErr.Error(); !strings.Contains(msg, where) || !strings.Contains(msg, "escapes range") {
+						t.Fatalf("error %q does not name %q and the range", msg, where)
 					}
 				})
 			}

@@ -214,6 +214,9 @@ func (c *Config) reconfigureLayer(ls, old *layerState, layer int, round uint32, 
 		} else {
 			recvSame = false
 			inP[t] = q.In
+			if err := sparse.CheckInRange(inP[t], myRange); err != nil {
+				return false, fmt.Errorf("in piece from %d: %w", from, err)
+			}
 		}
 		if q.OutSame {
 			outP[t] = old.recvOut[t]
@@ -221,7 +224,7 @@ func (c *Config) reconfigureLayer(ls, old *layerState, layer int, round uint32, 
 			recvSame = false
 			outP[t] = q.Out
 			if err := sparse.CheckInRange(outP[t], myRange); err != nil {
-				return false, fmt.Errorf("piece from %d: %w", from, err)
+				return false, fmt.Errorf("out piece from %d: %w", from, err)
 			}
 		}
 		if obsOn {
@@ -240,7 +243,7 @@ func (c *Config) reconfigureLayer(ls, old *layerState, layer int, round uint32, 
 		copy(offs[:d+1], newInOffs)
 		copy(offs[d+1:], newOutOffs)
 		ls.group = old.group
-		ls.inOffsets = offs[:d+1 : d+1]
+		ls.inOffsets = offs[: d+1 : d+1]
 		ls.outOffsets = offs[d+1:]
 	}
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 )
 
 // Compressed index-set wire format.
@@ -47,14 +46,6 @@ import (
 // the same bound so the two sides agree on what is representable.
 const maxCompressedKeys = 1 << 26
 
-// codecBuf is the pooled per-encode scratch: the index projection of
-// the set being encoded, sorted by index value.
-type codecBuf struct {
-	idx []int32
-}
-
-var codecPool = sync.Pool{New: func() any { return new(codecBuf) }}
-
 // AppendCompressed appends the compressed encoding of s to dst and
 // returns the extended buffer. s must be a valid Set (sorted by key,
 // distinct indices) with at most maxCompressedKeys entries; duplicate
@@ -69,16 +60,16 @@ func AppendCompressed(dst []byte, s Set) []byte {
 	if len(s) == 0 {
 		return dst
 	}
-	cb := codecPool.Get().(*codecBuf)
-	if cap(cb.idx) < len(s) {
-		//kylix:allow hotpathalloc:make -- pooled scratch grows to the largest set seen, then is reused
-		cb.idx = make([]int32, len(s))
-	}
-	idx := cb.idx[:len(s)]
+	// The index projection of the set, sorted by index value.
+	sb := sortPool.Get().(*sortBuf)
+	sb.idx = grow(sb.idx, 2*len(s))
+	idx := sb.idx[:len(s)]
+	or := uint32(0)
 	for i, k := range s {
 		idx[i] = k.Index()
+		or |= uint32(k)
 	}
-	slices.Sort(idx)
+	idx = sortIndices(idx, sb.idx[len(s):], or, sb)
 
 	prev := idx[0]
 	dst = binary.AppendUvarint(dst, uint64(uint32(prev)))
@@ -102,7 +93,7 @@ func AppendCompressed(dst []byte, s Set) []byte {
 	if run > 0 {
 		dst = binary.AppendUvarint(dst, run<<1|1)
 	}
-	codecPool.Put(cb)
+	sortPool.Put(sb)
 	return dst
 }
 
@@ -126,51 +117,66 @@ func DecodeCompressed(dst Set, buf []byte) (Set, []byte, error) {
 	if n > maxCompressedKeys {
 		return nil, nil, fmt.Errorf("sparse: compressed set claims %d keys (limit %d)", n, maxCompressedKeys)
 	}
+	// The stream carries indices in index order; Sets are key (hash)
+	// ordered. The keys are decoded into scratch and sorted from there
+	// into dst, which restores the invariant.
+	sb := sortPool.Get().(*sortBuf)
+	defer sortPool.Put(sb)
+	sb.keys = grow(sb.keys, int(n))
+	buf, err := decodeIndexOrder(sb.keys, buf)
+	if err != nil {
+		return nil, nil, err
+	}
+	base := len(dst)
+	dst = slices.Grow(dst, int(n))[:base+int(n)]
+	sortKeysInto(dst[base:], sb.keys, sb)
+	return dst, buf, nil
+}
+
+// decodeIndexOrder parses the first index and the tokens of a block of
+// len(keys) indices, filling keys in stream (index) order, and returns
+// the unconsumed remainder of buf.
+//
+//kylix:hotpath
+func decodeIndexOrder(keys []Key, buf []byte) ([]byte, error) {
 	first, sz := binary.Uvarint(buf)
 	if sz <= 0 || first > math.MaxInt32 {
-		return nil, nil, fmt.Errorf("sparse: compressed set: bad first index")
+		return nil, fmt.Errorf("sparse: compressed set: bad first index")
 	}
 	buf = buf[sz:]
-	base := len(dst)
-	dst = slices.Grow(dst, int(n))
-	//kylix:allow hotpathalloc:append -- grown above to the exact decoded size; never reallocates
-	dst = append(dst, MakeKey(int32(first)))
-	cur := uint64(first)
-	for uint64(len(dst)-base) < n {
+	keys[0] = MakeKey(int32(first))
+	cur := first
+	for n := 1; n < len(keys); {
 		tok, sz := binary.Uvarint(buf)
 		if sz <= 0 {
-			return nil, nil, fmt.Errorf("sparse: compressed set: truncated token stream")
+			return nil, fmt.Errorf("sparse: compressed set: truncated token stream")
 		}
 		buf = buf[sz:]
 		if tok&1 == 1 {
 			k := tok >> 1
 			if k == 0 {
-				return nil, nil, fmt.Errorf("sparse: compressed set: empty run token")
+				return nil, fmt.Errorf("sparse: compressed set: empty run token")
 			}
-			if uint64(len(dst)-base)+k > n {
-				return nil, nil, fmt.Errorf("sparse: compressed set: run overflows declared count")
+			if k > uint64(len(keys)-n) {
+				return nil, fmt.Errorf("sparse: compressed set: run overflows declared count")
 			}
 			if cur+k > math.MaxInt32 {
-				return nil, nil, fmt.Errorf("sparse: compressed set: index overflows int32")
+				return nil, fmt.Errorf("sparse: compressed set: index overflows int32")
 			}
-			for i := uint64(0); i < k; i++ {
+			for end := n + int(k); n < end; n++ {
 				cur++
-				//kylix:allow hotpathalloc:append -- grown above to the exact decoded size; never reallocates
-				dst = append(dst, MakeKey(int32(cur)))
+				keys[n] = MakeKey(int32(cur))
 			}
 		} else {
 			cur += (tok >> 1) + 2
 			if cur > math.MaxInt32 {
-				return nil, nil, fmt.Errorf("sparse: compressed set: index overflows int32")
+				return nil, fmt.Errorf("sparse: compressed set: index overflows int32")
 			}
-			//kylix:allow hotpathalloc:append -- grown above to the exact decoded size; never reallocates
-			dst = append(dst, MakeKey(int32(cur)))
+			keys[n] = MakeKey(int32(cur))
+			n++
 		}
 	}
-	// The stream carries indices in index order; Sets are key (hash)
-	// ordered. One sort restores the invariant.
-	slices.Sort(dst[base:])
-	return dst, buf, nil
+	return buf, nil
 }
 
 // RawEncodedSize is the wire cost of a set in the uncompressed 8-byte

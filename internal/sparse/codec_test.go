@@ -95,12 +95,12 @@ func TestCodecDecodeErrors(t *testing.T) {
 		"missing first":   {5},
 		"truncated token": valid[:len(valid)-1],
 		"empty run token": {2, 0, 1},
-		"run overflow":    {2, 0, 9},                          // run of 4 but count says 2
-		"count too large": {0xFF, 0xFF, 0xFF, 0xFF, 0x7F},     // ~34e9 keys
+		"run overflow":    {2, 0, 9},                      // run of 4 but count says 2
+		"count too large": {0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, // ~34e9 keys
 	}
 	// Index overflow: first = MaxInt32, then a gap token pushes past it.
 	overflow := AppendCompressed(nil, MustNewSet([]int32{math.MaxInt32}))
-	overflow[0] = 2 // claim two keys
+	overflow[0] = 2                // claim two keys
 	overflow = append(overflow, 0) // gap of 2 beyond MaxInt32
 	cases["index overflow"] = overflow
 	for name, buf := range cases {
@@ -118,14 +118,25 @@ func TestCodecDecodeErrors(t *testing.T) {
 }
 
 // FuzzKeysCodec round-trips arbitrary index sets and hammers the
-// decoder with arbitrary bytes. Properties: encode→decode is lossless,
-// re-encode is byte-identical (canonical form), and no input makes the
-// decoder panic or return an out-of-range index.
+// decoder with arbitrary bytes. Properties: encode→decode is lossless
+// against a set built by the reference sort (so the encoder's index
+// sort and the decoder's key sort are both checked against
+// sort.Slice), re-encode is byte-identical (canonical form), and no
+// input makes the decoder panic or return an out-of-range index. The
+// seeds straddle the sorts' comparison-sort floor; crafted moves the
+// indices into one narrow hash band, the decoder's overfull bucket.
 func FuzzKeysCodec(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{1, 2, 3, 4, 250, 251, 252}, []byte{2, 0, 1})
-	f.Add([]byte{0, 0, 0, 0}, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
-	f.Fuzz(func(t *testing.T, raw []byte, wire []byte) {
+	f.Add([]byte{}, []byte{}, false)
+	f.Add([]byte{1, 2, 3, 4, 250, 251, 252}, []byte{2, 0, 1}, false)
+	f.Add([]byte{0, 0, 0, 0}, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, true)
+	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{comparisonSortBelow - 1, comparisonSortBelow, comparisonSortBelow + 1, 8 * comparisonSortBelow} {
+		raw := make([]byte, 2*n)
+		rng.Read(raw)
+		f.Add(raw, []byte{}, false)
+		f.Add(raw, []byte{}, true)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, wire []byte, crafted bool) {
 		// Part 1: round-trip a set derived from raw (pairs of bytes →
 		// indices, occasionally stretched into dense runs).
 		idx := make([]int32, 0, len(raw))
@@ -138,7 +149,12 @@ func FuzzKeysCodec(f *testing.F) {
 				}
 			}
 		}
-		s := MustNewSet(idx)
+		if crafted {
+			for i := 2; i < len(idx); i++ {
+				idx[i] = indexWithHash(0x5A5A0000 | uint32(idx[i]))
+			}
+		}
+		s, _, _ := refNewSet(idx)
 		buf := AppendCompressed(nil, s)
 		got, rest, err := DecodeCompressed(nil, buf)
 		if err != nil {
@@ -166,15 +182,20 @@ func FuzzKeysCodec(f *testing.F) {
 	})
 }
 
-func benchmarkCodecSet(density int) Set {
+// benchmarkCodecSets draws rotation sets of 4096 indices whose gaps are
+// uniform on [1, density] (see rotation for why one set is not enough).
+func benchmarkCodecSets(density int) (sets [rotation]Set) {
 	rng := rand.New(rand.NewSource(7))
-	idx := make([]int32, 0, 4096)
-	x := int32(0)
-	for len(idx) < 4096 {
-		x += 1 + int32(rng.Intn(density))
-		idx = append(idx, x)
+	for r := range sets {
+		idx := make([]int32, 0, 4096)
+		x := int32(0)
+		for len(idx) < 4096 {
+			x += 1 + int32(rng.Intn(density))
+			idx = append(idx, x)
+		}
+		sets[r] = MustNewSet(idx)
 	}
-	return MustNewSet(idx)
+	return sets
 }
 
 func BenchmarkKeysCodec(b *testing.B) {
@@ -182,24 +203,30 @@ func BenchmarkKeysCodec(b *testing.B) {
 		name    string
 		density int
 	}{{"dense", 1}, {"eighth", 15}, {"sparse", 200}} {
-		s := benchmarkCodecSet(bc.density)
-		enc := AppendCompressed(nil, s)
+		sets := benchmarkCodecSets(bc.density)
+		var encs [rotation][]byte
+		raw, wire := 0, 0
+		for r, s := range sets {
+			encs[r] = AppendCompressed(nil, s)
+			raw += 8 * len(s)
+			wire += len(encs[r])
+		}
 		b.Run("encode/"+bc.name, func(b *testing.B) {
-			b.SetBytes(int64(8 * len(s)))
+			b.SetBytes(int64(raw / rotation))
 			b.ReportAllocs()
-			buf := make([]byte, 0, len(enc))
+			buf := make([]byte, 0, 8*len(sets[0]))
 			for i := 0; i < b.N; i++ {
-				buf = AppendCompressed(buf[:0], s)
+				buf = AppendCompressed(buf[:0], sets[i%rotation])
 			}
-			b.ReportMetric(float64(8*len(s))/float64(len(enc)), "compression-x")
+			b.ReportMetric(float64(raw)/float64(wire), "compression-x")
 		})
 		b.Run("decode/"+bc.name, func(b *testing.B) {
-			b.SetBytes(int64(8 * len(s)))
+			b.SetBytes(int64(raw / rotation))
 			b.ReportAllocs()
-			dst := make(Set, 0, len(s))
+			dst := make(Set, 0, len(sets[0]))
 			for i := 0; i < b.N; i++ {
 				var err error
-				dst, _, err = DecodeCompressed(dst[:0], enc)
+				dst, _, err = DecodeCompressed(dst[:0], encs[i%rotation])
 				if err != nil {
 					b.Fatal(err)
 				}

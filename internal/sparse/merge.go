@@ -17,34 +17,47 @@ func Merge2(a, b Set) Set {
 // capacity for len(a)+len(b) more elements (all callers pre-size their
 // arenas, so the loop writes by index instead of appending). Empty
 // inputs reduce to a single bulk copy.
+//
+// On hashed keys which side holds the smaller head is a coin flip, so
+// the loop body has no branch for it to decide: the smaller head is
+// always written, and each cursor advances by the outcome of its own
+// comparison (both on a tie, which is what deduplicates). Per output
+// key that is a load→compare→advance dependency chain of a few cycles
+// in place of a branch mispredicted every other key.
+//
+//kylix:hotpath
 func mergeInto(out Set, a, b Set) Set {
 	if len(a) == 0 {
+		//kylix:allow hotpathalloc:append -- callers pre-size out; never reallocates
 		return append(out, b...)
 	}
 	if len(b) == 0 {
+		//kylix:allow hotpathalloc:append -- callers pre-size out; never reallocates
 		return append(out, a...)
 	}
 	n := len(out)
-	out = out[: n+len(a)+len(b)]
+	out = out[:n+len(a)+len(b)]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		ka, kb := a[i], b[j]
-		if ka <= kb {
-			out[n] = ka
-			n++
-			i++
-			if ka == kb {
-				j++
-			}
-		} else {
-			out[n] = kb
-			n++
-			j++
-		}
+		out[n] = min(ka, kb)
+		n++
+		i += b2i(ka <= kb)
+		j += b2i(kb <= ka)
 	}
 	n += copy(out[n:], a[i:])
 	n += copy(out[n:], b[j:])
 	return out[:n]
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a flag
+// materialisation (SETcc), not a branch.
+func b2i(c bool) int {
+	var v int
+	if c {
+		v = 1
+	}
+	return v
 }
 
 // TreeUnion computes the union of many Sets by recursively merging
@@ -186,10 +199,10 @@ func (u *UnionScratch) Union(sets []Set) Set {
 // merge, the maps of every original input under either side are
 // composed with the pair map in place. Every level costs one
 // cache-friendly two-pointer merge plus one sequential composition pass
-// over the T map entries, so the whole job is O(T log d) with
-// predictable branches — measurably faster here than a d-way tournament
-// (loser tree), whose per-element root-to-leaf replay branch-misses on
-// random keys.
+// over the T map entries, so the whole job is O(T log d) with no
+// data-dependent branch (see mergeInto) — measurably faster here than a
+// d-way tournament (loser tree), whose per-element root-to-leaf replay
+// branch-misses on random keys.
 func (u *UnionScratch) UnionMaps(sets []Set, maps [][]int32) Set {
 	k := len(sets)
 	switch k {
@@ -212,7 +225,7 @@ func (u *UnionScratch) UnionMaps(sets []Set, maps [][]int32) Set {
 	if k == 2 {
 		// Binary groups are common enough (every degree-2 layer) to
 		// deserve the no-composition direct path.
-		return u.unionMaps2(sets[0], sets[1], maps[0], maps[1], total)
+		return mergeMaps2Into(u.arenas[0][:0], sets[0], sets[1], maps[0], maps[1])
 	}
 	if cap(u.arenas[1]) < total {
 		u.arenas[1] = make(Set, 0, total)
@@ -304,76 +317,37 @@ func (u *UnionScratch) UnionMaps(sets []Set, maps [][]int32) Set {
 // mergeMaps2Into appends the sorted union of a and b to out (which must
 // have capacity, like mergeInto) and records each input's position map
 // relative to the appended union: ma[i]/mb[j] get the union-local
-// positions of a[i]/b[j].
+// positions of a[i]/b[j]. The loop is mergeInto's branch-free one: both
+// heads' map slots are written every step, and the slot of the head
+// that did not advance is simply written again, correctly, on the step
+// that does consume it.
+//
+//kylix:hotpath
 func mergeMaps2Into(out Set, a, b Set, ma, mb []int32) Set {
 	base := len(out)
-	out = out[: base+len(a)+len(b)]
+	out = out[:base+len(a)+len(b)]
+	dst := out[base:]
+	ma, mb = ma[:len(a)], mb[:len(b)]
 	i, j, n := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		ka, kb := a[i], b[j]
-		if ka <= kb {
-			out[base+n] = ka
-			ma[i] = int32(n)
-			i++
-			if ka == kb {
-				mb[j] = int32(n)
-				j++
-			}
-			n++
-		} else {
-			out[base+n] = kb
-			mb[j] = int32(n)
-			j++
-			n++
-		}
+		dst[n] = min(ka, kb)
+		ma[i], mb[j] = int32(n), int32(n)
+		n++
+		i += b2i(ka <= kb)
+		j += b2i(kb <= ka)
 	}
 	for ; i < len(a); i++ {
-		out[base+n] = a[i]
+		dst[n] = a[i]
 		ma[i] = int32(n)
 		n++
 	}
 	for ; j < len(b); j++ {
-		out[base+n] = b[j]
+		dst[n] = b[j]
 		mb[j] = int32(n)
 		n++
 	}
-	return out[: base+n]
-}
-
-// unionMaps2 is UnionMaps' two-input fast path: one merge pass filling
-// both maps. The arena has already been sized to total.
-func (u *UnionScratch) unionMaps2(a, b Set, ma, mb []int32, total int) Set {
-	out := u.arenas[0][:total]
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		ka, kb := a[i], b[j]
-		if ka <= kb {
-			out[n] = ka
-			ma[i] = int32(n)
-			i++
-			if ka == kb {
-				mb[j] = int32(n)
-				j++
-			}
-			n++
-		} else {
-			out[n] = kb
-			mb[j] = int32(n)
-			j++
-			n++
-		}
-	}
-	for ; i < len(a); i++ {
-		out[n] = a[i]
-		ma[i] = int32(n)
-		n++
-	}
-	for ; j < len(b); j++ {
-		out[n] = b[j]
-		mb[j] = int32(n)
-		n++
-	}
-	return out[:n]
+	return out[:base+n]
 }
 
 // PositionMap returns, for each key of sub, its position in union. Both

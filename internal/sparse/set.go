@@ -2,7 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 )
 
@@ -16,11 +15,12 @@ type Set []Key
 // between their original index order and the protocol's sorted order.
 //
 // hash32 is a bijection, so the hash half of a Key alone orders and
-// dedups: the sort runs on packed hash32<<32 | position words (plain
-// integer comparisons), and the index half is filled in afterwards, in
-// place, turning the sorted words into the Set itself. Input already
-// ascending in key order — every set that has been through the protocol
-// once — skips the sort.
+// dedups: the sort runs on packed hash32<<32 | position words (the
+// distribution sort of sort.go, from pooled scratch into the result),
+// and the index half is filled in afterwards, in place, turning the
+// sorted words into the Set itself. Input already ascending in key
+// order — every set that has been through the protocol once — skips the
+// sort.
 func NewSet(indices []int32) (Set, []int32, error) {
 	set := make(Set, len(indices))
 	ascending := true
@@ -34,7 +34,11 @@ func NewSet(indices []int32) (Set, []int32, error) {
 		}
 	}
 	if !ascending {
-		slices.Sort(set)
+		sb := sortPool.Get().(*sortBuf)
+		sb.keys = grow(sb.keys, len(set))
+		copy(sb.keys, set)
+		sortKeysInto(set, sb.keys, sb)
+		sortPool.Put(sb)
 	}
 
 	perm := make([]int32, len(indices))

@@ -103,20 +103,33 @@ func refNewSet(indices []int32) (Set, []int32, error) {
 // lists: same set, same perm, same error (negative indices rejected at
 // the same position). Four bytes make one index; the second argument
 // picks the pre-arrangement, so the skip-the-sort path (input already in
-// key order, with and without adjacent duplicates) is fuzzed as hard as
-// the general one.
+// key order, with and without adjacent duplicates), duplicate-heavy
+// input and indices crafted to share their top hash bits (one overfull
+// bucket for the distribution sort) are fuzzed as hard as the general
+// case. The seeds straddle the sort's comparison-sort floor.
 func FuzzNewSet(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 9}, uint8(0))
 	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 3, 0, 0, 0, 5, 0, 0, 0, 9}, uint8(1))
 	f.Add([]byte{0, 0, 0, 1, 0x80, 0, 0, 2, 0, 0, 0, 3}, uint8(2))
 	f.Add([]byte{0x7F, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, uint8(1))
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{comparisonSortBelow - 1, comparisonSortBelow, comparisonSortBelow + 1, 4 * comparisonSortBelow} {
+		raw := make([]byte, 4*n)
+		rng.Read(raw)
+		for i := 0; i < len(raw); i += 4 {
+			raw[i] &= 0x7F
+		}
+		for arrange := uint8(0); arrange < 4; arrange++ {
+			f.Add(raw, arrange)
+		}
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, arrange uint8) {
 		idx := make([]int32, 0, len(raw)/4)
 		for i := 0; i+3 < len(raw); i += 4 {
 			idx = append(idx, int32(binary.BigEndian.Uint32(raw[i:])))
 		}
-		switch arrange % 3 {
+		switch arrange % 4 {
 		case 1: // key order, duplicates adjacent
 			sort.Slice(idx, func(a, b int) bool {
 				return hash32(uint32(idx[a])) < hash32(uint32(idx[b]))
@@ -125,6 +138,12 @@ func FuzzNewSet(f *testing.F) {
 			for i := range idx {
 				if idx[i] >= 0 {
 					idx[i] %= 8
+				}
+			}
+		case 3: // one narrow hash band between two far-apart anchors
+			for i := range idx {
+				if i > 1 && idx[i] >= 0 {
+					idx[i] = indexWithHash(0x5A5A0000 | uint32(idx[i])&0xFFF)
 				}
 			}
 		}

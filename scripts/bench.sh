@@ -21,7 +21,9 @@
 #                               # more than twice per op or more than 1%
 #                               # of the bytes of the full fused
 #                               # ConfigureReduce on the same topology
-#                               # (their ns ratio is printed, not gated).
+#                               # (their ns ratio is printed, not gated),
+#                               # or if the index codec (BenchmarkKeysCodec)
+#                               # allocates.
 #                               # The wire gate additionally requires the
 #                               # quantized warm Reduce (fp16 and int8) to
 #                               # stay at 0 allocs/op and fp16 to ship
@@ -72,7 +74,7 @@ go test ./internal/sparse/ -run '^$' -bench 'BenchmarkQuantize|BenchmarkDequanti
 
 echo "== configuration benchmarks (configure / reconfigure / index codec)"
 go test ./internal/core/ -run '^$' -bench 'BenchmarkConfigure8x4x2|BenchmarkConfigureReduce16|BenchmarkConfigureReduce8x4x2|BenchmarkReconfigureWarm' -benchtime 2s -benchmem | tee "$cfgout"
-go test ./internal/sparse/ -run '^$' -bench 'BenchmarkKeysCodec' -benchtime 1s -benchmem | tee -a "$cfgout"
+go test ./internal/sparse/ -run '^$' -bench 'BenchmarkKeysCodec|BenchmarkNewSet|BenchmarkUnionMaps$' -benchtime 1s -benchmem | tee -a "$cfgout"
 
 echo "== stream benchmarks (multi-tenant aggregate throughput, TCP)"
 go test . -run '^$' -bench 'BenchmarkStreams(Serial|Concurrent)$' -benchtime 1s -benchmem | tee -a "$out"
@@ -133,8 +135,12 @@ baseline="scripts/bench_baseline.txt"
 echo "== wrote $json"
 
 # BENCH_config.json is the same record for the configuration pass:
-# "before" is the archived pre-rework output (raw 8-byte wire format,
-# eager scratch, tree-union + per-piece map scans), "after" is this run.
+# "before" is the archived output of two baselines — the core
+# benchmarks before the configuration rework (raw 8-byte wire format,
+# eager scratch, tree-union + per-piece map scans) and the sparse
+# kernel benchmarks before the distribution sorts and the branch-free
+# merge (slices.Sort, two-pointer merge; same rotating inputs) —
+# "after" is this run.
 cfgjson="BENCH_config.json"
 cfgbaseline="scripts/bench_config_baseline.txt"
 {
@@ -242,6 +248,21 @@ if [ "$gate" = 1 ]; then
     else
         echo "bench gate OK: Configure8x4x2 $cfg_ns ns/op (no archived baseline to compare)"
     fi
+
+    # Index-codec gate: encode and decode sort through pooled scratch
+    # and the caller's buffers, so a warm call allocates nothing.
+    codec_allocs="$(awk '$1 ~ /^BenchmarkKeysCodec\// { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $1 "=" $(i-1) }' "$cfgout")"
+    if [ -z "$codec_allocs" ]; then
+        echo "bench gate: BenchmarkKeysCodec did not report allocs/op" >&2
+        exit 1
+    fi
+    for entry in $codec_allocs; do
+        if [ "${entry##*=}" != "0" ]; then
+            echo "bench gate: index codec allocates ($entry allocs/op, want 0)" >&2
+            exit 1
+        fi
+    done
+    echo "bench gate OK: index codec encode/decode allocation-free"
 
     # Incremental-reconfigure gate: a warm unchanged-sets Reconfigure
     # must stay a small fraction of the full fused ConfigureReduce on the

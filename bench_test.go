@@ -159,7 +159,7 @@ func BenchmarkAblationFusedConfigReduce(b *testing.B) {
 // BenchmarkAblationPacketRacing regenerates the §V-B racing-gain table.
 func BenchmarkAblationPacketRacing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if tab := bench.AblationPacketRacing(); len(tab.Rows) == 0 {
+		if tab, err := bench.AblationPacketRacing(); err != nil || len(tab.Rows) == 0 {
 			b.Fatal("empty table")
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"kylix/internal/stream"
 	"kylix/internal/tcpnet"
 	"kylix/internal/topo"
-	"kylix/internal/trace"
 )
 
 // ErrClusterClosed is returned by operations on a closed Cluster.
@@ -32,15 +31,18 @@ const closeDrainTimeout = 5 * time.Second
 // chosen transport, ready to run SPMD allreduce programs. For
 // cross-process deployments use ListenNode instead.
 type Cluster struct {
-	cfg       config
-	bf        *topo.Butterfly
-	phys      int
-	capacity  int
-	mem       *memnet.Network
-	tcp       []*tcpnet.Node
-	fabric    *faultnet.Fabric
-	collector *trace.Collector
-	obs       *obs.Observatory
+	cfg      config
+	bf       *topo.Butterfly
+	phys     int
+	capacity int
+	mem      *memnet.Network
+	tcp      []*tcpnet.Node
+	fabric   *faultnet.Fabric
+	// traffic is the store the transports' event sinks feed: the
+	// Observatory's under WithObservability, a bare one under WithTrace
+	// alone, nil with neither (sends are then not even sized).
+	traffic *obs.Traffic
+	obs     *obs.Observatory
 	// Elastic control plane (nil without WithElastic): one membership
 	// agent per provisioned rank plus the operator-side service, and the
 	// gate that drains in-flight Runs before each epoch cutover.
@@ -110,23 +112,24 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 		}
 		c.fabric = fab
 	}
-	var rec comm.Recorder // nil: untraced
-	if cfg.trace {
-		c.collector = trace.NewCollector(capacity)
-		rec = c.collector
+	var observer func(rank int) comm.Observer // nil: unobserved
+	switch {
+	case c.obs != nil:
+		c.traffic, observer = c.obs.Traffic(), c.obs.Observer
+	case cfg.trace:
+		c.traffic = obs.NewTraffic(capacity)
+		observer = c.traffic.Observer
 	}
 	switch cfg.transport {
 	case TransportMemory:
 		c.mem = memnet.New(capacity,
-			memnet.WithRecorder(rec),
 			memnet.WithRecvTimeout(cfg.recvTimeout),
-			memnet.WithRecvObserver(c.obs.RecvObserver))
+			memnet.WithObserver(observer))
 	case TransportTCP:
 		nodes, err := tcpnet.LocalCluster(capacity, tcpnet.Options{
-			RecvTimeout:  cfg.recvTimeout,
-			Recorder:     rec,
-			RecvObserver: c.obs.RecvObserver,
-			Metrics:      c.obs.Transport(),
+			RecvTimeout: cfg.recvTimeout,
+			Observer:    observer,
+			Metrics:     c.obs.Transport(),
 		})
 		if err != nil {
 			return nil, err
@@ -396,17 +399,17 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, fn func(*Node) error)
 // WithTrace) together with modelled EC2 times under the paper's cost
 // model. threads is the per-node send/receive concurrency to model.
 func (c *Cluster) Traffic(threads int) (*TrafficReport, error) {
-	if c.collector == nil {
+	if !c.cfg.trace {
 		return nil, fmt.Errorf("kylix: traffic recording not enabled; construct the cluster with WithTrace()")
 	}
-	return buildTrafficReport(c.collector, netsim.EC2(), threads), nil
+	return buildTrafficReport(c.traffic, netsim.EC2(), threads), nil
 }
 
 // ResetTraffic clears recorded traffic (e.g. to time configuration and
 // reduction separately).
 func (c *Cluster) ResetTraffic() {
-	if c.collector != nil {
-		c.collector.Reset()
+	if c.cfg.trace {
+		c.traffic.Reset()
 	}
 }
 
@@ -462,6 +465,9 @@ func ListenNode(rank int, addrs []string, opts ...Option) (*Node, error) {
 	if cfg.elastic != nil {
 		return nil, fmt.Errorf("kylix: WithElastic requires an in-process Cluster (membership agents span every rank)")
 	}
+	if cfg.trace {
+		return nil, fmt.Errorf("kylix: WithTrace requires an in-process Cluster (a traffic report spans every rank's sends; a single node exports its own byte counters with WithObservability)")
+	}
 	if cfg.replication < 1 || len(addrs)%cfg.replication != 0 {
 		return nil, fmt.Errorf("kylix: %d machines not divisible by replication %d", len(addrs), cfg.replication)
 	}
@@ -475,9 +481,9 @@ func ListenNode(rank int, addrs []string, opts ...Option) (*Node, error) {
 		cfg.obsv = obs.New(len(addrs), 0)
 	}
 	tn, err := tcpnet.Listen(rank, addrs, tcpnet.Options{
-		RecvTimeout:  cfg.recvTimeout,
-		RecvObserver: cfg.obsv.RecvObserver,
-		Metrics:      cfg.obsv.Transport(),
+		RecvTimeout: cfg.recvTimeout,
+		Observer:    cfg.obsv.Observer,
+		Metrics:     cfg.obsv.Transport(),
 	})
 	if err != nil {
 		return nil, err

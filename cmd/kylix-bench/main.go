@@ -134,7 +134,7 @@ func main() {
 		{"fig9", func() (*bench.Table, error) { return bench.Figure9(sc) }},
 		{"ablation-design", func() (*bench.Table, error) { return bench.AblationDesignSearch(sc) }},
 		{"ablation-fused", func() (*bench.Table, error) { return bench.AblationFusedConfigReduce(sc) }},
-		{"ablation-racing", func() (*bench.Table, error) { return bench.AblationPacketRacing(), nil }},
+		{"ablation-racing", bench.AblationPacketRacing},
 		{"ablation-jitter", func() (*bench.Table, error) { return bench.AblationJitterDES(sc) }},
 	}
 

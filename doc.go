@@ -44,7 +44,9 @@
 // the values (WithWidth, WithReducer, WithQuantization, WithStrict,
 // WithCombineWorkers), fault tolerance (WithReplication, WithFaults,
 // WithElastic), tenant admission (WithMaxStreams, WithStreamInflight,
-// WithStreamSlots) and visibility (WithTrace, WithObservability). Tag
+// WithStreamSlots) and visibility (WithTrace, WithObservability — two
+// exports of one byte count: the transports' single event sink feeds
+// one traffic store, read by Cluster.Traffic and by /metrics alike). Tag
 // namespaces are not options: a channel is chosen only by Node.Channel,
 // a tenant stream only by Cluster.OpenStream or Node.Stream.
 //

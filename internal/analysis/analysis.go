@@ -7,7 +7,7 @@
 //     project-local callees) must not contain allocating constructs —
 //     the static complement of the scripts/bench.sh --gate 0 allocs/op
 //     check on the warm reduction path.
-//   - lockobs: observability hooks (comm.RecvObserver, obs.Tracer,
+//   - lockobs: observability hooks (comm.Observer, obs.Tracer,
 //     metrics) must never be called while a mutex annotated
 //     //kylix:obsfree is held — the observer-outside-the-mailbox-mutex
 //     contract.

@@ -8,10 +8,10 @@ import (
 )
 
 // LockObs enforces the observability-outside-the-lock contract from the
-// runtime observability layer: a comm.RecvObserver, obs.Tracer,
+// runtime observability layer: a comm.Observer, obs.Tracer,
 // Observatory or metrics-registry method must never be called while a
 // mutex annotated //kylix:obsfree is held. Holding the mailbox (or
-// trace-collector shard) mutex across an observer callback reintroduces
+// traffic-store shard) mutex across an observer callback reintroduces
 // the PR 3 contention bug: every sender serializes behind whatever the
 // observer does, and an observer that blocks deadlocks the transport.
 //
@@ -33,10 +33,11 @@ var LockObs = &Analyzer{
 // inside obsfree critical sections.
 const obsPkgPath = "kylix/internal/obs"
 
-// recvObserverMethods are the comm.RecvObserver interface methods,
-// banned by name regardless of the concrete receiver (transports hold
-// the observer as an interface).
-var recvObserverMethods = map[string]bool{
+// observerMethods are the comm.Observer interface methods, banned by
+// name regardless of the concrete receiver (transports hold the
+// observer as an interface).
+var observerMethods = map[string]bool{
+	"ObserveSend":      true,
 	"ObserveRecv":      true,
 	"ObserveRecvGroup": true,
 }
@@ -224,7 +225,7 @@ func reportObsCall(p *Pass, call *ast.CallExpr, held map[string]ast.Expr) {
 		name, strings.Join(mutexes, ", "), why)
 }
 
-// obsCallee classifies the call's target: a RecvObserver method (by
+// obsCallee classifies the call's target: a comm.Observer method (by
 // interface method set), any method on a kylix/internal/obs type, or a
 // method named like the observer hooks.
 func obsCallee(p *Pass, call *ast.CallExpr) (name, why string) {
@@ -240,8 +241,8 @@ func obsCallee(p *Pass, call *ast.CallExpr) (name, why string) {
 	if sig == nil || sig.Recv() == nil {
 		return "", ""
 	}
-	if recvObserverMethods[fn.Name()] {
-		return fn.Name(), "comm.RecvObserver hook"
+	if observerMethods[fn.Name()] {
+		return fn.Name(), "comm.Observer hook"
 	}
 	recvType := sig.Recv().Type()
 	if ptr, ok := recvType.(*types.Pointer); ok {

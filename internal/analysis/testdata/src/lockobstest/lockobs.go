@@ -11,9 +11,10 @@ import (
 	"kylix/internal/obs"
 )
 
-// observer mirrors comm.RecvObserver's method set; lockobs matches the
+// observer mirrors comm.Observer's method set; lockobs matches the
 // hook methods by name regardless of the declaring package.
 type observer interface {
+	ObserveSend(from, to int, wire, raw int)
 	ObserveRecv(from int, bytes int, wait time.Duration, err error)
 }
 
@@ -44,6 +45,16 @@ func (b *box) observerUnderLock() {
 	defer b.mu.Unlock() // the section stays open to the end of the function
 	b.n++
 	b.o.ObserveRecv(1, 64, 0, nil) // want "ObserveRecv called while b.mu is held"
+}
+
+// sendUnderLock is the transport-side half of the same contract: the
+// send event fires before or after the delivery section, never inside.
+func (b *box) sendUnderLock() {
+	b.mu.Lock()
+	b.n++
+	b.o.ObserveSend(0, 1, 64, 64) // want "ObserveSend called while b.mu is held"
+	b.mu.Unlock()
+	b.o.ObserveSend(0, 1, 64, 64) // accepted: lock released first
 }
 
 func (b *box) afterUnlock() {

@@ -11,9 +11,9 @@ import (
 	"kylix/internal/des"
 	"kylix/internal/memnet"
 	"kylix/internal/netsim"
+	"kylix/internal/obs"
 	"kylix/internal/powerlaw"
 	"kylix/internal/topo"
-	"kylix/internal/trace"
 )
 
 // AblationDesignSearch validates the §IV design workflow against brute
@@ -124,9 +124,9 @@ func AblationFusedConfigReduce(sc Scale) (*Table, error) {
 		return nil, err
 	}
 
-	run := func(fused bool) (*trace.Collector, error) {
-		col := trace.NewCollector(bf.M())
-		net := memnet.New(bf.M(), memnet.WithRecorder(col), memnet.WithRecvTimeout(60*time.Second))
+	run := func(fused bool) (*obs.Traffic, error) {
+		col := obs.NewTraffic(bf.M())
+		net := memnet.New(bf.M(), memnet.WithObserver(col.Observer), memnet.WithRecvTimeout(60*time.Second))
 		defer net.Close()
 		err := memnet.Run(net, func(ep comm.Endpoint) error {
 			m, err := core.NewMachine(ep, bf, core.Options{})
@@ -161,15 +161,16 @@ func AblationFusedConfigReduce(sc Scale) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		layers := col.Layers()
 		var msgs, bytes int64
-		for _, lt := range col.Layers() {
+		for _, lt := range layers {
 			if lt.Kind == comm.KindConfig || lt.Kind == comm.KindReduce ||
 				lt.Kind == comm.KindGather || lt.Kind == comm.KindConfigReduce {
 				msgs += lt.Msgs
 				bytes += lt.Bytes
 			}
 		}
-		rep := netsim.Estimate(col, model, model.Cores)
+		rep := netsim.Estimate(layers, col.Machines(), model, model.Cores)
 		t.Rows = append(t.Rows, []string{
 			mode.name, fi(msgs), fmtMB(bytes), f6(rep.TotalSec()),
 		})
@@ -180,24 +181,51 @@ func AblationFusedConfigReduce(sc Scale) (*Table, error) {
 // AblationPacketRacing quantifies §V-B: replication races every receive
 // across the replicas, so on networks with latency variance the
 // *expected* phase latency falls even though total traffic doubles. The
-// table sweeps latency spread (log-normal sigma) for an unreplicated and
-// a 2x-replicated 8-wide layer.
-func AblationPacketRacing() *Table {
+// table sweeps latency spread (log-normal sigma) over one degree-8 layer
+// of the discrete-event simulator — zero-byte pieces on a model that is
+// pure latency, so a node's finish time is the slowest of its peers'
+// (raced) deliveries — unreplicated and 2x-replicated.
+func AblationPacketRacing() (*Table, error) {
 	t := &Table{
 		Title:  "Ablation: §V-B packet racing under latency variance (expected phase latency, ms)",
-		Note:   "a node waits for d=8 peers; latencies are log-normal with median 1 ms;\nracing takes the faster of 2 replica copies per peer",
+		Note:   "one degree-8 layer in the DES: a node waits for its 7 peers (its own piece skips\nthe wire); latencies are log-normal with median 1 ms; racing takes the faster\nof 2 replica copies per peer",
 		Header: []string{"sigma", "unreplicated", "replicated(s=2)", "racingGain"},
 	}
-	for _, sigma := range []float64{0, 0.2, 0.5, 1.0, 1.5} {
-		rm := netsim.RacingModel{BaseLatency: 1, Sigma: sigma}
+	const rounds = 2500 // x 8 nodes = 20000 waits per cell
+	phaseMs := func(sigma float64, replication int) (float64, error) {
+		cfg := des.Config{
+			Topology:     topo.MustNew([]int{8}),
+			LayerBytes:   []float64{0},
+			Model:        netsim.Model{LatencySec: 1e-3, Cores: 1},
+			Threads:      1,
+			LatencySigma: sigma,
+			Replication:  replication,
+		}
 		rng := rand.New(rand.NewSource(1234))
-		plain := rm.PhaseLatency(rng, 8, 1, 20000)
-		raced := rm.PhaseLatency(rng, 8, 2, 20000)
+		total := 0.0
+		for i := 0; i < rounds; i++ {
+			res, err := des.Simulate(cfg, rng)
+			if err != nil {
+				return 0, err
+			}
+			total += res.MeanFinishSec
+		}
+		return total / rounds * 1e3, nil
+	}
+	for _, sigma := range []float64{0, 0.2, 0.5, 1.0, 1.5} {
+		plain, err := phaseMs(sigma, 1)
+		if err != nil {
+			return nil, err
+		}
+		raced, err := phaseMs(sigma, 2)
+		if err != nil {
+			return nil, err
+		}
 		t.Rows = append(t.Rows, []string{
 			f3(sigma), f3(plain), f3(raced), fmt.Sprintf("%.2fx", plain/raced),
 		})
 	}
-	return t
+	return t, nil
 }
 
 // AblationJitterDES uses the discrete-event simulator to replay the

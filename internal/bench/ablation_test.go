@@ -69,7 +69,10 @@ func TestAblationFusedHalvesMessages(t *testing.T) {
 }
 
 func TestAblationPacketRacingGainGrowsWithVariance(t *testing.T) {
-	tab := AblationPacketRacing()
+	tab, err := AblationPacketRacing()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// With zero variance racing cannot help (gain ~1x); with heavy tails
 	// it must help substantially, and the gain is monotone-ish in sigma.
 	first := cellF(t, tab, 0, 3)

@@ -65,7 +65,7 @@ func benchReduceWarmW4(b *testing.B, workers int) {
 	// a piece is ~set/4 rows, which at width 4 crosses the shard floor.
 	bf := topo.MustNew([]int{4, 2})
 
-	net := memnet.New(machines, memnet.WithRecvObserver(o.RecvObserver))
+	net := memnet.New(machines, memnet.WithObserver(o.Observer))
 	defer net.Close()
 
 	var ready, done sync.WaitGroup
@@ -173,7 +173,7 @@ func benchReduceWarmQuant(b *testing.B, o *obs.Observatory, quant sparse.Quantiz
 	}
 	bf := topo.MustNew(scaleDegrees(p.degrees, sc.Machines))
 
-	net := memnet.New(sc.Machines, memnet.WithRecvObserver(o.RecvObserver))
+	net := memnet.New(sc.Machines, memnet.WithObserver(o.Observer))
 	defer net.Close()
 
 	var ready, done sync.WaitGroup

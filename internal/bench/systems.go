@@ -12,9 +12,9 @@ import (
 	"kylix/internal/mapreduce"
 	"kylix/internal/memnet"
 	"kylix/internal/netsim"
+	"kylix/internal/obs"
 	"kylix/internal/powerlaw"
 	"kylix/internal/topo"
-	"kylix/internal/trace"
 )
 
 // pagerankDataset is one synthetic graph profile for the system
@@ -48,7 +48,7 @@ func genPagerankDatasets(sc Scale) []pagerankDataset {
 
 // pagerankRun holds the measured outcome of a distributed PageRank.
 type pagerankRun struct {
-	col *trace.Collector
+	col *obs.Traffic
 	// maxShardNNZ bounds per-iteration local compute.
 	maxShardNNZ int
 	wall        time.Duration
@@ -69,8 +69,8 @@ func runPagerank(ds pagerankDataset, degrees []int, iters int) (*pagerankRun, er
 	if err != nil {
 		return nil, err
 	}
-	col := trace.NewCollector(m)
-	net := memnet.New(m, memnet.WithRecorder(col), memnet.WithRecvTimeout(120*time.Second))
+	col := obs.NewTraffic(m)
+	net := memnet.New(m, memnet.WithObserver(col.Observer), memnet.WithRecvTimeout(120*time.Second))
 	defer net.Close()
 	start := time.Now()
 	err = memnet.Run(net, func(ep comm.Endpoint) error {
@@ -98,7 +98,7 @@ func runPagerank(ds pagerankDataset, degrees []int, iters int) (*pagerankRun, er
 // is excluded, as in the paper's per-iteration numbers) plus the local
 // SpMV compute.
 func perIterSeconds(run *pagerankRun, model netsim.Model, iters int) (compute, comm float64) {
-	rep := netsim.Estimate(run.col, model, model.Cores)
+	rep := netsim.Estimate(run.col.Layers(), run.col.Machines(), model, model.Cores)
 	comm = rep.ReduceSec / float64(iters)
 	compute = model.ComputeTime(int64(run.maxShardNNZ))
 	return compute, comm

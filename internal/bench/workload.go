@@ -8,11 +8,11 @@ import (
 	"kylix/internal/comm"
 	"kylix/internal/core"
 	"kylix/internal/memnet"
+	"kylix/internal/obs"
 	"kylix/internal/powerlaw"
 	"kylix/internal/replica"
 	"kylix/internal/sparse"
 	"kylix/internal/topo"
-	"kylix/internal/trace"
 )
 
 // workload is a synthetic sparse-allreduce input: one power-law index
@@ -49,7 +49,7 @@ func genWorkload(p profile, n int64, logical int, seed int64) (*workload, error)
 
 // runResult aggregates one allreduce round's observations.
 type runResult struct {
-	col          *trace.Collector
+	col          *obs.Traffic
 	bottomOut    int64 // sum over machines of fully reduced bottom sizes
 	maxLocalNNZ  int   // largest per-machine set (compute-cost proxy)
 	wall         time.Duration
@@ -69,8 +69,8 @@ func runAllreduce(w *workload, degrees []int, replication int, dead []int, reduc
 		return nil, fmt.Errorf("bench: workload has %d partitions, topology %d", len(w.sets), logical)
 	}
 	phys := logical * replication
-	col := trace.NewCollector(phys)
-	net := memnet.New(phys, memnet.WithRecorder(col), memnet.WithRecvTimeout(60*time.Second))
+	col := obs.NewTraffic(phys)
+	net := memnet.New(phys, memnet.WithObserver(col.Observer), memnet.WithRecvTimeout(60*time.Second))
 	defer net.Close()
 	for _, d := range dead {
 		net.Kill(d)

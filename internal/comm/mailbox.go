@@ -55,13 +55,14 @@ type Mailbox struct {
 	done  chan struct{} // closed by Close; stops the watchdog
 	// obs, when non-nil, is notified of every completed receive. Set
 	// before the mailbox is shared between goroutines.
-	obs RecvObserver
+	obs Observer
 }
 
-// SetRecvObserver installs the receive observer. Must be called before
-// the mailbox is used concurrently (transports install it at
+// SetObserver installs the event sink whose receive half the mailbox
+// reports to (the owning transport reports the sends). Must be called
+// before the mailbox is used concurrently (transports install it at
 // construction time).
-func (m *Mailbox) SetRecvObserver(o RecvObserver) { m.obs = o }
+func (m *Mailbox) SetObserver(o Observer) { m.obs = o }
 
 // NewMailbox creates a Mailbox whose blocking receives fail with
 // ErrTimeout after the given duration (0 means wait forever).

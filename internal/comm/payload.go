@@ -11,8 +11,9 @@ import (
 
 // Payload is a typed message body. In-memory transports pass Payloads by
 // reference (zero copy); the TCP transport encodes them with the
-// self-describing wire format below. WireSize is also what the traffic
-// recorder charges, so both transports account identical byte volumes.
+// self-describing wire format below. WireSize is also what the event
+// sink (Observer) is charged, so both transports account identical byte
+// volumes.
 type Payload interface {
 	// WireSize is the encoded size in bytes, excluding the frame header.
 	WireSize() int
@@ -58,8 +59,8 @@ const (
 	wireBytes    = 4
 )
 
-// wireMemo caches a payload's encoded form so that WireSize (charged by
-// the traffic recorder on every transport) and AppendTo (run by the TCP
+// wireMemo caches a payload's encoded form so that WireSize (charged to
+// the event sink on every transport) and AppendTo (run by the TCP
 // write loop) encode at most once per payload, even when a payload is
 // fanned out to many receivers. Payloads flow through fault-injecting
 // transports that re-Send retained pointers from a drain goroutine, so

@@ -99,7 +99,7 @@ func (p *InOut) RawWireSize() int { return 1 + 4 + 4 + 8*len(p.In) + 8*len(p.Out
 // encodeSets encodes the immutable prefix of a Combined payload: the
 // discriminator and both compressed set blocks. Vals deliberately stays
 // out of the memo — the fused pass points Vals at value buffers the
-// caller may overwrite after the round, and the traffic recorder can
+// caller may overwrite after the round, and traffic accounting can
 // touch a retained payload later (fault-injecting transports re-Send
 // held pointers), so the memoized bytes must never read Vals. Its wire
 // cost is pure arithmetic anyway.

@@ -59,10 +59,6 @@ func (m *Machine) Configure(inSet, outSet sparse.Set) (cfgOut *Config, err error
 // (via *accOut) holds the combined layer result (the §III combined
 // configure+reduce). The caller's span sp accumulates the layer's wire
 // bytes and group size.
-//
-// Byte accounting is gated on the tracer being live: sizing a
-// configuration payload runs the index codec, which is worth paying for
-// observability but not for a span that will be discarded.
 func (m *Machine) configureLayer(ls *layerState, layer int, round uint32, inCur, outCur sparse.Set, vals []float32, accOut *[]float32, tagKindOverride *comm.Kind, sp *obs.Span) error {
 	cs := m.ensureCfgScratch()
 	d := m.bf.Degree(layer)
@@ -82,8 +78,6 @@ func (m *Machine) configureLayer(ls *layerState, layer int, round uint32, inCur,
 	}
 	tag := m.tag(kind, layer, round)
 	w := m.opts.Width
-	tr := m.opts.Tracer
-	obsOn := tr.Enabled()
 
 	// Send piece t to the member owning sub-range t. The payload headers
 	// cannot come from machine scratch — transports may retain the
@@ -95,11 +89,7 @@ func (m *Machine) configureLayer(ls *layerState, layer int, round uint32, inCur,
 			p := &hdrs[t]
 			p.In = sparse.Piece(inCur, ls.inOffsets, t)
 			p.Out = sparse.Piece(outCur, ls.outOffsets, t)
-			if obsOn {
-				enc := p.WireSize()
-				sp.BytesOut += int64(enc)
-				tr.CountConfigBytes(int64(p.RawWireSize()), int64(enc))
-			}
+			m.stampOut(sp, p)
 			if err := m.ep.Send(member, tag, p); err != nil {
 				return err
 			}
@@ -111,11 +101,7 @@ func (m *Machine) configureLayer(ls *layerState, layer int, round uint32, inCur,
 			p.In = sparse.Piece(inCur, ls.inOffsets, t)
 			p.Out = sparse.Piece(outCur, ls.outOffsets, t)
 			p.Vals = vals[int(ls.outOffsets[t])*w : int(ls.outOffsets[t+1])*w]
-			if obsOn {
-				enc := p.WireSize()
-				sp.BytesOut += int64(enc)
-				tr.CountConfigBytes(int64(p.RawWireSize()), int64(enc))
-			}
+			m.stampOut(sp, p)
 			if err := m.ep.Send(member, tag, p); err != nil {
 				return err
 			}
@@ -157,9 +143,7 @@ func (m *Machine) configureLayer(ls *layerState, layer int, round uint32, inCur,
 		if err := sparse.CheckInRange(outP[t], myRange); err != nil {
 			return fmt.Errorf("out piece from %d: %w", from, err)
 		}
-		if obsOn {
-			sp.BytesIn += int64(p.WireSize())
-		}
+		m.stampIn(sp, p)
 		seen[t] = true
 		received++
 	}

@@ -110,8 +110,6 @@ func (c *Config) reconfigureLayer(ls, old *layerState, layer int, round uint32, 
 	d := m.bf.Degree(layer)
 	parent := m.bf.RangeAt(m.Rank(), layer-1)
 	sp.Peers = d
-	tr := m.opts.Tracer
-	obsOn := tr.Enabled()
 	tag := m.tag(comm.KindConfig, layer, round)
 
 	// Whole-set fast path: when this layer's input sets are the previous
@@ -122,11 +120,7 @@ func (c *Config) reconfigureLayer(ls, old *layerState, layer int, round uint32, 
 	var newInOffs, newOutOffs []int32
 	if sendSame {
 		for _, member := range old.group {
-			if obsOn {
-				enc := deltaUnchanged.WireSize()
-				sp.BytesOut += int64(enc)
-				tr.CountConfigBytes(int64(deltaUnchanged.RawWireSize()), int64(enc))
-			}
+			m.stampOut(sp, deltaUnchanged)
 			if err := m.ep.Send(member, tag, deltaUnchanged); err != nil {
 				return false, err
 			}
@@ -171,11 +165,7 @@ func (c *Config) reconfigureLayer(ls, old *layerState, layer int, round uint32, 
 				p = &hdrs[t]
 				p.In, p.Out = newIn, newOut
 			}
-			if obsOn {
-				enc := p.WireSize()
-				sp.BytesOut += int64(enc)
-				tr.CountConfigBytes(int64(p.RawWireSize()), int64(enc))
-			}
+			m.stampOut(sp, p)
 			if err := m.ep.Send(member, tag, p); err != nil {
 				return false, err
 			}
@@ -227,9 +217,7 @@ func (c *Config) reconfigureLayer(ls, old *layerState, layer int, round uint32, 
 				return false, fmt.Errorf("out piece from %d: %w", from, err)
 			}
 		}
-		if obsOn {
-			sp.BytesIn += int64(p.WireSize())
-		}
+		m.stampIn(sp, p)
 		seen[t] = true
 		received++
 	}
@@ -268,7 +256,7 @@ func (c *Config) reconfigureLayer(ls, old *layerState, layer int, round uint32, 
 		copy(ls.recvIn, inP)
 		copy(ls.recvOut, outP)
 	}
-	tr.CountReconfigureLayer(layerFast)
+	m.opts.Tracer.CountReconfigureLayer(layerFast)
 	for t := range inP {
 		inP[t], outP[t] = nil, nil
 	}

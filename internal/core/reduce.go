@@ -195,20 +195,37 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, g *genBufs, 
 // float view p.f.Vals into its wire form — the raw header itself, or
 // p.pk.q refilled by the quantize kernel, which also folds the piece's
 // error-feedback residual in and leaves this round's error there —
-// charges the layer span and the value-byte counters, and hands the
-// payload to the endpoint.
+// charges the layer span, and hands the payload to the endpoint.
 //
 //kylix:hotpath
 func (m *Machine) sendPiece(to int, tag comm.Tag, p *piece, sp *obs.Span) error {
-	raw := int64(p.f.WireSize())
-	wire, pl := raw, comm.Payload(&p.f)
+	pl := comm.Payload(&p.f)
 	if quant := m.opts.Quant; quant != sparse.QuantOff {
 		sparse.Quantize(quant, p.pk.q.Data, p.f.Vals, p.pk.res)
-		wire, pl = int64(p.pk.q.WireSize()), &p.pk.q
+		pl = &p.pk.q
 	}
-	sp.BytesOut += wire
-	m.opts.Tracer.CountValueBytes(raw, wire)
+	m.stampOut(sp, pl)
 	return m.ep.Send(to, tag, pl)
+}
+
+// stampOut and stampIn charge a sent or received payload's wire bytes
+// to its layer span — all core knows of byte accounting; traffic
+// totals are the transport sink's. A machine without a tracer discards
+// its spans, so it skips the sizing too: for a configuration payload
+// that is a run of the index codec.
+//
+//kylix:hotpath
+func (m *Machine) stampOut(sp *obs.Span, p comm.Payload) {
+	if m.opts.Tracer != nil {
+		sp.BytesOut += int64(p.WireSize())
+	}
+}
+
+//kylix:hotpath
+func (m *Machine) stampIn(sp *obs.Span, p comm.Payload) {
+	if m.opts.Tracer != nil {
+		sp.BytesIn += int64(p.WireSize())
+	}
 }
 
 // recvPiece is the receive skeleton of both directions: it takes the
@@ -252,7 +269,7 @@ func (m *Machine) landPiece(from int, pl comm.Payload, p *piece, dst []float32, 
 		if q.N != n {
 			return nil, fmt.Errorf("piece from %d has %d values, want %d", from, q.N, n)
 		}
-		sp.BytesIn += int64(q.WireSize())
+		m.stampIn(sp, q)
 		if dst == nil {
 			dst = p.pk.land
 		}
@@ -266,7 +283,7 @@ func (m *Machine) landPiece(from int, pl comm.Payload, p *piece, dst []float32, 
 	if len(f.Vals) != n {
 		return nil, fmt.Errorf("piece from %d has %d values, want %d", from, len(f.Vals), n)
 	}
-	sp.BytesIn += int64(f.WireSize())
+	m.stampIn(sp, f)
 	if dst == nil {
 		return f.Vals, nil
 	}

@@ -19,11 +19,6 @@ import (
 // Option configures a Network.
 type Option func(*Network)
 
-// WithRecorder attaches a traffic recorder (e.g. a trace.Collector).
-func WithRecorder(r comm.Recorder) Option {
-	return func(n *Network) { n.rec = r }
-}
-
 // WithRecvTimeout bounds every blocking receive; 0 waits forever. The
 // default of 30s turns protocol deadlocks (e.g. an unreplicated network
 // with a dead node) into errors instead of hangs.
@@ -31,11 +26,11 @@ func WithRecvTimeout(d time.Duration) Option {
 	return func(n *Network) { n.timeout = d }
 }
 
-// WithRecvObserver installs a per-rank receive observer factory (the
-// observability layer's receive hook); the factory may return nil for
-// ranks that should not be observed.
-func WithRecvObserver(f func(rank int) comm.RecvObserver) Option {
-	return func(n *Network) { n.recvObs = f }
+// WithObserver installs the transport event sink: f builds each rank's
+// observer, told of that rank's sends and of its mailbox's receives. A
+// nil f, or a nil result for a rank, leaves it unobserved.
+func WithObserver(f func(rank int) comm.Observer) Option {
+	return func(n *Network) { n.newObs = f }
 }
 
 // Network is an m-machine in-process cluster.
@@ -43,8 +38,8 @@ type Network struct {
 	size    int
 	boxes   []*comm.Mailbox
 	dead    []atomic.Bool
-	rec     comm.Recorder // nil when nobody accounts traffic
-	recvObs func(rank int) comm.RecvObserver
+	obs     []comm.Observer // per rank; nil entries are unobserved
+	newObs  func(rank int) comm.Observer
 	timeout time.Duration
 }
 
@@ -56,11 +51,13 @@ func New(m int, opts ...Option) *Network {
 	}
 	n.boxes = make([]*comm.Mailbox, m)
 	n.dead = make([]atomic.Bool, m)
+	n.obs = make([]comm.Observer, m)
 	for i := range n.boxes {
 		n.boxes[i] = comm.NewMailbox(n.timeout)
-		if n.recvObs != nil {
-			if ro := n.recvObs(i); ro != nil {
-				n.boxes[i].SetRecvObserver(ro)
+		if n.newObs != nil {
+			if o := n.newObs(i); o != nil {
+				n.obs[i] = o
+				n.boxes[i].SetObserver(o)
 			}
 		}
 	}
@@ -150,8 +147,8 @@ func (e *endpoint) Send(to int, tag comm.Tag, p comm.Payload) error {
 	// transport, so it is skipped entirely when nobody is listening —
 	// compressed config payloads would otherwise run their codec once per
 	// send in untraced runs.
-	if rec := e.net.rec; rec != nil {
-		rec.Record(e.rank, to, tag, p.WireSize(), comm.RawWireSize(p))
+	if o := e.net.obs[e.rank]; o != nil {
+		o.ObserveSend(e.rank, to, tag, p.WireSize(), comm.RawWireSize(p))
 	}
 	if e.net.dead[to].Load() {
 		return nil // silently dropped, like a packet into a dead host

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"kylix/internal/comm"
-	"kylix/internal/trace"
+	"kylix/internal/obs"
 )
 
 func TestPointToPoint(t *testing.T) {
@@ -82,9 +82,9 @@ func TestKillDropsTraffic(t *testing.T) {
 	}
 }
 
-func TestRecorderSeesTrafficIncludingDead(t *testing.T) {
-	col := trace.NewCollector(3)
-	n := New(3, WithRecorder(col))
+func TestObserverSeesTrafficIncludingDead(t *testing.T) {
+	col := obs.NewTraffic(3)
+	n := New(3, WithObserver(col.Observer))
 	defer n.Close()
 	n.Kill(2)
 	tag := comm.MakeTag(comm.KindReduce, 1, 0)

@@ -5,7 +5,7 @@ import (
 	"strings"
 
 	"kylix/internal/comm"
-	"kylix/internal/trace"
+	"kylix/internal/obs"
 )
 
 // LayerTime is the modelled duration of one (kind, layer) phase.
@@ -32,7 +32,8 @@ type Report struct {
 	ConfigSec float64
 	// ReduceSec is the reduction: scatter-reduce plus allgather.
 	ReduceSec float64
-	// Layers holds the per-layer breakdown.
+	// Layers holds the per-layer breakdown, one entry per input row in
+	// the input's order.
 	Layers []LayerTime
 }
 
@@ -49,7 +50,8 @@ func (r Report) String() string {
 	return b.String()
 }
 
-// Estimate converts a recorded traffic trace into modelled cluster time
+// Estimate converts recorded traffic — the traffic store's rows for a
+// cluster of the given machine count — into modelled cluster time
 // under the model with the given per-node thread count. Per layer, the
 // modelled time is the average live node's wire traffic pushed through
 // the NodePhaseTime cost (hash partitioning balances nodes, so mean and
@@ -65,13 +67,13 @@ func (r Report) String() string {
 // lower layers compress best). The codec's real saving is reported
 // separately, as the RawBytes/Bytes ratio in TrafficReport and the
 // kylix-bench compression table.
-func Estimate(col *trace.Collector, m Model, threads int) Report {
-	nodes := int64(col.Machines())
+func Estimate(layers []obs.LayerTraffic, machines int, m Model, threads int) Report {
+	nodes := int64(machines)
 	if nodes == 0 {
 		return Report{}
 	}
 	var rep Report
-	for _, lt := range col.Layers() {
+	for _, lt := range layers {
 		wireMsgs := lt.Msgs - lt.SelfMsgs
 		wireBytes := lt.RawBytes - lt.SelfRawBytes
 		perNodeMsgs := (wireMsgs + nodes - 1) / nodes

@@ -2,11 +2,10 @@ package netsim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"kylix/internal/comm"
-	"kylix/internal/trace"
+	"kylix/internal/obs"
 )
 
 func TestGoodputCurveShape(t *testing.T) {
@@ -108,7 +107,7 @@ func TestPacketSweep(t *testing.T) {
 }
 
 func TestEstimateSeparatesPhases(t *testing.T) {
-	col := trace.NewCollector(4)
+	col := obs.NewTraffic(4)
 	// Config traffic at layer 1, reduce at layers 1-2, gather at 1.
 	for from := 0; from < 4; from++ {
 		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindConfig, 1, 0), 1<<20, 1<<20)
@@ -117,7 +116,7 @@ func TestEstimateSeparatesPhases(t *testing.T) {
 		col.Record(from, (from+2)%4, comm.MakeTag(comm.KindReduce, 2, 0), 1<<19, 1<<19)
 		col.Record(from, (from+1)%4, comm.MakeTag(comm.KindGather, 1, 0), 1<<19, 1<<19)
 	}
-	rep := Estimate(col, EC2(), 16)
+	rep := Estimate(col.Layers(), 4, EC2(), 16)
 	if rep.ConfigSec <= 0 || rep.ReduceSec <= 0 {
 		t.Fatalf("phases missing: %+v", rep)
 	}
@@ -142,16 +141,16 @@ func TestEstimateSeparatesPhases(t *testing.T) {
 func TestEstimateSmallPacketsCostMore(t *testing.T) {
 	// Same byte volume in many small messages must take longer than in
 	// few large ones: the effect that kills direct allreduce at scale.
-	mkCol := func(msgs int, msgSize int) *trace.Collector {
-		col := trace.NewCollector(2)
+	mkCol := func(msgs int, msgSize int) *obs.Traffic {
+		col := obs.NewTraffic(2)
 		for i := 0; i < msgs; i++ {
 			col.Record(0, 1, comm.MakeTag(comm.KindReduce, 1, uint32(i)), msgSize, msgSize)
 		}
 		return col
 	}
 	m := EC2()
-	small := Estimate(mkCol(64, 1<<18), m, 1)
-	large := Estimate(mkCol(4, 1<<22), m, 1)
+	small := Estimate(mkCol(64, 1<<18).Layers(), 2, m, 1)
+	large := Estimate(mkCol(4, 1<<22).Layers(), 2, m, 1)
 	if small.ReduceSec <= large.ReduceSec {
 		t.Fatalf("small packets %.4fs should cost more than large %.4fs",
 			small.ReduceSec, large.ReduceSec)
@@ -159,42 +158,17 @@ func TestEstimateSmallPacketsCostMore(t *testing.T) {
 }
 
 func TestEstimateFusedConfigReduceCountsAsConfig(t *testing.T) {
-	col := trace.NewCollector(2)
+	col := obs.NewTraffic(2)
 	col.Record(0, 1, comm.MakeTag(comm.KindConfigReduce, 1, 0), 1<<20, 1<<20)
-	rep := Estimate(col, EC2(), 4)
+	rep := Estimate(col.Layers(), 2, EC2(), 4)
 	if rep.ConfigSec <= 0 || rep.ReduceSec != 0 {
 		t.Fatalf("fused traffic misclassified: %+v", rep)
 	}
 }
 
-func TestEstimateEmptyCollector(t *testing.T) {
-	rep := Estimate(trace.NewCollector(0), EC2(), 4)
+func TestEstimateEmptyTraffic(t *testing.T) {
+	rep := Estimate(nil, 0, EC2(), 4)
 	if rep.TotalSec() != 0 || len(rep.Layers) != 0 {
 		t.Fatal("empty trace should produce empty report")
-	}
-}
-
-func TestRacingModelProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	rm := RacingModel{BaseLatency: 2, Sigma: 0}
-	// Deterministic latencies: phase latency is exactly the base.
-	if v := rm.PhaseLatency(rng, 8, 1, 100); v != 2 {
-		t.Fatalf("deterministic phase latency %f", v)
-	}
-	if rm.PhaseLatency(rng, 0, 1, 10) != 0 || rm.PhaseLatency(rng, 1, 0, 10) != 0 {
-		t.Fatal("degenerate inputs should return 0")
-	}
-	// More peers -> longer expected max; more replicas -> shorter.
-	rm.Sigma = 0.8
-	d4 := rm.PhaseLatency(rng, 4, 1, 20000)
-	d16 := rm.PhaseLatency(rng, 16, 1, 20000)
-	if d16 <= d4 {
-		t.Fatalf("max over more peers should grow: %f vs %f", d4, d16)
-	}
-	s1 := rm.PhaseLatency(rng, 8, 1, 20000)
-	s2 := rm.PhaseLatency(rng, 8, 2, 20000)
-	s3 := rm.PhaseLatency(rng, 8, 3, 20000)
-	if !(s3 < s2 && s2 < s1) {
-		t.Fatalf("racing should shorten phases: %f %f %f", s1, s2, s3)
 	}
 }

@@ -1,12 +1,15 @@
-// Package obs is the runtime observability layer: per-node span tracing
-// of the protocol's config/reduce/gather passes, a low-overhead metrics
-// registry (counters, gauges, log2 histograms), and exporters — a Chrome
-// trace_event JSON writer and a human-readable timeline — that make a
-// live run inspectable the way the paper's Figures 5-9 inspect a
-// finished one. The hot-path contract is strict: with observability
-// enabled, the warm Reduce must stay at 0 allocs/op (gated by
-// scripts/bench.sh), so every recording primitive here is preallocated
-// and lock-light.
+// Package obs is the accounting plane and the runtime observability
+// layer built on it: the traffic store every transport send is counted
+// in (Traffic, fed through the comm.Observer sinks this package
+// builds, read by traffic reports, netsim and /metrics alike), per-node
+// span tracing of the protocol's config/reduce/gather passes, a
+// low-overhead metrics registry (counters, gauges, log2 histograms),
+// and exporters — a Chrome trace_event JSON writer and a human-readable
+// timeline — that make a live run inspectable the way the paper's
+// Figures 5-9 inspect a finished one. The hot-path contract is strict:
+// with observability enabled, the warm Reduce must stay at 0 allocs/op
+// (gated by scripts/bench.sh), so every recording primitive here is
+// preallocated and lock-light.
 package obs
 
 import (
@@ -21,7 +24,12 @@ import (
 
 // Counter is a monotonically increasing metric. All methods are safe
 // for concurrent use and never allocate.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v atomic.Int64
+	// read, when set, makes the counter a view of state kept elsewhere
+	// (Registry.CounterFunc): Value reports read() and nothing adds.
+	read func() int64
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
@@ -31,7 +39,12 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+func (c *Counter) Value() int64 {
+	if c.read != nil {
+		return c.read()
+	}
+	return c.v.Load()
+}
 
 // Gauge is a last-value (or high-watermark, via SetMax) metric.
 type Gauge struct{ v atomic.Int64 }
@@ -169,6 +182,18 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
+}
+
+// CounterFunc registers a counter whose value is read from fn at
+// export time — a view of state kept elsewhere, so the two cannot
+// disagree. fn runs under the registry lock and must not register
+// metrics. A name already registered keeps its first definition.
+func (r *Registry) CounterFunc(name string, fn func() int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.counters[name] == nil {
+		r.counters[name] = &Counter{read: fn}
+	}
 }
 
 // Gauge returns the named gauge, creating it on first use. Nil-safe

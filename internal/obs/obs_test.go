@@ -122,7 +122,7 @@ func TestSpanRingWrapCountsDrops(t *testing.T) {
 func TestNilObservatoryAndTracerAreNoOps(t *testing.T) {
 	var o *Observatory
 	if o.Machines() != 0 || o.Node(0) != nil || o.Registry() != nil ||
-		o.Transport() != nil || o.RecvObserver(0) != nil || o.FaultObserver() != nil {
+		o.Transport() != nil || o.Observer(0) != nil || o.Traffic() != nil || o.FaultObserver() != nil {
 		t.Fatal("nil Observatory accessors must return zero values")
 	}
 	if o.Spans() != nil {
@@ -141,26 +141,68 @@ func TestNilObservatoryAndTracerAreNoOps(t *testing.T) {
 	tr.RecordError(comm.KindReduce, 1, time.Second, errors.New("x"))
 }
 
-func TestLayerByteCountersFromSpans(t *testing.T) {
+// TestByteCountersAreViewsOfTheStore pins the single-source contract
+// at the package level: what a sink's ObserveSend records is what the
+// registry's byte counters read, spans add nothing to them, and a
+// Reset of the store never runs a counter backwards.
+func TestByteCountersAreViewsOfTheStore(t *testing.T) {
 	o := New(2, 0)
-	tr := o.Node(1)
-	sp := tr.Begin(comm.KindReduce, 2)
-	sp.BytesOut = 1234
-	tr.End(&sp)
-	if got := o.Registry().Counter("bytes_reduce_L2").Value(); got != 1234 {
-		t.Fatalf("bytes_reduce_L2 = %d, want 1234", got)
+	sk, reg := o.Observer(1), o.Registry()
+	sk.ObserveSend(1, 0, comm.MakeTag(comm.KindReduce, 2, 0), 1000, 1000)
+	sk.ObserveSend(1, 1, comm.MakeTag(comm.KindGather, 2, 0), 234, 468)
+	sk.ObserveSend(1, 0, comm.MakeTag(comm.KindConfigReduce, 1, 0), 50, 400)
+	sp := o.Node(1).Begin(comm.KindReduce, 3)
+	sp.BytesOut = 77
+	o.Node(1).End(&sp)
+	want := map[string]int64{
+		"bytes_reduce_L2": 1000, "bytes_gather_L2": 234, "bytes_config+reduce_L1": 50,
+		"values_bytes_encoded": 1234, "values_bytes_raw": 1468,
+		"config_bytes_encoded": 50, "config_bytes_raw": 400,
 	}
-	// Whole-pass spans (layer 0) with no bytes must not create counters.
-	outer := tr.Begin(comm.KindReduce, 0)
-	tr.End(&outer)
-	if _, ok := o.Registry().Snapshot().Counters["bytes_reduce_L0"]; ok {
-		t.Fatal("zero-byte L0 span must not register a byte counter")
+	check := func(when string) {
+		t.Helper()
+		snap := reg.Snapshot().Counters
+		for name, v := range want {
+			if snap[name] != v || reg.Counter(name).Value() != v {
+				t.Fatalf("%s: %s = %d (snapshot) / %d (Counter), want %d", when, name, snap[name], reg.Counter(name).Value(), v)
+			}
+		}
+		if _, ok := snap["bytes_reduce_L3"]; ok {
+			t.Fatalf("%s: a span registered a byte counter; only sends may", when)
+		}
+	}
+	check("after sends")
+	if rows := o.Traffic().Layers(); len(rows) != 3 {
+		t.Fatalf("store holds %d cells, want 3: %+v", len(rows), rows)
+	}
+	o.Traffic().Reset()
+	if rows := o.Traffic().Layers(); len(rows) != 0 {
+		t.Fatalf("Reset left cells: %+v", rows)
+	}
+	check("after Reset")
+	sk.ObserveSend(1, 0, comm.MakeTag(comm.KindReduce, 2, 1), 1, 1)
+	want["bytes_reduce_L2"], want["values_bytes_encoded"], want["values_bytes_raw"] = 1001, 1235, 1469
+	check("after Reset and one more send")
+}
+
+// TestTrafficOnlySinkDropsReceives: the sink of a cluster that only
+// accounts traffic has no registry to feed.
+func TestTrafficOnlySinkDropsReceives(t *testing.T) {
+	tr := NewTraffic(2)
+	sk := tr.Observer(0)
+	tag := comm.MakeTag(comm.KindReduce, 1, 0)
+	sk.ObserveSend(0, 1, tag, 10, 10)
+	sk.ObserveRecv(1, tag, 10, time.Millisecond, nil)
+	sk.ObserveRecv(1, tag, 0, time.Second, &comm.TimeoutError{Tag: tag})
+	sk.ObserveRecvGroup(tag, time.Millisecond)
+	if rows := tr.Layers(); len(rows) != 1 || rows[0].Bytes != 10 {
+		t.Fatalf("rows = %+v, want one 10-byte cell", rows)
 	}
 }
 
-func TestRecvObserverCountsSuccessAndTimeout(t *testing.T) {
+func TestSinkCountsReceiveSuccessAndTimeout(t *testing.T) {
 	o := New(2, 0)
-	ro := o.RecvObserver(0)
+	ro := o.Observer(0)
 	tag := comm.MakeTag(comm.KindReduce, 3, 7)
 	ro.ObserveRecv(1, tag, 256, 2*time.Millisecond, nil)
 	ro.ObserveRecvGroup(tag, time.Millisecond)
@@ -377,12 +419,13 @@ func TestConcurrentRecordingIsRaceFree(t *testing.T) {
 		go func(node int) {
 			defer wg.Done()
 			tr := o.Node(node)
-			ro := o.RecvObserver(node)
+			ro := o.Observer(node)
 			tag := comm.MakeTag(comm.KindReduce, 1, 0)
 			for i := 0; i < 500; i++ {
 				sp := tr.Begin(comm.KindReduce, 1)
 				sp.BytesOut = 10
 				tr.End(&sp)
+				ro.ObserveSend(node, (node+i)%4, tag, 10, 10)
 				ro.ObserveRecv(0, tag, 10, time.Microsecond, nil)
 				o.Transport().DedupHits.Inc()
 			}

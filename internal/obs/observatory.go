@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"kylix/internal/comm"
@@ -15,19 +14,16 @@ import (
 // counted in the spans_dropped metric, never allocated around).
 const DefaultSpanCapacity = 4096
 
-// maxLayerMetric caps the per-layer byte counter index; deeper layers
-// fold into the last bucket (real topologies have <= 8 layers).
-const maxLayerMetric = 16
-
 // Observatory is one cluster's observability state: a per-node span
-// Tracer, the shared metrics Registry, and the exporters. All methods
-// are nil-safe so callers thread a possibly-nil *Observatory without
-// branching.
+// Tracer, the traffic store, the shared metrics Registry, and the
+// exporters. All methods are nil-safe so callers thread a possibly-nil
+// *Observatory without branching.
 type Observatory struct {
 	epoch   time.Time
 	reg     *Registry
 	tracers []*Tracer
 	trans   *TransportMetrics
+	traffic *Traffic
 
 	rounds        *Counter
 	arenaFlips    *Counter
@@ -40,25 +36,10 @@ type Observatory struct {
 	groupWait     *Histogram
 	faultCounts   map[string]*Counter
 
-	// Configuration-pass accounting: wire bytes in the compressed
-	// encoding vs. what the raw 8-byte-per-key format would have cost,
-	// and the incremental-reconfigure layer outcomes (fast = the layer
-	// reused its previous unions and maps; full = it recomputed them).
-	configBytesEnc    *Counter
-	configBytesRaw    *Counter
+	// Incremental-reconfigure layer outcomes (fast = the layer reused
+	// its previous unions and maps; full = it recomputed them).
 	reconfigFastLayer *Counter
 	reconfigFullLayer *Counter
-
-	// Value-plane accounting, the reduce/gather counterpart of the
-	// config-byte pair: wire bytes of every value block shipped (in
-	// whatever encoding quantization selected) vs. what the raw
-	// 4-byte-per-float32 format would have cost. With quantization off
-	// the two advance in lockstep; their ratio is the wire-level value
-	// compression.
-	valuesBytesEnc *Counter
-	valuesBytesRaw *Counter
-
-	layerBytes [8][maxLayerMetric + 1]atomic.Pointer[Counter]
 }
 
 // FaultEventNames are the faultnet event labels the Observatory
@@ -86,11 +67,9 @@ func New(m, spanCap int) *Observatory {
 		recvWait:      reg.Histogram("recv_wait_ns"),
 		groupWait:     reg.Histogram("recv_group_wait_ns"),
 		faultCounts:   make(map[string]*Counter, len(FaultEventNames)),
+		traffic:       NewTraffic(m),
 	}
-	o.configBytesEnc = reg.Counter("config_bytes_encoded")
-	o.configBytesRaw = reg.Counter("config_bytes_raw")
-	o.valuesBytesEnc = reg.Counter("values_bytes_encoded")
-	o.valuesBytesRaw = reg.Counter("values_bytes_raw")
+	o.deriveByteCounters()
 	o.reconfigFastLayer = reg.Counter("reconfigure_fast_layers")
 	o.reconfigFullLayer = reg.Counter("reconfigure_full_layers")
 	o.trans = NewTransportMetrics(reg)
@@ -140,58 +119,78 @@ func (o *Observatory) Transport() *TransportMetrics {
 	return o.trans
 }
 
-// layerCounter returns the per-(kind, layer) byte counter, created
-// lazily on first traffic so the registry only lists layers that
-// exist. The hot path is one atomic pointer load.
-func (o *Observatory) layerCounter(kind comm.Kind, layer int) *Counter {
-	k := int(kind)
-	if k < 0 || k >= len(o.layerBytes) {
-		k = 0
-	}
-	if layer < 0 || layer > maxLayerMetric {
-		layer = maxLayerMetric
-	}
-	if c := o.layerBytes[k][layer].Load(); c != nil {
-		return c
-	}
-	return o.makeLayerCounter(k, layer)
-}
-
-// makeLayerCounter is layerCounter's slow path: it registers the
-// counter on the first span of a (kind, layer) pair and is never taken
-// again for it, so the name formatting and registry insertion are
-// one-time costs.
-//
-//kylix:coldpath
-func (o *Observatory) makeLayerCounter(k, layer int) *Counter {
-	c := o.reg.Counter(fmt.Sprintf("bytes_%s_L%d", comm.Kind(k), layer))
-	o.layerBytes[k][layer].CompareAndSwap(nil, c)
-	return o.layerBytes[k][layer].Load()
-}
-
-// RecvObserver returns rank's receive hook for transports (nil on a
-// nil Observatory, which transports treat as "no observation").
-func (o *Observatory) RecvObserver(rank int) comm.RecvObserver {
+// Traffic returns the traffic store the Observatory's sinks feed (nil
+// on a nil Observatory).
+func (o *Observatory) Traffic() *Traffic {
 	if o == nil {
 		return nil
 	}
-	return &recvObserver{o: o, tr: o.Node(rank)}
+	return o.traffic
 }
 
-// recvObserver implements comm.RecvObserver for one node: byte/message
-// counters, wait-time histograms, and error spans for timed-out
-// receives (the TimeoutError propagation contract).
-type recvObserver struct {
-	o  *Observatory
-	tr *Tracer
+// deriveByteCounters registers the byte counters of /metrics as views
+// of the traffic store, so they cannot disagree with a traffic report:
+// config_bytes_* over the configuration phases (wire bytes in the
+// compressed encoding vs. what the raw 8-byte-per-key format would have
+// cost), values_bytes_* over reduce and gather (wire bytes in whatever
+// encoding quantization selected vs. raw 4-byte float32; equal with
+// quantization off), and one bytes_<kind>_L<n> per (kind, layer) cell,
+// listed from the cell's first message on.
+func (o *Observatory) deriveByteCounters() {
+	t, reg := o.traffic, o.reg
+	phases := func(a, b comm.Kind) func(comm.Kind, int) bool {
+		return func(k comm.Kind, _ int) bool { return k == a || k == b }
+	}
+	for name, match := range map[string]func(comm.Kind, int) bool{
+		"config": phases(comm.KindConfig, comm.KindConfigReduce),
+		"values": phases(comm.KindReduce, comm.KindGather),
+	} {
+		reg.CounterFunc(name+"_bytes_encoded", func() int64 { return t.sent(match).bytes })
+		reg.CounterFunc(name+"_bytes_raw", func() int64 { return t.sent(match).raw })
+	}
+	t.onCell = func(kind comm.Kind, layer int) {
+		reg.CounterFunc(fmt.Sprintf("bytes_%s_L%d", kind, layer), func() int64 {
+			return t.sent(func(k comm.Kind, l int) bool { return k == kind && l == layer }).bytes
+		})
+	}
+}
+
+// Observer returns rank's transport event sink: sends feed the traffic
+// store, receives the counters, wait histograms and error spans (nil
+// on a nil Observatory, which transports treat as "no observation").
+func (o *Observatory) Observer(rank int) comm.Observer {
+	if o == nil {
+		return nil
+	}
+	return &sink{traffic: o.traffic, o: o, tr: o.Node(rank)}
+}
+
+// sink implements comm.Observer for one node. Every sink feeds sends
+// to the traffic store; one built by an Observatory also keeps the
+// receive-side byte/message counters, wait-time histograms, and error
+// spans for timed-out receives (the TimeoutError propagation contract).
+type sink struct {
+	traffic *Traffic
+	o       *Observatory // nil: traffic accounting only
+	tr      *Tracer
+}
+
+// ObserveSend accounts one sent message in the traffic store.
+//
+//kylix:hotpath
+func (s *sink) ObserveSend(from, to int, tag comm.Tag, wire, raw int) {
+	s.traffic.Record(from, to, tag, wire, raw)
 }
 
 // ObserveRecv records one delivery: counters and wait histogram on
 // success, timeout accounting and an error span on failure.
 //
 //kylix:hotpath
-func (r *recvObserver) ObserveRecv(from int, tag comm.Tag, bytes int, wait time.Duration, err error) {
-	o := r.o
+func (s *sink) ObserveRecv(from int, tag comm.Tag, bytes int, wait time.Duration, err error) {
+	o := s.o
+	if o == nil {
+		return
+	}
 	if err == nil {
 		o.recvMsgs.Inc()
 		o.recvBytes.Add(int64(bytes))
@@ -202,16 +201,16 @@ func (r *recvObserver) ObserveRecv(from int, tag comm.Tag, bytes int, wait time.
 	}
 	if errors.Is(err, comm.ErrTimeout) {
 		o.recvTimeouts.Inc()
-		r.tr.RecordError(tag.Kind(), tag.Layer(), wait, err)
+		s.tr.RecordError(tag.Kind(), tag.Layer(), wait, err)
 	}
 }
 
 // ObserveRecvGroup records the wait of one group receive.
 //
 //kylix:hotpath
-func (r *recvObserver) ObserveRecvGroup(tag comm.Tag, wait time.Duration) {
-	if wait > 0 {
-		r.o.groupWait.Observe(int64(wait))
+func (s *sink) ObserveRecvGroup(tag comm.Tag, wait time.Duration) {
+	if s.o != nil && wait > 0 {
+		s.o.groupWait.Observe(int64(wait))
 	}
 }
 

@@ -52,7 +52,7 @@ func TestTimeoutErrorReachesSpansMemnet(t *testing.T) {
 	o := obs.New(2, 0)
 	net := memnet.New(2,
 		memnet.WithRecvTimeout(wait),
-		memnet.WithRecvObserver(o.RecvObserver))
+		memnet.WithObserver(o.Observer))
 	defer net.Close()
 
 	tag := comm.MakeTag(comm.KindReduce, 2, 5)
@@ -66,9 +66,9 @@ func TestTimeoutErrorReachesSpansTCP(t *testing.T) {
 	const wait = 30 * time.Millisecond
 	o := obs.New(2, 0)
 	nodes, err := tcpnet.LocalCluster(2, tcpnet.Options{
-		RecvTimeout:  wait,
-		RecvObserver: o.RecvObserver,
-		Metrics:      o.Transport(),
+		RecvTimeout: wait,
+		Observer:    o.Observer,
+		Metrics:     o.Transport(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +87,9 @@ func TestTimeoutErrorReachesSpansTCP(t *testing.T) {
 func TestSuccessfulTCPTrafficFeedsCounters(t *testing.T) {
 	o := obs.New(2, 0)
 	nodes, err := tcpnet.LocalCluster(2, tcpnet.Options{
-		RecvTimeout:  5 * time.Second,
-		RecvObserver: o.RecvObserver,
-		Metrics:      o.Transport(),
+		RecvTimeout: 5 * time.Second,
+		Observer:    o.Observer,
+		Metrics:     o.Transport(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,5 +110,9 @@ func TestSuccessfulTCPTrafficFeedsCounters(t *testing.T) {
 	}
 	if got := reg.Counter("recv_bytes").Value(); got != int64(p.WireSize()) {
 		t.Fatalf("recv_bytes = %d, want %d", got, p.WireSize())
+	}
+	// The same sink saw the send.
+	if got := reg.Counter("bytes_reduce_L1").Value(); got != int64(p.WireSize()) {
+		t.Fatalf("bytes_reduce_L1 = %d, want %d", got, p.WireSize())
 	}
 }

@@ -111,34 +111,6 @@ func (t *Tracer) CountCombineShards(shards int) {
 	}
 }
 
-// Enabled reports whether spans are actually recorded. Hot paths whose
-// instrumentation itself has a cost beyond filling a Span — the config
-// pass would run the index codec just to know its wire sizes — gate
-// that work on Enabled rather than paying it for a discarded span.
-func (t *Tracer) Enabled() bool { return t != nil }
-
-// CountConfigBytes accounts one configuration payload: its compressed
-// wire size and what the raw 8-byte-per-key format would have cost.
-func (t *Tracer) CountConfigBytes(rawBytes, encBytes int64) {
-	if t != nil {
-		t.o.configBytesRaw.Add(rawBytes)
-		t.o.configBytesEnc.Add(encBytes)
-	}
-}
-
-// CountValueBytes accounts one reduce/gather value block: its actual
-// wire size and what the raw 4-byte-per-float32 encoding would have
-// cost. With quantization off the two are equal, so the encoded/raw
-// ratio reads directly as the value codec's wire compression.
-//
-//kylix:hotpath
-func (t *Tracer) CountValueBytes(rawBytes, encBytes int64) {
-	if t != nil {
-		t.o.valuesBytesRaw.Add(rawBytes)
-		t.o.valuesBytesEnc.Add(encBytes)
-	}
-}
-
 // CountReconfigureLayer records one layer outcome of an incremental
 // reconfiguration: fast when the layer reused its previous unions and
 // position maps, full when it had to recompute them.
@@ -179,9 +151,6 @@ func (t *Tracer) record(sp Span) {
 	t.next = (t.next + 1) % len(t.ring)
 	t.total++
 	t.mu.Unlock()
-	if sp.Event == "" && sp.BytesOut > 0 {
-		t.o.layerCounter(sp.Kind, sp.Layer).Add(sp.BytesOut)
-	}
 }
 
 // spans appends the tracer's buffered spans, oldest first.

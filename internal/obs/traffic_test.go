@@ -1,7 +1,6 @@
-package trace
+package obs
 
 import (
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,8 +8,8 @@ import (
 	"kylix/internal/comm"
 )
 
-func TestCollectorAggregates(t *testing.T) {
-	c := NewCollector(4)
+func TestTrafficAggregates(t *testing.T) {
+	c := NewTraffic(4)
 	tag1 := comm.MakeTag(comm.KindConfig, 1, 0)
 	tag2 := comm.MakeTag(comm.KindConfig, 2, 0)
 	c.Record(0, 1, tag1, 100, 100)
@@ -29,19 +28,13 @@ func TestCollectorAggregates(t *testing.T) {
 	if l1.SelfMsgs != 1 || l1.SelfBytes != 50 {
 		t.Fatalf("self accounting wrong: %+v", l1)
 	}
-	if l1.MaxNodeBytes != 150 || l1.MaxNodeMsgs != 2 {
-		t.Fatalf("max-node accounting wrong: %+v", l1)
-	}
-	if c.TotalBytes(comm.KindConfig) != 260 {
-		t.Fatalf("total = %d", c.TotalBytes(comm.KindConfig))
-	}
-	if c.TotalBytes(comm.KindReduce) != 0 {
-		t.Fatal("unexpected reduce traffic")
+	if got := c.KindLayers(comm.KindReduce); len(got) != 0 {
+		t.Fatalf("unexpected reduce traffic: %+v", got)
 	}
 }
 
-func TestCollectorLayersSorted(t *testing.T) {
-	c := NewCollector(2)
+func TestTrafficLayersSorted(t *testing.T) {
+	c := NewTraffic(2)
 	c.Record(0, 1, comm.MakeTag(comm.KindReduce, 3, 0), 1, 1)
 	c.Record(0, 1, comm.MakeTag(comm.KindConfig, 2, 0), 1, 1)
 	c.Record(0, 1, comm.MakeTag(comm.KindConfig, 1, 0), 1, 1)
@@ -55,8 +48,8 @@ func TestCollectorLayersSorted(t *testing.T) {
 	}
 }
 
-func TestCollectorReset(t *testing.T) {
-	c := NewCollector(2)
+func TestTrafficReset(t *testing.T) {
+	c := NewTraffic(2)
 	c.Record(0, 1, comm.MakeTag(comm.KindConfig, 1, 0), 9, 9)
 	c.Reset()
 	if len(c.Layers()) != 0 {
@@ -64,23 +57,14 @@ func TestCollectorReset(t *testing.T) {
 	}
 }
 
-func TestCollectorMachines(t *testing.T) {
-	if NewCollector(7).Machines() != 7 {
+func TestTrafficMachines(t *testing.T) {
+	if NewTraffic(7).Machines() != 7 {
 		t.Fatal("Machines() wrong")
 	}
 }
 
-func TestCollectorString(t *testing.T) {
-	c := NewCollector(2)
-	c.Record(0, 1, comm.MakeTag(comm.KindGather, 1, 0), 42, 42)
-	s := c.String()
-	if !strings.Contains(s, "gather") || !strings.Contains(s, "42") {
-		t.Fatalf("String() = %q", s)
-	}
-}
-
-func TestCollectorConcurrent(t *testing.T) {
-	c := NewCollector(8)
+func TestTrafficConcurrent(t *testing.T) {
+	c := NewTraffic(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -98,8 +82,8 @@ func TestCollectorConcurrent(t *testing.T) {
 	}
 }
 
-func TestCollectorRejectsInvalidRanks(t *testing.T) {
-	c := NewCollector(4)
+func TestTrafficRejectsInvalidRanks(t *testing.T) {
+	c := NewTraffic(4)
 	tag := comm.MakeTag(comm.KindReduce, 1, 0)
 	c.Record(-1, 0, tag, 10, 10)
 	c.Record(4, 0, tag, 10, 10)
@@ -122,8 +106,8 @@ func TestCollectorRejectsInvalidRanks(t *testing.T) {
 	}
 }
 
-func TestCollectorPerReceiverMax(t *testing.T) {
-	c := NewCollector(4)
+func TestTrafficPerReceiverMax(t *testing.T) {
+	c := NewTraffic(4)
 	tag := comm.MakeTag(comm.KindReduce, 1, 0)
 	// Rank 3 is the fan-in hotspot: every sender targets it.
 	for from := 0; from < 4; from++ {
@@ -131,22 +115,17 @@ func TestCollectorPerReceiverMax(t *testing.T) {
 	}
 	c.Record(0, 1, tag, 50, 50)
 	lt := c.KindLayers(comm.KindReduce)[0]
-	if lt.MaxNodeRecvBytes != 400 || lt.MaxNodeRecvMsgs != 4 {
-		t.Fatalf("per-receiver max = (%d bytes, %d msgs), want (400, 4)", lt.MaxNodeRecvBytes, lt.MaxNodeRecvMsgs)
-	}
-	// Per-sender max is unchanged by fan-in: the busiest sender is rank 0
-	// with 150 bytes.
-	if lt.MaxNodeBytes != 150 || lt.MaxNodeMsgs != 2 {
-		t.Fatalf("per-sender max = (%d bytes, %d msgs), want (150, 2)", lt.MaxNodeBytes, lt.MaxNodeMsgs)
+	if lt.MaxNodeRecvBytes != 400 {
+		t.Fatalf("per-receiver max = %d bytes, want 400", lt.MaxNodeRecvBytes)
 	}
 }
 
-// TestCollectorHammer drives Record, Layers, String and Reset from many
-// goroutines at once; under -race it proves the sharded collector's
+// TestTrafficHammer drives Record, Layers, the metrics view and Reset from many
+// goroutines at once; under -race it proves the sharded store's
 // synchronization.
-func TestCollectorHammer(t *testing.T) {
+func TestTrafficHammer(t *testing.T) {
 	const m = 8
-	c := NewCollector(m)
+	c := NewTraffic(m)
 	var recorders, reader sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < m; g++ {
@@ -169,7 +148,7 @@ func TestCollectorHammer(t *testing.T) {
 			default:
 			}
 			_ = c.Layers()
-			_ = c.String()
+			_ = c.sent(func(comm.Kind, int) bool { return true })
 			c.Reset()
 		}
 	}()
@@ -181,13 +160,13 @@ func TestCollectorHammer(t *testing.T) {
 	_ = c.Layers()
 }
 
-// BenchmarkCollectorRecordParallel measures Record under full sender
+// BenchmarkTrafficRecordParallel measures Record under full sender
 // parallelism — the transport hot path of every machine at once. The
 // per-sender sharding means throughput should scale with senders
 // instead of collapsing onto one global mutex.
-func BenchmarkCollectorRecordParallel(b *testing.B) {
+func BenchmarkTrafficRecordParallel(b *testing.B) {
 	const m = 16
-	c := NewCollector(m)
+	c := NewTraffic(m)
 	var next atomic.Int64
 	b.RunParallel(func(pb *testing.PB) {
 		from := int(next.Add(1)-1) % m

@@ -91,12 +91,10 @@ type Options struct {
 	// survivors to keep streaming to dead peers without erroring); turn
 	// it on for unreplicated deployments that want prompt failure.
 	FailFast bool
-	// Recorder observes sends for traffic accounting; nil is off.
-	Recorder comm.Recorder
-	// RecvObserver, when set, builds the per-rank receive observer that
-	// is installed on the node's mailbox (the observability layer's
-	// receive hook). May return nil for "no observation".
-	RecvObserver func(rank int) comm.RecvObserver
+	// Observer, when set, builds the node's transport event sink from
+	// its rank: the node reports its sends to it and the node's mailbox
+	// its receives. Nil, or a nil result, is off.
+	Observer func(rank int) comm.Observer
 	// Metrics receives the transport-level counters (reconnects, resend
 	// ring occupancy, dedup hits). Nil gets live but unregistered
 	// metrics, so the stream machinery increments unconditionally.
@@ -134,6 +132,7 @@ type Node struct {
 	addrs []string
 	opts  Options
 	box   *comm.Mailbox
+	obs   comm.Observer // nil when nobody observes
 	ln    net.Listener
 
 	mu      sync.Mutex
@@ -338,9 +337,10 @@ func Listen(rank int, addrs []string, opts Options) (*Node, error) {
 		recvSeq: make([]uint64, len(addrs)),
 	}
 	n.addrs[rank] = ln.Addr().String()
-	if opts.RecvObserver != nil {
-		if ro := opts.RecvObserver(rank); ro != nil {
-			n.box.SetRecvObserver(ro)
+	if opts.Observer != nil {
+		if o := opts.Observer(rank); o != nil {
+			n.obs = o
+			n.box.SetObserver(o)
 		}
 	}
 	n.wg.Add(1)
@@ -366,10 +366,10 @@ func (n *Node) Send(to int, tag comm.Tag, p comm.Payload) error {
 	if to < 0 || to >= len(n.addrs) {
 		return fmt.Errorf("tcpnet: send to rank %d out of [0,%d)", to, len(n.addrs))
 	}
-	// Untraced sends skip WireSize (loopback sends never serialize
+	// Unobserved sends skip WireSize (loopback sends never serialize
 	// otherwise).
-	if rec := n.opts.Recorder; rec != nil {
-		rec.Record(n.rank, to, tag, p.WireSize(), comm.RawWireSize(p))
+	if n.obs != nil {
+		n.obs.ObserveSend(n.rank, to, tag, p.WireSize(), comm.RawWireSize(p))
 	}
 	if to == n.rank {
 		// Loopback without the kernel round-trip, mirroring the paper's

@@ -11,9 +11,9 @@ import (
 
 	"kylix/internal/comm"
 	"kylix/internal/core"
+	"kylix/internal/obs"
 	"kylix/internal/sparse"
 	"kylix/internal/topo"
-	"kylix/internal/trace"
 )
 
 func testCluster(t *testing.T, m int, opts Options) []*Node {
@@ -180,9 +180,9 @@ func TestDialUnreachablePeerDropsQuietly(t *testing.T) {
 	time.Sleep(300 * time.Millisecond) // let the dial fail and park
 }
 
-func TestRecorderCountsTCPTraffic(t *testing.T) {
-	col := trace.NewCollector(2)
-	nodes := testCluster(t, 2, Options{Recorder: col})
+func TestObserverCountsTCPTraffic(t *testing.T) {
+	col := obs.NewTraffic(2)
+	nodes := testCluster(t, 2, Options{Observer: col.Observer})
 	p := &comm.Floats{Vals: make([]float32, 100)}
 	tag := comm.MakeTag(comm.KindReduce, 1, 0)
 	if err := nodes[0].Send(1, tag, p); err != nil {

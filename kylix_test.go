@@ -1,6 +1,7 @@
 package kylix_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -402,12 +403,18 @@ func TestListenNodeCrossCluster(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			node, err := kylix.ListenNode(r, addrs, kylix.WithRecvTimeout(10*time.Second))
+			node, err := kylix.ListenNode(r, addrs, kylix.WithRecvTimeout(10*time.Second), kylix.WithObservability())
 			if err != nil {
 				errs[r] = err
 				return
 			}
 			defer node.Close()
+			// The process's own sends must reach its /metrics.
+			defer func() {
+				if errs[r] == nil && node.Metrics().Counter("values_bytes_encoded").Value() == 0 {
+					errs[r] = errors.New("no value bytes in the node's metrics: transport sink not wired")
+				}
+			}()
 			out := []int32{42}
 			red, err := node.Configure(out, out)
 			if err != nil {

@@ -196,7 +196,9 @@ func WithRecvTimeout(d time.Duration) Option {
 	return func(c *config) { c.recvTimeout = d }
 }
 
-// WithTrace enables traffic recording; see Cluster.Traffic.
+// WithTrace enables traffic reports; see Cluster.Traffic. In-process
+// clusters only: ListenNode rejects it, since one process sees only its
+// own sends.
 func WithTrace() Option {
 	return func(c *config) { c.trace = true }
 }

@@ -36,8 +36,8 @@ stage_test() {
 # ticker-vs-receiver agents, par and stream for the worker pool and the
 # tenant scheduler; then the root package's stream-lifecycle tests.
 stage_race() {
-    echo "== go test -race -short (comm, core, faultnet, tcpnet, replica, trace, obs, membership, par, stream)"
-    go test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/trace/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/...
+    echo "== go test -race -short (comm, core, faultnet, tcpnet, replica, obs, membership, par, stream)"
+    go test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/...
     echo "== go test -race (stream lifecycle: concurrent tenants, close hammer)"
     go test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose' -count=1 -timeout 600s .
 }

@@ -6,7 +6,7 @@ import (
 
 	"kylix/internal/comm"
 	"kylix/internal/netsim"
-	"kylix/internal/trace"
+	"kylix/internal/obs"
 )
 
 // Phase identifies which protocol pass a traffic row belongs to.
@@ -114,22 +114,17 @@ func phaseOf(kind comm.Kind) Phase {
 	}
 }
 
-func buildTrafficReport(col *trace.Collector, model netsim.Model, threads int) *TrafficReport {
-	rep := netsim.Estimate(col, model, threads)
+func buildTrafficReport(store *obs.Traffic, model netsim.Model, threads int) *TrafficReport {
+	layers := store.Layers()
+	rep := netsim.Estimate(layers, store.Machines(), model, threads)
 	out := &TrafficReport{ConfigSec: rep.ConfigSec, ReduceSec: rep.ReduceSec}
-	// Join the raw layer volumes with the modelled times (both are
-	// sorted by kind then layer).
-	raw := col.Layers()
-	for i, lt := range raw {
-		row := LayerTraffic{
+	for i, lt := range layers {
+		out.Layers = append(out.Layers, LayerTraffic{
 			Phase: phaseOf(lt.Kind), Layer: lt.Layer,
 			Msgs: lt.Msgs, Bytes: lt.Bytes, WireBytes: lt.Bytes - lt.SelfBytes, RawBytes: lt.RawBytes,
 			MaxNodeRecvBytes: lt.MaxNodeRecvBytes,
-		}
-		if i < len(rep.Layers) {
-			row.ModelSec = rep.Layers[i].Seconds
-		}
-		out.Layers = append(out.Layers, row)
+			ModelSec:         rep.Layers[i].Seconds,
+		})
 	}
 	return out
 }

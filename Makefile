@@ -16,7 +16,8 @@ check:
 vet build test race soak benchgate:
 	scripts/check.sh $@
 
-# Hot-path benchmarks with memory accounting; writes BENCH_reduce.json.
+# Hot-path benchmarks with memory accounting; records BENCH_*.json (the
+# gate in `make check` runs the same benchmarks and writes nothing).
 bench:
 	scripts/bench.sh
 
@@ -31,6 +32,8 @@ profile:
 	$(GO) run ./cmd/kylix-bench -scale quick -exp fig6,fig8 -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
 
-# A quick pass over the fault fabric's determinism fuzzer.
+# A quick pass over the fault fabric's determinism fuzzer and the payload
+# decoder's.
 fuzz:
 	$(GO) test -run FuzzDecide -fuzz FuzzDecide -fuzztime 10s ./internal/faultnet/
+	$(GO) test -run FuzzDecodePayload -fuzz FuzzDecodePayload -fuzztime 10s ./internal/comm/

@@ -221,19 +221,20 @@ func runTraced(sc bench.Scale, quant kylix.Quantization, traceOut, metricsAddr s
 				return err
 			}
 		}
-		// Exercise the incremental path: one priming pass (stores the
-		// received pieces), one warm unchanged pass (all two-byte
-		// markers), so the reconfigure counters below have both flavours.
+		// Exercise the incremental path: one unchanged pass (all two-byte
+		// markers, every layer reuses its unions) and one that drops an
+		// index on every rank (the pieces it was in re-ship and the layers
+		// that receive them rebuild), so the reconfigure counters below
+		// have both flavours.
 		if err := red.Reconfigure(set, set); err != nil {
 			return err
 		}
-		if err := red.Reconfigure(set, set); err != nil {
+		fewer := set[:len(set)-1]
+		if err := red.Reconfigure(fewer, fewer); err != nil {
 			return err
 		}
-		if _, err := red.Reduce(vals); err != nil {
-			return err
-		}
-		return nil
+		_, err = red.Reduce(vals[:len(fewer)])
+		return err
 	})
 	if err != nil {
 		return err

@@ -1,8 +1,10 @@
 package comm
 
 import (
+	"encoding/hex"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -197,7 +199,7 @@ func TestBytesPayloadRoundTrip(t *testing.T) {
 }
 
 func TestEmptyPayloads(t *testing.T) {
-	for _, p := range []Payload{&Keys{}, &Floats{}, &KeysVals{}, &Bytes{}, &InOut{}, &Combined{}, &Delta{}, &Delta{InSame: true, OutSame: true}, &Control{}, &StreamCtl{}} {
+	for _, p := range []Payload{&Keys{}, &Floats{}, &KeysVals{}, &Bytes{}, &ConfigPiece{}, &ConfigPiece{HasVals: true}, &ConfigPiece{InSame: true, OutSame: true}, &Control{}, &StreamCtl{}} {
 		roundTrip(t, p)
 	}
 }
@@ -270,15 +272,70 @@ func TestStreamCtlPayloadRoundTrip(t *testing.T) {
 
 func TestDeltaPayloadRoundTrip(t *testing.T) {
 	in := sparse.MustNewSet([]int32{1, 2, 3})
-	p := &Delta{OutSame: true, In: in}
-	q := roundTrip(t, p).(*Delta)
+	p := &ConfigPiece{OutSame: true, In: in}
+	q := roundTrip(t, p).(*ConfigPiece)
 	if q.InSame || !q.OutSame || !q.In.Equal(in) || len(q.Out) != 0 {
 		t.Fatalf("delta mismatch: %+v", q)
 	}
 	// The all-same marker is two bytes regardless of the sets it stands for.
-	if n := (&Delta{InSame: true, OutSame: true}).WireSize(); n != 2 {
+	if n := (&ConfigPiece{InSame: true, OutSame: true}).WireSize(); n != 2 {
 		t.Fatalf("all-same delta costs %d bytes, want 2", n)
 	}
+}
+
+// TestConfigPieceWireLayouts pins the configuration payload's three
+// layouts byte for byte. The hex is what the encoders of the three
+// payload types this one replaced (InOut, Combined, Delta) produced for
+// the same content, so the layouts did not move; the one content whose
+// bytes did — a Delta with no marker set, which spent a flags byte
+// saying so — now encodes as discriminator 9.
+func TestConfigPieceWireLayouts(t *testing.T) {
+	in := sparse.MustNewSet([]int32{3, 4, 5, 9, 200, 70000})
+	out := sparse.MustNewSet([]int32{0, 1, 2, 1000})
+	cases := []struct {
+		name string
+		p    *ConfigPiece
+		hex  string
+	}{
+		{"9 both pieces", &ConfigPiece{In: in, Out: out}, "0906030504fa02ccc208040005c80f"},
+		{"9 empty", &ConfigPiece{}, "090000"},
+		{"10 both pieces + values", &ConfigPiece{In: in, Out: out, HasVals: true, Vals: []float32{1, -2.5, 0, 3e10}},
+			"0a06030504fa02ccc208040005c80f040000803f000020c0000000007684df50"},
+		{"10 no out piece, no values", &ConfigPiece{In: in, HasVals: true}, "0a06030504fa02ccc2080000"},
+		{"11 in same", &ConfigPiece{InSame: true, Out: out}, "0b01040005c80f"},
+		{"11 out same", &ConfigPiece{OutSame: true, In: in}, "0b0206030504fa02ccc208"},
+		{"11 both same", &ConfigPiece{InSame: true, OutSame: true}, "0b03"},
+	}
+	for _, tc := range cases {
+		got := tc.p.AppendTo(nil)
+		if hex.EncodeToString(got) != tc.hex {
+			t.Errorf("%s: encoded %x, want %s", tc.name, got, tc.hex)
+		}
+		if tc.p.WireSize() != len(got) {
+			t.Errorf("%s: WireSize %d, encoded %d bytes", tc.name, tc.p.WireSize(), len(got))
+		}
+		q, err := DecodePayload(got)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		d := q.(*ConfigPiece)
+		if d.InSame != tc.p.InSame || d.OutSame != tc.p.OutSame || d.HasVals != tc.p.HasVals ||
+			!d.In.Equal(tc.p.In) || !d.Out.Equal(tc.p.Out) || !slices.Equal(d.Vals, tc.p.Vals) {
+			t.Errorf("%s: decoded %+v", tc.name, d)
+		}
+	}
+	// A flags byte that sets no flag is the same content as discriminator
+	// 9 in other bytes; the decoder refuses the second spelling.
+	if _, err := DecodePayload([]byte{11, 0, 0, 0}); err == nil {
+		t.Error("decoded a same-marker layout with no marker set")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("encoded values beside a same-marker")
+		}
+	}()
+	(&ConfigPiece{InSame: true, Out: out, HasVals: true}).AppendTo(nil)
 }
 
 // TestCompressedWireSavings pins the headline property of the v2 config
@@ -291,7 +348,7 @@ func TestCompressedWireSavings(t *testing.T) {
 		idx = append(idx, i)
 	}
 	set := sparse.MustNewSet(idx)
-	p := &InOut{In: set, Out: set}
+	p := &ConfigPiece{In: set, Out: set}
 	wire, raw := p.WireSize(), p.RawWireSize()
 	if wire*3 > raw {
 		t.Fatalf("compressed %d bytes vs raw %d: want <= 1/3", wire, raw)

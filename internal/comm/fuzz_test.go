@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,11 +66,11 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			&Floats{Vals: vals},
 			&KeysVals{Keys: keys, Vals: vals},
 			&Bytes{Data: data},
-			&InOut{In: keys, Out: keys},
-			&Combined{In: keys, Out: keys, Vals: vals},
-			&Delta{In: keys, Out: keys},
-			&Delta{InSame: true, Out: keys},
-			&Delta{InSame: true, OutSame: true},
+			&ConfigPiece{In: keys, Out: keys},
+			&ConfigPiece{In: keys, Out: keys, HasVals: true, Vals: vals},
+			&ConfigPiece{InSame: true, Out: keys},
+			&ConfigPiece{In: keys, OutSame: true},
+			&ConfigPiece{InSame: true, OutSame: true},
 			&Control{Op: 1, Epoch: uint64(len(vals)), Leader: 3,
 				Members: keys32(keysRaw), Degrees: []int32{2, 2},
 				PropEpoch: uint64(len(data)), PropMembers: keys32(keysRaw),
@@ -110,11 +111,59 @@ func TestEncodeDecodeQuick(t *testing.T) {
 // encoding fails to decode (no silent short reads).
 func TestTruncationAlwaysErrors(t *testing.T) {
 	keys := sparse.MustNewSet([]int32{1, 2, 3, 100})
-	p := &Combined{In: keys, Out: keys, Vals: []float32{1, 2, 3, 4}}
+	p := &ConfigPiece{In: keys, Out: keys, HasVals: true, Vals: []float32{1, 2, 3, 4}}
 	buf := p.AppendTo(nil)
 	for cut := 1; cut < len(buf); cut++ {
 		if _, err := DecodePayload(buf[:cut]); err == nil {
 			t.Fatalf("prefix of length %d decoded successfully", cut)
 		}
 	}
+}
+
+// FuzzDecodePayload feeds DecodePayload arbitrary bytes — the TCP
+// transport hands it whatever a peer sent. It must never panic, and
+// every encoding is canonical: whatever decodes re-encodes to exactly
+// the bytes the decoder consumed (a decoder may ignore what follows),
+// so one content never has two spellings for the transports'
+// encode-once memo or the wire pins to disagree about.
+func FuzzDecodePayload(f *testing.F) {
+	keys := sparse.MustNewSet([]int32{3, 4, 5, 9, 200, 70000})
+	fp16 := &QVals{Mode: sparse.QuantFP16, N: 3, Data: make([]byte, sparse.QuantizedSize(sparse.QuantFP16, 3))}
+	int8s := &QVals{Mode: sparse.QuantINT8, N: 3, Data: make([]byte, sparse.QuantizedSize(sparse.QuantINT8, 3))}
+	for _, p := range []Payload{
+		&Floats{Vals: []float32{1, -2.5}},
+		&KeysVals{Keys: keys, Vals: []float32{1, 2, 3, 4, 5, 6}},
+		&Bytes{Data: []byte("abc")},
+		&Keys{Keys: keys},
+		&ConfigPiece{In: keys, Out: keys[:2]},
+		&ConfigPiece{In: keys, Out: keys[:2], HasVals: true, Vals: []float32{7, 8}},
+		&ConfigPiece{InSame: true, Out: keys},
+		&ConfigPiece{In: keys, OutSame: true},
+		&ConfigPiece{InSame: true, OutSame: true},
+		&Control{Op: 1, Epoch: 2, Members: []int32{0, 1}, Degrees: []int32{2}},
+		&StreamCtl{Op: OpStreamReduce, Seq: 7, Stream: 3, Rounds: 2, Width: 1},
+		fp16, int8s,
+	} {
+		f.Add(p.AppendTo(nil))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{1, 5})                       // a discriminator no encoder emits
+	f.Add([]byte{11, 0, 0, 0})                // same-marker layout with no marker set
+	f.Add([]byte{11, 4, 0})                   // undefined flag
+	f.Add([]byte{9, 0x80, 0, 0})              // padded varint
+	f.Add([]byte{8, 3, 1, 3, 3})              // one run of two spelled as two runs
+	f.Add([]byte{10, 0, 0, 1, 0, 0, 0, 0, 9}) // trailing byte
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodePayload(data)
+		if err != nil {
+			return
+		}
+		enc := p.AppendTo(nil)
+		if len(enc) != p.WireSize() {
+			t.Fatalf("%T: WireSize %d, encoded %d bytes", p, p.WireSize(), len(enc))
+		}
+		if len(enc) > len(data) || !bytes.Equal(enc, data[:len(enc)]) {
+			t.Fatalf("%T decoded from %x re-encodes to %x", p, data, enc)
+		}
+	})
 }

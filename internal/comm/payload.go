@@ -47,16 +47,17 @@ func RawWireSize(p Payload) int {
 }
 
 // Payload type discriminators on the wire. 2–4 are the fixed-width
-// formats; the compressed index-set forms 8–11 live in
-// payload_config.go, 12–13 are control planes, and the quantized value
-// block 14 lives in payload_qvals.go. Every process of a cluster runs
-// the same binary and nothing persists payloads, so a discriminator no
-// encoder emits (the raw index-set forms 1, 6 and 7 of earlier
-// versions) is simply unknown.
+// formats and 8 the compressed Keys block; the configuration payload's
+// layouts 9–11 live in payload_config.go, 12–13 are control planes, and
+// the quantized value block 14 lives in payload_qvals.go. Every process
+// of a cluster runs the same binary and nothing persists payloads, so a
+// discriminator no encoder emits (the raw index-set forms 1, 6 and 7 of
+// earlier versions) is simply unknown.
 const (
 	wireFloats   = 2
 	wireKeysVals = 3
 	wireBytes    = 4
+	wireKeysC    = 8
 )
 
 // wireMemo caches a payload's encoded form so that WireSize (charged to
@@ -69,11 +70,13 @@ const (
 //
 // size is an optional fast path preset by decoders (single-threaded,
 // before the payload is shared): it answers WireSize without
-// re-encoding a payload that just arrived off the wire.
+// re-encoding a payload that just arrived off the wire. It is an int32
+// beside the 12-byte Once so the memo adds 40 bytes to a payload header,
+// not 48: the configuration pass allocates one header per message.
 type wireMemo struct {
-	size int
-	once sync.Once
 	buf  []byte
+	once sync.Once
+	size int32
 }
 
 // bytes returns the memoized encoding, running enc on first use.
@@ -86,7 +89,7 @@ func (m *wireMemo) bytes(enc func() []byte) []byte {
 // discriminator byte, so size 0 always means "not yet known".
 func (m *wireMemo) wireSize(enc func() []byte) int {
 	if n := m.size; n > 0 {
-		return n
+		return int(n)
 	}
 	return len(m.bytes(enc))
 }
@@ -252,6 +255,14 @@ func DecodePayload(buf []byte) (Payload, error) {
 		data := make([]byte, n)
 		copy(data, buf)
 		return &Bytes{Data: data}, nil
+	case wireKeysC:
+		keys, rest, err := sparse.DecodeCompressed(nil, buf)
+		if err != nil {
+			return nil, err
+		}
+		p := &Keys{Keys: keys}
+		p.memo.size = int32(1 + len(buf) - len(rest)) // preset: no re-encode to size it
+		return p, nil
 	case wireControl:
 		return decodeControlPayload(buf)
 	case wireStreamCtl:

@@ -9,118 +9,111 @@ import (
 )
 
 // Additional wire discriminators (continuing payload.go's space): the
-// configuration pass's index-set payloads, encoded with
-// sparse.AppendCompressed, and the incremental-reconfigure marker.
+// three layouts of the configuration payload, whose index sets are
+// encoded with sparse.AppendCompressed.
 const (
-	wireKeysC     = 8  // compressed Keys
-	wireInOutC    = 9  // compressed InOut
-	wireCombinedC = 10 // compressed Combined
-	wireDelta     = 11 // incremental reconfigure piece
+	wireConfig     = 9  // ConfigPiece: both pieces
+	wireConfigVals = 10 // ConfigPiece: both pieces + values
+	wireConfigSame = 11 // ConfigPiece: flags byte + the pieces not marked same
 )
 
-// InOut carries a node's in- and out- index-set pieces in one
-// configuration message, as §III-A sends both partitions together.
-type InOut struct {
-	In  sparse.Set
-	Out sparse.Set
-
-	memo wireMemo
-}
-
-// Combined carries in-keys, out-keys and out-values in a single message:
-// the fused configure+reduce downward pass that §III recommends for
-// minibatch workloads whose in/out sets change every allreduce.
-type Combined struct {
-	In   sparse.Set
-	Out  sparse.Set
-	Vals []float32
-
-	memo wireMemo
-}
-
-// Delta is the incremental counterpart of InOut, sent by
-// Config.Reconfigure: each direction is either a same-as-last-time
-// marker (one flag bit, zero keys) or the full replacement piece. The
-// receiver substitutes its stored copy of the previous piece for each
-// marker, so an unchanged layer costs two bytes per neighbour instead
-// of a re-shipped set.
-type Delta struct {
+// ConfigPiece is the one message of the configuration plane: what a
+// machine sends a layer-group member in Configure, ConfigureReduce and
+// Reconfigure alike. It carries the member's piece of the sender's in
+// and out index sets (§III-A sends both partitions together), each
+// replaceable by a same marker when it is the piece the previous pass
+// over the same Config sent — the receiver merged that one into its
+// union and can read it back — and optionally the out piece's values
+// (the fused configure+reduce pass that §III recommends for minibatch
+// workloads).
+//
+// The wire layout is a function of the content alone: both pieces
+// (discriminator 9), both pieces and values (10), or — only when a
+// marker is set — a flags byte and the pieces not marked same (11), so
+// an all-same payload costs two bytes. There is no layout for values
+// beside a marker: values are never kept from pass to pass, so a piece
+// that carries them is never "the same", and encoding such a payload
+// panics.
+type ConfigPiece struct {
+	// In/Out are the pieces for the directions not marked same (nil
+	// otherwise).
+	In, Out sparse.Set
 	// InSame/OutSame mark directions whose piece is identical to the one
-	// sent in the previous configuration pass over this Config.
+	// sent in the previous pass over this Config.
 	InSame, OutSame bool
-	// In/Out carry the replacement pieces for the directions not marked
-	// Same (nil otherwise).
-	In  sparse.Set
-	Out sparse.Set
+	// HasVals says the payload carries Vals, Width values per key of Out
+	// (possibly none: an empty out piece still ships its zero values).
+	HasVals bool
+	Vals    []float32
 
 	memo wireMemo
 }
 
 // Clone implements Payload.
-func (p *InOut) Clone() Payload {
-	return &InOut{In: p.In.Clone(), Out: p.Out.Clone()}
-}
-
-// Clone implements Payload.
-func (p *Combined) Clone() Payload {
-	return &Combined{
-		In:   p.In.Clone(),
-		Out:  p.Out.Clone(),
-		Vals: append([]float32(nil), p.Vals...),
-	}
-}
-
-// Clone implements Payload.
-func (p *Delta) Clone() Payload {
-	return &Delta{
-		InSame:  p.InSame,
-		OutSame: p.OutSame,
+func (p *ConfigPiece) Clone() Payload {
+	return &ConfigPiece{
 		In:      p.In.Clone(),
 		Out:     p.Out.Clone(),
+		InSame:  p.InSame,
+		OutSame: p.OutSame,
+		HasVals: p.HasVals,
+		Vals:    append([]float32(nil), p.Vals...),
 	}
 }
 
-func (p *InOut) encode() []byte {
-	buf := sparse.AppendCompressed([]byte{wireInOutC}, p.In)
-	return sparse.AppendCompressed(buf, p.Out)
+// encodeSets encodes the immutable part of the payload: everything but
+// the values. Vals deliberately stays out of the memo — the fused pass
+// points Vals at value buffers the caller may overwrite after the
+// round, and traffic accounting can touch a retained payload later
+// (fault-injecting transports re-Send held pointers), so the memoized
+// bytes must never read Vals. Its wire cost is pure arithmetic anyway.
+func (p *ConfigPiece) encodeSets() []byte {
+	var buf []byte
+	switch {
+	case p.InSame || p.OutSame:
+		if p.HasVals {
+			panic("comm: ConfigPiece cannot carry values beside a same-marker")
+		}
+		var flags byte
+		if p.InSame {
+			flags |= 1
+		}
+		if p.OutSame {
+			flags |= 2
+		}
+		buf = []byte{wireConfigSame, flags}
+	case p.HasVals:
+		buf = []byte{wireConfigVals}
+	default:
+		buf = []byte{wireConfig}
+	}
+	if !p.InSame {
+		buf = sparse.AppendCompressed(buf, p.In)
+	}
+	if !p.OutSame {
+		buf = sparse.AppendCompressed(buf, p.Out)
+	}
+	return buf
 }
 
 // WireSize implements Payload.
-func (p *InOut) WireSize() int { return p.memo.wireSize(p.encode) }
-
-// AppendTo implements Payload.
-func (p *InOut) AppendTo(buf []byte) []byte {
-	return append(buf, p.memo.bytes(p.encode)...)
+func (p *ConfigPiece) WireSize() int {
+	n := p.memo.wireSize(p.encodeSets)
+	if p.HasVals {
+		n += uvarintLen(uint64(len(p.Vals))) + 4*len(p.Vals)
+	}
+	return n
 }
 
-// RawWireSize implements RawSizer.
-func (p *InOut) RawWireSize() int { return 1 + 4 + 4 + 8*len(p.In) + 8*len(p.Out) }
-
-// encodeSets encodes the immutable prefix of a Combined payload: the
-// discriminator and both compressed set blocks. Vals deliberately stays
-// out of the memo — the fused pass points Vals at value buffers the
-// caller may overwrite after the round, and traffic accounting can
-// touch a retained payload later (fault-injecting transports re-Send
-// held pointers), so the memoized bytes must never read Vals. Its wire
-// cost is pure arithmetic anyway.
-func (p *Combined) encodeSets() []byte {
-	buf := sparse.AppendCompressed([]byte{wireCombinedC}, p.In)
-	return sparse.AppendCompressed(buf, p.Out)
-}
-
-// WireSize implements Payload.
-func (p *Combined) WireSize() int {
-	return p.memo.wireSize(p.encodeSets) + uvarintLen(uint64(len(p.Vals))) + 4*len(p.Vals)
-}
-
-// AppendTo implements Payload. The set prefix comes from the memo; the
-// values are appended fresh, reading Vals at encode time exactly as the
-// raw format did.
-func (p *Combined) AppendTo(buf []byte) []byte {
+// AppendTo implements Payload. The set part comes from the memo; the
+// values are appended fresh, reading Vals at encode time.
+func (p *ConfigPiece) AppendTo(buf []byte) []byte {
 	buf = append(buf, p.memo.bytes(p.encodeSets)...)
-	buf = binary.AppendUvarint(buf, uint64(len(p.Vals)))
-	for _, v := range p.Vals {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+	if p.HasVals {
+		buf = binary.AppendUvarint(buf, uint64(len(p.Vals)))
+		for _, v := range p.Vals {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
+		}
 	}
 	return buf
 }
@@ -135,128 +128,71 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// RawWireSize implements RawSizer.
-func (p *Combined) RawWireSize() int {
-	return 1 + 4 + 4 + 4 + 8*len(p.In) + 8*len(p.Out) + 4*len(p.Vals)
-}
-
-func (p *Delta) encode() []byte {
-	var flags byte
-	if p.InSame {
-		flags |= 1
+// RawWireSize implements RawSizer: the same layout with 4-byte counts,
+// 8-byte keys and 4-byte values.
+func (p *ConfigPiece) RawWireSize() int {
+	n := 1
+	if p.InSame || p.OutSame {
+		n++
 	}
-	if p.OutSame {
-		flags |= 2
-	}
-	buf := []byte{wireDelta, flags}
-	if !p.InSame {
-		buf = sparse.AppendCompressed(buf, p.In)
-	}
-	if !p.OutSame {
-		buf = sparse.AppendCompressed(buf, p.Out)
-	}
-	return buf
-}
-
-// WireSize implements Payload.
-func (p *Delta) WireSize() int { return p.memo.wireSize(p.encode) }
-
-// AppendTo implements Payload.
-func (p *Delta) AppendTo(buf []byte) []byte {
-	return append(buf, p.memo.bytes(p.encode)...)
-}
-
-// RawWireSize implements RawSizer.
-func (p *Delta) RawWireSize() int {
-	n := 2
 	if !p.InSame {
 		n += 4 + 8*len(p.In)
 	}
 	if !p.OutSame {
 		n += 4 + 8*len(p.Out)
 	}
+	if p.HasVals {
+		n += 4 + 4*len(p.Vals)
+	}
 	return n
 }
 
 // decodeConfigPayload handles the discriminators defined in this file;
-// it is called from DecodePayload's default branch. Decoded compressed
-// payloads have their memoized wire size preset (the decoder knows the
+// it is called from DecodePayload's default branch. The decoded payload
+// has the memoized size of its set part preset (the decoder knows the
 // consumed byte count), so traffic accounting on a forwarded payload
 // does not re-run the codec.
 func decodeConfigPayload(kind byte, buf []byte) (Payload, error) {
 	whole := len(buf) + 1 // discriminator byte included
+	p := &ConfigPiece{HasVals: kind == wireConfigVals}
 	switch kind {
-	case wireKeysC:
-		keys, rest, err := sparse.DecodeCompressed(nil, buf)
-		if err != nil {
-			return nil, err
+	case wireConfig, wireConfigVals:
+	case wireConfigSame:
+		// A flags byte with no flag set is what discriminator 9 encodes;
+		// accepting it would give one content two encodings.
+		if len(buf) < 1 || buf[0] < 1 || buf[0] > 3 {
+			return nil, fmt.Errorf("comm: bad same-marker flags in configuration payload")
 		}
-		p := &Keys{Keys: keys}
-		p.memo.size = whole - len(rest)
-		return p, nil
-	case wireInOutC:
-		in, rest, err := sparse.DecodeCompressed(nil, buf)
-		if err != nil {
-			return nil, err
-		}
-		out, rest, err := sparse.DecodeCompressed(nil, rest)
-		if err != nil {
-			return nil, err
-		}
-		p := &InOut{In: in, Out: out}
-		p.memo.size = whole - len(rest)
-		return p, nil
-	case wireCombinedC:
-		in, rest, err := sparse.DecodeCompressed(nil, buf)
-		if err != nil {
-			return nil, err
-		}
-		out, rest, err := sparse.DecodeCompressed(nil, rest)
-		if err != nil {
-			return nil, err
-		}
-		prefix := whole - len(rest) // discriminator + both set blocks
-		nv, sz := binary.Uvarint(rest)
-		if sz <= 0 || nv > 1<<32 {
-			return nil, fmt.Errorf("comm: bad combined value count")
-		}
-		rest = rest[sz:]
-		if uint64(len(rest)) < nv*4 {
-			return nil, fmt.Errorf("comm: truncated combined values")
-		}
-		vals := make([]float32, nv)
-		for i := range vals {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(rest[i*4:]))
-		}
-		p := &Combined{In: in, Out: out, Vals: vals}
-		p.memo.size = prefix
-		return p, nil
-	case wireDelta:
-		if len(buf) < 1 {
-			return nil, fmt.Errorf("comm: truncated delta payload")
-		}
-		flags := buf[0]
-		if flags > 3 {
-			return nil, fmt.Errorf("comm: bad delta flags %#x", flags)
-		}
-		rest := buf[1:]
-		p := &Delta{InSame: flags&1 != 0, OutSame: flags&2 != 0}
-		var err error
-		if !p.InSame {
-			p.In, rest, err = sparse.DecodeCompressed(nil, rest)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if !p.OutSame {
-			p.Out, rest, err = sparse.DecodeCompressed(nil, rest)
-			if err != nil {
-				return nil, err
-			}
-		}
-		p.memo.size = whole - len(rest)
-		return p, nil
+		p.InSame, p.OutSame = buf[0]&1 != 0, buf[0]&2 != 0
+		buf = buf[1:]
 	default:
 		return nil, fmt.Errorf("comm: unknown payload discriminator %d", kind)
 	}
+	var err error
+	if !p.InSame {
+		if p.In, buf, err = sparse.DecodeCompressed(nil, buf); err != nil {
+			return nil, err
+		}
+	}
+	if !p.OutSame {
+		if p.Out, buf, err = sparse.DecodeCompressed(nil, buf); err != nil {
+			return nil, err
+		}
+	}
+	p.memo.size = int32(whole - len(buf)) // everything but the values
+	if p.HasVals {
+		nv, sz := sparse.Uvarint(buf)
+		if sz <= 0 || nv > 1<<32 {
+			return nil, fmt.Errorf("comm: bad configuration value count")
+		}
+		buf = buf[sz:]
+		if uint64(len(buf)) < nv*4 {
+			return nil, fmt.Errorf("comm: truncated configuration values")
+		}
+		p.Vals = make([]float32, nv)
+		for i := range p.Vals {
+			p.Vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
+		}
+	}
+	return p, nil
 }

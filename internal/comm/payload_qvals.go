@@ -78,7 +78,7 @@ func decodeQValsPayload(buf []byte) (Payload, error) {
 	if mode != sparse.QuantFP16 && mode != sparse.QuantINT8 {
 		return nil, fmt.Errorf("comm: qvals payload with mode %d", buf[0])
 	}
-	n, sz := binary.Uvarint(buf[1:])
+	n, sz := sparse.Uvarint(buf[1:])
 	if sz <= 0 {
 		return nil, fmt.Errorf("comm: qvals payload: bad count varint")
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 
 	"kylix/internal/comm"
 	"kylix/internal/obs"
@@ -24,150 +26,292 @@ import (
 // state (receive staging, union work arenas, split offsets) lives in a
 // machine-level scratch reused across configurations, and per-layer
 // retained slices are carved from single blocks.
-func (m *Machine) Configure(inSet, outSet sparse.Set) (cfgOut *Config, err error) {
-	if !inSet.IsSorted() || !outSet.IsSorted() {
-		return nil, fmt.Errorf("core: Configure requires sorted, deduplicated Sets")
-	}
-	round := m.nextRound()
-	cfg := &Config{mach: m, inSet: inSet, outSet: outSet,
-		layers: make([]layerState, m.bf.Layers())}
-	tr := m.opts.Tracer
-	outer := tr.Begin(comm.KindConfig, 0)
-	defer func() { outer.Err = err; tr.End(&outer) }()
-
-	inCur, outCur := inSet, outSet
-	for layer := 1; layer <= m.bf.Layers(); layer++ {
-		ls := &cfg.layers[layer-1]
-		sp := tr.Begin(comm.KindConfig, layer)
-		err := m.configureLayer(ls, layer, round, inCur, outCur, nil, nil, nil, &sp)
-		sp.Err = err
-		tr.End(&sp)
-		if err != nil {
-			return nil, fmt.Errorf("core: rank %d config layer %d: %w", m.Rank(), layer, err)
-		}
-		inCur, outCur = ls.inUnion, ls.outUnion
-	}
-	if err := cfg.finishBottom(inCur, outCur); err != nil {
+func (m *Machine) Configure(inSet, outSet sparse.Set) (*Config, error) {
+	cfg := m.newConfig()
+	if _, err := cfg.configure("config", comm.KindConfig, inSet, outSet, nil); err != nil {
 		return nil, err
 	}
 	return cfg, nil
 }
 
-// configureLayer executes one layer of the downward pass, filling the
-// caller's layerState. When vals is non-nil the pass is fused with
-// reduction: out pieces carry their values, and the returned accumulator
-// (via *accOut) holds the combined layer result (the §III combined
-// configure+reduce). The caller's span sp accumulates the layer's wire
+// newConfig returns a Config with nothing stored: no layer has a split,
+// unions or maps yet, so its first pass ships everything and builds
+// everything.
+func (m *Machine) newConfig() *Config {
+	m.ensureCfgScratch()
+	return &Config{mach: m, layers: make([]layerState, m.bf.Layers())}
+}
+
+// sameBoth is the shared both-directions-same marker. It is immutable
+// (its lazily memoized encoding is a sync.Once), so every rank sends the
+// same two-byte payload without allocating.
+var sameBoth = &comm.ConfigPiece{InSame: true, OutSame: true}
+
+// cfgPass is what one configuration pass threads down the layers.
+type cfgPass struct {
+	// kind is the tag kind; KindConfigReduce makes the pass fused.
+	kind  comm.Kind
+	round uint32
+	// in/out are the sets the next layer splits: the caller's at the top,
+	// each layer's unions below. wasIn/wasOut are what they were in the
+	// pass the Config's stored state comes from.
+	in, out, wasIn, wasOut sparse.Set
+	// vals aligns with out in a fused pass: the caller's values at the
+	// top, each layer's accumulator below.
+	vals []float32
+	// kept says every layer so far kept its split and its unions, and
+	// bottomKept that the last one kept its unions.
+	kept, bottomKept bool
+}
+
+// configure is the one driver of the configuration plane: Configure,
+// ConfigureReduce and Reconfigure are this pass over a Config that has
+// nothing stored (the first two) or the previous pass's state (the
+// last), with values riding down or not. what names the entry point in
+// errors. Failing validation is safe — nothing has been exchanged or
+// overwritten yet, so the Config stays usable; errors past that point
+// poison it, since some layers may then hold new state and others old.
+func (c *Config) configure(what string, kind comm.Kind, inSet, outSet sparse.Set, outVals []float32) (res []float32, err error) {
+	m := c.mach
+	if c.poisoned {
+		return nil, &PoisonedError{Rank: m.Rank()}
+	}
+	// A set equal to the currently configured one is sorted by
+	// construction; the warm unchanged-sets path gets away with two O(1)
+	// aliasing checks instead of full validation scans.
+	if !(inSet.Equal(c.inSet) || inSet.IsSorted()) || !(outSet.Equal(c.outSet) || outSet.IsSorted()) {
+		return nil, fmt.Errorf("core: rank %d %s: index sets must be sorted, deduplicated Sets", m.Rank(), what)
+	}
+	fused := kind == comm.KindConfigReduce
+	if w := m.opts.Width; fused && len(outVals) != len(outSet)*w {
+		return nil, fmt.Errorf("core: rank %d %s: got %d values, want %d (|out|=%d x width %d)",
+			m.Rank(), what, len(outVals), len(outSet)*w, len(outSet), w)
+	}
+	defer func() {
+		if err != nil {
+			c.poisoned = true
+		}
+	}()
+	defer m.pool.End() // join any pass-scoped combine workers
+	tr := m.opts.Tracer
+	if fused {
+		tr.CountRound()
+	}
+	x := cfgPass{kind: kind, round: m.nextRound(), in: inSet, out: outSet,
+		wasIn: c.inSet, wasOut: c.outSet, vals: outVals, kept: true}
+	outer := tr.Begin(kind, 0)
+	defer func() { outer.Err = err; tr.End(&outer) }()
+
+	c.inSet, c.outSet = inSet, outSet
+	for layer := 1; layer <= len(c.layers); layer++ {
+		sp := tr.Begin(kind, layer)
+		err := c.configureLayer(&x, layer, &sp)
+		sp.Err = err
+		tr.End(&sp)
+		if err != nil {
+			return nil, fmt.Errorf("core: rank %d %s layer %d: %w", m.Rank(), what, layer, err)
+		}
+	}
+	// The bottom turnaround depends only on the bottom unions.
+	if !x.bottomKept {
+		if err := c.finishBottom(x.in, x.out); err != nil {
+			return nil, err
+		}
+	}
+	if !x.kept {
+		// Buffer sizes may have changed somewhere; the reduction arena is
+		// rebuilt lazily by the next Reduce.
+		c.scratch = scratch{}
+	}
+	if !fused {
+		return nil, nil
+	}
+	g := c.flip()
+	tr.CountArenaFlip()
+	return c.gatherUp(x.vals, x.round, g)
+}
+
+// configureLayer is the one layer step of the configuration plane:
+// split the current sets, send each member its piece — a marker in
+// place of a direction whose piece is the one the previous pass sent —
+// receive and check one piece per member, keep the layer's unions and
+// maps when every piece arrived as a marker and rebuild them otherwise,
+// and in a fused pass fold the values that rode along (the §III
+// combined configure+reduce). The span accumulates the layer's wire
 // bytes and group size.
-func (m *Machine) configureLayer(ls *layerState, layer int, round uint32, inCur, outCur sparse.Set, vals []float32, accOut *[]float32, tagKindOverride *comm.Kind, sp *obs.Span) error {
-	cs := m.ensureCfgScratch()
-	d := m.bf.Degree(layer)
+func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
+	m := c.mach
+	cs := m.cfg
+	ls := &c.layers[layer-1]
 	group := cs.groupOf[layer-1]
+	d := len(group)
 	parent := m.bf.RangeAt(m.Rank(), layer-1)
 	sp.Peers = d
-
-	// Both offset slices come from one retained block.
-	offs := make([]int32, 2*(d+1))
-	ls.group = group
-	ls.inOffsets = sparse.SplitOffsetsInto(offs[:d+1:d+1], inCur, parent, d)
-	ls.outOffsets = sparse.SplitOffsetsInto(offs[d+1:], outCur, parent, d)
-
-	kind := comm.KindConfig
-	if tagKindOverride != nil {
-		kind = *tagKindOverride
-	}
-	tag := m.tag(kind, layer, round)
+	tag := m.tag(x.kind, layer, x.round)
 	w := m.opts.Width
+	fused := x.kind == comm.KindConfigReduce
+	// stored: an earlier pass left this layer a split, unions and maps,
+	// which say what it sent and received. Values are never stored, so a
+	// piece that carries them is never the stored one.
+	stored := ls.group != nil
+	mark := stored && !fused
 
-	// Send piece t to the member owning sub-range t. The payload headers
-	// cannot come from machine scratch — transports may retain the
-	// pointers past this call (fault-injecting fabrics re-Send them) —
-	// but one block covers the whole group.
-	if vals == nil {
-		hdrs := make([]comm.InOut, d)
-		for t, member := range group {
-			p := &hdrs[t]
-			p.In = sparse.Piece(inCur, ls.inOffsets, t)
-			p.Out = sparse.Piece(outCur, ls.outOffsets, t)
-			m.stampOut(sp, p)
-			if err := m.ep.Send(member, tag, p); err != nil {
-				return err
+	// Sets that are the stored ones — O(1) to see when they alias, which
+	// is what a layer that kept its unions hands the next — split the way
+	// they did. Any other split is staged in machine scratch and retained
+	// only if it moved.
+	offs := cs.offs[:2*(d+1)]
+	inOffs, outOffs := ls.inOffsets, ls.outOffsets
+	if !(mark && x.in.Equal(x.wasIn) && x.out.Equal(x.wasOut)) {
+		inOffs = sparse.SplitOffsetsInto(offs[:d+1:d+1], x.in, parent, d)
+		outOffs = sparse.SplitOffsetsInto(offs[d+1:], x.out, parent, d)
+	}
+	// The payload headers cannot come from machine scratch — transports
+	// may retain the pointers past this call (fault-injecting fabrics
+	// re-Send them) — but one block, made when the first piece that is
+	// not all marker needs one, covers the whole group.
+	var hdrs []comm.ConfigPiece
+	for t, member := range group {
+		in, out := sparse.Piece(x.in, inOffs, t), sparse.Piece(x.out, outOffs, t)
+		inSame := mark && in.Equal(sparse.Piece(x.wasIn, ls.inOffsets, t))
+		outSame := mark && out.Equal(sparse.Piece(x.wasOut, ls.outOffsets, t))
+		p := sameBoth
+		if !inSame || !outSame {
+			if hdrs == nil {
+				hdrs = make([]comm.ConfigPiece, d)
+			}
+			p = &hdrs[t]
+			p.InSame, p.OutSame = inSame, outSame
+			if !inSame {
+				p.In = in
+			}
+			if !outSame {
+				p.Out = out
+			}
+			if fused {
+				p.HasVals, p.Vals = true, x.vals[int(outOffs[t])*w:int(outOffs[t+1])*w]
 			}
 		}
-	} else {
-		hdrs := make([]comm.Combined, d)
-		for t, member := range group {
-			p := &hdrs[t]
-			p.In = sparse.Piece(inCur, ls.inOffsets, t)
-			p.Out = sparse.Piece(outCur, ls.outOffsets, t)
-			p.Vals = vals[int(ls.outOffsets[t])*w : int(ls.outOffsets[t+1])*w]
-			m.stampOut(sp, p)
-			if err := m.ep.Send(member, tag, p); err != nil {
-				return err
-			}
+		m.stampOut(sp, p)
+		if err := m.ep.Send(member, tag, p); err != nil {
+			return err
 		}
 	}
+	splitKept := hdrs == nil
 
 	// Receive one piece per member, in arrival order, staged in the
-	// machine scratch.
-	inP, outP, valP, seen := cs.inP[:d], cs.outP[:d], cs.valP[:d], cs.seen[:d]
-	for t := range seen {
-		seen[t] = false
-	}
+	// machine scratch, and check each before anything is built on it.
+	got, seen := cs.got[:d], cs.seen[:d]
+	clear(seen)
 	myRange := parent.Sub(d, m.bf.Digit(m.Rank(), layer))
-	for received := 0; received < d; {
-		from, p, err := m.ep.RecvGroup(cs.groups[layer-1], tag)
+	unionsKept := stored
+	for received := 0; received < d; received++ {
+		t, pl, err := m.recvPiece(layer-1, tag, seen)
 		if err != nil {
-			return fmt.Errorf("recv: %w", err)
+			return err
 		}
-		t := memberIndex(group, from)
-		if t < 0 {
-			return fmt.Errorf("piece from %d outside group", from)
+		from := group[t]
+		q, ok := pl.(*comm.ConfigPiece)
+		if !ok {
+			return fmt.Errorf("piece from %d: unexpected payload %T", from, pl)
 		}
-		if seen[t] {
-			continue // duplicate delivery
+		if q.HasVals && !fused {
+			return fmt.Errorf("piece from %d carries values but the pass is not fused", from)
 		}
-		switch q := p.(type) {
-		case *comm.InOut:
-			inP[t], outP[t] = q.In, q.Out
-		case *comm.Combined:
-			inP[t], outP[t], valP[t] = q.In, q.Out, q.Vals
-		default:
-			return fmt.Errorf("unexpected payload %T from %d", p, from)
+		if fused && !q.HasVals {
+			return fmt.Errorf("piece from %d carries no values but the pass is fused", from)
 		}
-		// Both directions feed this layer's unions and the next layer's
-		// split, which assumes everything lies in this rank's sub-range.
-		if err := sparse.CheckInRange(inP[t], myRange); err != nil {
+		if err := landSet(q.InSame, q.In, stored, myRange); err != nil {
 			return fmt.Errorf("in piece from %d: %w", from, err)
 		}
-		if err := sparse.CheckInRange(outP[t], myRange); err != nil {
+		if err := landSet(q.OutSame, q.Out, stored, myRange); err != nil {
 			return fmt.Errorf("out piece from %d: %w", from, err)
 		}
-		m.stampIn(sp, p)
-		seen[t] = true
-		received++
+		nOut := len(q.Out)
+		if q.OutSame {
+			nOut = len(ls.outMaps[t])
+		}
+		if fused && len(q.Vals) != nOut*w {
+			return fmt.Errorf("piece from %d has %d values, want %d", from, len(q.Vals), nOut*w)
+		}
+		got[t] = q
+		unionsKept = unionsKept && q.InSame && q.OutSame
+		m.stampIn(sp, pl)
 	}
-	m.buildUnions(ls, inP, outP)
 
-	if vals != nil {
+	if !splitKept {
+		moved := slices.Clone(offs)
+		ls.inOffsets, ls.outOffsets = moved[:d+1:d+1], moved[d+1:]
+	}
+	wasIn, wasOut := ls.inUnion, ls.outUnion
+	if !unionsKept {
+		// Unions and maps depend only on the received pieces. A marker
+		// stands for the piece received last time, which the Config keeps
+		// no copy of: it is read back out of the union it was merged into.
+		inP, outP := cs.inP[:d], cs.outP[:d]
+		cs.keys = cs.keys[:0]
+		for t, q := range got {
+			if inP[t] = q.In; q.InSame {
+				inP[t] = cs.mergedPiece(ls.inUnion, ls.inMaps[t])
+			}
+			if outP[t] = q.Out; q.OutSame {
+				outP[t] = cs.mergedPiece(ls.outUnion, ls.outMaps[t])
+			}
+		}
+		m.buildUnions(ls, inP, outP)
+		clear(inP)
+		clear(outP)
+	}
+	if stored {
+		m.opts.Tracer.CountReconfigureLayer(unionsKept)
+	}
+	ls.group = group
+	x.kept = x.kept && splitKept && unionsKept
+	x.bottomKept = unionsKept
+	x.in, x.out, x.wasIn, x.wasOut = ls.inUnion, ls.outUnion, wasIn, wasOut
+
+	if fused {
 		// The fused accumulator is freshly allocated, not arena-carved:
 		// it becomes the next layer's vals, whose segments outlive this
-		// call inside retained Combined payloads.
+		// call inside retained payloads.
 		acc := make([]float32, len(ls.outUnion)*w)
 		if id := m.opts.Reducer.Identity(); id != 0 {
 			m.pool.Fill(acc, id)
 		}
-		for t := range group {
-			m.opts.Tracer.CountCombineShards(m.pool.CombineInto(m.opts.Reducer, acc, ls.outMaps[t], valP[t], w))
+		for t, q := range got {
+			m.opts.Tracer.CountCombineShards(m.pool.CombineInto(m.opts.Reducer, acc, ls.outMaps[t], q.Vals, w))
 		}
-		*accOut = acc
+		x.vals = acc
 	}
-	// Drop staged references so the scratch does not pin received
-	// payload memory past the pass.
-	for t := range inP {
-		inP[t], outP[t], valP[t] = nil, nil, nil
+	clear(got) // do not pin received payloads past the layer
+	return nil
+}
+
+// landSet is one direction of the configuration land step. A marker
+// needs a stored piece to stand for; a shipped piece must lie in the
+// hash sub-range this rank owns at the layer, because it feeds the
+// layer's union and the next layer's split, which assume that.
+func landSet(same bool, shipped sparse.Set, stored bool, r sparse.Range) error {
+	if !same {
+		return sparse.CheckInRange(shipped, r)
+	}
+	if !stored {
+		return errors.New("same-marker but no stored piece")
 	}
 	return nil
+}
+
+// mergedPiece reads a received piece back out of the union it was
+// merged into: its position map sends the piece's j-th key to
+// union[m[j]]. The copy lives in machine scratch, like every piece
+// between its arrival and the rebuild of the unions.
+func (cs *cfgScratch) mergedPiece(union sparse.Set, m []int32) sparse.Set {
+	at := len(cs.keys)
+	cs.keys = slices.Grow(cs.keys, len(m))
+	for _, pos := range m {
+		cs.keys = append(cs.keys, union[pos])
+	}
+	return cs.keys[at:len(cs.keys):len(cs.keys)]
 }
 
 // buildUnions computes a layer's in/out unions and position maps from

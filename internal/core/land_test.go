@@ -148,10 +148,16 @@ func TestLandStepRejections(t *testing.T) {
 }
 
 // TestConfigurationRejectsEscapingPieces doctors one configuration
-// piece on its way into rank 0 so that one direction lies outside the
-// hash sub-range rank 0 owns at that layer. Either direction must fail
-// the pass there: an escaping in piece would otherwise join the in
-// union and be split, at the next layer, as if it were in range.
+// piece on its way into rank 0 — at each layer, in each of the three
+// entry points — and requires the pass to fail there with an error
+// naming the rank, the entry point, the layer and the sender, before
+// anything is folded. The doctorings are everything the land step
+// checks: a direction lying outside the hash sub-range rank 0 owns at
+// the layer (an escaping in piece would otherwise join the in union and
+// be split, at the next layer, as if it were in range), values present
+// in a pass that is not fused or absent in one that is, a value count
+// that does not match the out piece, and a same-marker for a direction
+// the Config holds no stored piece of.
 func TestConfigurationRejectsEscapingPieces(t *testing.T) {
 	degrees := []int{2, 2}
 	bf := topo.MustNew(degrees)
@@ -164,23 +170,25 @@ func TestConfigurationRejectsEscapingPieces(t *testing.T) {
 			t.Fatalf("test key lies inside rank 0's layer-%d range", layer)
 		}
 	}
-	passes := []struct {
+	type pass struct {
 		name string
 		kind comm.Kind
-		// delta: doctor the first Delta, letting the InOut pieces of the
-		// Configure before it through.
-		delta bool
-		run   func(m *Machine, w workload) error
-	}{
-		{"config", comm.KindConfig, false, func(m *Machine, w workload) error {
+		// fused: values ride down. stored: the doctored pass runs over a
+		// Config an earlier pass built, whose pieces the endpoint lets
+		// through.
+		fused, stored bool
+		run           func(m *Machine, w workload) error
+	}
+	passes := []pass{
+		{"config", comm.KindConfig, false, false, func(m *Machine, w workload) error {
 			_, err := m.Configure(w.in, w.out)
 			return err
 		}},
-		{"config+reduce", comm.KindConfigReduce, false, func(m *Machine, w workload) error {
+		{"config+reduce", comm.KindConfigReduce, true, false, func(m *Machine, w workload) error {
 			_, _, err := m.ConfigureReduce(w.in, w.out, w.vals)
 			return err
 		}},
-		{"reconfigure", comm.KindConfig, true, func(m *Machine, w workload) error {
+		{"reconfigure", comm.KindConfig, false, true, func(m *Machine, w workload) error {
 			cfg, err := m.Configure(w.in, w.out)
 			if err != nil {
 				return err
@@ -188,32 +196,48 @@ func TestConfigurationRejectsEscapingPieces(t *testing.T) {
 			return cfg.Reconfigure(w.in, w.out)
 		}},
 	}
+	any := func(pass) bool { return true }
+	fused := func(p pass) bool { return p.fused }
+	cases := []struct {
+		name    string
+		applies func(pass) bool
+		doctor  func(q *comm.ConfigPiece)
+		// where follows "rank 0 <pass> layer <n>: " in the error, want is
+		// the complaint.
+		where, want string
+	}{
+		{"in", any, func(q *comm.ConfigPiece) { q.In, q.InSame = escaping, false }, "in piece from", "escapes range"},
+		{"out", any, func(q *comm.ConfigPiece) { q.Out, q.OutSame = escaping, false }, "out piece from", "escapes range"},
+		{"no values", fused, func(q *comm.ConfigPiece) { q.HasVals, q.Vals = false, nil }, "piece from", "carries no values"},
+		{"one value short", fused, func(q *comm.ConfigPiece) { q.Vals = q.Vals[:len(q.Vals)-1] }, "piece from", "values, want"},
+		{"one value over", fused, func(q *comm.ConfigPiece) { q.Vals = append(q.Vals[:len(q.Vals):len(q.Vals)], 0) }, "piece from", "values, want"},
+		{"values", func(p pass) bool { return !p.fused }, func(q *comm.ConfigPiece) { q.HasVals, q.Vals = true, make([]float32, len(q.Out)) },
+			"piece from", "carries values"},
+		{"in marker", func(p pass) bool { return !p.stored }, func(q *comm.ConfigPiece) { q.In, q.InSame = nil, true },
+			"in piece from", "no stored piece"},
+		{"out marker", func(p pass) bool { return !p.stored }, func(q *comm.ConfigPiece) { q.Out, q.OutSame = nil, true },
+			"out piece from", "no stored piece"},
+	}
 	for _, pass := range passes {
-		for _, dir := range []string{"in", "out"} {
+		for _, tc := range cases {
+			if !tc.applies(pass) {
+				continue
+			}
 			for layer := 1; layer <= len(degrees); layer++ {
-				t.Run(fmt.Sprintf("%s/%s/layer%d", pass.name, dir, layer), func(t *testing.T) {
-					escape := func(in, out sparse.Set) (sparse.Set, sparse.Set) {
-						if dir == "in" {
-							return escaping, out
-						}
-						return in, escaping
+				t.Run(fmt.Sprintf("%s/%s/layer%d", pass.name, tc.name, layer), func(t *testing.T) {
+					letThrough := 0
+					if pass.stored {
+						letThrough = degrees[layer-1]
 					}
 					rewrite := func(from int, p comm.Payload) (int, comm.Payload) {
-						if _, isDelta := p.(*comm.Delta); isDelta != pass.delta {
+						if letThrough > 0 {
+							letThrough--
 							return from, p
 						}
-						switch q := p.(type) {
-						case *comm.InOut:
-							in, out := escape(q.In, q.Out)
-							return from, &comm.InOut{In: in, Out: out}
-						case *comm.Combined:
-							in, out := escape(q.In, q.Out)
-							return from, &comm.Combined{In: in, Out: out, Vals: q.Vals}
-						case *comm.Delta:
-							in, out := escape(q.In, q.Out)
-							return from, &comm.Delta{In: in, Out: out}
-						}
-						return from, p
+						q := p.(*comm.ConfigPiece)
+						doctored := &comm.ConfigPiece{In: q.In, Out: q.Out, InSame: q.InSame, OutSame: q.OutSame, HasVals: q.HasVals, Vals: q.Vals}
+						tc.doctor(doctored)
+						return from, doctored
 					}
 					victimErr := runWithVictim(bf, pass.kind, layer, rewrite, func(r int, ep comm.Endpoint) error {
 						m, err := NewMachine(ep, bf, Options{})
@@ -223,11 +247,11 @@ func TestConfigurationRejectsEscapingPieces(t *testing.T) {
 						return pass.run(m, ws[r])
 					})
 					if victimErr == nil {
-						t.Fatal("the pass accepted the escaping piece")
+						t.Fatal("the pass accepted the doctored piece")
 					}
-					where := fmt.Sprintf("rank 0 %s layer %d: %s piece from", pass.name, layer, dir)
-					if msg := victimErr.Error(); !strings.Contains(msg, where) || !strings.Contains(msg, "escapes range") {
-						t.Fatalf("error %q does not name %q and the range", msg, where)
+					where := fmt.Sprintf("rank 0 %s layer %d: %s", pass.name, layer, tc.where)
+					if msg := victimErr.Error(); !strings.Contains(msg, where) || !strings.Contains(msg, tc.want) {
+						t.Fatalf("error %q does not name %q and %q", msg, where, tc.want)
 					}
 				})
 			}

@@ -68,9 +68,9 @@ type Options struct {
 	// deterministic: every rank's output is a pure function of the seed
 	// and call sequence, bit-identical across reruns and transports.
 	// The downward pass of a fused ConfigureReduce still ships raw
-	// values (its Combined payloads interleave keys and values and run
-	// once per configuration, not per round); the upward allgather is
-	// quantized in both paths.
+	// values (its payloads interleave keys and values and run once per
+	// configuration, not per round); the upward allgather is quantized
+	// in both paths.
 	Quant sparse.Quantization
 	// QuantNoFeedback disables the error-feedback residuals, making
 	// each round's quantization independent (naive truncation). This
@@ -176,6 +176,8 @@ func (m *Machine) tag(kind comm.Kind, layer int, seq uint32) comm.Tag {
 // subsequent reduction.
 type layerState struct {
 	// group is the ordered layer group; group[t] owns hash sub-range t.
+	// It is nil until a pass has completed the layer — which is how the
+	// next pass knows there is stored state to compare against.
 	group []int
 	// inOffsets/outOffsets split this machine's layer-(i-1) sets into
 	// the pieces sent to each group member (d+1 entries each).
@@ -187,12 +189,6 @@ type layerState struct {
 	// group[t] into the unions: outMaps are the f maps applied during
 	// scatter-reduce, inMaps the g maps applied during allgather.
 	inMaps, outMaps [][]int32
-	// recvIn[t]/recvOut[t] are private copies of the pieces received from
-	// group[t], retained so an incremental Reconfigure can substitute the
-	// stored piece when a neighbour sends a same-as-before marker. They
-	// are populated by the first Reconfigure over the Config (Configure
-	// leaves them nil; see Config.reconfigReady).
-	recvIn, recvOut []sparse.Set
 }
 
 // Config is the reusable result of a configuration pass: for fixed in
@@ -214,12 +210,6 @@ type Config struct {
 	// generation is built lazily at its first Reduce, so Configure-only
 	// uses pay nothing.
 	scratch scratch
-	// reconfigReady records that a Reconfigure pass has populated every
-	// layer's recvIn/recvOut. The first Reconfigure on a Config ships
-	// full pieces unconditionally (Configure does not retain received
-	// pieces), stores them, and sets this flag; later passes may then
-	// send and accept same-as-before markers.
-	reconfigReady bool
 	// poisoned is set when a Reconfigure fails mid-collective: some
 	// layers hold new routing state and others old, so every later use
 	// of the Config must error rather than silently misroute.

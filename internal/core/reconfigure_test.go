@@ -122,60 +122,181 @@ func TestReconfigureMatchesFreshConfigure(t *testing.T) {
 	}
 }
 
+// TestReconfigureWarmUnchangedKeepsScratch: every Config retains what
+// its pass received, so already the first Reconfigure over unchanged
+// sets — after Configure or after ConfigureReduce — is all markers: it
+// must keep the reduction arena and leave the routing state where it
+// was, and so must the one after it.
 func TestReconfigureWarmUnchangedKeepsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	bf := topo.MustNew([]int{4, 2})
 	ws := randWorkloads(rng, bf.M(), 300, 40, 1, true)
 	wantRes := refReduce(ws, sparse.Sum, 1)
-	n := memnet.New(bf.M())
-	defer n.Close()
-	err := memnet.Run(n, func(ep comm.Endpoint) error {
-		r := ep.Rank()
-		m, err := NewMachine(ep, bf, Options{})
+	for _, start := range []string{"Configure", "ConfigureReduce"} {
+		n := memnet.New(bf.M())
+		err := memnet.Run(n, func(ep comm.Endpoint) error {
+			r := ep.Rank()
+			m, err := NewMachine(ep, bf, Options{})
+			if err != nil {
+				return err
+			}
+			var cfg *Config
+			if start == "Configure" {
+				if cfg, err = m.Configure(ws[r].in, ws[r].out); err == nil {
+					_, err = cfg.Reduce(ws[r].vals)
+				}
+			} else {
+				cfg, _, err = m.ConfigureReduce(ws[r].in, ws[r].out, ws[r].vals)
+			}
+			if err != nil {
+				return err
+			}
+			arena, before := cfg.scratch.ready, cfg.Digest()
+			if arena == [2]bool{} {
+				t.Errorf("%s rank %d: no arena generation to keep", start, r)
+			}
+			for _, pass := range []string{"first", "second"} {
+				if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
+					return err
+				}
+				if cfg.scratch.ready != arena {
+					t.Errorf("%s rank %d: %s unchanged Reconfigure dropped the reduction arena", start, r, pass)
+				}
+				if got := cfg.Digest(); got != before {
+					t.Errorf("%s rank %d: %s unchanged Reconfigure moved the digest", start, r, pass)
+				}
+				res, err := cfg.Reduce(ws[r].vals)
+				if err != nil {
+					return err
+				}
+				if !almostEqual(res, wantRes[r], 1e-4) {
+					t.Errorf("%s rank %d: reduce mismatch after %s unchanged Reconfigure", start, r, pass)
+				}
+				arena = cfg.scratch.ready // the Reduce may have built the second generation
+			}
+			return nil
+		})
+		n.Close()
 		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sentPieces records, per (layer, receiver), the configuration payload a
+// rank sent in its latest pass.
+type sentPieces struct {
+	comm.Endpoint
+	sent map[[2]int]*comm.ConfigPiece
+}
+
+func (e *sentPieces) Send(to int, tag comm.Tag, p comm.Payload) error {
+	if q, ok := p.(*comm.ConfigPiece); ok {
+		e.sent[[2]int{tag.Layer(), to}] = q
+	}
+	return e.Endpoint.Send(to, tag, p)
+}
+
+// TestReconfigureMarksExactlyTheUnchangedPieces moves one index on one
+// rank and compares, message by message, what the first Reconfigure
+// after Configure (and after ConfigureReduce) ships with what fresh
+// passes over the old and the new sets ship: a direction is a marker
+// exactly where the two fresh pieces are equal, and carries the new
+// piece everywhere else. So only the pieces the index falls in re-ship
+// — few, but not none — and the state still lands where a fresh
+// Configure of the new sets puts it.
+func TestReconfigureMarksExactlyTheUnchangedPieces(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	degrees := []int{4, 2}
+	bf := topo.MustNew(degrees)
+	old := randWorkloads(rng, bf.M(), 300, 40, 1, true)
+	moved := append([]workload(nil), old...)
+	const space = 300 // randWorkloads drew from [0, space): this index is new to everyone
+	w := old[3]
+	moved[3] = workload{
+		in:   sparse.MustNewSet(append(w.in.Indices()[1:], space)),
+		out:  sparse.MustNewSet(append(w.out.Indices(), space)),
+		vals: append(append([]float32(nil), w.vals...), 1),
+	}
+	want := freshDigests(t, degrees, moved)
+	wantRes := refReduce(moved, sparse.Sum, 1)
+
+	// fresh[g][r] is what rank r ships when it configures generation g
+	// from nothing.
+	run := func(body func(r int, m *Machine, rec *sentPieces) error) {
+		t.Helper()
+		n := memnet.New(bf.M())
+		defer n.Close()
+		if err := memnet.Run(n, func(ep comm.Endpoint) error {
+			rec := &sentPieces{Endpoint: ep, sent: map[[2]int]*comm.ConfigPiece{}}
+			m, err := NewMachine(rec, bf, Options{})
+			if err != nil {
+				return err
+			}
+			return body(ep.Rank(), m, rec)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fresh [2][]map[[2]int]*comm.ConfigPiece
+	for g, ws := range [][]workload{old, moved} {
+		fresh[g] = make([]map[[2]int]*comm.ConfigPiece, bf.M())
+		run(func(r int, m *Machine, rec *sentPieces) error {
+			_, err := m.Configure(ws[r].in, ws[r].out)
+			fresh[g][r] = rec.sent
 			return err
+		})
+	}
+
+	for _, start := range []string{"Configure", "ConfigureReduce"} {
+		reshipped := make([]int, bf.M())
+		run(func(r int, m *Machine, rec *sentPieces) error {
+			var cfg *Config
+			var err error
+			if start == "Configure" {
+				cfg, err = m.Configure(old[r].in, old[r].out)
+			} else {
+				cfg, _, err = m.ConfigureReduce(old[r].in, old[r].out, old[r].vals)
+			}
+			if err != nil {
+				return err
+			}
+			if err := cfg.Reconfigure(moved[r].in, moved[r].out); err != nil {
+				return err
+			}
+			for at, q := range rec.sent {
+				was, now := fresh[0][r][at], fresh[1][r][at]
+				if inSame := was.In.Equal(now.In); q.InSame != inSame || !inSame && !q.In.Equal(now.In) {
+					t.Errorf("%s rank %d layer %d to %d: in marker %v, piece unchanged %v", start, r, at[0], at[1], q.InSame, inSame)
+				}
+				if outSame := was.Out.Equal(now.Out); q.OutSame != outSame || !outSame && !q.Out.Equal(now.Out) {
+					t.Errorf("%s rank %d layer %d to %d: out marker %v, piece unchanged %v", start, r, at[0], at[1], q.OutSame, outSame)
+				}
+				if !q.InSame || !q.OutSame {
+					reshipped[r]++
+				}
+			}
+			if got := cfg.Digest(); got != want[r] {
+				t.Errorf("%s rank %d: digest %#x, fresh configure %#x", start, r, got, want[r])
+			}
+			res, err := cfg.Reduce(moved[r].vals)
+			if err != nil {
+				return err
+			}
+			if !almostEqual(res, wantRes[r], 1e-4) {
+				t.Errorf("%s rank %d: reduce mismatch after Reconfigure", start, r)
+			}
+			return nil
+		})
+		total := 0
+		for _, k := range reshipped {
+			total += k
 		}
-		cfg, err := m.Configure(ws[r].in, ws[r].out)
-		if err != nil {
-			return err
+		// The dropped and the added index each sit in one piece of rank 3's
+		// split and in one piece of the layer-2 split below it.
+		if reshipped[3] == 0 || total > 4 {
+			t.Errorf("%s: %d pieces re-shipped (%v by rank), want 1..4 starting at rank 3", start, total, reshipped)
 		}
-		if _, err := cfg.Reduce(ws[r].vals); err != nil {
-			return err
-		}
-		// First pass over unchanged sets: populates the stored pieces, so
-		// it rebuilds every layer and must invalidate the arena.
-		if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
-			return err
-		}
-		if cfg.scratch.ready != [2]bool{} {
-			t.Errorf("rank %d: first Reconfigure kept the reduction arena", r)
-		}
-		if _, err := cfg.Reduce(ws[r].vals); err != nil {
-			return err
-		}
-		before := cfg.Digest()
-		// Warm pass: everything unchanged, so the arena must survive and
-		// the state must not move.
-		if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
-			return err
-		}
-		if cfg.scratch.ready == [2]bool{} {
-			t.Errorf("rank %d: warm unchanged Reconfigure dropped the reduction arena", r)
-		}
-		if got := cfg.Digest(); got != before {
-			t.Errorf("rank %d: warm unchanged Reconfigure moved the digest", r)
-		}
-		res, err := cfg.Reduce(ws[r].vals)
-		if err != nil {
-			return err
-		}
-		if !almostEqual(res, wantRes[r], 1e-4) {
-			t.Errorf("rank %d: reduce mismatch after warm Reconfigure", r)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -100,7 +100,7 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, g *genBufs, tr
 	clear(seen)
 	folded := 0
 	for received := 0; received < d; received++ {
-		t, pl, err := c.recvPiece(i, tag, seen)
+		t, pl, err := m.recvPiece(i, tag, seen)
 		if err == nil {
 			// No fixed destination: a raw piece is folded from the received
 			// payload itself, a packed one from its landing buffer.
@@ -179,7 +179,7 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, g *genBufs, 
 	next, seen := g.next[i], m.cfg.seen[:d]
 	clear(seen)
 	for received := 0; received < d; received++ {
-		t, pl, err := c.recvPiece(i, tag, seen)
+		t, pl, err := m.recvPiece(i, tag, seen)
 		if err == nil {
 			seg := next[int(ls.inOffsets[t])*w : int(ls.inOffsets[t+1])*w]
 			_, err = m.landPiece(ls.group[t], pl, &pieces[t], seg, len(seg), &sp)
@@ -228,20 +228,19 @@ func (m *Machine) stampIn(sp *obs.Span, p comm.Payload) {
 	}
 }
 
-// recvPiece is the receive skeleton of both directions: it takes the
-// layer's next piece in arrival order, skipping duplicate deliveries
+// recvPiece is the receive skeleton of every plane: it takes layer
+// i+1's next piece in arrival order, skipping duplicate deliveries
 // (chaotic transports), which seen guards, and returns the sender's
 // slot in the layer group with the payload.
 //
 //kylix:hotpath
-func (c *Config) recvPiece(i int, tag comm.Tag, seen []bool) (int, comm.Payload, error) {
-	m := c.mach
+func (m *Machine) recvPiece(i int, tag comm.Tag, seen []bool) (int, comm.Payload, error) {
 	for {
 		from, pl, err := m.ep.RecvGroup(m.cfg.groups[i], tag)
 		if err != nil {
 			return -1, nil, fmt.Errorf("recv: %w", err)
 		}
-		t := memberIndex(c.layers[i].group, from)
+		t := memberIndex(m.cfg.groupOf[i], from)
 		if t < 0 {
 			return -1, nil, fmt.Errorf("piece from %d outside group", from)
 		}
@@ -298,48 +297,11 @@ func (m *Machine) landPiece(from int, pl comm.Payload, p *piece, dst []float32, 
 // concurrently with combined network messages"). It returns the
 // resulting Config — reusable by later plain Reduce calls — together
 // with the reduced in-values (arena-owned, like Reduce results).
-func (m *Machine) ConfigureReduce(inSet, outSet sparse.Set, outVals []float32) (cfgOut *Config, res []float32, err error) {
-	if !inSet.IsSorted() || !outSet.IsSorted() {
-		return nil, nil, fmt.Errorf("core: ConfigureReduce requires sorted, deduplicated Sets")
-	}
-	w := m.opts.Width
-	if len(outVals) != len(outSet)*w {
-		return nil, nil, fmt.Errorf("core: rank %d: ConfigureReduce got %d values, want %d",
-			m.Rank(), len(outVals), len(outSet)*w)
-	}
-	round := m.nextRound()
-	cfg := &Config{mach: m, inSet: inSet, outSet: outSet,
-		layers: make([]layerState, m.bf.Layers())}
-	defer m.pool.End() // join any pass-scoped combine workers
-	tr := m.opts.Tracer
-	tr.CountRound()
-	outer := tr.Begin(comm.KindConfigReduce, 0)
-	defer func() { outer.Err = err; tr.End(&outer) }()
-
-	kind := comm.KindConfigReduce
-	inCur, outCur := inSet, outSet
-	cur := outVals
-	for layer := 1; layer <= m.bf.Layers(); layer++ {
-		ls := &cfg.layers[layer-1]
-		var acc []float32
-		sp := tr.Begin(comm.KindConfigReduce, layer)
-		err := m.configureLayer(ls, layer, round, inCur, outCur, cur, &acc, &kind, &sp)
-		sp.Err = err
-		tr.End(&sp)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: rank %d config+reduce layer %d: %w", m.Rank(), layer, err)
-		}
-		inCur, outCur = ls.inUnion, ls.outUnion
-		cur = acc
-	}
-	if err := cfg.finishBottom(inCur, outCur); err != nil {
-		return nil, nil, err
-	}
-	g := cfg.flip()
-	tr.CountArenaFlip()
-	inVals, err := cfg.gatherUp(cur, round, g)
+func (m *Machine) ConfigureReduce(inSet, outSet sparse.Set, outVals []float32) (*Config, []float32, error) {
+	cfg := m.newConfig()
+	res, err := cfg.configure("config+reduce", comm.KindConfigReduce, inSet, outSet, outVals)
 	if err != nil {
 		return nil, nil, err
 	}
-	return cfg, inVals, nil
+	return cfg, res, nil
 }

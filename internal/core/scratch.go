@@ -195,33 +195,36 @@ func (c *Config) buildGen(gen int) {
 }
 
 // cfgScratch is the machine-level scratch of the configuration pass:
-// everything transient that configureLayer used to allocate per call
-// but whose shape depends only on the topology (receive groups, piece
-// staging, union arenas). One instance serves every Configure /
-// ConfigureReduce / Reconfigure on the Machine — machines are
-// single-goroutine by contract, and nothing here survives a pass except
-// as reusable capacity.
+// everything transient whose shape depends only on the topology
+// (receive groups, piece staging, union arenas). One instance serves
+// every Configure / ConfigureReduce / Reconfigure on the Machine —
+// machines are single-goroutine by contract, and nothing here survives
+// a pass except as reusable capacity.
 type cfgScratch struct {
 	// groupOf[layer-1] is this machine's layer group (topology-fixed;
 	// retained read-only by every Config's layerStates).
 	groupOf [][]int
 	// groups[layer-1][t] is the singleton receive group {groupOf[t]}.
 	groups [][][]int
-	// inP/outP/valP/seen stage one layer's received pieces, indexed by
-	// group slot and sized to the widest layer: sets and fused values in
-	// the configuration pass, and in a reduction the arrival-order
-	// receipts (valP) awaiting their canonical-order fold with their
-	// duplicate-delivery guards (seen). Passes on a machine never overlap
-	// and each layer clears what it uses.
+	// got/valP/seen stage one layer's received pieces, indexed by group
+	// slot and sized to the widest layer: payloads in the configuration
+	// pass, and in a reduction the arrival-order receipts (valP) awaiting
+	// their canonical-order fold; seen guards both against duplicate
+	// deliveries. inP/outP line a rebuilding layer's pieces up for the
+	// union kernel, and keys holds the ones read back out of the old
+	// unions for it (capacity kept across passes). Passes on a machine
+	// never overlap and each layer clears what it uses.
+	got       []*comm.ConfigPiece
 	inP, outP []sparse.Set
 	valP      [][]float32
 	seen      []bool
+	keys      []sparse.Key
 	// uni is the tree-union arena; unions are cloned out of it into the
 	// retained layerState, so only the final deduplicated keys are paid
 	// for per configuration.
 	uni sparse.UnionScratch
-	// offs stages candidate split offsets during Reconfigure's
-	// compare-before-commit step (2*(maxDeg+1) entries).
+	// offs stages a layer's split offsets, in then out, until the pass
+	// knows whether the split moved (2*(maxDeg+1) entries).
 	offs []int32
 }
 
@@ -248,6 +251,7 @@ func (m *Machine) ensureCfgScratch() *cfgScratch {
 			cs.groups[layer-1][t] = group[t : t+1 : t+1]
 		}
 	}
+	cs.got = make([]*comm.ConfigPiece, maxDeg)
 	cs.inP = make([]sparse.Set, maxDeg)
 	cs.outP = make([]sparse.Set, maxDeg)
 	cs.valP = make([][]float32, maxDeg)

@@ -28,11 +28,12 @@ import (
 //	  v&1 == 1  →  run:  v>>1 ≥ 1 consecutive deltas of exactly 1
 //
 // Blocks are self-delimiting (the count says when to stop), so payloads
-// concatenate them without length prefixes. The encoder is canonical:
+// concatenate them without length prefixes. The encoding is canonical:
 // runs are maximal, so two runs are never adjacent and every delta-1
-// step is inside a run. Re-encoding a decoded block is therefore
-// byte-identical, which the transports rely on when they memoize
-// encodings.
+// step is inside a run, and varints are minimal. The decoder refuses
+// any other spelling, so re-encoding a decoded block reproduces exactly
+// the bytes consumed, which the transports rely on when they memoize
+// encodings and preset decoded sizes.
 //
 // A typical sparse piece (density ~1/8, deltas ~8) costs ~1 byte per
 // index; a fully dense range costs ~10 bits total regardless of length.
@@ -97,16 +98,32 @@ func AppendCompressed(dst []byte, s Set) []byte {
 	return dst
 }
 
+// Uvarint is binary.Uvarint for canonical streams: a padded encoding is
+// malformed here, n == 0, like a truncated one.
+func Uvarint(buf []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(buf)
+	if padded(buf, n) {
+		return 0, 0
+	}
+	return v, n
+}
+
+// padded reports that the n-byte varint at the head of buf ends in a
+// zero group, which binary.Uvarint reads as the shorter number: a second
+// spelling the canonical format does not have.
+func padded(buf []byte, n int) bool { return n > 1 && buf[n-1] == 0 }
+
 // DecodeCompressed parses one compressed block from buf, appends the
 // decoded keys (in key order) to dst, and returns the extended Set and
 // the unconsumed remainder of buf. The decoded keys are rebuilt with
 // MakeKey, so a hostile peer cannot inject hash/index-inconsistent
-// Keys. Indices beyond int32 range, empty run tokens, counts over
-// maxCompressedKeys, and truncated streams all error.
+// Keys. Indices beyond int32 range, empty or adjacent run tokens,
+// padded varints, counts over maxCompressedKeys, and truncated streams
+// all error.
 //
 //kylix:hotpath
 func DecodeCompressed(dst Set, buf []byte) (Set, []byte, error) {
-	n, sz := binary.Uvarint(buf)
+	n, sz := Uvarint(buf)
 	if sz <= 0 {
 		return nil, nil, fmt.Errorf("sparse: compressed set: bad count varint")
 	}
@@ -139,7 +156,7 @@ func DecodeCompressed(dst Set, buf []byte) (Set, []byte, error) {
 //
 //kylix:hotpath
 func decodeIndexOrder(keys []Key, buf []byte) ([]byte, error) {
-	first, sz := binary.Uvarint(buf)
+	first, sz := Uvarint(buf)
 	if sz <= 0 || first > math.MaxInt32 {
 		return nil, fmt.Errorf("sparse: compressed set: bad first index")
 	}
@@ -147,9 +164,9 @@ func decodeIndexOrder(keys []Key, buf []byte) ([]byte, error) {
 	keys[0] = MakeKey(int32(first))
 	cur := first
 	for n := 1; n < len(keys); {
-		tok, sz := binary.Uvarint(buf)
-		if sz <= 0 {
-			return nil, fmt.Errorf("sparse: compressed set: truncated token stream")
+		tok, sz := binary.Uvarint(buf) // inlined here; Uvarint would be a call per token
+		if sz <= 0 || padded(buf, sz) {
+			return nil, fmt.Errorf("sparse: compressed set: truncated or padded token")
 		}
 		buf = buf[sz:]
 		if tok&1 == 1 {
@@ -166,6 +183,11 @@ func decodeIndexOrder(keys []Key, buf []byte) ([]byte, error) {
 			for end := n + int(k); n < end; n++ {
 				cur++
 				keys[n] = MakeKey(int32(cur))
+			}
+			// Runs are maximal: the next token, whose low bit is its first
+			// byte's, may not be another run.
+			if n < len(keys) && len(buf) > 0 && buf[0]&1 == 1 {
+				return nil, fmt.Errorf("sparse: compressed set: split run")
 			}
 		} else {
 			cur += (tok >> 1) + 2

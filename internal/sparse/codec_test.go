@@ -167,9 +167,13 @@ func FuzzKeysCodec(f *testing.F) {
 			t.Fatal("re-encode not canonical")
 		}
 		// Part 2: the decoder must survive arbitrary bytes — error or
-		// valid Set, never a panic, never an invalid key.
-		got, _, err = DecodeCompressed(nil, wire)
+		// valid Set, never a panic, never an invalid key, never a second
+		// spelling of a set.
+		got, rest, err = DecodeCompressed(nil, wire)
 		if err == nil {
+			if again := AppendCompressed(nil, got); string(again) != string(wire[:len(wire)-len(rest)]) {
+				t.Fatalf("decoded %x, which re-encodes to %x", wire[:len(wire)-len(rest)], again)
+			}
 			if !got.IsSorted() {
 				t.Fatal("decoder produced unsorted set from arbitrary bytes")
 			}

@@ -61,8 +61,9 @@ func TestAllPayloadTypesSurviveWire(t *testing.T) {
 		&comm.Floats{Vals: []float32{2.5, -1}},
 		&comm.KeysVals{Keys: keys, Vals: []float32{1, 2, 3, 4}},
 		&comm.Bytes{Data: []byte{0, 255, 7}},
-		&comm.InOut{In: keys, Out: sparse.MustNewSet([]int32{9})},
-		&comm.Combined{In: keys, Out: keys, Vals: []float32{8, 8, 8, 8}},
+		&comm.ConfigPiece{In: keys, Out: sparse.MustNewSet([]int32{9})},
+		&comm.ConfigPiece{In: keys, Out: keys, HasVals: true, Vals: []float32{8, 8, 8, 8}},
+		&comm.ConfigPiece{InSame: true, Out: keys},
 	}
 	for i, p := range payloads {
 		tag := comm.MakeTag(comm.KindApp, 1, uint32(i))

@@ -1,11 +1,16 @@
 #!/usr/bin/env sh
 # Hot-path and figure benchmarks with memory accounting.
 #
-#   scripts/bench.sh            # run benchmarks, print results, write
-#                               # BENCH_reduce.json, BENCH_config.json and
-#                               # BENCH_wire.json (ns/op, B/op, allocs/op,
-#                               # and the value-codec wire accounting)
-#   scripts/bench.sh --gate     # additionally fail if either warm Reduce
+#   scripts/bench.sh            # run the benchmarks, print the results
+#                               # and record them: BENCH_reduce.json,
+#                               # BENCH_config.json and BENCH_wire.json
+#                               # (ns/op, B/op, allocs/op, and the
+#                               # value-codec wire accounting). This is
+#                               # `make bench`, and the only mode that
+#                               # writes a tracked file.
+#   scripts/bench.sh --gate     # run the same benchmarks, print them,
+#                               # write no tracked file, and fail if
+#                               # either warm Reduce
 #                               # benchmark (plain or with observability)
 #                               # allocates (>0 allocs/op), if the
 #                               # observability-enabled run is more than
@@ -35,8 +40,11 @@
 #                               # gated here and not in go test ./...)
 #
 # BENCH_reduce.json is the checked-in record of the hot-path numbers;
-# regenerate it when the hot path changes and commit both runs'
-# numbers alongside (see EXPERIMENTS.md).
+# regenerate it with a bare run when the hot path changes and commit
+# both runs' numbers alongside (see EXPERIMENTS.md). The gate reads the
+# record and never moves it: a gate that rewrote its own baseline would
+# compare each run with the previous one and let slow drift through,
+# and would leave the tree dirty after every `make check`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -46,9 +54,8 @@ if [ "${1:-}" = "--gate" ]; then
     gate=1
 fi
 
-# Remember the previously recorded observability-enabled hot-path time
-# before this run overwrites BENCH_reduce.json; the gate compares
-# against it. Absent (first recording) the regression check is skipped.
+# The recorded observability-enabled hot-path time the gate compares
+# against. Absent (nothing recorded yet) the regression check is skipped.
 prev_obs_ns=""
 if [ -f BENCH_reduce.json ]; then
     prev_obs_ns="$(sed -n 's/.*"BenchmarkReduceWarmObs": {"ns_per_op": \([0-9.]*\).*/\1/p' BENCH_reduce.json | tail -1)"
@@ -116,60 +123,68 @@ parse() {
     }' "$1"
 }
 
-# The JSON records both runs: "before" is the archived pre-optimisation
-# output (scripts/bench_baseline.txt, captured on the same machine before
-# the hot-path rework), "after" is this run.
-json="BENCH_reduce.json"
-baseline="scripts/bench_baseline.txt"
-{
-    echo "{"
-    if [ -f "$baseline" ]; then
-        printf '  "before": {\n'
-        parse "$baseline"
-        printf '\n  },\n'
-    fi
-    printf '  "after": {\n'
-    parse "$out"
-    printf '\n  }\n}\n'
-} > "$json"
-echo "== wrote $json"
+# record writes the tracked BENCH_*.json files from this run's output.
+record() {
+    # The JSON records both runs: "before" is the archived pre-optimisation
+    # output (scripts/bench_baseline.txt, captured on the same machine before
+    # the hot-path rework), "after" is this run.
+    json="BENCH_reduce.json"
+    baseline="scripts/bench_baseline.txt"
+    {
+        echo "{"
+        if [ -f "$baseline" ]; then
+            printf '  "before": {\n'
+            parse "$baseline"
+            printf '\n  },\n'
+        fi
+        printf '  "after": {\n'
+        parse "$out"
+        printf '\n  }\n}\n'
+    } > "$json"
+    echo "== wrote $json"
 
-# BENCH_config.json is the same record for the configuration pass:
-# "before" is the archived output of two baselines — the core
-# benchmarks before the configuration rework (raw 8-byte wire format,
-# eager scratch, tree-union + per-piece map scans) and the sparse
-# kernel benchmarks before the distribution sorts and the branch-free
-# merge (slices.Sort, two-pointer merge; same rotating inputs) —
-# "after" is this run.
-cfgjson="BENCH_config.json"
+    # BENCH_config.json is the same record for the configuration pass:
+    # "before" is the archived output of two baselines — the core
+    # benchmarks before the configuration rework (raw 8-byte wire format,
+    # eager scratch, tree-union + per-piece map scans) and the sparse
+    # kernel benchmarks before the distribution sorts and the branch-free
+    # merge (slices.Sort, two-pointer merge; same rotating inputs) —
+    # "after" is this run.
+    cfgjson="BENCH_config.json"
+    {
+        echo "{"
+        if [ -f "$cfgbaseline" ]; then
+            printf '  "before": {\n'
+            parse "$cfgbaseline"
+            printf '\n  },\n'
+        fi
+        printf '  "after": {\n'
+        parse "$cfgout"
+        printf '\n  }\n}\n'
+    } > "$cfgjson"
+    echo "== wrote $cfgjson"
+
+    # BENCH_wire.json records the wire-level value quantization numbers:
+    # raw_value_bytes_per_op is what one collective round ships as raw
+    # float32 payload ("before"), value_bytes_per_op what the selected
+    # codec ships ("after"), value_compression their ratio.
+    wirejson="BENCH_wire.json"
+    {
+        echo "{"
+        printf '  "after": {\n'
+        parse "$wireout"
+        printf '\n  }\n}\n'
+    } > "$wirejson"
+    echo "== wrote $wirejson"
+}
+
+# The archived pre-rework configuration baseline: "before" in
+# BENCH_config.json and the anchor of the gate's speedup check.
 cfgbaseline="scripts/bench_config_baseline.txt"
-{
-    echo "{"
-    if [ -f "$cfgbaseline" ]; then
-        printf '  "before": {\n'
-        parse "$cfgbaseline"
-        printf '\n  },\n'
-    fi
-    printf '  "after": {\n'
-    parse "$cfgout"
-    printf '\n  }\n}\n'
-} > "$cfgjson"
-echo "== wrote $cfgjson"
 
-# BENCH_wire.json records the wire-level value quantization numbers:
-# raw_value_bytes_per_op is what one collective round ships as raw
-# float32 payload ("before"), value_bytes_per_op what the selected
-# codec ships ("after"), value_compression their ratio.
-wirejson="BENCH_wire.json"
-{
-    echo "{"
-    printf '  "after": {\n'
-    parse "$wireout"
-    printf '\n  }\n}\n'
-} > "$wirejson"
-echo "== wrote $wirejson"
-
-if [ "$gate" = 1 ]; then
+if [ "$gate" = 0 ]; then
+    record
+else
     for b in BenchmarkReduceWarmQuick BenchmarkReduceWarmObs BenchmarkReduceWarmW4 BenchmarkReduceWarmW4Workers; do
         allocs="$(awk -v b="$b" '$1 ~ "^"b"(-[0-9]+)?$" { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }' "$out")"
         if [ -z "$allocs" ]; then

@@ -2,6 +2,7 @@ package kylix_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,6 +151,161 @@ func TestMetricsBytesAreTheTrafficRows(t *testing.T) {
 			}
 			if q != kylix.QuantOff && want["values_bytes_encoded"] >= want["values_bytes_raw"] {
 				t.Errorf("transport %v: int8 value bytes %d not below raw %d", tr, want["values_bytes_encoded"], want["values_bytes_raw"])
+			}
+			cluster.Close()
+		}
+	}
+}
+
+// TestReconfigureIsReadyFromTheFirstCall: a Reduction is ready for
+// incremental reconfiguration however it was built. The first
+// Reconfigure after Configure, or after ConfigureReduce, with the same
+// sets puts nothing but two-byte markers on the wire and leaves the
+// routing state where a fresh Configure puts it; with one index moved
+// on one rank it re-ships the few pieces that index falls in — not
+// none, not most — and again lands on the fresh state. On both
+// transports, with every Reduce checked against the dense sum.
+func TestReconfigureIsReadyFromTheFirstCall(t *testing.T) {
+	const m = 8
+	degrees := kylix.WithDegrees(4, 2)
+	sets := zipfSets(t, m, 2048, 256)
+	held := map[int32]bool{}
+	for _, set := range sets {
+		for _, idx := range set {
+			held[idx] = true
+		}
+	}
+	fresh := int32(2047)
+	for held[fresh] {
+		fresh--
+	}
+	moved := slices.Clone(sets)
+	moved[3] = append(slices.Clone(sets[3][1:]), fresh)
+	valsOf := func(set []int32) []float32 {
+		vals := make([]float32, len(set))
+		for i := range vals {
+			vals[i] = float32(i%5) + 1
+		}
+		return vals
+	}
+	// matchesDense checks one rank's result against the dense sum (small
+	// integers: exact in float32 in any order).
+	matchesDense := func(res []float32, gen [][]int32, r int) bool {
+		dense := map[int32]float32{}
+		for _, set := range gen {
+			for i, v := range valsOf(set) {
+				dense[set[i]] += v
+			}
+		}
+		for i, idx := range gen[r] {
+			if res[i] != dense[idx] {
+				return false
+			}
+		}
+		return len(res) == len(gen[r])
+	}
+	for _, tr := range []kylix.Transport{kylix.TransportMemory, kylix.TransportTCP} {
+		// The ground truth: digests and per-layer configuration bytes of a
+		// fresh Configure of each generation.
+		want := map[string][]uint64{}
+		full := map[int]int64{}
+		for name, gen := range map[string][][]int32{"same": sets, "moved": moved} {
+			cluster, err := kylix.NewCluster(m, degrees, kylix.WithTransport(tr), kylix.WithTrace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[name] = make([]uint64, m)
+			if err := cluster.Run(func(node *kylix.Node) error {
+				red, err := node.Configure(gen[node.Rank()], gen[node.Rank()])
+				if err == nil {
+					want[name][node.Rank()] = red.ConfigDigest()
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			rep, _ := cluster.Traffic(4)
+			for _, lt := range rep.Layers {
+				full[lt.Layer] = max(full[lt.Layer], lt.Bytes)
+			}
+			cluster.Close()
+		}
+		for _, start := range []string{"Configure", "ConfigureReduce"} {
+			cluster, err := kylix.NewCluster(m, degrees, kylix.WithTransport(tr), kylix.WithTrace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// configRows waits until every rank has finished the step, hands
+			// rank 0 the configuration traffic recorded since the last call
+			// (nil: nothing to check) and clears the record.
+			all := newBarrier(m)
+			configRows := func(r int, check func(lt kylix.LayerTraffic)) {
+				all.wait()
+				if r == 0 {
+					rep, _ := cluster.Traffic(4)
+					rows := 0
+					for _, lt := range rep.Layers {
+						if check != nil && lt.Phase == kylix.PhaseConfig {
+							rows++
+							check(lt)
+						}
+					}
+					if check != nil && rows != 2 {
+						t.Errorf("%v %s: %d configuration rows, want one per layer", tr, start, rows)
+					}
+					cluster.ResetTraffic()
+				}
+				all.wait()
+			}
+			err = cluster.Run(func(node *kylix.Node) (err error) {
+				r := node.Rank()
+				note := func(e error) {
+					if err == nil {
+						err = e
+					}
+				}
+				var red *kylix.Reduction
+				if start == "Configure" {
+					red, err = node.Configure(sets[r], sets[r])
+				} else {
+					red, _, err = node.ConfigureReduce(sets[r], sets[r], valsOf(sets[r]))
+				}
+				if err != nil {
+					return err // nobody is at the barrier yet
+				}
+				configRows(r, nil)
+				for _, pass := range []struct {
+					name  string
+					gen   [][]int32
+					check func(lt kylix.LayerTraffic)
+				}{
+					{"same", sets, func(lt kylix.LayerTraffic) {
+						if lt.Bytes != 2*lt.Msgs {
+							t.Errorf("%v %s: unchanged Reconfigure put %d bytes in %d layer-%d messages, want 2 each", tr, start, lt.Bytes, lt.Msgs, lt.Layer)
+						}
+					}},
+					{"moved", moved, func(lt kylix.LayerTraffic) {
+						if extra := lt.Bytes - 2*lt.Msgs; extra <= 0 || extra > full[lt.Layer]/4 {
+							t.Errorf("%v %s: one moved index re-shipped %d bytes beyond the markers at layer %d (a full pass is %d)", tr, start, extra, lt.Layer, full[lt.Layer])
+						}
+					}},
+				} {
+					note(red.Reconfigure(pass.gen[r], pass.gen[r]))
+					configRows(r, pass.check)
+					if got := red.ConfigDigest(); got != want[pass.name][r] {
+						t.Errorf("%v %s rank %d: digest %#x after Reconfigure(%s), fresh Configure %#x", tr, start, r, got, pass.name, want[pass.name][r])
+					}
+					res, rerr := red.Reduce(valsOf(pass.gen[r]))
+					note(rerr)
+					if rerr == nil && !matchesDense(res, pass.gen, r) {
+						t.Errorf("%v %s rank %d: Reduce after Reconfigure(%s) differs from the dense sum", tr, start, r, pass.name)
+					}
+					configRows(r, nil)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 			cluster.Close()
 		}

@@ -32,8 +32,9 @@ profile:
 	$(GO) run ./cmd/kylix-bench -scale quick -exp fig6,fig8 -cpuprofile cpu.pprof -memprofile mem.pprof
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
 
-# A quick pass over the fault fabric's determinism fuzzer and the payload
-# decoder's.
+# A quick pass over the fault fabric's determinism fuzzer, the payload
+# decoder's and the TCP frame reader's.
 fuzz:
 	$(GO) test -run FuzzDecide -fuzz FuzzDecide -fuzztime 10s ./internal/faultnet/
 	$(GO) test -run FuzzDecodePayload -fuzz FuzzDecodePayload -fuzztime 10s ./internal/comm/
+	$(GO) test -run FuzzFrameStream -fuzz FuzzFrameStream -fuzztime 10s ./internal/tcpnet/

@@ -44,7 +44,7 @@ type Mailbox struct {
 	// dropped: the losers of a replica race (§V-B cancellation).
 	discard map[mailKey]struct{}
 	// deadStreams marks closed stream namespaces. Deliveries into a
-	// dead stream are dropped (late TCP resend-ring replays and
+	// dead stream are dropped (late TCP window replays and
 	// faultnet-delayed frames must not re-leak index entries), and
 	// blocked receives on it fail with ErrStreamClosed. Lazily
 	// allocated: single-tenant mailboxes never pay for the map.
@@ -434,7 +434,7 @@ func (m *Mailbox) Close() {
 // tag belongs to the stream are dropped, their pending-sender index
 // entries purged (the index-leak fix — tags indexed but never drained
 // used to leave stale byTag entries forever), discard marks released,
-// and the stream marked dead so late deliveries (TCP resend-ring
+// and the stream marked dead so late deliveries (TCP window
 // replays, faultnet-delayed frames) are dropped instead of re-leaking.
 // Blocked receives on the stream wake and fail with ErrStreamClosed.
 // Closing DefaultStream is a no-op: stream 0 is the single-tenant

@@ -74,10 +74,9 @@ type genBufs struct {
 // are quiescent by then — any rank entering round N has completed round
 // N-1, which required a message from every group member at every layer,
 // which those members only send after finishing round N-2 and therefore
-// after consuming every round-N-2 payload addressed to them. (Send-side
-// transports either finish reading a payload before the receiver can
-// complete the round it belongs to, or deep-copy it up front, so the
-// same bound covers them.) The generation-independent receive state —
+// after consuming every round-N-2 payload addressed to them (tcpnet
+// copies a payload before Send returns and is outside the argument).
+// The generation-independent receive state —
 // singleton receive groups, the arrival-order staging slots and their
 // duplicate-delivery guards — is the machine-level cfgScratch's: one
 // goroutine per machine, and each layer clears what it uses.

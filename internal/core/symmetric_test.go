@@ -128,14 +128,6 @@ func TestSymmetricLayersMatchGeneralPath(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		for _, degrees := range [][]int{{2, 2, 2}, {4, 2}} {
 			t.Run(fmt.Sprintf("tcp=%v/%v", tcp, degrees), func(t *testing.T) {
-				if tcp && raceEnabled {
-					// A rank whose layers all stayed fast keeps its arena across
-					// a Reconfigure and reuses a send buffer two rounds after
-					// tcpnet's writer goroutine encoded it. The peers' replies
-					// that let the rank get that far order the two accesses, but
-					// the race detector sees no happens-before through a socket.
-					t.Skip("arena reuse over TCP is ordered by protocol causality the race detector cannot see")
-				}
 				bf := topo.MustNew(degrees)
 				rng := rand.New(rand.NewSource(41))
 				aliased := symmetricWorkloads(rng, bf.M(), space, 60)

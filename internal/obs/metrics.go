@@ -296,8 +296,8 @@ func (r *Registry) String() string {
 }
 
 // TransportMetrics bundles the transport-level counters the TCP layer
-// maintains: the reconnect machinery, the resend ring and the
-// receiver-side sequence dedup. Constructed by NewTransportMetrics so
+// maintains: the reconnect machinery, the ack-trimmed send windows and
+// the receiver-side sequence dedup. Constructed by NewTransportMetrics so
 // transports can increment unconditionally — a nil registry yields
 // live, unregistered metrics with identical cost.
 type TransportMetrics struct {
@@ -305,7 +305,7 @@ type TransportMetrics struct {
 	// peer stream (first-dial retries included).
 	ReconnectAttempts *Counter
 	// Reconnects counts streams successfully (re)established, each of
-	// which replayed the resend ring.
+	// which replayed its window's un-acked frames.
 	Reconnects *Counter
 	// StreamsLost counts peers declared dead after the reconnect budget
 	// was exhausted.
@@ -313,16 +313,21 @@ type TransportMetrics struct {
 	// DedupHits counts replayed frames the receiver dropped because
 	// their sequence number was already delivered.
 	DedupHits *Counter
-	// ResendRingHigh is the high-watermark frame occupancy across all
-	// peer resend rings.
-	ResendRingHigh *Gauge
+	// WindowBytesHigh is the high-watermark of un-acked bytes (headers
+	// included) across all peer send windows.
+	WindowBytesHigh *Gauge
+	// AcksBare counts header-only frames: acks that found no frame of
+	// the reverse stream to ride on, and the stall probes that ask for one.
+	AcksBare *Counter
+	// SendBlocked counts Sends that waited for an ack at a full window.
+	SendBlocked *Counter
 	// ReconnectRetries is the per-outage distribution of dial attempts:
 	// one sample each time a stream is re-established or given up on,
 	// recording how many dials the outage cost. An endless-reconnect
 	// loop against a departed peer shows up here as a fat tail.
 	ReconnectRetries *Histogram
-	// FramesSent counts frames first handed to the wire by the batching
-	// writer (reconnect replays not included).
+	// FramesSent counts data frames first handed to the wire by the
+	// batching writer (reconnect replays and bare acks not included).
 	FramesSent *Counter
 	// FramesBatched counts frames that left in a coalesced batch with at
 	// least one other frame — the wins of the writev gather path.
@@ -341,7 +346,9 @@ func NewTransportMetrics(r *Registry) *TransportMetrics {
 		Reconnects:        r.Counter("tcp_reconnects"),
 		StreamsLost:       r.Counter("tcp_streams_lost"),
 		DedupHits:         r.Counter("tcp_dedup_hits"),
-		ResendRingHigh:    r.Gauge("tcp_resend_ring_high"),
+		WindowBytesHigh:   r.Gauge("tcp_window_bytes_high"),
+		AcksBare:          r.Counter("tcp_acks_bare"),
+		SendBlocked:       r.Counter("tcp_send_blocked"),
 		ReconnectRetries:  r.Histogram("tcp_reconnect_retries"),
 		FramesSent:        r.Counter("tcp_frames_sent"),
 		FramesBatched:     r.Counter("tcp_frames_batched"),

@@ -25,19 +25,32 @@ func (c *sinkConn) SetDeadline(time.Time) error      { return nil }
 func (c *sinkConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *sinkConn) SetWriteDeadline(time.Time) error { return nil }
 
+// testFrame builds a window frame by hand: header (ack left zero) and
+// payload bytes in one buffer, as push lays them out.
+func testFrame(seq uint64, tag comm.Tag, data string) []byte {
+	f := append(make([]byte, hdrSize), data...)
+	putHeader(f, tag, seq)
+	return f
+}
+
 func TestBatcherGatherWritesFrames(t *testing.T) {
 	m := obs.NewTransportMetrics(nil)
-	b := newBatcher(4096, 1<<20, m)
-	frames := []stamped{
-		{seq: 1, tag: comm.MakeTag(comm.KindApp, 0, 0), data: []byte("alpha")},
-		{seq: 2, tag: comm.MakeTag(comm.KindApp, 0, 1), data: []byte("b")},
-		{seq: 3, tag: comm.MakeTag(comm.KindApp, 1, 2), data: []byte("gamma-long-payload")},
+	b := newBatcher(1<<20, m)
+	frames := []struct {
+		seq  uint64
+		tag  comm.Tag
+		data string
+	}{
+		{1, comm.MakeTag(comm.KindApp, 0, 0), "alpha"},
+		{2, comm.MakeTag(comm.KindApp, 0, 1), "b"},
+		{3, comm.MakeTag(comm.KindApp, 1, 2), "gamma-long-payload"},
 	}
-	for _, s := range frames {
-		b.stage(s)
+	const ack = 77
+	for _, f := range frames {
+		b.stage(testFrame(f.seq, f.tag, f.data), ack)
 	}
 	sink := &sinkConn{}
-	if !b.flush(sink) {
+	if !b.flush(sink, len(frames)) {
 		t.Fatal("flush failed on healthy conn")
 	}
 	if b.nf != 0 || b.bytes != 0 {
@@ -57,11 +70,14 @@ func TestBatcherGatherWritesFrames(t *testing.T) {
 		if int(size) != len(want.data) || tag != want.tag || seq != want.seq {
 			t.Fatalf("frame %d header mismatch: size=%d tag=%v seq=%d", i, size, tag, seq)
 		}
+		if got := binary.LittleEndian.Uint64(hdr[24:32]); got != ack {
+			t.Fatalf("frame %d carries ack %d, want %d", i, got, ack)
+		}
 		data := make([]byte, size)
 		if _, err := io.ReadFull(r, data); err != nil {
 			t.Fatalf("frame %d payload: %v", i, err)
 		}
-		if !bytes.Equal(data, want.data) || crc != crc32.Checksum(data, castagnoli) {
+		if string(data) != want.data || crc != crc32.Checksum(data, castagnoli) {
 			t.Fatalf("frame %d payload corrupted", i)
 		}
 	}
@@ -79,9 +95,10 @@ func TestBatcherGatherWritesFrames(t *testing.T) {
 	}
 
 	// A single-frame batch counts the syscall and the frame but is not
-	// "batched"; an empty flush counts nothing.
-	b.stage(stamped{seq: 4, tag: frames[0].tag, data: []byte("solo")})
-	if !b.flush(sink) || !b.flush(sink) {
+	// "batched"; an empty flush counts nothing; a replayed frame (fresh 0)
+	// and a bare ack cost a syscall and are not "sent".
+	b.stage(testFrame(4, frames[0].tag, "solo"), ack)
+	if !b.flush(sink, 1) || !b.flush(sink, 0) {
 		t.Fatal("flush failed")
 	}
 	if got := m.FramesBatched.Value(); got != 3 {
@@ -90,44 +107,43 @@ func TestBatcherGatherWritesFrames(t *testing.T) {
 	if got, want := m.WritevCalls.Value(), int64(2); got != want {
 		t.Fatalf("WritevCalls = %d, want %d (empty flush must not count)", got, want)
 	}
+	b.stage(testFrame(4, frames[0].tag, "solo"), ack)
+	b.flush(sink, 0)
+	b.stage(b.bare[:], ack)
+	b.flush(sink, 0)
+	if sent, writev := m.FramesSent.Value(), m.WritevCalls.Value(); sent != 4 || writev != 4 {
+		t.Fatalf("after a replay and a bare ack: FramesSent = %d (want 4), WritevCalls = %d (want 4)", sent, writev)
+	}
 }
 
 func TestBatcherCapacityClamps(t *testing.T) {
 	m := obs.NewTransportMetrics(nil)
-	// Frame cap clamps to the resend ring so an eviction can never
-	// recycle a buffer still staged in the open batch.
-	b := newBatcher(2, 1<<20, m)
-	if b.maxF != 2 {
-		t.Fatalf("maxF = %d, want ring capacity 2", b.maxF)
+	// Frame cap: one iovec a frame, closed at maxBatchFrames.
+	b := newBatcher(1<<20, m)
+	for i := 1; i < maxBatchFrames; i++ {
+		b.stage(testFrame(uint64(i), 0, "x"), 0)
 	}
-	b.stage(stamped{seq: 1, data: []byte("x")})
 	if b.full() {
-		t.Fatal("full after 1 of 2 frames")
+		t.Fatalf("full after %d of %d frames", maxBatchFrames-1, maxBatchFrames)
 	}
-	b.stage(stamped{seq: 2, data: []byte("y")})
+	b.stage(testFrame(maxBatchFrames, 0, "y"), 0)
 	if !b.full() {
-		t.Fatal("not full at ring capacity")
+		t.Fatal("not full at maxBatchFrames")
 	}
 
 	// Byte cap: MaxBatchBytes 1 closes the batch at the first frame.
-	b2 := newBatcher(4096, 1, m)
-	b2.stage(stamped{seq: 1, data: []byte("payload")})
+	b2 := newBatcher(1, m)
+	b2.stage(testFrame(1, 0, "payload"), 0)
 	if !b2.full() {
 		t.Fatal("not full past MaxBatchBytes")
-	}
-
-	// Degenerate ring still yields a working single-frame batcher.
-	if b3 := newBatcher(0, 1<<20, m); b3.maxF != 1 {
-		t.Fatalf("maxF = %d, want 1 for empty ring", b3.maxF)
 	}
 }
 
 func TestWireCoalescingCountsBatches(t *testing.T) {
 	m := obs.NewTransportMetrics(nil)
 	nodes := testCluster(t, 2, Options{Metrics: m})
-	// Establish the stream so later bursts hit the live batching path
-	// (frames queued before the first dial are replayed from the ring,
-	// outside the batch counters).
+	// Establish the stream so the bursts below are the only traffic in
+	// flight.
 	warm := comm.MakeTag(comm.KindApp, 0, 0)
 	if err := nodes[0].Send(1, warm, &comm.Bytes{Data: []byte("warm")}); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package tcpnet
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -16,14 +15,18 @@ import (
 
 // flakyProxy sits between a sender and a real node's listener,
 // forwarding bytes until told to sever every live connection — the
-// mid-stream fault the reconnect/replay machinery must absorb.
+// mid-stream fault the reconnect/replay machinery must absorb — to stop
+// forwarding while keeping the connections open (a receiver that stopped
+// reading), or to drop off the network altogether (a stream held down).
 type flakyProxy struct {
-	ln      net.Listener
 	backend string
 
-	mu    sync.Mutex
-	conns []net.Conn
-	down  bool
+	mu     sync.Mutex
+	gate   sync.Cond // forwarders wait here while paused
+	ln     net.Listener
+	conns  []net.Conn
+	down   bool
+	paused bool
 }
 
 func newFlakyProxy(t *testing.T, backend string) *flakyProxy {
@@ -33,16 +36,17 @@ func newFlakyProxy(t *testing.T, backend string) *flakyProxy {
 		t.Fatal(err)
 	}
 	p := &flakyProxy{ln: ln, backend: backend}
-	go p.acceptLoop()
+	p.gate.L = &p.mu
+	go p.acceptLoop(ln)
 	t.Cleanup(p.close)
 	return p
 }
 
 func (p *flakyProxy) addr() string { return p.ln.Addr().String() }
 
-func (p *flakyProxy) acceptLoop() {
+func (p *flakyProxy) acceptLoop(ln net.Listener) {
 	for {
-		in, err := p.ln.Accept()
+		in, err := ln.Accept()
 		if err != nil {
 			return
 		}
@@ -60,8 +64,31 @@ func (p *flakyProxy) acceptLoop() {
 		}
 		p.conns = append(p.conns, in, out)
 		p.mu.Unlock()
-		go func() { _, _ = io.Copy(out, in); _ = out.Close() }()
-		go func() { _, _ = io.Copy(in, out); _ = in.Close() }()
+		go p.forward(out, in)
+		go p.forward(in, out)
+	}
+}
+
+// forward copies src to dst until either side fails, holding the bytes
+// it has read for as long as the proxy is paused.
+func (p *flakyProxy) forward(dst, src net.Conn) {
+	defer dst.Close()
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := src.Read(buf)
+		p.mu.Lock()
+		for p.paused && !p.down {
+			p.gate.Wait()
+		}
+		p.mu.Unlock()
+		if n > 0 {
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
 	}
 }
 
@@ -75,17 +102,98 @@ func (p *flakyProxy) breakNow() {
 	p.mu.Unlock()
 }
 
-func (p *flakyProxy) close() {
+// pause stops (or resumes) forwarding; connections stay open.
+func (p *flakyProxy) pause(on bool) {
 	p.mu.Lock()
-	p.down = true
+	p.paused = on
 	p.mu.Unlock()
+	p.gate.Broadcast()
+}
+
+// hold takes the proxy off the network: live connections are severed
+// and dials refused until resume listens on the same address again.
+func (p *flakyProxy) hold() {
 	_ = p.ln.Close()
 	p.breakNow()
 }
 
+func (p *flakyProxy) resume(t *testing.T) {
+	t.Helper()
+	ln, err := net.Listen("tcp", p.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ln = ln
+	go p.acceptLoop(ln)
+}
+
+func (p *flakyProxy) close() {
+	p.mu.Lock()
+	p.down = true
+	p.mu.Unlock()
+	p.gate.Broadcast()
+	_ = p.ln.Close()
+	p.breakNow()
+}
+
+// waitFor polls until cond holds; the test fails if it never does.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestSendCopiesPayloadBeforeReturning is the regression test for the
+// stale-reference bug: a frame used to wait for its stream as a bare
+// payload reference, so when §V racing let the rank run ahead on the
+// other replica's copies the arena refilled the buffer and the reconnect
+// shipped round-N+2 values in a round-N frame — silent replica
+// divergence. A frame must carry the values it was sent with.
+func TestSendCopiesPayloadBeforeReturning(t *testing.T) {
+	recv, err := Listen(1, []string{"127.0.0.1:0", "127.0.0.1:0"}, Options{RecvTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recv.Close()
+	proxy := newFlakyProxy(t, recv.Addr())
+	proxy.hold()
+	m := obs.NewTransportMetrics(nil)
+	send, err := Listen(0, []string{"127.0.0.1:0", proxy.addr()}, Options{RecvTimeout: 10 * time.Second, Metrics: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer send.Close()
+
+	if err := send.Send(1, comm.MakeTag(comm.KindApp, 0, 0), &comm.Floats{Vals: []float32{0}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the writer to be redialing a refused stream", func() bool { return m.ReconnectAttempts.Value() >= 2 })
+	vals := []float32{1, 2, 3, 4}
+	tag := comm.MakeTag(comm.KindApp, 0, 1)
+	if err := send.Send(1, tag, &comm.Floats{Vals: vals}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals { // the arena refilling its buffer two rounds later
+		vals[i] = -1
+	}
+	proxy.resume(t)
+	p, err := recv.Recv(0, tag)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range p.(*comm.Floats).Vals {
+		if v != float32(i+1) {
+			t.Fatalf("received %v, sent [1 2 3 4]: the frame shipped the caller's later values", p.(*comm.Floats).Vals)
+		}
+	}
+}
+
 // TestReconnectRedeliversAcrossBreaks is the transport-hardening
 // centrepiece: a stream severed twice mid-burst must lose nothing and
-// duplicate nothing — the writer reconnects and replays its ring, the
+// duplicate nothing — the writer reconnects and replays its un-acked window, the
 // receiver dedups by sequence number.
 func TestReconnectRedeliversAcrossBreaks(t *testing.T) {
 	recv, err := Listen(1, []string{"127.0.0.1:0", "127.0.0.1:0"}, Options{RecvTimeout: 10 * time.Second})

@@ -254,7 +254,7 @@ func ServeMetrics(addr string, o *Observatory) (*MetricsServer, error) {
 }
 
 // WithObservability enables the runtime observability layer: per-layer
-// spans on every pass, transport metrics (reconnects, resend-ring
+// spans on every pass, transport metrics (reconnects, send-window
 // occupancy, dedup hits, receive waits) and fault-event timelines.
 // Access the data via Cluster.Metrics / Cluster.Observability (or
 // Node.Observability for ListenNode), export with

@@ -33,8 +33,9 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
 
 # A quick pass over the fault fabric's determinism fuzzer, the payload
-# decoder's and the TCP frame reader's.
+# decoder's, the mailbox model's and the TCP frame reader's.
 fuzz:
 	$(GO) test -run FuzzDecide -fuzz FuzzDecide -fuzztime 10s ./internal/faultnet/
 	$(GO) test -run FuzzDecodePayload -fuzz FuzzDecodePayload -fuzztime 10s ./internal/comm/
+	$(GO) test -run FuzzMailbox -fuzz FuzzMailbox -fuzztime 10s ./internal/comm/
 	$(GO) test -run FuzzFrameStream -fuzz FuzzFrameStream -fuzztime 10s ./internal/tcpnet/

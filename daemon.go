@@ -82,9 +82,9 @@ func (n *Node) Stream(id uint16, opts ...Option) (*Node, error) {
 }
 
 // CloseStream purges the given tenant stream's namespace from this
-// machine's transport mailbox: queued messages are dropped, the
-// pending-sender index entries are removed, and late deliveries (TCP
-// resend replays) into the dead namespace are discarded from then on.
+// machine's transport mailbox: queued messages are dropped, their tags
+// leave the pending index, and late deliveries (TCP resend replays)
+// into the dead namespace are discarded from then on.
 // Collective: every machine must close the same streams. Only
 // meaningful on nodes with a real transport (ListenNode); in-process
 // clusters purge through Stream.Close.

@@ -16,7 +16,7 @@
 //     map iteration order escape into a slice without a sort — the
 //     bit-exact replay contract behind the fault fabric and
 //     reorder_test.go.
-//   - commcheck: comm.Endpoint Send/Recv/RecvAny/RecvGroup/Close and the
+//   - commcheck: comm.Endpoint Send/Recv/RecvGroup/Close and the
 //     root stream API's Run/Configure/Close error results must be
 //     consumed, and tag arguments must be built from named constants or
 //     comm.MakeTag, never untyped integer literals.

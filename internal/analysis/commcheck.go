@@ -7,7 +7,7 @@ import (
 
 // CommCheck enforces transport-API hygiene on comm.Endpoint users:
 //
-//   - The error results of Send, Recv, RecvAny, RecvGroup and Close
+//   - The error results of Send, Recv, RecvGroup and Close
 //     must be consumed. Since the fault-tolerance work, these errors
 //     carry real protocol state — sticky stream failures surface on
 //     Close, timeouts arrive as structured *comm.TimeoutError — and a
@@ -40,7 +40,7 @@ var CommCheck = &Analyzer{
 // endpointMethods are the comm.Endpoint methods whose error results are
 // load-bearing.
 var endpointMethods = map[string]bool{
-	"Send": true, "Recv": true, "RecvAny": true, "RecvGroup": true, "Close": true,
+	"Send": true, "Recv": true, "RecvGroup": true, "Close": true,
 }
 
 const commPkgPath = "kylix/internal/comm"

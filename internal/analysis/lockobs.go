@@ -17,12 +17,11 @@ import (
 //
 // The analysis is lexical, per function, with branch-local state: after
 // `mu.Lock()` the mutex is held; `mu.Unlock()` inside a branch releases
-// it for that branch only (the unlock-then-observe-then-return shape
-// the mailbox uses everywhere); `defer mu.Unlock()` keeps the section
-// open to the end of the function. Only mutexes matched by field name
-// against an //kylix:obsfree annotation participate — obs-internal
-// mutexes (e.g. the tracer ring's own lock) are free to guard their own
-// state.
+// it for that branch only (the unlock-then-observe-then-return
+// shape); `defer mu.Unlock()` keeps the section open to the end of the
+// function. Only mutexes matched by field name against an
+// //kylix:obsfree annotation participate — obs-internal mutexes (e.g.
+// the tracer ring's own lock) are free to guard their own state.
 var LockObs = &Analyzer{
 	Name: "lockobs",
 	Doc:  "observability hooks must not be called while an //kylix:obsfree mutex is held",

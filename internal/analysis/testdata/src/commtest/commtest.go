@@ -12,8 +12,9 @@ import (
 const tagProbe comm.Tag = 1<<60 | 7
 
 func Dropped(ep comm.Endpoint, tag comm.Tag, p comm.Payload) {
-	ep.Send(1, tag, p) // want "Send error discarded"
-	defer ep.Close()   // want "Close error discarded"
+	ep.Send(1, tag, p)              // want "Send error discarded"
+	ep.RecvGroup([][]int{{1}}, tag) // want "RecvGroup error discarded"
+	defer ep.Close()                // want "Close error discarded"
 }
 
 func DroppedInGoroutine(ep comm.Endpoint, tag comm.Tag) {

@@ -6,8 +6,9 @@
 //
 // The design mirrors the paper's §VI-B implementation notes: sends are
 // asynchronous and never block on the receiver (opportunistic
-// communication), receives match on (sender, tag), and RecvAny provides
-// the "first replica wins" racing primitive of §V-B.
+// communication), receives match on (sender, tag), and RecvGroup is both
+// the any-source, arrival-order receive and — given a group of replicas
+// — the "first replica wins" racing primitive of §V-B.
 package comm
 
 import (
@@ -193,7 +194,7 @@ type TimeoutError struct {
 	// Tag is the matched-receive signature that never arrived.
 	Tag Tag
 	// From lists the sender ranks the receive was waiting on (one for
-	// Recv, several for a RecvAny replica race).
+	// Recv, every group member for RecvGroup).
 	From []int
 	// Elapsed is how long the receiver actually waited.
 	Elapsed time.Duration
@@ -224,11 +225,6 @@ type Endpoint interface {
 	Send(to int, tag Tag, p Payload) error
 	// Recv blocks for the message sent by `from` with tag `tag`.
 	Recv(from int, tag Tag) (Payload, error)
-	// RecvAny blocks until any one of the listed senders delivers a
-	// message with the tag, returning the winner's rank. Late duplicate
-	// arrivals with the same tag from the losing senders are discarded
-	// by the transport (the §V-B packet race cancellation).
-	RecvAny(froms []int, tag Tag) (int, Payload, error)
 	// RecvGroup blocks until a message with the tag arrives from any
 	// sender in any of the groups, returning the winning sender's rank.
 	// A win cancels only the winner's own group — late copies from its

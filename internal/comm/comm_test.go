@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -164,14 +165,6 @@ func roundTrip(t *testing.T, p Payload) Payload {
 	return q
 }
 
-func TestKeysPayloadRoundTrip(t *testing.T) {
-	p := &Keys{Keys: sparse.MustNewSet([]int32{1, 5, 9})}
-	q := roundTrip(t, p).(*Keys)
-	if !q.Keys.Equal(p.Keys) {
-		t.Fatal("keys mismatch")
-	}
-}
-
 func TestFloatsPayloadRoundTrip(t *testing.T) {
 	p := &Floats{Vals: []float32{1.5, -2.25, 0}}
 	q := roundTrip(t, p).(*Floats)
@@ -199,7 +192,7 @@ func TestBytesPayloadRoundTrip(t *testing.T) {
 }
 
 func TestEmptyPayloads(t *testing.T) {
-	for _, p := range []Payload{&Keys{}, &Floats{}, &KeysVals{}, &Bytes{}, &ConfigPiece{}, &ConfigPiece{HasVals: true}, &ConfigPiece{InSame: true, OutSame: true}, &Control{}, &StreamCtl{}} {
+	for _, p := range []Payload{&Floats{}, &KeysVals{}, &Bytes{}, &ConfigPiece{}, &ConfigPiece{HasVals: true}, &ConfigPiece{InSame: true, OutSame: true}, &Control{}, &StreamCtl{}} {
 		roundTrip(t, p)
 	}
 }
@@ -402,6 +395,23 @@ func TestMailboxBasic(t *testing.T) {
 	}
 }
 
+// waitParked returns once n receivers are blocked in mb's wait loop, so
+// what the test does next is seen by receivers that were waiting for it.
+func waitParked(t *testing.T, mb *Mailbox, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
+		mb.mu.Lock()
+		parked := mb.parked
+		mb.mu.Unlock()
+		if parked == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d receivers parked, want %d", parked, n)
+		}
+	}
+}
+
 func TestMailboxBlocksUntilDelivery(t *testing.T) {
 	mb := NewMailbox(5 * time.Second)
 	tag := MakeTag(KindReduce, 0, 0)
@@ -414,7 +424,7 @@ func TestMailboxBlocksUntilDelivery(t *testing.T) {
 		}
 		done <- p
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitParked(t, mb, 1)
 	mb.Deliver(7, tag, &Floats{Vals: []float32{1}})
 	select {
 	case p := <-done:
@@ -453,11 +463,14 @@ func TestMailboxTimeout(t *testing.T) {
 
 func TestMailboxClose(t *testing.T) {
 	mb := NewMailbox(0)
+	errc := make(chan error, 1)
 	go func() {
-		time.Sleep(10 * time.Millisecond)
-		mb.Close()
+		_, err := mb.Recv(0, MakeTag(KindConfig, 0, 0))
+		errc <- err
 	}()
-	if _, err := mb.Recv(0, MakeTag(KindConfig, 0, 0)); err != ErrClosed {
+	waitParked(t, mb, 1)
+	mb.Close()
+	if err := <-errc; err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
 	// Deliveries after close are dropped without panic.
@@ -481,11 +494,11 @@ func TestMailboxFIFOPerSender(t *testing.T) {
 	}
 }
 
-func TestMailboxRecvAnyRace(t *testing.T) {
+func TestMailboxRecvGroupRace(t *testing.T) {
 	mb := NewMailbox(time.Second)
 	tag := MakeTag(KindReduce, 1, 3)
 	mb.Deliver(5, tag, &Bytes{Data: []byte("winner")})
-	from, p, err := mb.RecvAny([]int{2, 5, 9}, tag)
+	from, p, err := mb.RecvGroup([][]int{{2, 5, 9}}, tag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -500,12 +513,12 @@ func TestMailboxRecvAnyRace(t *testing.T) {
 	}
 }
 
-func TestMailboxRecvAnyDoesNotCancelOtherTags(t *testing.T) {
+func TestMailboxRecvGroupDoesNotCancelOtherTags(t *testing.T) {
 	mb := NewMailbox(time.Second)
 	tagA := MakeTag(KindReduce, 1, 0)
 	tagB := MakeTag(KindReduce, 1, 1)
 	mb.Deliver(5, tagA, &Bytes{})
-	if _, _, err := mb.RecvAny([]int{2, 5}, tagA); err != nil {
+	if _, _, err := mb.RecvGroup([][]int{{2, 5}}, tagA); err != nil {
 		t.Fatal(err)
 	}
 	// Sender 2 lost the race for tagA, but its tagB messages still flow.
@@ -515,24 +528,10 @@ func TestMailboxRecvAnyDoesNotCancelOtherTags(t *testing.T) {
 	}
 }
 
-func TestMailboxResetDiscards(t *testing.T) {
-	mb := NewMailbox(time.Second)
-	tag := MakeTag(KindGather, 0, 0)
-	mb.Deliver(1, tag, &Bytes{})
-	if _, _, err := mb.RecvAny([]int{1, 2}, tag); err != nil {
-		t.Fatal(err)
-	}
-	mb.ResetDiscards()
-	mb.Deliver(2, tag, &Bytes{})
-	if _, err := mb.Recv(2, tag); err != nil {
-		t.Fatal("delivery after ResetDiscards dropped")
-	}
-}
-
-// TestMailboxCloseStreamPurgesIndex is the satellite-1 leak
-// regression: a stream closed with undelivered (indexed, never
-// drained) messages must leave no stale entries in the pending-sender
-// index, no queued payloads, and no discard marks.
+// TestMailboxCloseStreamPurgesIndex is the leak regression: a stream
+// closed with undelivered (indexed, never drained) messages must leave
+// no entries in the pending index, no queued payloads, and no
+// cancellation marks.
 func TestMailboxCloseStreamPurgesIndex(t *testing.T) {
 	mb := NewMailbox(time.Second)
 	const s = StreamID(7)
@@ -542,11 +541,14 @@ func TestMailboxCloseStreamPurgesIndex(t *testing.T) {
 			mb.Deliver(from, MakeStreamTag(s, KindReduce, layer, 0), &Bytes{Data: []byte("leak")})
 		}
 	}
-	// A replica race leaves discard marks for the losers too.
+	// A replica race leaves a mark for the loser whose copy is in flight.
 	raceTag := MakeStreamTag(s, KindGather, 0, 1)
 	mb.Deliver(1, raceTag, &Bytes{})
-	if _, _, err := mb.RecvAny([]int{1, 2}, raceTag); err != nil {
+	if _, _, err := mb.RecvGroup([][]int{{1, 2}}, raceTag); err != nil {
 		t.Fatal(err)
+	}
+	if len(mb.discard) != 1 {
+		t.Fatalf("precondition: %d cancellation marks, want 1", len(mb.discard))
 	}
 	// Traffic on another stream must survive the close untouched.
 	otherTag := MakeStreamTag(8, KindReduce, 0, 0)
@@ -560,7 +562,10 @@ func TestMailboxCloseStreamPurgesIndex(t *testing.T) {
 		t.Fatalf("%d messages retained after CloseStream", n)
 	}
 	if n := mb.IndexedTags(); n != 1 { // only otherTag remains
-		t.Fatalf("pending-sender index has %d entries after CloseStream, want 1", n)
+		t.Fatalf("pending index has %d tags after CloseStream, want 1", n)
+	}
+	if n := len(mb.discard); n != 0 {
+		t.Fatalf("%d cancellation marks retained after CloseStream", n)
 	}
 	// Late deliveries (resend-ring replays, faultnet delays) are dropped
 	// rather than re-leaking index entries.
@@ -590,14 +595,14 @@ func TestMailboxCloseStreamWakesReceivers(t *testing.T) {
 		errc <- err
 	}()
 	go func() {
-		_, _, err := mb.RecvAny([]int{0, 1}, MakeStreamTag(s, KindReduce, 1, 0))
+		_, _, err := mb.RecvGroup([][]int{{0, 1}}, MakeStreamTag(s, KindReduce, 1, 0))
 		errc <- err
 	}()
 	go func() {
 		_, _, err := mb.RecvGroup([][]int{{0}, {1}}, MakeStreamTag(s, KindGather, 0, 0))
 		errc <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitParked(t, mb, 3)
 	mb.CloseStream(s)
 	for i := 0; i < 3; i++ {
 		select {
@@ -652,7 +657,7 @@ func TestMailboxConcurrentStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(s)))
 			for i := 0; i < msgs; i++ {
 				if rng.Intn(4) == 0 {
-					time.Sleep(time.Microsecond)
+					runtime.Gosched()
 				}
 				mb.Deliver(s, MakeTag(KindApp, 0, uint32(i)), &Floats{Vals: []float32{float32(s*1000 + i)}})
 			}

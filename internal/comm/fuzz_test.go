@@ -62,7 +62,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			Data: make([]byte, sparse.QuantizedSize(sparse.QuantINT8, len(vals)))}
 		sparse.QuantizeINT8(qi.Data, vals, nil)
 		payloads := []Payload{
-			&Keys{Keys: keys},
+			&ConfigPiece{In: keys},
 			&Floats{Vals: vals},
 			&KeysVals{Keys: keys, Vals: vals},
 			&Bytes{Data: data},
@@ -134,7 +134,7 @@ func FuzzDecodePayload(f *testing.F) {
 		&Floats{Vals: []float32{1, -2.5}},
 		&KeysVals{Keys: keys, Vals: []float32{1, 2, 3, 4, 5, 6}},
 		&Bytes{Data: []byte("abc")},
-		&Keys{Keys: keys},
+		&ConfigPiece{In: keys},
 		&ConfigPiece{In: keys, Out: keys[:2]},
 		&ConfigPiece{In: keys, Out: keys[:2], HasVals: true, Vals: []float32{7, 8}},
 		&ConfigPiece{InSame: true, Out: keys},
@@ -151,10 +151,15 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{11, 0, 0, 0})                // same-marker layout with no marker set
 	f.Add([]byte{11, 4, 0})                   // undefined flag
 	f.Add([]byte{9, 0x80, 0, 0})              // padded varint
-	f.Add([]byte{8, 3, 1, 3, 3})              // one run of two spelled as two runs
+	f.Add([]byte{9, 3, 1, 3, 3, 0})           // one run of two spelled as two runs
 	f.Add([]byte{10, 0, 0, 1, 0, 0, 0, 0, 9}) // trailing byte
+	// What the retired Keys payload encoded to: refused, like 1, 6 and 7.
+	f.Add(sparse.AppendCompressed([]byte{8}, keys))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePayload(data)
+		if err == nil && (data[0] == 1 || data[0] >= 6 && data[0] <= 8) {
+			t.Fatalf("discriminator %d no encoder emits decoded as %T", data[0], p)
+		}
 		if err != nil {
 			return
 		}

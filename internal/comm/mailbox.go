@@ -5,43 +5,103 @@ import (
 	"time"
 )
 
-// mailKey matches an incoming message to a waiting receive.
+// mailKey names one sender's slot under a tag.
 type mailKey struct {
 	from int
 	tag  Tag
 }
 
-// maxFreeQueues bounds the recycled queue-slice pool. Steady-state
-// protocol traffic keeps at most a handful of (sender, tag) queues live
-// at once; the bound only matters after a pathological burst.
+// entry is one undelivered message.
+type entry struct {
+	from int
+	p    Payload
+}
+
+// tagQueue is one tag's undelivered messages in arrival order, which is
+// FIFO per sender — the only order anything relies on. The live entries
+// are q[head:]: taking the oldest entry advances head, so a control tag
+// with hundreds of messages queued drains in constant time each, and
+// any other entry is removed by copying its successors down. The slice
+// is never resliced from the front, which would shave capacity off a
+// recycled queue until every round allocated a new one.
+type tagQueue struct {
+	q    []entry
+	head int
+}
+
+// push appends an arrival. A queue that never drains (a fixed control
+// tag under steady traffic) would grow by its consumed prefix forever;
+// once that prefix is half of a full slice, the live entries move down
+// over it instead of the slice growing.
+func (tq *tagQueue) push(e entry) {
+	if len(tq.q) == cap(tq.q) && tq.head > 0 && 2*tq.head >= len(tq.q) {
+		n := copy(tq.q, tq.q[tq.head:])
+		clear(tq.q[n:])
+		tq.q, tq.head = tq.q[:n], 0
+	}
+	//kylix:allow hotpathalloc:append -- q is a recycled queue from the free list; growth is amortized zero
+	tq.q = append(tq.q, e)
+}
+
+// remove deletes entry i (head <= i < len), keeping the order of the
+// rest and no reference to the payload.
+func (tq *tagQueue) remove(i int) {
+	if i == tq.head {
+		tq.q[i] = entry{}
+		tq.head++
+		return
+	}
+	last := len(tq.q) - 1
+	copy(tq.q[i:], tq.q[i+1:])
+	tq.q[last] = entry{}
+	tq.q = tq.q[:last]
+}
+
+// dropFrom deletes every entry of one sender and reports whether there
+// was any.
+func (tq *tagQueue) dropFrom(from int) bool {
+	n := tq.head
+	for _, e := range tq.q[tq.head:] {
+		if e.from != from {
+			tq.q[n] = e
+			n++
+		}
+	}
+	dropped := n < len(tq.q)
+	clear(tq.q[n:])
+	tq.q = tq.q[:n]
+	return dropped
+}
+
+// maxFreeQueues bounds the recycled queue pool. Steady-state protocol
+// traffic keeps at most a handful of tags live at once; the bound only
+// matters after a pathological burst.
 const maxFreeQueues = 128
 
 // Mailbox is the matched-receive buffer shared by all transports: an
-// unbounded per-(sender, tag) queue with blocking consumers. Sends into
-// a Mailbox never block, which realizes the paper's requirement that
-// nodes communicate opportunistically and never stall on slow peers.
+// unbounded queue of undelivered messages per tag with blocking
+// consumers. Sends into a Mailbox never block, which realizes the
+// paper's requirement that nodes communicate opportunistically and
+// never stall on slow peers.
 //
-// The steady-state receive path is allocation-free: emptied queue
-// slices are recycled through a small free list, and the timeout
-// machinery is one lazily started watchdog goroutine per Mailbox (not
-// per blocked receive), so a warm reduction round allocates nothing
-// here.
+// The steady-state receive path is allocation-free: an emptied queue is
+// recycled through a small free list, and the timeout machinery is one
+// lazily started watchdog goroutine per Mailbox (not per blocked
+// receive), so a warm reduction round allocates nothing here.
 type Mailbox struct {
 	//kylix:lock mailbox
-	mu     sync.Mutex //kylix:obsfree — observers fire after delivery state is settled and released
-	cond   *sync.Cond
-	queues map[mailKey][]Payload
-	free   [][]Payload // recycled backing slices for emptied queues
-	// byTag indexes the senders that have at least one pending message
-	// under each tag, so any-source receives find an available message
-	// in O(1) instead of probing every sender's queue key (quadratic in
-	// the group degree) or walking the whole pending map.
-	byTag    map[Tag][]int
-	freeTags [][]int // recycled backing slices for emptied byTag lists
-	closed   bool
-	timeout  time.Duration
-	// discard marks (from, tag) pairs whose future deliveries should be
-	// dropped: the losers of a replica race (§V-B cancellation).
+	mu   sync.Mutex //kylix:obsfree — observers fire after delivery state is settled and released
+	cond *sync.Cond
+	// pending is the one index of undelivered messages. A tag is present
+	// exactly while it has at least one.
+	pending map[Tag]*tagQueue
+	free    []*tagQueue // recycled when emptied, capacity intact
+	closed  bool
+	timeout time.Duration
+	// discard marks a (sender, tag) slot whose message is still in flight
+	// and must be dropped on arrival: the copy of a replica that lost its
+	// race (§V-B cancellation). Deliver releases the mark when it drops
+	// the copy.
 	discard map[mailKey]struct{}
 	// deadStreams marks closed stream namespaces. Deliveries into a
 	// dead stream are dropped (late TCP window replays and
@@ -49,6 +109,9 @@ type Mailbox struct {
 	// blocked receives on it fail with ErrStreamClosed. Lazily
 	// allocated: single-tenant mailboxes never pay for the map.
 	deadStreams map[StreamID]struct{}
+	// parked counts the receivers blocked in waitLocked, so in-package
+	// tests wait for a receiver to park instead of sleeping.
+	parked int
 	// watch is set once the watchdog goroutine (periodic broadcasts so
 	// deadlines are observed with no traffic) has been started.
 	watch bool
@@ -68,8 +131,7 @@ func (m *Mailbox) SetObserver(o Observer) { m.obs = o }
 // ErrTimeout after the given duration (0 means wait forever).
 func NewMailbox(timeout time.Duration) *Mailbox {
 	m := &Mailbox{
-		queues:  make(map[mailKey][]Payload),
-		byTag:   make(map[Tag][]int),
+		pending: make(map[Tag]*tagQueue),
 		discard: make(map[mailKey]struct{}),
 		timeout: timeout,
 		done:    make(chan struct{}),
@@ -78,18 +140,20 @@ func NewMailbox(timeout time.Duration) *Mailbox {
 	return m
 }
 
-// Deliver enqueues a message. It is called by transport receive paths
-// and never blocks. Messages for cancelled (from, tag) slots are dropped.
+// Deliver adds a message to its tag's queue. It is called by transport
+// receive paths and never blocks. A message for a closed mailbox, a dead
+// stream or a cancelled (from, tag) slot is dropped.
 //
 //kylix:hotpath
 func (m *Mailbox) Deliver(from int, tag Tag, p Payload) {
-	k := mailKey{from, tag}
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return
 	}
-	if _, dead := m.discard[k]; dead {
+	k := mailKey{from, tag}
+	if _, lost := m.discard[k]; lost {
+		delete(m.discard, k)
 		m.mu.Unlock()
 		return
 	}
@@ -97,16 +161,17 @@ func (m *Mailbox) Deliver(from int, tag Tag, p Payload) {
 		m.mu.Unlock()
 		return
 	}
-	q, ok := m.queues[k]
-	if !ok && len(m.free) > 0 {
-		q = m.free[len(m.free)-1]
-		m.free = m.free[:len(m.free)-1]
+	tq := m.pending[tag]
+	if tq == nil {
+		if n := len(m.free); n > 0 {
+			tq, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			//kylix:allow hotpathalloc:new -- only while the free list is cold; a warm round recycles
+			tq = new(tagQueue)
+		}
+		m.pending[tag] = tq
 	}
-	if len(q) == 0 {
-		m.indexTagLocked(k) // queue transitions empty -> pending
-	}
-	//kylix:allow hotpathalloc:append -- q is a recycled queue from the free list; growth is amortized zero
-	m.queues[k] = append(q, p)
+	tq.push(entry{from, p})
 	m.mu.Unlock()
 	m.cond.Broadcast()
 }
@@ -122,75 +187,60 @@ func (m *Mailbox) streamDeadLocked(tag Tag) bool {
 	return dead
 }
 
-// indexTagLocked records that k.from now has pending messages under
-// k.tag. Caller holds m.mu.
-func (m *Mailbox) indexTagLocked(k mailKey) {
-	o, ok := m.byTag[k.tag]
-	if !ok && len(m.freeTags) > 0 {
-		o = m.freeTags[len(m.freeTags)-1]
-		m.freeTags = m.freeTags[:len(m.freeTags)-1]
+// takeLocked removes and returns the oldest pending message under tag
+// whose sender is in one of the groups. It walks what has actually
+// arrived, so a receive costs one membership check per pending entry,
+// not a probe per possible sender. A sender that shares its group —
+// replicas carrying copies of one logical message — wins the race for
+// it: its co-members' copies are cancelled. Caller holds m.mu.
+func (m *Mailbox) takeLocked(groups [][]int, tag Tag) (int, Payload, bool) {
+	tq := m.pending[tag]
+	if tq == nil {
+		return 0, nil, false
 	}
-	//kylix:allow hotpathalloc:append -- o is a recycled sender list from freeTags; growth is amortized zero
-	m.byTag[k.tag] = append(o, k.from)
-}
-
-// unindexTagLocked removes k.from from k.tag's pending-sender list
-// (the sender's queue just emptied). Order is not preserved — receives
-// stage and fold canonically, so which pending message they see first
-// does not matter. Caller holds m.mu.
-func (m *Mailbox) unindexTagLocked(k mailKey) {
-	o := m.byTag[k.tag]
-	for i, f := range o {
-		if f == k.from {
-			o[i] = o[len(o)-1]
-			o = o[:len(o)-1]
-			break
+	for i := tq.head; i < len(tq.q); i++ {
+		e := tq.q[i]
+		g := groupOf(groups, e.from)
+		if g == nil {
+			continue
 		}
-	}
-	if len(o) == 0 {
-		delete(m.byTag, k.tag)
-		if o != nil && len(m.freeTags) < maxFreeQueues {
-			//kylix:allow hotpathalloc:append -- freeTags is capped at maxFreeQueues; steady state never grows
-			m.freeTags = append(m.freeTags, o[:0])
+		tq.remove(i)
+		if len(g) > 1 {
+			m.cancelLocked(tq, g, e.from, tag)
 		}
-	} else {
-		m.byTag[k.tag] = o
-	}
-}
-
-// popLocked dequeues the head of (from, tag), recycling the backing
-// slice when the queue empties. Caller holds m.mu.
-func (m *Mailbox) popLocked(k mailKey) (Payload, bool) {
-	q := m.queues[k]
-	if len(q) == 0 {
-		return nil, false
-	}
-	p := q[0]
-	q[0] = nil // release the payload reference held by the slice
-	if len(q) == 1 {
-		delete(m.queues, k)
-		if len(m.free) < maxFreeQueues {
-			//kylix:allow hotpathalloc:append -- free is capped at maxFreeQueues; steady state never grows
-			m.free = append(m.free, q[:0])
-		}
-		m.unindexTagLocked(k)
-	} else {
-		m.queues[k] = q[1:]
-	}
-	return p, true
-}
-
-// cancelLocked marks every listed sender except the winner for discard
-// under the tag and drops their queued messages. Caller holds m.mu.
-func (m *Mailbox) cancelLocked(froms []int, winner int, tag Tag) {
-	for _, other := range froms {
-		if other != winner {
-			ko := mailKey{other, tag}
-			m.discard[ko] = struct{}{}
-			if _, pending := m.queues[ko]; pending {
-				delete(m.queues, ko)
-				m.unindexTagLocked(ko)
+		if tq.head == len(tq.q) {
+			delete(m.pending, tag)
+			tq.q, tq.head = tq.q[:0], 0
+			if len(m.free) < maxFreeQueues {
+				//kylix:allow hotpathalloc:append -- free is capped at maxFreeQueues; steady state never grows
+				m.free = append(m.free, tq)
 			}
+		}
+		return e.from, e.p, true
+	}
+	return 0, nil, false
+}
+
+// groupOf returns the group listing from, or nil.
+func groupOf(groups [][]int, from int) []int {
+	for _, g := range groups {
+		for _, f := range g {
+			if f == from {
+				return g
+			}
+		}
+	}
+	return nil
+}
+
+// cancelLocked settles a race won by winner: a losing co-member's
+// queued copies are dropped on the spot, and a loser whose copy has not
+// arrived yet is marked so Deliver drops it when it does. Caller holds
+// m.mu.
+func (m *Mailbox) cancelLocked(tq *tagQueue, group []int, winner int, tag Tag) {
+	for _, loser := range group {
+		if loser != winner && !tq.dropFrom(loser) {
+			m.discard[mailKey{loser, tag}] = struct{}{}
 		}
 	}
 }
@@ -222,7 +272,9 @@ func (m *Mailbox) waitLocked(ws *waitState) bool {
 	} else if m.timeout > 0 && time.Now().After(ws.deadline) {
 		return false
 	}
+	m.parked++
 	m.cond.Wait()
+	m.parked--
 	return true
 }
 
@@ -268,103 +320,55 @@ func (m *Mailbox) startWatchdogLocked() {
 	}()
 }
 
-// Recv blocks until a message from (from, tag) is available.
+// recv is the one place a receiver waits: it blocks until a message
+// with the tag is pending from a sender in one of the groups and takes
+// it, or fails because the mailbox closed, the tag's stream closed or
+// the deadline passed. ws records the wait for the caller's observer
+// report, which happens outside the lock.
+//
+//kylix:hotpath
+func (m *Mailbox) recv(groups [][]int, tag Tag, ws *waitState) (int, Payload, error) {
+	m.mu.Lock()
+	for {
+		if m.closed {
+			m.mu.Unlock()
+			return -1, nil, ErrClosed
+		}
+		if from, p, ok := m.takeLocked(groups, tag); ok {
+			m.mu.Unlock()
+			return from, p, nil
+		}
+		if m.streamDeadLocked(tag) {
+			m.mu.Unlock()
+			return -1, nil, ErrStreamClosed
+		}
+		if !m.waitLocked(ws) {
+			m.mu.Unlock()
+			froms := make([]int, 0, len(groups))
+			for _, g := range groups {
+				froms = append(froms, g...)
+			}
+			err := &TimeoutError{
+				Tag:     tag,
+				From:    froms,
+				Elapsed: ws.elapsed(),
+			}
+			return -1, nil, err
+		}
+	}
+}
+
+// Recv blocks until a message from (from, tag) is available: the wait
+// loop over the one singleton group, which lives on this frame.
 //
 //kylix:hotpath
 func (m *Mailbox) Recv(from int, tag Tag) (Payload, error) {
 	var ws waitState
-	m.mu.Lock()
-	for {
-		if m.closed {
-			m.mu.Unlock()
-			m.observeRecv(from, tag, nil, &ws, ErrClosed)
-			return nil, ErrClosed
-		}
-		if p, ok := m.popLocked(mailKey{from, tag}); ok {
-			m.mu.Unlock()
-			m.observeRecv(from, tag, p, &ws, nil)
-			return p, nil
-		}
-		if m.streamDeadLocked(tag) {
-			m.mu.Unlock()
-			m.observeRecv(from, tag, nil, &ws, ErrStreamClosed)
-			return nil, ErrStreamClosed
-		}
-		if !m.waitLocked(&ws) {
-			m.mu.Unlock()
-			err := &TimeoutError{
-				Tag:     tag,
-				From:    []int{from},
-				Elapsed: ws.elapsed(),
-			}
-			m.observeRecv(from, tag, nil, &ws, err)
-			return nil, err
-		}
-	}
-}
-
-// RecvAny blocks until a message with the tag arrives from any of the
-// listed senders; the first available one wins. The losing senders'
-// slots for this tag are marked for discard so late duplicates do not
-// accumulate. Returns the winning sender.
-//
-//kylix:hotpath
-func (m *Mailbox) RecvAny(froms []int, tag Tag) (int, Payload, error) {
-	var ws waitState
-	m.mu.Lock()
-	for {
-		if m.closed {
-			m.mu.Unlock()
-			m.observeRecv(-1, tag, nil, &ws, ErrClosed)
-			return 0, nil, ErrClosed
-		}
-		for _, from := range froms {
-			if p, ok := m.popLocked(mailKey{from, tag}); ok {
-				m.cancelLocked(froms, from, tag)
-				m.mu.Unlock()
-				m.observeRecv(from, tag, p, &ws, nil)
-				return from, p, nil
-			}
-		}
-		if m.streamDeadLocked(tag) {
-			m.mu.Unlock()
-			m.observeRecv(-1, tag, nil, &ws, ErrStreamClosed)
-			return 0, nil, ErrStreamClosed
-		}
-		if !m.waitLocked(&ws) {
-			m.mu.Unlock()
-			err := &TimeoutError{
-				Tag:     tag,
-				From:    append([]int(nil), froms...),
-				Elapsed: ws.elapsed(),
-			}
-			m.observeRecv(-1, tag, nil, &ws, err)
-			return 0, nil, err
-		}
-	}
-}
-
-// popGroupLocked dequeues one available message from any listed sender,
-// reporting the winner's group index. It walks the tag's pending-sender
-// index — what has actually arrived — so the cost per receive is the
-// membership check of one sender, not a queue probe per possible
-// sender (which would be quadratic in the group degree over a layer).
-// Caller holds m.mu.
-func (m *Mailbox) popGroupLocked(groups [][]int, tag Tag) (gi, from int, p Payload, ok bool) {
-	for _, from := range m.byTag[tag] {
-		for gi, g := range groups {
-			for _, f := range g {
-				if f != from {
-					continue
-				}
-				if p, ok := m.popLocked(mailKey{from, tag}); ok {
-					return gi, from, p, true
-				}
-				return 0, 0, nil, false // index out of sync; cannot happen
-			}
-		}
-	}
-	return 0, 0, nil, false
+	one := [1]int{from}
+	groups := [1][]int{one[:]}
+	_, p, err := m.recv(groups[:], tag, &ws)
+	m.observeRecv(from, tag, p, &ws, err)
+	return p, err
 }
 
 // RecvGroup blocks until a message with the tag arrives from any sender
@@ -378,63 +382,33 @@ func (m *Mailbox) popGroupLocked(groups [][]int, tag Tag) (gi, from int, p Paylo
 //kylix:hotpath
 func (m *Mailbox) RecvGroup(groups [][]int, tag Tag) (int, Payload, error) {
 	var ws waitState
-	m.mu.Lock()
-	for {
-		if m.closed {
-			m.mu.Unlock()
-			m.observeRecv(-1, tag, nil, &ws, ErrClosed)
-			return 0, nil, ErrClosed
-		}
-		if gi, from, p, ok := m.popGroupLocked(groups, tag); ok {
-			if len(groups[gi]) > 1 {
-				m.cancelLocked(groups[gi], from, tag)
-			}
-			m.mu.Unlock()
-			m.observeRecv(from, tag, p, &ws, nil)
-			if m.obs != nil {
-				m.obs.ObserveRecvGroup(tag, ws.elapsed())
-			}
-			return from, p, nil
-		}
-		if m.streamDeadLocked(tag) {
-			m.mu.Unlock()
-			m.observeRecv(-1, tag, nil, &ws, ErrStreamClosed)
-			return 0, nil, ErrStreamClosed
-		}
-		if !m.waitLocked(&ws) {
-			m.mu.Unlock()
-			froms := make([]int, 0, len(groups))
-			for _, g := range groups {
-				froms = append(froms, g...)
-			}
-			err := &TimeoutError{
-				Tag:     tag,
-				From:    froms,
-				Elapsed: ws.elapsed(),
-			}
-			m.observeRecv(-1, tag, nil, &ws, err)
-			return 0, nil, err
-		}
+	from, p, err := m.recv(groups, tag, &ws)
+	m.observeRecv(from, tag, p, &ws, err)
+	if err != nil {
+		return 0, nil, err
 	}
+	if m.obs != nil {
+		m.obs.ObserveRecvGroup(tag, ws.elapsed())
+	}
+	return from, p, nil
 }
 
-// Close wakes and fails all blocked receivers and drops queued messages.
+// Close wakes and fails all blocked receivers and drops queued messages
+// and cancellation marks.
 func (m *Mailbox) Close() {
 	m.mu.Lock()
 	if !m.closed {
 		m.closed = true
 		close(m.done)
 	}
-	m.queues = nil
+	m.pending, m.free, m.discard = nil, nil, nil
 	m.mu.Unlock()
 	m.cond.Broadcast()
 }
 
 // CloseStream tears down one stream's namespace: queued messages whose
-// tag belongs to the stream are dropped, their pending-sender index
-// entries purged (the index-leak fix — tags indexed but never drained
-// used to leave stale byTag entries forever), discard marks released,
-// and the stream marked dead so late deliveries (TCP window
+// tag belongs to the stream are dropped, its cancellation marks
+// released, and the stream marked dead so late deliveries (TCP window
 // replays, faultnet-delayed frames) are dropped instead of re-leaking.
 // Blocked receives on the stream wake and fail with ErrStreamClosed.
 // Closing DefaultStream is a no-op: stream 0 is the single-tenant
@@ -454,20 +428,9 @@ func (m *Mailbox) CloseStream(id StreamID) {
 		m.deadStreams = make(map[StreamID]struct{})
 	}
 	m.deadStreams[id] = struct{}{}
-	for k := range m.queues {
-		if k.tag.Stream() == id {
-			delete(m.queues, k)
-			m.unindexTagLocked(k)
-		}
-	}
-	// Sweep byTag directly too: the queue walk above removes entries
-	// backed by live queues, but an index entry whose queue vanished
-	// through a bug would otherwise survive the close. The invariant
-	// len(q)>0 ⇒ indexed makes this second loop a no-op in a healthy
-	// mailbox; it is the belt to the braces.
-	for tag := range m.byTag {
+	for tag := range m.pending {
 		if tag.Stream() == id {
-			delete(m.byTag, tag)
+			delete(m.pending, tag)
 		}
 	}
 	for k := range m.discard {
@@ -493,8 +456,8 @@ func (m *Mailbox) Pending() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, q := range m.queues {
-		n += len(q)
+	for _, tq := range m.pending {
+		n += len(tq.q) - tq.head
 	}
 	return n
 }
@@ -505,29 +468,19 @@ func (m *Mailbox) StreamPending(id StreamID) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for k, q := range m.queues {
-		if k.tag.Stream() == id {
-			n += len(q)
+	for tag, tq := range m.pending {
+		if tag.Stream() == id {
+			n += len(tq.q) - tq.head
 		}
 	}
 	return n
 }
 
-// IndexedTags reports the number of tags with live pending-sender index
-// entries — the leak-regression observable: after closing a stream with
+// IndexedTags reports the number of tags with undelivered messages —
+// the leak-regression observable: after closing a stream with
 // undelivered messages, its contribution here must be zero.
 func (m *Mailbox) IndexedTags() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.byTag)
-}
-
-// ResetDiscards clears race-cancellation state. Callers reusing tags
-// across independent rounds (e.g. a new allreduce with the same seq)
-// must reset between rounds; the protocol instead never reuses tags, so
-// this is primarily for tests.
-func (m *Mailbox) ResetDiscards() {
-	m.mu.Lock()
-	m.discard = make(map[mailKey]struct{})
-	m.mu.Unlock()
+	return len(m.pending)
 }

@@ -47,17 +47,16 @@ func RawWireSize(p Payload) int {
 }
 
 // Payload type discriminators on the wire. 2–4 are the fixed-width
-// formats and 8 the compressed Keys block; the configuration payload's
-// layouts 9–11 live in payload_config.go, 12–13 are control planes, and
-// the quantized value block 14 lives in payload_qvals.go. Every process
-// of a cluster runs the same binary and nothing persists payloads, so a
-// discriminator no encoder emits (the raw index-set forms 1, 6 and 7 of
-// earlier versions) is simply unknown.
+// formats; the configuration payload's layouts 9–11 live in
+// payload_config.go, 12–13 are control planes, and the quantized value
+// block 14 lives in payload_qvals.go. Every process of a cluster runs
+// the same binary and nothing persists payloads, so a discriminator no
+// encoder emits (the index-set forms 1, 6, 7 and 8 of earlier versions)
+// is simply unknown.
 const (
 	wireFloats   = 2
 	wireKeysVals = 3
 	wireBytes    = 4
-	wireKeysC    = 8
 )
 
 // wireMemo caches a payload's encoded form so that WireSize (charged to
@@ -94,16 +93,6 @@ func (m *wireMemo) wireSize(enc func() []byte) int {
 	return len(m.bytes(enc))
 }
 
-// Keys carries a sorted index set (configuration pass). It encodes with
-// the compressed index codec (sparse.AppendCompressed); the keys must
-// therefore be MakeKey-derived, which every Set built by sparse.NewSet
-// is.
-type Keys struct {
-	Keys sparse.Set
-
-	memo wireMemo
-}
-
 // Floats carries a value block (reduce and gather passes).
 type Floats struct {
 	Vals []float32
@@ -122,9 +111,6 @@ type Bytes struct {
 }
 
 // Clone implements Payload.
-func (p *Keys) Clone() Payload { return &Keys{Keys: p.Keys.Clone()} }
-
-// Clone implements Payload.
 func (p *Floats) Clone() Payload {
 	return &Floats{Vals: append([]float32(nil), p.Vals...)}
 }
@@ -138,21 +124,6 @@ func (p *KeysVals) Clone() Payload {
 func (p *Bytes) Clone() Payload {
 	return &Bytes{Data: append([]byte(nil), p.Data...)}
 }
-
-func (p *Keys) encode() []byte {
-	return sparse.AppendCompressed([]byte{wireKeysC}, p.Keys)
-}
-
-// WireSize implements Payload.
-func (p *Keys) WireSize() int { return p.memo.wireSize(p.encode) }
-
-// AppendTo implements Payload.
-func (p *Keys) AppendTo(buf []byte) []byte {
-	return append(buf, p.memo.bytes(p.encode)...)
-}
-
-// RawWireSize implements RawSizer.
-func (p *Keys) RawWireSize() int { return 1 + 4 + 8*len(p.Keys) }
 
 // WireSize implements Payload.
 func (p *Floats) WireSize() int { return 1 + 4 + 4*len(p.Vals) }
@@ -255,14 +226,6 @@ func DecodePayload(buf []byte) (Payload, error) {
 		data := make([]byte, n)
 		copy(data, buf)
 		return &Bytes{Data: data}, nil
-	case wireKeysC:
-		keys, rest, err := sparse.DecodeCompressed(nil, buf)
-		if err != nil {
-			return nil, err
-		}
-		p := &Keys{Keys: keys}
-		p.memo.size = int32(1 + len(buf) - len(rest)) // preset: no re-encode to size it
-		return p, nil
 	case wireControl:
 		return decodeControlPayload(buf)
 	case wireStreamCtl:

@@ -45,9 +45,6 @@ func (e *recEndpoint) Send(to int, tag comm.Tag, p comm.Payload) error {
 func (e *recEndpoint) Recv(from int, tag comm.Tag) (comm.Payload, error) {
 	return nil, comm.ErrTimeout
 }
-func (e *recEndpoint) RecvAny(froms []int, tag comm.Tag) (int, comm.Payload, error) {
-	return 0, nil, comm.ErrTimeout
-}
 func (e *recEndpoint) RecvGroup(groups [][]int, tag comm.Tag) (int, comm.Payload, error) {
 	return 0, nil, comm.ErrTimeout
 }

@@ -614,13 +614,6 @@ func (e *endpoint) Recv(from int, tag comm.Tag) (comm.Payload, error) {
 	return e.ep.Recv(from, tag)
 }
 
-func (e *endpoint) RecvAny(froms []int, tag comm.Tag) (int, comm.Payload, error) {
-	if e.f.killed[e.rank].Load() {
-		return 0, nil, comm.ErrClosed
-	}
-	return e.ep.RecvAny(froms, tag)
-}
-
 func (e *endpoint) RecvGroup(groups [][]int, tag comm.Tag) (int, comm.Payload, error) {
 	if e.f.killed[e.rank].Load() {
 		return 0, nil, comm.ErrClosed

@@ -182,16 +182,16 @@ func TestViewRemap(t *testing.T) {
 		t.Fatalf("payload = %v", p)
 	}
 
-	// RecvAny remaps the winner back to dense space.
+	// RecvGroup remaps the winner back to dense space.
 	if err := v3.Send(0, tag, &comm.Bytes{Data: []byte{43}}); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	from, _, err := v1.RecvAny([]int{1, 2}, tag)
+	from, _, err := v1.RecvGroup([][]int{{1, 2}}, tag)
 	if err != nil {
-		t.Fatalf("recvany: %v", err)
+		t.Fatalf("recvgroup: %v", err)
 	}
 	if from != 1 {
-		t.Fatalf("recvany winner = %d, want dense 1", from)
+		t.Fatalf("recvgroup winner = %d, want dense 1", from)
 	}
 
 	// Out-of-range dense ranks are endpoint errors, not transport sends.

@@ -79,23 +79,6 @@ func (v *View) Recv(from int, tag comm.Tag) (comm.Payload, error) {
 	return v.ep.Recv(pf, tag)
 }
 
-// RecvAny implements comm.Endpoint.
-func (v *View) RecvAny(froms []int, tag comm.Tag) (int, comm.Payload, error) {
-	phys := make([]int, len(froms))
-	for i, f := range froms {
-		pf, err := v.phys(f)
-		if err != nil {
-			return 0, nil, err
-		}
-		phys[i] = pf
-	}
-	winner, p, err := v.ep.RecvAny(phys, tag)
-	if err != nil {
-		return 0, nil, err
-	}
-	return v.dense[winner], p, nil
-}
-
 // RecvGroup implements comm.Endpoint.
 func (v *View) RecvGroup(groups [][]int, tag comm.Tag) (int, comm.Payload, error) {
 	total := 0

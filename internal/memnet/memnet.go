@@ -90,9 +90,9 @@ func (n *Network) Close() {
 }
 
 // CloseStream tears down one stream's namespace on every machine:
-// queued messages dropped, pending-sender index purged, late
-// deliveries discarded, blocked receives failed with ErrStreamClosed.
-// The network itself stays live for every other stream.
+// queued messages dropped from the pending index, late deliveries
+// discarded, blocked receives failed with ErrStreamClosed. The network
+// itself stays live for every other stream.
 func (n *Network) CloseStream(id comm.StreamID) {
 	for _, b := range n.boxes {
 		b.CloseStream(id)
@@ -109,7 +109,7 @@ func (n *Network) StreamPending(id comm.StreamID) int {
 	return total
 }
 
-// IndexedTags sums the live pending-sender index entries across all
+// IndexedTags sums the tags with undelivered messages across all
 // machines (tests and leak diagnostics).
 func (n *Network) IndexedTags() int {
 	total := 0
@@ -159,10 +159,6 @@ func (e *endpoint) Send(to int, tag comm.Tag, p comm.Payload) error {
 
 func (e *endpoint) Recv(from int, tag comm.Tag) (comm.Payload, error) {
 	return e.net.boxes[e.rank].Recv(from, tag)
-}
-
-func (e *endpoint) RecvAny(froms []int, tag comm.Tag) (int, comm.Payload, error) {
-	return e.net.boxes[e.rank].RecvAny(froms, tag)
 }
 
 func (e *endpoint) RecvGroup(groups [][]int, tag comm.Tag) (int, comm.Payload, error) {

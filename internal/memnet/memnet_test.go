@@ -195,14 +195,14 @@ func TestRunSubsetOfRanks(t *testing.T) {
 	}
 }
 
-func TestRecvAnyRacingAcrossEndpoints(t *testing.T) {
+func TestRecvGroupRacingAcrossEndpoints(t *testing.T) {
 	n := New(3)
 	defer n.Close()
 	tag := comm.MakeTag(comm.KindGather, 2, 0)
 	if err := n.Endpoint(1).Send(2, tag, &comm.Bytes{Data: []byte("fast")}); err != nil {
 		t.Fatal(err)
 	}
-	from, p, err := n.Endpoint(2).RecvAny([]int{0, 1}, tag)
+	from, p, err := n.Endpoint(2).RecvGroup([][]int{{0, 1}}, tag)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,25 +88,12 @@ func (e *endpoint) Send(to int, tag comm.Tag, p comm.Payload) error {
 	return nil
 }
 
-// Recv races the replica copies of the logical sender: the first
-// physical arrival wins and the transport cancels the rest (§V-B).
+// Recv races the replica copies of the logical sender — its one replica
+// group: the first physical arrival wins and the transport cancels the
+// rest (§V-B).
 func (e *endpoint) Recv(from int, tag comm.Tag) (comm.Payload, error) {
-	_, p, err := e.phys.RecvAny(Replicas(from, e.phys.Size(), e.s), tag)
+	_, p, err := e.phys.RecvGroup([][]int{Replicas(from, e.phys.Size(), e.s)}, tag)
 	return p, err
-}
-
-// RecvAny races across all replicas of all listed logical senders and
-// reports the logical winner.
-func (e *endpoint) RecvAny(froms []int, tag comm.Tag) (int, comm.Payload, error) {
-	phys := make([]int, 0, len(froms)*e.s)
-	for _, q := range froms {
-		phys = append(phys, Replicas(q, e.phys.Size(), e.s)...)
-	}
-	winner, p, err := e.phys.RecvAny(phys, tag)
-	if err != nil {
-		return 0, nil, err
-	}
-	return winner % e.logical, p, nil
 }
 
 // RecvGroup expands every logical sender into its physical replica set:

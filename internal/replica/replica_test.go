@@ -1,8 +1,11 @@
 package replica
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"kylix/internal/comm"
@@ -90,7 +93,7 @@ func TestRecvRacesReplicas(t *testing.T) {
 	}
 }
 
-func TestRecvAnyMapsWinnerToLogical(t *testing.T) {
+func TestRecvGroupMapsWinnerToLogical(t *testing.T) {
 	n := memnet.New(4)
 	defer n.Close()
 	tag := comm.MakeTag(comm.KindApp, 0, 2)
@@ -98,7 +101,7 @@ func TestRecvAnyMapsWinnerToLogical(t *testing.T) {
 		t.Fatal(err)
 	}
 	ep, _ := Wrap(n.Endpoint(1), 2)
-	from, _, err := ep.RecvAny([]int{0, 1}, tag)
+	from, _, err := ep.RecvGroup([][]int{{0, 1}}, tag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +114,28 @@ func TestRecvAnyMapsWinnerToLogical(t *testing.T) {
 // cluster with the given dead physical machines and returns per-logical
 // results (from whichever replica survived).
 func replicatedAllreduce(t *testing.T, degrees []int, s int, dead []int) ([][]float32, [][]float32) {
+	t.Helper()
+	got, want, _ := replicatedRounds(t, degrees, s, dead, 1)
+	return got, want
+}
+
+// cancellationMarks counts the race-cancellation marks the network's
+// mailboxes hold. The count is part of no API, so it is read through
+// reflection — after Run has returned, when nothing else touches the
+// mailboxes.
+func cancellationMarks(n *memnet.Network) int {
+	boxes := reflect.ValueOf(n).Elem().FieldByName("boxes")
+	total := 0
+	for i := 0; i < boxes.Len(); i++ {
+		total += boxes.Index(i).Elem().FieldByName("discard").Len()
+	}
+	return total
+}
+
+// replicatedRounds is replicatedAllreduce with the Reduce repeated:
+// every round must return the first round's bits. It also reports the
+// cancellation marks left once the run has quiesced.
+func replicatedRounds(t *testing.T, degrees []int, s int, dead []int, rounds int) (got, want [][]float32, marks int) {
 	t.Helper()
 	bf := topo.MustNew(degrees)
 	logical := bf.M()
@@ -143,7 +168,7 @@ func replicatedAllreduce(t *testing.T, degrees []int, s int, dead []int) ([][]fl
 			totals[k] += vals[q][i]
 		}
 	}
-	want := make([][]float32, logical)
+	want = make([][]float32, logical)
 	for q := 0; q < logical; q++ {
 		want[q] = make([]float32, len(ins[q]))
 		for i, k := range ins[q] {
@@ -171,25 +196,32 @@ func replicatedAllreduce(t *testing.T, degrees []int, s int, dead []int) ([][]fl
 		if err != nil {
 			return err
 		}
-		res, err := cfg.Reduce(vals[q])
-		if err != nil {
-			return err
+		for r := 0; r < rounds; r++ {
+			res, err := cfg.Reduce(vals[q])
+			if err != nil {
+				return err
+			}
+			if r == 0 {
+				results[pep.Rank()] = slices.Clone(res)
+			} else if !slices.Equal(res, results[pep.Rank()]) {
+				return fmt.Errorf("round %d differs from round 0", r)
+			}
 		}
-		results[pep.Rank()] = res
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	marks = cancellationMarks(n)
 	// Collapse physical results to logical: any surviving replica's
 	// output counts.
-	out := make([][]float32, logical)
+	got = make([][]float32, logical)
 	for p := 0; p < phys; p++ {
 		if results[p] != nil {
-			out[p%logical] = results[p]
+			got[p%logical] = results[p]
 		}
 	}
-	return out, want
+	return got, want, marks
 }
 
 func checkAllClose(t *testing.T, got, want [][]float32) {
@@ -209,6 +241,18 @@ func checkAllClose(t *testing.T, got, want [][]float32) {
 func TestReplicatedAllreduceNoFailures(t *testing.T) {
 	got, want := replicatedAllreduce(t, []int{4, 2}, 2, nil)
 	checkAllClose(t, got, want)
+}
+
+// TestCancellationMarksAreReleased pins that a race-cancellation mark
+// lives only while the losing copy is in flight: with every replica
+// alive each loser's copy arrives, so after any number of rounds no
+// mailbox holds a mark.
+func TestCancellationMarksAreReleased(t *testing.T) {
+	got, want, marks := replicatedRounds(t, []int{4, 2}, 2, nil, 1000)
+	checkAllClose(t, got, want)
+	if marks != 0 {
+		t.Fatalf("%d cancellation marks held after a quiesced run, want 0", marks)
+	}
 }
 
 func TestReplicatedAllreduceSurvivesFailures(t *testing.T) {

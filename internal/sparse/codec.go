@@ -200,7 +200,3 @@ func decodeIndexOrder(keys []Key, buf []byte) ([]byte, error) {
 	}
 	return buf, nil
 }
-
-// RawEncodedSize is the wire cost of a set in the uncompressed 8-byte
-// key format, for raw-vs-encoded accounting.
-func RawEncodedSize(s Set) int { return 8 * len(s) }

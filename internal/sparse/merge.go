@@ -2,17 +2,6 @@ package sparse
 
 import "fmt"
 
-// Merge2 returns the sorted, deduplicated union of two Sets.
-func Merge2(a, b Set) Set {
-	if len(a) == 0 {
-		return b.Clone()
-	}
-	if len(b) == 0 {
-		return a.Clone()
-	}
-	return mergeInto(make(Set, 0, len(a)+len(b)), a, b)
-}
-
 // mergeInto appends the sorted union of a and b to out, which must have
 // capacity for len(a)+len(b) more elements (all callers pre-size their
 // arenas, so the loop writes by index instead of appending). Empty
@@ -120,79 +109,26 @@ func TreeUnion(sets []Set) Set {
 }
 
 // UnionScratch is a reusable arena for repeated tree unions. It holds
-// the two ping-pong merge arenas and the work list that TreeUnion would
-// otherwise allocate per call, grown to the largest union seen and then
-// reused. The zero value is ready to use.
-//
-// Union's result aliases one of the arenas (or, for a single input, the
-// input itself): it is valid only until the next Union call on the same
-// scratch. Callers that retain the union must Clone it first — which is
-// exactly what the configuration pass does, cloning only the final
-// deduplicated union instead of paying per-merge allocations.
+// the two ping-pong merge arenas and the work list that TreeUnion
+// allocates per call, plus the per-pair-merge position maps (into the
+// pair's union) and the input-range boundary of each tree node, all
+// grown to the largest union seen and then reused. The zero value is
+// ready to use.
 type UnionScratch struct {
-	arenas [2]Set
-	work   []Set
-	// UnionMaps state: per-pair-merge position maps (into the pair's
-	// union) and the input-range boundary of each tree node.
+	arenas   [2]Set
+	work     []Set
 	pairMaps []int32
 	spanHi   []int32
-}
-
-// Union computes the tree union of sets into the scratch arenas. See
-// TreeUnion for the merge strategy; this variant trades the fresh
-// result slice for arena reuse.
-func (u *UnionScratch) Union(sets []Set) Set {
-	switch len(sets) {
-	case 0:
-		return nil
-	case 1:
-		return sets[0]
-	}
-	total := 0
-	for _, s := range sets {
-		total += len(s)
-	}
-	if total == 0 {
-		return Set{}
-	}
-	for g := range u.arenas {
-		if cap(u.arenas[g]) < total {
-			u.arenas[g] = make(Set, 0, total)
-		}
-	}
-	if cap(u.work) < len(sets) {
-		u.work = make([]Set, 0, len(sets))
-	}
-	u.work = append(u.work[:0], sets...)
-	cur := u.work
-	gen := 0
-	for len(cur) > 1 {
-		free := u.arenas[gen][:0]
-		gen = 1 - gen
-		next := cur[:0]
-		for i := 0; i+1 < len(cur); i += 2 {
-			merged := mergeInto(free, cur[i], cur[i+1])
-			free = merged[len(merged):]
-			next = append(next, merged)
-		}
-		if len(cur)%2 == 1 {
-			// Copy the odd leftover forward so every round reads only the
-			// previous generation (see TreeUnion).
-			moved := append(free, cur[len(cur)-1]...)
-			free = moved[len(moved):]
-			next = append(next, moved)
-		}
-		cur = next
-	}
-	return cur[0]
 }
 
 // UnionMaps computes the union of sets and, in the same single pass,
 // the position map of every input into the union: maps[t][i] becomes
 // the union position of sets[t][i]. maps[t] must have len(sets[t])
 // entries. The result aliases a scratch arena (or, for a single input,
-// that input) and is valid only until the next Union/UnionMaps call on
-// the same scratch; callers that retain it must Clone.
+// that input) and is valid only until the next UnionMaps call on the
+// same scratch; callers that retain it must Clone — which is what the
+// configuration pass does, cloning only the final deduplicated union
+// instead of paying per-merge allocations.
 //
 // The merge is the same balanced pairwise tree as TreeUnion, with each
 // pair merge also emitting position maps into the pair union; after a
@@ -368,26 +304,6 @@ func PositionMap(sub, union Set) ([]int32, error) {
 		m[i] = int32(j)
 	}
 	return m, nil
-}
-
-// PositionMapInto is PositionMap writing into a caller-provided map
-// slice, which must have len(sub) entries. It lets the configuration
-// pass carve all of a layer's maps from one block allocation. Both sets
-// are deduplicated, so after a match the cursor advances past it — the
-// next sub key is strictly greater.
-func PositionMapInto(m []int32, sub, union Set) error {
-	j, n := 0, len(union)
-	for i, k := range sub {
-		for j < n && union[j] < k {
-			j++
-		}
-		if j >= n || union[j] != k {
-			return fmt.Errorf("sparse: key %d (index %d) not present in union", uint64(k), k.Index())
-		}
-		m[i] = int32(j)
-		j++
-	}
-	return nil
 }
 
 // PartialPositionMap is PositionMap for the case where sub may contain

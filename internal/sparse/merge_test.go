@@ -14,25 +14,36 @@ func randomSet(rng *rand.Rand, n, space int32) Set {
 	return MustNewSet(idx)
 }
 
-func TestMerge2Basic(t *testing.T) {
+// merge2 is the two-set union both ways it is computed: the pair merge
+// into a pre-sized arena, and the tree union of the pair.
+func merge2(t *testing.T, a, b Set) Set {
+	t.Helper()
+	u := mergeInto(make(Set, 0, len(a)+len(b)), a, b)
+	if tu := TreeUnion([]Set{a, b}); !tu.Equal(u) {
+		t.Fatalf("TreeUnion = %v, mergeInto = %v", tu.Indices(), u.Indices())
+	}
+	return u
+}
+
+func TestMergeIntoBasic(t *testing.T) {
 	a := MustNewSet([]int32{1, 3, 5})
 	b := MustNewSet([]int32{2, 3, 6})
-	u := Merge2(a, b)
+	u := merge2(t, a, b)
 	want := MustNewSet([]int32{1, 2, 3, 5, 6})
 	if !u.Equal(want) {
-		t.Fatalf("Merge2 = %v, want %v", u.Indices(), want.Indices())
+		t.Fatalf("merge = %v, want %v", u.Indices(), want.Indices())
 	}
 }
 
-func TestMerge2Empty(t *testing.T) {
+func TestMergeIntoEmpty(t *testing.T) {
 	a := MustNewSet([]int32{1, 2})
-	if u := Merge2(a, nil); !u.Equal(a) {
+	if u := merge2(t, a, nil); !u.Equal(a) {
 		t.Error("merge with empty right")
 	}
-	if u := Merge2(nil, a); !u.Equal(a) {
+	if u := merge2(t, nil, a); !u.Equal(a) {
 		t.Error("merge with empty left")
 	}
-	if u := Merge2(nil, nil); len(u) != 0 {
+	if u := merge2(t, nil, nil); len(u) != 0 {
 		t.Error("merge of empties")
 	}
 }

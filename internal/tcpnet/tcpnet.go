@@ -490,28 +490,23 @@ func (n *Node) Recv(from int, tag comm.Tag) (comm.Payload, error) {
 	return n.box.Recv(from, tag)
 }
 
-// RecvAny implements comm.Endpoint.
-func (n *Node) RecvAny(froms []int, tag comm.Tag) (int, comm.Payload, error) {
-	return n.box.RecvAny(froms, tag)
-}
-
 // RecvGroup implements comm.Endpoint.
 func (n *Node) RecvGroup(groups [][]int, tag comm.Tag) (int, comm.Payload, error) {
 	return n.box.RecvGroup(groups, tag)
 }
 
 // CloseStream tears down one stream's namespace on this node: queued
-// messages dropped, pending-sender index purged, blocked receives
-// failed with ErrStreamClosed. The send windows are left alone — they
-// are seq-keyed per peer, and a replay may carry frames of a closed
-// stream; the mailbox's dead-stream mark drops those on delivery.
+// messages dropped from the pending index, blocked receives failed with
+// ErrStreamClosed. The send windows are left alone — they are seq-keyed
+// per peer, and a replay may carry frames of a closed stream; the
+// mailbox's dead-stream mark drops those on delivery.
 func (n *Node) CloseStream(id comm.StreamID) { n.box.CloseStream(id) }
 
 // StreamPending reports one stream's queued, undelivered messages on
 // this node (tests and leak diagnostics).
 func (n *Node) StreamPending(id comm.StreamID) int { return n.box.StreamPending(id) }
 
-// IndexedTags reports the node's live pending-sender index entries
+// IndexedTags reports the node's tags with undelivered messages
 // (tests and leak diagnostics).
 func (n *Node) IndexedTags() int { return n.box.IndexedTags() }
 

@@ -57,7 +57,7 @@ func TestAllPayloadTypesSurviveWire(t *testing.T) {
 	nodes := testCluster(t, 2, Options{})
 	keys := sparse.MustNewSet([]int32{3, 1, 4, 159})
 	payloads := []comm.Payload{
-		&comm.Keys{Keys: keys},
+		&comm.ConfigPiece{In: keys},
 		&comm.Floats{Vals: []float32{2.5, -1}},
 		&comm.KeysVals{Keys: keys, Vals: []float32{1, 2, 3, 4}},
 		&comm.Bytes{Data: []byte{0, 255, 7}},

@@ -141,8 +141,8 @@ func (s *Stream) Configure(fn func(*Node) error) error { return s.Run(fn) }
 
 // Close tears the stream down: queued passes fail with ErrStreamClosed,
 // the in-flight pass (if any) drains, and every machine's mailbox
-// purges the stream's queued messages and pending-sender index entries
-// — late deliveries (resend replays, chaos-delayed frames) are dropped
+// purges the stream's queued messages from its pending index — late
+// deliveries (resend replays, chaos-delayed frames) are dropped
 // from then on. Close is idempotent and safe concurrent with Run. The
 // stream's admission slot is released, but its id is never reused.
 func (s *Stream) Close() error {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kylix"
+	"kylix/internal/comm"
 )
 
 // The chaos soak is the acceptance test for the fault fabric: an s=2
@@ -108,7 +109,9 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-func testChaosSoak(t *testing.T, transport kylix.Transport) {
+// testChaosSoak returns the fault-free results the chaos pass was
+// compared with.
+func testChaosSoak(t *testing.T, transport kylix.Transport) [][][]float32 {
 	// Pass 1 — fault-free probe: establishes the ground-truth results
 	// and measures each rank's per-round send counts, which are
 	// identical in the chaos pass (counting precedes fault decisions).
@@ -188,6 +191,7 @@ func testChaosSoak(t *testing.T, transport kylix.Transport) {
 		t.Fatalf("chaos schedule never engaged: %+v", st)
 	}
 	t.Logf("%v soak: %d rounds, %d kills, stats %+v", transport, soakRounds, len(soakVictims), st)
+	return baseline
 }
 
 // reconfigRound is one round of the evolving-sets soak: rank q's sets
@@ -306,11 +310,27 @@ func TestReconfigureChaosSoakTCP(t *testing.T) {
 
 func TestChaosSoakMemory(t *testing.T) { testChaosSoak(t, kylix.TransportMemory) }
 
+// TestChaosSoakTCP also runs with every released receive buffer
+// poisoned: the schedule leaves duplicates the reduction drops and
+// replica copies the mailbox cancels beside the pieces it folds and
+// hands back, and a piece read after its release would turn the sums
+// into NaN on both TCP passes alike — so the fault-free one must equal
+// the memory transport's, bit for bit.
 func TestChaosSoakTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP soak skipped in -short")
 	}
-	testChaosSoak(t, kylix.TransportTCP)
+	comm.PoisonReleased(true)
+	defer comm.PoisonReleased(false)
+	tcp := testChaosSoak(t, kylix.TransportTCP)
+	mem, _, _ := runSoak(t, kylix.TransportMemory, kylix.FaultPlan{Seed: 42}, soakRounds)
+	for r := range mem {
+		for p := range mem[r] {
+			if !bitsEqual(tcp[r][p], mem[r][p]) {
+				t.Fatalf("round %d rank %d: %v over TCP, %v in memory", r, p, tcp[r][p], mem[r][p])
+			}
+		}
+	}
 }
 
 // TestClusterKillWorksOnTCPWithFaults: Cluster.Kill historically

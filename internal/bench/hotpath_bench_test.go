@@ -4,10 +4,12 @@ import (
 	"sync"
 	"testing"
 
+	"kylix/internal/comm"
 	"kylix/internal/core"
 	"kylix/internal/memnet"
 	"kylix/internal/obs"
 	"kylix/internal/sparse"
+	"kylix/internal/tcpnet"
 	"kylix/internal/topo"
 )
 
@@ -42,18 +44,26 @@ func BenchmarkReduceWarmObs(b *testing.B) {
 // cores than workers the parallel variant measures overhead, which is
 // why scripts/bench.sh gates the speedup only at >=4 cores.
 func BenchmarkReduceWarmW4(b *testing.B) {
-	benchReduceWarmW4(b, 1)
+	benchReduceWarmW4(b, 1, 1<<17, false)
 }
 
 func BenchmarkReduceWarmW4Workers(b *testing.B) {
-	benchReduceWarmW4(b, 4)
+	benchReduceWarmW4(b, 4, 1<<17, false)
 }
 
-func benchReduceWarmW4(b *testing.B, workers int) {
+// BenchmarkReduceWarmTCP is the allocation gate where every remote value
+// block crosses a loopback socket: the W4 shape at the repo benchmark's
+// warm-tcp-8 size. The send windows recycle their frames and the receive
+// pools the buffers frames are decoded into, handed back by the fold and
+// the landing, so this too must report 0 allocs/op.
+func BenchmarkReduceWarmTCP(b *testing.B) {
+	benchReduceWarmW4(b, 1, 1<<13, true)
+}
+
+func benchReduceWarmW4(b *testing.B, workers int, n int64, tcp bool) {
 	const (
 		machines = 8
 		width    = 4
-		n        = 1 << 17
 	)
 	o := obs.New(machines, 0)
 	p := twitterProfile()
@@ -65,8 +75,19 @@ func benchReduceWarmW4(b *testing.B, workers int) {
 	// a piece is ~set/4 rows, which at width 4 crosses the shard floor.
 	bf := topo.MustNew([]int{4, 2})
 
-	net := memnet.New(machines, memnet.WithObserver(o.Observer))
-	defer net.Close()
+	var endpoint func(q int) comm.Endpoint
+	if tcp {
+		nodes, err := tcpnet.LocalCluster(machines, tcpnet.Options{Observer: o.Observer, Metrics: o.Transport()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer tcpnet.CloseAll(nodes)
+		endpoint = func(q int) comm.Endpoint { return nodes[q] }
+	} else {
+		net := memnet.New(machines, memnet.WithObserver(o.Observer))
+		defer net.Close()
+		endpoint = net.Endpoint
+	}
 
 	var ready, done sync.WaitGroup
 	start := make(chan struct{})
@@ -80,7 +101,7 @@ func benchReduceWarmW4(b *testing.B, workers int) {
 				errs[q] = err
 				ready.Done()
 			}
-			m, err := core.NewMachine(net.Endpoint(q), bf, core.Options{
+			m, err := core.NewMachine(endpoint(q), bf, core.Options{
 				Width:          width,
 				CombineWorkers: workers,
 				Tracer:         o.Node(q),

@@ -3,6 +3,7 @@ package comm
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -120,12 +121,15 @@ func TestTruncationAlwaysErrors(t *testing.T) {
 	}
 }
 
-// FuzzDecodePayload feeds DecodePayload arbitrary bytes — the TCP
+// FuzzDecodePayload feeds the decoder arbitrary bytes — the TCP
 // transport hands it whatever a peer sent. It must never panic, and
 // every encoding is canonical: whatever decodes re-encodes to exactly
 // the bytes the decoder consumed (a decoder may ignore what follows),
 // so one content never has two spellings for the transports'
-// encode-once memo or the wire pins to disagree about.
+// encode-once memo or the wire pins to disagree about. Every input is
+// decoded twice, into fresh memory and through a pool of dirty recycled
+// buffers, and the two must not differ in payload, error or re-encoding:
+// nothing stale survives in what the pool hands out.
 func FuzzDecodePayload(f *testing.F) {
 	keys := sparse.MustNewSet([]int32{3, 4, 5, 9, 200, 70000})
 	fp16 := &QVals{Mode: sparse.QuantFP16, N: 3, Data: make([]byte, sparse.QuantizedSize(sparse.QuantFP16, 3))}
@@ -160,10 +164,28 @@ func FuzzDecodePayload(f *testing.F) {
 		if err == nil && (data[0] == 1 || data[0] >= 6 && data[0] <= 8) {
 			t.Fatalf("discriminator %d no encoder emits decoded as %T", data[0], p)
 		}
+		pooled, perr := dirtyPool().Decode(data)
+		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			t.Fatalf("decoding %x: %v into fresh memory, %v through a pool", data, err, perr)
+		}
 		if err != nil {
 			return
 		}
+		switch v := pooled.(type) { // the home is the one difference allowed
+		case *Floats:
+			v.home = nil
+		case *QVals:
+			v.home = nil
+		}
+		// A NaN is not deeply equal to itself: ask only of inputs whose two
+		// plain decodes are (the re-encodings below compare the bits).
+		if again, _ := DecodePayload(data); reflect.DeepEqual(again, p) && !reflect.DeepEqual(pooled, p) {
+			t.Fatalf("decoding %x: %#v through a pool, %#v without", data, pooled, p)
+		}
 		enc := p.AppendTo(nil)
+		if penc := pooled.AppendTo(nil); !bytes.Equal(penc, enc) {
+			t.Fatalf("%T decoded from %x re-encodes to %x through a pool, %x without", p, data, penc, enc)
+		}
 		if len(enc) != p.WireSize() {
 			t.Fatalf("%T: WireSize %d, encoded %d bytes", p, p.WireSize(), len(enc))
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"kylix/internal/sparse"
@@ -96,6 +97,9 @@ func (m *wireMemo) wireSize(enc func() []byte) int {
 // Floats carries a value block (reduce and gather passes).
 type Floats struct {
 	Vals []float32
+	// home is the pool a receiving transport decoded this block from, nil
+	// for every other Floats; see Release.
+	home *RecvPool
 }
 
 // KeysVals carries an index set together with its values (the combined
@@ -130,12 +134,56 @@ func (p *Floats) WireSize() int { return 1 + 4 + 4*len(p.Vals) }
 
 // AppendTo implements Payload.
 func (p *Floats) AppendTo(buf []byte) []byte {
+	buf = slices.Grow(buf, p.WireSize())
 	buf = append(buf, wireFloats)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Vals)))
-	for _, v := range p.Vals {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-	}
+	return appendFloats(buf, p.Vals)
+}
+
+// appendFloats appends vals as little-endian float32 bits, growing buf
+// at most once.
+func appendFloats(buf []byte, vals []float32) []byte {
+	at := len(buf)
+	buf = slices.Grow(buf, 4*len(vals))[:at+4*len(vals)]
+	putFloats(buf[at:], vals)
 	return buf
+}
+
+// putFloats fills dst, 4*len(vals) bytes, with vals as little-endian
+// float32 bits — four values a step through windows of fixed size, which
+// the compiler bounds-checks once each instead of once per value.
+//
+//kylix:hotpath
+func putFloats(dst []byte, vals []float32) {
+	dst = dst[:4*len(vals)]
+	n := len(vals) &^ 3
+	for i := 0; i < n; i += 4 {
+		d, v := dst[4*i:4*i+16:4*i+16], vals[i:i+4:i+4]
+		binary.LittleEndian.PutUint32(d[0:4], math.Float32bits(v[0]))
+		binary.LittleEndian.PutUint32(d[4:8], math.Float32bits(v[1]))
+		binary.LittleEndian.PutUint32(d[8:12], math.Float32bits(v[2]))
+		binary.LittleEndian.PutUint32(d[12:16], math.Float32bits(v[3]))
+	}
+	for i := n; i < len(vals); i++ {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(vals[i]))
+	}
+}
+
+// getFloats is putFloats read backwards: it fills vals from the first
+// 4*len(vals) bytes of src.
+func getFloats(vals []float32, src []byte) {
+	src = src[:4*len(vals)]
+	n := len(vals) &^ 3
+	for i := 0; i < n; i += 4 {
+		s, v := src[4*i:4*i+16:4*i+16], vals[i:i+4:i+4]
+		v[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:4]))
+		v[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:8]))
+		v[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:12]))
+		v[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:16]))
+	}
+	for i := n; i < len(vals); i++ {
+		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
 }
 
 // WireSize implements Payload.
@@ -149,10 +197,7 @@ func (p *KeysVals) AppendTo(buf []byte) []byte {
 	for _, k := range p.Keys {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(k))
 	}
-	for _, v := range p.Vals {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-	}
-	return buf
+	return appendFloats(buf, p.Vals)
 }
 
 // WireSize implements Payload.
@@ -165,8 +210,15 @@ func (p *Bytes) AppendTo(buf []byte) []byte {
 	return append(buf, p.Data...)
 }
 
-// DecodePayload parses a wire-encoded payload produced by AppendTo.
-func DecodePayload(buf []byte) (Payload, error) {
+// DecodePayload parses a wire-encoded payload produced by AppendTo into
+// memory of its own: the one decoder, RecvPool.Decode, over no pool.
+func DecodePayload(buf []byte) (Payload, error) { return (*RecvPool)(nil).Decode(buf) }
+
+// Decode is DecodePayload for a receiving transport: the value blocks
+// (Floats, QVals) land in buffers recycled through rp and go back to it
+// by Release; every other payload, which its receiver retains or never
+// releases, is allocated as ever. A nil pool allocates everything.
+func (rp *RecvPool) Decode(buf []byte) (Payload, error) {
 	if len(buf) < 1 {
 		return nil, fmt.Errorf("comm: empty payload")
 	}
@@ -181,18 +233,7 @@ func DecodePayload(buf []byte) (Payload, error) {
 	}
 	switch kind {
 	case wireFloats:
-		n, err := readU32()
-		if err != nil {
-			return nil, err
-		}
-		if len(buf) < int(n)*4 {
-			return nil, fmt.Errorf("comm: truncated floats payload")
-		}
-		vals := make([]float32, n)
-		for i := range vals {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		return &Floats{Vals: vals}, nil
+		return rp.decodeFloats(buf)
 	case wireKeysVals:
 		nk, err := readU32()
 		if err != nil {
@@ -209,11 +250,8 @@ func DecodePayload(buf []byte) (Payload, error) {
 		for i := range keys {
 			keys[i] = sparse.Key(binary.LittleEndian.Uint64(buf[i*8:]))
 		}
-		buf = buf[nk*8:]
 		vals := make([]float32, nv)
-		for i := range vals {
-			vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
+		getFloats(vals, buf[nk*8:])
 		return &KeysVals{Keys: keys, Vals: vals}, nil
 	case wireBytes:
 		n, err := readU32()
@@ -231,8 +269,24 @@ func DecodePayload(buf []byte) (Payload, error) {
 	case wireStreamCtl:
 		return decodeStreamCtlPayload(buf)
 	case wireQVals:
-		return decodeQValsPayload(buf)
+		return rp.decodeQVals(buf)
 	default:
 		return decodeConfigPayload(kind, buf)
 	}
+}
+
+// decodeFloats parses the bytes after the wireFloats discriminator.
+//
+//kylix:hotpath
+func (rp *RecvPool) decodeFloats(buf []byte) (Payload, error) {
+	if len(buf) < 4 {
+		return nil, fmt.Errorf("comm: truncated payload")
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	if buf = buf[4:]; len(buf) < n*4 {
+		return nil, fmt.Errorf("comm: truncated floats payload")
+	}
+	f := rp.floats(n)
+	getFloats(f.Vals, buf)
+	return f, nil
 }

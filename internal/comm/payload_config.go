@@ -3,7 +3,6 @@ package comm
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"kylix/internal/sparse"
 )
@@ -110,10 +109,7 @@ func (p *ConfigPiece) WireSize() int {
 func (p *ConfigPiece) AppendTo(buf []byte) []byte {
 	buf = append(buf, p.memo.bytes(p.encodeSets)...)
 	if p.HasVals {
-		buf = binary.AppendUvarint(buf, uint64(len(p.Vals)))
-		for _, v := range p.Vals {
-			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
-		}
+		buf = appendFloats(binary.AppendUvarint(buf, uint64(len(p.Vals))), p.Vals)
 	}
 	return buf
 }
@@ -190,9 +186,7 @@ func decodeConfigPayload(kind byte, buf []byte) (Payload, error) {
 			return nil, fmt.Errorf("comm: truncated configuration values")
 		}
 		p.Vals = make([]float32, nv)
-		for i := range p.Vals {
-			p.Vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
+		getFloats(p.Vals, buf)
 	}
 	return p, nil
 }

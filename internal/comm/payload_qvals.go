@@ -40,6 +40,9 @@ type QVals struct {
 	// Data is the packed encoding, exactly
 	// sparse.QuantizedSize(Mode, N) bytes.
 	Data []byte
+	// home is the pool a receiving transport decoded this block from, nil
+	// for every other QVals; see Release.
+	home *RecvPool
 }
 
 // Clone implements Payload.
@@ -65,12 +68,14 @@ func (p *QVals) AppendTo(buf []byte) []byte {
 // codec's compression ratio alongside the index codec's.
 func (p *QVals) RawWireSize() int { return 1 + 4 + 4*p.N }
 
-// decodeQValsPayload parses the bytes after the wireQVals
-// discriminator. The mode must be a defined lossy mode, the count is
-// capped, and the data length must match the mode's exact size — a
-// hostile or truncated stream errors rather than yielding a block that
-// would re-encode differently.
-func decodeQValsPayload(buf []byte) (Payload, error) {
+// decodeQVals parses the bytes after the wireQVals discriminator. The
+// mode must be a defined lossy mode, the count is capped, and the data
+// length must match the mode's exact size — a hostile or truncated
+// stream errors rather than yielding a block that would re-encode
+// differently. A recycled header has all three fields set anew.
+//
+//kylix:hotpath
+func (rp *RecvPool) decodeQVals(buf []byte) (Payload, error) {
 	if len(buf) < 1 {
 		return nil, fmt.Errorf("comm: truncated qvals payload")
 	}
@@ -90,7 +95,8 @@ func decodeQValsPayload(buf []byte) (Payload, error) {
 	if len(buf) < want {
 		return nil, fmt.Errorf("comm: truncated qvals payload (%d data bytes, want %d)", len(buf), want)
 	}
-	data := make([]byte, want)
-	copy(data, buf)
-	return &QVals{Mode: mode, N: int(n), Data: data}, nil
+	q := rp.qvals(want)
+	q.Mode, q.N = mode, int(n)
+	copy(q.Data, buf)
+	return q, nil
 }

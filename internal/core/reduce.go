@@ -81,7 +81,15 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, g *genBufs, tr
 	d := len(ls.group)
 	sp := tr.Begin(comm.KindReduce, i+1)
 	sp.Peers = d
-	defer func() { sp.Err = err; tr.End(&sp) }()
+	// Whatever is still staged at an error exit is dropped with the slots:
+	// on memnet it is a peer's arena segment, which must not stay pinned.
+	staged, held, seen := m.cfg.valP[:d], m.cfg.plP[:d], m.cfg.seen[:d]
+	defer func() {
+		clear(staged)
+		clear(held)
+		sp.Err = err
+		tr.End(&sp)
+	}()
 	tag := m.tag(comm.KindReduce, i+1, round)
 
 	pieces := g.scatter[i]
@@ -96,14 +104,15 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, g *genBufs, tr
 	acc = g.acc[i]
 	tr.CountCombineShards(m.pool.Fill(acc, m.opts.Reducer.Identity()))
 
-	staged, seen := m.cfg.valP[:d], m.cfg.seen[:d]
 	clear(seen)
 	folded := 0
 	for received := 0; received < d; received++ {
 		t, pl, err := m.recvPiece(i, tag, seen)
 		if err == nil {
 			// No fixed destination: a raw piece is folded from the received
-			// payload itself, a packed one from its landing buffer.
+			// payload itself, a packed one from its landing buffer. Either
+			// way the payload is held until its fold and released after it.
+			held[t] = pl
 			staged[t], err = m.landPiece(ls.group[t], pl, &pieces[t], nil, len(ls.outMaps[t])*w, &sp)
 		}
 		if err != nil {
@@ -115,7 +124,10 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, g *genBufs, tr
 			// the per-row fold order — piece by piece, in member order —
 			// is exactly the serial one.
 			tr.CountCombineShards(m.pool.CombineInto(m.opts.Reducer, acc, ls.outMaps[folded], staged[folded], w))
-			staged[folded] = nil // do not pin received payload memory past the fold
+			// Do not pin received payload memory past the fold: the payload
+			// goes back to the transport that decoded it, if one did.
+			comm.Release(held[folded])
+			staged[folded], held[folded] = nil, nil
 			folded++
 		}
 	}
@@ -187,6 +199,7 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, g *genBufs, 
 		if err != nil {
 			return err
 		}
+		comm.Release(pl) // landed: copied or dequantized into its segment
 	}
 	return nil
 }

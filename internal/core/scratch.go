@@ -75,7 +75,9 @@ type genBufs struct {
 // N-1, which required a message from every group member at every layer,
 // which those members only send after finishing round N-2 and therefore
 // after consuming every round-N-2 payload addressed to them (tcpnet
-// copies a payload before Send returns and is outside the argument).
+// copies a payload for a peer before Send returns and is outside the
+// argument; its self-sends go by reference, like memnet's, and are
+// inside it).
 // The generation-independent receive state —
 // singleton receive groups, the arrival-order staging slots and their
 // duplicate-delivery guards — is the machine-level cfgScratch's: one
@@ -205,17 +207,19 @@ type cfgScratch struct {
 	groupOf [][]int
 	// groups[layer-1][t] is the singleton receive group {groupOf[t]}.
 	groups [][][]int
-	// got/valP/seen stage one layer's received pieces, indexed by group
+	// got/valP/plP/seen stage one layer's received pieces, indexed by group
 	// slot and sized to the widest layer: payloads in the configuration
-	// pass, and in a reduction the arrival-order receipts (valP) awaiting
-	// their canonical-order fold; seen guards both against duplicate
-	// deliveries. inP/outP line a rebuilding layer's pieces up for the
-	// union kernel, and keys holds the ones read back out of the old
-	// unions for it (capacity kept across passes). Passes on a machine
-	// never overlap and each layer clears what it uses.
+	// pass, and in a reduction the arrival-order receipts awaiting their
+	// canonical-order fold — the float view (valP) beside the payload it
+	// may alias (plP), which is released after the fold; seen guards both
+	// against duplicate deliveries. inP/outP line a rebuilding layer's
+	// pieces up for the union kernel, and keys holds the ones read back
+	// out of the old unions for it (capacity kept across passes). Passes
+	// on a machine never overlap and each layer clears what it uses.
 	got       []*comm.ConfigPiece
 	inP, outP []sparse.Set
 	valP      [][]float32
+	plP       []comm.Payload
 	seen      []bool
 	keys      []sparse.Key
 	// uni is the tree-union arena; unions are cloned out of it into the
@@ -254,6 +258,7 @@ func (m *Machine) ensureCfgScratch() *cfgScratch {
 	cs.inP = make([]sparse.Set, maxDeg)
 	cs.outP = make([]sparse.Set, maxDeg)
 	cs.valP = make([][]float32, maxDeg)
+	cs.plP = make([]comm.Payload, maxDeg)
 	cs.seen = make([]bool, maxDeg)
 	cs.offs = make([]int32, 2*(maxDeg+1))
 	m.cfg = cs

@@ -336,6 +336,14 @@ type TransportMetrics struct {
 	// writer; FramesSent / WritevCalls is the measured frames-per-syscall
 	// ratio (1.0 means no coalescing happened).
 	WritevCalls *Counter
+	// RecvPoolMisses counts received value blocks decoded into a fresh
+	// allocation because no released buffer fit. On a warm fixed
+	// configuration it stops growing; what it keeps growing by is what
+	// the receive side still hands the collector.
+	RecvPoolMisses *Counter
+	// RecvPoolBytesHigh is the high-watermark of released buffer bytes
+	// parked in one node's receive pool.
+	RecvPoolBytesHigh *Gauge
 }
 
 // NewTransportMetrics registers the transport metric set in r (nil r
@@ -353,6 +361,8 @@ func NewTransportMetrics(r *Registry) *TransportMetrics {
 		FramesSent:        r.Counter("tcp_frames_sent"),
 		FramesBatched:     r.Counter("tcp_frames_batched"),
 		WritevCalls:       r.Counter("tcp_writev_calls"),
+		RecvPoolMisses:    r.Counter("tcp_recv_pool_misses"),
+		RecvPoolBytesHigh: r.Gauge("tcp_recv_pool_bytes_high"),
 	}
 }
 

@@ -156,6 +156,10 @@ type Node struct {
 	box   *comm.Mailbox
 	obs   comm.Observer // nil when nobody observes
 	ln    net.Listener
+	// pool recycles the buffers the readers decode value blocks into; the
+	// mailbox's consumer hands them back with comm.Release. Its lock is a
+	// leaf: readers decode before they take a sender's mu.
+	pool comm.RecvPool
 
 	mu      sync.Mutex
 	peers   map[int]*peer
@@ -437,6 +441,7 @@ func Listen(rank int, addrs []string, opts Options) (*Node, error) {
 		from:  make([]sender, len(addrs)),
 	}
 	n.addrs[rank] = ln.Addr().String()
+	n.pool.Miss, n.pool.Parked = opts.Metrics.RecvPoolMisses.Inc, opts.Metrics.RecvPoolBytesHigh.SetMax
 	if opts.Observer != nil {
 		if o := opts.Observer(rank); o != nil {
 			n.obs = o
@@ -458,11 +463,15 @@ func (n *Node) Rank() int { return n.rank }
 func (n *Node) Size() int { return len(n.addrs) }
 
 // Send implements comm.Endpoint: it encodes the payload into the peer's
-// send window — the caller's buffers are its own again — and waits only
-// when the window is full (see windowBound). With FailFast, a peer whose
-// stream was terminally lost returns its recorded error; otherwise
-// dead-peer traffic drops silently (replication masks it) and the error
-// surfaces on Close.
+// send window — after which the caller's buffers are its own again — and
+// waits only when the window is full (see windowBound). A send to the
+// node itself is the exception: it is delivered by reference, like
+// memnet's, so the payload is not the caller's again until the message
+// has been received (core's two-generation arena is what makes that safe
+// for the reduction), and what the receiver gets has no pool to go back
+// to. With FailFast, a peer whose stream was terminally lost returns its
+// recorded error; otherwise dead-peer traffic drops silently (replication
+// masks it) and the error surfaces on Close.
 func (n *Node) Send(to int, tag comm.Tag, p comm.Payload) error {
 	if to < 0 || to >= len(n.addrs) {
 		return fmt.Errorf("tcpnet: send to rank %d out of [0,%d)", to, len(n.addrs))
@@ -848,9 +857,9 @@ func (n *Node) readLoop(conn net.Conn) {
 		return
 	}
 	in := &n.from[from]
-	// buf is reused across frames (grow-only): DecodePayload copies all
-	// referenced bytes into the typed payload, so the raw frame can be
-	// overwritten by the next read.
+	// buf is reused across frames (grow-only): Decode copies all referenced
+	// bytes into the typed payload, so the raw frame can be overwritten by
+	// the next read.
 	var buf []byte
 	var acked uint64 // where our stream toward the sender stood at the last ack applied
 	for {
@@ -895,13 +904,14 @@ func (n *Node) readLoop(conn net.Conn) {
 			}
 			continue
 		}
-		p, err := comm.DecodePayload(buf)
+		p, err := n.pool.Decode(buf)
 		if err != nil {
 			return
 		}
 		in.mu.Lock()
 		if seq != 0 && seq <= in.seq.Load() {
 			in.mu.Unlock()
+			comm.Release(p) // nobody else saw it
 			n.opts.Metrics.DedupHits.Inc()
 			n.oweAck(from) // a replay means the sender never saw our ack
 			continue

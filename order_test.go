@@ -306,21 +306,30 @@ func (b *barrier) wait() {
 	}
 }
 
-// TestReduceAllocatesOnlyTheResult gates the adapter's cost: a warm
-// Reduce over the memory transport allocates the slice it returns and
-// nothing else, on every rank.
+// TestReduceAllocatesOnlyTheResult gates the adapter's cost and the
+// transports': a warm Reduce allocates the slice it returns and nothing
+// else, on every rank — over memory, where nothing is copied, and over
+// TCP, where every received value block is decoded into a buffer the
+// reduction handed back a pass earlier.
 func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 	const runs = 20
 	for _, tc := range []struct {
-		name  string
-		quant kylix.Quantization
+		name      string
+		quant     kylix.Quantization
+		transport kylix.Transport
 	}{
-		{"keyed", kylix.QuantOff}, {"shuffled", kylix.QuantOff},
-		{"keyed", kylix.QuantFP16}, {"shuffled", kylix.QuantINT8},
+		{"keyed", kylix.QuantOff, kylix.TransportMemory}, {"shuffled", kylix.QuantOff, kylix.TransportMemory},
+		{"keyed", kylix.QuantFP16, kylix.TransportMemory}, {"shuffled", kylix.QuantINT8, kylix.TransportMemory},
+		{"keyed", kylix.QuantOff, kylix.TransportTCP}, {"shuffled", kylix.QuantFP16, kylix.TransportTCP},
+		{"keyed", kylix.QuantINT8, kylix.TransportTCP},
 	} {
-		name := tc.name
-		t.Run(fmt.Sprintf("%s/%v", name, tc.quant), func(t *testing.T) {
-			cluster, err := kylix.NewCluster(orderRanks, kylix.WithDegrees(2, 2), kylix.WithQuantization(tc.quant))
+		name, row := tc.name, fmt.Sprintf("%s/%v", tc.name, tc.quant)
+		if tc.transport == kylix.TransportTCP {
+			row += "/tcp"
+		}
+		t.Run(row, func(t *testing.T) {
+			cluster, err := kylix.NewCluster(orderRanks, kylix.WithDegrees(2, 2), kylix.WithQuantization(tc.quant),
+				kylix.WithTransport(tc.transport))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kylix"
+	"kylix/internal/comm"
 	"kylix/internal/leakcheck"
 )
 
@@ -15,10 +16,13 @@ import (
 // are refilled as soon as the previous round returns, a Reconfigure that
 // keeps every arena, and a quantized tenant stream, all over real
 // sockets — the arena → transport hand-off the race detector must see as
-// an ordinary copy — with every round's digest equal to the in-memory
-// run's.
+// an ordinary copy, and the hand-back of every folded or landed piece to
+// the receive pool, poisoned on release so that a piece read afterwards
+// shows — with every round's digest equal to the in-memory run's.
 func TestWarmTCPMatchesMemory(t *testing.T) {
 	defer leakcheck.Check(t)()
+	comm.PoisonReleased(true)
+	defer comm.PoisonReleased(false)
 	const (
 		m      = 8
 		rounds = 60

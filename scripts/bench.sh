@@ -28,7 +28,10 @@
 #                               # ConfigureReduce on the same topology
 #                               # (their ns ratio is printed, not gated),
 #                               # or if the index codec (BenchmarkKeysCodec)
-#                               # allocates.
+#                               # allocates, or if the warm Reduce over
+#                               # loopback TCP (BenchmarkReduceWarmTCP) or
+#                               # the value codec through the receive pool
+#                               # (BenchmarkFloatsCodec) does.
 #                               # The wire gate additionally requires the
 #                               # quantized warm Reduce (fp16 and int8) to
 #                               # stay at 0 allocs/op and fp16 to ship
@@ -67,7 +70,7 @@ wireout=""
 trap 'rm -f "$out" "$cfgout" "$wireout"' EXIT
 
 echo "== hot-path benchmarks (internal/bench, internal/core, internal/sparse)"
-go test ./internal/bench/ -run '^$' -bench 'BenchmarkReduceWarmQuick|BenchmarkReduceWarmObs|BenchmarkReduceWarmW4' -benchtime 2s -benchmem | tee "$out"
+go test ./internal/bench/ -run '^$' -bench 'BenchmarkReduceWarmQuick|BenchmarkReduceWarmObs|BenchmarkReduceWarmW4|BenchmarkReduceWarmTCP' -benchtime 2s -benchmem | tee "$out"
 go test ./internal/core/ -run '^$' -bench 'BenchmarkReduce|BenchmarkConfigure|BenchmarkTreeAllreduce' -benchtime 1s -benchmem | tee -a "$out"
 go test ./internal/sparse/ -run '^$' -bench 'BenchmarkCombineInto|BenchmarkGatherInto|BenchmarkTreeUnion$|BenchmarkUnionWithMaps' -benchtime 1s -benchmem | tee -a "$out"
 
@@ -78,6 +81,7 @@ echo "== wire quantization benchmarks (value codec: fp16 / int8)"
 wireout="$(mktemp)"
 go test ./internal/bench/ -run '^$' -bench 'BenchmarkReduceWarmFP16|BenchmarkReduceWarmINT8' -benchtime 2s -benchmem | tee "$wireout"
 go test ./internal/sparse/ -run '^$' -bench 'BenchmarkQuantize|BenchmarkDequantize' -benchtime 1s -benchmem | tee -a "$wireout"
+go test ./internal/comm/ -run '^$' -bench 'BenchmarkFloatsCodec' -benchtime 1s -benchmem | tee -a "$wireout"
 
 echo "== configuration benchmarks (configure / reconfigure / index codec)"
 go test ./internal/core/ -run '^$' -bench 'BenchmarkConfigure8x4x2|BenchmarkConfigureReduce16|BenchmarkConfigureReduce8x4x2|BenchmarkReconfigureWarm' -benchtime 2s -benchmem | tee "$cfgout"
@@ -97,7 +101,7 @@ parse() {
     /^Benchmark/ {
         name = $1; sub(/-[0-9]+$/, "", name)
         ns = ""; bop = ""; aop = ""; shards = ""; fpw = ""
-        vb = ""; rvb = ""; vx = ""
+        vb = ""; rvb = ""; vx = ""; nskb = ""
         for (i = 2; i <= NF; i++) {
             if ($(i) == "ns/op")          ns     = $(i-1)
             if ($(i) == "B/op")           bop    = $(i-1)
@@ -107,6 +111,7 @@ parse() {
             if ($(i) == "valbytes/op")    vb     = $(i-1)
             if ($(i) == "rawvalbytes/op") rvb    = $(i-1)
             if ($(i) == "valx")           vx     = $(i-1)
+            if ($(i) == "ns/KB")          nskb   = $(i-1)
         }
         if (ns == "") next
         if (!first) printf ",\n"
@@ -119,6 +124,7 @@ parse() {
         if (vb != "")     printf ", \"value_bytes_per_op\": %s", vb
         if (rvb != "")    printf ", \"raw_value_bytes_per_op\": %s", rvb
         if (vx != "")     printf ", \"value_compression\": %s", vx
+        if (nskb != "")   printf ", \"ns_per_kb\": %s", nskb
         printf "}"
     }' "$1"
 }
@@ -164,13 +170,20 @@ record() {
     } > "$cfgjson"
     echo "== wrote $cfgjson"
 
-    # BENCH_wire.json records the wire-level value quantization numbers:
-    # raw_value_bytes_per_op is what one collective round ships as raw
-    # float32 payload ("before"), value_bytes_per_op what the selected
-    # codec ships ("after"), value_compression their ratio.
+    # BENCH_wire.json records the wire-level value numbers. For the
+    # quantized rows raw_value_bytes_per_op is what one collective round
+    # ships as raw float32 payload, value_bytes_per_op what the selected
+    # codec ships, value_compression their ratio. "before" is the archived
+    # output of the raw codec before the receive pool (an append per value,
+    # a fresh buffer per decode; same rotating inputs), "after" is this run.
     wirejson="BENCH_wire.json"
     {
         echo "{"
+        if [ -f "$wirebaseline" ]; then
+            printf '  "before": {\n'
+            parse "$wirebaseline"
+            printf '\n  },\n'
+        fi
         printf '  "after": {\n'
         parse "$wireout"
         printf '\n  }\n}\n'
@@ -181,11 +194,12 @@ record() {
 # The archived pre-rework configuration baseline: "before" in
 # BENCH_config.json and the anchor of the gate's speedup check.
 cfgbaseline="scripts/bench_config_baseline.txt"
+wirebaseline="scripts/bench_wire_baseline.txt"
 
 if [ "$gate" = 0 ]; then
     record
 else
-    for b in BenchmarkReduceWarmQuick BenchmarkReduceWarmObs BenchmarkReduceWarmW4 BenchmarkReduceWarmW4Workers; do
+    for b in BenchmarkReduceWarmQuick BenchmarkReduceWarmObs BenchmarkReduceWarmW4 BenchmarkReduceWarmW4Workers BenchmarkReduceWarmTCP; do
         allocs="$(awk -v b="$b" '$1 ~ "^"b"(-[0-9]+)?$" { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }' "$out")"
         if [ -z "$allocs" ]; then
             echo "bench gate: $b did not report allocs/op" >&2
@@ -198,8 +212,9 @@ else
     done
     # Quantized warm Reduce must stay allocation-free too: the value
     # codec runs entirely from the preallocated QVals arena and landing
-    # buffers.
-    for b in BenchmarkReduceWarmFP16 BenchmarkReduceWarmINT8; do
+    # buffers. So must the raw codec as the TCP transport runs it: encode
+    # into a reused frame, decode through the receive pool, release.
+    for b in BenchmarkReduceWarmFP16 BenchmarkReduceWarmINT8 BenchmarkFloatsCodec; do
         allocs="$(awk -v b="$b" '$1 ~ "^"b"(-[0-9]+)?$" { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }' "$wireout")"
         if [ -z "$allocs" ]; then
             echo "bench gate: $b did not report allocs/op" >&2

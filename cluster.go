@@ -38,6 +38,10 @@ type Cluster struct {
 	mem      *memnet.Network
 	tcp      []*tcpnet.Node
 	fabric   *faultnet.Fabric
+	// eps is every provisioned rank's endpoint on whichever transport the
+	// cluster runs, behind the fault fabric when there is one: what passes
+	// and the membership agents send and receive through.
+	eps []comm.Endpoint
 	// traffic is the store the transports' event sinks feed: the
 	// Observatory's under WithObservability, a bare one under WithTrace
 	// alone, nil with neither (sends are then not even sized).
@@ -100,7 +104,7 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 	if cfg.observe {
 		cfg.obsv = obs.New(capacity, 0)
 	}
-	c := &Cluster{cfg: cfg, bf: bf, phys: m, capacity: capacity, obs: cfg.obsv}
+	c := &Cluster{cfg: cfg, bf: bf, phys: m, capacity: capacity, obs: cfg.obsv, eps: make([]comm.Endpoint, capacity)}
 	if cfg.faults != nil {
 		fab, err := faultnet.New(*cfg.faults)
 		if err != nil {
@@ -125,6 +129,9 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 		c.mem = memnet.New(capacity,
 			memnet.WithRecvTimeout(cfg.recvTimeout),
 			memnet.WithObserver(observer))
+		for r := range c.eps {
+			c.eps[r] = c.mem.Endpoint(r)
+		}
 	case TransportTCP:
 		nodes, err := tcpnet.LocalCluster(capacity, tcpnet.Options{
 			RecvTimeout: cfg.recvTimeout,
@@ -135,8 +142,16 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 			return nil, err
 		}
 		c.tcp = nodes
+		for r, n := range nodes {
+			c.eps[r] = n
+		}
 	default:
 		return nil, fmt.Errorf("kylix: unknown transport %d", cfg.transport)
+	}
+	if c.fabric != nil {
+		for r, ep := range c.eps {
+			c.eps[r] = c.fabric.Wrap(ep)
+		}
 	}
 	if cfg.elastic != nil {
 		c.startElastic(m)
@@ -162,12 +177,6 @@ func (c *Cluster) startElastic(m int) {
 		Members: members,
 		Degrees: c.bf.Degrees(),
 	}
-	var met *obs.MembershipMetrics
-	if c.obs != nil {
-		met = obs.NewMembershipMetrics(c.obs.Registry())
-	} else {
-		met = obs.NewMembershipMetrics(nil)
-	}
 	opts := membership.Options{
 		Heartbeat:    e.Heartbeat,
 		SuspectAfter: e.SuspectAfter,
@@ -176,19 +185,10 @@ func (c *Cluster) startElastic(m int) {
 		Replication:  c.cfg.replication,
 		Seed:         e.Seed,
 		Drain:        c.gate.drain,
-		Metrics:      met,
+		Metrics:      obs.NewMembershipMetrics(c.obs.Registry()),
 	}
 	agents := make([]*membership.Agent, c.capacity)
-	for r := 0; r < c.capacity; r++ {
-		var ep comm.Endpoint
-		if c.mem != nil {
-			ep = c.mem.Endpoint(r)
-		} else {
-			ep = c.tcp[r]
-		}
-		if c.fabric != nil {
-			ep = c.fabric.Wrap(ep)
-		}
+	for r, ep := range c.eps {
 		agents[r] = membership.NewAgent(r, ep, initial, opts)
 	}
 	c.svc = membership.NewService(agents, func(r int) bool { return !c.deadRank(r) })
@@ -303,8 +303,6 @@ func (c *Cluster) Run(fn func(*Node) error) error {
 // from cfg, accounting consumed tag rounds into base so the caller's
 // next pass starts on fresh tags. cfg.stream selects the tag namespace
 // the pass's nodes mint into.
-//
-//kylix:owned
 func (c *Cluster) runPass(cfg config, base *atomic.Uint32, fn func(*Node) error) error {
 	// Enter the gate before the closed check: Close sets the flag and
 	// then drains the gate, so every pass that got past this check is
@@ -335,9 +333,6 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, fn func(*Node) error)
 	var maxUsed atomic.Uint32
 	body := func(ep comm.Endpoint) error {
 		physRank := ep.Rank()
-		if c.fabric != nil {
-			ep = c.fabric.Wrap(ep)
-		}
 		if members != nil {
 			view, verr := membership.NewView(ep, members)
 			if verr != nil {
@@ -365,32 +360,7 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, fn func(*Node) error)
 		}
 		return err
 	}
-	var err error
-	if c.mem != nil {
-		err = memnet.Run(c.mem, body, members...)
-	} else {
-		ranks := members
-		if ranks == nil {
-			ranks = make([]int, len(c.tcp))
-			for i := range ranks {
-				ranks[i] = i
-			}
-		}
-		errc := make(chan error, len(ranks))
-		started := 0
-		for _, r := range ranks {
-			if c.deadRank(r) {
-				continue
-			}
-			started++
-			go func(ep comm.Endpoint) { errc <- body(ep) }(c.tcp[r])
-		}
-		for i := 0; i < started; i++ {
-			if e := <-errc; e != nil && err == nil {
-				err = e
-			}
-		}
-	}
+	err := comm.Run(c.eps, c.deadRank, body, members...)
 	base.Store(baseRound + maxUsed.Load())
 	return err
 }

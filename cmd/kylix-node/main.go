@@ -8,9 +8,6 @@
 //
 //	kylix-node -rank 0 -hosts 127.0.0.1:7000,127.0.0.1:7001 &
 //	kylix-node -rank 1 -hosts 127.0.0.1:7000,127.0.0.1:7001
-//
-// With -daemon the process instead stays up serving multi-tenant
-// stream create/reduce/close commands; see daemon.go.
 package main
 
 import (
@@ -40,8 +37,6 @@ func main() {
 		timeout     = flag.Duration("timeout", 60*time.Second, "receive timeout")
 		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /trace and /timeline over HTTP on this address (enables observability)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of this rank's run to the file (enables observability)")
-		daemon      = flag.Bool("daemon", false, "run as a long-lived multi-tenant stream daemon instead of a one-shot workload")
-		controlAddr = flag.String("control-addr", "", "daemon rank 0: serve the stream control API over HTTP on this address")
 	)
 	flag.Parse()
 
@@ -82,20 +77,14 @@ func main() {
 		fmt.Printf("rank %d: metrics on http://%s/metrics (also /trace, /timeline)\n", *rank, srv.Addr)
 	}
 
-	if *daemon {
-		if err := runDaemon(node, *rank, *controlAddr); err != nil {
-			fatal(err)
-		}
-	} else {
-		switch *workload {
-		case "allreduce":
-			runAllreduce(node, *n, *nnz, *seed)
-		case "pagerank":
-			runPagerank(node, *n, *nnz, *iters, *seed)
-		default:
-			fmt.Fprintf(os.Stderr, "kylix-node: unknown workload %q\n", *workload)
-			os.Exit(2)
-		}
+	switch *workload {
+	case "allreduce":
+		runAllreduce(node, *n, *nnz, *seed)
+	case "pagerank":
+		runPagerank(node, *n, *nnz, *iters, *seed)
+	default:
+		fmt.Fprintf(os.Stderr, "kylix-node: unknown workload %q\n", *workload)
+		os.Exit(2)
 	}
 
 	if *traceOut != "" {

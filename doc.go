@@ -46,9 +46,16 @@
 // WithElastic), tenant admission (WithMaxStreams, WithStreamInflight,
 // WithStreamSlots) and visibility (WithTrace, WithObservability — two
 // exports of one byte count: the transports' single event sink feeds
-// one traffic store, read by Cluster.Traffic and by /metrics alike). Tag
-// namespaces are not options: a channel is chosen only by Node.Channel,
-// a tenant stream only by Cluster.OpenStream or Node.Stream.
+// one traffic store, read by Cluster.Traffic and by /metrics alike).
+//
+// Tag namespaces are not options, and there are two, nested. A stream is
+// a tenant: a 16-bit field of every tag, opened by Cluster.OpenStream in
+// process or derived by Node.Stream across processes, and purged from
+// every mailbox when it closes (Stream.Close, Node.CloseStream). A
+// channel is one program's extra network inside its stream: Node.Channel
+// takes the top byte of the tag's sequence number, and lives and dies
+// with its stream. Both derive a second machine over the node's endpoint
+// through one path, which refuses a namespace already in use on the node.
 //
 // DesignDegrees implements the paper's §IV workflow for choosing optimal
 // layer degrees from the data's power-law statistics, and the repository

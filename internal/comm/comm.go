@@ -89,7 +89,7 @@ type Tag uint64
 // tagClamps counts tags whose layer was out of [0, 255] and got
 // clamped by MakeStreamTag. The protocol never produces one (layers
 // are bounded by the degree vector length), so a nonzero count is a
-// caller bug surfaced as a metric instead of a daemon-killing panic.
+// caller bug surfaced as a metric instead of a process-killing panic.
 var tagClamps atomic.Uint64
 
 // TagClamps reports how many tag constructions clamped an
@@ -98,10 +98,8 @@ func TagClamps() uint64 { return tagClamps.Load() }
 
 // MakeStreamTag packs stream, kind, layer and sequence number into a
 // Tag. A layer outside [0, 255] is clamped to the nearest bound and
-// counted in TagClamps — never a panic: once untrusted stream RPCs can
-// reach the comm layer, a malformed request must not take down the
-// daemon. Callers validating untrusted input up front should use
-// CheckLayer and reject before minting.
+// counted in TagClamps — never a panic: one bad tag must not take down
+// a process that other tenants' streams share.
 func MakeStreamTag(stream StreamID, kind Kind, layer int, seq uint32) Tag {
 	if layer < 0 || layer > 255 {
 		tagClamps.Add(1)
@@ -119,33 +117,6 @@ func MakeStreamTag(stream StreamID, kind Kind, layer int, seq uint32) Tag {
 // MakeStreamTag (clamp + count, no panic).
 func MakeTag(kind Kind, layer int, seq uint32) Tag {
 	return MakeStreamTag(DefaultStream, kind, layer, seq)
-}
-
-// TagRangeError reports a tag component outside its encodable range —
-// the structured rejection for untrusted inputs (daemon RPCs) that
-// must be validated rather than silently clamped.
-type TagRangeError struct {
-	// Field names the offending component ("layer").
-	Field string
-	// Value is the out-of-range value as given.
-	Value int
-	// Max is the largest encodable value (Min is always 0).
-	Max int
-}
-
-// Error implements error.
-func (e *TagRangeError) Error() string {
-	return fmt.Sprintf("comm: tag %s %d out of range [0, %d]", e.Field, e.Value, e.Max)
-}
-
-// CheckLayer validates a layer for tag encoding, returning a
-// *TagRangeError when it cannot be represented. Use it at trust
-// boundaries; trusted protocol code calls MakeStreamTag directly.
-func CheckLayer(layer int) error {
-	if layer < 0 || layer > 255 {
-		return &TagRangeError{Field: "layer", Value: layer, Max: 255}
-	}
-	return nil
 }
 
 // Kind extracts the message kind.

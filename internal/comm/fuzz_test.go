@@ -76,10 +76,6 @@ func TestEncodeDecodeQuick(t *testing.T) {
 				Members: keys32(keysRaw), Degrees: []int32{2, 2},
 				PropEpoch: uint64(len(data)), PropMembers: keys32(keysRaw),
 				Ack: 7, Clock: int64(len(keysRaw)), Echo: 9},
-			&StreamCtl{Op: OpStreamCreate, Seq: uint32(len(data)),
-				Stream: StreamID(len(keysRaw)), Seed: int64(len(vals)),
-				N: 1 << 16, NNZ: uint32(len(keysRaw)), Rounds: 2, Width: 1,
-				Digest: uint64(len(data)), Quant: uint8(sparse.QuantFP16)},
 			qf, qi,
 			&QVals{Mode: sparse.QuantFP16, N: 0, Data: []byte{}},
 		}
@@ -145,7 +141,6 @@ func FuzzDecodePayload(f *testing.F) {
 		&ConfigPiece{In: keys, OutSame: true},
 		&ConfigPiece{InSame: true, OutSame: true},
 		&Control{Op: 1, Epoch: 2, Members: []int32{0, 1}, Degrees: []int32{2}},
-		&StreamCtl{Op: OpStreamReduce, Seq: 7, Stream: 3, Rounds: 2, Width: 1},
 		fp16, int8s,
 	} {
 		f.Add(p.AppendTo(nil))
@@ -159,9 +154,11 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{10, 0, 0, 1, 0, 0, 0, 0, 9}) // trailing byte
 	// What the retired Keys payload encoded to: refused, like 1, 6 and 7.
 	f.Add(sparse.AppendCompressed([]byte{8}, keys))
+	// What the retired StreamCtl payload encoded to: 13 and a 44-byte body.
+	f.Add(append([]byte{13, 2}, make([]byte, 43)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePayload(data)
-		if err == nil && (data[0] == 1 || data[0] >= 6 && data[0] <= 8) {
+		if err == nil && (data[0] == 1 || data[0] >= 6 && data[0] <= 8 || data[0] == 13) {
 			t.Fatalf("discriminator %d no encoder emits decoded as %T", data[0], p)
 		}
 		pooled, perr := dirtyPool().Decode(data)

@@ -49,11 +49,11 @@ func RawWireSize(p Payload) int {
 
 // Payload type discriminators on the wire. 2–4 are the fixed-width
 // formats; the configuration payload's layouts 9–11 live in
-// payload_config.go, 12–13 are control planes, and the quantized value
-// block 14 lives in payload_qvals.go. Every process of a cluster runs
-// the same binary and nothing persists payloads, so a discriminator no
-// encoder emits (the index-set forms 1, 6, 7 and 8 of earlier versions)
-// is simply unknown.
+// payload_config.go, 12 is the membership control plane, and the
+// quantized value block 14 lives in payload_qvals.go. Every process of a
+// cluster runs the same binary and nothing persists payloads, so a
+// discriminator no encoder emits (the index-set forms 1, 6, 7 and 8 and
+// the stream-control form 13 of earlier versions) is simply unknown.
 const (
 	wireFloats   = 2
 	wireKeysVals = 3
@@ -266,8 +266,6 @@ func (rp *RecvPool) Decode(buf []byte) (Payload, error) {
 		return &Bytes{Data: data}, nil
 	case wireControl:
 		return decodeControlPayload(buf)
-	case wireStreamCtl:
-		return decodeStreamCtlPayload(buf)
 	case wireQVals:
 		return rp.decodeQVals(buf)
 	default:

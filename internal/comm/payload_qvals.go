@@ -7,9 +7,8 @@ import (
 	"kylix/internal/sparse"
 )
 
-// wireQVals is the discriminator of the quantized value payload. It
-// extends the 1-13 range assigned in payload.go / payload_config.go /
-// payload_control.go / payload_streamctl.go.
+// wireQVals is the discriminator of the quantized value payload (13 is
+// retired; see payload.go).
 const wireQVals = 14
 
 // maxQuantVals bounds the decoded element count of one quantized block,

@@ -7,9 +7,7 @@
 package memnet
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -171,48 +169,12 @@ func (e *endpoint) Close() error {
 }
 
 // Run executes fn concurrently on every live machine of the network (or
-// on the given subset of ranks) and returns the combined errors. Panics
-// inside a machine are converted to errors so one broken rank cannot
-// take down the test process silently.
-//
-//kylix:owned
+// on the given subset of ranks) and returns the combined errors, as
+// comm.Run does over the network's endpoints.
 func Run(n *Network, fn func(ep comm.Endpoint) error, ranks ...int) error {
-	if len(ranks) == 0 {
-		ranks = make([]int, n.size)
-		for i := range ranks {
-			ranks[i] = i
-		}
+	eps := make([]comm.Endpoint, n.size)
+	for r := range eps {
+		eps[r] = n.Endpoint(r)
 	}
-	errs := make([]error, len(ranks))
-	var wg sync.WaitGroup
-	for i, r := range ranks {
-		if n.Dead(r) {
-			continue
-		}
-		wg.Add(1)
-		go func(i, rank int) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[i] = fmt.Errorf("memnet: rank %d panicked: %v", rank, rec)
-				}
-			}()
-			errs[i] = fn(n.Endpoint(rank))
-		}(i, r)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			// A machine killed mid-round fails its own in-flight
-			// operations with ErrClosed (or times out waiting on traffic
-			// that will never come). That is the injected crash-stop, not
-			// a program error: survivors' results are what the run is
-			// judged on.
-			if n.Dead(ranks[i]) && (errors.Is(err, comm.ErrClosed) || errors.Is(err, comm.ErrTimeout)) {
-				continue
-			}
-			return fmt.Errorf("rank %d: %w", ranks[i], err)
-		}
-	}
-	return nil
+	return comm.Run(eps, n.Dead, fn, ranks...)
 }

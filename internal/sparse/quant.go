@@ -64,8 +64,7 @@ func (q Quantization) String() string {
 	}
 }
 
-// ParseQuantization parses the textual mode names used by flags and the
-// daemon control API.
+// ParseQuantization parses the textual mode names used by flags.
 func ParseQuantization(s string) (Quantization, error) {
 	switch s {
 	case "off", "":

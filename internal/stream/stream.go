@@ -2,8 +2,8 @@
 // fabric: admission control (how many streams may exist), slot
 // scheduling (how many collective passes may run at once, granted
 // fairly round-robin across tenants), and stream-id allocation. It is
-// pure coordination — no transport knowledge — so the root package's
-// Stream handle and the kylix-node daemon share one implementation.
+// pure coordination — no transport knowledge — behind the root package's
+// Cluster.OpenStream and Stream handle.
 package stream
 
 import (
@@ -22,7 +22,7 @@ var (
 	// ErrIDsExhausted is returned when the 16-bit stream-id space has
 	// been fully consumed. IDs are never reused (a reused id could
 	// collide with late frames of its previous owner still in transit),
-	// so a very long-lived daemon can run out; restart to reset.
+	// so a very long-lived cluster can run out; build a new one to reset.
 	ErrIDsExhausted = errors.New("stream: stream-id space exhausted")
 )
 

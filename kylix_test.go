@@ -677,9 +677,48 @@ func TestChannelValidation(t *testing.T) {
 		if ch.Width() != 2 {
 			t.Errorf("derived width %d", ch.Width())
 		}
+		// A namespace derived twice would mint identical tags on two
+		// machines of one node.
+		if _, err := node.Channel(3); err == nil {
+			t.Error("accepted a channel already derived")
+		}
+		if _, err := ch.Channel(0); err == nil {
+			t.Error("accepted the root's channel from a derived node")
+		}
+		if _, err := node.Stream(0); err == nil {
+			t.Error("accepted stream 0")
+		}
+		if _, err := node.Stream(7); err != nil {
+			return err
+		}
+		if _, err := node.Stream(7); err == nil {
+			t.Error("accepted a stream already derived")
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunPanicNamesTheRank: a rank whose fn panics fails the Run with an
+// error naming it, on either transport, instead of taking the process
+// down.
+func TestRunPanicNamesTheRank(t *testing.T) {
+	for _, transport := range []kylix.Transport{kylix.TransportMemory, kylix.TransportTCP} {
+		cluster, err := kylix.NewCluster(2, kylix.WithTransport(transport))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cluster.Run(func(node *kylix.Node) error {
+			if node.Rank() == 1 {
+				panic("boom")
+			}
+			return nil
+		})
+		cluster.Close()
+		if err == nil || !strings.Contains(err.Error(), "rank 1 panicked: boom") {
+			t.Fatalf("transport %d: Run = %v, want an error naming rank 1's panic", transport, err)
+		}
 	}
 }

@@ -27,9 +27,12 @@ type Node struct {
 	// tn is the node's raw TCP transport when built by ListenNode —
 	// CloseStream purges through it. Nil for in-process cluster nodes.
 	tn *tcpnet.Node
-	// channels holds networks derived with Channel, so tag accounting
+	// derived holds every network derived from this node with Channel and
+	// Stream, directly or through one of them (those point back with
+	// root): derive refuses a namespace already in it, and tag accounting
 	// covers them across repeated Cluster.Run calls.
-	channels []*Node
+	derived []*Node
+	root    *Node
 }
 
 // newNode builds one machine's handle. physRank is the machine's
@@ -73,53 +76,85 @@ func coreOptions(cfg config, base uint32, physRank int) core.Options {
 // can interleave collectives with the main network freely. This is how
 // multi-network programs compose — e.g. an OR-reduce sketch network plus
 // a width-1 sum network for a global convergence counter. The channel
-// must differ from the node's own (default 0) and from other derived
-// channels, and every machine must derive the same channels with the
-// same options.
+// must differ from the node's own (default 0) and from the channels
+// already derived from this node, and every machine must derive the same
+// channels with the same options.
 //
 // Options may override WithWidth, WithReducer and WithStrict; transport
 // and replication are inherited.
 func (n *Node) Channel(ch uint8, opts ...Option) (*Node, error) {
-	if ch == n.cfg.channel {
-		return nil, fmt.Errorf("kylix: channel %d is the node's own", ch)
-	}
 	cfg := n.cfg
 	cfg.channel = ch
-	derived, err := n.derive(cfg, n.base, opts)
-	if err != nil {
-		return nil, err
+	return n.derive(cfg, opts)
+}
+
+// Stream derives a node bound to the given tenant stream id over the
+// same endpoint: its message tags live in the stream's namespace, so
+// its collectives interleave freely with the main node's and with other
+// streams' — the cross-process counterpart of Cluster.OpenStream.
+// Every machine must derive the same id with the same options; the id
+// must be nonzero (0 is the default namespace) and not yet derived from
+// this node. Options may override WithWidth, WithReducer, WithStrict and
+// WithQuantization; transport and replication are inherited.
+func (n *Node) Stream(id uint16, opts ...Option) (*Node, error) {
+	if id == 0 {
+		return nil, fmt.Errorf("kylix: stream 0 is the default namespace")
 	}
-	n.channels = append(n.channels, derived)
-	return derived, nil
+	cfg := n.cfg
+	cfg.stream = comm.StreamID(id)
+	return n.derive(cfg, opts)
+}
+
+// CloseStream purges the given tenant stream's namespace from this
+// machine's transport mailbox: queued messages are dropped, their tags
+// leave the pending index, and late deliveries (TCP resend replays)
+// into the dead namespace are discarded from then on.
+// Collective: every machine must close the same streams. Only
+// meaningful on nodes with a real transport (ListenNode); in-process
+// clusters purge through Stream.Close.
+func (n *Node) CloseStream(id uint16) {
+	if n.tn != nil {
+		n.tn.CloseStream(comm.StreamID(id))
+	}
 }
 
 // derive builds a second machine over this node's endpoint and topology
 // — the one path behind Channel and Stream. cfg is the node's config with
-// the derived namespace already set; opts override on top of it, and
-// base offsets the new machine's tag sequence.
-func (n *Node) derive(cfg config, base uint32, opts []Option) (*Node, error) {
+// the derived namespace already set; opts override on top of it. Two
+// machines in one (stream, channel) namespace would mint identical tags
+// and take each other's messages, so a namespace that is the root node's
+// own or already derived from it, directly or not, is refused.
+func (n *Node) derive(cfg config, opts []Option) (*Node, error) {
+	root := n
+	if n.root != nil {
+		root = n.root
+	}
+	same := func(o *Node) bool { return o.cfg.stream == cfg.stream && o.cfg.channel == cfg.channel }
+	if same(root) || slices.ContainsFunc(root.derived, same) {
+		return nil, fmt.Errorf("kylix: stream %d channel %d is already in use on this node", cfg.stream, cfg.channel)
+	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	mach, err := core.NewMachine(n.ep, n.bf, coreOptions(cfg, base, n.physRank))
+	mach, err := core.NewMachine(n.ep, n.bf, coreOptions(cfg, n.base, n.physRank))
 	if err != nil {
 		return nil, err
 	}
-	return &Node{
-		mach: mach, ep: n.ep, bf: n.bf, cfg: cfg, base: base,
-		physRank: n.physRank, width: cfg.width, tn: n.tn,
-	}, nil
+	d := &Node{
+		mach: mach, ep: n.ep, bf: n.bf, cfg: cfg, base: n.base,
+		physRank: n.physRank, width: cfg.width, tn: n.tn, root: root,
+	}
+	root.derived = append(root.derived, d)
+	return d, nil
 }
 
 // roundsUsed reports the maximum tag rounds consumed by this node and
-// its derived channels (Cluster.Run uses it to keep tag spaces fresh
-// across runs).
+// the networks derived from it (Cluster.Run uses it to keep tag spaces
+// fresh across runs).
 func (n *Node) roundsUsed() uint32 {
 	used := n.mach.RoundsUsed()
-	for _, c := range n.channels {
-		if u := c.roundsUsed(); u > used {
-			used = u
-		}
+	for _, d := range n.derived {
+		used = max(used, d.mach.RoundsUsed())
 	}
 	return used
 }

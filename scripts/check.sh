@@ -34,14 +34,15 @@ stage_test() {
 # core since the mailbox free lists and the arena flip are exactly where
 # a data race would corrupt results silently, membership for its
 # ticker-vs-receiver agents, par and stream for the worker pool and the
-# tenant scheduler; then the root package's stream-lifecycle tests and
-# the warm-Reduce-over-TCP workload (arena buffers refilled right behind
-# the transport, digests against the in-memory run).
+# tenant scheduler; then the root package's stream-lifecycle tests, the
+# cross-process tenancy contract (Node.Stream tenants on ListenNode
+# sockets) and the warm-Reduce-over-TCP workload (arena buffers refilled
+# right behind the transport, digests against the in-memory run).
 stage_race() {
     echo "== go test -race -short (comm, core, faultnet, tcpnet, replica, obs, membership, par, stream)"
     go test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/...
-    echo "== go test -race (stream lifecycle: concurrent tenants, close hammer; warm Reduce over TCP)"
-    go test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose|TestWarmTCPMatchesMemory' -count=1 -timeout 600s .
+    echo "== go test -race (stream lifecycle: concurrent tenants, close hammer; Node.Stream over sockets; warm Reduce over TCP)"
+    go test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose|TestNodeStreamsOverListenNode|TestWarmTCPMatchesMemory' -count=1 -timeout 600s .
 }
 
 # Scripted joins, leaves and replacements with machines and the

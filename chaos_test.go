@@ -8,6 +8,7 @@ import (
 
 	"kylix"
 	"kylix/internal/comm"
+	"kylix/internal/core"
 )
 
 // The chaos soak is the acceptance test for the fault fabric: an s=2
@@ -112,6 +113,10 @@ func bitsEqual(a, b []float32) bool {
 // testChaosSoak returns the fault-free results the chaos pass was
 // compared with.
 func testChaosSoak(t *testing.T, transport kylix.Transport) [][][]float32 {
+	// Recycled arena memory is poisoned at every flip: a pass that read a
+	// value it did not write in that pass would turn these digests to NaN.
+	core.PoisonArena(true)
+	defer core.PoisonArena(false)
 	// Pass 1 — fault-free probe: establishes the ground-truth results
 	// and measures each rank's per-round send counts, which are
 	// identical in the chaos pass (counting precedes fault decisions).

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"kylix/internal/comm"
+	"kylix/internal/core"
 	"kylix/internal/faultnet"
 	"kylix/internal/membership"
 	"kylix/internal/memnet"
@@ -57,6 +58,8 @@ type Cluster struct {
 	// replica-race cancellations would swallow them). Tenant streams
 	// keep their own bases — each stream id is a whole fresh tag space.
 	roundBase atomic.Uint32
+	// scratch is the default namespace's machine memory (see rankScratch).
+	scratch rankScratch
 	// closed latches Cluster.Close: set exactly once (Close is
 	// idempotent), checked by every pass after it enters the run gate so
 	// the close-time drain covers it.
@@ -104,7 +107,8 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 	if cfg.observe {
 		cfg.obsv = obs.New(capacity, 0)
 	}
-	c := &Cluster{cfg: cfg, bf: bf, phys: m, capacity: capacity, obs: cfg.obsv, eps: make([]comm.Endpoint, capacity)}
+	c := &Cluster{cfg: cfg, bf: bf, phys: m, capacity: capacity, obs: cfg.obsv,
+		eps: make([]comm.Endpoint, capacity), scratch: make(rankScratch, capacity)}
 	if cfg.faults != nil {
 		fab, err := faultnet.New(*cfg.faults)
 		if err != nil {
@@ -294,16 +298,28 @@ func (c *Cluster) Observability() *Observatory { return c.obs }
 // membership: the member ranks run fn over a dense view of the
 // surviving machines, on the epoch's own butterfly — exactly the
 // cluster shape a fresh deployment of those machines would have.
+//
+// A Reduction is usable only inside the Run that made it: the next Run
+// builds new machines on tags past every round this one used.
 func (c *Cluster) Run(fn func(*Node) error) error {
-	return c.runPass(c.cfg, &c.roundBase, fn)
+	return c.runPass(c.cfg, &c.roundBase, c.scratch, fn)
 }
+
+// rankScratch keeps, per physical rank, the machine memory (core.Scratch)
+// the passes of one tag namespace hand from one to the next. A pass takes
+// its ranks' entries out and puts them back only if it returned nil: then
+// every payload it sent by reference has been consumed, while a failed
+// pass's memory may still be read by a straggler and is dropped. A second
+// concurrent pass in one namespace (which tag accounting does not support
+// anyway) finds the entries taken and starts fresh, never sharing.
+type rankScratch []atomic.Pointer[core.Scratch]
 
 // runPass is the shared collective-pass runner behind Cluster.Run and
 // Stream.Run: it executes fn on every live machine with nodes built
 // from cfg, accounting consumed tag rounds into base so the caller's
 // next pass starts on fresh tags. cfg.stream selects the tag namespace
-// the pass's nodes mint into.
-func (c *Cluster) runPass(cfg config, base *atomic.Uint32, fn func(*Node) error) error {
+// the pass's nodes mint into; scratch is that namespace's.
+func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch rankScratch, fn func(*Node) error) error {
 	// Enter the gate before the closed check: Close sets the flag and
 	// then drains the gate, so every pass that got past this check is
 	// covered by the close-time drain, and every pass entering after the
@@ -331,6 +347,7 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, fn func(*Node) error)
 	}
 	baseRound := base.Load()
 	var maxUsed atomic.Uint32
+	taken := make([]*core.Scratch, c.capacity)
 	body := func(ep comm.Endpoint) error {
 		physRank := ep.Rank()
 		if members != nil {
@@ -340,11 +357,17 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, fn func(*Node) error)
 			}
 			ep = view
 		}
-		node, err := newNode(ep, bf, cfg, baseRound, physRank)
+		sc := scratch[physRank].Swap(nil)
+		if sc == nil {
+			sc = new(core.Scratch)
+		}
+		node, err := newNode(ep, bf, cfg, baseRound, physRank, sc)
 		if err != nil {
 			return err
 		}
-		err = fn(node)
+		if err = fn(node); err == nil {
+			taken[physRank] = sc
+		}
 		if err != nil && c.fabric != nil && c.fabric.Killed(physRank) {
 			// The machine crash-stopped under the fault plan: its own
 			// failed operations are the injected fault, not a program
@@ -362,6 +385,11 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, fn func(*Node) error)
 	}
 	err := comm.Run(c.eps, c.deadRank, body, members...)
 	base.Store(baseRound + maxUsed.Load())
+	if err == nil {
+		for rank, sc := range taken {
+			scratch[rank].Store(sc) // nil for a rank that did not run
+		}
+	}
 	return err
 }
 
@@ -475,7 +503,7 @@ func ListenNode(rank int, addrs []string, opts ...Option) (*Node, error) {
 		ep = fab.Wrap(tn)
 		closer = &fabricCloser{fab: fab, under: tn}
 	}
-	node, err := newNode(ep, bf, cfg, 0, rank)
+	node, err := newNode(ep, bf, cfg, 0, rank, nil)
 	if err != nil {
 		_ = tn.Close()
 		return nil, err

@@ -1,0 +1,195 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"kylix/internal/comm"
+	"kylix/internal/faultnet"
+	"kylix/internal/sparse"
+	"kylix/internal/topo"
+)
+
+// arenaStep is one collective of the interleaving schedule: the Config
+// it runs on and what it does there.
+type arenaStep struct {
+	cfg int
+	op  string // configure, fused, reduce, reconfigure
+}
+
+// arenaSchedule interleaves three Configs of different sizes on one
+// Machine: 0 is small, 1 medium and born in a fused pass, 2 the largest
+// and configured only after both arena generations have been carved, so
+// each slab is replaced mid-sequence while pieces of the old one may
+// still be in flight by reference. Configuration-only passes (a plain
+// Configure, a Reconfigure that moves config 1 to other sets) sit
+// between arena passes.
+var arenaSchedule = []arenaStep{
+	{0, "configure"}, {1, "fused"}, {0, "reduce"}, {1, "reduce"}, {0, "reduce"},
+	{2, "configure"},
+	{1, "reduce"}, {2, "reduce"}, {0, "reduce"}, {2, "reduce"},
+	{1, "reconfigure"},
+	{1, "reduce"}, {0, "reduce"}, {2, "reduce"}, {1, "reduce"}, {0, "reduce"}, {0, "reduce"}, {2, "reduce"},
+}
+
+// runArenaSchedule runs the schedule's steps on one Machine — all of
+// them, or with only >= 0 just that Config's — and returns one digest
+// per step: the routing state's after a configuration step, the reduced
+// values' after a reduction. ws[c] is Config c's workload, ws[3] the one
+// Config 1 is reconfigured to.
+func runArenaSchedule(ep comm.Endpoint, bf *topo.Butterfly, opts Options, ws [4][]workload, only int) ([]uint64, error) {
+	m, err := NewMachine(ep, bf, opts)
+	if err != nil {
+		return nil, err
+	}
+	r := ep.Rank()
+	var cfgs [3]*Config
+	cur := [3]workload{ws[0][r], ws[1][r], ws[2][r]}
+	digests := make([]uint64, len(arenaSchedule))
+	for k, st := range arenaSchedule {
+		if only >= 0 && st.cfg != only {
+			continue
+		}
+		w := cur[st.cfg]
+		vals := make([]float32, len(w.vals)) // every step reduces other values
+		for i, v := range w.vals {
+			vals[i] = v * (1 + float32(k)/8)
+		}
+		var res []float32
+		switch st.op {
+		case "configure":
+			cfgs[st.cfg], err = m.Configure(w.in, w.out)
+		case "fused":
+			cfgs[st.cfg], res, err = m.ConfigureReduce(w.in, w.out, vals)
+		case "reconfigure":
+			cur[st.cfg] = ws[3][r]
+			err = cfgs[st.cfg].Reconfigure(ws[3][r].in, ws[3][r].out)
+		case "reduce":
+			res, err = cfgs[st.cfg].Reduce(vals)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("step %d (%s on config %d): %w", k, st.op, st.cfg, err)
+		}
+		if digests[k] = sparse.ValuesDigest(res); res == nil {
+			digests[k] = cfgs[st.cfg].Digest()
+		}
+	}
+	return digests, nil
+}
+
+// TestInterleavedConfigsShareOneArena is the machine-level quiescence
+// argument under test: Configs of different sizes reduced round-robin
+// on one Machine — so every pass carves the arena anew, over memory that
+// held another Config's pieces two passes earlier and is poisoned in
+// between — must give, bit for bit, what each gives alone on a Machine
+// of its own. It runs over memnet under a delay+duplicate plan, where
+// every piece travels by reference and stragglers outlive their pass,
+// and over loopback sockets, raw and quantized.
+func TestInterleavedConfigsShareOneArena(t *testing.T) {
+	PoisonArena(true)
+	defer PoisonArena(false)
+	bf := topo.MustNew([]int{4, 2})
+	const width = 2
+	rng := rand.New(rand.NewSource(811))
+	var ws [4][]workload
+	for c, avg := range []int{12, 40, 90, 25} {
+		ws[c] = randWorkloads(rng, bf.M(), 600, avg, width, true)
+	}
+	for _, quant := range []sparse.Quantization{sparse.QuantOff, sparse.QuantFP16, sparse.QuantINT8} {
+		opts := Options{Width: width, Quant: quant}
+		// Each Config alone, on its own Machines over a quiet network.
+		alone := make([][]uint64, bf.M())
+		for only := 0; only < 3; only++ {
+			runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
+				ds, err := runArenaSchedule(ep, bf, opts, ws, only)
+				if alone[ep.Rank()] == nil {
+					alone[ep.Rank()] = make([]uint64, len(arenaSchedule))
+				}
+				for k, d := range ds {
+					alone[ep.Rank()][k] |= d // steps of other Configs are 0
+				}
+				return err
+			})
+		}
+		for _, transport := range []string{"memnet+faults", "tcp"} {
+			t.Run(fmt.Sprintf("%v/%s", quant, transport), func(t *testing.T) {
+				got := make([][]uint64, bf.M())
+				body := func(ep comm.Endpoint) (err error) {
+					got[ep.Rank()], err = runArenaSchedule(ep, bf, opts, ws, -1)
+					return err
+				}
+				if transport == "tcp" {
+					runOnTransport(t, true, bf.M(), body)
+				} else {
+					fab, err := faultnet.New(faultnet.Plan{Seed: 811, Delay: 0.4, MaxDelay: 2 * time.Millisecond, Duplicate: 0.3})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fab.InitSize(bf.M())
+					runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error { return body(fab.Wrap(ep)) })
+					fab.Close()
+					if st := fab.Stats(); st.Delayed == 0 || st.Duplicated == 0 {
+						t.Fatalf("fault plan never engaged: %+v", st)
+					}
+				}
+				for r := range got {
+					for k, st := range arenaSchedule {
+						if got[r][k] != alone[r][k] {
+							t.Fatalf("rank %d step %d (%s on config %d): digest %#x interleaved, %#x alone",
+								r, k, st.op, st.cfg, got[r][k], alone[r][k])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestScratchOutlivesItsMachine: a Scratch handed to a successor Machine
+// on the same rank keeps its slabs — the successor's passes allocate no
+// arena — and one handed to a Machine of another topology is started
+// over instead of being carved with the wrong shape.
+func TestScratchOutlivesItsMachine(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	bf, other := topo.MustNew([]int{2, 2}), topo.MustNew([]int{4})
+	ws := randWorkloads(rng, bf.M(), 300, 40, 1, true)
+	want := refReduce(ws, sparse.Sum, 1)
+	kept := make([]*Scratch, bf.M())
+	for r := range kept {
+		kept[r] = new(Scratch)
+	}
+	for i, topology := range []*topo.Butterfly{bf, bf, other, bf} {
+		var slabs [][2]*float32
+		if i == 1 {
+			slabs = make([][2]*float32, bf.M())
+			for r, s := range kept {
+				slabs[r] = [2]*float32{&s.bufs[0].f[0], &s.bufs[1].f[0]}
+			}
+		}
+		runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
+			r := ep.Rank()
+			m, err := NewMachine(ep, topology, Options{Scratch: kept[r]})
+			if err != nil {
+				return err
+			}
+			cfg, err := m.Configure(ws[r].in, ws[r].out)
+			for pass := 0; pass < 3 && err == nil; pass++ {
+				var res []float32
+				if res, err = cfg.Reduce(ws[r].vals); err == nil && !almostEqual(res, want[r], 1e-4) {
+					err = fmt.Errorf("machine %d pass %d: wrong sums", i, pass)
+				}
+			}
+			return err
+		})
+		for r, s := range kept {
+			if fmt.Sprint(s.degrees) != fmt.Sprint(topology.Degrees()) {
+				t.Fatalf("machine %d rank %d: scratch shaped for %v on topology %v", i, r, s.degrees, topology.Degrees())
+			}
+			if slabs != nil && (slabs[r] != [2]*float32{&s.bufs[0].f[0], &s.bufs[1].f[0]}) {
+				t.Fatalf("rank %d: the successor Machine replaced slabs that were large enough", r)
+			}
+		}
+	}
+}

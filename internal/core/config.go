@@ -38,7 +38,7 @@ func (m *Machine) Configure(inSet, outSet sparse.Set) (*Config, error) {
 // unions or maps yet, so its first pass ships everything and builds
 // everything.
 func (m *Machine) newConfig() *Config {
-	m.ensureCfgScratch()
+	m.scratch()
 	return &Config{mach: m, layers: make([]layerState, m.bf.Layers())}
 }
 
@@ -119,9 +119,11 @@ func (c *Config) configure(what string, kind comm.Kind, inSet, outSet sparse.Set
 		}
 	}
 	if !x.kept {
-		// Buffer sizes may have changed somewhere; the reduction arena is
-		// rebuilt lazily by the next Reduce.
-		c.scratch = scratch{}
+		// Piece sizes may have changed somewhere: the residuals no longer
+		// line up, and the next quantized pass starts them over.
+		c.res = nil
+		m.cfg.stamps++
+		c.stamp = m.cfg.stamps
 	}
 	if !fused {
 		return nil, nil
@@ -305,7 +307,7 @@ func landSet(same bool, shipped sparse.Set, stored bool, r sparse.Range) error {
 // merged into: its position map sends the piece's j-th key to
 // union[m[j]]. The copy lives in machine scratch, like every piece
 // between its arrival and the rebuild of the unions.
-func (cs *cfgScratch) mergedPiece(union sparse.Set, m []int32) sparse.Set {
+func (cs *Scratch) mergedPiece(union sparse.Set, m []int32) sparse.Set {
 	at := len(cs.keys)
 	cs.keys = slices.Grow(cs.keys, len(m))
 	for _, pos := range m {
@@ -365,11 +367,4 @@ func (cfg *Config) finishBottom(inBottom, outBottom sparse.Set) error {
 			cfg.mach.Rank(), missing)
 	}
 	return nil
-}
-
-// bottomIn returns the machine's bottom-layer in-union (the top set when
-// the topology has zero effective layers, which cannot happen since
-// topologies always have >= 1 layer).
-func (cfg *Config) bottomIn() sparse.Set {
-	return cfg.layers[len(cfg.layers)-1].inUnion
 }

@@ -86,6 +86,10 @@ type Options struct {
 	// bit-identical for every setting — sharding partitions rows, never
 	// the per-row fold order.
 	CombineWorkers int
+	// Scratch is the reusable memory a predecessor Machine on this rank
+	// left behind (see Scratch for when that is safe); nil makes the
+	// Machine build its own. Wiring, not tuning: no result depends on it.
+	Scratch *Scratch
 }
 
 func (o Options) withDefaults() Options {
@@ -106,10 +110,10 @@ type Machine struct {
 	bf    *topo.Butterfly
 	opts  Options
 	round uint32 // tag sequence; advances identically on every machine
-	// cfg is the machine-level configuration-pass scratch (receive
-	// groups, piece staging, union arenas), built lazily and shared by
-	// every Config this machine produces.
-	cfg *cfgScratch
+	// cfg is the machine's reusable memory (configuration staging, union
+	// arenas, the reduction arena): Options.Scratch or its own, readied at
+	// the first pass and shared by every Config this machine produces.
+	cfg *Scratch
 	// pool shards the combine/gather kernels across CombineWorkers
 	// goroutines; its workers live only within a pass (spawned at the
 	// first kernel large enough to shard, joined at pass end), so
@@ -206,10 +210,13 @@ type Config struct {
 	// missing counts in-indices with no contributor in this machine's
 	// bottom range.
 	missing int
-	// scratch is the reusable two-generation reduction arena; each
-	// generation is built lazily at its first Reduce, so Configure-only
-	// uses pay nothing.
-	scratch scratch
+	// res is a quantized Config's error-feedback residuals, the one
+	// reduction buffer that is not the machine arena's: made zeroed by the
+	// first quantized pass, dropped when a pass moves any piece size.
+	res []float32
+	// stamp names this state of the piece sizes among all a Scratch has
+	// seen (0: none yet), so an arena generation knows whose carve it holds.
+	stamp uint64
 	// poisoned is set when a Reconfigure fails mid-collective: some
 	// layers hold new routing state and others old, so every later use
 	// of the Config must error rather than silently misroute.

@@ -16,8 +16,8 @@ import (
 // every neighbour whose piece is identical to the previous pass, and a
 // layer whose received pieces are all markers keeps its unions and
 // position maps without re-merging anything. When nothing changed at
-// all, the reduction scratch arena survives too, so the next Reduce is
-// as warm as before the call.
+// all, a quantized Config keeps its error-feedback residuals too, so
+// the next Reduce continues exactly where the last one stopped.
 //
 // This holds from the first Reconfigure on, whichever entry point built
 // the Config: what a pass compares against is the routing state itself

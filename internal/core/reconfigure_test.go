@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"kylix/internal/comm"
@@ -122,63 +124,149 @@ func TestReconfigureMatchesFreshConfigure(t *testing.T) {
 	}
 }
 
+// meter counts what the whole process allocates while every rank of a
+// collective runs one step: the ranks meet before and after it, spinning
+// so that the meeting itself allocates nothing.
+type meter struct {
+	ranks        int32
+	arrived, gen atomic.Int32
+	before       runtime.MemStats
+	mallocs      uint64
+}
+
+func (b *meter) wait() {
+	gen := b.gen.Load()
+	if b.arrived.Add(1) == b.ranks {
+		b.arrived.Store(0)
+		b.gen.Add(1)
+		return
+	}
+	for b.gen.Load() == gen {
+		runtime.Gosched()
+	}
+}
+
+// step runs fn on every rank between two meetings and leaves the
+// process-wide malloc count of the interval in b.mallocs.
+func (b *meter) step(rank int, fn func() error) error {
+	b.wait()
+	if rank == 0 {
+		runtime.ReadMemStats(&b.before)
+	}
+	b.wait()
+	err := fn()
+	b.wait()
+	if rank == 0 {
+		var after runtime.MemStats
+		runtime.ReadMemStats(&after)
+		b.mallocs = after.Mallocs - b.before.Mallocs
+	}
+	b.wait()
+	return err
+}
+
 // TestReconfigureWarmUnchangedKeepsScratch: every Config retains what
 // its pass received, so already the first Reconfigure over unchanged
 // sets — after Configure or after ConfigureReduce — is all markers: it
-// must keep the reduction arena and leave the routing state where it
-// was, and so must the one after it.
+// must leave the routing state and a quantized Config's residuals where
+// they were, and the Reduce after it allocates nothing. A Reconfigure
+// that moves pieces drops the residuals, and the Reduce after it
+// allocates them again and nothing else: the arena is the machine's and
+// already holds the larger sets.
 func TestReconfigureWarmUnchangedKeepsScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	bf := topo.MustNew([]int{4, 2})
 	ws := randWorkloads(rng, bf.M(), 300, 40, 1, true)
 	wantRes := refReduce(ws, sparse.Sum, 1)
-	for _, start := range []string{"Configure", "ConfigureReduce"} {
-		n := memnet.New(bf.M())
-		err := memnet.Run(n, func(ep comm.Endpoint) error {
-			r := ep.Rank()
-			m, err := NewMachine(ep, bf, Options{})
-			if err != nil {
-				return err
-			}
-			var cfg *Config
-			if start == "Configure" {
-				if cfg, err = m.Configure(ws[r].in, ws[r].out); err == nil {
-					_, err = cfg.Reduce(ws[r].vals)
-				}
-			} else {
-				cfg, _, err = m.ConfigureReduce(ws[r].in, ws[r].out, ws[r].vals)
-			}
-			if err != nil {
-				return err
-			}
-			arena, before := cfg.scratch.ready, cfg.Digest()
-			if arena == [2]bool{} {
-				t.Errorf("%s rank %d: no arena generation to keep", start, r)
-			}
-			for _, pass := range []string{"first", "second"} {
-				if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
-					return err
-				}
-				if cfg.scratch.ready != arena {
-					t.Errorf("%s rank %d: %s unchanged Reconfigure dropped the reduction arena", start, r, pass)
-				}
-				if got := cfg.Digest(); got != before {
-					t.Errorf("%s rank %d: %s unchanged Reconfigure moved the digest", start, r, pass)
-				}
-				res, err := cfg.Reduce(ws[r].vals)
+	smaller := make([]workload, len(ws))
+	for r, w := range ws {
+		smaller[r] = workload{in: w.in[:len(w.in)-1], out: w.out[:len(w.out)-1], vals: w.vals[:len(w.out)-1]}
+	}
+	for _, quant := range []sparse.Quantization{sparse.QuantOff, sparse.QuantINT8} {
+		for _, start := range []string{"Configure", "ConfigureReduce"} {
+			n := memnet.New(bf.M())
+			mt := &meter{ranks: int32(bf.M())}
+			err := memnet.Run(n, func(ep comm.Endpoint) error {
+				r := ep.Rank()
+				m, err := NewMachine(ep, bf, Options{Quant: quant})
 				if err != nil {
 					return err
 				}
-				if !almostEqual(res, wantRes[r], 1e-4) {
-					t.Errorf("%s rank %d: reduce mismatch after %s unchanged Reconfigure", start, r, pass)
+				var cfg *Config
+				if start == "Configure" {
+					cfg, err = m.Configure(ws[r].in, ws[r].out)
+				} else {
+					cfg, _, err = m.ConfigureReduce(ws[r].in, ws[r].out, ws[r].vals)
 				}
-				arena = cfg.scratch.ready // the Reduce may have built the second generation
+				// Both arena generations have held the sets, and the mailboxes'
+				// recycled queues have grown to a layer's burst, before anything
+				// is counted.
+				for i := 0; i < 16 && err == nil; i++ {
+					_, err = cfg.Reduce(ws[r].vals)
+				}
+				if err != nil {
+					return err
+				}
+				if (quant != sparse.QuantOff) != (cfg.res != nil) {
+					t.Errorf("%s/%v rank %d: %d residuals", start, quant, r, len(cfg.res))
+				}
+				// A recycled mailbox queue may still grow in any one interval,
+				// so each count is the least of a few repetitions.
+				const reps = 6
+				before, least := cfg.Digest(), ^uint64(0)
+				for i := 0; i < reps; i++ {
+					res := cfg.res
+					if err := cfg.Reconfigure(ws[r].in, ws[r].out); err != nil {
+						return err
+					}
+					if got := cfg.Digest(); got != before {
+						t.Errorf("%s/%v rank %d: unchanged Reconfigure %d moved the digest", start, quant, r, i)
+					}
+					var got []float32
+					if err := mt.step(r, func() (err error) { got, err = cfg.Reduce(ws[r].vals); return }); err != nil {
+						return err
+					}
+					least = min(least, mt.mallocs)
+					if len(cfg.res) != len(res) || (res != nil && &cfg.res[0] != &res[0]) {
+						t.Errorf("%s/%v rank %d: unchanged Reconfigure %d dropped the residuals", start, quant, r, i)
+					}
+					if quant == sparse.QuantOff && !almostEqual(got, wantRes[r], 1e-4) {
+						t.Errorf("%s rank %d: reduce mismatch after unchanged Reconfigure %d", start, r, i)
+					}
+				}
+				if r == 0 && least != 0 {
+					t.Errorf("%s/%v: a Reduce after an unchanged Reconfigure allocates %d times", start, quant, least)
+				}
+				least = ^uint64(0)
+				for i := 0; i < reps; i++ {
+					to := smaller
+					if i&1 == 1 {
+						to = ws
+					}
+					if err := cfg.Reconfigure(to[r].in, to[r].out); err != nil {
+						return err
+					}
+					if cfg.res != nil {
+						t.Errorf("%s/%v rank %d: a moved Reconfigure kept the residuals", start, quant, r)
+					}
+					if err := mt.step(r, func() error { _, err := cfg.Reduce(to[r].vals); return err }); err != nil {
+						return err
+					}
+					least = min(least, mt.mallocs)
+				}
+				want := uint64(0)
+				if quant != sparse.QuantOff {
+					want = uint64(bf.M())
+				}
+				if r == 0 && least != want {
+					t.Errorf("%s/%v: a Reduce after a moved Reconfigure allocates %d times, want %d (each rank's residuals)", start, quant, least, want)
+				}
+				return nil
+			})
+			n.Close()
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		})
-		n.Close()
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }

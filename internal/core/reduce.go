@@ -18,10 +18,11 @@ import (
 // The hot path is pipelined and allocation-free: within each layer all
 // pieces are sent before any receive is posted, incoming pieces are
 // taken in arrival order (so a slow member never blocks combining the
-// fast ones), and every buffer comes from the Config's two-generation
-// scratch arena. Arrival order does not change results — pieces are
-// staged per sender and folded in canonical member order, so the float
-// combine sequence is bit-identical to a fully in-order run.
+// fast ones), and every buffer is carved from the machine's
+// two-generation arena (see Scratch). Arrival order does not change
+// results — pieces are staged per sender and folded in canonical member
+// order, so the float combine sequence is bit-identical to a fully
+// in-order run.
 //
 // When Options.Tracer is set, the pass records a whole-pass span
 // (layer 0) nesting one span per communication layer, each carrying the
@@ -29,8 +30,8 @@ import (
 // preserved (spans are stack values recorded into preallocated rings).
 //
 // The returned slice is owned by the arena: it stays valid until the
-// second-following Reduce/ConfigureReduce on this Config overwrites it.
-// Callers that retain results longer must copy them out.
+// second-following arena pass (Reduce or ConfigureReduce, of any Config)
+// on this Machine. Callers that retain results longer must copy them out.
 //
 //kylix:hotpath
 func (c *Config) Reduce(outVals []float32) (res []float32, err error) {
@@ -135,8 +136,8 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, g *genBufs, tr
 }
 
 // gatherUp runs the upward allgather from fully reduced bottom values.
-// cur must align with the bottom out-union. Buffers come from the given
-// arena generation; the returned slice is g.next[0].
+// cur must align with the bottom out-union. Buffers are the given arena
+// generation's, carved for this Config; the returned slice is g.next[0].
 //
 //kylix:hotpath
 func (c *Config) gatherUp(cur []float32, round uint32, g *genBufs) (res []float32, err error) {
@@ -206,7 +207,7 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, g *genBufs, 
 
 // sendPiece is the send step of both directions: it puts the piece's
 // float view p.f.Vals into its wire form — the raw header itself, or
-// p.pk.q refilled by the quantize kernel, which also folds the piece's
+// p.q refilled by the quantize kernel, which also folds the piece's
 // error-feedback residual in and leaves this round's error there —
 // charges the layer span, and hands the payload to the endpoint.
 //
@@ -214,8 +215,8 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, g *genBufs, 
 func (m *Machine) sendPiece(to int, tag comm.Tag, p *piece, sp *obs.Span) error {
 	pl := comm.Payload(&p.f)
 	if quant := m.opts.Quant; quant != sparse.QuantOff {
-		sparse.Quantize(quant, p.pk.q.Data, p.f.Vals, p.pk.res)
-		pl = &p.pk.q
+		sparse.Quantize(quant, p.q.Data, p.f.Vals, p.res)
+		pl = &p.q
 	}
 	m.stampOut(sp, pl)
 	return m.ep.Send(to, tag, pl)
@@ -283,7 +284,7 @@ func (m *Machine) landPiece(from int, pl comm.Payload, p *piece, dst []float32, 
 		}
 		m.stampIn(sp, q)
 		if dst == nil {
-			dst = p.pk.land
+			dst = p.land
 		}
 		sparse.Dequantize(quant, dst, q.Data)
 		return dst, nil

@@ -1,55 +1,48 @@
 package core
 
 import (
+	"math"
+	"slices"
+	"sync/atomic"
+
 	"kylix/internal/comm"
 	"kylix/internal/sparse"
 )
 
 // piece is one value piece exchanged with one member of a layer group,
 // in every form it takes: the float view the kernels read and write and
-// the wire form — raw or packed — the send step ships it in. Raw or
-// quantized is a property of the piece, not of the code that moves it:
-// only the cold builder below and the send and land steps (reduce.go)
-// look at Options.Quant.
+// the wire form — raw or packed — the send step ships it in. Only the
+// carve below and the send and land steps (reduce.go) look at
+// Options.Quant. The headers are the machine's, built once per arena
+// generation; each pass's carve re-points every slice in them.
 type piece struct {
 	// f is the raw wire form, and f.Vals the float view the send step
-	// ships (raw) or encodes from (quantized): on the way down it is
-	// re-pointed each round at a segment of the current value vector, on
-	// the way up it is a fixed buffer (len = |inMaps[t]| * width)
-	// refilled by GatherInto each round.
+	// ships (raw) or encodes from (quantized): on the way down a segment
+	// of the current value vector, on the way up an arena buffer
+	// (len = |inMaps[t]| * width) refilled by GatherInto.
 	f comm.Floats
-	// pk is the packed side when Options.Quant is a lossy mode; nil
-	// otherwise, so a raw piece weighs one pointer more than its header.
-	pk *packed
-}
-
-// packed is the quantized side of a piece.
-type packed struct {
-	// q is the packed wire form; its Data, sized exactly by
-	// sparse.QuantizedSize, is refilled by the quantize kernel each
-	// round. Like the piece's value buffer, the bytes may still be
-	// draining through a transport when the round ends, so each
-	// generation has its own.
+	// q is the packed wire form under a lossy Options.Quant; its Data,
+	// sized exactly by sparse.QuantizedSize, is refilled by the quantize
+	// kernel and may, like f.Vals, still be draining through a transport
+	// when the round ends.
 	q comm.QVals
 	// res is the error-feedback residual of the piece sent (len =
 	// len(f.Vals)): each round's quantization error is left here and
-	// added to the next round's values before encoding. It is not scratch
-	// in the reuse sense — it carries state from round to round and is
-	// never cleared — so both generations share one. Nil under
-	// Options.QuantNoFeedback.
+	// added to the next round's values before encoding. That is state of
+	// one Config, not scratch, so it is a segment of Config.res. Nil when
+	// quantization or its feedback is off.
 	res []float32
 	// land is where the member's own piece is dequantized on the way down
-	// (len = |outMaps[t]| * width). The staged fold consumes it within the
-	// layer on the same goroutine, so both generations share one. Unused
-	// on the way up: segments of the assembly buffer are disjoint, so
-	// pieces are dequantized straight into place.
+	// (len = |outMaps[t]| * width), consumed by the staged fold within the
+	// layer. On the way up pieces are dequantized straight into their
+	// disjoint segments of the assembly buffer.
 	land []float32
 }
 
-// genBufs is one generation of a Config's reusable reduction buffers.
-// Every slice a warm Reduce writes — layer accumulators, value pieces,
-// the turnaround vector and the per-layer assembly buffers — is carved
-// here once, so steady-state rounds allocate nothing.
+// genBufs is one generation of a machine's reduction arena: headers
+// shaped by the topology and built once, and the two grow-only slabs
+// every buffer a pass writes is carved from, so a pass allocates nothing
+// once the slabs have reached the largest Config the machine has seen.
 type genBufs struct {
 	// acc[i] is layer i+1's scatter-reduce accumulator
 	// (len = |outUnion| * width).
@@ -63,145 +56,41 @@ type genBufs struct {
 	// (len = |inSet| * width for i == 0, |layers[i-1].inUnion| * width
 	// otherwise). next[0] is the vector handed back to the caller.
 	next [][]float32
-	// stage is the out-value staging buffer StageOut hands out
-	// (len = |outSet| * width); nil until a caller asks for it, so
-	// callers that pass Reduce their own vector never pay for it.
-	stage []float32
+	// f and b are the slabs. f[:staged] is the out-value stage StageOut
+	// handed out for the pass that flips into this generation (0 when the
+	// caller feeds Reduce its own vector); that pass carves after it.
+	f      []float32
+	b      []byte
+	staged int
+	// stamp and from name the carve the headers hold: the Config.stamp it
+	// was made for and the stage it follows. A pass that finds its own
+	// skips the carve — peers hold the piece headers cached, and rewriting
+	// one, even unchanged, costs both sides a miss.
+	stamp uint64
+	from  int
 }
 
-// scratch is a Config's two-generation reduction arena. Rounds
-// alternate generations: round N reuses the buffers of round N-2, which
-// are quiescent by then — any rank entering round N has completed round
-// N-1, which required a message from every group member at every layer,
-// which those members only send after finishing round N-2 and therefore
-// after consuming every round-N-2 payload addressed to them (tcpnet
-// copies a payload for a peer before Send returns and is outside the
-// argument; its self-sends go by reference, like memnet's, and are
-// inside it).
-// The generation-independent receive state —
-// singleton receive groups, the arrival-order staging slots and their
-// duplicate-delivery guards — is the machine-level cfgScratch's: one
-// goroutine per machine, and each layer clears what it uses.
+// Scratch is a machine's reusable memory: the configuration pass's
+// transient state and the two-generation reduction arena. One instance
+// serves every pass on a Machine (one goroutine, passes never overlap)
+// and nothing in it outlives a pass except as capacity, so a successor
+// Machine on the same rank and endpoints may inherit it (Options.Scratch)
+// once every rank has finished the predecessor's last pass without error.
 //
-// Generations are built lazily: a fused ConfigureReduce performs one
-// allgather and then often hands the Config to a caller that never
-// Reduces again, so eagerly sizing both generations doubled the
-// configuration pass's footprint for nothing (the BenchmarkConfigureReduce16
-// regression tracked in EXPERIMENTS.md). The first flip into a
-// generation pays its build; a Config that settles into steady-state
-// reduction touches both exactly once.
-type scratch struct {
-	gen   int
-	bufs  [2]genBufs
-	ready [2]bool
-}
-
-// flip advances to the next generation — building it on first use — and
-// returns its buffers.
-func (c *Config) flip() *genBufs {
-	c.scratch.gen ^= 1
-	return c.generation(c.scratch.gen)
-}
-
-// generation returns a generation's buffers, building them on first use.
-func (c *Config) generation(gen int) *genBufs {
-	if !c.scratch.ready[gen] {
-		c.buildGen(gen)
-	}
-	return &c.scratch.bufs[gen]
-}
-
-// StageOut returns the buffer the next Reduce on this Config should be
-// fed from: Width values per key of OutSet(), in key order, owned by the
-// arena generation that Reduce will flip to. Reduce's layer-1 scatter
-// sends slices of its argument without copying, and a transport (or a
-// slow replica) may still be reading them after the pass has returned
-// everywhere else; a caller that cannot promise to leave its own vector
-// alone that long fills this buffer instead and passes it to Reduce.
-// The quiescence argument is the arena's (see scratch): the buffer is
-// next written two rounds later.
-//
-//kylix:hotpath
-func (c *Config) StageOut() ([]float32, error) {
-	if c.poisoned {
-		return nil, &PoisonedError{Rank: c.mach.Rank()}
-	}
-	g := c.generation(c.scratch.gen ^ 1)
-	if g.stage == nil {
-		c.buildStage(g)
-	}
-	return g.stage, nil
-}
-
-// buildStage sizes one generation's staging buffer.
-//
-//kylix:coldpath
-func (c *Config) buildStage(g *genBufs) {
-	g.stage = make([]float32, len(c.outSet)*c.mach.opts.Width)
-}
-
-// buildGen sizes one generation of the reduction arena; sizes are fully
-// determined by the configuration, so every warm Reduce is
-// allocation-free. The second generation to be built adopts the first's residuals and dequantize
-// buffers (zero-initialised: the first round has no prior error to fold
-// in) instead of making its own.
-//
-//kylix:coldpath
-func (c *Config) buildGen(gen int) {
-	w := c.mach.opts.Width
-	quant := c.mach.opts.Quant
-	s := &c.scratch
-	g, twin := &s.bufs[gen], &s.bufs[gen^1]
-	g.acc = make([][]float32, len(c.layers))
-	g.scatter = make([][]piece, len(c.layers))
-	g.gather = make([][]piece, len(c.layers))
-	g.next = make([][]float32, len(c.layers))
-	g.inVals = make([]float32, len(c.bottomIn())*w)
-	for i := range c.layers {
-		ls := &c.layers[i]
-		below := c.inSet
-		if i > 0 {
-			below = c.layers[i-1].inUnion
-		}
-		g.acc[i] = make([]float32, len(ls.outUnion)*w)
-		g.next[i] = make([]float32, len(below)*w)
-		g.scatter[i] = make([]piece, len(ls.group))
-		g.gather[i] = make([]piece, len(ls.group))
-		var pks []packed
-		if quant != sparse.QuantOff {
-			pks = make([]packed, 2*len(ls.group))
-		}
-		for t := range ls.group {
-			down, up := &g.scatter[i][t], &g.gather[i][t]
-			nd, nu := int(ls.outOffsets[t+1]-ls.outOffsets[t])*w, len(ls.inMaps[t])*w
-			up.f.Vals = make([]float32, nu)
-			if pks == nil {
-				continue
-			}
-			down.pk, up.pk = &pks[2*t], &pks[2*t+1]
-			down.pk.q = comm.QVals{Mode: quant, N: nd, Data: make([]byte, sparse.QuantizedSize(quant, nd))}
-			up.pk.q = comm.QVals{Mode: quant, N: nu, Data: make([]byte, sparse.QuantizedSize(quant, nu))}
-			if s.ready[gen^1] {
-				old := twin.scatter[i][t].pk
-				down.pk.land, down.pk.res, up.pk.res = old.land, old.res, twin.gather[i][t].pk.res
-				continue
-			}
-			down.pk.land = make([]float32, len(ls.outMaps[t])*w)
-			if !c.mach.opts.QuantNoFeedback {
-				down.pk.res, up.pk.res = make([]float32, nd), make([]float32, nu)
-			}
-		}
-	}
-	s.ready[gen] = true
-}
-
-// cfgScratch is the machine-level scratch of the configuration pass:
-// everything transient whose shape depends only on the topology
-// (receive groups, piece staging, union arenas). One instance serves
-// every Configure / ConfigureReduce / Reconfigure on the Machine —
-// machines are single-goroutine by contract, and nothing here survives
-// a pass except as reusable capacity.
-type cfgScratch struct {
+// The arena alternates generations by arena pass — a Reduce or the
+// gather of a fused ConfigureReduce, of whichever Config: pass N rewrites
+// the buffers of pass N-2, which every peer has consumed by then, because
+// pass N-1 took a message from every member of every layer group, down
+// and up, sent only after that member finished pass N-2. The groups are
+// the topology's, not a Config's, so the argument and the arena are the
+// machine's (in full, with the two senders outside it: DESIGN.md, "Hot
+// path & memory discipline"). A slab that must grow is replaced, not
+// resized, so payloads pointing into the old one stay intact.
+type Scratch struct {
+	// rank and degrees are what the topology-shaped state below was built
+	// for; a Machine that differs rebuilds everything.
+	rank    int
+	degrees []int
 	// groupOf[layer-1] is this machine's layer group (topology-fixed;
 	// retained read-only by every Config's layerStates).
 	groupOf [][]int
@@ -214,8 +103,8 @@ type cfgScratch struct {
 	// may alias (plP), which is released after the fold; seen guards both
 	// against duplicate deliveries. inP/outP line a rebuilding layer's
 	// pieces up for the union kernel, and keys holds the ones read back
-	// out of the old unions for it (capacity kept across passes). Passes
-	// on a machine never overlap and each layer clears what it uses.
+	// out of the old unions for it (capacity kept across passes). Each
+	// layer clears what it uses.
 	got       []*comm.ConfigPiece
 	inP, outP []sparse.Set
 	valP      [][]float32
@@ -229,40 +118,194 @@ type cfgScratch struct {
 	// offs stages a layer's split offsets, in then out, until the pass
 	// knows whether the split moved (2*(maxDeg+1) entries).
 	offs []int32
+	// gen is the arena generation of the latest arena pass; stamps counts
+	// the configuration passes that moved a piece size (Config.stamp).
+	gen    int
+	bufs   [2]genBufs
+	stamps uint64
 }
 
-// ensureCfgScratch builds the machine's configuration scratch on first
-// use.
+// PoisonArena is a test hook: while on, every flip scribbles over the
+// generation's recycled slabs — NaN floats past the stage, 0xFF bytes —
+// so a pass that read a value it did not write would compute garbage
+// instead of a plausible stale sum.
+func PoisonArena(on bool) { poisonArena.Store(on) }
+
+var poisonArena atomic.Bool
+
+func poison(f []float32, b []byte) {
+	for i := range f {
+		f[i] = float32(math.NaN())
+	}
+	for i := range b {
+		b[i] = 0xFF
+	}
+}
+
+// take cuts the next n elements off a slab, starting on a multiple of 16
+// (a cache line of floats, as the allocator aligned the buffers when each
+// was its own: memmove of a result runs slower from a split line). A slab
+// too short yields nil and the count keeps running, so one walk both
+// carves and sizes.
+//
+//kylix:hotpath
+func take[T any](slab []T, at *int, n int) []T {
+	lo := (*at + 15) &^ 15
+	*at = lo + n
+	if *at > len(slab) {
+		return nil
+	}
+	return slab[lo:*at:*at]
+}
+
+// flip advances the machine's arena to its next generation and carves it
+// for this Config unless it still is, allocating only if the Config is
+// the generation's largest yet.
+//
+//kylix:hotpath
+func (c *Config) flip() *genBufs {
+	s := c.mach.cfg
+	s.gen ^= 1
+	g := &s.bufs[s.gen]
+	if poisonArena.Load() {
+		poison(g.f[g.staged:], g.b)
+	}
+	if g.stamp != c.stamp || g.from != g.staged {
+		if nf, nb, nr := c.carve(g); nf > len(g.f) || nb > len(g.b) || nr > len(c.res) {
+			c.grow(g, nf, nb, nr)
+			c.carve(g)
+		}
+		g.stamp, g.from = c.stamp, g.staged
+	}
+	g.staged = 0
+	return g
+}
+
+// carve points a generation's headers at segments of its slabs, sized by
+// this Config's routing state, and the pieces' residuals at segments of
+// the Config's own slab; it returns how much of each it took.
+//
+//kylix:hotpath
+func (c *Config) carve(g *genBufs) (nf, nb, nr int) {
+	w := c.mach.opts.Width
+	quant, feedback := c.mach.opts.Quant, !c.mach.opts.QuantNoFeedback
+	nf = g.staged
+	below := c.inSet
+	for i := range c.layers {
+		ls := &c.layers[i]
+		g.acc[i] = take(g.f, &nf, len(ls.outUnion)*w)
+		g.next[i] = take(g.f, &nf, len(below)*w)
+		below = ls.inUnion
+		for t := range ls.group {
+			down, up := &g.scatter[i][t], &g.gather[i][t]
+			nd, nu := int(ls.outOffsets[t+1]-ls.outOffsets[t])*w, len(ls.inMaps[t])*w
+			up.f.Vals = take(g.f, &nf, nu)
+			if quant == sparse.QuantOff {
+				continue
+			}
+			down.q = comm.QVals{Mode: quant, N: nd, Data: take(g.b, &nb, sparse.QuantizedSize(quant, nd))}
+			up.q = comm.QVals{Mode: quant, N: nu, Data: take(g.b, &nb, sparse.QuantizedSize(quant, nu))}
+			down.land = take(g.f, &nf, len(ls.outMaps[t])*w)
+			if feedback {
+				down.res, up.res = take(c.res, &nr, nd), take(c.res, &nr, nu)
+			}
+		}
+	}
+	g.inVals = take(g.f, &nf, len(below)*w) // the bottom in-union
+	return nf, nb, nr
+}
+
+// grow replaces whichever slabs a carve found short, exactly sized. The
+// residuals must start at zero (no prior error to fold in) and are
+// dropped when a pass moves a piece size: made here once per Config.
 //
 //kylix:coldpath
-func (m *Machine) ensureCfgScratch() *cfgScratch {
+func (c *Config) grow(g *genBufs, nf, nb, nr int) {
+	if nf > len(g.f) {
+		g.f = make([]float32, nf)
+	}
+	if nb > len(g.b) {
+		g.b = make([]byte, nb)
+	}
+	if nr > len(c.res) {
+		c.res = make([]float32, nr)
+	}
+}
+
+// StageOut returns the buffer the machine's next arena pass should be
+// fed from: n values at the head of the float slab of the generation
+// that pass will flip to. Layer-1 pieces are slices of a pass's argument,
+// sent without copying, so a caller that cannot leave its own vector
+// alone that long fills this one, next written two arena passes later.
+//
+//kylix:hotpath
+func (m *Machine) StageOut(n int) []float32 {
+	s := m.scratch()
+	g := &s.bufs[s.gen^1]
+	g.staged = n
+	if len(g.f) < n {
+		//kylix:allow hotpathalloc:make -- grows to the largest stage the machine has seen
+		g.f = make([]float32, n)
+	}
+	return g.f[:n:n]
+}
+
+// StageOut is Machine.StageOut sized for the next Reduce on this Config:
+// Width values per key of OutSet(), in key order.
+//
+//kylix:hotpath
+func (c *Config) StageOut() []float32 {
+	return c.mach.StageOut(len(c.outSet) * c.mach.opts.Width)
+}
+
+// scratch returns the machine's Scratch — the one it was given, or its
+// own — building the topology-shaped parts (receive groups, staging,
+// arena headers) on first use. One built for another rank or topology
+// (an elastic epoch moved the members) is started over.
+//
+//kylix:coldpath
+func (m *Machine) scratch() *Scratch {
 	if m.cfg != nil {
 		return m.cfg
 	}
+	s := m.opts.Scratch
+	if s == nil {
+		s = new(Scratch)
+	}
+	m.cfg = s
+	degrees := m.bf.Degrees()
+	if s.rank == m.Rank() && slices.Equal(s.degrees, degrees) { // never true of a zero Scratch
+		return s
+	}
 	L := m.bf.Layers()
-	cs := &cfgScratch{groupOf: make([][]int, L), groups: make([][][]int, L)}
+	*s = Scratch{rank: m.Rank(), degrees: degrees, groupOf: make([][]int, L), groups: make([][][]int, L)}
 	maxDeg := 0
 	for layer := 1; layer <= L; layer++ {
 		group := m.bf.Group(m.Rank(), layer)
 		d := len(group)
-		if d > maxDeg {
-			maxDeg = d
-		}
-		cs.groupOf[layer-1] = group
-		cs.groups[layer-1] = make([][]int, d)
+		maxDeg = max(maxDeg, d)
+		s.groupOf[layer-1] = group
+		s.groups[layer-1] = make([][]int, d)
 		for t := range group {
-			cs.groups[layer-1][t] = group[t : t+1 : t+1]
+			s.groups[layer-1][t] = group[t : t+1 : t+1]
 		}
 	}
-	cs.got = make([]*comm.ConfigPiece, maxDeg)
-	cs.inP = make([]sparse.Set, maxDeg)
-	cs.outP = make([]sparse.Set, maxDeg)
-	cs.valP = make([][]float32, maxDeg)
-	cs.plP = make([]comm.Payload, maxDeg)
-	cs.seen = make([]bool, maxDeg)
-	cs.offs = make([]int32, 2*(maxDeg+1))
-	m.cfg = cs
-	return cs
+	s.got = make([]*comm.ConfigPiece, maxDeg)
+	s.inP = make([]sparse.Set, maxDeg)
+	s.outP = make([]sparse.Set, maxDeg)
+	s.valP = make([][]float32, maxDeg)
+	s.plP = make([]comm.Payload, maxDeg)
+	s.seen = make([]bool, maxDeg)
+	s.offs = make([]int32, 2*(maxDeg+1))
+	for gen := range s.bufs {
+		g := &s.bufs[gen]
+		g.acc, g.next = make([][]float32, L), make([][]float32, L)
+		g.scatter, g.gather = make([][]piece, L), make([][]piece, L)
+		for i, group := range s.groupOf {
+			g.scatter[i], g.gather[i] = make([]piece, len(group)), make([]piece, len(group))
+		}
+	}
+	return s
 }
 
 // memberIndex locates a rank in a layer group (groups are small — the

@@ -39,12 +39,15 @@ type Node struct {
 // position in the physical cluster — distinct from ep.Rank() when ep is
 // a membership view (dense member rank) or a replication wrapper
 // (logical rank); observability is keyed by the physical identity.
-func newNode(ep comm.Endpoint, bf *topo.Butterfly, cfg config, roundBase uint32, physRank int) (*Node, error) {
+// scratch is what an earlier node of this rank and namespace left, or nil.
+func newNode(ep comm.Endpoint, bf *topo.Butterfly, cfg config, roundBase uint32, physRank int, scratch *core.Scratch) (*Node, error) {
 	lep, err := wrapReplication(ep, cfg)
 	if err != nil {
 		return nil, err
 	}
-	mach, err := core.NewMachine(lep, bf, coreOptions(cfg, roundBase, physRank))
+	opts := coreOptions(cfg, roundBase, physRank)
+	opts.Scratch = scratch
+	mach, err := core.NewMachine(lep, bf, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -238,9 +241,7 @@ func (n *Node) ConfigureReduce(in, out []int32, outVals []float32) (*Reduction, 
 	if err != nil {
 		return nil, nil, err
 	}
-	// No Config exists yet to own the staging buffer, so this pass gets
-	// a fresh one, which nothing ever rewrites.
-	staged := make([]float32, len(outSet)*n.width)
+	staged := n.mach.StageOut(len(outSet) * n.width)
 	if err := om.stageOut(staged, outVals, n.width); err != nil {
 		return nil, nil, err
 	}
@@ -261,6 +262,8 @@ func (n *Node) TreeAllreduce(in, out []int32, outVals []float32) ([]float32, int
 	if err != nil {
 		return nil, 0, err
 	}
+	// A tree pass exchanges nothing with the layer groups, so the arena's
+	// quiescence argument does not cover it: it stages in a fresh buffer.
 	staged := make([]float32, len(outSet)*n.width)
 	if err := om.stageOut(staged, outVals, n.width); err != nil {
 		return nil, 0, err
@@ -353,10 +356,7 @@ func (r *Reduction) Missing() int { return r.cfg.Missing() }
 // anything is sent, and the result is a fresh slice the caller owns.
 func (r *Reduction) Reduce(outVals []float32) ([]float32, error) {
 	w := r.node.width
-	staged, err := r.cfg.StageOut()
-	if err != nil {
-		return nil, err
-	}
+	staged := r.cfg.StageOut()
 	if err := r.om.stageOut(staged, outVals, w); err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -372,4 +373,130 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 			}
 		})
 	}
+
+	// The arena is the machine's, so from the third pass on — both
+	// generations have grown to the sets by then — a pass over fresh
+	// Configs allocates their routing state, residuals and results and no
+	// arena. The figures are the KiB one pass of each row allocated, on all
+	// ranks together, when every Config built its own arena (commit
+	// 227e5d8, this very loop, least of three runs); the arena's size is
+	// computed, a lower bound, from the union sizes the Reduction reports.
+	const warm, passes, width = 2, 10, 2
+	for _, tc := range []struct {
+		quant     kylix.Quantization
+		transport kylix.Transport
+		// fresh: a pass is ConfigureReduce + Reduce inside one Cluster.Run;
+		// stream: a pass is one Stream.Run of Configure + 4 x Reduce, whose
+		// machines are new every time and inherit the stream's memory.
+		fresh, stream float64
+	}{
+		{kylix.QuantOff, kylix.TransportMemory, 1613, 2016}, {kylix.QuantINT8, kylix.TransportMemory, 2184, 2596},
+		{kylix.QuantOff, kylix.TransportTCP, 1889, 2231}, {kylix.QuantINT8, kylix.TransportTCP, 2472, 2791},
+	} {
+		cluster, err := kylix.NewCluster(orderRanks, kylix.WithDegrees(2, 2), kylix.WithWidth(width),
+			kylix.WithQuantization(tc.quant), kylix.WithTransport(tc.transport))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cluster.Close()
+		// check compares what the measured passes allocated with the
+		// parent's figure less the two generations every pass carves.
+		arena := make([]int, orderRanks)
+		check := func(t *testing.T, parentKiB float64, before, after *runtime.MemStats) {
+			if raceEnabled && tc.transport == kylix.TransportTCP {
+				t.Skip("under the race detector sync.Pool drops items at random, and the index codec's pooled sort scratch is allocated anew")
+			}
+			carved := 0
+			for _, a := range arena {
+				carved += 2 * a
+			}
+			perPass := float64(after.TotalAlloc-before.TotalAlloc) / passes / 1024
+			t.Logf("%.1f KiB per pass (parent %.1f, arena %.1f)", perPass, parentKiB, float64(carved)/1024)
+			if limit := parentKiB - float64(carved)/1024; perPass > limit {
+				t.Fatalf("a pass on a warm machine allocated %.1f KiB, want at most %.1f: the parent's %.1f less the arena's %.1f",
+					perPass, limit, parentKiB, float64(carved)/1024)
+			}
+		}
+		t.Run(fmt.Sprintf("fresh-sets/%v/%v", tc.transport, tc.quant), func(t *testing.T) {
+			var before, after runtime.MemStats
+			done := newBarrier(orderRanks)
+			err := cluster.Run(func(node *kylix.Node) (err error) {
+				r := node.Rank()
+				c := arenaInputs(r, width)
+				for i := 0; i < warm+passes; i++ {
+					if i == warm {
+						done.wait()
+						if r == 0 {
+							runtime.ReadMemStats(&before)
+						}
+						done.wait()
+					}
+					red, _, rerr := node.ConfigureReduce(c.in, c.out, c.vals)
+					if rerr == nil {
+						arena[r] = red.ArenaBytes()
+						_, rerr = red.Reduce(c.vals)
+					}
+					if err == nil {
+						err = rerr
+					}
+				}
+				done.wait()
+				if r == 0 {
+					runtime.ReadMemStats(&after)
+				}
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, tc.fresh, &before, &after)
+		})
+		t.Run(fmt.Sprintf("stream-run/%v/%v", tc.transport, tc.quant), func(t *testing.T) {
+			st, err := cluster.OpenStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			var before, after runtime.MemStats
+			for i := 0; i < warm+passes; i++ {
+				if i == warm {
+					runtime.ReadMemStats(&before)
+				}
+				err := st.Run(func(node *kylix.Node) error {
+					c := arenaInputs(node.Rank(), width)
+					red, err := node.Configure(c.in, c.out)
+					for j := 0; j < 4 && err == nil; j++ {
+						_, err = red.Reduce(c.vals)
+					}
+					if err == nil {
+						arena[node.Rank()] = red.ArenaBytes()
+					}
+					return err
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			check(t, tc.stream, &before, &after)
+		})
+	}
+}
+
+// arenaInputs is rank r's sets and values for the allocation rows that
+// weigh the arena: large enough that it stands clear of the odd stray
+// allocation, in the caller's (shuffled) order.
+func arenaInputs(r, width int) orderCase {
+	rng := rand.New(rand.NewSource(int64(4000 + r)))
+	idx := make([]int32, 3000)
+	for i := range idx {
+		idx[i] = int32(rng.Intn(6000))
+	}
+	out := sparse.MustNewSet(idx).Indices()
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	vals := make([]float32, len(out)*width)
+	for i := range vals {
+		vals[i] = rng.Float32()
+	}
+	return orderCase{in: out, out: out, vals: vals}
 }

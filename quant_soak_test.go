@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kylix"
+	"kylix/internal/core"
 )
 
 // The quantization soak is the acceptance test for wire-level value
@@ -115,6 +116,10 @@ func quantRelErr(got, ref []float32) float64 {
 }
 
 func testQuantSoak(t *testing.T, transport kylix.Transport, quant kylix.Quantization, bound float64) {
+	// Recycled arena memory is poisoned at every flip: a pass that read a
+	// value it did not write in that pass would turn these digests to NaN.
+	core.PoisonArena(true)
+	defer core.PoisonArena(false)
 	exact := quantSoakRun(t, transport, kylix.QuantOff, kylix.FaultPlan{Seed: 42})
 	clean := quantSoakRun(t, transport, quant, kylix.FaultPlan{Seed: 42})
 	chaos := quantSoakRun(t, transport, quant, quantChaosPlan())

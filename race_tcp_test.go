@@ -8,21 +8,25 @@ import (
 
 	"kylix"
 	"kylix/internal/comm"
+	"kylix/internal/core"
 	"kylix/internal/leakcheck"
 )
 
 // TestWarmTCPMatchesMemory is the race lane's TCP workload
 // (scripts/check.sh stage_race): warm Reduce rounds whose value buffers
 // are refilled as soon as the previous round returns, a Reconfigure that
-// keeps every arena, and a quantized tenant stream, all over real
-// sockets — the arena → transport hand-off the race detector must see as
-// an ordinary copy, and the hand-back of every folded or landed piece to
-// the receive pool, poisoned on release so that a piece read afterwards
-// shows — with every round's digest equal to the in-memory run's.
+// moves nothing, and a quantized tenant stream, all over real sockets —
+// the arena → transport hand-off the race detector must see as an
+// ordinary copy, and the hand-back of every folded or landed piece to
+// the receive pool, poisoned on release, as the arena is at every flip,
+// so that a piece read afterwards or a value never written shows — with
+// every round's digest equal to the in-memory run's.
 func TestWarmTCPMatchesMemory(t *testing.T) {
 	defer leakcheck.Check(t)()
 	comm.PoisonReleased(true)
 	defer comm.PoisonReleased(false)
+	core.PoisonArena(true)
+	defer core.PoisonArena(false)
 	const (
 		m      = 8
 		rounds = 60

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kylix"
+	"kylix/internal/core"
 )
 
 // Delivery-order permutation property: the reduction hot path takes
@@ -116,6 +117,10 @@ func runPermuted(t *testing.T, transport kylix.Transport, rg permRegime, plan ky
 }
 
 func testDeliveryPermutation(t *testing.T, transport kylix.Transport) {
+	// Recycled arena memory is poisoned at every flip: a pass that read a
+	// value it did not write in that pass would turn these digests to NaN.
+	core.PoisonArena(true)
+	defer core.PoisonArena(false)
 	for _, seed := range []int64{1, 7, 99} {
 		for _, rg := range permRegimes(seed) {
 			t.Run(fmt.Sprintf("%s/seed%d", rg.name, seed), func(t *testing.T) {
@@ -225,6 +230,8 @@ func runPermutedWide(t *testing.T, transport kylix.Transport, workers int, plan 
 }
 
 func testWorkerShardInvariance(t *testing.T, transport kylix.Transport) {
+	core.PoisonArena(true)
+	defer core.PoisonArena(false)
 	const seed = 7
 	chaosPlan := kylix.FaultPlan{
 		Seed:      seed,

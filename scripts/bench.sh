@@ -27,6 +27,10 @@
 #                               # of the bytes of the full fused
 #                               # ConfigureReduce on the same topology
 #                               # (their ns ratio is printed, not gated),
+#                               # or if the fused pass on a warm machine
+#                               # (BenchmarkConfigureReduce16) allocates
+#                               # more B/op than the per-Config-arena row
+#                               # archived in scripts/bench_baseline.txt,
 #                               # or if the index codec (BenchmarkKeysCodec)
 #                               # allocates, or if the warm Reduce over
 #                               # loopback TCP (BenchmarkReduceWarmTCP) or
@@ -315,6 +319,18 @@ else
         exit 1
     fi
     echo "bench gate OK: warm Reconfigure $rec_allocs allocs/op, $rec_bytes B/op (full ConfigureReduce $full_bytes B/op); $rec_ns ns/op is $(awk -v r="$rec_ns" -v f="$full_ns" 'BEGIN { printf "%.1f", 100 * r / f }')% of full $full_ns (not gated)"
+
+    # Machine-owned arena gate: a fused pass over fresh sets on a warm
+    # machine allocates routing state and results, not an arena, so its
+    # B/op stays under the row archived from the last commit whose Configs
+    # built their own (scripts/bench_baseline.txt).
+    fused_bytes="$(field BenchmarkConfigureReduce16 B/op)"
+    base_fused_bytes="$(awk '$1 ~ /^BenchmarkConfigureReduce16(-[0-9]+)?$/ { for (i = 2; i <= NF; i++) if ($(i) == "B/op") print $(i-1) }' scripts/bench_baseline.txt)"
+    if [ -z "$fused_bytes" ] || [ -z "$base_fused_bytes" ] || [ "$fused_bytes" -gt "$base_fused_bytes" ]; then
+        echo "bench gate: ConfigureReduce16 allocates ${fused_bytes:-?} B/op, archived per-Config-arena row ${base_fused_bytes:-?}" >&2
+        exit 1
+    fi
+    echo "bench gate OK: ConfigureReduce16 $fused_bytes B/op (archived per-Config-arena row $base_fused_bytes)"
 
     # Intra-node threading gate (Figure 7): the sharded width-4 warm
     # Reduce must actually shard, and on a box with at least as many

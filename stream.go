@@ -52,6 +52,8 @@ type Stream struct {
 	// base is the stream's private tag-round cursor; each stream id is
 	// a whole fresh tag space, so streams never coordinate on rounds.
 	base atomic.Uint32
+	// scratch is the stream's own machine memory (see rankScratch).
+	scratch rankScratch
 	// mu serializes the stream's passes; Close takes it to wait for the
 	// in-flight pass to drain before purging mailbox state.
 	mu sync.Mutex //kylix:lock stream-pass
@@ -82,7 +84,7 @@ func (c *Cluster) OpenStream(opts ...Option) (*Stream, error) {
 		o(&cfg)
 	}
 	cfg.stream = id
-	s := &Stream{c: c, id: id, cfg: cfg, maxInflight: cfg.streamInflight}
+	s := &Stream{c: c, id: id, cfg: cfg, maxInflight: cfg.streamInflight, scratch: make(rankScratch, c.capacity)}
 	s.counters = c.smet.PerStream(uint16(id))
 	c.smet.StreamsOpened.Inc()
 	c.smet.StreamsActive.Set(int64(c.streams.Active()))
@@ -98,7 +100,8 @@ func (s *Stream) ID() uint16 { return uint16(s.id) }
 // stream are serialized; across streams they run concurrently up to
 // the cluster's WithStreamSlots budget, granted round-robin so no
 // tenant starves. A pass submitted past the stream's in-flight bound
-// is rejected immediately with a *StreamBusyError.
+// is rejected immediately with a *StreamBusyError. As with Cluster.Run,
+// a Reduction is usable only inside the Run that made it.
 func (s *Stream) Run(fn func(*Node) error) error {
 	if s.closed.Load() {
 		return ErrStreamClosed
@@ -124,7 +127,7 @@ func (s *Stream) Run(fn func(*Node) error) error {
 	}
 	s.c.smet.SchedWaitNs.Observe(time.Since(start).Nanoseconds())
 	defer s.c.sched.Release()
-	err := s.c.runPass(s.cfg, &s.base, fn)
+	err := s.c.runPass(s.cfg, &s.base, s.scratch, fn)
 	if err != nil {
 		s.counters.Errors.Inc()
 	} else {

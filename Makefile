@@ -33,9 +33,12 @@ profile:
 	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
 
 # A quick pass over the fault fabric's determinism fuzzer, the payload
-# decoder's, the mailbox model's and the TCP frame reader's.
+# decoder's, the mailbox model's, the TCP frame reader's and the value
+# codec's bit identity with its reference (each input sweeps 65,536
+# float32 words, so the fuzzer walks the full 2^32 over time).
 fuzz:
 	$(GO) test -run FuzzDecide -fuzz FuzzDecide -fuzztime 10s ./internal/faultnet/
 	$(GO) test -run FuzzDecodePayload -fuzz FuzzDecodePayload -fuzztime 10s ./internal/comm/
 	$(GO) test -run FuzzMailbox -fuzz FuzzMailbox -fuzztime 10s ./internal/comm/
 	$(GO) test -run FuzzFrameStream -fuzz FuzzFrameStream -fuzztime 10s ./internal/tcpnet/
+	$(GO) test -run FuzzQuantizeMatchesReference -fuzz FuzzQuantizeMatchesReference -fuzztime 10s ./internal/sparse/

@@ -24,10 +24,13 @@ import (
 //     infinities and NaN are preserved in kind.
 //   - INT8: per-piece max-abs scaling, 1 byte per value plus a 4-byte
 //     float32 scale header (~4x under float32 for realistic pieces).
-//     q = round(x/scale) clamped to [-127, 127] with scale =
-//     maxabs/127, decoded as q*scale. Absolute error <= scale/2;
-//     non-finite inputs are not representable (they quantize to 0 and
-//     belong in FP16 mode).
+//     q = trunc(fl(r ± 0.5)), r = x*(1/scale), clamped to [-127, 127],
+//     scale = maxabs/127, decoded as q*scale. Absolute error <= scale/2
+//     plus a float32 ulp (fl(0.49999997 + 0.5) = 1); non-finite inputs
+//     are not representable (they quantize to 0 and belong in FP16 mode).
+//
+// Each kernel runs a call-free fast path on what a pass ships and hands
+// the rest to the code it replaced (the oracle in quant_ref_test.go).
 //
 // Lossy encodings drift if the dropped precision is discarded: a value
 // forever below the quantization step never contributes. The encode
@@ -104,6 +107,9 @@ func QuantizedSize(q Quantization, n int) int {
 //kylix:hotpath
 func Float32ToFP16Bits(f float32) uint16 {
 	b := math.Float32bits(f)
+	if h, _, ok := narrowFP16(b); ok {
+		return h
+	}
 	sign := uint16(b>>16) & 0x8000
 	e32 := (b >> 23) & 0xff
 	man := b & 0x7fffff
@@ -139,6 +145,17 @@ func Float32ToFP16Bits(f float32) uint16 {
 	}
 }
 
+// narrowFP16 narrows a word b with exponent 113..141 (no overflow) by
+// adding 0xfff plus the kept lsb, nearest-even; w, the sum with 13 bits
+// cleared, is h widened. ok reports whether b is in range.
+//
+//kylix:hotpath
+func narrowFP16(b uint32) (h uint16, w uint32, ok bool) {
+	w = b + 0xfff + (b>>13)&1
+	h = uint16(w>>16)&0x8000 | uint16((w&0x7fffffff)>>13-112<<10)
+	return h, w &^ 0x1fff, (b>>23)&0xff-113 < 29
+}
+
 // FP16BitsToFloat32 is the exact inverse widening: every binary16 value
 // converts to float32 without error.
 //
@@ -162,6 +179,14 @@ func FP16BitsToFloat32(h uint16) float32 {
 	}
 }
 
+// widenFP16 widens a normal half (exponent 1..30) by a shift and a
+// rebiasing add. ok reports whether h is normal.
+//
+//kylix:hotpath
+func widenFP16(h uint16) (w uint32, ok bool) {
+	return uint32(h&0x8000)<<16 | (uint32(h&0x7fff)<<13 + 112<<23), (h>>10)&0x1f-1 < 30
+}
+
 // QuantizeFP16 encodes vals into dst as little-endian binary16, fusing
 // error feedback when res is non-nil: each element quantizes
 // x = vals[j] + res[j] and stores the rounding error back into res[j].
@@ -175,26 +200,21 @@ func QuantizeFP16(dst []byte, vals, res []float32) {
 	}
 	_ = dst[2*len(vals)-1]
 	if res == nil {
-		j := 0
-		for ; j+4 <= len(vals); j += 4 { // unrolled 4-wide like CombineInto
-			d := dst[j*2 : j*2+8 : j*2+8]
-			s := vals[j : j+4 : j+4]
-			binary.LittleEndian.PutUint16(d[0:], Float32ToFP16Bits(s[0]))
-			binary.LittleEndian.PutUint16(d[2:], Float32ToFP16Bits(s[1]))
-			binary.LittleEndian.PutUint16(d[4:], Float32ToFP16Bits(s[2]))
-			binary.LittleEndian.PutUint16(d[6:], Float32ToFP16Bits(s[3]))
-		}
-		for ; j < len(vals); j++ {
-			binary.LittleEndian.PutUint16(dst[j*2:], Float32ToFP16Bits(vals[j]))
+		for j, v := range vals {
+			binary.LittleEndian.PutUint16(dst[j*2:], Float32ToFP16Bits(v))
 		}
 		return
 	}
 	res = res[:len(vals)]
 	for j, v := range vals {
 		x := v + res[j]
-		h := Float32ToFP16Bits(x)
+		h, w, ok := narrowFP16(math.Float32bits(x))
+		if !ok {
+			h = Float32ToFP16Bits(x)
+			w = math.Float32bits(FP16BitsToFloat32(h))
+		}
 		binary.LittleEndian.PutUint16(dst[j*2:], h)
-		res[j] = x - FP16BitsToFloat32(h)
+		res[j] = x - math.Float32frombits(w)
 	}
 }
 
@@ -209,12 +229,17 @@ func DequantizeFP16(dst []float32, src []byte) {
 	_ = src[2*len(dst)-1]
 	j := 0
 	for ; j+4 <= len(dst); j += 4 {
-		s := src[j*2 : j*2+8 : j*2+8]
-		d := dst[j : j+4 : j+4]
-		d[0] = FP16BitsToFloat32(binary.LittleEndian.Uint16(s[0:]))
-		d[1] = FP16BitsToFloat32(binary.LittleEndian.Uint16(s[2:]))
-		d[2] = FP16BitsToFloat32(binary.LittleEndian.Uint16(s[4:]))
-		d[3] = FP16BitsToFloat32(binary.LittleEndian.Uint16(s[6:]))
+		s, d := src[j*2:j*2+8:j*2+8], dst[j:j+4:j+4]
+		w0, ok0 := widenFP16(binary.LittleEndian.Uint16(s[0:]))
+		w1, ok1 := widenFP16(binary.LittleEndian.Uint16(s[2:]))
+		w2, ok2 := widenFP16(binary.LittleEndian.Uint16(s[4:]))
+		w3, ok3 := widenFP16(binary.LittleEndian.Uint16(s[6:]))
+		d[0], d[1], d[2], d[3] = math.Float32frombits(w0), math.Float32frombits(w1), math.Float32frombits(w2), math.Float32frombits(w3)
+		if !(ok0 && ok1 && ok2 && ok3) { // a half that is not normal
+			for i := range d {
+				d[i] = FP16BitsToFloat32(binary.LittleEndian.Uint16(s[2*i:]))
+			}
+		}
 	}
 	for ; j < len(dst); j++ {
 		dst[j] = FP16BitsToFloat32(binary.LittleEndian.Uint16(src[j*2:]))
@@ -223,14 +248,65 @@ func DequantizeFP16(dst []float32, src []byte) {
 
 // QuantizeINT8 encodes vals into dst with per-block max-abs scaling: a
 // 4-byte float32 scale (maxabs/127) followed by one signed byte per
-// value, q = round(x/scale) clamped to [-127, 127] with ties away from
-// zero. Error feedback fuses as in QuantizeFP16 when res is non-nil.
-// len(dst) must be 4+len(vals); vals is never written. Rounding is a
-// pure function of the input bits (NaN quantizes to 0), so the encoding
-// is deterministic for every input.
+// value, q = trunc(fl(x/scale ± 0.5)) clamped to [-127, 127] (see the
+// package doc). Error feedback fuses as in QuantizeFP16 when res is
+// non-nil. len(dst) must be 4+len(vals); vals is never written. Rounding
+// is a pure function of the input bits (NaN quantizes to 0), so the
+// encoding is deterministic for every input.
 //
 //kylix:hotpath
 func QuantizeINT8(dst []byte, vals, res []float32) {
+	n := len(vals)
+	if res == nil {
+		quantizeINT8Slow(dst, vals, res)
+		return
+	}
+	res = res[:n]
+	// Max-abs by integer compare (a NaN's bits lie above every finite
+	// value's); signs collects the sign bits.
+	var m0, m1, m2, m3, signs uint32
+	j := 0
+	for ; j+4 <= n; j += 4 {
+		s, r := vals[j:j+4:j+4], res[j:j+4:j+4]
+		b0, b1, b2, b3 := math.Float32bits(s[0]+r[0]), math.Float32bits(s[1]+r[1]), math.Float32bits(s[2]+r[2]), math.Float32bits(s[3]+r[3])
+		signs |= b0 | b1 | b2 | b3
+		m0, m1, m2, m3 = max(m0, b0&^(1<<31)), max(m1, b1&^(1<<31)), max(m2, b2&^(1<<31)), max(m3, b3&^(1<<31))
+	}
+	for ; j < n; j++ {
+		b := math.Float32bits(vals[j] + res[j])
+		signs, m0 = signs|b, max(m0, b&^(1<<31))
+	}
+	maxbits := max(m0, m1, m2, m3)
+	scale := math.Float32frombits(maxbits) / 127
+	inv := 1 / scale
+	if maxbits >= 0x7f800000 || inv > math.MaxFloat32 { // Inf or NaN, or scale 0 or too small to invert
+		quantizeINT8Slow(dst, vals, res)
+		return
+	}
+	binary.LittleEndian.PutUint32(dst, math.Float32bits(scale))
+	q := dst[4 : 4+n : 4+n]
+	// |x*inv| < 127.5 (finite inv: scale off by < 5e-7), so no clamp or
+	// compare; k = trunc(fl(x*inv + copysign(0.5, x))) fuses as the slow path's.
+	if signs>>31 == 0 { // no sign bit set: the copysign is 0.5
+		for j, v := range vals {
+			x := v + res[j]
+			k := int32(x*inv + 0.5)
+			q[j] = byte(k)
+			res[j] = x - float32(k)*scale
+		}
+		return
+	}
+	for j, v := range vals {
+		x := v + res[j]
+		k := int32(x*inv + math.Float32frombits(math.Float32bits(x)&(1<<31)|0x3f000000))
+		q[j] = byte(k)
+		res[j] = x - float32(k)*scale
+	}
+}
+
+// quantizeINT8Slow is QuantizeINT8 by compares, for any block: the path
+// for Inf, NaN, an all-zero block, an uninvertible scale, or no feedback.
+func quantizeINT8Slow(dst []byte, vals, res []float32) {
 	n := len(vals)
 	if n == 0 {
 		return

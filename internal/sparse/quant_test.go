@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -131,8 +132,8 @@ func TestFP16NarrowMatchesReference(t *testing.T) {
 	}
 }
 
-// TestQuantizeFP16Block round-trips a block through the vectorized
-// kernels, with and without residuals.
+// TestQuantizeFP16Block round-trips a block through the block kernels,
+// with and without residuals.
 func TestQuantizeFP16Block(t *testing.T) {
 	vals := []float32{0, 1, -1, 0.5, 3.14159, -65504, 1e-7, 42.42, 7, -0.25, 1000, 0.1, 9}
 	dst := make([]byte, QuantizedSize(QuantFP16, len(vals)))
@@ -285,60 +286,93 @@ func TestValuesDigest(t *testing.T) {
 	}
 }
 
-func BenchmarkQuantizeFP16(b *testing.B) {
-	vals := make([]float32, 4096)
-	for j := range vals {
-		vals[j] = float32(j%255) * 0.25
+// codecInput is one block the codec benchmarks encode, with the
+// residual it starts from.
+type codecInput struct {
+	name      string
+	vals, res []float32
+}
+
+// codecInputs are the code grid (values -127..127, all on the int8
+// grid and mixed in sign, unlike any pass) and tenants-tcp-8's shape:
+// positive sums of one to eight 0.5-1.5 values with one round's
+// residual, at tenant A's layer-1 and layer-2 piece lengths (860 and
+// 1079 rows of width 4).
+func codecInputs() []codecInput {
+	grid := make([]float32, 4096)
+	for j := range grid {
+		grid[j] = float32(j%255) - 127
 	}
-	res := make([]float32, len(vals))
-	dst := make([]byte, QuantizedSize(QuantFP16, len(vals)))
-	b.SetBytes(int64(4 * len(vals)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		QuantizeFP16(dst, vals, res)
+	in := []codecInput{{"grid4096", grid, make([]float32, len(grid))}}
+	rng := rand.New(rand.NewSource(25))
+	for _, n := range []int{3440, 4316} {
+		vals := make([]float32, n)
+		for j := range vals {
+			for k := rng.Intn(8); k >= 0; k-- {
+				vals[j] += 0.5 + rng.Float32()
+			}
+		}
+		res := make([]float32, n)
+		refQuantizeINT8(make([]byte, 4+n), vals, res)
+		in = append(in, codecInput{fmt.Sprintf("sums%d", n), vals, res})
+	}
+	return in
+}
+
+// benchEncode runs an encoder and, in the same run, its reference on
+// every codec input, so scripts/bench.sh --gate can hold the fast/ref
+// ratio — which a noisy box moves far less than ns/op.
+func benchEncode(b *testing.B, q Quantization, fast, ref func(dst []byte, vals, res []float32)) {
+	for _, in := range codecInputs() {
+		for _, k := range []struct {
+			name string
+			enc  func(dst []byte, vals, res []float32)
+		}{{"fast", fast}, {"ref", ref}} {
+			b.Run(in.name+"/"+k.name, func(b *testing.B) {
+				dst := make([]byte, QuantizedSize(q, len(in.vals)))
+				res := append([]float32(nil), in.res...)
+				b.SetBytes(int64(4 * len(in.vals)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.enc(dst, in.vals, res)
+				}
+			})
+		}
 	}
 }
+
+// benchDecode is benchEncode for a decoder, on each input's encoding;
+// a nil ref benchmarks the decoder alone.
+func benchDecode(b *testing.B, q Quantization, fast, ref func(dst []float32, src []byte)) {
+	for _, in := range codecInputs() {
+		src := make([]byte, QuantizedSize(q, len(in.vals)))
+		Quantize(q, src, in.vals, nil)
+		for _, k := range []struct {
+			name string
+			dec  func(dst []float32, src []byte)
+		}{{"fast", fast}, {"ref", ref}} {
+			if k.dec == nil {
+				continue
+			}
+			b.Run(in.name+"/"+k.name, func(b *testing.B) {
+				dst := make([]float32, len(in.vals))
+				b.SetBytes(int64(4 * len(in.vals)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					k.dec(dst, src)
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkQuantizeFP16(b *testing.B) { benchEncode(b, QuantFP16, QuantizeFP16, refQuantizeFP16) }
 
 func BenchmarkDequantizeFP16(b *testing.B) {
-	vals := make([]float32, 4096)
-	for j := range vals {
-		vals[j] = float32(j%255) * 0.25
-	}
-	src := make([]byte, QuantizedSize(QuantFP16, len(vals)))
-	QuantizeFP16(src, vals, nil)
-	dst := make([]float32, len(vals))
-	b.SetBytes(int64(4 * len(vals)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		DequantizeFP16(dst, src)
-	}
+	benchDecode(b, QuantFP16, DequantizeFP16, refDequantizeFP16)
 }
 
-func BenchmarkQuantizeINT8(b *testing.B) {
-	vals := make([]float32, 4096)
-	for j := range vals {
-		vals[j] = float32(j%255) - 127
-	}
-	res := make([]float32, len(vals))
-	dst := make([]byte, QuantizedSize(QuantINT8, len(vals)))
-	b.SetBytes(int64(4 * len(vals)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		QuantizeINT8(dst, vals, res)
-	}
-}
+func BenchmarkQuantizeINT8(b *testing.B) { benchEncode(b, QuantINT8, QuantizeINT8, refQuantizeINT8) }
 
-func BenchmarkDequantizeINT8(b *testing.B) {
-	vals := make([]float32, 4096)
-	for j := range vals {
-		vals[j] = float32(j%255) - 127
-	}
-	src := make([]byte, QuantizedSize(QuantINT8, len(vals)))
-	QuantizeINT8(src, vals, nil)
-	dst := make([]float32, len(vals))
-	b.SetBytes(int64(4 * len(vals)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		DequantizeINT8(dst, src)
-	}
-}
+// BenchmarkDequantizeINT8 has no reference: the decoder kept its code.
+func BenchmarkDequantizeINT8(b *testing.B) { benchDecode(b, QuantINT8, DequantizeINT8, nil) }

@@ -287,10 +287,14 @@ func GatherInto(dst []float32, m []int32, src []float32, width int, fill float32
 	}
 }
 
-// Fill sets every element of data to v.
+// Fill sets every element of data to v; +0 (all-zero bits) is a clear.
 //
 //kylix:hotpath
 func Fill(data []float32, v float32) {
+	if math.Float32bits(v) == 0 {
+		clear(data)
+		return
+	}
 	for i := range data {
 		data[i] = v
 	}

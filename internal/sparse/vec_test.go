@@ -206,6 +206,15 @@ func TestFill(t *testing.T) {
 			t.Fatal("fill failed")
 		}
 	}
+	// +0 takes the clear; -0 is not all-zero bits and must keep its sign.
+	for _, v := range []float32{0, float32(math.Copysign(0, -1))} {
+		Fill(d, v)
+		for _, got := range d {
+			if math.Float32bits(got) != math.Float32bits(v) {
+				t.Fatalf("Fill(%v) left %#08x", v, math.Float32bits(got))
+			}
+		}
+	}
 }
 
 // Round-trip property: scattering values through UnionWithMaps position

@@ -40,7 +40,10 @@
 #                               # quantized warm Reduce (fp16 and int8) to
 #                               # stay at 0 allocs/op and fp16 to ship
 #                               # >=1.7x fewer value-plane payload bytes
-#                               # than raw float32, and the measured
+#                               # than raw float32, each value-codec
+#                               # kernel to stay a fixed fraction of its
+#                               # reference's ns/op in the same run (a
+#                               # ratio, so box noise cancels), and the measured
 #                               # Figure 2 sweep to show loopback
 #                               # throughput rising from 1 KB to 4 MB
 #                               # packets (a wall-clock shape, so it is
@@ -179,7 +182,9 @@ record() {
     # ships as raw float32 payload, value_bytes_per_op what the selected
     # codec ships, value_compression their ratio. "before" is the archived
     # output of the raw codec before the receive pool (an append per value,
-    # a fresh buffer per decode; same rotating inputs), "after" is this run.
+    # a fresh buffer per decode; same rotating inputs) and of the value
+    # codec before its fast paths (one 4096-value block per kernel; the
+    # fast/ref rows now time both in one run), "after" is this run.
     wirejson="BENCH_wire.json"
     {
         echo "{"
@@ -243,6 +248,34 @@ else
         exit 1
     fi
     echo "bench gate OK: fp16 value payload ${valx}x smaller than raw float32"
+
+    # Value-codec speed gate: each kernel against its pre-fast-path
+    # reference (quant_ref_test.go), both timed in this run so the box's
+    # speed cancels out. The bar is on the geometric mean of fast/ref
+    # ns/op over the kernel's inputs. Thirteen runs on the 2-vCPU box read
+    # at most 0.41 (fp16 encode), 0.55 (fp16 decode) and 0.81 (int8
+    # encode) — one row can swing 2x with the host's load, so the bars
+    # sit well above that and below the 1.0 of a lost fast path.
+    for entry in BenchmarkQuantizeFP16=0.6 BenchmarkDequantizeFP16=0.8 BenchmarkQuantizeINT8=0.95; do
+        b="${entry%%=*}"
+        bar="${entry##*=}"
+        ratio="$(awk -v b="$b" '$1 ~ "^"b"/" {
+            n = $1; sub(/-[0-9]+$/, "", n); k = n; sub(/\/(fast|ref)$/, "", k)
+            for (i = 2; i <= NF; i++) if ($(i) == "ns/op") { if (n ~ /\/fast$/) f[k] = $(i-1); else r[k] = $(i-1) }
+        } END {
+            c = 0; for (k in f) if (k in r) { s += log(f[k] / r[k]); c++ }
+            if (c) printf "%.3f", exp(s / c)
+        }' "$wireout")"
+        if [ -z "$ratio" ]; then
+            echo "bench gate: $b did not report fast/ref rows" >&2
+            exit 1
+        fi
+        if awk -v x="$ratio" -v bar="$bar" 'BEGIN { exit !(x > bar) }'; then
+            echo "bench gate: $b fast path lost its lead: ${ratio}x its reference's ns/op (want <=${bar}x)" >&2
+            exit 1
+        fi
+        echo "bench gate OK: $b at ${ratio}x its reference's ns/op (bar ${bar}x)"
+    done
 
     obs_ns="$(awk '/^BenchmarkReduceWarmObs/ { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") print $(i-1) }' "$out")"
     tol="${KYLIX_BENCH_TOLERANCE:-10}"

@@ -59,7 +59,7 @@ type Cluster struct {
 	// keep their own bases — each stream id is a whole fresh tag space.
 	roundBase atomic.Uint32
 	// scratch is the default namespace's machine memory (see rankScratch).
-	scratch rankScratch
+	scratch atomic.Pointer[rankScratch]
 	// closed latches Cluster.Close: set exactly once (Close is
 	// idempotent), checked by every pass after it enters the run gate so
 	// the close-time drain covers it.
@@ -108,7 +108,7 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 		cfg.obsv = obs.New(capacity, 0)
 	}
 	c := &Cluster{cfg: cfg, bf: bf, phys: m, capacity: capacity, obs: cfg.obsv,
-		eps: make([]comm.Endpoint, capacity), scratch: make(rankScratch, capacity)}
+		eps: make([]comm.Endpoint, capacity)}
 	if cfg.faults != nil {
 		fab, err := faultnet.New(*cfg.faults)
 		if err != nil {
@@ -302,24 +302,29 @@ func (c *Cluster) Observability() *Observatory { return c.obs }
 // A Reduction is usable only inside the Run that made it: the next Run
 // builds new machines on tags past every round this one used.
 func (c *Cluster) Run(fn func(*Node) error) error {
-	return c.runPass(c.cfg, &c.roundBase, c.scratch, fn)
+	return c.runPass(c.cfg, &c.roundBase, &c.scratch, fn)
 }
 
-// rankScratch keeps, per physical rank, the machine memory (core.Scratch)
-// the passes of one tag namespace hand from one to the next. A pass takes
-// its ranks' entries out and puts them back only if it returned nil: then
-// every payload it sent by reference has been consumed, while a failed
-// pass's memory may still be read by a straggler and is dropped. A second
-// concurrent pass in one namespace (which tag accounting does not support
-// anyway) finds the entries taken and starts fresh, never sharing.
-type rankScratch []atomic.Pointer[core.Scratch]
+// rankScratch is one tag namespace's machine memory (core.Scratch) per
+// physical rank, as a pass hands it to the next: the arena, and the base
+// the next Configure ships its markers against. A pass takes all of it
+// and puts its own back only if it returned nil on every rank: a failed
+// pass's memory may still be read by a straggler, and its ranks' bases
+// may differ. Memory of another membership epoch is dropped too — a
+// Replace can keep a survivor's rank and degrees but not its peers'
+// bases. A second concurrent pass in one namespace (which tag accounting
+// does not support anyway) finds nothing and starts fresh.
+type rankScratch struct {
+	epoch uint64 // the membership epoch of the pass that left it
+	ranks []*core.Scratch
+}
 
 // runPass is the shared collective-pass runner behind Cluster.Run and
 // Stream.Run: it executes fn on every live machine with nodes built
 // from cfg, accounting consumed tag rounds into base so the caller's
 // next pass starts on fresh tags. cfg.stream selects the tag namespace
 // the pass's nodes mint into; scratch is that namespace's.
-func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch rankScratch, fn func(*Node) error) error {
+func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch *atomic.Pointer[rankScratch], fn func(*Node) error) error {
 	// Enter the gate before the closed check: Close sets the flag and
 	// then drains the gate, so every pass that got past this check is
 	// covered by the close-time drain, and every pass entering after the
@@ -332,6 +337,7 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch rankScratch, 
 	}
 	// Epoch snapshot: members == nil means the static full cluster.
 	var members []int
+	var epoch uint64
 	bf := c.bf
 	if c.svc != nil {
 		rec := c.snapshot()
@@ -343,11 +349,15 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch rankScratch, 
 			return fmt.Errorf("kylix: epoch %d degrees %v span %d machines, membership has %d logical",
 				rec.Epoch, rec.Degrees, ebf.M(), len(rec.Members)/c.cfg.replication)
 		}
-		members, bf = rec.Members, ebf
+		members, bf, epoch = rec.Members, ebf, rec.Epoch
 	}
+	held := scratch.Swap(nil)
+	if held == nil || held.epoch != epoch {
+		held = &rankScratch{ranks: make([]*core.Scratch, c.capacity)}
+	}
+	taken := &rankScratch{epoch: epoch, ranks: make([]*core.Scratch, c.capacity)}
 	baseRound := base.Load()
 	var maxUsed atomic.Uint32
-	taken := make([]*core.Scratch, c.capacity)
 	body := func(ep comm.Endpoint) error {
 		physRank := ep.Rank()
 		if members != nil {
@@ -357,7 +367,7 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch rankScratch, 
 			}
 			ep = view
 		}
-		sc := scratch[physRank].Swap(nil)
+		sc := held.ranks[physRank]
 		if sc == nil {
 			sc = new(core.Scratch)
 		}
@@ -366,7 +376,7 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch rankScratch, 
 			return err
 		}
 		if err = fn(node); err == nil {
-			taken[physRank] = sc
+			taken.ranks[physRank] = sc // nil stays for a rank that did not run
 		}
 		if err != nil && c.fabric != nil && c.fabric.Killed(physRank) {
 			// The machine crash-stopped under the fault plan: its own
@@ -386,9 +396,7 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch rankScratch, 
 	err := comm.Run(c.eps, c.deadRank, body, members...)
 	base.Store(baseRound + maxUsed.Load())
 	if err == nil {
-		for rank, sc := range taken {
-			scratch[rank].Store(sc) // nil for a rank that did not run
-		}
+		scratch.Store(taken)
 	}
 	return err
 }
@@ -417,7 +425,8 @@ func (c *Cluster) ResetTraffic() {
 // passes at the run gate, then Close drains the gate (bounded by
 // closeDrainTimeout) so live passes finish before their transports are
 // torn down. A drain that times out proceeds anyway — stragglers fail
-// with comm.ErrClosed rather than hanging teardown forever.
+// with comm.ErrClosed rather than hanging teardown forever. The default
+// namespace's machine memory goes with them (a Stream's with its Close).
 //
 // The returned error joins the terminal stream errors of the TCP
 // transports: a run that silently degraded (sticky stream failures,
@@ -437,6 +446,7 @@ func (c *Cluster) Close() error {
 	if c.mem != nil {
 		c.mem.Close()
 	}
+	c.scratch.Store(nil)
 	return tcpnet.CloseAll(c.tcp)
 }
 

@@ -1,10 +1,32 @@
 package kylix
 
-import "kylix/internal/comm"
+import (
+	"sync/atomic"
+
+	"kylix/internal/comm"
+)
 
 // StreamPending reports one stream's queued, undelivered messages on a
 // ListenNode node's transport, for the external tests.
 func (n *Node) StreamPending(id uint16) int { return n.tn.StreamPending(comm.StreamID(id)) }
+
+// HeldScratch counts the ranks whose machine memory the default
+// namespace keeps for its next Run.
+func (c *Cluster) HeldScratch() int { return heldRanks(&c.scratch) }
+
+// HeldScratch counts the ranks whose machine memory the stream keeps for
+// its next Run.
+func (s *Stream) HeldScratch() int { return heldRanks(&s.scratch) }
+
+func heldRanks(s *atomic.Pointer[rankScratch]) int {
+	n := 0
+	for _, sc := range held(s) {
+		if sc != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // ArenaBytes is a lower bound on the float-slab bytes one pass over r
 // carves from an arena generation, from the sizes core reports: the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -117,6 +118,31 @@ func TestTruncationAlwaysErrors(t *testing.T) {
 	}
 }
 
+// hugeCountPayloads are configuration payloads whose first index block
+// claims close to 2^26 keys in a few bytes and then fails its first
+// index: an 11-byte payload that opens with the five bytes of the one a
+// fuzzer first found (a fused piece claiming 65,549,915 keys), and a
+// 9-byte block after the both-pieces discriminator.
+var hugeCountPayloads = [][]byte{
+	{wireConfigVals, 0xdb, 0xec, 0xa0, 0x1f, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
+	{wireConfig, 0x80, 0x80, 0x80, 0x20, 0x80, 0x80, 0x80, 0x80, 0x08},
+}
+
+// TestDecodeAllocatesWhatTheBytesYield: any TCP peer can send these in a
+// configuration frame, so decoding one must fail having allocated
+// kilobytes, not the half gigabyte its count names.
+func TestDecodeAllocatesWhatTheBytesYield(t *testing.T) {
+	for _, data := range hugeCountPayloads {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodePayload(data)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; err == nil || n >= 1<<20 {
+			t.Errorf("decoding %x allocated %d bytes (error %v), want an error under 1 MiB", data, n, err)
+		}
+	}
+}
+
 // FuzzDecodePayload feeds the decoder arbitrary bytes — the TCP
 // transport hands it whatever a peer sent. It must never panic, and
 // every encoding is canonical: whatever decodes re-encodes to exactly
@@ -156,6 +182,9 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(sparse.AppendCompressed([]byte{8}, keys))
 	// What the retired StreamCtl payload encoded to: 13 and a 44-byte body.
 	f.Add(append([]byte{13, 2}, make([]byte, 43)...))
+	for _, data := range hugeCountPayloads {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePayload(data)
 		if err == nil && (data[0] == 1 || data[0] >= 6 && data[0] <= 8 || data[0] == 13) {

@@ -26,12 +26,39 @@ import (
 // state (receive staging, union work arenas, split offsets) lives in a
 // machine-level scratch reused across configurations, and per-layer
 // retained slices are carved from single blocks.
+//
+// Configure continues from the Scratch's base when a predecessor Machine
+// left it — the Config of the last configuration pass on this rank and
+// namespace, handed on only after every rank finished that Machine's
+// work without error (Options.Scratch), so every rank holds the same
+// one. It then runs as a Reconfigure of the base: an unchanged piece
+// crosses as a two-byte marker and a layer of markers keeps its unions,
+// at the cost of an Equal scan of each set (of each piece, where a set
+// changed), and the result is bit-identical to a Configure from nothing
+// (Digest). A base of this Machine is never continued: a pass that
+// failed on one rank only leaves the ranks' bases different, and no
+// rank can tell.
 func (m *Machine) Configure(inSet, outSet sparse.Set) (*Config, error) {
 	cfg := m.newConfig()
+	if b := m.cfg.base; b != nil && b.mach != m && !b.poisoned {
+		cfg.continueFrom(b)
+	}
 	if _, err := cfg.configure("config", comm.KindConfig, inSet, outSet, nil); err != nil {
 		return nil, err
 	}
 	return cfg, nil
+}
+
+// continueFrom starts c at b's state, sharing b's layer states (nothing
+// writes them once built). b is a predecessor Machine's, so it belongs
+// to a finished Run, whose Reductions are dead: c takes its residual
+// slab, zeroed, as a fresh Config starts, and its stamp, so a pass that
+// keeps every piece size skips the arena's carve.
+func (c *Config) continueFrom(b *Config) {
+	c.inSet, c.outSet, c.bottomMap, c.missing = b.inSet, b.outSet, b.bottomMap, b.missing
+	copy(c.layers, b.layers)
+	c.res, c.stamp = b.res, b.stamp
+	clear(c.res)
 }
 
 // newConfig returns a Config with nothing stored: no layer has a split,
@@ -91,6 +118,7 @@ func (c *Config) configure(what string, kind comm.Kind, inSet, outSet sparse.Set
 		if err != nil {
 			c.poisoned = true
 		}
+		m.cfg.base = c // a successor Machine's Configure continues from here unless poisoned
 	}()
 	defer m.pool.End() // join any pass-scoped combine workers
 	tr := m.opts.Tracer
@@ -160,11 +188,12 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 
 	// Sets that are the stored ones — O(1) to see when they alias, which
 	// is what a layer that kept its unions hands the next — split the way
-	// they did. Any other split is staged in machine scratch and retained
-	// only if it moved.
+	// they did, into the pieces they were. Any other split is staged in
+	// machine scratch and retained only if it moved.
 	offs := cs.offs[:2*(d+1)]
 	inOffs, outOffs := ls.inOffsets, ls.outOffsets
-	if !(mark && x.in.Equal(x.wasIn) && x.out.Equal(x.wasOut)) {
+	same := mark && x.in.Equal(x.wasIn) && x.out.Equal(x.wasOut)
+	if !same {
 		inOffs = sparse.SplitOffsetsInto(offs[:d+1:d+1], x.in, parent, d)
 		outOffs = sparse.SplitOffsetsInto(offs[d+1:], x.out, parent, d)
 	}
@@ -175,8 +204,8 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 	var hdrs []comm.ConfigPiece
 	for t, member := range group {
 		in, out := sparse.Piece(x.in, inOffs, t), sparse.Piece(x.out, outOffs, t)
-		inSame := mark && in.Equal(sparse.Piece(x.wasIn, ls.inOffsets, t))
-		outSame := mark && out.Equal(sparse.Piece(x.wasOut, ls.outOffsets, t))
+		inSame := same || mark && in.Equal(sparse.Piece(x.wasIn, ls.inOffsets, t))
+		outSame := same || mark && out.Equal(sparse.Piece(x.wasOut, ls.outOffsets, t))
 		p := sameBoth
 		if !inSame || !outSame {
 			if hdrs == nil {

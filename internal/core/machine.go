@@ -88,7 +88,8 @@ type Options struct {
 	CombineWorkers int
 	// Scratch is the reusable memory a predecessor Machine on this rank
 	// left behind (see Scratch for when that is safe); nil makes the
-	// Machine build its own. Wiring, not tuning: no result depends on it.
+	// Machine build its own. Wiring, not tuning: no result depends on it,
+	// only what a Configure ships and allocates.
 	Scratch *Scratch
 }
 
@@ -211,11 +212,13 @@ type Config struct {
 	// bottom range.
 	missing int
 	// res is a quantized Config's error-feedback residuals, the one
-	// reduction buffer that is not the machine arena's: made zeroed by the
-	// first quantized pass, dropped when a pass moves any piece size.
+	// reduction buffer that is not the machine arena's: made (or taken
+	// from a finished Run's base) zeroed, dropped when a pass moves any
+	// piece size.
 	res []float32
-	// stamp names this state of the piece sizes among all a Scratch has
-	// seen (0: none yet), so an arena generation knows whose carve it holds.
+	// stamp names this state of the piece sizes and residuals among all a
+	// Scratch has seen (0: none yet), so an arena generation knows whose
+	// carve it holds.
 	stamp uint64
 	// poisoned is set when a Reconfigure fails mid-collective: some
 	// layers hold new routing state and others old, so every later use

@@ -71,11 +71,14 @@ type genBufs struct {
 }
 
 // Scratch is a machine's reusable memory: the configuration pass's
-// transient state and the two-generation reduction arena. One instance
-// serves every pass on a Machine (one goroutine, passes never overlap)
-// and nothing in it outlives a pass except as capacity, so a successor
-// Machine on the same rank and endpoints may inherit it (Options.Scratch)
-// once every rank has finished the predecessor's last pass without error.
+// transient state, the two-generation reduction arena and the base a
+// successor Machine's Configure continues from. One instance serves
+// every pass on a Machine (one goroutine, passes never overlap) and
+// nothing in it outlives a pass except as capacity and as the base, so
+// a successor Machine on the same rank, peers and options may inherit it
+// (Options.Scratch) once every rank has finished the predecessor's work
+// without error: then the slabs are quiescent and every rank's base is
+// of the same pass.
 //
 // The arena alternates generations by arena pass — a Reduce or the
 // gather of a fused ConfigureReduce, of whichever Config: pass N rewrites
@@ -119,10 +122,13 @@ type Scratch struct {
 	// knows whether the split moved (2*(maxDeg+1) entries).
 	offs []int32
 	// gen is the arena generation of the latest arena pass; stamps counts
-	// the configuration passes that moved a piece size (Config.stamp).
+	// the Config.stamps handed out.
 	gen    int
 	bufs   [2]genBufs
 	stamps uint64
+	// base is the Config of the latest configuration pass; only a
+	// successor Machine's Configure continues from it.
+	base *Config
 }
 
 // PoisonArena is a test hook: while on, every flip scribbles over the
@@ -217,7 +223,8 @@ func (c *Config) carve(g *genBufs) (nf, nb, nr int) {
 
 // grow replaces whichever slabs a carve found short, exactly sized. The
 // residuals must start at zero (no prior error to fold in) and are
-// dropped when a pass moves a piece size: made here once per Config.
+// dropped when a pass moves a piece size: made here, or taken from a
+// finished Run's Config (continueFrom).
 //
 //kylix:coldpath
 func (c *Config) grow(g *genBufs, nf, nb, nr int) {

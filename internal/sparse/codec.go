@@ -136,67 +136,83 @@ func DecodeCompressed(dst Set, buf []byte) (Set, []byte, error) {
 	}
 	// The stream carries indices in index order; Sets are key (hash)
 	// ordered. The keys are decoded into scratch and sorted from there
-	// into dst, which restores the invariant.
+	// into dst, which restores the invariant. The count is the peer's
+	// word: the scratch holds what the bytes can yield — a key per byte —
+	// and grows only as far as run tokens really expand.
 	sb := sortPool.Get().(*sortBuf)
 	defer sortPool.Put(sb)
-	sb.keys = grow(sb.keys, int(n))
-	buf, err := decodeIndexOrder(sb.keys, buf)
+	keys := grow(sb.keys, min(int(n), len(buf)))
+	at, cur, buf, room, err := decodeTokens(keys, int(n), 0, 0, buf)
+	for ; room > 0; at, cur, buf, room, err = decodeTokens(keys, int(n), at, cur, buf) {
+		keys = slices.Grow(keys[:at], room-at)[:room]
+	}
 	if err != nil {
 		return nil, nil, err
 	}
+	sb.keys = keys
 	base := len(dst)
 	dst = slices.Grow(dst, int(n))[:base+int(n)]
-	sortKeysInto(dst[base:], sb.keys, sb)
+	sortKeysInto(dst[base:], keys, sb)
 	return dst, buf, nil
 }
 
-// decodeIndexOrder parses the first index and the tokens of a block of
-// len(keys) indices, filling keys in stream (index) order, and returns
-// the unconsumed remainder of buf.
+// decodeTokens decodes the first index (at n == 0) and the tokens after
+// it into keys[n:], in stream (index) order, until the block's total
+// keys are in or a run token needs more room than keys has; it then
+// stops ahead of the token, naming the room to regrow to: the run and
+// one key per byte left after it. keys must start with min(total,
+// len(buf)) entries, as many as the bytes can yield without runs.
 //
 //kylix:hotpath
-func decodeIndexOrder(keys []Key, buf []byte) ([]byte, error) {
-	first, sz := Uvarint(buf)
-	if sz <= 0 || first > math.MaxInt32 {
-		return nil, fmt.Errorf("sparse: compressed set: bad first index")
+func decodeTokens(keys []Key, total, n int, cur uint64, buf []byte) (int, uint64, []byte, int, error) {
+	if n == 0 {
+		first, sz := Uvarint(buf)
+		if sz <= 0 || first > math.MaxInt32 {
+			return 0, 0, nil, 0, fmt.Errorf("sparse: compressed set: bad first index")
+		}
+		keys[0] = MakeKey(int32(first))
+		n, cur, buf = 1, first, buf[sz:]
 	}
-	buf = buf[sz:]
-	keys[0] = MakeKey(int32(first))
-	cur := first
-	for n := 1; n < len(keys); {
+	for n < total {
 		tok, sz := binary.Uvarint(buf) // inlined here; Uvarint would be a call per token
 		if sz <= 0 || padded(buf, sz) {
-			return nil, fmt.Errorf("sparse: compressed set: truncated or padded token")
+			return 0, 0, nil, 0, fmt.Errorf("sparse: compressed set: truncated or padded token")
 		}
-		buf = buf[sz:]
 		if tok&1 == 1 {
 			k := tok >> 1
 			if k == 0 {
-				return nil, fmt.Errorf("sparse: compressed set: empty run token")
+				return 0, 0, nil, 0, fmt.Errorf("sparse: compressed set: empty run token")
 			}
-			if k > uint64(len(keys)-n) {
-				return nil, fmt.Errorf("sparse: compressed set: run overflows declared count")
+			if k > uint64(total-n) {
+				return 0, 0, nil, 0, fmt.Errorf("sparse: compressed set: run overflows declared count")
 			}
 			if cur+k > math.MaxInt32 {
-				return nil, fmt.Errorf("sparse: compressed set: index overflows int32")
+				return 0, 0, nil, 0, fmt.Errorf("sparse: compressed set: index overflows int32")
 			}
-			for end := n + int(k); n < end; n++ {
-				cur++
-				keys[n] = MakeKey(int32(cur))
+			end := n + int(k)
+			if room := min(total, end+len(buf)-sz); room > len(keys) {
+				return n, cur, buf, room, nil
 			}
+			buf = buf[sz:]
+			run := keys[n:end]
+			for i := range run {
+				run[i] = MakeKey(int32(cur + 1 + uint64(i)))
+			}
+			n, cur = end, cur+k
 			// Runs are maximal: the next token, whose low bit is its first
 			// byte's, may not be another run.
-			if n < len(keys) && len(buf) > 0 && buf[0]&1 == 1 {
-				return nil, fmt.Errorf("sparse: compressed set: split run")
+			if n < total && len(buf) > 0 && buf[0]&1 == 1 {
+				return 0, 0, nil, 0, fmt.Errorf("sparse: compressed set: split run")
 			}
 		} else {
+			buf = buf[sz:]
 			cur += (tok >> 1) + 2
 			if cur > math.MaxInt32 {
-				return nil, fmt.Errorf("sparse: compressed set: index overflows int32")
+				return 0, 0, nil, 0, fmt.Errorf("sparse: compressed set: index overflows int32")
 			}
 			keys[n] = MakeKey(int32(cur))
 			n++
 		}
 	}
-	return buf, nil
+	return n, cur, buf, 0, nil
 }

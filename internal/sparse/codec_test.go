@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -117,6 +118,33 @@ func TestCodecDecodeErrors(t *testing.T) {
 	}
 }
 
+// hugeCountBlock claims 2^26 keys (the cap) and then gives a first index
+// of 2^31: nine bytes that decode to an error.
+var hugeCountBlock = []byte{0x80, 0x80, 0x80, 0x20, 0x80, 0x80, 0x80, 0x80, 0x08}
+
+// TestDecodeAllocatesWhatTheBytesYield: a block's count is the peer's
+// word, so the decoder may not size anything by it before the bytes
+// bear it out. A 9-byte block claiming 2^26 keys must fail having
+// allocated kilobytes, not the 512 MiB the count names; a dense run, whose
+// few bytes do yield many keys, still decodes.
+func TestDecodeAllocatesWhatTheBytesYield(t *testing.T) {
+	allocated := func(buf []byte) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeCompressed(nil, buf)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	if n, err := allocated(hugeCountBlock); err == nil || n >= 1<<20 {
+		t.Fatalf("the 9-byte block allocated %d bytes (error %v), want an error under 1 MiB", n, err)
+	}
+	dense := make([]int32, 100000)
+	for i := range dense {
+		dense[i] = int32(i)
+	}
+	codecRoundTrip(t, MustNewSet(dense))
+}
+
 // FuzzKeysCodec round-trips arbitrary index sets and hammers the
 // decoder with arbitrary bytes. Properties: encode→decode is lossless
 // against a set built by the reference sort (so the encoder's index
@@ -129,6 +157,7 @@ func FuzzKeysCodec(f *testing.F) {
 	f.Add([]byte{}, []byte{}, false)
 	f.Add([]byte{1, 2, 3, 4, 250, 251, 252}, []byte{2, 0, 1}, false)
 	f.Add([]byte{0, 0, 0, 0}, []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x7F}, true)
+	f.Add([]byte{}, hugeCountBlock, false)
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{comparisonSortBelow - 1, comparisonSortBelow, comparisonSortBelow + 1, 8 * comparisonSortBelow} {
 		raw := make([]byte, 2*n)

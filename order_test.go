@@ -480,6 +480,52 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			check(t, tc.stream, &before, &after)
 		})
+		t.Run(fmt.Sprintf("stream-run/unchanged/%v/%v", tc.transport, tc.quant), func(t *testing.T) {
+			if raceEnabled {
+				t.Skip("under the race detector sync.Pool drops items at random, and NewSet's and the index codec's pooled sort scratch is allocated anew")
+			}
+			st, err := cluster.OpenStream()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			// What a Run must allocate: on every rank, its results and what
+			// prepareSets builds — the Set, the caller-to-key order map and
+			// the inverse of the out permutation.
+			inputs, owned := make([]orderCase, orderRanks), 0
+			for r := range inputs {
+				inputs[r] = arenaInputs(r, width)
+				n := len(inputs[r].out)
+				owned += 4*n*width*4 + n*(8+4+4)
+			}
+			var before, after runtime.MemStats
+			for i := 0; i < warm+passes; i++ {
+				if i == warm {
+					runtime.ReadMemStats(&before)
+				}
+				if err := st.Run(func(node *kylix.Node) error {
+					c := &inputs[node.Rank()]
+					red, err := node.Configure(c.in, c.out)
+					for j := 0; j < 4 && err == nil; j++ {
+						_, err = red.Reduce(c.vals)
+					}
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perPass := float64(after.TotalAlloc-before.TotalAlloc) / passes
+			beyond := (perPass - float64(owned)) / 1024 / orderRanks
+			t.Logf("%.1f KiB per Run, %.1f KiB of it results and sets, %.1f KiB per rank beyond", perPass/1024, float64(owned)/1024, beyond)
+			// Beyond those, a rank allocates its Machine, Node, Reduction and
+			// Config headers and, over TCP, the markers it receives: a few KiB.
+			// Unions and maps alone would be tens of KiB, and so would int8
+			// residuals.
+			if beyond > 16 {
+				t.Fatalf("a Run on unchanged sets allocated %.1f KiB per rank beyond its results and sets, want at most 16: it rebuilt routing state or residuals", beyond)
+			}
+		})
 	}
 }
 

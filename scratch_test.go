@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,12 +44,12 @@ func scratchPass(run func(func(*Node) error) error, ranks, width int, seed int64
 	return digests, err
 }
 
-func held(s rankScratch) []*core.Scratch {
-	out := make([]*core.Scratch, len(s))
-	for r := range s {
-		out[r] = s[r].Load()
+// held is what a namespace keeps for its next Run, per physical rank.
+func held(s *atomic.Pointer[rankScratch]) []*core.Scratch {
+	if h := s.Load(); h != nil {
+		return h.ranks
 	}
-	return out
+	return nil
 }
 
 // TestFailedRunDropsItsScratch: a Run that fails — a machine killed
@@ -70,7 +71,7 @@ func TestFailedRunDropsItsScratch(t *testing.T) {
 	if _, err := scratchPass(c.Run, m, width, 7); err != nil {
 		t.Fatal(err)
 	}
-	for r, sc := range held(c.scratch)[:m] {
+	for r, sc := range held(&c.scratch)[:m] {
 		if sc == nil {
 			t.Fatalf("rank %d: a successful Run put no scratch back", r)
 		}
@@ -92,7 +93,7 @@ func TestFailedRunDropsItsScratch(t *testing.T) {
 	if err == nil {
 		t.Fatal("the Run survived losing an unreplicated machine")
 	}
-	for r, sc := range held(c.scratch) {
+	for r, sc := range held(&c.scratch) {
 		if sc != nil {
 			t.Fatalf("rank %d: a failed Run put its scratch back", r)
 		}
@@ -196,7 +197,7 @@ func TestStreamsKeepTheirOwnScratch(t *testing.T) {
 				t.Fatalf("round %d tenant %d: digests %x interleaved, %x alone", i, k, got[k], alone[k][i])
 			}
 		}
-		now := [][]*core.Scratch{held(c.scratch), held(streams[0].scratch), held(streams[1].scratch)}
+		now := [][]*core.Scratch{held(&c.scratch), held(&streams[0].scratch), held(&streams[1].scratch)}
 		if first == nil {
 			first = now
 		}

@@ -53,7 +53,7 @@ type Stream struct {
 	// a whole fresh tag space, so streams never coordinate on rounds.
 	base atomic.Uint32
 	// scratch is the stream's own machine memory (see rankScratch).
-	scratch rankScratch
+	scratch atomic.Pointer[rankScratch]
 	// mu serializes the stream's passes; Close takes it to wait for the
 	// in-flight pass to drain before purging mailbox state.
 	mu sync.Mutex //kylix:lock stream-pass
@@ -84,7 +84,7 @@ func (c *Cluster) OpenStream(opts ...Option) (*Stream, error) {
 		o(&cfg)
 	}
 	cfg.stream = id
-	s := &Stream{c: c, id: id, cfg: cfg, maxInflight: cfg.streamInflight, scratch: make(rankScratch, c.capacity)}
+	s := &Stream{c: c, id: id, cfg: cfg, maxInflight: cfg.streamInflight}
 	s.counters = c.smet.PerStream(uint16(id))
 	c.smet.StreamsOpened.Inc()
 	c.smet.StreamsActive.Set(int64(c.streams.Active()))
@@ -127,7 +127,7 @@ func (s *Stream) Run(fn func(*Node) error) error {
 	}
 	s.c.smet.SchedWaitNs.Observe(time.Since(start).Nanoseconds())
 	defer s.c.sched.Release()
-	err := s.c.runPass(s.cfg, &s.base, s.scratch, fn)
+	err := s.c.runPass(s.cfg, &s.base, &s.scratch, fn)
 	if err != nil {
 		s.counters.Errors.Inc()
 	} else {
@@ -147,7 +147,8 @@ func (s *Stream) Configure(fn func(*Node) error) error { return s.Run(fn) }
 // purges the stream's queued messages from its pending index — late
 // deliveries (resend replays, chaos-delayed frames) are dropped
 // from then on. Close is idempotent and safe concurrent with Run. The
-// stream's admission slot is released, but its id is never reused.
+// stream's admission slot and machine memory are released, but its id
+// is never reused.
 func (s *Stream) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
@@ -157,6 +158,7 @@ func (s *Stream) Close() error {
 	s.c.sched.CloseStream(s.id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.scratch.Store(nil)
 	s.c.closeStreamTransports(s.id)
 	s.c.streams.Close(s.id)
 	s.c.smet.StreamsClosed.Inc()

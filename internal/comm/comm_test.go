@@ -231,12 +231,13 @@ func TestDeltaPayloadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConfigPieceWireLayouts pins the configuration payload's three
-// layouts byte for byte. The hex is what the encoders of the three
-// payload types this one replaced (InOut, Combined, Delta) produced for
-// the same content, so the layouts did not move; the one content whose
-// bytes did — a Delta with no marker set, which spent a flags byte
-// saying so — now encodes as discriminator 9.
+// TestConfigPieceWireLayouts pins the configuration payload's five
+// layouts byte for byte. The hex of 9–11 is what the encoders of the
+// three payload types this one replaced (InOut, Combined, Delta)
+// produced for the same content, so those layouts did not move; the one
+// content whose bytes did — a Delta with no marker set, which spent a
+// flags byte saying so — now encodes as discriminator 9. Equal in and
+// out pieces, both empty included, ship one block under 15 and 16.
 func TestConfigPieceWireLayouts(t *testing.T) {
 	in := sparse.MustNewSet([]int32{3, 4, 5, 9, 200, 70000})
 	out := sparse.MustNewSet([]int32{0, 1, 2, 1000})
@@ -246,13 +247,18 @@ func TestConfigPieceWireLayouts(t *testing.T) {
 		hex  string
 	}{
 		{"9 both pieces", &ConfigPiece{In: in, Out: out}, "0906030504fa02ccc208040005c80f"},
-		{"9 empty", &ConfigPiece{}, "090000"},
 		{"10 both pieces + values", &ConfigPiece{In: in, Out: out, HasVals: true, Vals: []float32{1, -2.5, 0, 3e10}},
 			"0a06030504fa02ccc208040005c80f040000803f000020c0000000007684df50"},
 		{"10 no out piece, no values", &ConfigPiece{In: in, HasVals: true}, "0a06030504fa02ccc2080000"},
 		{"11 in same", &ConfigPiece{InSame: true, Out: out}, "0b01040005c80f"},
 		{"11 out same", &ConfigPiece{OutSame: true, In: in}, "0b0206030504fa02ccc208"},
 		{"11 both same", &ConfigPiece{InSame: true, OutSame: true}, "0b03"},
+		{"15 one piece", &ConfigPiece{In: in, Out: in}, "0f06030504fa02ccc208"},
+		{"15 equal, not aliased", &ConfigPiece{In: in, Out: in.Clone()}, "0f06030504fa02ccc208"},
+		{"15 empty", &ConfigPiece{}, "0f00"},
+		{"16 one piece + values", &ConfigPiece{In: out, Out: out, HasVals: true, Vals: []float32{1, -2.5, 0, 3e10}},
+			"10040005c80f040000803f000020c0000000007684df50"},
+		{"16 empty + values", &ConfigPiece{HasVals: true}, "100000"},
 	}
 	for _, tc := range cases {
 		got := tc.p.AppendTo(nil)
@@ -274,9 +280,12 @@ func TestConfigPieceWireLayouts(t *testing.T) {
 		}
 	}
 	// A flags byte that sets no flag is the same content as discriminator
-	// 9 in other bytes; the decoder refuses the second spelling.
-	if _, err := DecodePayload([]byte{11, 0, 0, 0}); err == nil {
-		t.Error("decoded a same-marker layout with no marker set")
+	// 9 in other bytes, and two equal blocks under 9 or 10 the same as
+	// one under 15 or 16; the decoder refuses the second spellings.
+	for _, data := range [][]byte{{11, 0, 0, 0}, {9, 0, 0}, {10, 0, 0, 0}} {
+		if _, err := DecodePayload(data); err == nil {
+			t.Errorf("decoded %x, a second spelling of one content", data)
+		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -284,6 +293,31 @@ func TestConfigPieceWireLayouts(t *testing.T) {
 		}
 	}()
 	(&ConfigPiece{InSame: true, Out: out, HasVals: true}).AppendTo(nil)
+}
+
+// TestSymmetricPieceIsOneList: equal in and out pieces arrive as one
+// list, whether decoded or cloned (the replica layer clones every
+// payload it fans out), so a receiver's check that its pieces are
+// symmetric is O(1), and a clone still shares nothing with its source.
+func TestSymmetricPieceIsOneList(t *testing.T) {
+	keys := sparse.MustNewSet([]int32{3, 4, 5, 9, 200, 70000})
+	for _, p := range []*ConfigPiece{
+		{In: keys, Out: keys},
+		{In: keys, Out: keys.Clone(), HasVals: true, Vals: make([]float32, len(keys))},
+	} {
+		q, err := DecodePayload(p.AppendTo(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, c := range map[string]*ConfigPiece{"decoded": q.(*ConfigPiece), "cloned": p.Clone().(*ConfigPiece)} {
+			if !c.In.Equal(keys) || !c.Out.Equal(keys) {
+				t.Errorf("%s piece (values %v) lost its keys", what, p.HasVals)
+			} else if &c.In[0] != &c.Out[0] || &c.In[0] == &keys[0] {
+				t.Errorf("%s piece (values %v): out aliases in %v, in shares the source %v; want one list apart from the source",
+					what, p.HasVals, &c.In[0] == &c.Out[0], &c.In[0] == &keys[0])
+			}
+		}
+	}
 }
 
 // TestCompressedWireSavings pins the headline property of the v2 config
@@ -318,6 +352,11 @@ func TestDecodeErrors(t *testing.T) {
 		{3, 1, 0, 0, 0},                   // keysvals missing second count
 		{3, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2}, // keysvals truncated body
 		{4, 9, 0, 0, 0, 'x'},              // bytes truncated
+		{9, 0, 0},                         // two equal (empty) blocks: what 15 spells
+		{10, 0, 0, 0},                     // the same with no values: what 16 spells
+		{9, 1, 3, 1, 3},                   // {3} twice
+		{15},                              // one block, missing
+		{16, 0},                           // one block, no value count
 	}
 	for i, c := range cases {
 		if _, err := DecodePayload(c); err == nil {

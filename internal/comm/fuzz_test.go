@@ -23,9 +23,9 @@ func TestDecodeRandomBytesNeverPanics(t *testing.T) {
 		rng.Read(buf)
 		if trial%3 == 0 && n > 0 {
 			// Bias toward valid discriminators so deeper paths run
-			// (1-14 covers every assigned payload type, including the
-			// quantized value block).
-			buf[0] = byte(1 + rng.Intn(14))
+			// (1-16 covers every assigned payload type, including the
+			// quantized value block and the symmetric config layouts).
+			buf[0] = byte(1 + rng.Intn(16))
 		}
 		func() {
 			defer func() {
@@ -166,11 +166,15 @@ func FuzzDecodePayload(f *testing.F) {
 		&ConfigPiece{InSame: true, Out: keys},
 		&ConfigPiece{In: keys, OutSame: true},
 		&ConfigPiece{InSame: true, OutSame: true},
+		&ConfigPiece{In: keys, Out: keys},
+		&ConfigPiece{In: keys[:2], Out: keys[:2], HasVals: true, Vals: []float32{7, 8}},
 		&Control{Op: 1, Epoch: 2, Members: []int32{0, 1}, Degrees: []int32{2}},
 		fp16, int8s,
 	} {
 		f.Add(p.AppendTo(nil))
 	}
+	block := sparse.AppendCompressed(nil, keys)
+	f.Add(append(append([]byte{9}, block...), block...)) // one piece spelled twice: what 15 encodes
 	f.Add([]byte{})
 	f.Add([]byte{1, 5})                       // a discriminator no encoder emits
 	f.Add([]byte{11, 0, 0, 0})                // same-marker layout with no marker set

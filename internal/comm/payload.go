@@ -48,7 +48,7 @@ func RawWireSize(p Payload) int {
 }
 
 // Payload type discriminators on the wire. 2–4 are the fixed-width
-// formats; the configuration payload's layouts 9–11 live in
+// formats; the configuration payload's layouts 9–11, 15 and 16 live in
 // payload_config.go, 12 is the membership control plane, and the
 // quantized value block 14 lives in payload_qvals.go. Every process of a
 // cluster runs the same binary and nothing persists payloads, so a

@@ -8,12 +8,14 @@ import (
 )
 
 // Additional wire discriminators (continuing payload.go's space): the
-// three layouts of the configuration payload, whose index sets are
+// five layouts of the configuration payload, whose index sets are
 // encoded with sparse.AppendCompressed.
 const (
-	wireConfig     = 9  // ConfigPiece: both pieces
-	wireConfigVals = 10 // ConfigPiece: both pieces + values
-	wireConfigSame = 11 // ConfigPiece: flags byte + the pieces not marked same
+	wireConfig        = 9  // ConfigPiece: both pieces
+	wireConfigVals    = 10 // ConfigPiece: both pieces + values
+	wireConfigSame    = 11 // ConfigPiece: flags byte + the pieces not marked same
+	wireConfigSym     = 15 // ConfigPiece: one piece, both directions
+	wireConfigSymVals = 16 // ConfigPiece: one piece, both directions + values
 )
 
 // ConfigPiece is the one message of the configuration plane: what a
@@ -27,12 +29,13 @@ const (
 // workloads).
 //
 // The wire layout is a function of the content alone: both pieces
-// (discriminator 9), both pieces and values (10), or — only when a
-// marker is set — a flags byte and the pieces not marked same (11), so
-// an all-same payload costs two bytes. There is no layout for values
-// beside a marker: values are never kept from pass to pass, so a piece
-// that carries them is never "the same", and encoding such a payload
-// panics.
+// (discriminator 9), both pieces and values (10), one piece standing for
+// equal in and out pieces (15), the same with values (16), or — only
+// when a marker is set — a flags byte and the pieces not marked same
+// (11), so an all-same payload costs two bytes. A symmetric piece
+// decodes with Out aliasing In. There is no layout for values beside a
+// marker: values are never kept from pass to pass, so a piece that
+// carries them is never "the same", and encoding such a payload panics.
 type ConfigPiece struct {
 	// In/Out are the pieces for the directions not marked same (nil
 	// otherwise).
@@ -48,16 +51,20 @@ type ConfigPiece struct {
 	memo wireMemo
 }
 
-// Clone implements Payload.
+// Clone implements Payload. Equal pieces stay one list, as the decoder
+// leaves them, so the receiver of a clone sees them alias.
 func (p *ConfigPiece) Clone() Payload {
-	return &ConfigPiece{
+	q := &ConfigPiece{
 		In:      p.In.Clone(),
-		Out:     p.Out.Clone(),
 		InSame:  p.InSame,
 		OutSame: p.OutSame,
 		HasVals: p.HasVals,
 		Vals:    append([]float32(nil), p.Vals...),
 	}
+	if q.Out = q.In; !p.Out.Equal(p.In) {
+		q.Out = p.Out.Clone()
+	}
+	return q
 }
 
 // encodeSets encodes the immutable part of the payload: everything but
@@ -81,6 +88,12 @@ func (p *ConfigPiece) encodeSets() []byte {
 			flags |= 2
 		}
 		buf = []byte{wireConfigSame, flags}
+	case p.In.Equal(p.Out): // O(1) when they alias; exits at the first difference
+		buf = []byte{wireConfigSym}
+		if p.HasVals {
+			buf[0] = wireConfigSymVals
+		}
+		return sparse.AppendCompressed(buf, p.In)
 	case p.HasVals:
 		buf = []byte{wireConfigVals}
 	default:
@@ -125,7 +138,8 @@ func uvarintLen(x uint64) int {
 }
 
 // RawWireSize implements RawSizer: the same layout with 4-byte counts,
-// 8-byte keys and 4-byte values.
+// 8-byte keys and 4-byte values, and a symmetric piece charged as both
+// partitions, as the paper's implementation ships them.
 func (p *ConfigPiece) RawWireSize() int {
 	n := 1
 	if p.InSame || p.OutSame {
@@ -150,9 +164,10 @@ func (p *ConfigPiece) RawWireSize() int {
 // does not re-run the codec.
 func decodeConfigPayload(kind byte, buf []byte) (Payload, error) {
 	whole := len(buf) + 1 // discriminator byte included
-	p := &ConfigPiece{HasVals: kind == wireConfigVals}
+	sym := kind == wireConfigSym || kind == wireConfigSymVals
+	p := &ConfigPiece{HasVals: kind == wireConfigVals || kind == wireConfigSymVals}
 	switch kind {
-	case wireConfig, wireConfigVals:
+	case wireConfig, wireConfigVals, wireConfigSym, wireConfigSymVals:
 	case wireConfigSame:
 		// A flags byte with no flag set is what discriminator 9 encodes;
 		// accepting it would give one content two encodings.
@@ -170,9 +185,16 @@ func decodeConfigPayload(kind byte, buf []byte) (Payload, error) {
 			return nil, err
 		}
 	}
-	if !p.OutSame {
+	if sym {
+		p.Out = p.In
+	} else if !p.OutSame {
 		if p.Out, buf, err = sparse.DecodeCompressed(nil, buf); err != nil {
 			return nil, err
+		}
+		// Two equal blocks (both empty included) are what 15 and 16 spell
+		// with one; accepting them would give one content two encodings.
+		if !p.InSame && p.In.Equal(p.Out) {
+			return nil, fmt.Errorf("comm: configuration payload spells one piece twice")
 		}
 	}
 	p.memo.size = int32(whole - len(buf)) // everything but the values

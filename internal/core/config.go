@@ -357,8 +357,8 @@ func (cs *Scratch) mergedPiece(union sparse.Set, m []int32) sparse.Set {
 // both directions (outUnion/outMaps alias inUnion/inMaps). Nothing
 // writes a layerState's unions or maps after this, so the sharing is
 // invisible to the reduction and to Digest. The comparison is O(1) per
-// piece on zero-copy transports, where the two pieces are one slice,
-// and a linear scan on decoding ones.
+// piece on every transport: zero-copy ones hand over the one slice, and
+// a symmetric piece decodes with Out aliasing In.
 func (m *Machine) buildUnions(ls *layerState, inPieces, outPieces []sparse.Set) {
 	ls.inUnion, ls.inMaps = m.unionMaps(inPieces)
 	for t, p := range inPieces {
@@ -386,8 +386,15 @@ func (m *Machine) unionMaps(pieces []sparse.Set) (sparse.Set, [][]int32) {
 }
 
 // finishBottom builds the turnaround map from the bottom in-union into
-// the bottom out-union and enforces Strict coverage.
+// the bottom out-union and enforces Strict coverage. Equal unions turn
+// around by identity, which a nil map stands for; with no layer the
+// bottom sets are the caller's, and a gather keeps the result off the
+// caller's vector.
 func (cfg *Config) finishBottom(inBottom, outBottom sparse.Set) error {
+	if len(cfg.layers) > 0 && inBottom.Equal(outBottom) {
+		cfg.bottomMap, cfg.missing = nil, 0
+		return nil
+	}
 	var missing int
 	cfg.bottomMap, missing = sparse.PartialPositionMap(inBottom, outBottom)
 	cfg.missing = missing

@@ -80,7 +80,15 @@ func (c *Config) Digest() uint64 {
 			i32s(m)
 		}
 	}
-	i32s(c.bottomMap)
+	if c.bottomMap != nil {
+		i32s(c.bottomMap)
+	} else { // hashed as the identity map over the bottom in-union it stands for
+		n := len(c.layers[len(c.layers)-1].inUnion)
+		u64(uint64(n))
+		for p := range n {
+			u64(uint64(p))
+		}
+	}
 	u64(uint64(c.missing))
 	return h.Sum64()
 }

@@ -149,9 +149,13 @@ func (c *Config) gatherUp(cur []float32, round uint32, g *genBufs) (res []float3
 	// Bottom turnaround: look the in-union's values up in the reduced
 	// out-union (v_in^l := v_out^l restricted to the requested indices).
 	// Indices nobody contributed gather the reducer's identity (0 for
-	// sum, +Inf for min, ...), so downstream folds remain neutral.
-	inVals := g.inVals
-	tr.CountCombineShards(m.pool.GatherInto(inVals, c.bottomMap, cur, m.opts.Width, m.opts.Reducer.Identity()))
+	// sum, +Inf for min, ...), so downstream folds remain neutral. A nil
+	// map is the identity: the layers read the reduced vector itself.
+	inVals := cur
+	if c.bottomMap != nil {
+		inVals = g.inVals
+		tr.CountCombineShards(m.pool.GatherInto(inVals, c.bottomMap, cur, m.opts.Width, m.opts.Reducer.Identity()))
+	}
 
 	// Upward allgather, layer l..1.
 	for i := len(c.layers) - 1; i >= 0; i-- {

@@ -50,7 +50,8 @@ type genBufs struct {
 	// scatter[i][t] / gather[i][t] are the pieces exchanged with layer
 	// i+1's member t on the way down / up.
 	scatter, gather [][]piece
-	// inVals is the bottom turnaround vector (len = |bottomIn| * width).
+	// inVals is the bottom turnaround vector (len = |bottomIn| * width;
+	// nil under an identity turnaround).
 	inVals []float32
 	// next[i] is the allgather assembly buffer below layer i+1
 	// (len = |inSet| * width for i == 0, |layers[i-1].inUnion| * width
@@ -217,7 +218,10 @@ func (c *Config) carve(g *genBufs) (nf, nb, nr int) {
 			}
 		}
 	}
-	g.inVals = take(g.f, &nf, len(below)*w) // the bottom in-union
+	g.inVals = nil // an identity turnaround (nil bottomMap) needs none
+	if c.bottomMap != nil {
+		g.inVals = take(g.f, &nf, len(below)*w) // the bottom in-union
+	}
 	return nf, nb, nr
 }
 

@@ -202,48 +202,52 @@ func TestSymmetricLayersMatchGeneralPath(t *testing.T) {
 	}
 }
 
-// TestSymmetricLayersShareState pins what the shared path shares: after
-// Configure(s, s) every layer holds one union and one map family, and a
-// one-key difference between in and out un-shares only the layers the
-// key travels through.
+// TestSymmetricLayersShareState pins what the shared path shares, on
+// both transports: after Configure(s, s) every layer holds one union
+// and one map family and the bottom turns around by identity (no map),
+// and a one-key difference between in and out un-shares only the
+// layers the key travels through.
 func TestSymmetricLayersShareState(t *testing.T) {
 	bf := topo.MustNew([]int{2, 2, 2})
 	ws := symmetricWorkloads(rand.New(rand.NewSource(43)), bf.M(), 600, 60)
 	shared := func(ls *layerState) bool {
 		return len(ls.inUnion) > 0 && &ls.inUnion[0] == &ls.outUnion[0] && &ls.inMaps[0] == &ls.outMaps[0]
 	}
-	runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
-		r := ep.Rank()
-		m, err := NewMachine(ep, bf, Options{})
-		if err != nil {
-			return err
-		}
-		cfg, err := m.Configure(ws[r].in, ws[r].out)
-		if err != nil {
-			return err
-		}
-		for i := range cfg.layers {
-			if !shared(&cfg.layers[i]) {
-				t.Errorf("rank %d layer %d: symmetric layer built two unions", r, i+1)
-			}
-		}
-		// One extra out key on machine 1: it reaches exactly one machine
-		// per layer, and only those hold two unions.
-		out := ws[r].out
-		if r == 1 {
-			out = sparse.MustNewSet(append(out.Indices(), 601))
-		}
-		cfg, err = m.Configure(ws[r].in, out)
-		if err != nil {
-			return err
-		}
-		key := sparse.MakeKey(601)
+	check := func(r int, what string, cfg *Config, wantShared func(ls *layerState) bool) {
 		for i := range cfg.layers {
 			ls := &cfg.layers[i]
-			if holds := ls.outUnion.Contains(key); holds == shared(ls) {
-				t.Errorf("rank %d layer %d: holds the extra key %v, shares state %v", r, i+1, holds, shared(ls))
+			if want := wantShared(ls); shared(ls) != want {
+				t.Errorf("rank %d %s layer %d: shares state %v, want %v", r, what, i+1, shared(ls), want)
 			}
 		}
-		return nil
-	})
+		if bottom := &cfg.layers[len(cfg.layers)-1]; (cfg.bottomMap == nil) != shared(bottom) {
+			t.Errorf("rank %d %s: bottom map of %d entries, bottom layer shares state %v", r, what, len(cfg.bottomMap), shared(bottom))
+		}
+	}
+	for _, tcp := range []bool{false, true} {
+		runOnTransport(t, tcp, bf.M(), func(ep comm.Endpoint) error {
+			r := ep.Rank()
+			m, err := NewMachine(ep, bf, Options{})
+			if err != nil {
+				return err
+			}
+			cfg, err := m.Configure(ws[r].in, ws[r].out)
+			if err != nil {
+				return err
+			}
+			check(r, fmt.Sprintf("tcp=%v symmetric", tcp), cfg, func(*layerState) bool { return true })
+			// One extra out key on machine 1: it reaches exactly one machine
+			// per layer, and only those hold two unions.
+			out := ws[r].out
+			if r == 1 {
+				out = sparse.MustNewSet(append(out.Indices(), 601))
+			}
+			if cfg, err = m.Configure(ws[r].in, out); err != nil {
+				return err
+			}
+			key := sparse.MakeKey(601)
+			check(r, fmt.Sprintf("tcp=%v one-off", tcp), cfg, func(ls *layerState) bool { return !ls.outUnion.Contains(key) })
+			return nil
+		})
+	}
 }

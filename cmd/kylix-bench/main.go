@@ -41,7 +41,6 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "run a live observed allreduce and write its Chrome trace_event JSON here (instead of the modelled experiments)")
 		metricsAddr = flag.String("metrics-addr", "", "with the live run: serve /metrics, /trace and /timeline on this address until interrupted")
 		elastic     = flag.Bool("elastic", false, "run a live elastic-membership demo: allreduce, a live Join transition, allreduce on the new epoch (epoch metrics on -metrics-addr)")
-		threads     = flag.String("threads", "", "comma-separated worker counts (e.g. 1,2,4): run the live Figure 7 intra-node threading sweep — warm width-4 reductions with the combine stage sharded across each pool size — instead of the modelled experiments")
 		quantName   = flag.String("quant", "off", "wire value quantization for the live traced run: off, fp16 or int8")
 	)
 	flag.Parse()
@@ -89,13 +88,6 @@ func main() {
 	if *elastic {
 		if err := runElastic(sc, *metricsAddr); err != nil {
 			fmt.Fprintf(os.Stderr, "kylix-bench: elastic run: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *threads != "" {
-		if err := runThreadSweep(*threads); err != nil {
-			fmt.Fprintf(os.Stderr, "kylix-bench: threads sweep: %v\n", err)
 			os.Exit(1)
 		}
 		return
@@ -355,98 +347,6 @@ func runElastic(sc bench.Scale, metricsAddr string) error {
 	rtt := snap.Histograms["hb_rtt_ns"]
 	fmt.Printf("  hb_rtt_ns            count=%d p50=%v p99=%v\n",
 		rtt.Count, time.Duration(rtt.P50), time.Duration(rtt.P99))
-	return nil
-}
-
-// runThreadSweep measures the live Figure 7 curve: the same warm
-// width-4 reduction with the intra-node combine/gather stage sharded
-// across each requested pool size. The workload is a fully shared index
-// block, so every accumulator row folds a full member-order chain and
-// the kernels dominate the round; the block is sized so layer pieces
-// clear par's sharding threshold. Speedups above 1 need real cores —
-// on a single-CPU host the workers time-slice and the sweep reports
-// the scheduling overhead instead (which is the honest curve there).
-func runThreadSweep(spec string) error {
-	var counts []int
-	for _, f := range strings.Split(spec, ",") {
-		var w int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &w); err != nil || w < 1 {
-			return fmt.Errorf("bad worker count %q", f)
-		}
-		counts = append(counts, w)
-	}
-	const (
-		machines = 8
-		width    = 4
-		block    = 1 << 16
-		rounds   = 5
-	)
-	fmt.Printf("fig7 live sweep: m=%d degrees=[4 2] width=%d shared-block=%d rounds=%d GOMAXPROCS=%d\n\n",
-		machines, width, block, rounds, runtime.GOMAXPROCS(0))
-	fmt.Printf("%8s %14s %10s %14s\n", "workers", "ms/round", "speedup", "shards/round")
-
-	idx := make([]int32, block)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	var serial time.Duration
-	for _, workers := range counts {
-		cluster, err := kylix.NewCluster(machines,
-			kylix.WithDegrees(4, 2),
-			kylix.WithWidth(width),
-			kylix.WithCombineWorkers(workers),
-			kylix.WithObservability())
-		if err != nil {
-			return err
-		}
-		walls := make([]time.Duration, machines)
-		err = cluster.Run(func(node *kylix.Node) error {
-			q := node.Rank()
-			vals := make([]float32, block*width)
-			for i := range vals {
-				vals[i] = float32(q+1) * 0.001 * float32(i%97+1)
-			}
-			red, err := node.Configure(idx, idx)
-			if err != nil {
-				return err
-			}
-			for r := 0; r < 2; r++ { // warm both arena generations
-				if _, err := red.Reduce(vals); err != nil {
-					return err
-				}
-			}
-			start := time.Now()
-			for r := 0; r < rounds; r++ {
-				if _, err := red.Reduce(vals); err != nil {
-					return err
-				}
-			}
-			walls[node.PhysicalRank()] = time.Since(start)
-			return nil
-		})
-		if err != nil {
-			_ = cluster.Close()
-			return err
-		}
-		var wall time.Duration
-		for _, w := range walls {
-			if w > wall {
-				wall = w
-			}
-		}
-		shards := cluster.Metrics().Counter("combine_shards").Value()
-		_ = cluster.Close()
-		perRound := wall / rounds
-		if workers == counts[0] && workers == 1 {
-			serial = perRound
-		}
-		speedup := "-"
-		if serial > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(serial)/float64(perRound))
-		}
-		fmt.Printf("%8d %14.2f %10s %14d\n",
-			workers, float64(perRound.Microseconds())/1000, speedup, shards/int64(rounds+2))
-	}
 	return nil
 }
 

@@ -39,11 +39,10 @@
 // OR-reduce sketch network plus a sum-reduce convergence counter — can
 // interleave over one cluster.
 //
-// The 17 options, by what they choose: the topology (WithDegrees,
+// The 16 options, by what they choose: the topology (WithDegrees,
 // WithBinaryButterfly), the transport (WithTransport, WithRecvTimeout),
-// the values (WithWidth, WithReducer, WithQuantization, WithStrict,
-// WithCombineWorkers), fault tolerance (WithReplication, WithFaults,
-// WithElastic), tenant admission (WithMaxStreams, WithStreamInflight,
+// the values (WithWidth, WithReducer, WithQuantization, WithStrict),
+// fault tolerance (WithReplication, WithFaults, WithElastic), tenant admission (WithMaxStreams, WithStreamInflight,
 // WithStreamSlots) and visibility (WithTrace, WithObservability — two
 // exports of one byte count: the transports' single event sink feeds
 // one traffic store, read by Cluster.Traffic and by /metrics alike).

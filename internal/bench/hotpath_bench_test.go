@@ -34,21 +34,11 @@ func BenchmarkReduceWarmObs(b *testing.B) {
 	benchReduceWarm(b, obs.New(QuickScale().Machines, 0))
 }
 
-// BenchmarkReduceWarmW4 and BenchmarkReduceWarmW4Workers are the
-// Figure 7 contrast: the same warm width-4 reduction with the combine
-// stage serial vs sharded across a 4-worker pool. Both run with full
-// observability and must stay allocation-free — the pool's pass-scoped
-// goroutines are recycled, not allocated. The workload is sized so the
-// layer pieces clear par's sharding threshold (the shards/op metric
-// reports how much of the pass actually forked); on boxes with fewer
-// cores than workers the parallel variant measures overhead, which is
-// why scripts/bench.sh gates the speedup only at >=4 cores.
+// BenchmarkReduceWarmW4 is a warm width-4 reduction over a two-layer
+// butterfly with large layer pieces, run with full observability; it
+// must stay allocation-free.
 func BenchmarkReduceWarmW4(b *testing.B) {
-	benchReduceWarmW4(b, 1, 1<<17, false)
-}
-
-func BenchmarkReduceWarmW4Workers(b *testing.B) {
-	benchReduceWarmW4(b, 4, 1<<17, false)
+	benchReduceWarmW4(b, 1<<17, false)
 }
 
 // BenchmarkReduceWarmTCP is the allocation gate where every remote value
@@ -57,10 +47,10 @@ func BenchmarkReduceWarmW4Workers(b *testing.B) {
 // pools the buffers frames are decoded into, handed back by the fold and
 // the landing, so this too must report 0 allocs/op.
 func BenchmarkReduceWarmTCP(b *testing.B) {
-	benchReduceWarmW4(b, 1, 1<<13, true)
+	benchReduceWarmW4(b, 1<<13, true)
 }
 
-func benchReduceWarmW4(b *testing.B, workers int, n int64, tcp bool) {
+func benchReduceWarmW4(b *testing.B, n int64, tcp bool) {
 	const (
 		machines = 8
 		width    = 4
@@ -72,7 +62,7 @@ func benchReduceWarmW4(b *testing.B, workers int, n int64, tcp bool) {
 		b.Fatal(err)
 	}
 	// Two layers (not scaleDegrees' single 8) so layer pieces stay large:
-	// a piece is ~set/4 rows, which at width 4 crosses the shard floor.
+	// a piece is ~set/4 rows.
 	bf := topo.MustNew([]int{4, 2})
 
 	var endpoint func(q int) comm.Endpoint
@@ -102,9 +92,8 @@ func benchReduceWarmW4(b *testing.B, workers int, n int64, tcp bool) {
 				ready.Done()
 			}
 			m, err := core.NewMachine(endpoint(q), bf, core.Options{
-				Width:          width,
-				CombineWorkers: workers,
-				Tracer:         o.Node(q),
+				Width:  width,
+				Tracer: o.Node(q),
 			})
 			if err != nil {
 				fail(err)
@@ -142,7 +131,6 @@ func benchReduceWarmW4(b *testing.B, workers int, n int64, tcp bool) {
 			b.Fatal(err)
 		}
 	}
-	shards0 := o.Registry().Counter("combine_shards").Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	close(start)
@@ -153,8 +141,6 @@ func benchReduceWarmW4(b *testing.B, workers int, n int64, tcp bool) {
 			b.Fatal(err)
 		}
 	}
-	shards := o.Registry().Counter("combine_shards").Value() - shards0
-	b.ReportMetric(float64(shards)/float64(b.N), "shards/op")
 }
 
 // BenchmarkReduceWarmFP16 and BenchmarkReduceWarmINT8 are the wire

@@ -120,7 +120,6 @@ func (c *Config) configure(what string, kind comm.Kind, inSet, outSet sparse.Set
 		}
 		m.cfg.base = c // a successor Machine's Configure continues from here unless poisoned
 	}()
-	defer m.pool.End() // join any pass-scoped combine workers
 	tr := m.opts.Tracer
 	if fused {
 		tr.CountRound()
@@ -307,10 +306,10 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 		// call inside retained payloads.
 		acc := make([]float32, len(ls.outUnion)*w)
 		if id := m.opts.Reducer.Identity(); id != 0 {
-			m.pool.Fill(acc, id)
+			sparse.Fill(acc, id)
 		}
 		for t, q := range got {
-			m.opts.Tracer.CountCombineShards(m.pool.CombineInto(m.opts.Reducer, acc, ls.outMaps[t], q.Vals, w))
+			sparse.CombineInto(m.opts.Reducer, acc, ls.outMaps[t], q.Vals, w)
 		}
 		x.vals = acc
 	}

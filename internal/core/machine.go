@@ -15,7 +15,6 @@ import (
 
 	"kylix/internal/comm"
 	"kylix/internal/obs"
-	"kylix/internal/par"
 	"kylix/internal/sparse"
 	"kylix/internal/topo"
 )
@@ -78,14 +77,6 @@ type Options struct {
 	// smaller than half a quantization step are silently lost every
 	// round instead of accumulating until they ship.
 	QuantNoFeedback bool
-	// CombineWorkers sizes the machine's combine/gather worker pool:
-	// large folds and gathers are sharded by disjoint index ranges
-	// across this many goroutines (the paper's Fig 7 intra-node
-	// threading). 0 selects min(GOMAXPROCS, 4); 1 (or any negative
-	// value) runs every kernel on the machine goroutine. Results are
-	// bit-identical for every setting — sharding partitions rows, never
-	// the per-row fold order.
-	CombineWorkers int
 	// Scratch is the reusable memory a predecessor Machine on this rank
 	// left behind (see Scratch for when that is safe); nil makes the
 	// Machine build its own. Wiring, not tuning: no result depends on it,
@@ -115,11 +106,6 @@ type Machine struct {
 	// arenas, the reduction arena): Options.Scratch or its own, readied at
 	// the first pass and shared by every Config this machine produces.
 	cfg *Scratch
-	// pool shards the combine/gather kernels across CombineWorkers
-	// goroutines; its workers live only within a pass (spawned at the
-	// first kernel large enough to shard, joined at pass end), so
-	// Machines never leak goroutines despite having no Close.
-	pool *par.Pool
 }
 
 // NewMachine binds an endpoint to a butterfly topology. The topology's
@@ -134,16 +120,8 @@ func NewMachine(ep comm.Endpoint, bf *topo.Butterfly, opts Options) (*Machine, e
 	if !opts.Quant.Valid() {
 		return nil, fmt.Errorf("core: unknown quantization mode %d", opts.Quant)
 	}
-	opts = opts.withDefaults()
-	workers := opts.CombineWorkers
-	if workers < 0 {
-		workers = 1
-	}
-	return &Machine{ep: ep, bf: bf, opts: opts, pool: par.NewPool(workers)}, nil
+	return &Machine{ep: ep, bf: bf, opts: opts.withDefaults()}, nil
 }
-
-// CombineWorkers reports the machine's resolved worker-pool size.
-func (m *Machine) CombineWorkers() int { return m.pool.Workers() }
 
 // Rank returns the machine's rank.
 func (m *Machine) Rank() int { return m.ep.Rank() }

@@ -46,10 +46,6 @@ func (c *Config) Reduce(outVals []float32) (res []float32, err error) {
 	}
 	round := m.nextRound()
 	g := c.flip()
-	// The pool's workers live for this pass only: the first fold or
-	// gather big enough to shard spawns them, and the pass joins them on
-	// every exit path, so Machines never accumulate goroutines.
-	defer m.pool.End()
 	tr := m.opts.Tracer
 	tr.CountRound()
 	tr.CountArenaFlip()
@@ -103,7 +99,7 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, g *genBufs, tr
 	}
 
 	acc = g.acc[i]
-	tr.CountCombineShards(m.pool.Fill(acc, m.opts.Reducer.Identity()))
+	sparse.Fill(acc, m.opts.Reducer.Identity())
 
 	clear(seen)
 	folded := 0
@@ -120,11 +116,7 @@ func (c *Config) scatterLayer(i int, round uint32, cur []float32, g *genBufs, tr
 			return nil, err
 		}
 		for folded < d && seen[folded] {
-			// Each staged piece is folded by the sharded kernel: its map is
-			// injective into the union, so shards touch disjoint rows and
-			// the per-row fold order — piece by piece, in member order —
-			// is exactly the serial one.
-			tr.CountCombineShards(m.pool.CombineInto(m.opts.Reducer, acc, ls.outMaps[folded], staged[folded], w))
+			sparse.CombineInto(m.opts.Reducer, acc, ls.outMaps[folded], staged[folded], w)
 			// Do not pin received payload memory past the fold: the payload
 			// goes back to the transport that decoded it, if one did.
 			comm.Release(held[folded])
@@ -154,7 +146,7 @@ func (c *Config) gatherUp(cur []float32, round uint32, g *genBufs) (res []float3
 	inVals := cur
 	if c.bottomMap != nil {
 		inVals = g.inVals
-		tr.CountCombineShards(m.pool.GatherInto(inVals, c.bottomMap, cur, m.opts.Width, m.opts.Reducer.Identity()))
+		sparse.GatherInto(inVals, c.bottomMap, cur, m.opts.Width, m.opts.Reducer.Identity())
 	}
 
 	// Upward allgather, layer l..1.
@@ -187,7 +179,7 @@ func (c *Config) gatherLayer(i int, round uint32, inVals []float32, g *genBufs, 
 	pieces := g.gather[i]
 	for t, member := range ls.group {
 		p := &pieces[t]
-		tr.CountCombineShards(m.pool.GatherInto(p.f.Vals, ls.inMaps[t], inVals, w, 0))
+		sparse.GatherInto(p.f.Vals, ls.inMaps[t], inVals, w, 0)
 		if err := m.sendPiece(member, tag, p, &sp); err != nil {
 			return err
 		}

@@ -25,16 +25,15 @@ type Observatory struct {
 	trans   *TransportMetrics
 	traffic *Traffic
 
-	rounds        *Counter
-	arenaFlips    *Counter
-	combineShards *Counter
-	spansDropped  *Counter
-	recvMsgs      *Counter
-	recvBytes     *Counter
-	recvTimeouts  *Counter
-	recvWait      *Histogram
-	groupWait     *Histogram
-	faultCounts   map[string]*Counter
+	rounds       *Counter
+	arenaFlips   *Counter
+	spansDropped *Counter
+	recvMsgs     *Counter
+	recvBytes    *Counter
+	recvTimeouts *Counter
+	recvWait     *Histogram
+	groupWait    *Histogram
+	faultCounts  map[string]*Counter
 
 	// Incremental-reconfigure layer outcomes (fast = the layer reused
 	// its previous unions and maps; full = it recomputed them).
@@ -54,20 +53,19 @@ func New(m, spanCap int) *Observatory {
 	}
 	reg := NewRegistry()
 	o := &Observatory{
-		epoch:         time.Now(),
-		reg:           reg,
-		tracers:       make([]*Tracer, m),
-		rounds:        reg.Counter("reduce_rounds"),
-		arenaFlips:    reg.Counter("arena_flips"),
-		combineShards: reg.Counter("combine_shards"),
-		spansDropped:  reg.Counter("spans_dropped"),
-		recvMsgs:      reg.Counter("recv_msgs"),
-		recvBytes:     reg.Counter("recv_bytes"),
-		recvTimeouts:  reg.Counter("recv_timeouts"),
-		recvWait:      reg.Histogram("recv_wait_ns"),
-		groupWait:     reg.Histogram("recv_group_wait_ns"),
-		faultCounts:   make(map[string]*Counter, len(FaultEventNames)),
-		traffic:       NewTraffic(m),
+		epoch:        time.Now(),
+		reg:          reg,
+		tracers:      make([]*Tracer, m),
+		rounds:       reg.Counter("reduce_rounds"),
+		arenaFlips:   reg.Counter("arena_flips"),
+		spansDropped: reg.Counter("spans_dropped"),
+		recvMsgs:     reg.Counter("recv_msgs"),
+		recvBytes:    reg.Counter("recv_bytes"),
+		recvTimeouts: reg.Counter("recv_timeouts"),
+		recvWait:     reg.Histogram("recv_wait_ns"),
+		groupWait:    reg.Histogram("recv_group_wait_ns"),
+		faultCounts:  make(map[string]*Counter, len(FaultEventNames)),
+		traffic:      NewTraffic(m),
 	}
 	o.deriveByteCounters()
 	o.reconfigFastLayer = reg.Counter("reconfigure_fast_layers")

@@ -98,19 +98,6 @@ func (t *Tracer) CountArenaFlip() {
 	}
 }
 
-// CountCombineShards accounts one combine/gather kernel dispatch that
-// was sharded across the worker pool: shards is the shard count the
-// kernel ran with. Serial runs (shards <= 1) are not counted — the
-// metric reads as "how much work the Fig 7 threading actually took",
-// staying zero on single-worker machines.
-//
-//kylix:hotpath
-func (t *Tracer) CountCombineShards(shards int) {
-	if t != nil && shards > 1 {
-		t.o.combineShards.Add(int64(shards))
-	}
-}
-
 // CountReconfigureLayer records one layer outcome of an incremental
 // reconfiguration: fast when the layer reused its previous unions and
 // position maps, full when it had to recompute them.

@@ -62,15 +62,14 @@ func newNode(ep comm.Endpoint, bf *topo.Butterfly, cfg config, roundBase uint32,
 // same endpoint.
 func coreOptions(cfg config, base uint32, physRank int) core.Options {
 	return core.Options{
-		Width:          cfg.width,
-		Reducer:        cfg.reducer,
-		Strict:         cfg.strict,
-		Channel:        cfg.channel,
-		Stream:         cfg.stream,
-		RoundBase:      base,
-		Quant:          cfg.quant,
-		Tracer:         cfg.obsv.Node(physRank),
-		CombineWorkers: cfg.combineWorkers,
+		Width:     cfg.width,
+		Reducer:   cfg.reducer,
+		Strict:    cfg.strict,
+		Channel:   cfg.channel,
+		Stream:    cfg.stream,
+		RoundBase: base,
+		Quant:     cfg.quant,
+		Tracer:    cfg.obsv.Node(physRank),
 	}
 }
 

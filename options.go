@@ -68,20 +68,19 @@ const (
 )
 
 type config struct {
-	degrees        []int
-	binary         bool
-	transport      Transport
-	replication    int
-	width          int
-	reducer        Reducer
-	strict         bool
-	recvTimeout    time.Duration
-	channel        uint8
-	trace          bool
-	faults         *faultnet.Plan
-	observe        bool
-	elastic        *ElasticOptions
-	combineWorkers int
+	degrees     []int
+	binary      bool
+	transport   Transport
+	replication int
+	width       int
+	reducer     Reducer
+	strict      bool
+	recvTimeout time.Duration
+	channel     uint8
+	trace       bool
+	faults      *faultnet.Plan
+	observe     bool
+	elastic     *ElasticOptions
 	// quant is the wire encoding of value blocks (default QuantOff).
 	quant Quantization
 	// stream is the tag namespace nodes built from this config mint
@@ -151,17 +150,6 @@ func WithWidth(w int) Option {
 // WithReducer sets the combining operation (default Sum).
 func WithReducer(r Reducer) Option {
 	return func(c *config) { c.reducer = r }
-}
-
-// WithCombineWorkers sizes each machine's intra-node worker pool: large
-// combine/gather folds are sharded by disjoint index ranges across n
-// goroutines, the paper's Figure 7 threading of the combine stage.
-// 0 (the default) selects min(GOMAXPROCS, 4); 1 keeps every kernel on
-// the machine goroutine. Results are bit-identical for every setting —
-// sharding partitions rows, never the per-row fold order — and the warm
-// Reduce stays allocation-free.
-func WithCombineWorkers(n int) Option {
-	return func(c *config) { c.combineWorkers = n }
 }
 
 // WithQuantization selects the wire encoding of the values shipped by

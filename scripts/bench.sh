@@ -208,7 +208,7 @@ wirebaseline="scripts/bench_wire_baseline.txt"
 if [ "$gate" = 0 ]; then
     record
 else
-    for b in BenchmarkReduceWarmQuick BenchmarkReduceWarmObs BenchmarkReduceWarmW4 BenchmarkReduceWarmW4Workers BenchmarkReduceWarmTCP; do
+    for b in BenchmarkReduceWarmQuick BenchmarkReduceWarmObs BenchmarkReduceWarmW4 BenchmarkReduceWarmTCP; do
         allocs="$(awk -v b="$b" '$1 ~ "^"b"(-[0-9]+)?$" { for (i = 2; i <= NF; i++) if ($(i) == "allocs/op") print $(i-1) }' "$out")"
         if [ -z "$allocs" ]; then
             echo "bench gate: $b did not report allocs/op" >&2
@@ -365,35 +365,6 @@ else
     fi
     echo "bench gate OK: ConfigureReduce16 $fused_bytes B/op (archived per-Config-arena row $base_fused_bytes)"
 
-    # Intra-node threading gate (Figure 7): the sharded width-4 warm
-    # Reduce must actually shard, and on a box with at least as many
-    # cores as the pool has workers it must be >=2x the serial fold
-    # (tolerance-widened). Below 4 cores the workers time-slice one
-    # another and the contrast measures scheduling overhead, so only the
-    # sharding-engaged check applies.
-    w4_ns="$(awk '$1 ~ /^BenchmarkReduceWarmW4(-[0-9]+)?$/ { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") print $(i-1) }' "$out")"
-    w4w_ns="$(awk '$1 ~ /^BenchmarkReduceWarmW4Workers(-[0-9]+)?$/ { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") print $(i-1) }' "$out")"
-    w4w_shards="$(awk '$1 ~ /^BenchmarkReduceWarmW4Workers(-[0-9]+)?$/ { for (i = 2; i <= NF; i++) if ($(i) == "shards/op") print $(i-1) }' "$out")"
-    if [ -z "$w4_ns" ] || [ -z "$w4w_ns" ] || [ -z "$w4w_shards" ]; then
-        echo "bench gate: width-4 warm Reduce benchmarks did not run" >&2
-        exit 1
-    fi
-    if awk -v s="$w4w_shards" 'BEGIN { exit !(s <= 0) }'; then
-        echo "bench gate: BenchmarkReduceWarmW4Workers never sharded ($w4w_shards shards/op)" >&2
-        exit 1
-    fi
-    cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
-    if [ "$cores" -ge 4 ]; then
-        if awk -v w="$w4w_ns" -v s="$w4_ns" -v tol="$tol" \
-            'BEGIN { exit !(w * 2 > s * (1 + tol / 100)) }'; then
-            echo "bench gate: sharded W4 Reduce not >=2x serial on $cores cores: $w4w_ns ns/op vs $w4_ns" >&2
-            exit 1
-        fi
-        echo "bench gate OK: sharded W4 Reduce $w4w_ns ns/op is $(awk -v w="$w4w_ns" -v s="$w4_ns" 'BEGIN { printf "%.2f", s / w }')x serial $w4_ns on $cores cores ($w4w_shards shards/op)"
-    else
-        echo "bench gate OK: sharded W4 Reduce engaged ($w4w_shards shards/op); speedup gate skipped on $cores core(s)"
-    fi
-
     # Multi-tenant throughput gate: four concurrent tenant passes over
     # one shared TCP fabric must beat the same four passes run
     # back-to-back — overlapping socket waits is the point of
@@ -410,6 +381,7 @@ else
         exit 1
     fi
     stream_factor=1.1
+    cores="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
     if [ "$cores" -ge 4 ]; then
         stream_factor=1.5
     fi

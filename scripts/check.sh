@@ -33,8 +33,8 @@ stage_test() {
 # Short-mode race lane over the concurrency-critical packages: comm and
 # core since the mailbox free lists and the arena flip are exactly where
 # a data race would corrupt results silently, membership for its
-# ticker-vs-receiver agents, par and stream for the worker pool and the
-# tenant scheduler; then the root package's stream-lifecycle tests, the
+# ticker-vs-receiver agents, par for its own pool tests (core no longer
+# uses it) and stream for the tenant scheduler; then the root package's stream-lifecycle tests, the
 # cross-process tenancy contract (Node.Stream tenants on ListenNode
 # sockets) and the warm-Reduce-over-TCP workload (arena buffers refilled
 # right behind the transport, digests against the in-memory run).

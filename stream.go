@@ -67,9 +67,9 @@ type Stream struct {
 
 // OpenStream admits a new tenant stream. Options may override the
 // cluster's data-plane settings for this stream — WithWidth,
-// WithReducer, WithStrict, WithCombineWorkers, WithStreamInflight —
-// while transport-level options are fixed at cluster construction and
-// ignored here. Fails with ErrTooManyStreams at the WithMaxStreams
+// WithReducer, WithStrict, WithQuantization, WithStreamInflight — while
+// transport-level options are fixed at cluster construction and ignored
+// here. Fails with ErrTooManyStreams at the WithMaxStreams
 // bound and ErrClusterClosed after Close.
 func (c *Cluster) OpenStream(opts ...Option) (*Stream, error) {
 	if c.closed.Load() {
@@ -135,12 +135,6 @@ func (s *Stream) Run(fn func(*Node) error) error {
 	}
 	return err
 }
-
-// Configure opens a Reduction on the stream: it runs the configuration
-// pass collectively (fn receives each machine's Node exactly as
-// Cluster.Run) — a convenience wrapper over Run for the common
-// configure-once shape.
-func (s *Stream) Configure(fn func(*Node) error) error { return s.Run(fn) }
 
 // Close tears the stream down: queued passes fail with ErrStreamClosed,
 // the in-flight pass (if any) drains, and every machine's mailbox

@@ -64,12 +64,11 @@ type Cluster struct {
 	// idempotent), checked by every pass after it enters the run gate so
 	// the close-time drain covers it.
 	closed atomic.Bool
-	// streams admits tenant streams and allocates their never-reused
-	// ids; sched grants their passes fabric slots fairly; smet is the
-	// stream layer's metric bundle (live but unregistered without
+	// streams admits tenant streams, allocates their never-reused ids
+	// and records the ids Node.Stream derives; smet is the stream
+	// layer's metric bundle (live but unregistered without
 	// WithObservability).
 	streams *stream.Registry
-	sched   *stream.Scheduler
 	smet    *obs.StreamMetrics
 }
 
@@ -160,8 +159,7 @@ func NewCluster(m int, opts ...Option) (*Cluster, error) {
 	if cfg.elastic != nil {
 		c.startElastic(m)
 	}
-	c.streams = stream.NewRegistry(cfg.maxStreams)
-	c.sched = stream.NewScheduler(cfg.streamSlots)
+	c.streams = stream.NewRegistry(maxOpenStreams)
 	c.smet = obs.NewStreamMetrics(c.obs.Registry())
 	return c, nil
 }
@@ -200,14 +198,7 @@ func (c *Cluster) startElastic(m int) {
 
 func buildTopology(cfg config, logical int) (*topo.Butterfly, error) {
 	degrees := cfg.degrees
-	switch {
-	case cfg.binary:
-		var err error
-		degrees, err = topo.Binary(logical)
-		if err != nil {
-			return nil, err
-		}
-	case degrees == nil:
+	if degrees == nil {
 		degrees = topo.Direct(logical)
 	}
 	bf, err := topo.New(degrees)
@@ -375,6 +366,7 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch *atomic.Point
 		if err != nil {
 			return err
 		}
+		node.streams = c.streams
 		if err = fn(node); err == nil {
 			taken.ranks[physRank] = sc // nil stays for a rank that did not run
 		}

@@ -34,27 +34,28 @@
 // cmd/kylix-node) and supports replication-based fault tolerance
 // (WithReplication), pluggable reducers (sum, max, min, bitwise-or),
 // multi-value features (WithWidth), fused configure+reduce for minibatch
-// workloads whose index sets change every round, and derived tag-channel
-// networks (Node.Channel) so several independent reductions — say an
+// workloads whose index sets change every round, and derived stream
+// networks (Node.Stream) so several independent reductions — say an
 // OR-reduce sketch network plus a sum-reduce convergence counter — can
 // interleave over one cluster.
 //
-// The 16 options, by what they choose: the topology (WithDegrees,
-// WithBinaryButterfly), the transport (WithTransport, WithRecvTimeout),
-// the values (WithWidth, WithReducer, WithQuantization, WithStrict),
-// fault tolerance (WithReplication, WithFaults, WithElastic), tenant admission (WithMaxStreams, WithStreamInflight,
-// WithStreamSlots) and visibility (WithTrace, WithObservability — two
-// exports of one byte count: the transports' single event sink feeds
-// one traffic store, read by Cluster.Traffic and by /metrics alike).
+// The 12 options, by what they choose: the topology (WithDegrees), the
+// transport (WithTransport, WithRecvTimeout), the values (WithWidth,
+// WithReducer, WithQuantization, WithStrict), fault tolerance
+// (WithReplication, WithFaults, WithElastic) and visibility (WithTrace,
+// WithObservability — two exports of one byte count: the transports'
+// single event sink feeds one traffic store, read by Cluster.Traffic and
+// by /metrics alike).
 //
-// Tag namespaces are not options, and there are two, nested. A stream is
-// a tenant: a 16-bit field of every tag, opened by Cluster.OpenStream in
-// process or derived by Node.Stream across processes, and purged from
-// every mailbox when it closes (Stream.Close, Node.CloseStream). A
-// channel is one program's extra network inside its stream: Node.Channel
-// takes the top byte of the tag's sequence number, and lives and dies
-// with its stream. Both derive a second machine over the node's endpoint
-// through one path, which refuses a namespace already in use on the node.
+// Tag namespaces are not options, and there is one: the stream, a 16-bit
+// field of every tag, each stream with the whole 32-bit round space. A
+// tenant's stream is opened by Cluster.OpenStream, at most 64 at once and
+// at most 4 passes queued or running on each, and purged from every
+// mailbox when it closes (Stream.Close). A program's extra network is a
+// stream derived by Node.Stream — in process, where the cluster's
+// registry keeps derived and tenant ids apart, or on every rank across
+// processes, closed there with Node.CloseStream. Node.Stream refuses an
+// id already in use on the node.
 //
 // DesignDegrees implements the paper's §IV workflow for choosing optimal
 // layer degrees from the data's power-law statistics, and the repository

@@ -1,7 +1,7 @@
 // Graph diameter estimation with Flajolet-Martin sketches (§I-A2's HADI
 // workload): vertices carry bitstring sketches of their reachable sets,
 // one bitwise-OR allreduce grows them per hop, and a piggybacked
-// sum-allreduce (on a second tag channel of the same cluster) detects
+// sum-allreduce (in a second tag stream of the same cluster) detects
 // global convergence. Demonstrates Kylix's pluggable reducers and
 // multi-network endpoints.
 package main
@@ -26,6 +26,8 @@ const (
 	vertices = 600
 	edgeCnt  = 1800
 	width    = 4 // sketch words per vertex
+
+	convStream comm.StreamID = 1 // the convergence counter's tag namespace
 )
 
 func main() {
@@ -52,7 +54,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		conv, err := core.NewMachine(ep, bf, core.Options{Channel: 1})
+		conv, err := core.NewMachine(ep, bf, core.Options{Stream: convStream})
 		if err != nil {
 			return err
 		}

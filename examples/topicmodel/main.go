@@ -3,7 +3,7 @@
 // documents with planted topic structure. Each sweep exchanges the
 // sparse word-topic count deltas — width K = topics values per word —
 // through a fused configure+reduce, and a second allreduce network on
-// its own tag channel carries the global per-topic totals.
+// its own tag stream carries the global per-topic totals.
 package main
 
 import (
@@ -24,6 +24,8 @@ const (
 	vocab    = 400
 	topics   = 5
 	sweeps   = 25
+
+	totalsStream comm.StreamID = 1 // the per-topic totals' tag namespace
 )
 
 func main() {
@@ -43,7 +45,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		totals, err := core.NewMachine(ep, bf, core.Options{Width: topics, Channel: 1})
+		totals, err := core.NewMachine(ep, bf, core.Options{Width: topics, Stream: totalsStream})
 		if err != nil {
 			return err
 		}

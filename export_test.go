@@ -6,6 +6,15 @@ import (
 	"kylix/internal/comm"
 )
 
+// The tenant bounds, for the external tests.
+const (
+	MaxOpenStreams = maxOpenStreams
+	StreamInflight = streamInflight
+)
+
+// Inflight reports the stream's queued-plus-running passes.
+func (s *Stream) Inflight() int { return int(s.inflight.Load()) }
+
 // StreamPending reports one stream's queued, undelivered messages on a
 // ListenNode node's transport, for the external tests.
 func (n *Node) StreamPending(id uint16) int { return n.tn.StreamPending(comm.StreamID(id)) }

@@ -12,6 +12,10 @@ import (
 	"kylix/internal/topo"
 )
 
+// convStream is the convergence counter's tag namespace beside the main
+// network's default one.
+const convStream comm.StreamID = 1
+
 func runDistributed(t *testing.T, m int, edges []graph.Edge, maxRounds int) ([]*Result, []*graph.Shard) {
 	t.Helper()
 	bf := topo.MustNew([]int{m})
@@ -33,7 +37,7 @@ func runDistributed(t *testing.T, m int, edges []graph.Edge, maxRounds int) ([]*
 		if err != nil {
 			return err
 		}
-		conv, err := core.NewMachine(ep, bf, core.Options{Channel: 1})
+		conv, err := core.NewMachine(ep, bf, core.Options{Stream: convStream})
 		if err != nil {
 			return err
 		}

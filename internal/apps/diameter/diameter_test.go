@@ -13,6 +13,10 @@ import (
 	"kylix/internal/topo"
 )
 
+// convStream is the convergence counter's tag namespace beside the main
+// network's default one.
+const convStream comm.StreamID = 1
+
 func runDistributed(t *testing.T, m int, n int64, edges []graph.Edge, maxIters, width int) []*Result {
 	t.Helper()
 	bf := topo.MustNew([]int{m})
@@ -34,7 +38,7 @@ func runDistributed(t *testing.T, m int, n int64, edges []graph.Edge, maxIters, 
 		if err != nil {
 			return err
 		}
-		conv, err := core.NewMachine(ep, bf, core.Options{Channel: 1})
+		conv, err := core.NewMachine(ep, bf, core.Options{Stream: convStream})
 		if err != nil {
 			return err
 		}
@@ -147,7 +151,7 @@ func TestRunNodeValidatesWidth(t *testing.T) {
 	defer net.Close()
 	bf := topo.MustNew([]int{1})
 	m, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Reducer: sparse.Or})
-	conv, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Channel: 1})
+	conv, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Stream: convStream})
 	shard, _ := graph.BuildShard([]graph.Edge{{Src: 0, Dst: 1}}, nil)
 	if _, err := RunNode(m, conv, shard, 5, 0, 1); err == nil {
 		t.Fatal("accepted width 0")

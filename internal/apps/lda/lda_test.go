@@ -12,6 +12,10 @@ import (
 	"kylix/internal/topo"
 )
 
+// totalsStream is the per-topic totals network's tag namespace beside
+// the count network's default one.
+const totalsStream comm.StreamID = 1
+
 func TestGenCorpusShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := GenCorpus(rng, 100, 4, 10, 20)
@@ -45,7 +49,7 @@ func runLDA(t *testing.T, machines int, p Params, seed int64) ([]*Result, []*Cor
 		if err != nil {
 			return err
 		}
-		totals, err := core.NewMachine(ep, bf, core.Options{Width: p.Topics, Channel: 1})
+		totals, err := core.NewMachine(ep, bf, core.Options{Width: p.Topics, Stream: totalsStream})
 		if err != nil {
 			return err
 		}
@@ -120,7 +124,7 @@ func TestLDARecoversPlantedTopics(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		totals, err := core.NewMachine(ep, bf, core.Options{Width: p.Topics, Channel: 1})
+		totals, err := core.NewMachine(ep, bf, core.Options{Width: p.Topics, Stream: totalsStream})
 		if err != nil {
 			return err
 		}
@@ -164,7 +168,7 @@ func TestRunNodeValidates(t *testing.T) {
 	defer net.Close()
 	bf := topo.MustNew([]int{1})
 	m, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Width: 2})
-	totals, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Width: 2, Channel: 1})
+	totals, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Width: 2, Stream: totalsStream})
 	c := GenCorpus(rand.New(rand.NewSource(1)), 50, 2, 4, 8)
 	if _, err := RunNode(m, totals, c, Params{Topics: 1, Sweeps: 3}, rand.New(rand.NewSource(1))); err == nil {
 		t.Fatal("accepted 1 topic")

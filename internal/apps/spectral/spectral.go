@@ -4,7 +4,7 @@
 // computational core of spectral clustering, which the paper lists among
 // the sparse-allreduce applications. Each iteration is one distributed
 // SpMV through the sum-allreduce plus two scalar allreduces (norm and
-// Rayleigh quotient) on a separate tag channel.
+// Rayleigh quotient) in a separate tag stream.
 package spectral
 
 import (
@@ -34,8 +34,9 @@ type Result struct {
 }
 
 // RunNode runs power iteration collectively. The main machine uses the
-// default sum reducer; scalar is a second sum machine on a distinct
-// channel used for the global norm and Rayleigh-quotient reductions.
+// default sum reducer; scalar is a second sum machine in a distinct
+// core.Options.Stream, used for the global norm and Rayleigh-quotient
+// reductions.
 func RunNode(m *core.Machine, scalar *core.Machine, shard *graph.Shard, maxIters int, tol float64) (*Result, error) {
 	if maxIters < 1 {
 		return nil, fmt.Errorf("spectral: maxIters %d must be >= 1", maxIters)

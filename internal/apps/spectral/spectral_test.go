@@ -12,6 +12,10 @@ import (
 	"kylix/internal/topo"
 )
 
+// scalarStream is the scalar network's tag namespace beside the
+// matrix-vector network's default one.
+const scalarStream comm.StreamID = 1
+
 func runDistributed(t *testing.T, m int, n int32, edges []graph.Edge, weights []float32, maxIters int, tol float64) []*Result {
 	t.Helper()
 	bf := topo.MustNew([]int{m})
@@ -51,7 +55,7 @@ func runDistributed(t *testing.T, m int, n int32, edges []graph.Edge, weights []
 		if err != nil {
 			return err
 		}
-		scalar, err := core.NewMachine(ep, bf, core.Options{Channel: 1})
+		scalar, err := core.NewMachine(ep, bf, core.Options{Stream: scalarStream})
 		if err != nil {
 			return err
 		}
@@ -129,7 +133,7 @@ func TestRunNodeValidates(t *testing.T) {
 	defer net.Close()
 	bf := topo.MustNew([]int{1})
 	m, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{})
-	scalar, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Channel: 1})
+	scalar, _ := core.NewMachine(net.Endpoint(0), bf, core.Options{Stream: scalarStream})
 	shard, _ := graph.BuildShard([]graph.Edge{{Src: 0, Dst: 1}}, nil)
 	if _, err := RunNode(m, scalar, shard, 0, 1e-6); err == nil {
 		t.Fatal("accepted maxIters 0")

@@ -189,6 +189,37 @@ func TestAllreduceOrReducer(t *testing.T) {
 	}
 }
 
+// TestRoundSpaceIsThirtyTwoBits: a Machine's rounds use the whole 32-bit
+// seq — a RoundBase past 2^24 configures and reduces — and a round that
+// would wrap past 2^32 panics rather than reuse a tag.
+func TestRoundSpaceIsThirtyTwoBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	ws := randWorkloads(rng, 4, 200, 30, 1, true)
+	want := refReduce(ws, sparse.Sum, 1)
+	got := runAllreduce(t, []int{2, 2}, ws, Options{RoundBase: 1 << 24})
+	for r := range ws {
+		if !almostEqual(got[r], want[r], 1e-4) {
+			t.Fatalf("rank %d mismatch at RoundBase 2^24", r)
+		}
+	}
+
+	n := memnet.New(1)
+	defer n.Close()
+	m, err := NewMachine(n.Endpoint(0), topo.MustNew([]int{1}), Options{RoundBase: math.MaxUint32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := m.nextRound(); r != math.MaxUint32 {
+		t.Fatalf("first round %d, want 2^32-1", r)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a round past 2^32 did not panic")
+		}
+	}()
+	m.nextRound()
+}
+
 func TestRepeatedReduceReusesConfig(t *testing.T) {
 	// Configure once, reduce many times with fresh values: the PageRank
 	// pattern.

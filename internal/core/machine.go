@@ -33,17 +33,13 @@ type Options struct {
 	// visible at this node's bottom range, which collectively covers the
 	// whole space.
 	Strict bool
-	// Channel namespaces this Machine's message tags. Several Machines
-	// (e.g. a main OR-reduce network and a tiny convergence-counter
-	// network) can share one endpoint as long as their channels differ.
-	Channel uint8
-	// Stream namespaces this Machine's tags by tenant: every tag the
-	// machine mints carries the stream id, so concurrent reductions
-	// multiplex over one shared endpoint without cross-delivery. The
-	// zero value is comm.DefaultStream — classic single-tenant
-	// operation. Unlike Channel (which subdivides the seq space),
-	// Stream is a dedicated tag field, so streams get the full
-	// channel × round space each.
+	// Stream namespaces this Machine's tags: every tag the machine mints
+	// carries the stream id, so several Machines — concurrent tenants, or
+	// one program's main OR-reduce network and its tiny convergence
+	// counter — share one endpoint without cross-delivery as long as
+	// their streams differ. The zero value is comm.DefaultStream. Stream
+	// is a dedicated tag field, so each stream gets the whole 32-bit
+	// round space.
 	Stream comm.StreamID
 	// RoundBase offsets this Machine's tag sequence. Tags must never be
 	// reused on an endpoint: a caller that creates successive Machines
@@ -135,10 +131,10 @@ func (m *Machine) Topology() *topo.Butterfly { return m.bf }
 func (m *Machine) nextRound() uint32 {
 	r := m.opts.RoundBase + m.round
 	m.round++
-	if r >= 1<<24 {
-		panic("core: tag sequence space exhausted (16M collective rounds)")
+	if r < m.opts.RoundBase {
+		panic("core: tag sequence space exhausted (2^32 collective rounds)")
 	}
-	return uint32(m.opts.Channel)<<24 | r
+	return r
 }
 
 // RoundsUsed reports how many tag rounds this Machine has consumed,

@@ -406,7 +406,7 @@ func NewMembershipMetrics(r *Registry) *MembershipMetrics {
 }
 
 // StreamMetrics bundles the multi-tenant stream layer's aggregate
-// numbers — opens/closes, admission rejections, scheduler waits — plus
+// numbers — opens/closes and admission rejections — plus
 // a constructor for per-tenant labelled counters. Constructed by
 // NewStreamMetrics so the stream layer records unconditionally: a nil
 // registry yields live, unregistered metrics. Registered metrics show
@@ -422,10 +422,7 @@ type StreamMetrics struct {
 	// AdmissionRejected counts passes refused at the per-stream
 	// in-flight bound (backpressure working as designed).
 	AdmissionRejected *Counter
-	// SchedWaitNs is the distribution of time passes spent queued for a
-	// fabric slot, in nanoseconds — the tenant-visible scheduling delay.
-	SchedWaitNs *Histogram
-	reg         *Registry
+	reg               *Registry
 }
 
 // NewStreamMetrics registers the stream metric set in r (nil r gives
@@ -436,7 +433,6 @@ func NewStreamMetrics(r *Registry) *StreamMetrics {
 		StreamsClosed:     r.Counter("streams_closed"),
 		StreamsActive:     r.Gauge("streams_active"),
 		AdmissionRejected: r.Counter("stream_admission_rejected"),
-		SchedWaitNs:       r.Histogram("stream_sched_wait_ns"),
 		reg:               r,
 	}
 }

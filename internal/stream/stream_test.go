@@ -2,9 +2,7 @@ package stream
 
 import (
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"kylix/internal/comm"
 )
@@ -54,148 +52,31 @@ func TestRegistryExhaustion(t *testing.T) {
 	}
 }
 
-func TestSchedulerSerializesOnOneSlot(t *testing.T) {
-	s := NewScheduler(1)
-	if err := s.Acquire(1); err != nil {
+// TestRegistryClaim pins the rule between derived networks and
+// tenants: a claimed id is never issued, claiming is idempotent, and an
+// id Open has issued — open or closed — cannot be claimed.
+func TestRegistryClaim(t *testing.T) {
+	r := NewRegistry(0)
+	if err := r.Claim(1); err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan error, 1)
-	go func() { got <- s.Acquire(2) }()
-	select {
-	case <-got:
-		t.Fatal("second acquire did not block on a full budget")
-	case <-time.After(20 * time.Millisecond):
+	if err := r.Claim(1); err != nil {
+		t.Fatalf("second claim: %v", err)
 	}
-	s.Release()
-	select {
-	case err := <-got:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("release did not grant the waiter")
-	}
-	s.Release()
-}
-
-// TestSchedulerRoundRobinFairness pins the anti-starvation property: a
-// greedy stream queueing many passes cannot monopolize the slot — the
-// grant rotation serves each waiting stream once per cycle.
-func TestSchedulerRoundRobinFairness(t *testing.T) {
-	s := NewScheduler(1)
-	if err := s.Acquire(99); err != nil { // hold the only slot
+	a, err := r.Open()
+	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	var grants []comm.StreamID
-	var wg sync.WaitGroup
-	enqueue := func(id comm.StreamID) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := s.Acquire(id); err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			grants = append(grants, id)
-			mu.Unlock()
-			s.Release()
-		}()
+	if a != 2 {
+		t.Fatalf("Open issued %d, want 2 (1 is claimed)", a)
 	}
-	// Greedy stream 1 queues 4 passes, then streams 2 and 3 queue one
-	// each. Enqueue in a known order (wait for the queue depth) so the
-	// rotation is deterministic.
-	for i := 0; i < 4; i++ {
-		enqueue(1)
-		waitFor(t, s, i+1)
-	}
-	enqueue(2)
-	waitFor(t, s, 5)
-	enqueue(3)
-	waitFor(t, s, 6)
-	s.Release() // open the floodgates
-	wg.Wait()
-	// Rotation from queue state {1:[4 waiters], 2:[1], 3:[1]}, order
-	// [1,2,3]: grants must interleave, not run 1,1,1,1 first. Streams 2
-	// and 3 must both be served within the first four grants.
-	pos := map[comm.StreamID]int{}
-	for i, id := range grants {
-		if _, seen := pos[id]; !seen {
-			pos[id] = i
+	r.Close(a)
+	for _, id := range []comm.StreamID{comm.DefaultStream, a} {
+		if err := r.Claim(id); err == nil {
+			t.Fatalf("claimed id %d", id)
 		}
 	}
-	if pos[2] >= 4 || pos[3] >= 4 {
-		t.Fatalf("greedy stream starved the others: grant order %v", grants)
-	}
-}
-
-func waitFor(t *testing.T, s *Scheduler, depth int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Waiting() < depth {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never reached depth %d (at %d)", depth, s.Waiting())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestSchedulerCloseStreamFailsWaiters(t *testing.T) {
-	s := NewScheduler(1)
-	if err := s.Acquire(1); err != nil {
-		t.Fatal(err)
-	}
-	got := make(chan error, 1)
-	go func() { got <- s.Acquire(2) }()
-	waitFor(t, s, 1)
-	s.CloseStream(2)
-	select {
-	case err := <-got:
-		if !errors.Is(err, comm.ErrStreamClosed) {
-			t.Fatalf("err = %v, want ErrStreamClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("CloseStream did not fail the waiter")
-	}
-	if err := s.Acquire(2); !errors.Is(err, comm.ErrStreamClosed) {
-		t.Fatalf("acquire after close = %v, want ErrStreamClosed", err)
-	}
-	// The closed stream's failure must not leak its queue slot: stream 3
-	// can still be granted.
-	s.Release()
-	if err := s.Acquire(3); err != nil {
-		t.Fatal(err)
-	}
-	s.Release()
-}
-
-// TestSchedulerConcurrentStress hammers acquire/release/close from many
-// goroutines — the -race lane's meat for this package.
-func TestSchedulerConcurrentStress(t *testing.T) {
-	s := NewScheduler(4)
-	var wg sync.WaitGroup
-	for id := comm.StreamID(1); id <= 8; id++ {
-		wg.Add(1)
-		go func(id comm.StreamID) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if err := s.Acquire(id); err != nil {
-					if errors.Is(err, comm.ErrStreamClosed) {
-						return
-					}
-					t.Error(err)
-					return
-				}
-				s.Release()
-			}
-		}(id)
-	}
-	// Close one stream mid-hammer.
-	time.Sleep(time.Millisecond)
-	s.CloseStream(8)
-	wg.Wait()
-	if s.Waiting() != 0 {
-		t.Fatalf("%d waiters leaked", s.Waiting())
+	if err := r.Claim(1); err != nil {
+		t.Fatalf("claim after Open: %v", err)
 	}
 }

@@ -343,13 +343,10 @@ func TestNewClusterValidation(t *testing.T) {
 	if _, err := kylix.NewCluster(4, kylix.WithReplication(3)); err == nil {
 		t.Error("accepted non-divisible replication")
 	}
-	if _, err := kylix.NewCluster(6, kylix.WithBinaryButterfly()); err == nil {
-		t.Error("accepted binary butterfly on non-power-of-two")
-	}
 }
 
 func TestBinaryButterflyOption(t *testing.T) {
-	cluster, err := kylix.NewCluster(8, kylix.WithBinaryButterfly())
+	cluster, err := kylix.NewCluster(8, kylix.WithDegrees(2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,8 +609,8 @@ func TestDesignFromSampleFacade(t *testing.T) {
 
 func TestChannelDerivedNetworks(t *testing.T) {
 	// The diameter/components pattern at the facade level: a MAX network
-	// on channel 1 interleaved with the main SUM network, across two
-	// cluster runs.
+	// derived on stream 1 interleaved with the main SUM network, across
+	// two cluster runs.
 	cluster, err := kylix.NewCluster(4, kylix.WithDegrees(2, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -621,7 +618,7 @@ func TestChannelDerivedNetworks(t *testing.T) {
 	defer cluster.Close()
 	round := func() error {
 		return cluster.Run(func(node *kylix.Node) error {
-			maxNet, err := node.Channel(1, kylix.WithReducer(kylix.Max))
+			maxNet, err := node.Stream(1, kylix.WithReducer(kylix.Max))
 			if err != nil {
 				return err
 			}
@@ -667,10 +664,10 @@ func TestChannelValidation(t *testing.T) {
 	}
 	defer cluster.Close()
 	err = cluster.Run(func(node *kylix.Node) error {
-		if _, err := node.Channel(0); err == nil {
-			t.Error("accepted the node's own channel")
+		if _, err := node.Stream(0); err == nil {
+			t.Error("accepted the node's own stream")
 		}
-		ch, err := node.Channel(3, kylix.WithWidth(2))
+		ch, err := node.Stream(3, kylix.WithWidth(2))
 		if err != nil {
 			return err
 		}
@@ -679,20 +676,20 @@ func TestChannelValidation(t *testing.T) {
 		}
 		// A namespace derived twice would mint identical tags on two
 		// machines of one node.
-		if _, err := node.Channel(3); err == nil {
-			t.Error("accepted a channel already derived")
+		if _, err := node.Stream(3); err == nil {
+			t.Error("accepted a stream already derived")
 		}
-		if _, err := ch.Channel(0); err == nil {
-			t.Error("accepted the root's channel from a derived node")
+		if _, err := ch.Stream(0); err == nil {
+			t.Error("accepted the root's stream from a derived node")
 		}
-		if _, err := node.Stream(0); err == nil {
-			t.Error("accepted stream 0")
+		if _, err := ch.Stream(3); err == nil {
+			t.Error("accepted a derived node's own stream")
 		}
-		if _, err := node.Stream(7); err != nil {
+		if _, err := ch.Stream(7); err != nil {
 			return err
 		}
 		if _, err := node.Stream(7); err == nil {
-			t.Error("accepted a stream already derived")
+			t.Error("accepted a stream derived through a derived node")
 		}
 		return nil
 	})

@@ -8,6 +8,7 @@ import (
 	"kylix/internal/comm"
 	"kylix/internal/core"
 	"kylix/internal/sparse"
+	"kylix/internal/stream"
 	"kylix/internal/tcpnet"
 	"kylix/internal/topo"
 )
@@ -27,10 +28,13 @@ type Node struct {
 	// tn is the node's raw TCP transport when built by ListenNode —
 	// CloseStream purges through it. Nil for in-process cluster nodes.
 	tn *tcpnet.Node
-	// derived holds every network derived from this node with Channel and
-	// Stream, directly or through one of them (those point back with
-	// root): derive refuses a namespace already in it, and tag accounting
-	// covers them across repeated Cluster.Run calls.
+	// streams is the cluster's registry on a NewCluster node, which
+	// Stream claims derived ids from; nil on a ListenNode node.
+	streams *stream.Registry
+	// derived holds every network derived from this node with Stream,
+	// directly or through one of them (those point back with root):
+	// Stream refuses an id already in it, and tag accounting covers them
+	// across repeated Cluster.Run calls.
 	derived []*Node
 	root    *Node
 }
@@ -65,7 +69,6 @@ func coreOptions(cfg config, base uint32, physRank int) core.Options {
 		Width:     cfg.width,
 		Reducer:   cfg.reducer,
 		Strict:    cfg.strict,
-		Channel:   cfg.channel,
 		Stream:    cfg.stream,
 		RoundBase: base,
 		Quant:     cfg.quant,
@@ -73,38 +76,58 @@ func coreOptions(cfg config, base uint32, physRank int) core.Options {
 	}
 }
 
-// Channel derives a second, independent allreduce network over the same
-// cluster: its message tags live in the given channel namespace, so it
-// can interleave collectives with the main network freely. This is how
-// multi-network programs compose — e.g. an OR-reduce sketch network plus
-// a width-1 sum network for a global convergence counter. The channel
-// must differ from the node's own (default 0) and from the channels
-// already derived from this node, and every machine must derive the same
-// channels with the same options.
+// Stream derives a second, independent allreduce network over the same
+// endpoint, bound to the given stream id: its message tags live in that
+// stream's namespace, so its collectives interleave freely with the
+// main node's and with other streams'. This is how multi-network
+// programs compose — e.g. an OR-reduce sketch network plus a width-1 sum
+// network for a global convergence counter — and, across processes, how
+// tenants share ListenNode sockets. Every machine must derive the same
+// id with the same options; the id must be nonzero (0 is the default
+// namespace) and not yet derived from this node. Options may override
+// WithWidth, WithReducer, WithStrict and WithQuantization; transport and
+// replication are inherited.
 //
-// Options may override WithWidth, WithReducer and WithStrict; transport
-// and replication are inherited.
-func (n *Node) Channel(ch uint8, opts ...Option) (*Node, error) {
-	cfg := n.cfg
-	cfg.channel = ch
-	return n.derive(cfg, opts)
-}
-
-// Stream derives a node bound to the given tenant stream id over the
-// same endpoint: its message tags live in the stream's namespace, so
-// its collectives interleave freely with the main node's and with other
-// streams' — the cross-process counterpart of Cluster.OpenStream.
-// Every machine must derive the same id with the same options; the id
-// must be nonzero (0 is the default namespace) and not yet derived from
-// this node. Options may override WithWidth, WithReducer, WithStrict and
-// WithQuantization; transport and replication are inherited.
+// On a NewCluster node the id is claimed from the cluster's registry:
+// one that OpenStream has issued is refused, and OpenStream never issues
+// it afterwards. The nodes a Stream.Run hands out derive nothing: a
+// tenant that needs a second network opens a second Stream.
 func (n *Node) Stream(id uint16, opts ...Option) (*Node, error) {
-	if id == 0 {
+	root := n
+	if n.root != nil {
+		root = n.root
+	}
+	sid := comm.StreamID(id)
+	switch {
+	case root.cfg.stream != comm.DefaultStream:
+		return nil, fmt.Errorf("kylix: cannot derive from tenant stream %d's node; open a second Stream", root.cfg.stream)
+	case sid == comm.DefaultStream:
 		return nil, fmt.Errorf("kylix: stream 0 is the default namespace")
+	case slices.ContainsFunc(root.derived, func(o *Node) bool { return o.cfg.stream == sid }):
+		// Two machines in one stream would mint identical tags and take
+		// each other's messages.
+		return nil, fmt.Errorf("kylix: stream %d is already in use on this node", id)
+	}
+	if n.streams != nil {
+		if err := n.streams.Claim(sid); err != nil {
+			return nil, fmt.Errorf("kylix: %w", err)
+		}
 	}
 	cfg := n.cfg
-	cfg.stream = comm.StreamID(id)
-	return n.derive(cfg, opts)
+	cfg.stream = sid
+	for _, o := range opts {
+		o(&cfg)
+	}
+	mach, err := core.NewMachine(n.ep, n.bf, coreOptions(cfg, n.base, n.physRank))
+	if err != nil {
+		return nil, err
+	}
+	d := &Node{
+		mach: mach, ep: n.ep, bf: n.bf, cfg: cfg, base: n.base,
+		physRank: n.physRank, width: cfg.width, tn: n.tn, streams: n.streams, root: root,
+	}
+	root.derived = append(root.derived, d)
+	return d, nil
 }
 
 // CloseStream purges the given tenant stream's namespace from this
@@ -118,36 +141,6 @@ func (n *Node) CloseStream(id uint16) {
 	if n.tn != nil {
 		n.tn.CloseStream(comm.StreamID(id))
 	}
-}
-
-// derive builds a second machine over this node's endpoint and topology
-// — the one path behind Channel and Stream. cfg is the node's config with
-// the derived namespace already set; opts override on top of it. Two
-// machines in one (stream, channel) namespace would mint identical tags
-// and take each other's messages, so a namespace that is the root node's
-// own or already derived from it, directly or not, is refused.
-func (n *Node) derive(cfg config, opts []Option) (*Node, error) {
-	root := n
-	if n.root != nil {
-		root = n.root
-	}
-	same := func(o *Node) bool { return o.cfg.stream == cfg.stream && o.cfg.channel == cfg.channel }
-	if same(root) || slices.ContainsFunc(root.derived, same) {
-		return nil, fmt.Errorf("kylix: stream %d channel %d is already in use on this node", cfg.stream, cfg.channel)
-	}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	mach, err := core.NewMachine(n.ep, n.bf, coreOptions(cfg, n.base, n.physRank))
-	if err != nil {
-		return nil, err
-	}
-	d := &Node{
-		mach: mach, ep: n.ep, bf: n.bf, cfg: cfg, base: n.base,
-		physRank: n.physRank, width: cfg.width, tn: n.tn, root: root,
-	}
-	root.derived = append(root.derived, d)
-	return d, nil
 }
 
 // roundsUsed reports the maximum tag rounds consumed by this node and

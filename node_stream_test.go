@@ -124,6 +124,51 @@ func TestNodeStreamsOverListenNode(t *testing.T) {
 	}
 }
 
+// TestNodeStreamAndOpenStreamNeverShareAnID: in one process, a network
+// derived with Node.Stream and a tenant from OpenStream under the same
+// id would mint identical tags (both round cursors start at 0) and take
+// each other's messages. Whichever comes first keeps the id: a derived
+// id is skipped by OpenStream, an issued one is refused by Node.Stream,
+// and a tenant's own nodes derive nothing.
+func TestNodeStreamAndOpenStreamNeverShareAnID(t *testing.T) {
+	c, err := kylix.NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	derive := func(run func(func(*kylix.Node) error) error, id uint16) error {
+		return run(func(node *kylix.Node) error {
+			_, err := node.Stream(id)
+			return err
+		})
+	}
+
+	// Derive, then OpenStream: the derived id is skipped.
+	if err := derive(c.Run, 1); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if st.ID() == 1 {
+		t.Fatal("OpenStream issued the id a Cluster.Run derived")
+	}
+	if err := derive(c.Run, 1); err != nil {
+		t.Fatalf("deriving the same id again: %v", err)
+	}
+
+	// OpenStream, then derive: the issued id is refused.
+	if err := derive(c.Run, st.ID()); err == nil {
+		t.Fatalf("derived stream %d, which OpenStream issued", st.ID())
+	}
+	// A tenant's node derives nothing, even under a free id.
+	if err := derive(st.Run, 9); err == nil {
+		t.Fatal("derived a network from a tenant's node")
+	}
+}
+
 // digestsOf maps collect's per-rank, per-round results to their digests.
 func digestsOf(res [][][]float32) [][]uint64 {
 	out := make([][]uint64, len(res))

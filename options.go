@@ -69,14 +69,12 @@ const (
 
 type config struct {
 	degrees     []int
-	binary      bool
 	transport   Transport
 	replication int
 	width       int
 	reducer     Reducer
 	strict      bool
 	recvTimeout time.Duration
-	channel     uint8
 	trace       bool
 	faults      *faultnet.Plan
 	observe     bool
@@ -85,14 +83,9 @@ type config struct {
 	quant Quantization
 	// stream is the tag namespace nodes built from this config mint
 	// into. DefaultStream for Cluster.Run and ListenNode; set by
-	// Cluster.OpenStream for tenant streams.
+	// Cluster.OpenStream for tenants and by Node.Stream for derived
+	// networks.
 	stream comm.StreamID
-	// maxStreams bounds how many streams may be open at once.
-	maxStreams int
-	// streamInflight bounds each stream's queued-plus-running passes.
-	streamInflight int
-	// streamSlots is the fabric's global concurrent-pass budget.
-	streamSlots int
 	// obsv is the live Observatory once construction wired it (set by
 	// NewCluster/ListenNode when observe is on, then read by newNode).
 	obsv *obs.Observatory
@@ -100,14 +93,11 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		transport:      TransportMemory,
-		replication:    1,
-		width:          1,
-		reducer:        Sum,
-		recvTimeout:    30 * time.Second,
-		maxStreams:     64,
-		streamInflight: 4,
-		streamSlots:    4,
+		transport:   TransportMemory,
+		replication: 1,
+		width:       1,
+		reducer:     Sum,
+		recvTimeout: 30 * time.Second,
 	}
 }
 
@@ -119,12 +109,6 @@ type Option func(*config)
 // the cluster uses the direct (single-layer) topology.
 func WithDegrees(degrees ...int) Option {
 	return func(c *config) { c.degrees = append([]int(nil), degrees...) }
-}
-
-// WithBinaryButterfly selects the log2(m)-layer degree-2 topology. The
-// (logical) machine count must be a power of two.
-func WithBinaryButterfly() Option {
-	return func(c *config) { c.binary = true }
 }
 
 // WithTransport selects the message transport.
@@ -189,32 +173,6 @@ func WithRecvTimeout(d time.Duration) Option {
 // own sends.
 func WithTrace() Option {
 	return func(c *config) { c.trace = true }
-}
-
-// WithMaxStreams bounds how many tenant streams may be open on the
-// cluster at once (default 64; n <= 0 means unbounded). OpenStream
-// past the bound fails with stream.ErrTooManyStreams — admission
-// control, the service's first line of overload defense.
-func WithMaxStreams(n int) Option {
-	return func(c *config) { c.maxStreams = n }
-}
-
-// WithStreamInflight bounds each stream's queued-plus-running
-// collective passes (default 4; n <= 0 means unbounded). A pass
-// submitted past the bound is rejected immediately with a
-// *StreamBusyError instead of queueing without limit — per-tenant
-// backpressure. Passed to OpenStream it overrides the cluster default
-// for that stream.
-func WithStreamInflight(n int) Option {
-	return func(c *config) { c.streamInflight = n }
-}
-
-// WithStreamSlots sets the fabric's global concurrent-pass budget
-// (default 4; n <= 0 selects 1, fully serialized). When more streams
-// want to run than there are slots, grants rotate round-robin across
-// the waiting streams, so one greedy tenant cannot starve the rest.
-func WithStreamSlots(n int) Option {
-	return func(c *config) { c.streamSlots = n }
 }
 
 // Observatory is the runtime observability state of a cluster built

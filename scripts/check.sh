@@ -34,7 +34,8 @@ stage_test() {
 # core since the mailbox free lists and the arena flip are exactly where
 # a data race would corrupt results silently, membership for its
 # ticker-vs-receiver agents, par for its own pool tests (core no longer
-# uses it) and stream for the tenant scheduler; then the root package's stream-lifecycle tests, the
+# uses it) and stream for the tenant registry's admission and id claims;
+# then the root package's stream-lifecycle tests, the
 # cross-process tenancy contract (Node.Stream tenants on ListenNode
 # sockets) and the warm-Reduce-over-TCP workload (arena buffers refilled
 # right behind the transport, digests against the in-memory run).
@@ -42,7 +43,7 @@ stage_race() {
     echo "== go test -race -short (comm, core, faultnet, tcpnet, replica, obs, membership, par, stream)"
     go test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/...
     echo "== go test -race (stream lifecycle: concurrent tenants, close hammer; Node.Stream over sockets; warm Reduce over TCP)"
-    go test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose|TestNodeStreamsOverListenNode|TestWarmTCPMatchesMemory' -count=1 -timeout 600s .
+    go test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose|TestNodeStreamsOverListenNode|TestNodeStreamAndOpenStreamNeverShareAnID|TestWarmTCPMatchesMemory' -count=1 -timeout 600s .
 }
 
 # Scripted joins, leaves and replacements with machines and the

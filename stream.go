@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kylix/internal/comm"
 	"kylix/internal/obs"
@@ -16,13 +15,24 @@ import (
 // comm.ErrStreamClosed so errors.Is works across layers.
 var ErrStreamClosed = comm.ErrStreamClosed
 
-// ErrTooManyStreams is returned by OpenStream at the WithMaxStreams
-// admission bound.
+// The tenant bounds. OpenStream fails with ErrTooManyStreams while
+// maxOpenStreams streams are open, and a pass submitted while
+// streamInflight passes of its stream are queued or running fails at
+// once with a *StreamBusyError. A stream's passes serialize on its
+// mutex, so the open-stream bound is also the bound on tenant passes
+// running at once.
+const (
+	maxOpenStreams = 64
+	streamInflight = 4
+)
+
+// ErrTooManyStreams is returned by OpenStream at the open-stream
+// admission bound (64 streams).
 var ErrTooManyStreams = stream.ErrTooManyStreams
 
 // StreamBusyError reports a pass rejected at the stream's in-flight
-// bound (WithStreamInflight) — per-tenant backpressure. The caller
-// should shed load or retry later; nothing was submitted.
+// bound (4 queued or running passes) — per-tenant backpressure. The
+// caller should shed load or retry later; nothing was submitted.
 type StreamBusyError struct {
 	// Stream is the rejecting stream's id.
 	Stream uint16
@@ -57,20 +67,19 @@ type Stream struct {
 	// mu serializes the stream's passes; Close takes it to wait for the
 	// in-flight pass to drain before purging mailbox state.
 	mu sync.Mutex //kylix:lock stream-pass
-	// inflight counts queued-plus-running Run calls for the admission
+	// inflight counts queued-plus-running Run calls for the in-flight
 	// bound.
-	inflight    atomic.Int64
-	maxInflight int
-	closed      atomic.Bool
-	counters    *obs.StreamCounters
+	inflight atomic.Int64
+	closed   atomic.Bool
+	counters *obs.StreamCounters
 }
 
 // OpenStream admits a new tenant stream. Options may override the
 // cluster's data-plane settings for this stream — WithWidth,
-// WithReducer, WithStrict, WithQuantization, WithStreamInflight — while
-// transport-level options are fixed at cluster construction and ignored
-// here. Fails with ErrTooManyStreams at the WithMaxStreams
-// bound and ErrClusterClosed after Close.
+// WithReducer, WithStrict, WithQuantization — while transport-level
+// options are fixed at cluster construction and ignored here. Fails
+// with ErrTooManyStreams at the open-stream bound and ErrClusterClosed
+// after Close.
 func (c *Cluster) OpenStream(opts ...Option) (*Stream, error) {
 	if c.closed.Load() {
 		return nil, ErrClusterClosed
@@ -84,7 +93,7 @@ func (c *Cluster) OpenStream(opts ...Option) (*Stream, error) {
 		o(&cfg)
 	}
 	cfg.stream = id
-	s := &Stream{c: c, id: id, cfg: cfg, maxInflight: cfg.streamInflight}
+	s := &Stream{c: c, id: id, cfg: cfg}
 	s.counters = c.smet.PerStream(uint16(id))
 	c.smet.StreamsOpened.Inc()
 	c.smet.StreamsActive.Set(int64(c.streams.Active()))
@@ -97,36 +106,28 @@ func (s *Stream) ID() uint16 { return uint16(s.id) }
 
 // Run executes one collective pass on every live machine under this
 // stream's tag namespace — the per-tenant Cluster.Run. Passes of one
-// stream are serialized; across streams they run concurrently up to
-// the cluster's WithStreamSlots budget, granted round-robin so no
-// tenant starves. A pass submitted past the stream's in-flight bound
-// is rejected immediately with a *StreamBusyError. As with Cluster.Run,
-// a Reduction is usable only inside the Run that made it.
+// stream are serialized; across streams they run concurrently. A pass
+// submitted past the stream's in-flight bound is rejected immediately
+// with a *StreamBusyError. As with Cluster.Run, a Reduction is usable
+// only inside the Run that made it. The nodes fn receives are the
+// tenant's own: their Stream method refuses, as a tenant that needs a
+// second network opens a second Stream.
 func (s *Stream) Run(fn func(*Node) error) error {
 	if s.closed.Load() {
 		return ErrStreamClosed
 	}
 	n := s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	if s.maxInflight > 0 && n > int64(s.maxInflight) {
+	if n > streamInflight {
 		s.c.smet.AdmissionRejected.Inc()
 		s.counters.Rejected.Inc()
-		return &StreamBusyError{Stream: uint16(s.id), Inflight: s.maxInflight}
+		return &StreamBusyError{Stream: uint16(s.id), Inflight: streamInflight}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
 		return ErrStreamClosed
 	}
-	// Acquire the fabric slot while holding mu: each stream presents at
-	// most one acquire at a time, which is exactly the shape the
-	// scheduler's rotation serves fairly.
-	start := time.Now()
-	if err := s.c.sched.Acquire(s.id); err != nil {
-		return err
-	}
-	s.c.smet.SchedWaitNs.Observe(time.Since(start).Nanoseconds())
-	defer s.c.sched.Release()
 	err := s.c.runPass(s.cfg, &s.base, &s.scratch, fn)
 	if err != nil {
 		s.counters.Errors.Inc()
@@ -147,9 +148,7 @@ func (s *Stream) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	// Fail waiters queued on the scheduler first — they hold mu while
-	// blocked in Acquire, so this is what lets Close take mu below.
-	s.c.sched.CloseStream(s.id)
+	// Passes queued on mu see the closed flag once they get it.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.scratch.Store(nil)

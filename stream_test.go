@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -138,7 +139,7 @@ func TestStreamIsolation64(t *testing.T) {
 	}
 
 	// Concurrent: all tenants share one fabric, running at once.
-	shared, err := kylix.NewCluster(m, append(opts, kylix.WithStreamSlots(tenants))...)
+	shared, err := kylix.NewCluster(m, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func testStreamIsolationChaos(t *testing.T, transport kylix.Transport) {
 		Reorder:   0.06,
 	}
 	shared, err := kylix.NewCluster(phys, append(append([]kylix.Option{}, base...),
-		kylix.WithFaults(plan), kylix.WithStreamSlots(tenants))...)
+		kylix.WithFaults(plan))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,25 +262,24 @@ func TestStreamIsolationChaosTCP(t *testing.T) {
 	testStreamIsolationChaos(t, kylix.TransportTCP)
 }
 
-// TestStreamAdmission pins the WithMaxStreams bound and id hygiene.
+// TestStreamAdmission pins the open-stream bound and id hygiene.
 func TestStreamAdmission(t *testing.T) {
 	defer leakcheck.Check(t)()
-	c, err := kylix.NewCluster(4, kylix.WithMaxStreams(2))
+	c, err := kylix.NewCluster(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	a, err := c.OpenStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.OpenStream()
-	if err != nil {
-		t.Fatal(err)
+	opened := make([]*kylix.Stream, kylix.MaxOpenStreams)
+	for i := range opened {
+		if opened[i], err = c.OpenStream(); err != nil {
+			t.Fatalf("stream %d of %d: %v", i+1, kylix.MaxOpenStreams, err)
+		}
 	}
 	if _, err := c.OpenStream(); !errors.Is(err, kylix.ErrTooManyStreams) {
 		t.Fatalf("err = %v, want ErrTooManyStreams", err)
 	}
+	a := opened[0]
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -287,15 +287,17 @@ func TestStreamAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.ID() == a.ID() || d.ID() == b.ID() {
-		t.Fatalf("stream id %d reused", d.ID())
+	for _, st := range opened {
+		if d.ID() == st.ID() {
+			t.Fatalf("stream id %d reused", d.ID())
+		}
 	}
 	// Close is idempotent.
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c.ActiveStreams() != 2 {
-		t.Fatalf("ActiveStreams = %d, want 2", c.ActiveStreams())
+	if c.ActiveStreams() != kylix.MaxOpenStreams {
+		t.Fatalf("ActiveStreams = %d, want %d", c.ActiveStreams(), kylix.MaxOpenStreams)
 	}
 }
 
@@ -308,7 +310,7 @@ func TestStreamBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.OpenStream(kylix.WithStreamInflight(1))
+	st, err := c.OpenStream()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +318,7 @@ func TestStreamBackpressure(t *testing.T) {
 
 	release := make(chan struct{})
 	running := make(chan struct{}, 4)
-	done := make(chan error, 1)
+	done := make(chan error, kylix.StreamInflight)
 	go func() {
 		done <- st.Run(func(node *kylix.Node) error {
 			running <- struct{}{}
@@ -324,23 +326,31 @@ func TestStreamBackpressure(t *testing.T) {
 			return nil
 		})
 	}()
-	<-running // the pass is live and holding the stream's one slot
+	<-running // the pass is live and holds the stream's mutex
+	for i := 1; i < kylix.StreamInflight; i++ {
+		go func() { done <- st.Run(func(node *kylix.Node) error { return nil }) }()
+	}
+	for st.Inflight() < kylix.StreamInflight {
+		runtime.Gosched() // the rest queue on the mutex
+	}
 	err = st.Run(func(node *kylix.Node) error { return nil })
 	var busy *kylix.StreamBusyError
 	if !errors.As(err, &busy) {
 		t.Fatalf("err = %v, want *StreamBusyError", err)
 	}
-	if busy.Stream != st.ID() || busy.Inflight != 1 {
+	if busy.Stream != st.ID() || busy.Inflight != kylix.StreamInflight {
 		t.Fatalf("busy context = %+v", busy)
 	}
 	close(release)
 	for i := 0; i < 3; i++ {
-		<-running // remaining ranks of the in-flight pass
+		<-running // remaining ranks of the first pass
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	for i := 0; i < kylix.StreamInflight; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The slot freed: submissions flow again.
+	// The bound freed: submissions flow again.
 	if err := st.Run(func(node *kylix.Node) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ func benchStreamsSetup(b *testing.B) (*kylix.Cluster, []*kylix.Stream, []*stream
 	c, err := kylix.NewCluster(m,
 		kylix.WithTransport(kylix.TransportTCP),
 		kylix.WithDegrees(4, 2),
-		kylix.WithStreamSlots(benchStreamTenants),
 		kylix.WithRecvTimeout(30*time.Second))
 	if err != nil {
 		b.Fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"kylix"
 	"kylix/internal/core"
+	"kylix/internal/sparse"
 )
 
 // A Run's Configure continues from the Config its rank's last
@@ -152,19 +153,27 @@ func (want baseFresh) check(t *testing.T, step string, got baseOutcome) {
 // index moved on rank 3: dropped, and one nobody holds added ("moved").
 func baseGenerations(t *testing.T) map[string][][]int32 {
 	sets := zipfSets(t, 8, 2048, 192)
-	held := map[int32]bool{}
-	for _, set := range sets {
-		for _, idx := range set {
-			held[idx] = true
-		}
-	}
-	fresh := int32(2047)
-	for held[fresh] {
-		fresh--
-	}
 	moved := slices.Clone(sets)
-	moved[3] = append(slices.Clone(sets[3][1:]), fresh)
+	moved[3] = append(slices.Clone(sets[3][1:]), unheld(sets))
 	return map[string][][]int32{"sets": sets, "moved": moved}
+}
+
+// unheld is the largest index below 2048 that no set holds.
+func unheld(sets [][]int32) int32 {
+	idx := int32(2047)
+	for slices.ContainsFunc(sets, func(set []int32) bool { return slices.Contains(set, idx) }) {
+		idx--
+	}
+	return idx
+}
+
+// cloneSets copies every rank's list into a slice of its own.
+func cloneSets(sets [][]int32) [][]int32 {
+	out := make([][]int32, len(sets))
+	for i, set := range sets {
+		out[i] = slices.Clone(set)
+	}
+	return out
 }
 
 // baseMatrix runs test on both transports × raw, fp16 and int8 × both
@@ -204,14 +213,21 @@ func baseMatrix(t *testing.T, gens map[string][][]int32, test func(t *testing.T,
 // TestConfigureContinuesTheLastRun walks one cluster, elastic with one
 // spare, through a sequence of Runs. Every Run's digests and results
 // equal a fresh cluster's; what crosses the wire is what the base
-// allows. An unchanged Run ships nothing but markers; one moved index
-// re-ships the few pieces it falls in; after a Run that failed on one
-// rank, and after a Replace that keeps every survivor's dense rank and
-// degrees but changes its peers, the next Run ships full pieces, exactly
-// a fresh cluster's configuration traffic.
+// allows. An unchanged Run ships nothing but markers, whether its lists
+// are the last Run's slices or equal ones in new slices; one moved index
+// re-ships the few pieces it falls in, also when the caller moved it by
+// rewriting the last Run's slices in place; after a Run that failed on
+// one rank, and after a Replace that keeps every survivor's dense rank
+// and degrees but changes its peers, the next Run ships full pieces,
+// exactly a fresh cluster's configuration traffic.
 func TestConfigureContinuesTheLastRun(t *testing.T) {
 	gens := baseGenerations(t)
 	m := len(gens["sets"])
+	// "rewritten" moves one more index of rank 3, in place of its first.
+	rewritten := slices.Clone(gens["moved"])
+	rewritten[3] = slices.Clone(rewritten[3])
+	rewritten[3][0] = unheld(rewritten)
+	gens["rewritten"] = rewritten
 	baseMatrix(t, gens, func(t *testing.T, opts []kylix.Option, want map[string]baseFresh, entry func(*kylix.Cluster) func(func(*kylix.Node) error) error) {
 		elastic := kylix.ElasticOptions{Spares: 1, Heartbeat: 2 * time.Millisecond, SuspectAfter: time.Second,
 			DrainTimeout: time.Second, DisableAutoEvict: true, Seed: 11}
@@ -221,26 +237,41 @@ func TestConfigureContinuesTheLastRun(t *testing.T) {
 		}
 		defer c.Close()
 		run := entry(c)
+		var live [][]int32 // the lists of the last Run that took copies
 		for _, step := range []struct {
 			name, gen     string
 			fail, replace bool
 			rows          string // full, markers or few
+			lists         string // "": the generation's own slices; new: copies; in place: live rewritten
 		}{
-			{"first Run", "sets", false, false, "full"},
-			{"unchanged", "sets", false, false, "markers"},
-			{"one index moved", "moved", false, false, "few"},
-			{"failing on one rank", "moved", true, false, "markers"},
-			{"after the failure", "moved", false, false, "full"},
-			{"after a Replace", "moved", false, true, "full"},
-			{"unchanged again", "moved", false, false, "markers"},
+			{"first Run", "sets", false, false, "full", ""},
+			{"unchanged", "sets", false, false, "markers", ""},
+			{"one index moved", "moved", false, false, "few", ""},
+			{"failing on one rank", "moved", true, false, "markers", ""},
+			{"after the failure", "moved", false, false, "full", ""},
+			{"after a Replace", "moved", false, true, "full", ""},
+			{"unchanged again", "moved", false, false, "markers", ""},
+			{"equal content, new slice", "moved", false, false, "markers", "new"},
+			{"rewritten in place", "rewritten", false, false, "few", "in place"},
 		} {
 			if step.replace {
 				if err := c.Replace(m-1, m); err != nil {
 					t.Fatal(err)
 				}
 			}
+			sets := gens[step.gen]
+			switch step.lists {
+			case "new":
+				live = cloneSets(sets)
+				sets = live
+			case "in place":
+				for q := range live {
+					copy(live[q], sets[q])
+				}
+				sets = live
+			}
 			c.ResetTraffic()
-			got, err := baseRun(run, gens[step.gen], step.fail)
+			got, err := baseRun(run, sets, step.fail)
 			if (err != nil) != step.fail {
 				t.Fatalf("%s: Run returned %v", step.name, err)
 			}
@@ -465,19 +496,67 @@ func TestCloseReleasesMachineMemory(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.HeldScratch() != m || st.HeldScratch() != m {
-		t.Fatalf("after a Run each: cluster holds %d ranks' memory, stream %d, want %d each", c.HeldScratch(), st.HeldScratch(), m)
+	if c.HeldScratch() != m || st.HeldScratch() != m || c.HeldSets() != m || st.HeldSets() != m {
+		t.Fatalf("after a Run each: cluster holds %d ranks' memory and %d ranks' sets, stream %d and %d, want %d each",
+			c.HeldScratch(), c.HeldSets(), st.HeldScratch(), st.HeldSets(), m)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st.HeldScratch() != 0 || c.HeldScratch() != m {
-		t.Fatalf("after Stream.Close: stream holds %d ranks' memory, cluster %d", st.HeldScratch(), c.HeldScratch())
+	if st.HeldScratch() != 0 || st.HeldSets() != 0 || c.HeldScratch() != m || c.HeldSets() != m {
+		t.Fatalf("after Stream.Close: stream holds %d ranks' memory and %d ranks' sets, cluster %d and %d",
+			st.HeldScratch(), st.HeldSets(), c.HeldScratch(), c.HeldSets())
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if c.HeldScratch() != 0 {
-		t.Fatalf("after Cluster.Close the cluster holds %d ranks' memory", c.HeldScratch())
+	if c.HeldScratch() != 0 || c.HeldSets() != 0 {
+		t.Fatalf("after Cluster.Close the cluster holds %d ranks' memory and %d ranks' sets", c.HeldScratch(), c.HeldSets())
+	}
+}
+
+// TestStreamRunKeepsItsPreparedSets: a Stream.Run whose lists are
+// element-equal to the last Run's, in new slices, configures from the
+// very Sets that Run prepared, so core's whole-set checks against the
+// base alias in O(1). The key is the lists' content, not their slices:
+// the same slices rewritten in place (here two positions swapped, the
+// same Set in another order) get Sets of their own.
+func TestStreamRunKeepsItsPreparedSets(t *testing.T) {
+	const m = 4
+	c, err := kylix.NewCluster(m, kylix.WithDegrees(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.OpenStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	configure := func(lists [][]int32) []*sparse.Key {
+		data := make([]*sparse.Key, m)
+		if err := st.Run(func(node *kylix.Node) error {
+			red, err := node.Configure(lists[node.Rank()], lists[node.Rank()])
+			if err == nil {
+				data[node.Rank()] = red.InSetData()
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	lists := zipfSets(t, m, 2048, 128)
+	first := configure(lists)
+	lists = cloneSets(lists)
+	if again := configure(lists); !slices.Equal(again, first) {
+		t.Fatalf("equal lists in new slices got Sets %v, the last Run prepared %v", again, first)
+	}
+	for _, list := range lists {
+		list[0], list[1] = list[1], list[0]
+	}
+	for q, data := range configure(lists) {
+		if data == first[q] {
+			t.Fatalf("rank %d: lists rewritten in place got the Set prepared for what they held before", q)
+		}
 	}
 }

@@ -296,9 +296,10 @@ func (c *Cluster) Run(fn func(*Node) error) error {
 	return c.runPass(c.cfg, &c.roundBase, &c.scratch, fn)
 }
 
-// rankScratch is one tag namespace's machine memory (core.Scratch) per
-// physical rank, as a pass hands it to the next: the arena, and the base
-// the next Configure ships its markers against. A pass takes all of it
+// rankScratch is one tag namespace's memory per physical rank, as a pass
+// hands it to the next: the machine's (core.Scratch: the arena, and the
+// base the next Configure ships its markers against) and the sets of the
+// rank's last Configure, which an equal one reuses. A pass takes all of it
 // and puts its own back only if it returned nil on every rank: a failed
 // pass's memory may still be read by a straggler, and its ranks' bases
 // may differ. Memory of another membership epoch is dropped too — a
@@ -307,7 +308,13 @@ func (c *Cluster) Run(fn func(*Node) error) error {
 // does not support anyway) finds nothing and starts fresh.
 type rankScratch struct {
 	epoch uint64 // the membership epoch of the pass that left it
-	ranks []*core.Scratch
+	ranks []*rankMemory
+}
+
+// rankMemory is one rank's share of a rankScratch.
+type rankMemory struct {
+	mach core.Scratch
+	sets preparedSets
 }
 
 // runPass is the shared collective-pass runner behind Cluster.Run and
@@ -344,9 +351,9 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch *atomic.Point
 	}
 	held := scratch.Swap(nil)
 	if held == nil || held.epoch != epoch {
-		held = &rankScratch{ranks: make([]*core.Scratch, c.capacity)}
+		held = &rankScratch{ranks: make([]*rankMemory, c.capacity)}
 	}
-	taken := &rankScratch{epoch: epoch, ranks: make([]*core.Scratch, c.capacity)}
+	taken := &rankScratch{epoch: epoch, ranks: make([]*rankMemory, c.capacity)}
 	baseRound := base.Load()
 	var maxUsed atomic.Uint32
 	body := func(ep comm.Endpoint) error {
@@ -358,17 +365,17 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch *atomic.Point
 			}
 			ep = view
 		}
-		sc := held.ranks[physRank]
-		if sc == nil {
-			sc = new(core.Scratch)
+		mem := held.ranks[physRank]
+		if mem == nil {
+			mem = new(rankMemory)
 		}
-		node, err := newNode(ep, bf, cfg, baseRound, physRank, sc)
+		node, err := newNode(ep, bf, cfg, baseRound, physRank, &mem.mach)
 		if err != nil {
 			return err
 		}
-		node.streams = c.streams
+		node.streams, node.sets = c.streams, &mem.sets
 		if err = fn(node); err == nil {
-			taken.ranks[physRank] = sc // nil stays for a rank that did not run
+			taken.ranks[physRank] = mem // nil stays for a rank that did not run
 		}
 		if err != nil && c.fabric != nil && c.fabric.Killed(physRank) {
 			// The machine crash-stopped under the fault plan: its own

@@ -1,6 +1,6 @@
 // Command kylix-vet runs the project's invariant analyzers (see
 // internal/analysis): hotpathalloc, lockobs, determinism, commcheck,
-// goleak, lockorder and atomicmix.
+// goleak and lockorder.
 //
 // Two modes:
 //

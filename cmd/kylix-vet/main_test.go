@@ -76,10 +76,10 @@ func TestVettoolProtocol(t *testing.T) {
 
 	// Standalone -json: a findings run exits 1 with a parseable array
 	// attributing file, line and analyzer.
-	jsonCmd := command(root, bin, "-json", "./internal/analysis/testdata/src/atomicmixtest")
+	jsonCmd := command(root, bin, "-json", "./internal/analysis/testdata/src/lockobstest")
 	jsonOut, err := jsonCmd.Output()
 	if err == nil {
-		t.Errorf("-json run over atomicmixtest fixture exited 0")
+		t.Errorf("-json run over lockobstest fixture exited 0")
 	}
 	var findings []struct {
 		File     string `json:"file"`
@@ -93,7 +93,7 @@ func TestVettoolProtocol(t *testing.T) {
 		t.Errorf("-json output empty for a fixture with violations")
 	} else {
 		for _, f := range findings {
-			if f.Analyzer != "atomicmix" || f.File == "" || f.Line == 0 || f.Message == "" {
+			if f.Analyzer != "lockobs" || f.File == "" || f.Line == 0 || f.Message == "" {
 				t.Errorf("malformed -json finding: %+v", f)
 			}
 		}

@@ -33,7 +33,9 @@
 // The same Node API runs over real TCP sockets (see ListenNode and
 // cmd/kylix-node) and supports replication-based fault tolerance
 // (WithReplication), pluggable reducers (sum, max, min, bitwise-or),
-// multi-value features (WithWidth), fused configure+reduce for minibatch
+// multi-value features (WithWidth), caller-owned results
+// (Reduction.ReduceInto: a warm pass that reuses its result slice
+// allocates nothing), fused configure+reduce for minibatch
 // workloads whose index sets change every round, and derived stream
 // networks (Node.Stream) so several independent reductions — say an
 // OR-reduce sketch network plus a sum-reduce convergence counter — can

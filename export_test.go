@@ -2,8 +2,10 @@ package kylix
 
 import (
 	"sync/atomic"
+	"unsafe"
 
 	"kylix/internal/comm"
+	"kylix/internal/sparse"
 )
 
 // The tenant bounds, for the external tests.
@@ -21,21 +23,33 @@ func (n *Node) StreamPending(id uint16) int { return n.tn.StreamPending(comm.Str
 
 // HeldScratch counts the ranks whose machine memory the default
 // namespace keeps for its next Run.
-func (c *Cluster) HeldScratch() int { return heldRanks(&c.scratch) }
+func (c *Cluster) HeldScratch() int { return heldRanks(&c.scratch, false) }
 
 // HeldScratch counts the ranks whose machine memory the stream keeps for
 // its next Run.
-func (s *Stream) HeldScratch() int { return heldRanks(&s.scratch) }
+func (s *Stream) HeldScratch() int { return heldRanks(&s.scratch, false) }
 
-func heldRanks(s *atomic.Pointer[rankScratch]) int {
+// HeldSets counts the ranks whose last Configure's prepared sets the
+// default namespace keeps for its next Run.
+func (c *Cluster) HeldSets() int { return heldRanks(&c.scratch, true) }
+
+// HeldSets counts the ranks whose last Configure's prepared sets the
+// stream keeps for its next Run.
+func (s *Stream) HeldSets() int { return heldRanks(&s.scratch, true) }
+
+func heldRanks(s *atomic.Pointer[rankScratch], sets bool) int {
 	n := 0
-	for _, sc := range held(s) {
-		if sc != nil {
+	for _, mem := range held(s) {
+		if mem != nil && (!sets || mem.sets.inSet != nil) {
 			n++
 		}
 	}
 	return n
 }
+
+// InSetData is the first key of the in-Set r was configured with: two
+// Reductions that report the same pointer share one Set.
+func (r *Reduction) InSetData() *sparse.Key { return unsafe.SliceData(r.cfg.InSet()) }
 
 // ArenaBytes is a lower bound on the float-slab bytes one pass over r
 // carves from an arena generation, from the sizes core reports: the

@@ -1,6 +1,6 @@
 // Package analysis is kylix's build-time invariant checker: a small,
 // dependency-free analogue of golang.org/x/tools/go/analysis hosting the
-// seven project-specific analyzers that turn the repo's load-bearing
+// six project-specific analyzers that turn the repo's load-bearing
 // contracts into machine-checked lint:
 //
 //   - hotpathalloc: functions annotated //kylix:hotpath (and their
@@ -26,10 +26,8 @@
 //     worker-pool Add before the spawn).
 //   - lockorder: mutex fields annotated //kylix:lock <class> form a
 //     global lock-acquisition graph (edges flow across packages through
-//     gob facts); any cycle is reported as a potential deadlock.
-//   - atomicmix: a struct field whose address is passed to a sync/atomic
-//     function anywhere in the package may never be read or written
-//     plainly elsewhere.
+//     gob facts); any cycle is reported as a potential deadlock. No
+//     sync/atomic function is called: atomics are typed atomic.* values.
 //
 // The suite runs through cmd/kylix-vet, either standalone
 // (kylix-vet ./...) or as a `go vet -vettool` backend. It is built on
@@ -420,7 +418,7 @@ func DeclID(info *types.Info, d *ast.FuncDecl) string {
 
 // All returns the analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{HotPathAlloc, LockObs, Determinism, CommCheck, GoLeak, LockOrder, AtomicMix}
+	return []*Analyzer{HotPathAlloc, LockObs, Determinism, CommCheck, GoLeak, LockOrder}
 }
 
 // ByName resolves a comma-separated analyzer list ("" means all).

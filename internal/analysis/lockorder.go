@@ -26,11 +26,17 @@ import (
 // are reported too: the project's mutexes are not reentrant and no code
 // hands over instances of one class.
 //
+// It also keeps the atomic discipline: sync/atomic's functions are never
+// called. Every atomic is a typed atomic.* value, which plain access
+// cannot race; a hand-rolled one (atomic.AddInt64(&s.n, 1)) is one plain
+// s.n++ away from losing updates.
+//
 // Test files are skipped. Suppress a deliberate edge with
-// //kylix:allow lockorder:<acquired-class>.
+// //kylix:allow lockorder:<acquired-class>, a deliberate call with
+// //kylix:allow lockorder:atomic-func.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "acquisition order over //kylix:lock classes must stay acyclic",
+	Doc:  "acquisition order over //kylix:lock classes must stay acyclic, and sync/atomic functions are never called",
 	Run:  runLockOrder,
 }
 
@@ -41,6 +47,19 @@ type orderEdge struct {
 }
 
 func runLockOrder(p *Pass) error {
+	for _, f := range p.Files {
+		if p.IsTestFile(f.Pos()) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if fn := calleeFunc(p, call); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+					p.Reportf(call.Pos(), "atomic-func", "call to sync/atomic.%s: use a typed atomic.* value, which plain access cannot race", fn.Name())
+				}
+			}
+			return true
+		})
+	}
 	ann := p.Ann()
 	// Export this package's lock-class vocabulary so dependents can
 	// classify locks on imported types.

@@ -1,72 +1,32 @@
-// Package atomicmixtest exercises the atomicmix analyzer: plain reads
-// and writes of fields that are elsewhere accessed through sync/atomic
-// must be flagged, typed atomic wrappers and composite-literal
-// construction are accepted, and //kylix:allow suppresses a deliberate
-// mix.
+// Package atomicmixtest exercises lockorder's atomic rule: every call to
+// a sync/atomic function is flagged, typed atomic wrappers pass, and
+// //kylix:allow suppresses a deliberate call.
 package atomicmixtest
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// counterBox hand-rolls its atomics, so every access to n and hits
-// must go through sync/atomic.
+// counterBox hand-rolls its atomic.
 type counterBox struct {
-	mu   sync.Mutex
-	n    int64
-	hits int64
-	name string
+	n int64
 }
 
-// IncAtomic is the discipline-setting access: after this, n and hits
-// are atomic fields.
-func (b *counterBox) IncAtomic() {
-	atomic.AddInt64(&b.n, 1)
-	atomic.AddInt64(&b.hits, 1)
+// Inc is a hand-rolled atomic increment.
+func (b *counterBox) Inc() {
+	atomic.AddInt64(&b.n, 1) // want "call to sync/atomic.AddInt64"
 }
 
-// ReadAtomic is fine: loads go through sync/atomic too.
-func (b *counterBox) ReadAtomic() int64 {
-	return atomic.LoadInt64(&b.n)
+// Read is a hand-rolled atomic load, inside a closure.
+func (b *counterBox) Read() func() int64 {
+	return func() int64 { return atomic.LoadInt64(&b.n) } // want "call to sync/atomic.LoadInt64"
 }
 
-// ReadPlain races with IncAtomic.
-func (b *counterBox) ReadPlain() int64 {
-	return b.n // want "read/written plainly"
-}
-
-// BumpPlain loses updates against the atomic increment.
-func (b *counterBox) BumpPlain() {
-	b.n++ // want "read/written plainly"
-}
-
-// StorePlain is a plain write to an atomic field.
-func (b *counterBox) StorePlain(v int64) {
-	b.n = v // want "read/written plainly"
-}
-
-// Label touches only the never-atomic name field; untracked fields stay
-// free.
-func (b *counterBox) Label() string {
-	return b.name
-}
-
-// newCounterBox constructs by keyed composite literal — initialization
-// before the value is shared is exempt.
-func newCounterBox() *counterBox {
-	return &counterBox{n: 0, hits: 0, name: "fresh"}
-}
-
-// Snapshot documents a deliberate mixed read through the escape hatch.
-func (b *counterBox) Snapshot() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.hits //kylix:allow atomicmix:hits -- quiescent snapshot; all writers are parked during it
+// Reset documents a deliberate call through the escape hatch.
+func (b *counterBox) Reset() {
+	atomic.StoreInt64(&b.n, 0) //kylix:allow lockorder:atomic-func -- fixture for the escape hatch
 }
 
 // typedBox uses the typed wrappers: plain access is inexpressible, so
-// nothing here can trip the analyzer.
+// nothing here is flagged.
 type typedBox struct {
 	n atomic.Int64
 }

@@ -28,6 +28,10 @@ type Node struct {
 	// tn is the node's raw TCP transport when built by ListenNode —
 	// CloseStream purges through it. Nil for in-process cluster nodes.
 	tn *tcpnet.Node
+	// sets is the rank's last Configure in the namespace, kept with its
+	// machine memory (rankMemory); nil on ListenNode and Node.Stream
+	// nodes, which prepare afresh.
+	sets *preparedSets
 	// streams is the cluster's registry on a NewCluster node, which
 	// Stream claims derived ids from; nil on a ListenNode node.
 	streams *stream.Registry
@@ -213,7 +217,7 @@ type orderMaps struct {
 // lists the indices it will contribute values for. in may contain
 // duplicates (each position receives the value); out must not.
 func (n *Node) Configure(in, out []int32) (*Reduction, error) {
-	inSet, outSet, om, err := prepareSets(in, out)
+	inSet, outSet, om, err := n.sets.prepare(in, out)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +245,7 @@ func (n *Node) ConfigureReduce(in, out []int32, outVals []float32) (*Reduction, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Reduction{node: n, cfg: cfg, om: om}, om.unstageIn(gathered, n.width), nil
+	return &Reduction{node: n, cfg: cfg, om: om}, om.unstageIn(nil, gathered, n.width), nil
 }
 
 // TreeAllreduce runs the tree-topology baseline (§II-A1) in one shot:
@@ -264,7 +268,7 @@ func (n *Node) TreeAllreduce(in, out []int32, outVals []float32) ([]float32, int
 	if err != nil {
 		return nil, 0, err
 	}
-	return om.unstageIn(gathered, n.width), maxUnion, nil
+	return om.unstageIn(nil, gathered, n.width), maxUnion, nil
 }
 
 // prepareSets turns the caller's index lists into key-ordered Sets and
@@ -276,7 +280,7 @@ func prepareSets(in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err e
 		return nil, nil, om, fmt.Errorf("kylix: in indices: %w", err)
 	}
 	outSet, outPerm := inSet, inPerm
-	if !(len(in) == len(out) && (len(in) == 0 || &in[0] == &out[0])) {
+	if !sameSlice(in, out) {
 		if outSet, outPerm, err = sparse.NewSet(out); err != nil {
 			return nil, nil, om, fmt.Errorf("kylix: out indices: %w", err)
 		}
@@ -294,6 +298,38 @@ func prepareSets(in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err e
 		}
 	}
 	return inSet, outSet, om, nil
+}
+
+func sameSlice(in, out []int32) bool {
+	return len(in) == len(out) && (len(in) == 0 || &in[0] == &out[0])
+}
+
+// preparedSets is what prepareSets made for one rank's last Configure,
+// with a copy of the lists it came from (one, when the caller passed one
+// slice). The copy is the key: callers may rewrite a slice in place.
+type preparedSets struct {
+	lists, in, out []int32
+	inSet, outSet  sparse.Set
+	om             orderMaps
+}
+
+// prepare is prepareSets through the entry: lists element-equal to its
+// copies get its very Sets, so core's whole-set checks against a base
+// configured from them alias in O(1); other lists refill it. A nil
+// entry prepares afresh.
+func (p *preparedSets) prepare(in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err error) {
+	if p != nil && p.inSet != nil && slices.Equal(p.in, in) && slices.Equal(p.out, out) {
+		return p.inSet, p.outSet, p.om, nil
+	}
+	if inSet, outSet, om, err = prepareSets(in, out); err == nil && p != nil {
+		p.lists = append(p.lists[:0], in...)
+		if !sameSlice(in, out) {
+			p.lists = append(p.lists, out...)
+		}
+		p.in, p.out = p.lists[:len(in)], p.lists[len(p.lists)-len(out):]
+		p.inSet, p.outSet, p.om = inSet, outSet, om
+	}
+	return inSet, outSet, om, err
 }
 
 func isIdentity(perm []int32) bool {
@@ -323,18 +359,23 @@ func (om *orderMaps) stageOut(dst, outVals []float32, width int) error {
 	return nil
 }
 
-// unstageIn returns the caller-ordered, caller-owned copy of a
-// key-ordered result that belongs to the protocol's arena.
+// unstageIn copies a key-ordered result that belongs to the protocol's
+// arena into dst in the caller's order, growing dst only when its
+// capacity is short, and returns it.
 //
 //kylix:hotpath
-func (om *orderMaps) unstageIn(gathered []float32, width int) []float32 {
-	if om.in == nil {
-		return slices.Clone(gathered)
+func (om *orderMaps) unstageIn(dst, gathered []float32, width int) []float32 {
+	n := len(gathered)
+	if om.in != nil {
+		n = len(om.in) * width
 	}
-	//kylix:allow hotpathalloc:make -- the result is the one allocation a pass makes: the caller owns it
-	res := make([]float32, len(om.in)*width)
-	sparse.GatherInto(res, om.in, gathered, width, 0)
-	return res
+	// Growing a result the caller gave no room for is the one allocation a pass makes.
+	if dst = slices.Grow(dst[:0], n)[:n]; om.in == nil {
+		copy(dst, gathered)
+	} else {
+		sparse.GatherInto(dst, om.in, gathered, width, 0)
+	}
+	return dst
 }
 
 // Missing reports how many requested in-indices had no contributor in
@@ -346,7 +387,12 @@ func (r *Reduction) Missing() int { return r.cfg.Missing() }
 // values for the in indices, in their original order. outVals is not
 // retained: it is copied into the Reduction's own staging buffer before
 // anything is sent, and the result is a fresh slice the caller owns.
-func (r *Reduction) Reduce(outVals []float32) ([]float32, error) {
+func (r *Reduction) Reduce(outVals []float32) ([]float32, error) { return r.ReduceInto(nil, outVals) }
+
+// ReduceInto is Reduce writing the result into dst, which it grows only
+// when its capacity is short, and returns. dst may be outVals itself:
+// outVals is staged before anything is sent.
+func (r *Reduction) ReduceInto(dst, outVals []float32) ([]float32, error) {
 	w := r.node.width
 	staged := r.cfg.StageOut()
 	if err := r.om.stageOut(staged, outVals, w); err != nil {
@@ -356,7 +402,7 @@ func (r *Reduction) Reduce(outVals []float32) ([]float32, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.om.unstageIn(gathered, w), nil
+	return r.om.unstageIn(dst, gathered, w), nil
 }
 
 // Reconfigure rebinds the Reduction to new index sets incrementally,

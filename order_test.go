@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -277,6 +279,60 @@ func TestReduceDoesNotRetainOutVals(t *testing.T) {
 	}
 }
 
+// TestReduceIntoMatchesReduce: ReduceInto writes what Reduce returns,
+// bit for bit, into the caller's slice: in place when it has the room,
+// grown when it has not, and also when it is outVals itself, which is
+// staged before anything is sent.
+func TestReduceIntoMatchesReduce(t *testing.T) {
+	const width = 2
+	for _, transport := range []kylix.Transport{kylix.TransportMemory, kylix.TransportTCP} {
+		t.Run(fmt.Sprint(transport), func(t *testing.T) {
+			cluster, err := kylix.NewCluster(orderRanks, kylix.WithTransport(transport), kylix.WithDegrees(2, 2), kylix.WithWidth(width))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Close()
+			err = cluster.Run(func(node *kylix.Node) error {
+				for _, name := range []string{"keyed", "shuffled", "distinct"} {
+					c := presentations(node.Rank(), 0, width)[name]
+					red, err := node.Configure(c.in, c.out)
+					if err != nil {
+						return err
+					}
+					want, err := red.Reduce(c.vals)
+					if err != nil {
+						return err
+					}
+					vals := slices.Clone(c.vals)
+					for _, dst := range []struct {
+						name    string
+						dst, in []float32
+					}{
+						{"nil", nil, c.vals},
+						{"short", make([]float32, 1), c.vals},
+						{"roomy", make([]float32, 3, 2*len(want)), c.vals},
+						{"outVals", vals, vals},
+					} {
+						got, err := red.ReduceInto(dst.dst, dst.in)
+						switch {
+						case err != nil:
+							return err
+						case kylix.ValuesDigest(got) != kylix.ValuesDigest(want):
+							return fmt.Errorf("rank %d %s, dst %s: ReduceInto digest %x, Reduce %x", node.Rank(), name, dst.name, kylix.ValuesDigest(got), kylix.ValuesDigest(want))
+						case cap(dst.dst) >= len(want) && &got[:1][0] != &dst.dst[:1][0]:
+							return fmt.Errorf("rank %d %s, dst %s: a slice with room for the result was not reused", node.Rank(), name, dst.name)
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // barrier is a reusable rendezvous for n goroutines that allocates
 // nothing per use.
 type barrier struct {
@@ -311,7 +367,8 @@ func (b *barrier) wait() {
 // transports': a warm Reduce allocates the slice it returns and nothing
 // else, on every rank — over memory, where nothing is copied, and over
 // TCP, where every received value block is decoded into a buffer the
-// reduction handed back a pass earlier.
+// reduction handed back a pass earlier. A warm ReduceInto, handed back
+// the slice it returned a pass earlier, allocates nothing at all.
 func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 	const runs = 20
 	for _, tc := range []struct {
@@ -323,10 +380,18 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 		{"keyed", kylix.QuantFP16, kylix.TransportMemory}, {"shuffled", kylix.QuantINT8, kylix.TransportMemory},
 		{"keyed", kylix.QuantOff, kylix.TransportTCP}, {"shuffled", kylix.QuantFP16, kylix.TransportTCP},
 		{"keyed", kylix.QuantINT8, kylix.TransportTCP},
+		{"into/keyed", kylix.QuantOff, kylix.TransportMemory}, {"into/shuffled", kylix.QuantFP16, kylix.TransportMemory},
+		{"into/shuffled", kylix.QuantINT8, kylix.TransportMemory},
+		{"into/shuffled", kylix.QuantOff, kylix.TransportTCP}, {"into/keyed", kylix.QuantFP16, kylix.TransportTCP},
+		{"into/shuffled", kylix.QuantINT8, kylix.TransportTCP},
 	} {
-		name, row := tc.name, fmt.Sprintf("%s/%v", tc.name, tc.quant)
+		name, into, row := strings.TrimPrefix(tc.name, "into/"), strings.HasPrefix(tc.name, "into/"), fmt.Sprintf("%s/%v", tc.name, tc.quant)
 		if tc.transport == kylix.TransportTCP {
 			row += "/tcp"
+		}
+		want := orderRanks // the result, once per rank
+		if into {
+			want = 0
 		}
 		t.Run(row, func(t *testing.T) {
 			cluster, err := kylix.NewCluster(orderRanks, kylix.WithDegrees(2, 2), kylix.WithQuantization(tc.quant),
@@ -346,8 +411,15 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 				// AllocsPerRun counts the whole process. A pass ends when
 				// every rank's Reduce has returned, so one counted pass is
 				// exactly one Reduce on every rank.
+				var dst []float32
 				pass := func() {
-					if _, rerr := red.Reduce(c.vals); rerr != nil && err == nil {
+					var rerr error
+					if into {
+						dst, rerr = red.ReduceInto(dst, c.vals)
+					} else {
+						_, rerr = red.Reduce(c.vals)
+					}
+					if rerr != nil && err == nil {
 						err = rerr
 					}
 					done.wait()
@@ -368,8 +440,8 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if perPass != orderRanks {
-				t.Fatalf("a warm pass on %d ranks allocated %v times, want %d (the result, once per rank)", orderRanks, perPass, orderRanks)
+			if perPass != float64(want) {
+				t.Fatalf("a warm pass on %d ranks allocated %v times, want %d", orderRanks, perPass, want)
 			}
 		})
 	}
@@ -400,9 +472,10 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 		}
 		defer cluster.Close()
 		// check compares what the measured passes allocated with the
-		// parent's figure less the two generations every pass carves.
+		// parent's figure less the two generations every pass carves and
+		// the kept bytes a pass no longer builds.
 		arena := make([]int, orderRanks)
-		check := func(t *testing.T, parentKiB float64, before, after *runtime.MemStats) {
+		check := func(t *testing.T, parentKiB float64, kept int, before, after *runtime.MemStats) {
 			if raceEnabled && tc.transport == kylix.TransportTCP {
 				t.Skip("under the race detector sync.Pool drops items at random, and the index codec's pooled sort scratch is allocated anew")
 			}
@@ -411,10 +484,10 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 				carved += 2 * a
 			}
 			perPass := float64(after.TotalAlloc-before.TotalAlloc) / passes / 1024
-			t.Logf("%.1f KiB per pass (parent %.1f, arena %.1f)", perPass, parentKiB, float64(carved)/1024)
-			if limit := parentKiB - float64(carved)/1024; perPass > limit {
-				t.Fatalf("a pass on a warm machine allocated %.1f KiB, want at most %.1f: the parent's %.1f less the arena's %.1f",
-					perPass, limit, parentKiB, float64(carved)/1024)
+			t.Logf("%.1f KiB per pass (parent %.1f, arena %.1f, kept %.1f)", perPass, parentKiB, float64(carved)/1024, float64(kept)/1024)
+			if limit := parentKiB - float64(carved+kept)/1024; perPass > limit {
+				t.Fatalf("a pass on a warm machine allocated %.1f KiB, want at most %.1f: the parent's %.1f less the arena's %.1f and the kept %.1f",
+					perPass, limit, parentKiB, float64(carved)/1024, float64(kept)/1024)
 			}
 		}
 		t.Run(fmt.Sprintf("fresh-sets/%v/%v", tc.transport, tc.quant), func(t *testing.T) {
@@ -449,7 +522,7 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(t, tc.fresh, &before, &after)
+			check(t, tc.fresh, 0, &before, &after)
 		})
 		t.Run(fmt.Sprintf("stream-run/%v/%v", tc.transport, tc.quant), func(t *testing.T) {
 			st, err := cluster.OpenStream()
@@ -478,7 +551,7 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 				}
 			}
 			runtime.ReadMemStats(&after)
-			check(t, tc.stream, &before, &after)
+			check(t, tc.stream, preparedBytes(width), &before, &after)
 		})
 		t.Run(fmt.Sprintf("stream-run/unchanged/%v/%v", tc.transport, tc.quant), func(t *testing.T) {
 			if raceEnabled {
@@ -489,14 +562,12 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st.Close()
-			// What a Run must allocate: on every rank, its results and what
-			// prepareSets builds — the Set, the caller-to-key order map and
-			// the inverse of the out permutation.
+			// What a Run must allocate: on every rank, its results. The sets
+			// the last Run prepared are the stream's, kept for this one.
 			inputs, owned := make([]orderCase, orderRanks), 0
 			for r := range inputs {
 				inputs[r] = arenaInputs(r, width)
-				n := len(inputs[r].out)
-				owned += 4*n*width*4 + n*(8+4+4)
+				owned += 4 * len(inputs[r].in) * width * 4
 			}
 			var before, after runtime.MemStats
 			for i := 0; i < warm+passes; i++ {
@@ -517,16 +588,27 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			perPass := float64(after.TotalAlloc-before.TotalAlloc) / passes
 			beyond := (perPass - float64(owned)) / 1024 / orderRanks
-			t.Logf("%.1f KiB per Run, %.1f KiB of it results and sets, %.1f KiB per rank beyond", perPass/1024, float64(owned)/1024, beyond)
+			t.Logf("%.1f KiB per Run, %.1f KiB of it results, %.1f KiB per rank beyond", perPass/1024, float64(owned)/1024, beyond)
 			// Beyond those, a rank allocates its Machine, Node, Reduction and
 			// Config headers and, over TCP, the markers it receives: a few KiB.
 			// Unions and maps alone would be tens of KiB, and so would int8
 			// residuals.
 			if beyond > 16 {
-				t.Fatalf("a Run on unchanged sets allocated %.1f KiB per rank beyond its results and sets, want at most 16: it rebuilt routing state or residuals", beyond)
+				t.Fatalf("a Run on unchanged sets allocated %.1f KiB per rank beyond its results, want at most 16: it rebuilt sets, routing state or residuals", beyond)
 			}
 		})
 	}
+}
+
+// preparedBytes is what prepareSets builds for arenaInputs on all ranks —
+// per key the Set, the caller-to-key order map and the inverse of the out
+// permutation — and a Stream.Run over unchanged lists keeps from the last.
+func preparedBytes(width int) int {
+	n := 0
+	for r := 0; r < orderRanks; r++ {
+		n += len(arenaInputs(r, width).out) * (8 + 4 + 4)
+	}
+	return n
 }
 
 // arenaInputs is rank r's sets and values for the allocation rows that

@@ -45,7 +45,7 @@ func scratchPass(run func(func(*Node) error) error, ranks, width int, seed int64
 }
 
 // held is what a namespace keeps for its next Run, per physical rank.
-func held(s *atomic.Pointer[rankScratch]) []*core.Scratch {
+func held(s *atomic.Pointer[rankScratch]) []*rankMemory {
 	if h := s.Load(); h != nil {
 		return h.ranks
 	}
@@ -76,6 +76,9 @@ func TestFailedRunDropsItsScratch(t *testing.T) {
 			t.Fatalf("rank %d: a successful Run put no scratch back", r)
 		}
 	}
+	if got := c.HeldSets(); got != m {
+		t.Fatalf("a successful Run kept %d ranks' prepared sets, want %d", got, m)
+	}
 
 	var once sync.Once
 	_, err = scratchPass(func(fn func(*Node) error) error {
@@ -97,6 +100,9 @@ func TestFailedRunDropsItsScratch(t *testing.T) {
 		if sc != nil {
 			t.Fatalf("rank %d: a failed Run put its scratch back", r)
 		}
+	}
+	if got := c.HeldSets(); got != 0 {
+		t.Fatalf("a failed Run kept %d ranks' prepared sets", got)
 	}
 
 	if err := c.Replace(3, 8); err != nil {
@@ -168,7 +174,7 @@ func TestStreamsKeepTheirOwnScratch(t *testing.T) {
 	}
 
 	c, streams := open()
-	var first [][]*core.Scratch // per namespace, the scratch its first Run left
+	var first [][]*rankMemory // per namespace, the scratch its first Run left
 	for i := 0; i < rounds; i++ {
 		got := make([][]uint64, len(tenants))
 		errs := make([]error, len(tenants))
@@ -197,11 +203,11 @@ func TestStreamsKeepTheirOwnScratch(t *testing.T) {
 				t.Fatalf("round %d tenant %d: digests %x interleaved, %x alone", i, k, got[k], alone[k][i])
 			}
 		}
-		now := [][]*core.Scratch{held(&c.scratch), held(&streams[0].scratch), held(&streams[1].scratch)}
+		now := [][]*rankMemory{held(&c.scratch), held(&streams[0].scratch), held(&streams[1].scratch)}
 		if first == nil {
 			first = now
 		}
-		owner := map[*core.Scratch]int{}
+		owner := map[*rankMemory]int{}
 		for ns, scs := range now {
 			for r, sc := range scs {
 				if sc == nil || sc != first[ns][r] {

@@ -14,7 +14,7 @@ cd "$(dirname "$0")/.."
 stage_vet() {
     echo "== go vet ./..."
     go vet ./...
-    echo "== kylix-vet (hotpathalloc, lockobs, determinism, commcheck, goleak, lockorder, atomicmix)"
+    echo "== kylix-vet (hotpathalloc, lockobs, determinism, commcheck, goleak, lockorder)"
     mkdir -p bin
     go build -o bin/kylix-vet ./cmd/kylix-vet
     go vet -vettool=bin/kylix-vet ./...

@@ -1,16 +1,12 @@
 // Package analysis is kylix's build-time invariant checker: a small,
 // dependency-free analogue of golang.org/x/tools/go/analysis hosting the
-// six project-specific analyzers that turn the repo's load-bearing
+// five project-specific analyzers that turn the repo's load-bearing
 // contracts into machine-checked lint:
 //
 //   - hotpathalloc: functions annotated //kylix:hotpath (and their
 //     project-local callees) must not contain allocating constructs —
 //     the static complement of the scripts/bench.sh --gate 0 allocs/op
 //     check on the warm reduction path.
-//   - lockobs: observability hooks (comm.Observer, obs.Tracer,
-//     metrics) must never be called while a mutex annotated
-//     //kylix:obsfree is held — the observer-outside-the-mailbox-mutex
-//     contract.
 //   - determinism: packages or functions annotated //kylix:deterministic
 //     must not read clocks, use the global math/rand generator, or let
 //     map iteration order escape into a slice without a sort — the
@@ -26,15 +22,18 @@
 //     worker-pool Add before the spawn).
 //   - lockorder: mutex fields annotated //kylix:lock <class> form a
 //     global lock-acquisition graph (edges flow across packages through
-//     gob facts); any cycle is reported as a potential deadlock. No
-//     sync/atomic function is called: atomics are typed atomic.* values.
+//     gob facts); any cycle is reported as a potential deadlock. A class
+//     declared `//kylix:lock <class> obsfree` is never held across an
+//     observability hook (comm.Observer, obs.Tracer, metrics) — the
+//     observer-outside-the-mailbox-mutex contract. No sync/atomic
+//     function is called: atomics are typed atomic.* values.
 //
-// The suite runs through cmd/kylix-vet, either standalone
-// (kylix-vet ./...) or as a `go vet -vettool` backend. It is built on
-// the standard library alone: packages are loaded from `go list
-// -export -deps -json` metadata and typechecked with go/types against
-// compiler export data, so the checker works in hermetic build
-// environments with no module downloads.
+// The suite has one driver: cmd/kylix-vet as a `go vet -vettool`
+// backend. cmd/go hands it one package unit at a time, test files
+// included, and it typechecks the unit with go/types against the
+// compiler export data cmd/go built. It is built on the standard
+// library alone, so the checker works in hermetic build environments
+// with no module downloads.
 package analysis
 
 import (
@@ -42,7 +41,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -147,14 +145,13 @@ type Annotations struct {
 	// FuncMarks maps a *ast.FuncDecl to its markers
 	// ("hotpath", "coldpath", "deterministic", "owned").
 	FuncMarks map[*ast.FuncDecl]map[string]bool
-	// ObsfreeFields holds "TypeName.fieldName" for struct fields
-	// annotated //kylix:obsfree (mutexes whose critical sections must
-	// not call observability hooks).
-	ObsfreeFields map[string]bool
 	// LockFields maps "TypeName.fieldName" to the lock class declared by
 	// a //kylix:lock <class> field annotation. Lock classes are global:
 	// lockorder builds its acquisition-order graph over them.
 	LockFields map[string]string
+	// Obsfree holds the classes declared `//kylix:lock <class> obsfree`:
+	// their critical sections must not call observability hooks.
+	Obsfree map[string]bool
 	// allows maps "file:line" to the set of allow keys in force there.
 	allows map[string]map[string]bool
 }
@@ -169,8 +166,8 @@ func marker(c *ast.Comment) string {
 	return strings.TrimSpace(strings.TrimPrefix(text, "//kylix:"))
 }
 
-// markerName is the directive's first token: "//kylix:obsfree — why"
-// names the directive "obsfree", keeping inline justifications legal on
+// markerName is the directive's first token: "//kylix:owned — why"
+// names the directive "owned", keeping inline justifications legal on
 // every marker form.
 func markerName(c *ast.Comment) string {
 	fields := strings.Fields(marker(c))
@@ -183,10 +180,10 @@ func markerName(c *ast.Comment) string {
 // ParseAnnotations scans the files for //kylix: directives.
 func ParseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 	ann := &Annotations{
-		FuncMarks:     map[*ast.FuncDecl]map[string]bool{},
-		ObsfreeFields: map[string]bool{},
-		LockFields:    map[string]string{},
-		allows:        map[string]map[string]bool{},
+		FuncMarks:  map[*ast.FuncDecl]map[string]bool{},
+		LockFields: map[string]string{},
+		Obsfree:    map[string]bool{},
+		allows:     map[string]map[string]bool{},
 	}
 	addAllow := func(c *ast.Comment, directive string) {
 		keys := strings.Fields(strings.TrimPrefix(directive, "allow"))
@@ -251,15 +248,15 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 						continue
 					}
 					for _, field := range st.Fields.List {
-						if fieldHasObsfree(field) {
-							for _, name := range field.Names {
-								ann.ObsfreeFields[ts.Name.Name+"."+name.Name] = true
-							}
+						class, obsfree := fieldLockClass(field)
+						if class == "" {
+							continue
 						}
-						if class := fieldLockClass(field); class != "" {
-							for _, name := range field.Names {
-								ann.LockFields[ts.Name.Name+"."+name.Name] = class
-							}
+						for _, name := range field.Names {
+							ann.LockFields[ts.Name.Name+"."+name.Name] = class
+						}
+						if obsfree {
+							ann.Obsfree[class] = true
 						}
 					}
 				}
@@ -269,25 +266,10 @@ func ParseAnnotations(fset *token.FileSet, files []*ast.File) *Annotations {
 	return ann
 }
 
-// fieldHasObsfree reports whether a struct field's doc or trailing
-// comment carries //kylix:obsfree.
-func fieldHasObsfree(field *ast.Field) bool {
-	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
-		if cg == nil {
-			continue
-		}
-		for _, c := range cg.List {
-			if markerName(c) == "obsfree" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // fieldLockClass extracts the class name from a //kylix:lock <class>
-// field annotation, or "" when the field carries none.
-func fieldLockClass(field *ast.Field) string {
+// field annotation, or "" when the field carries none, and whether the
+// class is declared obsfree (`//kylix:lock <class> obsfree`).
+func fieldLockClass(field *ast.Field) (class string, obsfree bool) {
 	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
 		if cg == nil {
 			continue
@@ -298,11 +280,11 @@ func fieldLockClass(field *ast.Field) string {
 			}
 			fields := strings.Fields(marker(c))
 			if len(fields) >= 2 {
-				return fields[1]
+				return fields[1], len(fields) >= 3 && fields[2] == "obsfree"
 			}
 		}
 	}
-	return ""
+	return "", false
 }
 
 // Allowed reports whether a diagnostic of the given check and detail at
@@ -331,9 +313,8 @@ func (a *Annotations) FuncMarked(d *ast.FuncDecl, mark string) bool {
 }
 
 // PackageFacts is the serializable per-package summary exchanged
-// between analysis units (go vet's vetx files, or in-memory in
-// standalone mode). hotpathalloc uses it to walk call graphs across
-// package boundaries.
+// between analysis units through go vet's vetx files. hotpathalloc uses
+// it to walk call graphs across package boundaries.
 type PackageFacts struct {
 	// Funcs maps a function's package-local ID (FuncID) to its summary.
 	Funcs map[string]FuncFacts
@@ -418,31 +399,5 @@ func DeclID(info *types.Info, d *ast.FuncDecl) string {
 
 // All returns the analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{HotPathAlloc, LockObs, Determinism, CommCheck, GoLeak, LockOrder}
-}
-
-// ByName resolves a comma-separated analyzer list ("" means all).
-func ByName(names string) ([]*Analyzer, error) {
-	if names == "" {
-		return All(), nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All() {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, n := range strings.Split(names, ",") {
-		n = strings.TrimSpace(n)
-		a, ok := byName[n]
-		if !ok {
-			known := make([]string, 0, len(byName))
-			for k := range byName {
-				known = append(known, k)
-			}
-			sort.Strings(known)
-			return nil, fmt.Errorf("unknown analyzer %q (have %s)", n, strings.Join(known, ", "))
-		}
-		out = append(out, a)
-	}
-	return out, nil
+	return []*Analyzer{HotPathAlloc, Determinism, CommCheck, GoLeak, LockOrder}
 }

@@ -2,6 +2,8 @@ package analysis_test
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -17,15 +19,50 @@ import (
 // testdata/src carries `// want "substring"` comments on the lines
 // where a diagnostic must appear, and every diagnostic must be claimed
 // by exactly one want. Fixtures are real module packages (excluded
-// from ./... wildcards by the testdata convention) loaded through the
-// same go list pipeline as production runs.
+// from ./... wildcards by the testdata convention), vetted through the
+// same `go vet -vettool=kylix-vet` driver as the gate, test files
+// included.
+
+// root is the module root and vettool the kylix-vet binary TestMain
+// builds once for every test in the package.
+var root, vettool string
+
+func TestMain(m *testing.M) {
+	os.Exit(runMain(m))
+}
+
+func runMain(m *testing.M) int {
+	out, err := exec.Command("go", "env", "GOMOD").Output()
+	gomod := strings.TrimSpace(string(out))
+	if err != nil || gomod == "" || gomod == os.DevNull {
+		fmt.Fprintln(os.Stderr, "analysis tests: not inside a module:", err)
+		return 1
+	}
+	root = filepath.Dir(gomod)
+	dir, err := os.MkdirTemp("", "kylix-vet")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer os.RemoveAll(dir)
+	vettool = filepath.Join(dir, "kylix-vet")
+	build := exec.Command("go", "build", "-o", vettool, "./cmd/kylix-vet")
+	build.Dir = root
+	if out, err := build.CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building kylix-vet: %v\n%s", err, out)
+		return 1
+	}
+	return m.Run()
+}
 
 func TestHotPathAllocFixture(t *testing.T) {
 	runFixture(t, analysis.HotPathAlloc, "hotpathtest")
 }
 
+// TestLockObsFixture: lockorder flags observability calls while an
+// obsfree class is held, in test files and closure literals too.
 func TestLockObsFixture(t *testing.T) {
-	runFixture(t, analysis.LockObs, "lockobstest")
+	runFixture(t, analysis.LockOrder, "lockobstest")
 }
 
 func TestDeterminismFixture(t *testing.T) {
@@ -51,33 +88,13 @@ func TestAtomicMixFixture(t *testing.T) {
 }
 
 // TestRepoIsClean is the integration gate: the full suite over the
-// whole module must produce zero findings. Reintroducing an
-// observer-under-mutex call or an allocating hotpath construct fails
-// this test (and `make check`, which runs the same suite via go vet).
+// whole module, test files included, must produce zero findings.
+// Reintroducing an observer-under-mutex call or an allocating hotpath
+// construct fails this test and `scripts/check.sh vet`, which runs the
+// same command.
 func TestRepoIsClean(t *testing.T) {
-	ld, err := analysis.Load(repoRoot(t), "./...")
-	if err != nil {
-		t.Fatalf("load ./...: %v", err)
-	}
-	diags, err := ld.Run(analysis.All())
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	for _, d := range diags {
-		t.Errorf("unexpected finding: %s", d)
-	}
-}
-
-func TestByName(t *testing.T) {
-	got, err := analysis.ByName("lockobs,commcheck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != "lockobs" || got[1].Name != "commcheck" {
-		t.Fatalf("ByName selected %v", got)
-	}
-	if _, err := analysis.ByName("nosuch"); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer")
+	for _, d := range goVet(t, "./...") {
+		t.Errorf("unexpected finding: %s", d.text)
 	}
 }
 
@@ -94,34 +111,61 @@ var (
 	quoteRE = regexp.MustCompile(`"(?:[^"\\]|\\.)*"`)
 )
 
-// runFixture loads the named testdata packages, runs one analyzer, and
-// reconciles its diagnostics against the fixtures' want comments.
+// finding is one diagnostic line of go vet's output.
+type finding struct {
+	file                 string
+	line                 int
+	check, message, text string
+}
+
+var findingRE = regexp.MustCompile(`^(.+\.go):(\d+):\d+: \[(\w+)\] (.*)$`)
+
+// goVet runs the suite over the patterns through go vet and returns its
+// findings. Any other output line is a driver failure.
+func goVet(t *testing.T, patterns ...string) []finding {
+	t.Helper()
+	cmd := exec.Command("go", append([]string{"vet", "-vettool=" + vettool}, patterns...)...)
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	var found []finding
+	for _, text := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		m := findingRE.FindStringSubmatch(text)
+		if m == nil {
+			t.Fatalf("go vet %s: %v: unexpected output:\n%s", strings.Join(patterns, " "), err, out)
+		}
+		line, _ := strconv.Atoi(m[2])
+		found = append(found, finding{file: filepath.Join(root, m[1]), line: line, check: m[3], message: m[4], text: text})
+	}
+	if err != nil && len(found) == 0 {
+		t.Fatalf("go vet %s: %v\n%s", strings.Join(patterns, " "), err, out)
+	}
+	return found
+}
+
+// runFixture vets the named testdata packages and reconciles the
+// findings against the fixtures' want comments: each must come from a,
+// and claim one want.
 func runFixture(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	t.Helper()
+	var wants []*want
 	patterns := make([]string, len(fixtures))
 	for i, f := range fixtures {
 		patterns[i] = "./internal/analysis/testdata/src/" + f
+		wants = append(wants, collectWants(t, filepath.Join(root, patterns[i]))...)
 	}
-	ld, err := analysis.Load(repoRoot(t), patterns...)
-	if err != nil {
-		t.Fatalf("load fixtures: %v", err)
-	}
-	diags, err := ld.Run([]*analysis.Analyzer{a})
-	if err != nil {
-		t.Fatalf("run %s: %v", a.Name, err)
-	}
-
-	wants := collectWants(t, ld)
 	if len(wants) == 0 {
 		t.Fatalf("fixture %v has no want comments", fixtures)
 	}
-	for _, d := range diags {
-		if d.Check != a.Name {
-			t.Errorf("diagnostic from wrong analyzer %q: %s", d.Check, d)
+	for _, d := range goVet(t, patterns...) {
+		if d.check != a.Name {
+			t.Errorf("diagnostic from wrong analyzer %q: %s", d.check, d.text)
 			continue
 		}
-		if w := claim(wants, d.Pos.Filename, d.Pos.Line, d.Message); w == nil {
-			t.Errorf("unexpected diagnostic: %s", d)
+		if w := claim(wants, d.file, d.line, d.message); w == nil {
+			t.Errorf("unexpected diagnostic: %s", d.text)
 		}
 	}
 	for _, w := range wants {
@@ -146,33 +190,38 @@ func claim(wants []*want, file string, line int, message string) *want {
 	return nil
 }
 
-// collectWants scans the loaded fixture sources for want comments.
-func collectWants(t *testing.T, ld *analysis.Loader) []*want {
+// collectWants parses a fixture directory's sources, test files
+// included, for want comments.
+func collectWants(t *testing.T, dir string) []*want {
 	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
 	var wants []*want
-	for _, lp := range ld.Pkgs {
-		if !lp.Target {
-			continue
+	for _, name := range names {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, f := range lp.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := wantRE.FindStringSubmatch(c.Text)
-					if m == nil {
-						continue
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				m := wantRE.FindStringSubmatch(c.Text)
+				if m == nil {
+					continue
+				}
+				pos := fset.Position(c.Pos())
+				quoted := quoteRE.FindAllString(m[1], -1)
+				if len(quoted) == 0 {
+					t.Fatalf("%s:%d: malformed want comment %q", pos.Filename, pos.Line, c.Text)
+				}
+				for _, q := range quoted {
+					s, err := strconv.Unquote(q)
+					if err != nil {
+						t.Fatalf("%s:%d: bad want string %s: %v", pos.Filename, pos.Line, q, err)
 					}
-					pos := ld.Fset.Position(c.Pos())
-					quoted := quoteRE.FindAllString(m[1], -1)
-					if len(quoted) == 0 {
-						t.Fatalf("%s:%d: malformed want comment %q", pos.Filename, pos.Line, c.Text)
-					}
-					for _, q := range quoted {
-						s, err := strconv.Unquote(q)
-						if err != nil {
-							t.Fatalf("%s:%d: bad want string %s: %v", pos.Filename, pos.Line, q, err)
-						}
-						wants = append(wants, &want{file: pos.Filename, line: pos.Line, substr: s})
-					}
+					wants = append(wants, &want{file: pos.Filename, line: pos.Line, substr: s})
 				}
 			}
 		}
@@ -180,26 +229,12 @@ func collectWants(t *testing.T, ld *analysis.Loader) []*want {
 	return wants
 }
 
-// repoRoot resolves the module root so tests work from any package dir.
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	out, err := exec.Command("go", "env", "GOMOD").Output()
-	if err != nil {
-		t.Fatalf("go env GOMOD: %v", err)
-	}
-	gomod := strings.TrimSpace(string(out))
-	if gomod == "" || gomod == os.DevNull {
-		t.Fatal("not inside a module")
-	}
-	return filepath.Dir(gomod)
-}
-
 // Example output shape, kept close to go vet's own format.
 func ExampleDiagnostic_String() {
-	d := analysis.Diagnostic{Check: "lockobs", Message: "observer under mutex"}
+	d := analysis.Diagnostic{Check: "lockorder", Message: "observer under mutex"}
 	d.Pos.Filename = "mailbox.go"
 	d.Pos.Line = 42
 	d.Pos.Column = 3
 	fmt.Println(d)
-	// Output: mailbox.go:42:3: [lockobs] observer under mutex
+	// Output: mailbox.go:42:3: [lockorder] observer under mutex
 }

@@ -4,7 +4,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
+	"strings"
 )
 
 // LockOrder detects potential deadlocks between the project's named
@@ -15,28 +17,41 @@ import (
 // acquisition-order graph is a potential deadlock and is reported at
 // every locally contributed edge that completes one.
 //
-// The per-function analysis is lexical with branch-local held tracking
-// (the same model as lockobs); cross-function reasoning flows through
-// the vetx facts: each function exports the transitive set of lock
-// classes it may acquire, each package exports its lock field names and
-// its locally observed edges, and downstream packages fold imported
-// edges into their own graph. Interface calls are invisible (no static
-// callee), so the graph under-approximates — it never false-positives
-// on dynamic dispatch. Self-edges (class A acquired while A is held)
-// are reported too: the project's mutexes are not reentrant and no code
-// hands over instances of one class.
+// The per-function analysis is lexical with branch-local held tracking:
+// after `mu.Lock()` the class is held; `mu.Unlock()` inside a branch
+// releases it for that branch only; `defer mu.Unlock()` keeps the
+// section open to the end of the function. Cross-function reasoning
+// flows through the vetx facts: each function exports the transitive
+// set of lock classes it may acquire, each package exports its lock
+// field names and its locally observed edges, and downstream packages
+// fold imported edges into their own graph. Interface calls are
+// invisible (no static callee), so the graph under-approximates — it
+// never false-positives on dynamic dispatch. Self-edges (class A
+// acquired while A is held) are reported too: the project's mutexes are
+// not reentrant and no code hands over instances of one class.
+//
+// The same walk keeps the observability-outside-the-lock contract: a
+// class declared `//kylix:lock <class> obsfree` in this package (the
+// mailbox, the traffic-store shards) is never held across a
+// comm.Observer, obs.Tracer, Observatory or metrics-registry call.
+// Holding it across an observer callback serializes every sender
+// behind whatever the observer does, and an observer that blocks
+// deadlocks the transport. Calls in a closure literal or go statement
+// written inside the section count.
 //
 // It also keeps the atomic discipline: sync/atomic's functions are never
 // called. Every atomic is a typed atomic.* value, which plain access
 // cannot race; a hand-rolled one (atomic.AddInt64(&s.n, 1)) is one plain
 // s.n++ away from losing updates.
 //
-// Test files are skipped. Suppress a deliberate edge with
-// //kylix:allow lockorder:<acquired-class>, a deliberate call with
+// Test files contribute no edges and are not held to the atomic rule;
+// the obsfree rule covers them too. Suppress a deliberate edge with
+// //kylix:allow lockorder:<acquired-class>, a deliberate observer call
+// with //kylix:allow lockorder:obs, a deliberate atomic call with
 // //kylix:allow lockorder:atomic-func.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
-	Doc:  "acquisition order over //kylix:lock classes must stay acyclic, and sync/atomic functions are never called",
+	Doc:  "acquisition order over //kylix:lock classes must stay acyclic, obsfree classes are never held across observer calls, and sync/atomic functions are never called",
 	Run:  runLockOrder,
 }
 
@@ -155,23 +170,22 @@ func runLockOrder(p *Pass) error {
 	}
 
 	// Pass 2: walk bodies with branch-local held tracking, recording
-	// the edges this package's code contributes.
+	// the edges this package's code contributes and flagging observer
+	// calls under obsfree classes.
 	w := &orderWalker{p: p, acq: acq, dedup: map[string]bool{}}
 	for _, f := range p.Files {
-		if p.IsTestFile(f.Pos()) {
-			continue
-		}
+		w.test = p.IsTestFile(f.Pos())
 		for _, decl := range f.Decls {
 			d, ok := decl.(*ast.FuncDecl)
 			if !ok || d.Body == nil {
 				continue
 			}
-			w.walk(d.Body.List, map[string]bool{})
+			w.walk(d.Body.List, map[string]string{})
 			// Closure bodies are separate scopes with their own stacks;
 			// walk each with a fresh held set.
 			ast.Inspect(d.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					w.walk(lit.Body.List, map[string]bool{})
+					w.walk(lit.Body.List, map[string]string{})
 				}
 				return true
 			})
@@ -211,21 +225,25 @@ func runLockOrder(p *Pass) error {
 		cycle := append([]string{e.from}, path...)
 		p.Reportf(e.pos, e.to,
 			"acquiring lock class %q while %q is held forms a lock-order cycle: %s — a potential deadlock",
-			e.to, e.from, joinArrow(cycle))
+			e.to, e.from, strings.Join(cycle, " -> "))
 	}
 	return nil
 }
 
 // orderWalker tracks the held lock classes through one function body,
-// branch-locally, collecting acquisition-order edges.
+// branch-locally, collecting acquisition-order edges. held maps each
+// class to the mutex expression that took it ("b.mu"), for messages.
 type orderWalker struct {
 	p     *Pass
 	acq   map[string]map[string]bool
 	edges []orderEdge
 	dedup map[string]bool
+	// test marks a _test.go file: its sections are checked for
+	// observer calls but add no edges.
+	test bool
 }
 
-func (w *orderWalker) walk(stmts []ast.Stmt, held map[string]bool) {
+func (w *orderWalker) walk(stmts []ast.Stmt, held map[string]string) {
 	for _, stmt := range stmts {
 		switch s := stmt.(type) {
 		case *ast.ExprStmt:
@@ -233,59 +251,61 @@ func (w *orderWalker) walk(stmts []ast.Stmt, held map[string]bool) {
 				w.handleCall(call, held, false)
 				continue
 			}
-			w.scanStmt(stmt, held)
+			w.scan(stmt, held, true)
 		case *ast.DeferStmt:
 			w.handleCall(s.Call, held, true)
 		case *ast.GoStmt:
 			// The spawned goroutine acquires on its own stack, not
-			// under the spawner's held set.
+			// under the spawner's held set; only the observer check
+			// applies to the code written here.
+			w.scan(s, held, false)
 		case *ast.BlockStmt:
-			w.walk(s.List, forkClasses(held))
+			w.walk(s.List, maps.Clone(held))
 		case *ast.IfStmt:
 			if s.Init != nil {
-				w.scanStmt(s.Init, held)
+				w.scan(s.Init, held, true)
 			}
-			w.scanExpr(s.Cond, held)
-			w.walk(s.Body.List, forkClasses(held))
+			w.scan(s.Cond, held, true)
+			w.walk(s.Body.List, maps.Clone(held))
 			switch els := s.Else.(type) {
 			case *ast.BlockStmt:
-				w.walk(els.List, forkClasses(held))
+				w.walk(els.List, maps.Clone(held))
 			case *ast.IfStmt:
-				w.walk([]ast.Stmt{els}, forkClasses(held))
+				w.walk([]ast.Stmt{els}, maps.Clone(held))
 			}
 		case *ast.ForStmt:
-			w.walk(s.Body.List, forkClasses(held))
+			w.walk(s.Body.List, maps.Clone(held))
 		case *ast.RangeStmt:
-			w.scanExpr(s.X, held)
-			w.walk(s.Body.List, forkClasses(held))
+			w.scan(s.X, held, true)
+			w.walk(s.Body.List, maps.Clone(held))
 		case *ast.SwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					w.walk(cc.Body, forkClasses(held))
+					w.walk(cc.Body, maps.Clone(held))
 				}
 			}
 		case *ast.TypeSwitchStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CaseClause); ok {
-					w.walk(cc.Body, forkClasses(held))
+					w.walk(cc.Body, maps.Clone(held))
 				}
 			}
 		case *ast.SelectStmt:
 			for _, c := range s.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok {
-					w.walk(cc.Body, forkClasses(held))
+					w.walk(cc.Body, maps.Clone(held))
 				}
 			}
 		default:
-			w.scanStmt(stmt, held)
+			w.scan(stmt, held, true)
 		}
 	}
 }
 
 // handleCall interprets a statement-position (or deferred) call: lock
 // operations on classed mutexes update the held set, everything else is
-// scanned for acquiring callees.
-func (w *orderWalker) handleCall(call *ast.CallExpr, held map[string]bool, deferred bool) {
+// scanned.
+func (w *orderWalker) handleCall(call *ast.CallExpr, held map[string]string, deferred bool) {
 	if method, class, ok := lockClassOf(w.p, call); ok {
 		switch method {
 		case "Lock", "RLock":
@@ -293,7 +313,7 @@ func (w *orderWalker) handleCall(call *ast.CallExpr, held map[string]bool, defer
 				for from := range held {
 					w.addEdge(from, class, call.Pos())
 				}
-				held[class] = true
+				held[class] = exprString(call.Fun.(*ast.SelectorExpr).X)
 			}
 		case "Unlock", "RUnlock":
 			// A deferred Unlock keeps the section open to function end.
@@ -303,36 +323,30 @@ func (w *orderWalker) handleCall(call *ast.CallExpr, held map[string]bool, defer
 		}
 		return
 	}
-	w.scanExpr(call, held)
+	w.scan(call, held, true)
 }
 
-// scanStmt records edges for every acquiring call nested in a
-// non-compound statement.
-func (w *orderWalker) scanStmt(stmt ast.Stmt, held map[string]bool) {
+// scan checks every call nested in n against the held set: observer
+// calls under an obsfree class and, with edges, acquiring callees. A
+// closure literal (like a go statement) acquires on its own schedule,
+// so it adds no edges, but an observer call written inside the section
+// is still flagged.
+func (w *orderWalker) scan(n ast.Node, held map[string]string, edges bool) {
 	if len(held) == 0 {
 		return
 	}
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.edgesFor(call, held)
-		}
-		return true
-	})
-}
-
-func (w *orderWalker) scanExpr(expr ast.Expr, held map[string]bool) {
-	if len(held) == 0 {
-		return
-	}
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			w.edgesFor(call, held)
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			if edges {
+				w.scan(n.Body, held, false)
+				return false
+			}
+		case *ast.CallExpr:
+			w.reportObs(n, held)
+			if edges {
+				w.edgesFor(n, held)
+			}
 		}
 		return true
 	})
@@ -340,7 +354,7 @@ func (w *orderWalker) scanExpr(expr ast.Expr, held map[string]bool) {
 
 // edgesFor adds held-set edges for a single resolved call's transitive
 // acquires.
-func (w *orderWalker) edgesFor(call *ast.CallExpr, held map[string]bool) {
+func (w *orderWalker) edgesFor(call *ast.CallExpr, held map[string]string) {
 	if method, class, ok := lockClassOf(w.p, call); ok {
 		// A nested Lock expression (unusual, but e.g. inside a bound
 		// method value) still orders after what is held.
@@ -358,7 +372,32 @@ func (w *orderWalker) edgesFor(call *ast.CallExpr, held map[string]bool) {
 	}
 }
 
+// reportObs flags call if it targets an observability hook while an
+// obsfree class is held.
+func (w *orderWalker) reportObs(call *ast.CallExpr, held map[string]string) {
+	var mutexes []string
+	for class, mutex := range held {
+		if w.p.Ann().Obsfree[class] {
+			mutexes = append(mutexes, mutex)
+		}
+	}
+	if len(mutexes) == 0 {
+		return
+	}
+	name, why := obsCallee(w.p, call)
+	if name == "" {
+		return
+	}
+	sort.Strings(mutexes)
+	w.p.Reportf(call.Pos(), "obs",
+		"%s called while %s is held (%s); release the mutex before notifying observers",
+		name, strings.Join(mutexes, ", "), why)
+}
+
 func (w *orderWalker) addEdge(from, to string, pos token.Pos) {
+	if w.test {
+		return
+	}
 	key := from + "\x00" + to + "\x00" + shortPos(w.p.Fset, pos)
 	if w.dedup[key] {
 		return
@@ -499,15 +538,6 @@ func exportEdges(p *Pass, edges []orderEdge) []LockEdge {
 	return out
 }
 
-// forkClasses copies the held-class set for branch-local tracking.
-func forkClasses(held map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
-}
-
 func sortedKeys(m map[string]bool) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -517,13 +547,69 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-func joinArrow(classes []string) string {
-	s := ""
-	for i, c := range classes {
-		if i > 0 {
-			s += " -> "
-		}
-		s += c
+// obsPkgPath is the observability package whose methods are banned
+// inside obsfree critical sections.
+const obsPkgPath = "kylix/internal/obs"
+
+// observerMethods are the comm.Observer interface methods, banned by
+// name regardless of the concrete receiver (transports hold the
+// observer as an interface).
+var observerMethods = map[string]bool{
+	"ObserveSend":      true,
+	"ObserveRecv":      true,
+	"ObserveRecvGroup": true,
+}
+
+// obsCallee classifies the call's target: a comm.Observer method (by
+// interface method set), any method on a kylix/internal/obs type, or a
+// method named like the observer hooks.
+func obsCallee(p *Pass, call *ast.CallExpr) (name, why string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
 	}
-	return s
+	fn, _ := p.Info.Uses[sel.Sel].(*types.Func)
+	if fn == nil {
+		return "", ""
+	}
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return "", ""
+	}
+	if observerMethods[fn.Name()] {
+		return fn.Name(), "comm.Observer hook"
+	}
+	recvType := sig.Recv().Type()
+	if ptr, ok := recvType.(*types.Pointer); ok {
+		recvType = ptr.Elem()
+	}
+	if named, ok := recvType.(*types.Named); ok {
+		if obj := named.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == obsPkgPath {
+			return obj.Name() + "." + fn.Name(), "kylix/internal/obs method"
+		}
+	}
+	// Observer-shaped helpers (observeRecv, ObserveDelivery, ...): the
+	// analysis is lexical, so a local wrapper that forwards to the real
+	// hook would otherwise smuggle the call under the lock.
+	if strings.HasPrefix(fn.Name(), "Observe") || strings.HasPrefix(fn.Name(), "observe") {
+		return fn.Name(), "observer-shaped method"
+	}
+	return "", ""
+}
+
+// exprString renders a small expression (mutex path) for messages.
+func exprString(expr ast.Expr) string {
+	switch e := expr.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return exprString(e.X) + "." + e.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(e.X) + "[...]"
+	case *ast.UnaryExpr:
+		return exprString(e.X)
+	case *ast.ParenExpr:
+		return exprString(e.X)
+	}
+	return "mutex"
 }

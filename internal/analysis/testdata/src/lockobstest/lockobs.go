@@ -1,5 +1,5 @@
-// Package lockobstest exercises the lockobs analyzer: observability
-// hooks called while an //kylix:obsfree mutex is held must be flagged,
+// Package lockobstest exercises lockorder's obsfree rule: observability
+// hooks called while an obsfree lock class is held must be flagged,
 // while the mailbox's unlock-then-notify shape and un-annotated mutexes
 // stay legal.
 package lockobstest
@@ -11,7 +11,7 @@ import (
 	"kylix/internal/obs"
 )
 
-// observer mirrors comm.Observer's method set; lockobs matches the
+// observer mirrors comm.Observer's method set; the rule matches the
 // hook methods by name regardless of the declaring package.
 type observer interface {
 	ObserveSend(from, to int, wire, raw int)
@@ -21,7 +21,7 @@ type observer interface {
 // box mirrors the mailbox shape: a delivery mutex that must never be
 // held across observer callbacks, plus the hooks themselves.
 type box struct {
-	mu sync.Mutex //kylix:obsfree
+	mu sync.Mutex //kylix:lock box obsfree
 	tr *obs.Tracer
 	o  observer
 	n  int
@@ -92,6 +92,21 @@ func (b *box) viaHelper() {
 	b.observeDelivery() // want "observeDelivery called while b.mu is held"
 	b.mu.Unlock()
 	b.observeDelivery() // accepted: lock released
+}
+
+// closureUnderLock: a closure literal written inside the section is
+// checked against the enclosing held set, whether it runs inline or on
+// its own goroutine.
+func (b *box) closureUnderLock() {
+	b.mu.Lock()
+	notify := func() {
+		b.tr.CountRound() // want "CountRound called while b.mu is held"
+	}
+	notify()
+	go func() {
+		b.o.ObserveSend(0, 1, 64, 64) // want "ObserveSend called while b.mu is held"
+	}()
+	b.mu.Unlock()
 }
 
 func (p *plain) unannotated() {

@@ -130,6 +130,19 @@ func RunUnit(cfgFile string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return diags, nil
 }
 
+// newInfo allocates the full types.Info record set the analyzers use.
+func newInfo() *types.Info {
+	return &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
+}
+
 // mappedImporter applies the unit's ImportMap (source import path ->
 // canonical compiled path) before the export-data lookup.
 type mappedImporter struct {

@@ -89,8 +89,7 @@ const maxFreeQueues = 128
 // lazily started watchdog goroutine per Mailbox (not per blocked
 // receive), so a warm reduction round allocates nothing here.
 type Mailbox struct {
-	//kylix:lock mailbox
-	mu   sync.Mutex //kylix:obsfree — observers fire after delivery state is settled and released
+	mu   sync.Mutex //kylix:lock mailbox obsfree — observers fire after delivery state is settled and released
 	cond *sync.Cond
 	// pending is the one index of undelivered messages. A tag is present
 	// exactly while it has at least one.

@@ -58,8 +58,7 @@ type senderCell struct {
 // concurrently — never serializes senders against each other. The
 // padding keeps neighbouring shards off one cache line.
 type shard struct {
-	//kylix:lock trace-shard
-	mu    sync.Mutex //kylix:obsfree — a shard section must stay a few loads/stores; observers would serialize senders
+	mu    sync.Mutex //kylix:lock trace-shard obsfree — a shard section must stay a few loads/stores; observers would serialize senders
 	cells map[cellKey]*senderCell
 	// last caches the cell of the previous message: a sender emits a
 	// layer's pieces back to back, so most sends skip the map.

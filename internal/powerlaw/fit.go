@@ -121,55 +121,13 @@ func (g *Generator) Occurrences(rng *rand.Rand) []int32 {
 		rate := g.Lambda0 * math.Pow(float64(r), -g.Alpha)
 		if rate < 1e-4 && r > 4096 {
 			// Tail: presence sampling is sufficient (multiplicity ~1).
-			set := (&Generator{N: g.N, Alpha: g.Alpha, Lambda0: g.Lambda0}).tailFrom(rng, r)
-			out = append(out, set...)
-			break
+			return g.appendTail(out, rng, r)
 		}
 		for c := poisson(rng, rate); c > 0; c-- {
 			out = append(out, int32(r-1))
 		}
 	}
 	return out
-}
-
-// tailFrom samples tail presences from rank r0 upward (indices r-1).
-func (g *Generator) tailFrom(rng *rand.Rand, r0 int64) []int32 {
-	var present []int32
-	r := r0
-	for r <= g.N {
-		blockLen := r / 8
-		if blockLen < 64 {
-			blockLen = 64
-		}
-		blockEnd := r + blockLen
-		if blockEnd > g.N {
-			blockEnd = g.N
-		}
-		geoMid := math.Sqrt(float64(r) * float64(blockEnd))
-		p := -math.Expm1(-g.Lambda0 * math.Pow(geoMid, -g.Alpha))
-		if p <= 1e-15 {
-			r = blockEnd + 1
-			continue
-		}
-		for r <= blockEnd {
-			u := rng.Float64()
-			if u == 0 {
-				u = 0x1p-60
-			}
-			jump := math.Floor(math.Log(u) / math.Log(1-p))
-			if jump > float64(blockEnd-r+1) {
-				jump = float64(blockEnd-r) + 1
-			}
-			r += int64(jump)
-			if r > blockEnd {
-				r = blockEnd + 1
-				break
-			}
-			present = append(present, int32(r-1))
-			r++
-		}
-	}
-	return present
 }
 
 // poisson draws Poisson(rate) by inversion (rates here are small).

@@ -55,10 +55,21 @@ func (g *Generator) NodeSet(rng *rand.Rand) sparse.Set {
 			present = append(present, int32(r-1))
 		}
 	}
-	// Tail: between hits, skip Geometric(p) ranks with p frozen per
-	// block. Blocks grow geometrically by 12.5%, so the true power-law
-	// rate varies by at most ~alpha/8 within a block and the rate frozen
-	// at the geometric midpoint tracks the block mean closely.
+	present = g.appendTail(present, rng, r)
+	set, _, err := sparse.NewSet(present)
+	if err != nil {
+		panic("powerlaw: generator produced invalid index: " + err.Error())
+	}
+	return set
+}
+
+// appendTail appends the tail presences from rank r0 upward (indices
+// r-1) to dst: between hits, skip Geometric(p) ranks with p frozen per
+// block. Blocks grow geometrically by 12.5%, so the true power-law
+// rate varies by at most ~alpha/8 within a block and the rate frozen
+// at the geometric midpoint tracks the block mean closely.
+func (g *Generator) appendTail(dst []int32, rng *rand.Rand, r0 int64) []int32 {
+	r := r0
 	for r <= g.N {
 		blockLen := r / 8
 		if blockLen < 64 {
@@ -91,15 +102,11 @@ func (g *Generator) NodeSet(rng *rand.Rand) sparse.Set {
 				r = blockEnd + 1
 				break
 			}
-			present = append(present, int32(r-1))
+			dst = append(dst, int32(r-1))
 			r++
 		}
 	}
-	set, _, err := sparse.NewSet(present)
-	if err != nil {
-		panic("powerlaw: generator produced invalid index: " + err.Error())
-	}
-	return set
+	return dst
 }
 
 // NodeVec draws a node's feature set together with random values in

@@ -1,6 +1,8 @@
 package powerlaw
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -167,5 +169,40 @@ func TestGeneratorMatchesProp41(t *testing.T) {
 	got := float64(len(union)) / float64(n)
 	if math.Abs(got-want) > 0.05*want+0.01 {
 		t.Errorf("union density %g, Prop 4.1 predicts %g", got, want)
+	}
+}
+
+// TestNodeSetDrawsPinned pins the generator's draws bit for bit: the
+// benchmark's result digests and wire bytes depend on these exact sets,
+// so a refactor of the sampler must not move a single index. The same
+// holds for Occurrences, whose tail shares NodeSet's sampler.
+func TestNodeSetDrawsPinned(t *testing.T) {
+	h := fnv.New64a()
+	var buf [4]byte
+	put := func(idx int32) {
+		binary.LittleEndian.PutUint32(buf[:], uint32(idx))
+		h.Write(buf[:])
+	}
+	for _, c := range []struct {
+		n       int64
+		alpha   float64
+		density float64
+	}{{1 << 16, 1.0, 0.21}, {1 << 18, 0.8, 0.035}, {5000, 1.4, 0.5}} {
+		gen, err := NewGeneratorForDensity(c.n, c.alpha, c.density)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			for _, idx := range gen.NodeSet(rng).Indices() {
+				put(idx)
+			}
+			for _, idx := range gen.Occurrences(rng) {
+				put(idx)
+			}
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x873bd84a96a67504); got != want {
+		t.Fatalf("draw digest %#x, want %#x", got, want)
 	}
 }

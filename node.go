@@ -304,32 +304,60 @@ func sameSlice(in, out []int32) bool {
 	return len(in) == len(out) && (len(in) == 0 || &in[0] == &out[0])
 }
 
-// preparedSets is what prepareSets made for one rank's last Configure,
-// with a copy of the lists it came from (one, when the caller passed one
-// slice). The copy is the key: callers may rewrite a slice in place.
+// preparedSets is what prepareSets made for one rank's last Configure.
+// The Sets and maps are the key: they rebuild the caller's lists
+// exactly, so a call is checked against them element by element and
+// callers may rewrite a slice in place.
 type preparedSets struct {
-	lists, in, out []int32
-	inSet, outSet  sparse.Set
-	om             orderMaps
+	inSet, outSet sparse.Set
+	om            orderMaps
 }
 
-// prepare is prepareSets through the entry: lists element-equal to its
-// copies get its very Sets, so core's whole-set checks against a base
-// configured from them alias in O(1); other lists refill it. A nil
-// entry prepares afresh.
+// prepare is prepareSets through the entry: lists element-equal to the
+// ones it was made from get its very Sets, so core's whole-set checks
+// against a base configured from them alias in O(1); other lists
+// refill it. A nil entry prepares afresh.
 func (p *preparedSets) prepare(in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err error) {
-	if p != nil && p.inSet != nil && slices.Equal(p.in, in) && slices.Equal(p.out, out) {
+	if p != nil && p.inSet != nil && p.madeFrom(in, out) {
 		return p.inSet, p.outSet, p.om, nil
 	}
 	if inSet, outSet, om, err = prepareSets(in, out); err == nil && p != nil {
-		p.lists = append(p.lists[:0], in...)
-		if !sameSlice(in, out) {
-			p.lists = append(p.lists, out...)
-		}
-		p.in, p.out = p.lists[:len(in)], p.lists[len(p.lists)-len(out):]
 		p.inSet, p.outSet, p.om = inSet, outSet, om
 	}
 	return inSet, outSet, om, err
+}
+
+// madeFrom reports whether in and out are the lists the entry was
+// prepared from: position i of in holds the index of its row (om.in[i],
+// or i itself), and out's position om.out[r] (or r) holds row r's
+// index.
+func (p *preparedSets) madeFrom(in, out []int32) bool {
+	inLen := len(p.inSet)
+	if p.om.in != nil {
+		inLen = len(p.om.in)
+	}
+	if len(in) != inLen || len(out) != len(p.outSet) {
+		return false
+	}
+	for i, idx := range in {
+		row := i
+		if p.om.in != nil {
+			row = int(p.om.in[i])
+		}
+		if idx != p.inSet[row].Index() {
+			return false
+		}
+	}
+	for row, k := range p.outSet {
+		pos := row
+		if p.om.out != nil {
+			pos = int(p.om.out[row])
+		}
+		if out[pos] != k.Index() {
+			return false
+		}
+	}
+	return true
 }
 
 func isIdentity(perm []int32) bool {

@@ -14,7 +14,6 @@ import (
 	"kylix/internal/memnet"
 	"kylix/internal/netsim"
 	"kylix/internal/obs"
-	"kylix/internal/replica"
 	"kylix/internal/stream"
 	"kylix/internal/tcpnet"
 	"kylix/internal/topo"
@@ -286,9 +285,9 @@ func (c *Cluster) Observability() *Observatory { return c.obs }
 // continue where the previous run's stopped.
 //
 // On an elastic cluster each Run executes over the current epoch's
-// membership: the member ranks run fn over a dense view of the
-// surviving machines, on the epoch's own butterfly — exactly the
-// cluster shape a fresh deployment of those machines would have.
+// membership: the member ranks run fn over the surviving machines mapped
+// to dense ranks (replica.Wrap), on the epoch's own butterfly — exactly
+// the cluster shape a fresh deployment of those machines would have.
 //
 // A Reduction is usable only inside the Run that made it: the next Run
 // builds new machines on tags past every round this one used.
@@ -358,18 +357,11 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch *atomic.Point
 	var maxUsed atomic.Uint32
 	body := func(ep comm.Endpoint) error {
 		physRank := ep.Rank()
-		if members != nil {
-			view, verr := membership.NewView(ep, members)
-			if verr != nil {
-				return verr
-			}
-			ep = view
-		}
 		mem := held.ranks[physRank]
 		if mem == nil {
 			mem = new(rankMemory)
 		}
-		node, err := newNode(ep, bf, cfg, baseRound, physRank, &mem.mach)
+		node, err := newNode(ep, members, bf, cfg, baseRound, physRank, &mem.mach)
 		if err != nil {
 			return err
 		}
@@ -512,7 +504,7 @@ func ListenNode(rank int, addrs []string, opts ...Option) (*Node, error) {
 		ep = fab.Wrap(tn)
 		closer = &fabricCloser{fab: fab, under: tn}
 	}
-	node, err := newNode(ep, bf, cfg, 0, rank, nil)
+	node, err := newNode(ep, nil, bf, cfg, 0, rank, nil)
 	if err != nil {
 		_ = tn.Close()
 		return nil, err
@@ -532,12 +524,4 @@ type fabricCloser struct {
 func (f *fabricCloser) Close() error {
 	f.fab.Close()
 	return f.under.Close()
-}
-
-// wrapReplication applies the replica layer when configured.
-func wrapReplication(ep comm.Endpoint, cfg config) (comm.Endpoint, error) {
-	if cfg.replication == 1 {
-		return ep, nil
-	}
-	return replica.Wrap(ep, cfg.replication)
 }

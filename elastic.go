@@ -48,7 +48,7 @@ func (e *ElasticOptions) defaults() {
 // as the data plane, and Cluster.Join / Leave / Replace change the
 // member set between Runs. Each committed epoch re-derives the
 // butterfly for the surviving logical size, and the next Run executes
-// over the new member view — with results bit-identical to a freshly
+// over the new members — with results bit-identical to a freshly
 // built cluster of the same membership.
 func WithElastic(o ElasticOptions) Option {
 	return func(c *config) {

@@ -79,13 +79,9 @@ func runAllreduce(w *workload, degrees []int, replication int, dead []int, reduc
 	bottoms := make([]int64, phys)
 	start := time.Now()
 	err = memnet.Run(net, func(pep comm.Endpoint) error {
-		ep := pep
-		if replication > 1 {
-			var err error
-			ep, err = replica.Wrap(pep, replication)
-			if err != nil {
-				return err
-			}
+		ep, err := replica.Wrap(pep, nil, replication)
+		if err != nil {
+			return err
 		}
 		q := ep.Rank()
 		m, err := core.NewMachine(ep, bf, core.Options{})

@@ -56,7 +56,7 @@ func TestConfigureReduceUnderReplication(t *testing.T) {
 	net.Kill(6) // logical 2's secondary
 	got := make([][]float32, logical*s)
 	err := memnet.Run(net, func(pep comm.Endpoint) error {
-		ep, err := replica.Wrap(pep, s)
+		ep, err := replica.Wrap(pep, nil, s)
 		if err != nil {
 			return err
 		}

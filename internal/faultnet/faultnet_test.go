@@ -36,7 +36,7 @@ func newSoakCluster(t *testing.T, plan Plan) *soakCluster {
 	t.Cleanup(net.Close)
 	machines := make([]*core.Machine, phys)
 	for p := 0; p < phys; p++ {
-		ep, err := replica.Wrap(fab.Wrap(net.Endpoint(p)), 2)
+		ep, err := replica.Wrap(fab.Wrap(net.Endpoint(p)), nil, 2)
 		if err != nil {
 			t.Fatal(err)
 		}

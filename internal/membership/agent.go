@@ -36,7 +36,7 @@ const (
 	PhaseDraining
 	// PhaseRewiring: the drain finished and the agent is cutting its
 	// committed record over to the new epoch (the data plane rewires
-	// lazily at the next Run over the new member view).
+	// lazily at the next Run over the new members).
 	PhaseRewiring
 )
 

@@ -19,9 +19,10 @@
 // Epoch transitions follow the paper-faithful cutover discipline:
 // drain (bounded quiesce of in-flight collective rounds), re-derive
 // butterfly degrees for the new logical size via internal/powerlaw,
-// rewire (the next Cluster.Run configures machines over the new member
-// view and replication groups), and cut over atomically — the new
-// epoch's Config.Digest() is the all-survivors-agree oracle.
+// rewire (the next Cluster.Run configures machines over the new members,
+// mapped to dense replicated ranks by replica.Wrap), and cut over
+// atomically — the new epoch's Config.Digest() is the all-survivors-agree
+// oracle.
 package membership
 
 import (

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"kylix/internal/comm"
 	"kylix/internal/memnet"
 )
 
@@ -139,64 +138,6 @@ func TestDeriveDegreesDeterministic(t *testing.T) {
 		if m >= 1 && prod != m && !(m == 1 && prod == 1) {
 			t.Fatalf("m=%d: degrees %v multiply to %d", m, d1, prod)
 		}
-	}
-}
-
-func TestViewRemap(t *testing.T) {
-	net := memnet.New(6, memnet.WithRecvTimeout(time.Second))
-	defer net.Close()
-	members := []int{1, 3, 4}
-
-	if _, err := NewView(net.Endpoint(0), members); err == nil {
-		t.Fatal("non-member view must be rejected")
-	}
-	if _, err := NewView(net.Endpoint(1), []int{1, 9}); err == nil {
-		t.Fatal("out-of-range member must be rejected")
-	}
-	if _, err := NewView(net.Endpoint(1), []int{1, 1}); err == nil {
-		t.Fatal("duplicate member must be rejected")
-	}
-
-	v3, err := NewView(net.Endpoint(3), members)
-	if err != nil {
-		t.Fatalf("view: %v", err)
-	}
-	if v3.Rank() != 1 || v3.Size() != 3 {
-		t.Fatalf("rank/size = %d/%d, want 1/3", v3.Rank(), v3.Size())
-	}
-	v1, err := NewView(net.Endpoint(1), members)
-	if err != nil {
-		t.Fatalf("view: %v", err)
-	}
-
-	tag := comm.MakeTag(comm.KindApp, 0, 7)
-	// Dense 1 (phys 3) sends to dense 0 (phys 1).
-	if err := v3.Send(0, tag, &comm.Bytes{Data: []byte{42}}); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	p, err := v1.Recv(1, tag)
-	if err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-	if p.(*comm.Bytes).Data[0] != 42 {
-		t.Fatalf("payload = %v", p)
-	}
-
-	// RecvGroup remaps the winner back to dense space.
-	if err := v3.Send(0, tag, &comm.Bytes{Data: []byte{43}}); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	from, _, err := v1.RecvGroup([][]int{{1, 2}}, tag)
-	if err != nil {
-		t.Fatalf("recvgroup: %v", err)
-	}
-	if from != 1 {
-		t.Fatalf("recvgroup winner = %d, want dense 1", from)
-	}
-
-	// Out-of-range dense ranks are endpoint errors, not transport sends.
-	if err := v3.Send(3, tag, &comm.Bytes{}); err == nil {
-		t.Fatal("dense rank 3 must be out of range")
 	}
 }
 

@@ -42,7 +42,7 @@ func TestChurnSoak(t *testing.T) {
 	// once and reused.
 	machines := make([]*core.Machine, phys)
 	for p := 0; p < phys; p++ {
-		ep, err := Wrap(net.Endpoint(p), s)
+		ep, err := Wrap(net.Endpoint(p), nil, s)
 		if err != nil {
 			t.Fatal(err)
 		}

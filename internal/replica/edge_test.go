@@ -42,7 +42,7 @@ func TestFullReplicationSingleLogical(t *testing.T) {
 	results := make([][]float32, m)
 	err := memnet.Run(net, func(pep comm.Endpoint) error {
 		p := pep.Rank()
-		ep, err := Wrap(pep, m)
+		ep, err := Wrap(pep, nil, m)
 		if err != nil {
 			return err
 		}
@@ -102,7 +102,7 @@ func TestAllPrimariesDeadSurvivors(t *testing.T) {
 	results := make([][]float32, phys)
 	err := memnet.Run(net, func(pep comm.Endpoint) error {
 		p := pep.Rank()
-		ep, err := Wrap(pep, s)
+		ep, err := Wrap(pep, nil, s)
 		if err != nil {
 			return err
 		}
@@ -237,7 +237,7 @@ func TestTCPChurnSoak(t *testing.T) {
 
 func mustWrap(t *testing.T, ep comm.Endpoint, s int) comm.Endpoint {
 	t.Helper()
-	wrapped, err := Wrap(ep, s)
+	wrapped, err := Wrap(ep, nil, s)
 	if err != nil {
 		t.Fatal(err)
 	}

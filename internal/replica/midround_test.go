@@ -37,7 +37,7 @@ func TestKillMidScatterPartnerFinishes(t *testing.T) {
 	defer net.Close()
 	machines := make([]*core.Machine, phys)
 	for p := 0; p < phys; p++ {
-		ep, err := Wrap(net.Endpoint(p), s)
+		ep, err := Wrap(net.Endpoint(p), nil, s)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,15 @@
-// Package replica implements Kylix's fault tolerance (paper §V): the
-// data and every protocol message are replicated by a factor s, and
-// receivers race the replica copies, taking the first to arrive and
-// cancelling the rest. A cluster of m physical machines presents m/s
-// logical machines; machine i plays logical rank i mod m/s, and the
-// logical messages to rank q are physically sent to q, q+m/s, ...,
-// q+(s-1)m/s. The protocol completes as long as at least one replica in
-// every group survives; by the birthday paradox a factor-2 network
-// survives about sqrt(pi*m/2) random failures in expectation.
+// Package replica is the one rank map between the core protocol and the
+// transport. It presents a subset of the physical machines (an elastic
+// epoch's members, or all of them) as a dense cluster, replicated by a
+// factor s for Kylix's fault tolerance (paper §V): the data and every
+// protocol message are replicated s ways, and receivers race the replica
+// copies, taking the first to arrive and cancelling the rest. n members
+// present n/s logical machines; member i plays logical rank i mod n/s,
+// and the logical messages to rank q are physically sent to members q,
+// q+n/s, ..., q+(s-1)n/s. The protocol completes as long as at least
+// one replica in every group survives; by the birthday paradox a
+// factor-2 network survives about sqrt(pi*m/2) random failures in
+// expectation.
 package replica
 
 import (
@@ -16,39 +19,59 @@ import (
 	"kylix/internal/comm"
 )
 
-// Wrap presents a physical endpoint as a logical endpoint of a cluster
-// replicated s ways. The physical cluster size must be divisible by s.
-// Wrapping with s=1 returns the endpoint unchanged.
-func Wrap(ep comm.Endpoint, s int) (comm.Endpoint, error) {
+// Wrap presents a physical endpoint as a logical endpoint over the given
+// members (dense rank d is the physical rank members[d]; nil means every
+// physical rank) replicated s ways. The member count must be divisible
+// by s and ep's own rank must be a member. Wrapping all ranks with s=1
+// returns the endpoint unchanged.
+//
+// The result is dense: the core protocol sees exactly the cluster shape
+// a freshly built deployment of the members would have, which is what
+// makes post-churn results bit-identical to a fresh Configure. Tags pass
+// through untranslated.
+func Wrap(ep comm.Endpoint, members []int, s int) (comm.Endpoint, error) {
 	if s < 1 {
 		return nil, fmt.Errorf("replica: replication factor %d must be >= 1", s)
 	}
-	if s == 1 {
-		return ep, nil
+	if members == nil {
+		if s == 1 {
+			return ep, nil
+		}
+		members = make([]int, ep.Size())
+		for p := range members {
+			members[p] = p
+		}
 	}
-	if ep.Size()%s != 0 {
-		return nil, fmt.Errorf("replica: cluster size %d not divisible by replication factor %d", ep.Size(), s)
+	n := len(members)
+	if n%s != 0 {
+		return nil, fmt.Errorf("replica: %d members not divisible by replication factor %d", n, s)
 	}
-	return &endpoint{phys: ep, s: s, logical: ep.Size() / s}, nil
-}
-
-// LogicalRank maps a physical rank to the logical rank it plays in an
-// s-replicated cluster of physical size m.
-//
-//kylix:deterministic
-func LogicalRank(physRank, m, s int) int { return physRank % (m / s) }
-
-// Replicas lists the physical machines playing logical rank q in an
-// s-replicated cluster of physical size m, primary first.
-//
-//kylix:deterministic
-func Replicas(q, m, s int) []int {
-	logical := m / s
-	out := make([]int, s)
-	for j := 0; j < s; j++ {
-		out[j] = q + j*logical
+	logical := n / s
+	e := &endpoint{phys: ep, copies: make([][]int, logical), of: make([]int, ep.Size())}
+	for p := range e.of {
+		e.of[p] = -1
 	}
-	return out
+	for d, p := range members {
+		if p < 0 || p >= ep.Size() {
+			return nil, fmt.Errorf("replica: member %d outside physical cluster [0,%d)", p, ep.Size())
+		}
+		if e.of[p] != -1 {
+			return nil, fmt.Errorf("replica: member %d listed twice", p)
+		}
+		e.of[p] = d % logical
+	}
+	if e.of[ep.Rank()] < 0 {
+		return nil, fmt.Errorf("replica: rank %d is not a member", ep.Rank())
+	}
+	backing := make([]int, n)
+	for q := range e.copies {
+		c := backing[q*s : (q+1)*s : (q+1)*s]
+		for j := range c {
+			c[j] = members[q+j*logical]
+		}
+		e.copies[q] = c
+	}
+	return e, nil
 }
 
 // BirthdayBound estimates the expected number of uniformly random
@@ -60,28 +83,37 @@ func Replicas(q, m, s int) []int {
 func BirthdayBound(m int) float64 { return math.Sqrt(math.Pi * float64(m) / 2) }
 
 type endpoint struct {
-	phys    comm.Endpoint
-	s       int
-	logical int
+	phys   comm.Endpoint
+	copies [][]int // logical rank -> the physical ranks playing it, primary first
+	of     []int   // physical rank -> logical rank (-1 for non-members)
 }
 
-func (e *endpoint) Rank() int { return e.phys.Rank() % e.logical }
-func (e *endpoint) Size() int { return e.logical }
+func (e *endpoint) Rank() int { return e.of[e.phys.Rank()] }
+func (e *endpoint) Size() int { return len(e.copies) }
+
+func (e *endpoint) check(q int) error {
+	if q < 0 || q >= len(e.copies) {
+		return fmt.Errorf("replica: logical rank %d out of [0,%d)", q, len(e.copies))
+	}
+	return nil
+}
 
 // Send duplicates the message to every replica of the logical target.
 // Transports drop the copies aimed at dead machines; live replicas race.
-// The payload is deep-copied first: in-process transports deliver by
-// reference, and the s receivers consume their copies at independent
-// paces — a straggling replica may still be reading long after the
-// sender's scratch arena has recycled the original buffers, so the
-// replica layer must give the fan-out a lifetime of its own.
+// A payload that fans out is deep-copied first: in-process transports
+// deliver by reference, and the s receivers consume their copies at
+// independent paces — a straggling replica may still be reading long
+// after the sender's scratch arena has recycled the original buffers, so
+// the replica layer must give the fan-out a lifetime of its own.
 func (e *endpoint) Send(to int, tag comm.Tag, p comm.Payload) error {
-	if to < 0 || to >= e.logical {
-		return fmt.Errorf("replica: logical rank %d out of [0,%d)", to, e.logical)
+	if err := e.check(to); err != nil {
+		return err
 	}
-	p = p.Clone()
-	for j := 0; j < e.s; j++ {
-		if err := e.phys.Send(to+j*e.logical, tag, p); err != nil {
+	if len(e.copies[to]) > 1 {
+		p = p.Clone()
+	}
+	for _, pt := range e.copies[to] {
+		if err := e.phys.Send(pt, tag, p); err != nil {
 			return err
 		}
 	}
@@ -92,7 +124,10 @@ func (e *endpoint) Send(to int, tag comm.Tag, p comm.Payload) error {
 // group: the first physical arrival wins and the transport cancels the
 // rest (§V-B).
 func (e *endpoint) Recv(from int, tag comm.Tag) (comm.Payload, error) {
-	_, p, err := e.phys.RecvGroup([][]int{Replicas(from, e.phys.Size(), e.s)}, tag)
+	if err := e.check(from); err != nil {
+		return nil, err
+	}
+	_, p, err := e.phys.RecvGroup(e.copies[from:from+1], tag)
 	return p, err
 }
 
@@ -107,13 +142,14 @@ func (e *endpoint) RecvGroup(groups [][]int, tag comm.Tag) (int, comm.Payload, e
 		total += len(g)
 	}
 	phys := make([][]int, len(groups))
-	backing := make([]int, 0, e.s*total)
+	backing := make([]int, 0, len(e.copies[0])*total)
 	for i, g := range groups {
 		start := len(backing)
 		for _, q := range g {
-			for j := 0; j < e.s; j++ {
-				backing = append(backing, q+j*e.logical)
+			if err := e.check(q); err != nil {
+				return 0, nil, err
 			}
+			backing = append(backing, e.copies[q]...)
 		}
 		phys[i] = backing[start:len(backing):len(backing)]
 	}
@@ -121,7 +157,7 @@ func (e *endpoint) RecvGroup(groups [][]int, tag comm.Tag) (int, comm.Payload, e
 	if err != nil {
 		return 0, nil, err
 	}
-	return winner % e.logical, p, nil
+	return e.of[winner], p, nil
 }
 
 func (e *endpoint) Close() error { return e.phys.Close() }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"kylix/internal/comm"
 	"kylix/internal/core"
@@ -18,23 +19,37 @@ import (
 func TestWrapValidation(t *testing.T) {
 	n := memnet.New(6)
 	defer n.Close()
-	if _, err := Wrap(n.Endpoint(0), 0); err == nil {
+	if _, err := Wrap(n.Endpoint(0), nil, 0); err == nil {
 		t.Error("accepted s=0")
 	}
-	if _, err := Wrap(n.Endpoint(0), 4); err == nil {
+	if _, err := Wrap(n.Endpoint(0), nil, 4); err == nil {
 		t.Error("accepted non-divisible factor")
 	}
-	ep, err := Wrap(n.Endpoint(0), 1)
+	ep, err := Wrap(n.Endpoint(0), nil, 1)
 	if err != nil || ep != n.Endpoint(0).(comm.Endpoint) && ep.Size() != 6 {
 		t.Error("s=1 should be a pass-through")
 	}
-	ep2, err := Wrap(n.Endpoint(4), 2)
+	ep2, err := Wrap(n.Endpoint(4), nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ep2.Size() != 3 || ep2.Rank() != 1 {
 		t.Fatalf("logical size=%d rank=%d", ep2.Size(), ep2.Rank())
 	}
+}
+
+// LogicalRank maps a physical rank to the logical rank it plays in an
+// s-replicated cluster of physical size m.
+func LogicalRank(physRank, m, s int) int { return physRank % (m / s) }
+
+// Replicas lists the physical machines playing logical rank q in an
+// s-replicated cluster of physical size m, primary first.
+func Replicas(q, m, s int) []int {
+	out := make([]int, s)
+	for j := range out {
+		out[j] = q + j*(m/s)
+	}
+	return out
 }
 
 func TestHelpers(t *testing.T) {
@@ -53,7 +68,7 @@ func TestHelpers(t *testing.T) {
 func TestReplicatedSendReachesAllReplicas(t *testing.T) {
 	n := memnet.New(4)
 	defer n.Close()
-	ep0, _ := Wrap(n.Endpoint(0), 2)
+	ep0, _ := Wrap(n.Endpoint(0), nil, 2)
 	tag := comm.MakeTag(comm.KindApp, 0, 0)
 	if err := ep0.Send(1, tag, &comm.Bytes{Data: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -69,7 +84,7 @@ func TestReplicatedSendReachesAllReplicas(t *testing.T) {
 func TestSendRejectsBadLogicalRank(t *testing.T) {
 	n := memnet.New(4)
 	defer n.Close()
-	ep, _ := Wrap(n.Endpoint(0), 2)
+	ep, _ := Wrap(n.Endpoint(0), nil, 2)
 	if err := ep.Send(2, comm.MakeTag(comm.KindApp, 0, 0), &comm.Bytes{}); err == nil {
 		t.Fatal("accepted out-of-range logical rank")
 	}
@@ -83,7 +98,7 @@ func TestRecvRacesReplicas(t *testing.T) {
 	if err := n.Endpoint(3).Send(0, tag, &comm.Bytes{Data: []byte("twin")}); err != nil {
 		t.Fatal(err)
 	}
-	ep0, _ := Wrap(n.Endpoint(0), 2)
+	ep0, _ := Wrap(n.Endpoint(0), nil, 2)
 	p, err := ep0.Recv(1, tag)
 	if err != nil {
 		t.Fatal(err)
@@ -100,13 +115,156 @@ func TestRecvGroupMapsWinnerToLogical(t *testing.T) {
 	if err := n.Endpoint(2).Send(1, tag, &comm.Bytes{}); err != nil { // phys 2 = logical 0's twin
 		t.Fatal(err)
 	}
-	ep, _ := Wrap(n.Endpoint(1), 2)
+	ep, _ := Wrap(n.Endpoint(1), nil, 2)
 	from, _, err := ep.RecvGroup([][]int{{0, 1}}, tag)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if from != 0 {
 		t.Fatalf("winner reported as logical %d, want 0", from)
+	}
+}
+
+func TestViewRemap(t *testing.T) {
+	net := memnet.New(6, memnet.WithRecvTimeout(time.Second))
+	defer net.Close()
+	members := []int{1, 3, 4}
+
+	if _, err := Wrap(net.Endpoint(0), members, 1); err == nil {
+		t.Fatal("non-member view must be rejected")
+	}
+	if _, err := Wrap(net.Endpoint(1), []int{1, 9}, 1); err == nil {
+		t.Fatal("out-of-range member must be rejected")
+	}
+	if _, err := Wrap(net.Endpoint(1), []int{1, 1}, 1); err == nil {
+		t.Fatal("duplicate member must be rejected")
+	}
+
+	v3, err := Wrap(net.Endpoint(3), members, 1)
+	if err != nil {
+		t.Fatalf("view: %v", err)
+	}
+	if v3.Rank() != 1 || v3.Size() != 3 {
+		t.Fatalf("rank/size = %d/%d, want 1/3", v3.Rank(), v3.Size())
+	}
+	v1, err := Wrap(net.Endpoint(1), members, 1)
+	if err != nil {
+		t.Fatalf("view: %v", err)
+	}
+
+	tag := comm.MakeTag(comm.KindApp, 0, 7)
+	// Dense 1 (phys 3) sends to dense 0 (phys 1).
+	if err := v3.Send(0, tag, &comm.Bytes{Data: []byte{42}}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	p, err := v1.Recv(1, tag)
+	if err != nil {
+		t.Fatalf("recv: %v", err)
+	}
+	if p.(*comm.Bytes).Data[0] != 42 {
+		t.Fatalf("payload = %v", p)
+	}
+
+	// RecvGroup remaps the winner back to dense space.
+	if err := v3.Send(0, tag, &comm.Bytes{Data: []byte{43}}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	from, _, err := v1.RecvGroup([][]int{{1, 2}}, tag)
+	if err != nil {
+		t.Fatalf("recvgroup: %v", err)
+	}
+	if from != 1 {
+		t.Fatalf("recvgroup winner = %d, want dense 1", from)
+	}
+
+	// Out-of-range dense ranks are endpoint errors, not transport sends.
+	if err := v3.Send(3, tag, &comm.Bytes{}); err == nil {
+		t.Fatal("dense rank 3 must be out of range")
+	}
+
+	// Members replicated twice: {1,3,4,6} is two logical ranks, logical
+	// 0 played by physical 1 and 4, logical 1 by physical 3 and 6.
+	net8 := memnet.New(8, memnet.WithRecvTimeout(time.Second))
+	defer net8.Close()
+	members = []int{1, 3, 4, 6}
+	if _, err := Wrap(net8.Endpoint(1), members[:3], 2); err == nil {
+		t.Fatal("3 members at s=2 must be rejected")
+	}
+	r4, err := Wrap(net8.Endpoint(4), members, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r4.Rank() != 0 || r4.Size() != 2 {
+		t.Fatalf("rank/size = %d/%d, want 0/2", r4.Rank(), r4.Size())
+	}
+	r6, err := Wrap(net8.Endpoint(6), members, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r6.Send(0, tag, &comm.Bytes{Data: []byte{44}}); err != nil {
+		t.Fatalf("send: %v", err)
+	}
+	for _, phys := range []int{1, 4} {
+		p, err := net8.Endpoint(phys).Recv(6, tag)
+		if err != nil {
+			t.Fatalf("replica %d of logical 0 missed the message: %v", phys, err)
+		}
+		if p.(*comm.Bytes).Data[0] != 44 {
+			t.Fatalf("payload at %d = %v", phys, p)
+		}
+	}
+	// Physical 6 is logical 1's second copy; its win maps back to 1.
+	if err := net8.Endpoint(6).Send(4, tag, &comm.Bytes{}); err != nil {
+		t.Fatal(err)
+	}
+	if from, _, err := r4.RecvGroup([][]int{{0}, {1}}, tag); err != nil || from != 1 {
+		t.Fatalf("recvgroup winner = %d (%v), want logical 1", from, err)
+	}
+}
+
+// TestOutOfRangeLogicalRankIsRefused checks that a receive from a
+// logical rank outside [0, Size) fails at once, rather than racing the
+// physical machines that the rank arithmetic happens to land on.
+func TestOutOfRangeLogicalRankIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		phys    int
+		members []int
+		bad     []int
+	}{
+		{"all ranks", 6, nil, []int{-1, 3, 4}},
+		{"members", 8, []int{1, 3, 4, 6}, []int{-1, 2, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := memnet.New(tc.phys, memnet.WithRecvTimeout(time.Second))
+			defer net.Close()
+			const self = 1
+			ep, err := Wrap(net.Endpoint(self), tc.members, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, q := range tc.bad {
+				recvTag := comm.MakeTag(comm.KindApp, 0, uint32(2*i))
+				groupTag := comm.MakeTag(comm.KindApp, 0, uint32(2*i+1))
+				// Every other machine has a message waiting, so a receive
+				// that mapped q onto any physical rank would succeed.
+				for p := 0; p < tc.phys; p++ {
+					for _, tag := range []comm.Tag{recvTag, groupTag} {
+						if p != self {
+							if err := net.Endpoint(p).Send(self, tag, &comm.Bytes{Data: []byte{byte(p)}}); err != nil {
+								t.Fatal(err)
+							}
+						}
+					}
+				}
+				if p, err := ep.Recv(q, recvTag); err == nil {
+					t.Errorf("Recv(%d) took physical %d's payload, want an error", q, p.(*comm.Bytes).Data[0])
+				}
+				if from, p, err := ep.RecvGroup([][]int{{q}}, groupTag); err == nil {
+					t.Errorf("RecvGroup({{%d}}) took physical %d's payload as logical %d, want an error", q, p.(*comm.Bytes).Data[0], from)
+				}
+			}
+		})
 	}
 }
 
@@ -183,7 +341,7 @@ func replicatedRounds(t *testing.T, degrees []int, s int, dead []int, rounds int
 	}
 	results := make([][]float32, phys)
 	err := memnet.Run(n, func(pep comm.Endpoint) error {
-		ep, err := Wrap(pep, s)
+		ep, err := Wrap(pep, nil, s)
 		if err != nil {
 			return err
 		}
@@ -280,7 +438,7 @@ func TestWholeGroupDeadFails(t *testing.T) {
 	n.Kill(2)
 	n.Kill(6) // both replicas of logical 2
 	err := memnet.Run(n, func(pep comm.Endpoint) error {
-		ep, err := Wrap(pep, 2)
+		ep, err := Wrap(pep, nil, 2)
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 
 	"kylix/internal/comm"
 	"kylix/internal/core"
+	"kylix/internal/replica"
 	"kylix/internal/sparse"
 	"kylix/internal/stream"
 	"kylix/internal/tcpnet"
@@ -18,7 +19,7 @@ import (
 // Reduce / ConfigureReduce / TreeAllreduce operations.
 type Node struct {
 	mach     *core.Machine
-	ep       comm.Endpoint // logical (replication-wrapped) endpoint
+	ep       comm.Endpoint // logical endpoint: replica.Wrap over the physical one
 	bf       *topo.Butterfly
 	cfg      config
 	base     uint32
@@ -43,13 +44,14 @@ type Node struct {
 	root    *Node
 }
 
-// newNode builds one machine's handle. physRank is the machine's
-// position in the physical cluster — distinct from ep.Rank() when ep is
-// a membership view (dense member rank) or a replication wrapper
-// (logical rank); observability is keyed by the physical identity.
-// scratch is what an earlier node of this rank and namespace left, or nil.
-func newNode(ep comm.Endpoint, bf *topo.Butterfly, cfg config, roundBase uint32, physRank int, scratch *core.Scratch) (*Node, error) {
-	lep, err := wrapReplication(ep, cfg)
+// newNode builds one machine's handle over the physical endpoint ep,
+// mapped by replica.Wrap onto the dense logical ranks of members (nil
+// unless elastic: every machine) at the configured replication. physRank
+// is ep.Rank(), the machine's position in the physical cluster;
+// observability is keyed by it. scratch is what an earlier node of this
+// rank and namespace left, or nil.
+func newNode(ep comm.Endpoint, members []int, bf *topo.Butterfly, cfg config, roundBase uint32, physRank int, scratch *core.Scratch) (*Node, error) {
+	lep, err := replica.Wrap(ep, members, cfg.replication)
 	if err != nil {
 		return nil, err
 	}

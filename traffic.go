@@ -70,19 +70,6 @@ func (r *TrafficReport) TotalBytes(phase Phase) int64 {
 	return total
 }
 
-// TotalRawBytes is TotalBytes for the uncompressed-equivalent volume:
-// what the same traffic would have cost before the compressed index
-// wire format and (when quantization is on) the value codec.
-func (r *TrafficReport) TotalRawBytes(phase Phase) int64 {
-	var total int64
-	for _, lt := range r.Layers {
-		if phase == "" || lt.Phase == phase {
-			total += lt.RawBytes
-		}
-	}
-	return total
-}
-
 // String renders a per-layer table.
 func (r *TrafficReport) String() string {
 	var b strings.Builder

@@ -522,6 +522,10 @@ func TestCloseReleasesMachineMemory(t *testing.T) {
 // the same slices rewritten in place (here two positions swapped, the
 // same Set in another order) get Sets of their own.
 func TestStreamRunKeepsItsPreparedSets(t *testing.T) {
+	// Retired Sets are poisoned: one the entry still holds would no longer
+	// match the lists it was made from.
+	core.PoisonArena(true)
+	defer core.PoisonArena(false)
 	const m = 4
 	c, err := kylix.NewCluster(m, kylix.WithDegrees(2, 2))
 	if err != nil {

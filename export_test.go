@@ -64,3 +64,16 @@ func (r *Reduction) ArenaBytes() int {
 	}
 	return 4 * n * r.node.width
 }
+
+// RoutingBytes is what r's routing state weighs, for a Reduction over
+// one list (every layer symmetric): 8 bytes a key of its top Set and
+// unions, and 4 a map entry — at least one a union key, the count used
+// here — and an order-map entry.
+func (r *Reduction) RoutingBytes() int {
+	in, _ := r.cfg.LayerUnionSizes()
+	n := 8*len(r.cfg.InSet()) + 4*len(r.om.in)
+	for _, u := range in {
+		n += 12 * u
+	}
+	return n
+}

@@ -176,6 +176,7 @@ func batchFeatures(batch []Example) (sparse.Set, [][]int32) {
 	if err != nil {
 		panic("sgd: invalid feature index: " + err.Error())
 	}
+	perm = sparse.PermOrIdentity(perm, len(all))
 	pos := make([][]int32, len(batch))
 	off := 0
 	for bi, ex := range batch {

@@ -22,10 +22,12 @@ import (
 // it receives into per-layer unions, and keeps the position maps that
 // let reduction run in constant time per element.
 //
-// The pass allocates only what the returned Config retains: transient
-// state (receive staging, union work arenas, split offsets) lives in a
-// machine-level scratch reused across configurations, and per-layer
-// retained slices are carved from single blocks.
+// The pass allocates the routing state the returned Config retains —
+// each layer's unions and maps in a block a direction, taken from the
+// blocks earlier passes retired where one fits (Scratch) — and one block
+// of payload headers per layer that ships more than markers. Transient
+// state (receive staging, union work arenas, split offsets) lives in
+// machine scratch, and a fused pass's values in the reduction arena.
 //
 // Configure continues from the Scratch's base when a predecessor Machine
 // left it — the Config of the last configuration pass on this rank and
@@ -57,6 +59,9 @@ func (m *Machine) Configure(inSet, outSet sparse.Set) (*Config, error) {
 func (c *Config) continueFrom(b *Config) {
 	c.inSet, c.outSet, c.bottomMap, c.missing = b.inSet, b.outSet, b.bottomMap, b.missing
 	copy(c.layers, b.layers)
+	for i := range c.layers {
+		c.layers[i].blocks = [2][]int32{} // b's blocks: never c's to retire
+	}
 	c.res, c.stamp = b.res, b.stamp
 	clear(c.res)
 }
@@ -117,6 +122,9 @@ func (c *Config) configure(what string, kind comm.Kind, inSet, outSet sparse.Set
 	defer func() {
 		if err != nil {
 			c.poisoned = true
+		} else { // what the pass superseded becomes takeable
+			m.cfg.done++
+			m.cfg.poisonRetired()
 		}
 		m.cfg.base = c // a successor Machine's Configure continues from here unless poisoned
 	}()
@@ -288,6 +296,9 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 				outP[t] = cs.mergedPiece(ls.outUnion, ls.outMaps[t])
 			}
 		}
+		if ls.blocks[0] != nil {
+			cs.supersede(ls)
+		}
 		m.buildUnions(ls, inP, outP)
 		clear(inP)
 		clear(outP)
@@ -301,13 +312,15 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 	x.in, x.out, x.wasIn, x.wasOut = ls.inUnion, ls.outUnion, wasIn, wasOut
 
 	if fused {
-		// The fused accumulator is freshly allocated, not arena-carved:
-		// it becomes the next layer's vals, whose segments outlive this
-		// call inside retained payloads.
-		acc := make([]float32, len(ls.outUnion)*w)
-		if id := m.opts.Reducer.Identity(); id != 0 {
-			sparse.Fill(acc, id)
+		// The accumulator, the next layer's vals, rides in payloads past
+		// this call like the stage: it extends the stage of the generation
+		// the gather flips to, made fresh until that flip grows the slab.
+		g := &cs.bufs[cs.gen^1]
+		acc := take(g.f, &g.staged, len(ls.outUnion)*w)
+		if acc == nil {
+			acc = make([]float32, len(ls.outUnion)*w)
 		}
+		sparse.Fill(acc, m.opts.Reducer.Identity())
 		for t, q := range got {
 			sparse.CombineInto(m.opts.Reducer, acc, ls.outMaps[t], q.Vals, w)
 		}
@@ -359,29 +372,41 @@ func (cs *Scratch) mergedPiece(union sparse.Set, m []int32) sparse.Set {
 // piece on every transport: zero-copy ones hand over the one slice, and
 // a symmetric piece decodes with Out aliasing In.
 func (m *Machine) buildUnions(ls *layerState, inPieces, outPieces []sparse.Set) {
-	ls.inUnion, ls.inMaps = m.unionMaps(inPieces)
+	ls.inUnion, ls.inMaps, ls.blocks[0] = m.unionMaps(inPieces)
 	for t, p := range inPieces {
 		if !p.Equal(outPieces[t]) {
-			ls.outUnion, ls.outMaps = m.unionMaps(outPieces)
+			ls.outUnion, ls.outMaps, ls.blocks[1] = m.unionMaps(outPieces)
 			return
 		}
 	}
-	ls.outUnion, ls.outMaps = ls.inUnion, ls.inMaps
+	ls.outUnion, ls.outMaps, ls.blocks[1] = ls.inUnion, ls.inMaps, ls.blocks[0]
 }
 
 // unionMaps is one direction of buildUnions: the retained union of the
-// pieces and their position maps into it.
-func (m *Machine) unionMaps(pieces []sparse.Set) (sparse.Set, [][]int32) {
+// pieces, their position maps into it, and the one block the maps are
+// carved from, for supersede to retire. Union and block are retired ones
+// where one fits.
+func (m *Machine) unionMaps(pieces []sparse.Set) (sparse.Set, [][]int32, []int32) {
+	s := m.cfg
 	total := 0
 	for _, p := range pieces {
 		total += len(p)
 	}
-	data := make([]int32, total)
-	maps := make([][]int32, len(pieces))
+	block := s.intBlocks.take(total, s.done)
+	if block == nil {
+		block = make([]int32, total)
+	}
+	maps, data := make([][]int32, len(pieces)), block
 	for t, p := range pieces {
 		maps[t], data = data[:len(p):len(p)], data[len(p):]
 	}
-	return m.cfg.uni.UnionMaps(pieces, maps).Clone(), maps
+	merged := s.uni.UnionMaps(pieces, maps)
+	union := sparse.Set(s.keyBlocks.take(len(merged), s.done))
+	if union == nil {
+		union = make(sparse.Set, len(merged))
+	}
+	copy(union, merged)
+	return union, maps, block
 }
 
 // finishBottom builds the turnaround map from the bottom in-union into

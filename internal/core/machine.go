@@ -168,6 +168,11 @@ type layerState struct {
 	// group[t] into the unions: outMaps are the f maps applied during
 	// scatter-reduce, inMaps the g maps applied during allgather.
 	inMaps, outMaps [][]int32
+	// blocks are the whole blocks the in and out maps are carved from,
+	// set when this Config's unionMaps built the unions and maps and nil
+	// when those are shared with the base it continued from: a rebuild
+	// retires only its own (Scratch.supersede).
+	blocks [2][]int32
 }
 
 // Config is the reusable result of a configuration pass: for fixed in

@@ -69,6 +69,9 @@ func freshDigests(t *testing.T, degrees []int, ws []workload) []uint64 {
 }
 
 func TestReconfigureMatchesFreshConfigure(t *testing.T) {
+	// The rebuilds recycle the blocks the last pass retired, poisoned.
+	PoisonArena(true)
+	defer PoisonArena(false)
 	rng := rand.New(rand.NewSource(31))
 	for _, degrees := range [][]int{{4, 2}, {2, 2, 2}, {8}} {
 		bf := topo.MustNew(degrees)

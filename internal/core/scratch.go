@@ -57,9 +57,11 @@ type genBufs struct {
 	// (len = |inSet| * width for i == 0, |layers[i-1].inUnion| * width
 	// otherwise). next[0] is the vector handed back to the caller.
 	next [][]float32
-	// f and b are the slabs. f[:staged] is the out-value stage StageOut
-	// handed out for the pass that flips into this generation (0 when the
-	// caller feeds Reduce its own vector); that pass carves after it.
+	// f and b are the slabs. f[:staged] is the stage of the pass that
+	// flips into this generation: the out values StageOut handed out (none
+	// when the caller feeds Reduce its own vector) and, in a fused pass,
+	// the accumulators its layers folded into. That pass carves after it;
+	// staged may pass len(f) until the flip grows f.
 	f      []float32
 	b      []byte
 	staged int
@@ -75,11 +77,11 @@ type genBufs struct {
 // transient state, the two-generation reduction arena and the base a
 // successor Machine's Configure continues from. One instance serves
 // every pass on a Machine (one goroutine, passes never overlap) and
-// nothing in it outlives a pass except as capacity and as the base, so
-// a successor Machine on the same rank, peers and options may inherit it
-// (Options.Scratch) once every rank has finished the predecessor's work
-// without error: then the slabs are quiescent and every rank's base is
-// of the same pass.
+// nothing in it outlives a pass except as capacity (retired blocks too)
+// and as the base, so a successor Machine on the same rank, peers and
+// options may inherit it (Options.Scratch) once every rank has finished
+// the predecessor's work without error: then the slabs and retired
+// blocks are quiescent and every rank's base is of the same pass.
 //
 // The arena alternates generations by arena pass — a Reduce or the
 // gather of a fused ConfigureReduce, of whichever Config: pass N rewrites
@@ -130,6 +132,105 @@ type Scratch struct {
 	// base is the Config of the latest configuration pass; only a
 	// successor Machine's Configure continues from it.
 	base *Config
+	// keyBlocks and intBlocks are the retire list: union, map, top-Set and
+	// order-map blocks, each stamped with the configuration pass that
+	// superseded it; done counts the passes finished without error, and a
+	// block is taken only once its pass is among them (DESIGN.md, "Hot
+	// path & memory discipline", retired per machine).
+	keyBlocks retireList[sparse.Key]
+	intBlocks retireList[int32]
+	done      uint64
+}
+
+// retireSlots is how many blocks of each kind the retire list parks (a
+// retirement past it evicts the oldest). retireSlack completes the fit
+// rule, comm.RecvPool's: a parked block serves n elements when n <=
+// capacity <= 2n + retireSlack, so a small set never pins a large block.
+const retireSlots, retireSlack = 16, 64
+
+// retireList parks blocks of routing state — Set keys or position-map
+// entries — oldest first, each with the pass that superseded it.
+type retireList[T ~uint64 | ~int32] []retired[T]
+
+type retired[T any] struct {
+	b    []T
+	pass uint64
+}
+
+// put parks b, whole capacity and all, stamped with pass, unless it is
+// parked already: directions and callers that share a block retire it
+// once each.
+func (l *retireList[T]) put(b []T, pass uint64) {
+	if cap(b) > 0 && !slices.ContainsFunc(*l, func(e retired[T]) bool { return &e.b[0] == &b[:1][0] }) {
+		*l = append(slices.Delete(*l, 0, max(len(*l)-retireSlots+1, 0)), retired[T]{b[:cap(b)], pass})
+	}
+}
+
+// take removes the newest block that a pass up to done superseded and
+// that fits n elements, and returns n of them, stale contents and all;
+// nil when none does.
+func (l *retireList[T]) take(n int, done uint64) []T {
+	for i := len(*l) - 1; i >= 0; i-- {
+		if e := (*l)[i]; e.pass <= done && n <= len(e.b) && len(e.b) <= 2*n+retireSlack {
+			*l = slices.Delete(*l, i, i+1)
+			return e.b[:n]
+		}
+	}
+	return nil
+}
+
+// poisonRetired scribbles all-ones over the blocks the last finished
+// pass superseded, under PoisonArena: a key of index -1, which no Set
+// holds, or a position of -1.
+func (s *Scratch) poisonRetired() {
+	if poisonArena.Load() {
+		poisonBlocks(s.keyBlocks, s.done)
+		poisonBlocks(s.intBlocks, s.done)
+	}
+}
+
+func poisonBlocks[T ~uint64 | ~int32](l retireList[T], pass uint64) {
+	for _, e := range l {
+		if e.pass == pass {
+			for i := range e.b {
+				e.b[i] = ^T(0)
+			}
+		}
+	}
+}
+
+// supersede retires a layer's unions and maps, which its Config built
+// and a rebuild is replacing, stamped with the pass in progress: that
+// pass still reads them, and peers read them no later than the pass
+// before it. The pass makes them takeable once it has finished.
+func (s *Scratch) supersede(ls *layerState) {
+	s.keyBlocks.put(ls.inUnion, s.done+1)
+	s.keyBlocks.put(ls.outUnion, s.done+1)
+	s.intBlocks.put(ls.blocks[0], s.done+1)
+	s.intBlocks.put(ls.blocks[1], s.done+1)
+}
+
+// NewSet is sparse.NewSetInto over blocks the machine's passes retired,
+// for a caller's top Set and order map; a block it leaves unused stays
+// parked.
+func (m *Machine) NewSet(idx []int32) (sparse.Set, []int32, error) {
+	s := m.scratch()
+	keys, perm := s.keyBlocks.take(len(idx), s.done), s.intBlocks.take(len(idx), s.done)
+	set, p, err := sparse.NewSetInto(keys, perm, idx)
+	if p == nil {
+		s.intBlocks.put(perm, s.done)
+	}
+	return set, p, err
+}
+
+// RetireSet parks a top Set and order map the caller built for this
+// machine's passes and will never read again: ones the last pass
+// superseded, as a Reconfigure to new sets does.
+func (m *Machine) RetireSet(set sparse.Set, perm []int32) {
+	s := m.scratch()
+	s.keyBlocks.put(set, s.done)
+	s.intBlocks.put(perm, s.done)
+	s.poisonRetired()
 }
 
 // PoisonArena is a test hook: while on, every flip scribbles over the
@@ -175,7 +276,7 @@ func (c *Config) flip() *genBufs {
 	s.gen ^= 1
 	g := &s.bufs[s.gen]
 	if poisonArena.Load() {
-		poison(g.f[g.staged:], g.b)
+		poison(g.f[min(g.staged, len(g.f)):], g.b)
 	}
 	if g.stamp != c.stamp || g.from != g.staged {
 		if nf, nb, nr := c.carve(g); nf > len(g.f) || nb > len(g.b) || nr > len(c.res) {

@@ -108,7 +108,8 @@ func BuildShard(edges []Edge, weights []float32) (*Shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Shard{In: in, Out: out, SrcPos: srcPerm, DstPos: dstPerm}
+	s := &Shard{In: in, Out: out,
+		SrcPos: sparse.PermOrIdentity(srcPerm, len(edges)), DstPos: sparse.PermOrIdentity(dstPerm, len(edges))}
 	if weights == nil {
 		s.W = make([]float32, len(edges))
 		for i := range s.W {

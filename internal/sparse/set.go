@@ -12,26 +12,44 @@ type Set []Key
 // NewSet builds a Set from raw feature indices. Duplicate indices are
 // collapsed. The second return value maps each input position to the
 // position of its key in the resulting Set, so callers can translate
-// between their original index order and the protocol's sorted order.
+// between their original index order and the protocol's sorted order;
+// it is nil when that map is the identity — input already in key order
+// with no duplicate, as is every set that has been through the protocol
+// once — which is then built in one pass, with no sort.
 //
 // hash32 is a bijection, so the hash half of a Key alone orders and
 // dedups: the sort runs on packed hash32<<32 | position words (the
 // distribution sort of sort.go, from pooled scratch into the result),
 // and the index half is filled in afterwards, in place, turning the
-// sorted words into the Set itself. Input already ascending in key
-// order — every set that has been through the protocol once — skips the
-// sort.
-func NewSet(indices []int32) (Set, []int32, error) {
-	set := make(Set, len(indices))
-	ascending := true
+// sorted words into the Set itself. Input ascending in key order save
+// for adjacent duplicates skips the sort too.
+func NewSet(indices []int32) (Set, []int32, error) { return NewSetInto(nil, nil, indices) }
+
+// NewSetInto is NewSet building into set and perm, whose contents it
+// overwrites, wherever their capacities suffice: a caller that recycles
+// the Sets and maps it has finished with allocates nothing. perm is
+// left unused when the map is the identity.
+func NewSetInto(set Set, perm, indices []int32) (Set, []int32, error) {
+	if cap(set) < len(indices) || set == nil { // an empty Set is not nil
+		set = make(Set, len(indices))
+	}
+	set = set[:len(indices)]
+	ascending, inOrder := true, true
 	for i, idx := range indices {
 		if idx < 0 {
 			return nil, nil, fmt.Errorf("sparse: negative feature index %d at position %d", idx, i)
 		}
-		set[i] = Key(uint64(hash32(uint32(idx)))<<32 | uint64(i))
-		if i > 0 && set[i] < set[i-1] {
-			ascending = false
+		set[i] = MakeKey(idx)
+		if i > 0 && set[i] <= set[i-1] {
+			ascending = ascending && set[i].Hash() == set[i-1].Hash()
+			inOrder = false
 		}
+	}
+	if inOrder {
+		return set, nil, nil
+	}
+	for i, k := range set {
+		set[i] = k&^(1<<32-1) | Key(i)
 	}
 	if !ascending {
 		sb := sortPool.Get().(*sortBuf)
@@ -41,7 +59,7 @@ func NewSet(indices []int32) (Set, []int32, error) {
 		sortPool.Put(sb)
 	}
 
-	perm := make([]int32, len(indices))
+	perm = grow(perm, len(indices))
 	n := 0
 	for _, packed := range set {
 		pos := uint32(packed)
@@ -54,6 +72,19 @@ func NewSet(indices []int32) (Set, []int32, error) {
 		perm[pos] = int32(n - 1)
 	}
 	return set[:n], perm, nil
+}
+
+// PermOrIdentity returns perm, or for NewSet's nil — the identity — an
+// explicit identity map over n positions, for callers that index it.
+func PermOrIdentity(perm []int32, n int) []int32 {
+	if perm != nil {
+		return perm
+	}
+	perm = make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	return perm
 }
 
 // MustNewSet is NewSet for inputs known to be valid; it panics on error.

@@ -48,6 +48,9 @@ func TestNewSetDedupAndPerm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if perm == nil {
+		t.Fatal("nil perm for input with duplicates")
+	}
 	if len(set) != 3 {
 		t.Fatalf("want 3 unique keys, got %d", len(set))
 	}
@@ -155,7 +158,11 @@ func FuzzNewSet(f *testing.F) {
 		if !slices.Equal(set, wantSet) {
 			t.Fatalf("set %v, reference %v (input %v)", set, wantSet, idx)
 		}
-		if !slices.Equal(perm, wantPerm) {
+		// nil stands for the identity, and only for it.
+		if identity := slices.Equal(wantPerm, PermOrIdentity(nil, len(idx))); err == nil && (perm == nil) != identity {
+			t.Fatalf("perm %v for reference %v (input %v): nil must mean exactly the identity", perm, wantPerm, idx)
+		}
+		if err == nil && !slices.Equal(PermOrIdentity(perm, len(idx)), wantPerm) {
 			t.Fatalf("perm %v, reference %v (input %v)", perm, wantPerm, idx)
 		}
 	})
@@ -222,6 +229,7 @@ func TestNewSetProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		perm = PermOrIdentity(perm, len(in))
 		if !set.IsSorted() {
 			return false
 		}

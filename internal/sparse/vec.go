@@ -287,6 +287,25 @@ func GatherInto(dst []float32, m []int32, src []float32, width int, fill float32
 	}
 }
 
+// ScatterInto places the rows of src through the position map m, which
+// has no -1 entries: row m[p] of dst is row p of src. For a permutation
+// it undoes GatherInto, so a caller holding the forward map never builds
+// the inverse.
+//
+//kylix:hotpath
+func ScatterInto(dst []float32, m []int32, src []float32, width int) {
+	if width == 1 {
+		src = src[:len(m)]
+		for p, q := range m {
+			dst[q] = src[p]
+		}
+		return
+	}
+	for p, q := range m {
+		copy(dst[int(q)*width:(int(q)+1)*width], src[p*width:(p+1)*width])
+	}
+}
+
 // Fill sets every element of data to v; +0 (all-zero bits) is a clear.
 //
 //kylix:hotpath

@@ -144,6 +144,30 @@ func TestGatherIntoWide(t *testing.T) {
 	}
 }
 
+// TestScatterUndoesGather checks ScatterInto against GatherInto through
+// the inverse map, at widths 1 and 3.
+func TestScatterUndoesGather(t *testing.T) {
+	perm := []int32{2, 0, 3, 1}
+	inv := make([]int32, len(perm))
+	for p, q := range perm {
+		inv[q] = int32(p)
+	}
+	for _, w := range []int{1, 3} {
+		src := make([]float32, len(perm)*w)
+		for i := range src {
+			src[i] = float32(i)
+		}
+		got, want := make([]float32, len(src)), make([]float32, len(src))
+		ScatterInto(got, perm, src, w)
+		GatherInto(want, inv, src, w, 0)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("width %d: scatter %v, gather through the inverse %v", w, got, want)
+			}
+		}
+	}
+}
+
 // genericReducer wraps a builtin reducer so CombineInto cannot
 // recognise it, forcing the row-by-row interface path — the reference
 // implementation the specialised width/reducer kernels must match.

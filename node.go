@@ -197,21 +197,19 @@ type Reduction struct {
 	node *Node
 	cfg  *core.Config
 	om   orderMaps
+	// own says the top Sets and order maps are this Reduction's alone, not
+	// the prepared-sets entry's, so a Reconfigure retires them.
+	own bool
 }
 
 // orderMaps translates between the caller's index order and the
-// protocol's key (hash) order. Both maps are built when the sets are
-// configured and applied by the same gather kernel as the protocol's
-// own position maps; a nil map is the identity (the caller's order is
-// already key order), applied as one copy.
+// protocol's key (hash) order. Both are the maps NewSet reports, from a
+// caller position to its key-ordered row (duplicates in the caller's in
+// list share a row), applied by the protocol's own gather kernel on the
+// way in and its scatter on the way out; a nil map is the identity (the
+// caller's order is already key order), applied as one copy.
 type orderMaps struct {
-	// in maps a caller in-position to its row of the key-ordered
-	// result (duplicates in the caller's list share a row).
-	in []int32
-	// out maps a key-ordered out row to the caller position holding
-	// its values: the inverse of the permutation NewSet reports, which
-	// exists because out has no duplicates.
-	out []int32
+	in, out []int32
 }
 
 // Configure runs the downward configuration pass for the given index
@@ -219,7 +217,7 @@ type orderMaps struct {
 // lists the indices it will contribute values for. in may contain
 // duplicates (each position receives the value); out must not.
 func (n *Node) Configure(in, out []int32) (*Reduction, error) {
-	inSet, outSet, om, err := n.sets.prepare(in, out)
+	inSet, outSet, om, err := n.sets.prepare(n.mach, in, out)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +225,7 @@ func (n *Node) Configure(in, out []int32) (*Reduction, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reduction{node: n, cfg: cfg, om: om}, nil
+	return &Reduction{node: n, cfg: cfg, om: om, own: n.sets == nil}, nil
 }
 
 // ConfigureReduce fuses configuration and reduction into one network
@@ -235,7 +233,7 @@ func (n *Node) Configure(in, out []int32) (*Reduction, error) {
 // (minibatch training). It returns the reusable Reduction and the
 // reduced values for in, in the caller's order. outVals is not retained.
 func (n *Node) ConfigureReduce(in, out []int32, outVals []float32) (*Reduction, []float32, error) {
-	inSet, outSet, om, err := prepareSets(in, out)
+	inSet, outSet, om, err := prepareSets(n.mach, in, out)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -247,7 +245,7 @@ func (n *Node) ConfigureReduce(in, out []int32, outVals []float32) (*Reduction, 
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Reduction{node: n, cfg: cfg, om: om}, om.unstageIn(nil, gathered, n.width), nil
+	return &Reduction{node: n, cfg: cfg, om: om, own: true}, om.unstageIn(nil, gathered, n.width), nil
 }
 
 // TreeAllreduce runs the tree-topology baseline (§II-A1) in one shot:
@@ -256,7 +254,7 @@ func (n *Node) ConfigureReduce(in, out []int32, outVals []float32) (*Reduction, 
 // returns the reduced in-values in caller order and the largest
 // intermediate union size this machine held.
 func (n *Node) TreeAllreduce(in, out []int32, outVals []float32) ([]float32, int, error) {
-	inSet, outSet, om, err := prepareSets(in, out)
+	inSet, outSet, om, err := prepareSets(n.mach, in, out)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -274,30 +272,22 @@ func (n *Node) TreeAllreduce(in, out []int32, outVals []float32) ([]float32, int
 }
 
 // prepareSets turns the caller's index lists into key-ordered Sets and
-// the maps between the two orders. Callers that reduce over one vertex
-// set pass the same slice twice; it is sorted once and shared.
-func prepareSets(in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err error) {
-	inSet, inPerm, err := sparse.NewSet(in)
+// the maps between the two orders, built into blocks the machine's
+// passes retired where they fit (Machine.NewSet). Callers that reduce over one vertex set
+// pass the same slice twice; it is sorted once and shared.
+func prepareSets(m *core.Machine, in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err error) {
+	inSet, om.in, err = m.NewSet(in)
 	if err != nil {
 		return nil, nil, om, fmt.Errorf("kylix: in indices: %w", err)
 	}
-	outSet, outPerm := inSet, inPerm
+	outSet, om.out = inSet, om.in
 	if !sameSlice(in, out) {
-		if outSet, outPerm, err = sparse.NewSet(out); err != nil {
+		if outSet, om.out, err = m.NewSet(out); err != nil {
 			return nil, nil, om, fmt.Errorf("kylix: out indices: %w", err)
 		}
 	}
 	if len(outSet) != len(out) {
 		return nil, nil, om, fmt.Errorf("kylix: out indices contain duplicates (%d unique of %d)", len(outSet), len(out))
-	}
-	if !isIdentity(inPerm) {
-		om.in = inPerm
-	}
-	if !isIdentity(outPerm) {
-		om.out = make([]int32, len(outPerm))
-		for p, row := range outPerm {
-			om.out[row] = int32(p)
-		}
 	}
 	return inSet, outSet, om, nil
 }
@@ -319,52 +309,33 @@ type preparedSets struct {
 // ones it was made from get its very Sets, so core's whole-set checks
 // against a base configured from them alias in O(1); other lists
 // refill it. A nil entry prepares afresh.
-func (p *preparedSets) prepare(in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err error) {
-	if p != nil && p.inSet != nil && p.madeFrom(in, out) {
+func (p *preparedSets) prepare(m *core.Machine, in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err error) {
+	if p != nil && p.inSet != nil && madeFrom(in, p.inSet, p.om.in) && madeFrom(out, p.outSet, p.om.out) {
 		return p.inSet, p.outSet, p.om, nil
 	}
-	if inSet, outSet, om, err = prepareSets(in, out); err == nil && p != nil {
+	if inSet, outSet, om, err = prepareSets(m, in, out); err == nil && p != nil {
 		p.inSet, p.outSet, p.om = inSet, outSet, om
 	}
 	return inSet, outSet, om, err
 }
 
-// madeFrom reports whether in and out are the lists the entry was
-// prepared from: position i of in holds the index of its row (om.in[i],
-// or i itself), and out's position om.out[r] (or r) holds row r's
-// index.
-func (p *preparedSets) madeFrom(in, out []int32) bool {
-	inLen := len(p.inSet)
-	if p.om.in != nil {
-		inLen = len(p.om.in)
+// madeFrom reports whether list is the one set and perm were prepared
+// from: position i holds the index of its row perm[i], or of row i under
+// the identity.
+func madeFrom(list []int32, set sparse.Set, perm []int32) bool {
+	n := len(set)
+	if perm != nil {
+		n = len(perm)
 	}
-	if len(in) != inLen || len(out) != len(p.outSet) {
+	if len(list) != n {
 		return false
 	}
-	for i, idx := range in {
+	for i, idx := range list {
 		row := i
-		if p.om.in != nil {
-			row = int(p.om.in[i])
+		if perm != nil {
+			row = int(perm[i])
 		}
-		if idx != p.inSet[row].Index() {
-			return false
-		}
-	}
-	for row, k := range p.outSet {
-		pos := row
-		if p.om.out != nil {
-			pos = int(p.om.out[row])
-		}
-		if out[pos] != k.Index() {
-			return false
-		}
-	}
-	return true
-}
-
-func isIdentity(perm []int32) bool {
-	for p, row := range perm {
-		if int(row) != p {
+		if idx != set[row].Index() {
 			return false
 		}
 	}
@@ -384,7 +355,7 @@ func (om *orderMaps) stageOut(dst, outVals []float32, width int) error {
 	if om.out == nil {
 		copy(dst, outVals)
 	} else {
-		sparse.GatherInto(dst, om.out, outVals, width, 0)
+		sparse.ScatterInto(dst, om.out, outVals, width)
 	}
 	return nil
 }
@@ -438,10 +409,10 @@ func (r *Reduction) ReduceInto(dst, outVals []float32) ([]float32, error) {
 // Reconfigure rebinds the Reduction to new index sets incrementally,
 // reusing the routing state the change does not touch: unchanged pieces
 // cross the wire as two-byte markers and layers whose inputs did not
-// move keep their unions and position maps. It is the cheap path when
-// sets evolve slowly between reductions (a few indices enter or leave);
-// when most indices change, a fresh Configure or ConfigureReduce costs
-// the same and is simpler to reason about.
+// move keep their unions and position maps. What it rebuilds goes into
+// blocks earlier passes retired to the machine, and what it replaces is
+// retired in turn, so sets that drift every step (ConfigureReduce, then
+// Reconfigure) are followed without allocating their state twice.
 //
 // Reconfigure is collective: every live node must call it in the same
 // round order (with its own, possibly unchanged, sets). It is safe
@@ -449,14 +420,20 @@ func (r *Reduction) ReduceInto(dst, outVals []float32) ([]float32, error) {
 // same SPMD call sequence. On error the Reduction is poisoned and must
 // be replaced via Configure; see Config.Reconfigure.
 func (r *Reduction) Reconfigure(in, out []int32) error {
-	inSet, outSet, om, err := prepareSets(in, out)
+	m := r.node.mach
+	inSet, outSet, om, err := prepareSets(m, in, out)
 	if err != nil {
 		return err
 	}
+	wasIn, wasOut, was := r.cfg.InSet(), r.cfg.OutSet(), r.om
 	if err := r.cfg.Reconfigure(inSet, outSet); err != nil {
 		return err
 	}
-	r.om = om
+	if r.own {
+		m.RetireSet(wasIn, was.in)
+		m.RetireSet(wasOut, was.out)
+	}
+	r.om, r.own = om, true
 	return nil
 }
 

@@ -600,8 +600,93 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 	}
 }
 
-// preparedBytes is what prepareSets builds for arenaInputs on all ranks —
-// per key the Set, the caller-to-key order map and the inverse of the out
+// TestDriftingStepAllocatesItsStateOnce pins what a step of the
+// minibatch shape allocates — ConfigureReduce on a fresh batch, a
+// Reconfigure to the batch with a tenth of its indices replaced, a
+// ReduceInto the caller's last result — to the result the fused pass
+// returns and one routing state: each step supersedes the last step's
+// two, and its rebuilds take the blocks they leave.
+func TestDriftingStepAllocatesItsStateOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops items at random, and NewSet's pooled sort scratch is allocated anew")
+	}
+	const ranks, batches, warm, steps = 8, 8, 10, 100
+	cluster, err := kylix.NewCluster(ranks, kylix.WithDegrees(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	type batch struct {
+		idx, moved []int32
+		vals       []float32
+	}
+	in := make([][]batch, ranks)
+	rng := rand.New(rand.NewSource(20140901))
+	for r := range in {
+		for range batches {
+			raw := make([]int32, 2048)
+			for i := range raw {
+				raw[i] = rng.Int31n(1 << 16)
+			}
+			idx := sparse.MustNewSet(raw).Indices() // key order, as the protocol hands sets back
+			moved := slices.Clone(idx)
+			for j := 0; j < len(moved); j += 10 {
+				moved[j] = rng.Int31n(1 << 16)
+			}
+			moved = sparse.MustNewSet(moved).Indices() // no duplicates, out of key order from here
+			rng.Shuffle(len(moved), func(i, j int) { moved[i], moved[j] = moved[j], moved[i] })
+			vals := make([]float32, max(len(idx), len(moved)))
+			for i := range vals {
+				vals[i] = rng.Float32()
+			}
+			in[r] = append(in[r], batch{idx, moved, vals})
+		}
+	}
+	dst := make([][]float32, ranks)
+	owed := make([]int, ranks) // results + routing state, per rank, over the measured steps
+	run := func(from, to int) {
+		err := cluster.Run(func(node *kylix.Node) error {
+			r := node.Rank()
+			for i := from; i < to; i++ {
+				b := in[r][i%batches]
+				red, res, err := node.ConfigureReduce(b.idx, b.idx, b.vals[:len(b.idx)])
+				if err == nil {
+					err = red.Reconfigure(b.moved, b.moved)
+				}
+				if err == nil {
+					dst[r], err = red.ReduceInto(dst[r], b.vals[:len(b.moved)])
+				}
+				if err != nil {
+					return err
+				}
+				owed[r] += 4*len(res) + red.RoutingBytes()
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(0, warm)
+	clear(owed)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run(warm, warm+steps)
+	runtime.ReadMemStats(&after)
+	total := 0
+	for _, o := range owed {
+		total += o
+	}
+	perStep, limit := float64(after.TotalAlloc-before.TotalAlloc)/steps, 1.25*float64(total)/steps
+	t.Logf("%.1f KiB a step on %d ranks; results and one routing state %.1f KiB", perStep/1024, ranks, float64(total)/steps/1024)
+	if perStep > limit {
+		t.Fatalf("a drifting step allocated %.1f KiB, want at most %.1f (1.25 x results and one routing state): it rebuilt superseded state or derived maps anew", perStep/1024, limit/1024)
+	}
+}
+
+// preparedBytes is what prepareSets built for arenaInputs on all ranks
+// when the stream-run rows' parent figures were measured — per key the
+// Set, the caller-to-key order map and the inverse of the out
 // permutation — and a Stream.Run over unchanged lists keeps from the last.
 func preparedBytes(width int) int {
 	n := 0

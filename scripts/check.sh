@@ -42,8 +42,8 @@ stage_test() {
 stage_race() {
     echo "== go test -race -short (comm, core, faultnet, tcpnet, replica, obs, membership, par, stream)"
     go test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/...
-    echo "== go test -race (stream lifecycle: concurrent tenants, close hammer; Node.Stream over sockets; warm Reduce over TCP; elastic churn in memory)"
-    go test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose|TestNodeStreamsOverListenNode|TestNodeStreamAndOpenStreamNeverShareAnID|TestWarmTCPMatchesMemory|TestElasticChurnMemory' -count=1 -timeout 600s .
+    echo "== go test -race (stream lifecycle: concurrent tenants, close hammer; Node.Stream over sockets; warm Reduce over TCP; elastic churn in memory; drifting sets under faults in memory)"
+    go test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose|TestNodeStreamsOverListenNode|TestNodeStreamAndOpenStreamNeverShareAnID|TestWarmTCPMatchesMemory|TestElasticChurnMemory|TestMinibatchChaosSoakMemory|TestReconfigureChaosSoakMemory' -count=1 -timeout 600s .
 }
 
 # Scripted joins, leaves and replacements with machines and the

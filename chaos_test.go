@@ -232,6 +232,16 @@ func reconfigRound(q, round int) (in, out []int32, vals []float32) {
 	return in, out, vals
 }
 
+// requireDeltas fails the test unless some configuration piece crossed
+// with a direction spelled as a delta, so the soaks that drift sets
+// also put the delta path through their faults.
+func requireDeltas(t *testing.T, cluster *kylix.Cluster) {
+	t.Helper()
+	if n := cluster.Metrics().Counter("config_delta_pieces").Value(); n == 0 {
+		t.Error("no configuration piece crossed as a delta")
+	}
+}
+
 // runReconfigSoak drives soakRounds evolving-set rounds over one
 // long-lived Reduction per node — Configure once, then Reconfigure
 // every round — and returns each physical rank's per-round config
@@ -243,11 +253,12 @@ func runReconfigSoak(t *testing.T, transport kylix.Transport, plan kylix.FaultPl
 	// garbage, not a plausible stale route.
 	core.PoisonArena(true)
 	defer core.PoisonArena(false)
-	cluster, err := kylix.NewCluster(soakPhys, soakOpts(transport, plan)...)
+	cluster, err := kylix.NewCluster(soakPhys, append(soakOpts(transport, plan), kylix.WithObservability())...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cluster.Close() })
+	defer requireDeltas(t, cluster)
 	digests = make([][]uint64, soakRounds)
 	results = make([][][]float32, soakRounds)
 	for r := range digests {
@@ -367,11 +378,12 @@ func runMinibatchSoak(t *testing.T, transport kylix.Transport, plan kylix.FaultP
 	t.Helper()
 	core.PoisonArena(true)
 	defer core.PoisonArena(false)
-	cluster, err := kylix.NewCluster(soakPhys, soakOpts(transport, plan)...)
+	cluster, err := kylix.NewCluster(soakPhys, append(soakOpts(transport, plan), kylix.WithObservability())...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = cluster.Close() })
+	defer requireDeltas(t, cluster)
 	digests = make([][][2]uint64, minibatchRounds)
 	results = make([][][2][]float32, minibatchRounds)
 	for r := range digests {

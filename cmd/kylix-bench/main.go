@@ -23,6 +23,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -237,10 +238,14 @@ func runTraced(sc bench.Scale, quant kylix.Quantization, traceOut, metricsAddr s
 	if err := o.WriteTimeline(os.Stdout); err != nil {
 		return err
 	}
-	if err := printConfigCompression(cluster, o); err != nil {
+	if err := printCompression(cluster, o, "config", "index codec", "config", "config sets", kylix.PhaseConfig, kylix.PhaseConfigReduce); err != nil {
 		return err
 	}
-	if err := printValueCompression(cluster, o); err != nil {
+	reg := o.Registry()
+	if fast, full := reg.Counter("reconfigure_fast_layers").Value(), reg.Counter("reconfigure_full_layers").Value(); fast+full > 0 {
+		fmt.Printf("reconfigure layers: %d reused unions (fast), %d rebuilt\n", fast, full)
+	}
+	if err := printCompression(cluster, o, "value", "quantization codec", "values", "value blocks", kylix.PhaseReduce, kylix.PhaseGather); err != nil {
 		return err
 	}
 	if traceOut != "" {
@@ -350,70 +355,30 @@ func runElastic(sc bench.Scale, metricsAddr string) error {
 	return nil
 }
 
-// printConfigCompression renders the per-layer raw-vs-encoded volume of
-// the configuration phases: what the index sets cost on the wire with
-// the compressed codec against what the old 8-byte-per-key format would
-// have shipped, plus the incremental-reconfigure layer counters.
-func printConfigCompression(cluster *kylix.Cluster, o *kylix.Observatory) error {
+// printCompression renders one plane's per-layer encoded-vs-raw
+// volume — the configuration phases' index sets under the compressed
+// codec against 8 bytes a key, or the reduce and gather value blocks
+// under the selected quantization against 4 bytes a float32 — and the
+// cluster-wide totals from its <counter>_bytes_* counters.
+func printCompression(cluster *kylix.Cluster, o *kylix.Observatory, plane, codec, counter, what string, phases ...kylix.Phase) error {
 	rep, err := cluster.Traffic(4)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nconfig wire compression (index codec, per layer):\n")
+	fmt.Printf("\n%s wire compression (%s, per layer):\n", plane, codec)
 	fmt.Printf("%-14s %5s %14s %14s %7s\n", "phase", "layer", "encodedBytes", "rawBytes", "x")
 	for _, lt := range rep.Layers {
-		if lt.Phase != kylix.PhaseConfig && lt.Phase != kylix.PhaseConfigReduce {
-			continue
+		if slices.Contains(phases, lt.Phase) && lt.Layer != 0 && lt.Bytes != 0 {
+			fmt.Printf("%-14s %5d %14d %14d %6.2fx\n",
+				lt.Phase, lt.Layer, lt.Bytes, lt.RawBytes, float64(lt.RawBytes)/float64(lt.Bytes))
 		}
-		if lt.Layer == 0 || lt.Bytes == 0 {
-			continue
-		}
-		fmt.Printf("%-14s %5d %14d %14d %6.2fx\n",
-			lt.Phase, lt.Layer, lt.Bytes, lt.RawBytes, float64(lt.RawBytes)/float64(lt.Bytes))
 	}
 	reg := o.Registry()
-	enc := reg.Counter("config_bytes_encoded").Value()
-	raw := reg.Counter("config_bytes_raw").Value()
+	enc := reg.Counter(counter + "_bytes_encoded").Value()
+	raw := reg.Counter(counter + "_bytes_raw").Value()
 	if enc > 0 {
-		fmt.Printf("config sets total: encoded %d, raw-equivalent %d (%.2fx smaller)\n",
-			enc, raw, float64(raw)/float64(enc))
-	}
-	fast := reg.Counter("reconfigure_fast_layers").Value()
-	full := reg.Counter("reconfigure_full_layers").Value()
-	if fast+full > 0 {
-		fmt.Printf("reconfigure layers: %d reused unions (fast), %d rebuilt\n", fast, full)
-	}
-	return nil
-}
-
-// printValueCompression renders the per-layer quantized-vs-raw volume
-// of the value planes (reduce and gather): what the value blocks cost
-// on the wire under the selected quantization against the raw
-// 4-byte-per-float32 format, plus the cluster-wide totals from the
-// values_bytes_* counters.
-func printValueCompression(cluster *kylix.Cluster, o *kylix.Observatory) error {
-	rep, err := cluster.Traffic(4)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nvalue wire compression (quantization codec, per layer):\n")
-	fmt.Printf("%-14s %5s %14s %14s %7s\n", "phase", "layer", "encodedBytes", "rawBytes", "x")
-	for _, lt := range rep.Layers {
-		if lt.Phase != kylix.PhaseReduce && lt.Phase != kylix.PhaseGather {
-			continue
-		}
-		if lt.Layer == 0 || lt.Bytes == 0 {
-			continue
-		}
-		fmt.Printf("%-14s %5d %14d %14d %6.2fx\n",
-			lt.Phase, lt.Layer, lt.Bytes, lt.RawBytes, float64(lt.RawBytes)/float64(lt.Bytes))
-	}
-	reg := o.Registry()
-	enc := reg.Counter("values_bytes_encoded").Value()
-	raw := reg.Counter("values_bytes_raw").Value()
-	if enc > 0 {
-		fmt.Printf("value blocks total: encoded %d, raw-equivalent %d (%.2fx smaller)\n",
-			enc, raw, float64(raw)/float64(enc))
+		fmt.Printf("%s total: encoded %d, raw-equivalent %d (%.2fx smaller)\n",
+			what, enc, raw, float64(raw)/float64(enc))
 	}
 	return nil
 }

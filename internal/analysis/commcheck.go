@@ -54,7 +54,10 @@ var streamAPIMethods = map[string]map[string]bool{
 }
 
 func runCommCheck(p *Pass) error {
-	endpoint := lookupEndpoint(p)
+	var endpoint *types.Interface // comm.Endpoint
+	if t := lookupCommType(p, "Endpoint"); t != nil {
+		endpoint, _ = t.Underlying().(*types.Interface)
+	}
 	tagType := lookupCommType(p, "Tag")
 	streamType := lookupCommType(p, "StreamID")
 	for _, f := range p.Files {
@@ -83,53 +86,22 @@ func runCommCheck(p *Pass) error {
 	return nil
 }
 
-// lookupEndpoint finds the comm.Endpoint interface type, whether the
-// analyzed package imports comm or is comm itself.
-func lookupEndpoint(p *Pass) *types.Interface {
-	var scope *types.Scope
-	if p.Pkg.Path() == commPkgPath {
-		scope = p.Pkg.Scope()
-	} else {
-		for _, imp := range p.Pkg.Imports() {
-			if imp.Path() == commPkgPath {
-				scope = imp.Scope()
-				break
-			}
-		}
-	}
-	if scope == nil {
-		return nil
-	}
-	obj := scope.Lookup("Endpoint")
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
-}
-
 // lookupCommType finds a named type in the comm package, whether the
 // analyzed package imports comm or is comm itself.
 func lookupCommType(p *Pass, name string) types.Type {
-	var scope *types.Scope
-	if p.Pkg.Path() == commPkgPath {
-		scope = p.Pkg.Scope()
-	} else {
-		for _, imp := range p.Pkg.Imports() {
-			if imp.Path() == commPkgPath {
-				scope = imp.Scope()
-				break
-			}
+	pkg := p.Pkg
+	for _, imp := range pkg.Imports() {
+		if imp.Path() == commPkgPath {
+			pkg = imp
 		}
 	}
-	if scope == nil {
+	if pkg.Path() != commPkgPath {
 		return nil
 	}
-	obj := scope.Lookup(name)
-	if obj == nil {
-		return nil
+	if obj := pkg.Scope().Lookup(name); obj != nil {
+		return obj.Type()
 	}
-	return obj.Type()
+	return nil
 }
 
 // checkDiscardedEndpointError flags a statement-position call to an

@@ -41,68 +41,19 @@ func RunNode(m *core.Machine, convergence *core.Machine, shard *graph.Shard, sou
 		return nil, fmt.Errorf("bfs: maxRounds %d must be >= 1", maxRounds)
 	}
 	tracked := sparse.TreeUnion([]sparse.Set{shard.In, shard.Out})
-	srcSlot, err := sparse.PositionMap(shard.In, tracked)
-	if err != nil {
-		return nil, fmt.Errorf("bfs: %w", err)
-	}
-	cfg, err := m.Configure(tracked, shard.Out)
-	if err != nil {
-		return nil, fmt.Errorf("bfs: configure: %w", err)
-	}
-	convSet := sparse.MustNewSet([]int32{0})
-	convCfg, err := convergence.Configure(convSet, convSet)
-	if err != nil {
-		return nil, fmt.Errorf("bfs: convergence configure: %w", err)
-	}
-
-	inf := float32(math.Inf(1))
 	dist := make([]float32, len(tracked))
 	for i, k := range tracked {
-		if k.Index() == source {
+		if dist[i] = float32(math.Inf(1)); k.Index() == source {
 			dist[i] = 0
-		} else {
-			dist[i] = inf
 		}
 	}
-	out := make([]float32, len(shard.Out))
-	res := &Result{Vertices: tracked}
-	for round := 1; round <= maxRounds; round++ {
-		// Candidate distance for each destination: min over local
-		// in-edges of dist[src] + 1.
-		for i := range out {
-			out[i] = inf
-		}
-		for e := 0; e < shard.NNZ(); e++ {
-			if d := dist[srcSlot[shard.SrcPos[e]]]; d+1 < out[shard.DstPos[e]] {
-				out[shard.DstPos[e]] = d + 1
-			}
-		}
-		gathered, err := cfg.Reduce(out)
-		if err != nil {
-			return nil, fmt.Errorf("bfs: round %d: %w", round, err)
-		}
-		changed := 0
-		for i := range dist {
-			if gathered[i] < dist[i] {
-				dist[i] = gathered[i]
-				changed++
-			}
-		}
-		total, err := convCfg.Reduce([]float32{float32(changed)})
-		if err != nil {
-			return nil, fmt.Errorf("bfs: convergence round %d: %w", round, err)
-		}
-		res.Rounds = round
-		if total[0] == 0 {
-			res.Converged = true
-			break
-		}
+	totals, err := shard.Relax("bfs", m, convergence, tracked, dist, 1, maxRounds)
+	if err != nil {
+		return nil, err
 	}
-	res.Dist = make([]int32, len(dist))
+	res := &Result{Dist: make([]int32, len(dist)), Vertices: tracked, Rounds: len(totals), Converged: totals[len(totals)-1] == 0}
 	for i, d := range dist {
-		if math.IsInf(float64(d), 1) {
-			res.Dist[i] = Unreached
-		} else {
+		if res.Dist[i] = Unreached; !math.IsInf(float64(d), 1) {
 			res.Dist[i] = int32(d)
 		}
 	}

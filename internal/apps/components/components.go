@@ -7,12 +7,8 @@
 package components
 
 import (
-	"fmt"
-	"math"
-
 	"kylix/internal/core"
 	"kylix/internal/graph"
-	"kylix/internal/sparse"
 )
 
 // Result is one machine's outcome.
@@ -31,56 +27,16 @@ type Result struct {
 // reducer in a distinct core.Options.Stream. Labels propagate along edge direction;
 // run on a symmetrized edge list for weakly connected components.
 func RunNode(m *core.Machine, convergence *core.Machine, shard *graph.Shard, maxRounds int) (*Result, error) {
-	cfg, err := m.Configure(shard.In, shard.Out)
-	if err != nil {
-		return nil, fmt.Errorf("components: configure: %w", err)
-	}
-	convSet := sparse.MustNewSet([]int32{0})
-	convCfg, err := convergence.Configure(convSet, convSet)
-	if err != nil {
-		return nil, fmt.Errorf("components: convergence configure: %w", err)
-	}
-
 	labels := make([]float32, len(shard.In))
 	for i, k := range shard.In {
 		labels[i] = float32(k.Index())
 	}
-	out := make([]float32, len(shard.Out))
-	res := &Result{}
-	for round := 1; round <= maxRounds; round++ {
-		// Each destination hears the minimum label among its local
-		// in-neighbours.
-		inf := float32(math.Inf(1))
-		for i := range out {
-			out[i] = inf
-		}
-		for e := 0; e < shard.NNZ(); e++ {
-			if l := labels[shard.SrcPos[e]]; l < out[shard.DstPos[e]] {
-				out[shard.DstPos[e]] = l
-			}
-		}
-		gathered, err := cfg.Reduce(out)
-		if err != nil {
-			return nil, fmt.Errorf("components: round %d: %w", round, err)
-		}
-		changed := 0
-		for i := range labels {
-			if gathered[i] < labels[i] {
-				labels[i] = gathered[i]
-				changed++
-			}
-		}
-		total, err := convCfg.Reduce([]float32{float32(changed)})
-		if err != nil {
-			return nil, fmt.Errorf("components: convergence round %d: %w", round, err)
-		}
-		res.Rounds = round
-		if total[0] == 0 {
-			res.Converged = true
-			break
-		}
+	totals, err := shard.Relax("components", m, convergence, shard.In, labels, 0, maxRounds)
+	if err != nil {
+		return nil, err
 	}
-	res.Labels = make([]int32, len(labels))
+	res := &Result{Labels: make([]int32, len(labels)), Rounds: len(totals)}
+	res.Converged = res.Rounds > 0 && totals[res.Rounds-1] == 0
 	for i, l := range labels {
 		res.Labels[i] = int32(l)
 	}

@@ -67,68 +67,35 @@ func RunNode(m *core.Machine, convergence *core.Machine, shard *graph.Shard, max
 	// and destinations must be watched so a growing sink still counts
 	// as a change.
 	tracked := sparse.TreeUnion([]sparse.Set{shard.In, shard.Out})
-	srcSlot, err := sparse.PositionMap(shard.In, tracked)
-	if err != nil {
-		return nil, fmt.Errorf("diameter: %w", err)
-	}
-	cfg, err := m.Configure(tracked, shard.Out)
-	if err != nil {
-		return nil, fmt.Errorf("diameter: configure: %w", err)
-	}
-	// The convergence machine runs a parallel 1-feature sum-allreduce
-	// network for the global changed-count.
-	convSet := sparse.MustNewSet([]int32{0})
-	convCfg, err := convergence.Configure(convSet, convSet)
-	if err != nil {
-		return nil, fmt.Errorf("diameter: convergence configure: %w", err)
-	}
-
-	// Current sketches for the tracked vertices.
 	cur := make([]float32, len(tracked)*width)
 	for i, k := range tracked {
 		for j := 0; j < width; j++ {
 			cur[i*width+j] = math.Float32frombits(InitSketch(k.Index(), j, seed))
 		}
 	}
-	out := make([]float32, len(shard.Out)*width)
-	res := &Result{Diameter: maxIters + 1, Vertices: tracked}
-	for h := 1; h <= maxIters; h++ {
-		// Local OR of in-neighbour sketches per destination.
-		for i := range out {
-			out[i] = 0
-		}
-		for e := 0; e < shard.NNZ(); e++ {
-			src, dst := int(srcSlot[shard.SrcPos[e]]), shard.DstPos[e]
-			for j := 0; j < width; j++ {
-				d := int(dst)*width + j
-				out[d] = orBits(out[d], cur[src*width+j])
+	// Each hop ORs in-neighbour sketches per destination, ORs what comes
+	// back into the tracked sketches and counts the words that grew.
+	totals, err := shard.Propagate("diameter", m, convergence, tracked, width, 0, maxIters,
+		func(out []float32, src, dst int) {
+			for j := range width {
+				out[dst*width+j] = orBits(out[dst*width+j], cur[src*width+j])
 			}
-		}
-		gathered, err := cfg.Reduce(out)
-		if err != nil {
-			return nil, fmt.Errorf("diameter: hop %d: %w", h, err)
-		}
-		// New sketch = old | gathered; count local changes on In slots.
-		changed := 0
-		for i := range cur {
-			next := orBits(cur[i], gathered[i])
-			if math.Float32bits(next) != math.Float32bits(cur[i]) {
-				changed++
+		},
+		func(got []float32) (changed int) {
+			for i, g := range got {
+				if next := orBits(cur[i], g); math.Float32bits(next) != math.Float32bits(cur[i]) {
+					cur[i], changed = next, changed+1
+				}
 			}
-			cur[i] = next
-		}
-		// Global convergence: sum the changed counts.
-		total, err := convCfg.Reduce([]float32{float32(changed)})
-		if err != nil {
-			return nil, fmt.Errorf("diameter: convergence hop %d: %w", h, err)
-		}
-		res.Changes = append(res.Changes, int(total[0]))
-		if total[0] == 0 {
-			res.Diameter = h - 1
-			break
-		}
+			return changed
+		})
+	if err != nil {
+		return nil, err
 	}
-	res.Sketches = cur
+	res := &Result{Diameter: maxIters + 1, Changes: totals, Vertices: tracked, Sketches: cur}
+	if n := len(totals); n > 0 && totals[n-1] == 0 {
+		res.Diameter = n - 1
+	}
 	return res, nil
 }
 

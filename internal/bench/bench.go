@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"kylix/internal/netsim"
+	"kylix/internal/powerlaw"
 )
 
 // Table is a rendered experiment result.
@@ -174,17 +175,14 @@ func scaleDegrees(degrees []int, m int) []int {
 			break
 		}
 		f := gcd(remaining, d)
-		for f < 2 && remaining > 1 {
-			f = smallestFactor(remaining)
-		}
-		if f > remaining {
-			f = remaining
+		if f < 2 {
+			f = powerlaw.SmallestPrimeFactor(remaining)
 		}
 		out = append(out, f)
 		remaining /= f
 	}
 	for remaining > 1 {
-		f := smallestFactor(remaining)
+		f := powerlaw.SmallestPrimeFactor(remaining)
 		out = append(out, f)
 		remaining /= f
 	}
@@ -201,17 +199,7 @@ func gcd(a, b int) int {
 	return a
 }
 
-func smallestFactor(n int) int {
-	for d := 2; d*d <= n; d++ {
-		if n%d == 0 {
-			return d
-		}
-	}
-	return n
-}
-
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
-func f4(v float64) string  { return fmt.Sprintf("%.4f", v) }
 func f6(v float64) string  { return fmt.Sprintf("%.6f", v) }
 func fi(v int64) string    { return fmt.Sprintf("%d", v) }
 func fmtMB(v int64) string { return fmt.Sprintf("%.2f", float64(v)/(1<<20)) }

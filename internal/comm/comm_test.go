@@ -237,10 +237,16 @@ func TestDeltaPayloadRoundTrip(t *testing.T) {
 // produced for the same content, so those layouts did not move; the one
 // content whose bytes did — a Delta with no marker set, which spent a
 // flags byte saying so — now encodes as discriminator 9. Equal in and
-// out pieces, both empty included, ship one block under 15 and 16.
+// out pieces, both empty included, ship one block under 15 and 16. The
+// delta rows of 11 were captured from the encoder that introduced them:
+// flags 4 and 8 spell a direction as a delta, 16 one delta for both.
 func TestConfigPieceWireLayouts(t *testing.T) {
 	in := sparse.MustNewSet([]int32{3, 4, 5, 9, 200, 70000})
 	out := sparse.MustNewSet([]int32{0, 1, 2, 1000})
+	// din spells an in piece against a six-key predecessor: drop its
+	// positions 0 and 2, add 7 and 300, and six keys result.
+	din := &PieceDelta{Removed: []int32{0, 2}, Added: sparse.MustNewSet([]int32{7, 300}), Len: 6}
+	dout := &PieceDelta{Removed: []int32{1}, Added: sparse.MustNewSet([]int32{1001}), Len: 4}
 	cases := []struct {
 		name string
 		p    *ConfigPiece
@@ -259,6 +265,13 @@ func TestConfigPieceWireLayouts(t *testing.T) {
 		{"16 one piece + values", &ConfigPiece{In: out, Out: out, HasVals: true, Vals: []float32{1, -2.5, 0, 3e10}},
 			"10040005c80f040000803f000020c0000000007684df50"},
 		{"16 empty + values", &ConfigPiece{HasVals: true}, "100000"},
+		{"11 in delta", &ConfigPiece{InDelta: din, Out: out}, "0b04060200020207c604040005c80f"},
+		{"11 out delta", &ConfigPiece{In: in, OutDelta: dout}, "0b0806030504fa02ccc20804010101e907"},
+		{"11 symmetric delta", &ConfigPiece{InDelta: din, OutDelta: din}, "0b10060200020207c604"},
+		{"11 symmetric delta, equal not aliased", &ConfigPiece{InDelta: din, OutDelta: din.clone()}, "0b10060200020207c604"},
+		{"11 two deltas", &ConfigPiece{InDelta: din, OutDelta: dout}, "0b0c060200020207c60404010101e907"},
+		{"11 in same, out delta", &ConfigPiece{InSame: true, OutDelta: dout}, "0b0904010101e907"},
+		{"11 in delta, out same", &ConfigPiece{InDelta: din, OutSame: true}, "0b06060200020207c604"},
 	}
 	for _, tc := range cases {
 		got := tc.p.AppendTo(nil)
@@ -275,31 +288,83 @@ func TestConfigPieceWireLayouts(t *testing.T) {
 		}
 		d := q.(*ConfigPiece)
 		if d.InSame != tc.p.InSame || d.OutSame != tc.p.OutSame || d.HasVals != tc.p.HasVals ||
-			!d.In.Equal(tc.p.In) || !d.Out.Equal(tc.p.Out) || !slices.Equal(d.Vals, tc.p.Vals) {
+			!d.In.Equal(tc.p.In) || !d.Out.Equal(tc.p.Out) || !slices.Equal(d.Vals, tc.p.Vals) ||
+			!d.InDelta.Equal(tc.p.InDelta) || !d.OutDelta.Equal(tc.p.OutDelta) {
 			t.Errorf("%s: decoded %+v", tc.name, d)
 		}
-	}
-	// A flags byte that sets no flag is the same content as discriminator
-	// 9 in other bytes, and two equal blocks under 9 or 10 the same as
-	// one under 15 or 16; the decoder refuses the second spellings.
-	for _, data := range [][]byte{{11, 0, 0, 0}, {9, 0, 0}, {10, 0, 0, 0}} {
-		if _, err := DecodePayload(data); err == nil {
-			t.Errorf("decoded %x, a second spelling of one content", data)
+		if d.InDelta != nil && d.InDelta.Equal(d.OutDelta) && d.InDelta != d.OutDelta {
+			t.Errorf("%s: equal deltas decoded as two", tc.name)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("encoded values beside a same-marker")
+	for _, tc := range refusedConfigSpellings {
+		if _, err := DecodePayload(tc.data); err == nil {
+			t.Errorf("decoded %x, %s", tc.data, tc.why)
 		}
-	}()
-	(&ConfigPiece{InSame: true, Out: out, HasVals: true}).AppendTo(nil)
+	}
+	for _, p := range []*ConfigPiece{
+		{InSame: true, Out: out, HasVals: true},
+		{InDelta: din, Out: out, HasVals: true},
+		{InDelta: din, OutDelta: din, HasVals: true, Vals: make([]float32, 5)},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("encoded values beside a marker or a delta: %+v", p)
+				}
+			}()
+			p.AppendTo(nil)
+		}()
+	}
+}
+
+// refusedConfigSpellings are configuration payloads the decoder must
+// refuse: second spellings of one content, and deltas whose fields
+// contradict each other. The deltas are din and dout of
+// TestConfigPieceWireLayouts: 06 02 0002 02 07 c604 is six keys, two
+// positions (0, 2) and two added keys.
+var refusedConfigSpellings = []struct {
+	data []byte
+	why  string
+}{
+	// A flags byte that sets no flag is the same content as
+	// discriminator 9 in other bytes, and two equal blocks under 9 or 10
+	// the same as one under 15 or 16.
+	{[]byte{11, 0, 0, 0}, "flags that set nothing: what 9 spells"},
+	{[]byte{9, 0, 0}, "two equal blocks: what 15 spells"},
+	{[]byte{10, 0, 0, 0}, "two equal blocks and values: what 16 spells"},
+	{[]byte{11, 5, 0, 0}, "a direction both same and a delta"},
+	{[]byte{11, 32, 0, 0}, "an undefined flag"},
+	{[]byte{11, 4, 6, 2, 0, 0, 2, 7, 0xc6, 4, 0}, "positions not strictly increasing"},
+	{[]byte{11, 4, 1, 2, 0, 2, 2, 7, 0xc6, 4, 0}, "a length below the added keys"},
+	{[]byte{11, 4, 5, 2, 0, 5, 2, 7, 0xc6, 4, 0}, "a length that puts a removed position past the last piece"},
+	{[]byte{11, 4, 3, 0, 0, 0}, "a delta that changes nothing: what a marker spells"},
+	{[]byte{11, 4, 4, 2, 0, 2, 2, 7, 0xc6, 4, 0}, "a delta of as many keys as its piece: what the piece in full spells"},
+	{[]byte{11, 12, 4, 1, 1, 1, 0xe9, 7, 4, 1, 1, 1, 0xe9, 7}, "two equal deltas: what the symmetric flag spells"},
+	{[]byte{11, 16 | 4 | 8, 6, 2, 0, 2, 2, 7, 0xc6, 4, 4, 1, 1, 1, 0xe9, 7}, "a symmetric flag over two different deltas"},
+	{[]byte{11, 4, 5, 0x80, 0x80, 0x80, 0x20, 1, 1}, "a position count past the bytes that follow"},
 }
 
 // TestSymmetricPieceIsOneList: equal in and out pieces arrive as one
 // list, whether decoded or cloned (the replica layer clones every
 // payload it fans out), so a receiver's check that its pieces are
 // symmetric is O(1), and a clone still shares nothing with its source.
+// Equal deltas arrive as one delta the same way.
 func TestSymmetricPieceIsOneList(t *testing.T) {
+	delta := &PieceDelta{Removed: []int32{1, 4}, Added: sparse.MustNewSet([]int32{11, 12}), Len: 6}
+	for _, p := range []*ConfigPiece{
+		{InDelta: delta, OutDelta: delta},
+		{InDelta: delta, OutDelta: delta.clone()},
+	} {
+		q, err := DecodePayload(p.AppendTo(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, c := range map[string]*ConfigPiece{"decoded": q.(*ConfigPiece), "cloned": p.Clone().(*ConfigPiece)} {
+			if !c.InDelta.Equal(delta) || c.InDelta != c.OutDelta || &c.InDelta.Removed[0] == &delta.Removed[0] {
+				t.Errorf("%s symmetric delta: %+v, out aliases in %v; want one delta apart from the source", what, c.InDelta, c.InDelta == c.OutDelta)
+			}
+		}
+	}
 	keys := sparse.MustNewSet([]int32{3, 4, 5, 9, 200, 70000})
 	for _, p := range []*ConfigPiece{
 		{In: keys, Out: keys},

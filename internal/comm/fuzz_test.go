@@ -73,6 +73,9 @@ func TestEncodeDecodeQuick(t *testing.T) {
 			&ConfigPiece{InSame: true, Out: keys},
 			&ConfigPiece{In: keys, OutSame: true},
 			&ConfigPiece{InSame: true, OutSame: true},
+			&ConfigPiece{InDelta: &PieceDelta{Removed: []int32{0, 2}, Added: keys, Len: len(keys) + 3}, Out: keys},
+			&ConfigPiece{InSame: true, OutDelta: &PieceDelta{Removed: []int32{1}, Added: keys, Len: len(keys) + 2}},
+			&ConfigPiece{InDelta: &PieceDelta{Removed: []int32{0}, Added: keys, Len: len(keys) + 2}, OutDelta: &PieceDelta{Removed: []int32{3}, Len: 9}},
 			&Control{Op: 1, Epoch: uint64(len(vals)), Leader: 3,
 				Members: keys32(keysRaw), Degrees: []int32{2, 2},
 				PropEpoch: uint64(len(data)), PropMembers: keys32(keysRaw),
@@ -118,14 +121,15 @@ func TestTruncationAlwaysErrors(t *testing.T) {
 	}
 }
 
-// hugeCountPayloads are configuration payloads whose first index block
-// claims close to 2^26 keys in a few bytes and then fails its first
-// index: an 11-byte payload that opens with the five bytes of the one a
-// fuzzer first found (a fused piece claiming 65,549,915 keys), and a
-// 9-byte block after the both-pieces discriminator.
+// hugeCountPayloads are configuration payloads that claim close to 2^26
+// entries in a few bytes and then fail: an 11-byte payload that opens
+// with the five bytes of the one a fuzzer first found (a fused piece
+// claiming 65,549,915 keys), a 9-byte block after the both-pieces
+// discriminator, and a delta claiming 2^26 removed positions.
 var hugeCountPayloads = [][]byte{
 	{wireConfigVals, 0xdb, 0xec, 0xa0, 0x1f, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
 	{wireConfig, 0x80, 0x80, 0x80, 0x20, 0x80, 0x80, 0x80, 0x80, 0x08},
+	{wireConfigSame, flagInDelta, 0x80, 0x80, 0x80, 0x20, 0x80, 0x80, 0x80, 0x20, 0x01, 0x01, 0x01},
 }
 
 // TestDecodeAllocatesWhatTheBytesYield: any TCP peer can send these in a
@@ -156,6 +160,7 @@ func FuzzDecodePayload(f *testing.F) {
 	keys := sparse.MustNewSet([]int32{3, 4, 5, 9, 200, 70000})
 	fp16 := &QVals{Mode: sparse.QuantFP16, N: 3, Data: make([]byte, sparse.QuantizedSize(sparse.QuantFP16, 3))}
 	int8s := &QVals{Mode: sparse.QuantINT8, N: 3, Data: make([]byte, sparse.QuantizedSize(sparse.QuantINT8, 3))}
+	delta := &PieceDelta{Removed: []int32{0, 4}, Added: keys[2:3], Len: 5}
 	for _, p := range []Payload{
 		&Floats{Vals: []float32{1, -2.5}},
 		&KeysVals{Keys: keys, Vals: []float32{1, 2, 3, 4, 5, 6}},
@@ -168,6 +173,12 @@ func FuzzDecodePayload(f *testing.F) {
 		&ConfigPiece{InSame: true, OutSame: true},
 		&ConfigPiece{In: keys, Out: keys},
 		&ConfigPiece{In: keys[:2], Out: keys[:2], HasVals: true, Vals: []float32{7, 8}},
+		&ConfigPiece{InDelta: delta, Out: keys},
+		&ConfigPiece{In: keys, OutDelta: delta},
+		&ConfigPiece{InDelta: delta, OutDelta: delta},
+		&ConfigPiece{InDelta: delta, OutDelta: &PieceDelta{Removed: []int32{1}, Len: 5}},
+		&ConfigPiece{InSame: true, OutDelta: delta},
+		&ConfigPiece{InDelta: delta, OutSame: true},
 		&Control{Op: 1, Epoch: 2, Members: []int32{0, 1}, Degrees: []int32{2}},
 		fp16, int8s,
 	} {
@@ -178,7 +189,7 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 5})                       // a discriminator no encoder emits
 	f.Add([]byte{11, 0, 0, 0})                // same-marker layout with no marker set
-	f.Add([]byte{11, 4, 0})                   // undefined flag
+	f.Add([]byte{11, 5, 0})                   // undefined flag: in both same and a delta
 	f.Add([]byte{9, 0x80, 0, 0})              // padded varint
 	f.Add([]byte{9, 3, 1, 3, 3, 0})           // one run of two spelled as two runs
 	f.Add([]byte{10, 0, 0, 1, 0, 0, 0, 0, 9}) // trailing byte
@@ -188,6 +199,9 @@ func FuzzDecodePayload(f *testing.F) {
 	f.Add(append([]byte{13, 2}, make([]byte, 43)...))
 	for _, data := range hugeCountPayloads {
 		f.Add(data)
+	}
+	for _, tc := range refusedConfigSpellings {
+		f.Add(tc.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodePayload(data)

@@ -49,8 +49,10 @@ func RawWireSize(p Payload) int {
 
 // Payload type discriminators on the wire. 2–4 are the fixed-width
 // formats; the configuration payload's layouts 9–11, 15 and 16 live in
-// payload_config.go, 12 is the membership control plane, and the
-// quantized value block 14 lives in payload_qvals.go. Every process of a
+// payload_config.go (11's flags byte spells each direction the same
+// piece as last pass, a delta against it, or in full), 12 is the
+// membership control plane, and the quantized value block 14 lives in
+// payload_qvals.go. Every process of a
 // cluster runs the same binary and nothing persists payloads, so a
 // discriminator no encoder emits (the index-set forms 1, 6, 7 and 8 and
 // the stream-control form 13 of earlier versions) is simply unknown.

@@ -5,8 +5,8 @@ import (
 	"fmt"
 )
 
-// wireControl is the discriminator of the membership control payload.
-// It extends the 1-11 range assigned in payload.go / payload_config.go.
+// wireControl is the discriminator of the membership control payload,
+// one of those payload.go lists.
 const wireControl = 12
 
 // Control is the membership control plane's gossip message: every field

@@ -134,10 +134,12 @@ func BenchmarkReconfigureWarm(b *testing.B) {
 // forth and back, so every step is one drift. B/op is the whole
 // cluster's step; kept_layers/op and rebuilt_layers/op are what each
 // rank's Reconfigure did with its layers per step
-// (reconfigure_fast_layers, reconfigure_full_layers), counted on a
-// traced walk of the chain after the timed one: the tracer's byte
-// accounting encodes every configuration piece, which would weigh in
-// B/op.
+// (reconfigure_fast_layers, reconfigure_full_layers), and
+// config_wire_B/op is what the cluster's configuration messages weigh
+// on the wire per step, self-sends included, all counted on a traced
+// walk of the chain after the timed one (the tracer's byte accounting
+// encodes every configuration piece, which would weigh in B/op) less a
+// traced walk of its first step, which configures from nothing.
 func BenchmarkReconfigureDrift(b *testing.B) {
 	const steps, size, space = 64, 2048, 1 << 16
 	bf := topo.MustNew([]int{4, 4})
@@ -176,22 +178,37 @@ func BenchmarkReconfigureDrift(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				o, walk := obs.New(bf.M(), 64), 2*steps-2
+				o, first, walk := obs.New(bf.M(), 64), obs.New(bf.M(), 64), 2*steps-2
 				if err := driftWalk(bf, chain, fused, walk, o); err != nil {
+					b.Fatal(err)
+				}
+				if err := driftWalk(bf, chain, fused, 1, first); err != nil {
 					b.Fatal(err)
 				}
 				per := float64((walk - 1) * bf.M()) // the first step configures
 				b.ReportMetric(float64(o.Registry().Counter("reconfigure_fast_layers").Value())/per, "kept_layers/op")
 				b.ReportMetric(float64(o.Registry().Counter("reconfigure_full_layers").Value())/per, "rebuilt_layers/op")
+				b.ReportMetric(float64(configBytes(o)-configBytes(first))/float64(walk-1), "config_wire_B/op")
 			})
 		}
 	}
 }
 
+// configBytes is what o's traffic counted of the configuration plane.
+func configBytes(o *obs.Observatory) int64 {
+	var n int64
+	for _, l := range o.Traffic().Layers() {
+		if l.Kind == comm.KindConfig || l.Kind == comm.KindConfigReduce {
+			n += l.Bytes
+		}
+	}
+	return n
+}
+
 // driftWalk runs n steps of BenchmarkReconfigureDrift on a fresh
 // cluster, traced into o unless it is nil.
 func driftWalk(bf *topo.Butterfly, chain [][]sparse.Set, fused bool, n int, o *obs.Observatory) error {
-	net := memnet.New(bf.M())
+	net := memnet.New(bf.M(), memnet.WithObserver(o.Observer))
 	defer net.Close()
 	vals := make([]float32, len(chain[0][0]))
 	return memnet.Run(net, func(ep comm.Endpoint) error {

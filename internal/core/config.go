@@ -34,8 +34,9 @@ import (
 // namespace, handed on only after every rank finished that Machine's
 // work without error (Options.Scratch), so every rank holds the same
 // one. It then runs as a Reconfigure of the base: an unchanged piece
-// crosses as a two-byte marker and a layer of markers keeps its unions,
-// at the cost of an Equal scan of each set (of each piece, where a set
+// crosses as a two-byte marker, a changed one as a delta where that is
+// smaller, and a layer of markers keeps its unions, at the cost of an
+// Equal scan of each set (of a merge of each piece, where a set
 // changed), and the result is bit-identical to a Configure from nothing
 // (Digest). A base of this Machine is never continued: a pass that
 // failed on one rank only leaves the ranks' bases different, and no
@@ -206,26 +207,22 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 	}
 	// The payload headers cannot come from machine scratch — transports
 	// may retain the pointers past this call (fault-injecting fabrics
-	// re-Send them) — but one block, made when the first piece that is
-	// not all marker needs one, covers the whole group.
+	// re-Send them) — but one block, made when the sets moved, covers the
+	// whole group. A piece that is all marker ships as sameBoth.
 	var hdrs []comm.ConfigPiece
+	if !same {
+		hdrs = make([]comm.ConfigPiece, d)
+		for t := range hdrs {
+			hdrs[t].In, hdrs[t].Out = sparse.Piece(x.in, inOffs, t), sparse.Piece(x.out, outOffs, t)
+		}
+		if mark {
+			c.spell(x, ls, hdrs)
+		}
+	}
 	for t, member := range group {
-		in, out := sparse.Piece(x.in, inOffs, t), sparse.Piece(x.out, outOffs, t)
-		inSame := same || mark && in.Equal(sparse.Piece(x.wasIn, ls.inOffsets, t))
-		outSame := same || mark && out.Equal(sparse.Piece(x.wasOut, ls.outOffsets, t))
 		p := sameBoth
-		if !inSame || !outSame {
-			if hdrs == nil {
-				hdrs = make([]comm.ConfigPiece, d)
-			}
+		if !same && !(hdrs[t].InSame && hdrs[t].OutSame) {
 			p = &hdrs[t]
-			p.InSame, p.OutSame = inSame, outSame
-			if !inSame {
-				p.In = in
-			}
-			if !outSame {
-				p.Out = out
-			}
 			if fused {
 				p.HasVals, p.Vals = true, x.vals[int(outOffs[t])*w:int(outOffs[t+1])*w]
 			}
@@ -235,7 +232,7 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 			return err
 		}
 	}
-	splitKept := hdrs == nil
+	splitKept := same // pieces that all match the last ones make the last sets
 
 	// Receive one piece per member, in arrival order, staged in the
 	// machine scratch, and check each before anything is built on it.
@@ -259,15 +256,21 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 		if fused && !q.HasVals {
 			return fmt.Errorf("piece from %d carries no values but the pass is fused", from)
 		}
-		if err := landSet(q.InSame, q.In, stored, myRange); err != nil {
+		if err := landSet(q.InSame, q.InDelta, q.In, stored, myRange); err != nil {
 			return fmt.Errorf("in piece from %d: %w", from, err)
 		}
-		if err := landSet(q.OutSame, q.Out, stored, myRange); err != nil {
+		if err := landSet(q.OutSame, q.OutDelta, q.Out, stored, myRange); err != nil {
 			return fmt.Errorf("out piece from %d: %w", from, err)
 		}
 		nOut := len(q.Out)
-		if q.OutSame {
+		switch {
+		case q.OutSame:
 			nOut = len(ls.outMaps[t])
+		case q.OutDelta != nil:
+			nOut = q.OutDelta.Len
+		}
+		if q.InDelta != nil || q.OutDelta != nil {
+			m.opts.Tracer.CountDeltaPiece()
 		}
 		if fused && len(q.Vals) != nOut*w {
 			return fmt.Errorf("piece from %d has %d values, want %d", from, len(q.Vals), nOut*w)
@@ -286,14 +289,20 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 		// Unions and maps depend only on the received pieces. A marker
 		// stands for the piece received last time, which the Config keeps
 		// no copy of: it is read back out of the union it was merged into.
+		// A delta is applied to that piece; a direction spelled as the other
+		// is, over a symmetric layer, is the other's piece.
 		inP, outP := cs.inP[:d], cs.outP[:d]
 		cs.keys = cs.keys[:0]
+		symLayer := stored && &ls.inMaps[0] == &ls.outMaps[0]
 		for t, q := range got {
-			if inP[t] = q.In; q.InSame {
-				inP[t] = cs.mergedPiece(ls.inUnion, ls.inMaps[t])
+			var err error
+			if inP[t], err = cs.receivedPiece(q.In, q.InSame, q.InDelta, ls.inUnion, ls.inMaps, t); err != nil {
+				return fmt.Errorf("in piece from %d: %w", group[t], err)
 			}
-			if outP[t] = q.Out; q.OutSame {
-				outP[t] = cs.mergedPiece(ls.outUnion, ls.outMaps[t])
+			if symLayer && q.InSame == q.OutSame && q.InDelta == q.OutDelta && (q.InSame || q.InDelta != nil) {
+				outP[t] = inP[t]
+			} else if outP[t], err = cs.receivedPiece(q.Out, q.OutSame, q.OutDelta, ls.outUnion, ls.outMaps, t); err != nil {
+				return fmt.Errorf("out piece from %d: %w", group[t], err)
 			}
 		}
 		if ls.blocks[0] != nil {
@@ -331,30 +340,135 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 }
 
 // landSet is one direction of the configuration land step. A marker
-// needs a stored piece to stand for; a shipped piece must lie in the
-// hash sub-range this rank owns at the layer, because it feeds the
-// layer's union and the next layer's split, which assume that.
-func landSet(same bool, shipped sparse.Set, stored bool, r sparse.Range) error {
-	if !same {
-		return sparse.CheckInRange(shipped, r)
+// needs a stored piece to stand for, and a delta one to apply to; keys a
+// direction brings must lie in the hash sub-range this rank owns at the
+// layer, because they feed the layer's union and the next layer's split,
+// which assume that.
+func landSet(same bool, delta *comm.PieceDelta, shipped sparse.Set, stored bool, r sparse.Range) error {
+	switch {
+	case (same || delta != nil) && !stored:
+		return errors.New("same-marker or delta but no stored piece")
+	case delta != nil:
+		return sparse.CheckInRange(delta.Added, r)
 	}
-	if !stored {
-		return errors.New("same-marker but no stored piece")
-	}
-	return nil
+	return sparse.CheckInRange(shipped, r)
 }
 
-// mergedPiece reads a received piece back out of the union it was
-// merged into: its position map sends the piece's j-th key to
-// union[m[j]]. The copy lives in machine scratch, like every piece
+// receivedPiece is a direction's piece as its sender holds it now:
+// shipped in full, or the piece received from it last time — read back
+// out of the union it was merged into, whose position map sends its
+// j-th key to union[maps[t][j]] — for a marker, with a delta applied
+// for a delta: the kept keys gathered run by run, the added ones merged
+// in as they come. The copies live in machine scratch, like every piece
 // between its arrival and the rebuild of the unions.
-func (cs *Scratch) mergedPiece(union sparse.Set, m []int32) sparse.Set {
-	at := len(cs.keys)
-	cs.keys = slices.Grow(cs.keys, len(m))
-	for _, pos := range m {
-		cs.keys = append(cs.keys, union[pos])
+func (cs *Scratch) receivedPiece(shipped sparse.Set, same bool, delta *comm.PieceDelta, union sparse.Set, maps [][]int32, t int) (sparse.Set, error) {
+	if !same && delta == nil {
+		return shipped, nil
 	}
-	return cs.keys[at:len(cs.keys):len(cs.keys)]
+	m, n := maps[t], len(maps[t])
+	var rm []int32
+	var add sparse.Set
+	if delta != nil {
+		if rm, add, n = delta.Removed, delta.Added, delta.Len; len(m)-len(rm)+len(add) != n {
+			return nil, fmt.Errorf("delta length %d, its counts give %d", n, len(m)-len(rm)+len(add))
+		}
+	}
+	at := len(cs.keys)
+	cs.keys = slices.Grow(cs.keys, n)[:at+n]
+	out := cs.keys[at : at+n : at+n]
+	w, j, from, next := 0, 0, 0, noKey // next is add[j], or past every key
+	if len(add) > 0 {
+		next = add[0]
+	}
+	for i := 0; i <= len(rm); i++ {
+		to := len(m)
+		if i < len(rm) {
+			if to = int(rm[i]); to < from || to >= len(m) {
+				return nil, fmt.Errorf("delta removes position %d of a %d-key piece, after %d", to, len(m), from-1)
+			}
+		}
+		for _, pos := range m[from:to] {
+			k := union[pos]
+			for next < k {
+				if out[w], w, j, next = next, w+1, j+1, noKey; j < len(add) {
+					next = add[j]
+				}
+			}
+			if next == k {
+				return nil, fmt.Errorf("delta adds index %d, which the kept piece holds", k.Index())
+			}
+			out[w], w = k, w+1
+		}
+		from = to + 1
+	}
+	copy(out[w:], add[j:])
+	return out, nil
+}
+
+// noKey sorts after every Key: indices are int32, so a key's low half
+// is never all ones.
+const noKey = ^sparse.Key(0)
+
+// spell rewrites, in a pass where markers are legal, the headers of a
+// layer whose sets moved: one merge a piece (sparse.Diff) spells each
+// direction as a marker where it is the piece sent last pass, as a delta
+// against that piece where the keys dropped and added are fewer than it
+// holds — a rule of content alone, so layouts stay deterministic — and
+// leaves it in full else; equal in and out pieces over equal ones share
+// one merge and one delta. The piece a rank sends itself is a marker or
+// in full: it crosses no wire, so a delta would only cost both ends a
+// merge. Diff writes into machine scratch, sized for the whole layer;
+// the deltas ride in payloads, so they then move into one block of
+// positions and one of keys of their own size, which with the block of
+// their headers are retired at once but stamped a pass later than
+// supersede stamps: peers read them during this pass and are done with
+// them once this rank has finished the next.
+func (c *Config) spell(x *cfgPass, ls *layerState, hdrs []comm.ConfigPiece) {
+	cs, self := c.mach.cfg, memberIndex(ls.group, c.mach.Rank())
+	sym := x.in.Equal(x.out) && x.wasIn.Equal(x.wasOut)
+	np, nk, nd := len(x.wasIn), len(x.in), len(hdrs) // Diff's room
+	if !sym {
+		np, nk, nd = np+len(x.wasOut), nk+len(x.out), 2*nd
+	}
+	cs.dpos, cs.keys = slices.Grow(cs.dpos[:0], np)[:np], slices.Grow(cs.keys[:0], nk)[:nk]
+	pos, keys, deltas := cs.dpos, cs.keys, cs.deltaBlocks.get(nd, cs.done)
+	cs.deltaBlocks.put(deltas, cs.done+2)
+	np, nk, nd = 0, 0, 0
+	// one spells member t's piece now against was: a marker, a delta, or
+	// (neither) in full.
+	one := func(was, now sparse.Set, t int) (bool, *comm.PieceDelta) {
+		if t == self {
+			return was.Equal(now), nil
+		}
+		nr, na := sparse.Diff(was, now, pos[np:], keys[nk:])
+		if nr+na == 0 || nr+na >= len(now) {
+			return nr+na == 0, nil
+		}
+		deltas[nd] = comm.PieceDelta{Removed: pos[np : np+nr], Added: keys[nk : nk+na], Len: len(now)}
+		np, nk, nd = np+nr, nk+na, nd+1
+		return false, &deltas[nd-1]
+	}
+	for t := range hdrs {
+		p := &hdrs[t]
+		if p.InSame, p.InDelta = one(sparse.Piece(x.wasIn, ls.inOffsets, t), p.In, t); p.InSame || p.InDelta != nil {
+			p.In = nil
+		}
+		if sym {
+			p.Out, p.OutSame, p.OutDelta = p.In, p.InSame, p.InDelta
+		} else if p.OutSame, p.OutDelta = one(sparse.Piece(x.wasOut, ls.outOffsets, t), p.Out, t); p.OutSame || p.OutDelta != nil {
+			p.Out = nil
+		}
+	}
+	if nd > 0 {
+		pos, keys = cs.intBlocks.get(np, cs.done), cs.keyBlocks.get(nk, cs.done)
+		cs.intBlocks.put(pos, cs.done+2)
+		cs.keyBlocks.put(keys, cs.done+2)
+		for i := range deltas[:nd] {
+			d := &deltas[i]
+			nr, na := copy(pos, d.Removed), copy(keys, d.Added)
+			d.Removed, d.Added, pos, keys = pos[:nr:nr], keys[:na:na], pos[nr:], keys[na:]
+		}
+	}
 }
 
 // buildUnions computes a layer's in/out unions and position maps from
@@ -392,19 +506,13 @@ func (m *Machine) unionMaps(pieces []sparse.Set) (sparse.Set, [][]int32, []int32
 	for _, p := range pieces {
 		total += len(p)
 	}
-	block := s.intBlocks.take(total, s.done)
-	if block == nil {
-		block = make([]int32, total)
-	}
+	block := s.intBlocks.get(total, s.done)
 	maps, data := make([][]int32, len(pieces)), block
 	for t, p := range pieces {
 		maps[t], data = data[:len(p):len(p)], data[len(p):]
 	}
 	merged := s.uni.UnionMaps(pieces, maps)
-	union := sparse.Set(s.keyBlocks.take(len(merged), s.done))
-	if union == nil {
-		union = make(sparse.Set, len(merged))
-	}
+	union := sparse.Set(s.keyBlocks.get(len(merged), s.done))
 	copy(union, merged)
 	return union, maps, block
 }

@@ -156,8 +156,11 @@ func TestLandStepRejections(t *testing.T) {
 // the layer (an escaping in piece would otherwise join the in union and
 // be split, at the next layer, as if it were in range), values present
 // in a pass that is not fused or absent in one that is, a value count
-// that does not match the out piece, and a same-marker for a direction
-// the Config holds no stored piece of.
+// that does not match the out piece, a same-marker or a delta for a
+// direction the Config holds no stored piece of, and a delta that does
+// not fit the stored piece: a removed position past it, an added key it
+// keeps already or one outside the sub-range, a length its counts do
+// not give. Every failure poisons the Config the pass ran over.
 func TestConfigurationRejectsEscapingPieces(t *testing.T) {
 	degrees := []int{2, 2}
 	bf := topo.MustNew(degrees)
@@ -198,25 +201,48 @@ func TestConfigurationRejectsEscapingPieces(t *testing.T) {
 	}
 	any := func(pass) bool { return true }
 	fused := func(p pass) bool { return p.fused }
+	fresh := func(p pass) bool { return !p.stored }
+	stored := func(p pass) bool { return p.stored }
+	// inDelta spells the in direction as a delta against was, the piece
+	// the sender shipped in the pass that built the Config.
+	inDelta := func(q *comm.ConfigPiece, d *comm.PieceDelta) { q.In, q.InSame, q.InDelta = nil, false, d }
 	cases := []struct {
 		name    string
 		applies func(pass) bool
-		doctor  func(q *comm.ConfigPiece)
+		doctor  func(q *comm.ConfigPiece, was sparse.Set)
 		// where follows "rank 0 <pass> layer <n>: " in the error, want is
 		// the complaint.
 		where, want string
 	}{
-		{"in", any, func(q *comm.ConfigPiece) { q.In, q.InSame = escaping, false }, "in piece from", "escapes range"},
-		{"out", any, func(q *comm.ConfigPiece) { q.Out, q.OutSame = escaping, false }, "out piece from", "escapes range"},
-		{"no values", fused, func(q *comm.ConfigPiece) { q.HasVals, q.Vals = false, nil }, "piece from", "carries no values"},
-		{"one value short", fused, func(q *comm.ConfigPiece) { q.Vals = q.Vals[:len(q.Vals)-1] }, "piece from", "values, want"},
-		{"one value over", fused, func(q *comm.ConfigPiece) { q.Vals = append(q.Vals[:len(q.Vals):len(q.Vals)], 0) }, "piece from", "values, want"},
-		{"values", func(p pass) bool { return !p.fused }, func(q *comm.ConfigPiece) { q.HasVals, q.Vals = true, make([]float32, len(q.Out)) },
+		{"in", any, func(q *comm.ConfigPiece, _ sparse.Set) { q.In, q.InSame = escaping, false }, "in piece from", "escapes range"},
+		{"out", any, func(q *comm.ConfigPiece, _ sparse.Set) { q.Out, q.OutSame = escaping, false }, "out piece from", "escapes range"},
+		{"no values", fused, func(q *comm.ConfigPiece, _ sparse.Set) { q.HasVals, q.Vals = false, nil }, "piece from", "carries no values"},
+		{"one value short", fused, func(q *comm.ConfigPiece, _ sparse.Set) { q.Vals = q.Vals[:len(q.Vals)-1] }, "piece from", "values, want"},
+		{"one value over", fused, func(q *comm.ConfigPiece, _ sparse.Set) { q.Vals = append(q.Vals[:len(q.Vals):len(q.Vals)], 0) },
+			"piece from", "values, want"},
+		{"values", func(p pass) bool { return !p.fused }, func(q *comm.ConfigPiece, _ sparse.Set) { q.HasVals, q.Vals = true, make([]float32, len(q.Out)) },
 			"piece from", "carries values"},
-		{"in marker", func(p pass) bool { return !p.stored }, func(q *comm.ConfigPiece) { q.In, q.InSame = nil, true },
+		{"in marker", fresh, func(q *comm.ConfigPiece, _ sparse.Set) { q.In, q.InSame = nil, true },
 			"in piece from", "no stored piece"},
-		{"out marker", func(p pass) bool { return !p.stored }, func(q *comm.ConfigPiece) { q.Out, q.OutSame = nil, true },
+		{"out marker", fresh, func(q *comm.ConfigPiece, _ sparse.Set) { q.Out, q.OutSame = nil, true },
 			"out piece from", "no stored piece"},
+		{"in delta", fresh, func(q *comm.ConfigPiece, _ sparse.Set) { inDelta(q, &comm.PieceDelta{Removed: []int32{0}}) },
+			"in piece from", "no stored piece"},
+		{"out delta", fresh, func(q *comm.ConfigPiece, _ sparse.Set) {
+			q.Out, q.OutSame, q.OutDelta = nil, false, &comm.PieceDelta{Removed: []int32{0}}
+		}, "out piece from", "no stored piece"},
+		{"delta position past the piece", stored, func(q *comm.ConfigPiece, was sparse.Set) {
+			inDelta(q, &comm.PieceDelta{Removed: []int32{int32(len(was))}, Len: len(was) - 1})
+		}, "in piece from", "delta removes position"},
+		{"delta adds a kept key", stored, func(q *comm.ConfigPiece, was sparse.Set) {
+			inDelta(q, &comm.PieceDelta{Added: was[len(was)-1:], Len: len(was) + 1})
+		}, "in piece from", "which the kept piece holds"},
+		{"delta adds an escaping key", stored, func(q *comm.ConfigPiece, was sparse.Set) {
+			inDelta(q, &comm.PieceDelta{Added: escaping, Len: len(was) + 1})
+		}, "in piece from", "escapes range"},
+		{"delta length", stored, func(q *comm.ConfigPiece, was sparse.Set) {
+			inDelta(q, &comm.PieceDelta{Removed: []int32{0}, Len: len(was)})
+		}, "in piece from", "delta length"},
 	}
 	for _, pass := range passes {
 		for _, tc := range cases {
@@ -225,18 +251,26 @@ func TestConfigurationRejectsEscapingPieces(t *testing.T) {
 			}
 			for layer := 1; layer <= len(degrees); layer++ {
 				t.Run(fmt.Sprintf("%s/%s/layer%d", pass.name, tc.name, layer), func(t *testing.T) {
-					letThrough := 0
+					// A stored pass's first pieces build the Config and pass
+					// through; each sender's in piece is what a delta from it
+					// is spelled against. A delta needs a key to keep.
+					letThrough, was := 0, map[int]sparse.Set{}
 					if pass.stored {
 						letThrough = degrees[layer-1]
 					}
 					rewrite := func(from int, p comm.Payload) (int, comm.Payload) {
+						q := p.(*comm.ConfigPiece)
 						if letThrough > 0 {
 							letThrough--
+							was[from] = q.In
 							return from, p
 						}
-						q := p.(*comm.ConfigPiece)
-						doctored := &comm.ConfigPiece{In: q.In, Out: q.Out, InSame: q.InSame, OutSame: q.OutSame, HasVals: q.HasVals, Vals: q.Vals}
-						tc.doctor(doctored)
+						if pass.stored && len(was[from]) == 0 {
+							return from, p
+						}
+						doctored := &comm.ConfigPiece{In: q.In, Out: q.Out, InSame: q.InSame, OutSame: q.OutSame,
+							InDelta: q.InDelta, OutDelta: q.OutDelta, HasVals: q.HasVals, Vals: q.Vals}
+						tc.doctor(doctored, was[from])
 						return from, doctored
 					}
 					victimErr := runWithVictim(bf, pass.kind, layer, rewrite, func(r int, ep comm.Endpoint) error {
@@ -244,10 +278,16 @@ func TestConfigurationRejectsEscapingPieces(t *testing.T) {
 						if err != nil {
 							return err
 						}
-						return pass.run(m, ws[r])
+						if err = pass.run(m, ws[r]); err != nil && !m.cfg.base.poisoned {
+							return fmt.Errorf("%w, and the Config is not poisoned", err)
+						}
+						return err
 					})
 					if victimErr == nil {
 						t.Fatal("the pass accepted the doctored piece")
+					}
+					if strings.Contains(victimErr.Error(), "not poisoned") {
+						t.Fatal(victimErr)
 					}
 					where := fmt.Sprintf("rank 0 %s layer %d: %s", pass.name, layer, tc.where)
 					if msg := victimErr.Error(); !strings.Contains(msg, where) || !strings.Contains(msg, tc.want) {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -292,10 +294,13 @@ func (e *sentPieces) Send(to int, tag comm.Tag, p comm.Payload) error {
 // rank and compares, message by message, what the first Reconfigure
 // after Configure (and after ConfigureReduce) ships with what fresh
 // passes over the old and the new sets ship: a direction is a marker
-// exactly where the two fresh pieces are equal, and carries the new
-// piece everywhere else. So only the pieces the index falls in re-ship
-// — few, but not none — and the state still lands where a fresh
-// Configure of the new sets puts it.
+// exactly where the two fresh pieces are equal; a changed one is a delta
+// exactly where the keys it drops and adds are fewer than the new piece
+// holds and the piece goes to another rank, and applying the delta to
+// the old fresh piece gives the new one; everywhere else it carries the
+// new piece. So only the pieces the
+// index falls in re-ship — few, but not none — and the state still lands
+// where a fresh Configure of the new sets puts it.
 func TestReconfigureMarksExactlyTheUnchangedPieces(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	degrees := []int{4, 2}
@@ -340,7 +345,7 @@ func TestReconfigureMarksExactlyTheUnchangedPieces(t *testing.T) {
 	}
 
 	for _, start := range []string{"Configure", "ConfigureReduce"} {
-		reshipped := make([]int, bf.M())
+		reshipped, deltas := make([]int, bf.M()), make([]int, bf.M())
 		run(func(r int, m *Machine, rec *sentPieces) error {
 			var cfg *Config
 			var err error
@@ -357,14 +362,17 @@ func TestReconfigureMarksExactlyTheUnchangedPieces(t *testing.T) {
 			}
 			for at, q := range rec.sent {
 				was, now := fresh[0][r][at], fresh[1][r][at]
-				if inSame := was.In.Equal(now.In); q.InSame != inSame || !inSame && !q.In.Equal(now.In) {
-					t.Errorf("%s rank %d layer %d to %d: in marker %v, piece unchanged %v", start, r, at[0], at[1], q.InSame, inSame)
+				if err := checkSpelling(q.InSame, q.InDelta, q.In, was.In, now.In, at[1] == r); err != nil {
+					t.Errorf("%s rank %d layer %d to %d: in %v", start, r, at[0], at[1], err)
 				}
-				if outSame := was.Out.Equal(now.Out); q.OutSame != outSame || !outSame && !q.Out.Equal(now.Out) {
-					t.Errorf("%s rank %d layer %d to %d: out marker %v, piece unchanged %v", start, r, at[0], at[1], q.OutSame, outSame)
+				if err := checkSpelling(q.OutSame, q.OutDelta, q.Out, was.Out, now.Out, at[1] == r); err != nil {
+					t.Errorf("%s rank %d layer %d to %d: out %v", start, r, at[0], at[1], err)
 				}
 				if !q.InSame || !q.OutSame {
 					reshipped[r]++
+				}
+				if q.InDelta != nil || q.OutDelta != nil {
+					deltas[r]++
 				}
 			}
 			if got := cfg.Digest(); got != want[r] {
@@ -379,16 +387,60 @@ func TestReconfigureMarksExactlyTheUnchangedPieces(t *testing.T) {
 			}
 			return nil
 		})
-		total := 0
-		for _, k := range reshipped {
-			total += k
+		total, spelled := 0, 0
+		for r, k := range reshipped {
+			total, spelled = total+k, spelled+deltas[r]
 		}
 		// The dropped and the added index each sit in one piece of rank 3's
 		// split and in one piece of the layer-2 split below it.
-		if reshipped[3] == 0 || total > 4 {
-			t.Errorf("%s: %d pieces re-shipped (%v by rank), want 1..4 starting at rank 3", start, total, reshipped)
+		if reshipped[3] == 0 || total > 4 || spelled == 0 {
+			t.Errorf("%s: %d pieces re-shipped (%v by rank), %d of them with deltas; want 1..4 starting at rank 3, some as deltas",
+				start, total, reshipped, spelled)
 		}
 	}
+}
+
+// checkSpelling is one direction of TestReconfigureMarksExactlyTheUnchangedPieces:
+// how a piece shipped against the fresh pieces of the old and new sets.
+// A piece a rank sends itself is never a delta.
+func checkSpelling(same bool, delta *comm.PieceDelta, shipped, was, now sparse.Set, self bool) error {
+	var removed []int32
+	var added sparse.Set
+	for j, k := range was {
+		if !now.Contains(k) {
+			removed = append(removed, int32(j))
+		}
+	}
+	for _, k := range now {
+		if !was.Contains(k) {
+			added = append(added, k)
+		}
+	}
+	changed := len(removed)+len(added) > 0
+	switch wantDelta := changed && !self && len(removed)+len(added) < len(now); {
+	case same == changed:
+		return fmt.Errorf("marker %v, piece changed %v", same, changed)
+	case same:
+		return nil
+	case (delta != nil) != wantDelta:
+		return fmt.Errorf("delta %v, %d removed and %d added of %d", delta != nil, len(removed), len(added), len(now))
+	case delta == nil && !shipped.Equal(now):
+		return fmt.Errorf("shipped %v, want %v", shipped, now)
+	case delta == nil:
+		return nil
+	case !slices.Equal(delta.Removed, removed) || !delta.Added.Equal(added) || delta.Len != len(now):
+		return fmt.Errorf("delta %+v, want removed %v added %v of %d", delta, removed, added, len(now))
+	}
+	var applied []int32
+	for j, k := range was {
+		if !slices.Contains(delta.Removed, int32(j)) {
+			applied = append(applied, k.Index())
+		}
+	}
+	if got := sparse.MustNewSet(append(applied, delta.Added.Indices()...)); !got.Equal(now) {
+		return fmt.Errorf("delta applied to the old piece gives %v, want %v", got, now)
+	}
+	return nil
 }
 
 // TestReconfigureErrorPoisons drives a genuine mid-collective failure —

@@ -122,8 +122,10 @@ type Scratch struct {
 	// for per configuration.
 	uni sparse.UnionScratch
 	// offs stages a layer's split offsets, in then out, until the pass
-	// knows whether the split moved (2*(maxDeg+1) entries).
-	offs []int32
+	// knows whether the split moved (2*(maxDeg+1) entries). dpos stages
+	// the positions of a layer's deltas, keys their added keys, until
+	// Config.spell moves them into blocks of their own size.
+	offs, dpos []int32
 	// gen is the arena generation of the latest arena pass; stamps counts
 	// the Config.stamps handed out.
 	gen    int
@@ -132,14 +134,16 @@ type Scratch struct {
 	// base is the Config of the latest configuration pass; only a
 	// successor Machine's Configure continues from it.
 	base *Config
-	// keyBlocks and intBlocks are the retire list: union, map, top-Set and
-	// order-map blocks, each stamped with the configuration pass that
-	// superseded it; done counts the passes finished without error, and a
-	// block is taken only once its pass is among them (DESIGN.md, "Hot
-	// path & memory discipline", retired per machine).
-	keyBlocks retireList[sparse.Key]
-	intBlocks retireList[int32]
-	done      uint64
+	// keyBlocks, intBlocks and deltaBlocks are the retire list: union,
+	// map, top-Set and order-map blocks and the blocks sent deltas ride
+	// in, each stamped with the configuration pass that superseded it;
+	// done counts the passes finished without error, and a block is taken
+	// only once its pass is among them (DESIGN.md, "Hot path & memory
+	// discipline", retired per machine).
+	keyBlocks   retireList[sparse.Key]
+	intBlocks   retireList[int32]
+	deltaBlocks retireList[comm.PieceDelta]
+	done        uint64
 }
 
 // retireSlots is how many blocks of each kind the retire list parks (a
@@ -149,8 +153,9 @@ type Scratch struct {
 const retireSlots, retireSlack = 16, 64
 
 // retireList parks blocks of routing state — Set keys or position-map
-// entries — oldest first, each with the pass that superseded it.
-type retireList[T ~uint64 | ~int32] []retired[T]
+// entries — and of sent deltas, oldest first, each with the pass that
+// superseded it.
+type retireList[T any] []retired[T]
 
 type retired[T any] struct {
 	b    []T
@@ -179,21 +184,30 @@ func (l *retireList[T]) take(n int, done uint64) []T {
 	return nil
 }
 
-// poisonRetired scribbles all-ones over the blocks the last finished
-// pass superseded, under PoisonArena: a key of index -1, which no Set
-// holds, or a position of -1.
+// get is take, or n elements newly made when no block fits.
+func (l *retireList[T]) get(n int, done uint64) []T {
+	if b := l.take(n, done); b != nil {
+		return b
+	}
+	return make([]T, n)
+}
+
+// poisonRetired scribbles over the blocks the last finished pass
+// superseded, under PoisonArena: a key of index -1, which no Set holds,
+// a position of -1, or a delta of length -1, which no piece applies.
 func (s *Scratch) poisonRetired() {
 	if poisonArena.Load() {
-		poisonBlocks(s.keyBlocks, s.done)
-		poisonBlocks(s.intBlocks, s.done)
+		poisonBlocks(s.keyBlocks, s.done, ^sparse.Key(0))
+		poisonBlocks(s.intBlocks, s.done, -1)
+		poisonBlocks(s.deltaBlocks, s.done, comm.PieceDelta{Len: -1})
 	}
 }
 
-func poisonBlocks[T ~uint64 | ~int32](l retireList[T], pass uint64) {
+func poisonBlocks[T any](l retireList[T], pass uint64, bad T) {
 	for _, e := range l {
 		if e.pass == pass {
 			for i := range e.b {
-				e.b[i] = ^T(0)
+				e.b[i] = bad
 			}
 		}
 	}

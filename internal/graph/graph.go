@@ -10,9 +10,11 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
+	"kylix/internal/core"
 	"kylix/internal/powerlaw"
 	"kylix/internal/sparse"
 )
@@ -123,6 +125,69 @@ func BuildShard(edges []Edge, weights []float32) (*Shard, error) {
 
 // NNZ returns the shard's local edge count.
 func (s *Shard) NNZ() int { return len(s.W) }
+
+// Propagate is the round loop of the §I-A2 workloads that propagate
+// values along edges to a fixed point (components, BFS, diameter
+// sketches). It configures m over (tracked, s.Out) and convergence over
+// one key. Each round fills the out vector (width values a destination)
+// with fill, lets fold fold every local edge into it — src a position in
+// tracked, dst one in s.Out — reduces it, hands the tracked vertices'
+// result to merge, which returns how many values it changed, and sums
+// those counts over convergence. It stops after the first round whose
+// total is zero, or after maxRounds, and returns the totals, one a
+// round; name prefixes its errors.
+func (s *Shard) Propagate(name string, m, convergence *core.Machine, tracked sparse.Set, width int, fill float32, maxRounds int,
+	fold func(out []float32, src, dst int), merge func(got []float32) int) ([]int, error) {
+	srcSlot, err := sparse.PositionMap(s.In, tracked)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	cfg, err := m.Configure(tracked, s.Out)
+	if err != nil {
+		return nil, fmt.Errorf("%s: configure: %w", name, err)
+	}
+	one := sparse.MustNewSet([]int32{0})
+	conv, err := convergence.Configure(one, one)
+	if err != nil {
+		return nil, fmt.Errorf("%s: convergence configure: %w", name, err)
+	}
+	out := make([]float32, len(s.Out)*width)
+	var totals []int
+	for round := 1; round <= maxRounds; round++ {
+		sparse.Fill(out, fill)
+		for e, src := range s.SrcPos {
+			fold(out, int(srcSlot[src]), int(s.DstPos[e]))
+		}
+		got, err := cfg.Reduce(out)
+		if err != nil {
+			return nil, fmt.Errorf("%s: round %d: %w", name, round, err)
+		}
+		total, err := conv.Reduce([]float32{float32(merge(got))})
+		if err != nil {
+			return nil, fmt.Errorf("%s: convergence round %d: %w", name, round, err)
+		}
+		if totals = append(totals, int(total[0])); total[0] == 0 {
+			break
+		}
+	}
+	return totals, nil
+}
+
+// Relax is Propagate under a MIN reduce: a destination hears the least
+// cur[src] + step over its in-edges, and a tracked value in cur falls to
+// what it hears.
+func (s *Shard) Relax(name string, m, convergence *core.Machine, tracked sparse.Set, cur []float32, step float32, maxRounds int) ([]int, error) {
+	return s.Propagate(name, m, convergence, tracked, 1, float32(math.Inf(1)), maxRounds,
+		func(out []float32, src, dst int) { out[dst] = min(out[dst], cur[src]+step) },
+		func(got []float32) (changed int) {
+			for i, v := range got {
+				if v < cur[i] {
+					cur[i], changed = v, changed+1
+				}
+			}
+			return changed
+		})
+}
 
 // Multiply computes the local sparse product y = X_i * x: x holds one
 // value per In key, y (zeroed by this call) receives one value per Out

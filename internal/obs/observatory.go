@@ -39,6 +39,7 @@ type Observatory struct {
 	// its previous unions and maps; full = it recomputed them).
 	reconfigFastLayer *Counter
 	reconfigFullLayer *Counter
+	deltaPieces       *Counter
 }
 
 // FaultEventNames are the faultnet event labels the Observatory
@@ -70,6 +71,7 @@ func New(m, spanCap int) *Observatory {
 	o.deriveByteCounters()
 	o.reconfigFastLayer = reg.Counter("reconfigure_fast_layers")
 	o.reconfigFullLayer = reg.Counter("reconfigure_full_layers")
+	o.deltaPieces = reg.Counter("config_delta_pieces")
 	o.trans = NewTransportMetrics(reg)
 	for _, ev := range FaultEventNames {
 		o.faultCounts[ev] = reg.Counter("fault_" + ev)

@@ -112,6 +112,14 @@ func (t *Tracer) CountReconfigureLayer(fast bool) {
 	}
 }
 
+// CountDeltaPiece records a configuration piece that arrived with a
+// direction spelled as a delta against the last one.
+func (t *Tracer) CountDeltaPiece() {
+	if t != nil {
+		t.o.deltaPieces.Inc()
+	}
+}
+
 // RecordError closes a synthetic span carrying an error that was not
 // bracketed by Begin/End (e.g. a timed-out receive observed at the
 // transport): the span covers the wait that failed.

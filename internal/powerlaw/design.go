@@ -68,7 +68,7 @@ func Design(in DesignInput) ([]int, error) {
 		if d < 2 {
 			// Packets already below the floor: minimize further layers'
 			// damage by taking the smallest prime factor.
-			d = smallestPrimeFactor(remaining)
+			d = SmallestPrimeFactor(remaining)
 		}
 		degrees = append(degrees, d)
 		remaining /= d
@@ -108,8 +108,8 @@ func largestDivisorAtMost(n, cap int) int {
 	return best
 }
 
-// smallestPrimeFactor returns the smallest prime factor of n >= 2.
-func smallestPrimeFactor(n int) int {
+// SmallestPrimeFactor returns the smallest prime factor of n >= 2.
+func SmallestPrimeFactor(n int) int {
 	for d := 2; d*d <= n; d++ {
 		if n%d == 0 {
 			return d

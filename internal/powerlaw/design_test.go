@@ -214,8 +214,8 @@ func TestLargestDivisorAtMost(t *testing.T) {
 func TestSmallestPrimeFactor(t *testing.T) {
 	cases := []struct{ n, want int }{{2, 2}, {9, 3}, {35, 5}, {64, 2}, {97, 97}}
 	for _, c := range cases {
-		if got := smallestPrimeFactor(c.n); got != c.want {
-			t.Errorf("smallestPrimeFactor(%d) = %d, want %d", c.n, got, c.want)
+		if got := SmallestPrimeFactor(c.n); got != c.want {
+			t.Errorf("SmallestPrimeFactor(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
 }

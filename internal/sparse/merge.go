@@ -344,3 +344,29 @@ func UnionWithMaps(sets []Set) (Set, [][]int32) {
 	}
 	return union, maps
 }
+
+// Diff is the one merge that spells next against prev: it writes the
+// positions in prev of the keys next lacks to removed and the keys of
+// next that prev lacks to added, both in order (room for len(prev) and
+// len(next)), and returns how many of each. Unlike mergeInto's, the loop
+// branches on equal heads: it serves sets that mostly agree, where that
+// branch is well predicted.
+//
+//kylix:hotpath
+func Diff(prev, next Set, removed []int32, added Set) (nr, na int) {
+	i, j := 0, 0
+	for i < len(prev) && j < len(next) {
+		switch a, b := prev[i], next[j]; {
+		case a == b:
+			i, j = i+1, j+1
+		case a < b:
+			removed[nr], nr, i = int32(i), nr+1, i+1
+		default:
+			added[na], na, j = b, na+1, j+1
+		}
+	}
+	for ; i < len(prev); i++ {
+		removed[nr], nr = int32(i), nr+1
+	}
+	return nr, na + copy(added[na:], next[j:])
+}

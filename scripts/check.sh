@@ -3,7 +3,8 @@
 # `scripts/check.sh` all run this file, so they vet, test and race the
 # same packages. With arguments it runs just those stages
 # (`scripts/check.sh vet race`); the Makefile's vet, build, test, race,
-# soak and benchgate targets are aliases for exactly that.
+# soak, benchgate and fuzz targets are aliases for exactly that. The
+# fuzz stage runs only when named.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -62,13 +63,36 @@ stage_benchgate() {
     scripts/bench.sh --gate
 }
 
+# A quick pass over every fuzz target: the fault fabric's determinism,
+# the payload decoder, the mailbox model, the TCP frame reader, the
+# index codec, NewSet, and the value codec's bit identity with its
+# reference (each input sweeps 65,536 float32 words, so the fuzzer walks
+# the full 2^32 over time). The two decoders of peer bytes run with the
+# heap target held at 256 MiB, so a run stays small on a shared box;
+# what they may allocate on a short input is pinned by the tier-1
+# TestDecodeAllocatesWhatTheBytesYield, whose inputs seed both corpora.
+# Not in the default stage list: CI runs it as its own job.
+stage_fuzz() {
+    fuzz() { # target package [env]
+        echo "== fuzz $1 ($2)"
+        env ${3:-} go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 10s "$2"
+    }
+    fuzz FuzzDecide ./internal/faultnet/
+    fuzz FuzzDecodePayload ./internal/comm/ GOMEMLIMIT=256MiB
+    fuzz FuzzMailbox ./internal/comm/
+    fuzz FuzzFrameStream ./internal/tcpnet/
+    fuzz FuzzKeysCodec ./internal/sparse/ GOMEMLIMIT=256MiB
+    fuzz FuzzNewSet ./internal/sparse/
+    fuzz FuzzQuantizeMatchesReference ./internal/sparse/
+}
+
 if [ $# -eq 0 ]; then
     set -- vet build test race soak benchgate
 fi
 for stage in "$@"; do
     case "$stage" in
-        vet|build|test|race|soak|benchgate) "stage_$stage" ;;
-        *) echo "check: unknown stage '$stage' (have: vet build test race soak benchgate)" >&2; exit 2 ;;
+        vet|build|test|race|soak|benchgate|fuzz) "stage_$stage" ;;
+        *) echo "check: unknown stage '$stage' (have: vet build test race soak benchgate fuzz)" >&2; exit 2 ;;
     esac
 done
 echo "check OK"

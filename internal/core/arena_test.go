@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -189,6 +191,143 @@ func TestScratchOutlivesItsMachine(t *testing.T) {
 			}
 			if slabs != nil && (slabs[r] != [2]*float32{&s.bufs[0].f[0], &s.bufs[1].f[0]}) {
 				t.Fatalf("rank %d: the successor Machine replaced slabs that were large enough", r)
+			}
+		}
+	}
+}
+
+// TestReduceResultOutlivesTheNextPass pins the result's documented
+// lifetime: a Reduce or ConfigureReduce result stays bit for bit as
+// returned through the next arena pass on its Machine, on the same Config
+// or another, while every flip poisons what it recycles. Each step
+// reduces other values, so a result that shared memory with the next
+// pass's would not survive it.
+func TestReduceResultOutlivesTheNextPass(t *testing.T) {
+	PoisonArena(true)
+	defer PoisonArena(false)
+	bf := topo.MustNew([]int{4, 2})
+	const width = 2
+	rng := rand.New(rand.NewSource(38))
+	ws := [2][]workload{randWorkloads(rng, bf.M(), 500, 30, width, true), randWorkloads(rng, bf.M(), 500, 60, width, true)}
+	steps := []arenaStep{{1, "fused"}, {1, "reduce"}, {0, "reduce"}, {0, "reduce"}, {1, "fused"}, {0, "reduce"}}
+	for _, quant := range []sparse.Quantization{sparse.QuantOff, sparse.QuantFP16, sparse.QuantINT8} {
+		t.Run(quant.String(), func(t *testing.T) {
+			runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
+				r := ep.Rank()
+				m, err := NewMachine(ep, bf, Options{Width: width, Quant: quant})
+				if err != nil {
+					return err
+				}
+				var cfgs [2]*Config
+				if cfgs[0], err = m.Configure(ws[0][r].in, ws[0][r].out); err != nil {
+					return err
+				}
+				var res, kept []float32
+				for k, st := range steps {
+					w := ws[st.cfg][r]
+					vals := make([]float32, len(w.vals))
+					for i, v := range w.vals {
+						vals[i] = v * (1 + float32(k)/8)
+					}
+					last := res
+					if st.op == "fused" {
+						cfgs[st.cfg], res, err = m.ConfigureReduce(w.in, w.out, vals)
+					} else {
+						res, err = cfgs[st.cfg].Reduce(vals)
+					}
+					if err != nil {
+						return fmt.Errorf("step %d (%s on config %d): %w", k, st.op, st.cfg, err)
+					}
+					for i := range last {
+						if math.Float32bits(last[i]) != math.Float32bits(kept[i]) {
+							return fmt.Errorf("step %d (%s on config %d) rewrote step %d's result at %d: %v, returned as %v",
+								k, st.op, st.cfg, k-1, i, last[i], kept[i])
+						}
+					}
+					kept = slices.Clone(res)
+				}
+				return nil
+			})
+		})
+	}
+}
+
+// arenaFormula is DESIGN.md's arena formula for a Config in its
+// Machine's options, each buffer counted from a cache line of 16
+// elements: the floats each generation's slab holds (the stage, and what
+// a peer or the caller may read after the pass), the floats of the
+// pass-local slab (what only the pass reads), the bytes of each
+// generation's byte slab and the floats of the Config's residual slab.
+func arenaFormula(c *Config) (gen, local, bytes, res int) {
+	w, quant := c.mach.opts.Width, c.mach.opts.Quant
+	gen = line(len(c.outSet)*w) + line(len(c.inSet)*w) // the stage and the result
+	for i := range c.layers {
+		ls := &c.layers[i]
+		acc := line(len(ls.outUnion) * w)
+		if i > 0 {
+			local += line(len(c.layers[i-1].inUnion) * w) // next[i]
+		}
+		up, land := 0, 0
+		for t := range ls.group {
+			nd, nu := int(ls.outOffsets[t+1]-ls.outOffsets[t])*w, len(ls.inMaps[t])*w
+			up += line(nu)
+			land += line(len(ls.outMaps[t]) * w)
+			if quant != sparse.QuantOff {
+				bytes += line(sparse.QuantizedSize(quant, nd)) + line(sparse.QuantizedSize(quant, nu))
+				res += line(nd) + line(nu)
+			}
+		}
+		switch {
+		case quant != sparse.QuantOff:
+			local += acc + up + land
+		case i < len(c.layers)-1:
+			gen += acc + up
+		default:
+			gen, local = gen+up, local+acc
+		}
+	}
+	if c.bottomMap != nil {
+		local += line(len(c.layers[len(c.layers)-1].inUnion) * w) // inVals
+	}
+	return gen, local, bytes, res
+}
+
+// line is n elements rounded up to a cache line of 16, as take carves.
+func line(n int) int { return (n + 15) &^ 15 }
+
+// TestArenaSlabsMatchTheFormula: after warm passes on one Config fed
+// through StageOut, each rank's slabs are exactly as long as the formula
+// says — two generations of the stage and of what may be read after the
+// pass, one copy of what only the pass reads — up to the last buffer's
+// padding to its cache line.
+func TestArenaSlabsMatchTheFormula(t *testing.T) {
+	bf := topo.MustNew([]int{4, 2})
+	const width = 2
+	ws := randWorkloads(rand.New(rand.NewSource(5)), bf.M(), 2000, 150, width, true)
+	for _, quant := range []sparse.Quantization{sparse.QuantOff, sparse.QuantINT8} {
+		cfgs := make([]*Config, bf.M())
+		runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
+			r := ep.Rank()
+			m, err := NewMachine(ep, bf, Options{Width: width, Quant: quant})
+			if err != nil {
+				return err
+			}
+			cfgs[r], err = m.Configure(ws[r].in, ws[r].out)
+			for pass := 0; pass < 3 && err == nil; pass++ {
+				stage := cfgs[r].StageOut()
+				copy(stage, ws[r].vals)
+				_, err = cfgs[r].Reduce(stage)
+			}
+			return err
+		})
+		for r, c := range cfgs {
+			s := c.mach.cfg
+			gen, local, bytes, res := arenaFormula(c)
+			got := [6]int{line(len(s.bufs[0].f)), line(len(s.bufs[1].f)), line(len(s.local)),
+				line(len(s.bufs[0].b)), line(len(s.bufs[1].b)), line(len(c.res))}
+			if want := [6]int{gen, gen, local, bytes, bytes, res}; got != want {
+				t.Errorf("%v rank %d: slabs (float gen 0, gen 1, pass-local, bytes gen 0, gen 1, residuals) %v, formula %v",
+					quant, r, got, want)
 			}
 		}
 	}

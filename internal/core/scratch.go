@@ -19,12 +19,16 @@ type piece struct {
 	// f is the raw wire form, and f.Vals the float view the send step
 	// ships (raw) or encodes from (quantized): on the way down a segment
 	// of the current value vector, on the way up an arena buffer
-	// (len = |inMaps[t]| * width) refilled by GatherInto.
+	// (len = |inMaps[t]| * width) refilled by GatherInto. Raw, a peer
+	// may read it by reference after the round ends (memnet, a delaying
+	// fabric, a self-send), so the upward one is per generation;
+	// quantized, only this rank reads it, within the pass, so it is
+	// pass-local.
 	f comm.Floats
 	// q is the packed wire form under a lossy Options.Quant; its Data,
 	// sized exactly by sparse.QuantizedSize, is refilled by the quantize
-	// kernel and may, like f.Vals, still be draining through a transport
-	// when the round ends.
+	// kernel and is what ships, so it is per generation: a peer may read
+	// it by reference after the round ends.
 	q comm.QVals
 	// res is the error-feedback residual of the piece sent (len =
 	// len(f.Vals)): each round's quantization error is left here and
@@ -34,28 +38,36 @@ type piece struct {
 	res []float32
 	// land is where the member's own piece is dequantized on the way down
 	// (len = |outMaps[t]| * width), consumed by the staged fold within the
-	// layer. On the way up pieces are dequantized straight into their
-	// disjoint segments of the assembly buffer.
+	// layer, so it is pass-local. On the way up pieces are dequantized
+	// straight into their disjoint segments of the assembly buffer.
 	land []float32
 }
 
 // genBufs is one generation of a machine's reduction arena: headers
 // shaped by the topology and built once, and the two grow-only slabs
-// every buffer a pass writes is carved from, so a pass allocates nothing
-// once the slabs have reached the largest Config the machine has seen.
+// that what a peer or the caller may read after the pass is carved from.
+// What only this rank reads, within the pass, is carved from the
+// Scratch's pass-local slab, which both generations share. A pass
+// allocates nothing once the slabs have reached the largest Config the
+// machine has seen.
 type genBufs struct {
 	// acc[i] is layer i+1's scatter-reduce accumulator
-	// (len = |outUnion| * width).
+	// (len = |outUnion| * width). Raw, the next layer ships segments of it
+	// by reference, so it is per generation; the last layer's, which feeds
+	// only the turnaround, and every one under quantization are
+	// pass-local.
 	acc [][]float32
 	// scatter[i][t] / gather[i][t] are the pieces exchanged with layer
 	// i+1's member t on the way down / up.
 	scatter, gather [][]piece
 	// inVals is the bottom turnaround vector (len = |bottomIn| * width;
-	// nil under an identity turnaround).
+	// nil under an identity turnaround); pass-local.
 	inVals []float32
 	// next[i] is the allgather assembly buffer below layer i+1
 	// (len = |inSet| * width for i == 0, |layers[i-1].inUnion| * width
-	// otherwise). next[0] is the vector handed back to the caller.
+	// otherwise). next[0] is the vector handed back to the caller, valid
+	// until the second-following arena pass, so it is per generation;
+	// the others are pass-local.
 	next [][]float32
 	// f and b are the slabs. f[:staged] is the stage of the pass that
 	// flips into this generation: the out values StageOut handed out (none
@@ -66,9 +78,10 @@ type genBufs struct {
 	b      []byte
 	staged int
 	// stamp and from name the carve the headers hold: the Config.stamp it
-	// was made for and the stage it follows. A pass that finds its own
-	// skips the carve — peers hold the piece headers cached, and rewriting
-	// one, even unchanged, costs both sides a miss.
+	// was made for and the stage it follows (stamp 0: none, or one into a
+	// pass-local slab since replaced). A pass that finds its own skips the
+	// carve — peers hold the piece headers cached, and rewriting one, even
+	// unchanged, costs both sides a miss.
 	stamp uint64
 	from  int
 }
@@ -91,7 +104,9 @@ type genBufs struct {
 // the topology's, not a Config's, so the argument and the arena are the
 // machine's (in full, with the two senders outside it: DESIGN.md, "Hot
 // path & memory discipline"). A slab that must grow is replaced, not
-// resized, so payloads pointing into the old one stay intact.
+// resized, so payloads pointing into the old one stay intact. Only what
+// a peer or the caller may still read needs the two generations; what
+// the pass alone reads has one copy, rewritten by every pass.
 type Scratch struct {
 	// rank and degrees are what the topology-shaped state below was built
 	// for; a Machine that differs rebuilds everything.
@@ -131,6 +146,10 @@ type Scratch struct {
 	gen    int
 	bufs   [2]genBufs
 	stamps uint64
+	// local is the pass-local slab: the buffers only this rank reads, and
+	// only within an arena pass (see carve). Passes never overlap, so both
+	// generations' headers point into this one copy.
+	local []float32
 	// base is the Config of the latest configuration pass; only a
 	// successor Machine's Configure continues from it.
 	base *Config
@@ -248,9 +267,9 @@ func (m *Machine) RetireSet(set sparse.Set, perm []int32) {
 }
 
 // PoisonArena is a test hook: while on, every flip scribbles over the
-// generation's recycled slabs — NaN floats past the stage, 0xFF bytes —
-// so a pass that read a value it did not write would compute garbage
-// instead of a plausible stale sum.
+// generation's recycled slabs and the pass-local slab — NaN floats past
+// the stage, 0xFF bytes — so a pass that read a value it did not write
+// would compute garbage instead of a plausible stale sum.
 func PoisonArena(on bool) { poisonArena.Store(on) }
 
 var poisonArena atomic.Bool
@@ -291,10 +310,11 @@ func (c *Config) flip() *genBufs {
 	g := &s.bufs[s.gen]
 	if poisonArena.Load() {
 		poison(g.f[min(g.staged, len(g.f)):], g.b)
+		poison(s.local, nil)
 	}
 	if g.stamp != c.stamp || g.from != g.staged {
-		if nf, nb, nr := c.carve(g); nf > len(g.f) || nb > len(g.b) || nr > len(c.res) {
-			c.grow(g, nf, nb, nr)
+		if nf, nl, nb, nr := c.carve(g); nf > len(g.f) || nl > len(s.local) || nb > len(g.b) || nr > len(c.res) {
+			c.grow(g, nf, nl, nb, nr)
 			c.carve(g)
 		}
 		g.stamp, g.from = c.stamp, g.staged
@@ -303,31 +323,48 @@ func (c *Config) flip() *genBufs {
 	return g
 }
 
-// carve points a generation's headers at segments of its slabs, sized by
-// this Config's routing state, and the pieces' residuals at segments of
-// the Config's own slab; it returns how much of each it took.
+// carve points a generation's headers at segments of its slabs and of
+// the pass-local slab, sized by this Config's routing state, and the
+// pieces' residuals at segments of the Config's own slab; it returns how
+// much of each it took. A buffer a peer or the caller may read after the
+// pass goes in the generation's slabs: the result, q.Data, and raw the
+// accumulators and upward pieces that ship by reference. The rest is
+// read only by this rank within the pass and goes in the pass-local slab.
 //
 //kylix:hotpath
-func (c *Config) carve(g *genBufs) (nf, nb, nr int) {
+func (c *Config) carve(g *genBufs) (nf, nl, nb, nr int) {
 	w := c.mach.opts.Width
 	quant, feedback := c.mach.opts.Quant, !c.mach.opts.QuantNoFeedback
+	local := c.mach.cfg.local
 	nf = g.staged
+	ship, at := g.f, &nf
+	if quant != sparse.QuantOff {
+		ship, at = local, &nl // only q.Data crosses
+	}
 	below := c.inSet
 	for i := range c.layers {
 		ls := &c.layers[i]
-		g.acc[i] = take(g.f, &nf, len(ls.outUnion)*w)
-		g.next[i] = take(g.f, &nf, len(below)*w)
+		if i < len(c.layers)-1 {
+			g.acc[i] = take(ship, at, len(ls.outUnion)*w)
+		} else {
+			g.acc[i] = take(local, &nl, len(ls.outUnion)*w) // feeds only the turnaround
+		}
+		if i == 0 {
+			g.next[i] = take(g.f, &nf, len(below)*w) // the result
+		} else {
+			g.next[i] = take(local, &nl, len(below)*w)
+		}
 		below = ls.inUnion
 		for t := range ls.group {
 			down, up := &g.scatter[i][t], &g.gather[i][t]
 			nd, nu := int(ls.outOffsets[t+1]-ls.outOffsets[t])*w, len(ls.inMaps[t])*w
-			up.f.Vals = take(g.f, &nf, nu)
+			up.f.Vals = take(ship, at, nu)
 			if quant == sparse.QuantOff {
 				continue
 			}
 			down.q = comm.QVals{Mode: quant, N: nd, Data: take(g.b, &nb, sparse.QuantizedSize(quant, nd))}
 			up.q = comm.QVals{Mode: quant, N: nu, Data: take(g.b, &nb, sparse.QuantizedSize(quant, nu))}
-			down.land = take(g.f, &nf, len(ls.outMaps[t])*w)
+			down.land = take(local, &nl, len(ls.outMaps[t])*w)
 			if feedback {
 				down.res, up.res = take(c.res, &nr, nd), take(c.res, &nr, nu)
 			}
@@ -335,20 +372,26 @@ func (c *Config) carve(g *genBufs) (nf, nb, nr int) {
 	}
 	g.inVals = nil // an identity turnaround (nil bottomMap) needs none
 	if c.bottomMap != nil {
-		g.inVals = take(g.f, &nf, len(below)*w) // the bottom in-union
+		g.inVals = take(local, &nl, len(below)*w) // the bottom in-union
 	}
-	return nf, nb, nr
+	return nf, nl, nb, nr
 }
 
-// grow replaces whichever slabs a carve found short, exactly sized. The
-// residuals must start at zero (no prior error to fold in) and are
-// dropped when a pass moves a piece size: made here, or taken from a
-// finished Run's Config (continueFrom).
+// grow replaces whichever slabs a carve found short, exactly sized. A
+// new pass-local slab leaves both generations' carves stale, so neither
+// keeps the old one alive by skipping its next carve. The residuals must
+// start at zero (no prior error to fold in) and are dropped when a pass
+// moves a piece size: made here, or taken from a finished Run's Config
+// (continueFrom).
 //
 //kylix:coldpath
-func (c *Config) grow(g *genBufs, nf, nb, nr int) {
+func (c *Config) grow(g *genBufs, nf, nl, nb, nr int) {
 	if nf > len(g.f) {
 		g.f = make([]float32, nf)
+	}
+	if s := c.mach.cfg; nl > len(s.local) {
+		s.local = make([]float32, nl)
+		s.bufs[0].stamp, s.bufs[1].stamp = 0, 0
 	}
 	if nb > len(g.b) {
 		g.b = make([]byte, nb)

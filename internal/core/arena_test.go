@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"kylix/internal/comm"
 	"kylix/internal/faultnet"
@@ -331,4 +333,118 @@ func TestArenaSlabsMatchTheFormula(t *testing.T) {
 			}
 		}
 	}
+}
+
+// liveHeap is the heap still reachable after a full collection, taken
+// twice so that what a sync.Pool held is dropped too.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// heldBytes is what one rank's Config and Scratch hold that grows with
+// its sets or its groups: the arena slabs and piece headers, the
+// residuals, each layer's unions and map blocks, the turnaround map and
+// the retired blocks, each as the allocator sized it.
+func heldBytes(c *Config) int64 {
+	s := c.mach.cfg
+	n := alloc(s.local, c.res, s.bufs[0].f, s.bufs[1].f) + alloc(s.bufs[0].b, s.bufs[1].b) + alloc(c.bottomMap)
+	for _, g := range s.bufs {
+		n += alloc(g.scatter...) + alloc(g.gather...)
+	}
+	for _, ls := range c.layers {
+		n += alloc(ls.inUnion) + alloc(ls.blocks[0])
+		if unsafe.SliceData(ls.outUnion) != unsafe.SliceData(ls.inUnion) {
+			n += alloc(ls.outUnion) + alloc(ls.blocks[1])
+		}
+	}
+	for _, e := range s.keyBlocks {
+		n += alloc(e.b)
+	}
+	for _, e := range s.intBlocks {
+		n += alloc(e.b)
+	}
+	for _, e := range s.deltaBlocks {
+		n += alloc(e.b)
+	}
+	return n
+}
+
+// alloc is the heap the allocator took for blocks, each its capacity's
+// bytes rounded up to a size class or page.
+func alloc[T any](blocks ...[]T) int64 {
+	var n int64
+	for _, b := range blocks {
+		n += int64(cap(slices.Grow([]byte(nil), cap(b)*int(unsafe.Sizeof(*new(T))))))
+	}
+	return n
+}
+
+// TestRanksRetainOnlyWhatAPassHoldsAcrossAReceive: once a 32-rank
+// cluster on three layers has configured, reduced, moved to drifted sets
+// and reduced again, what its ranks keep alive beyond the arena slabs,
+// the routing state (heldBytes) and the caller's prepared sets is
+// headers — a few KiB a rank, whatever the sets' sizes. The
+// configuration kernels' work space (the union arenas, the pieces read
+// back out of old unions, sparse.Diff's staging: about 20 B for each key
+// a rank merged) is borrowed for each call and not among it.
+func TestRanksRetainOnlyWhatAPassHoldsAcrossAReceive(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops items at random")
+	}
+	// What a rank may keep beyond heldBytes: the Machine, the Config and
+	// its layer states, receive staging, retire-list slots and the mailbox
+	// — about 7 KiB on amd64.
+	const perRank = 12 << 10
+	bf := topo.MustNew([]int{4, 4, 2})
+	rng := rand.New(rand.NewSource(39))
+	ws := randWorkloads(rng, bf.M(), 1<<20, 6000, 1, true)
+	drift := make([]workload, len(ws))
+	for r, w := range ws {
+		in, out := w.in.Indices(), w.out.Indices()
+		for i := 0; i < len(in); i += 16 {
+			in[i] = int32(rng.Intn(1 << 20))
+		}
+		for i := 0; i < len(out); i += 16 {
+			out[i] = int32(rng.Intn(1 << 20))
+		}
+		drift[r].in, drift[r].out = sparse.MustNewSet(in), sparse.MustNewSet(append(out, in...))
+		drift[r].vals = make([]float32, len(drift[r].out))
+	}
+	before := liveHeap()
+	cfgs := make([]*Config, bf.M())
+	runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
+		r := ep.Rank()
+		m, err := NewMachine(ep, bf, Options{Width: 1})
+		if err != nil {
+			return err
+		}
+		if cfgs[r], err = m.Configure(ws[r].in, ws[r].out); err != nil {
+			return err
+		}
+		for pass := 0; pass < 3 && err == nil; pass++ {
+			_, err = cfgs[r].Reduce(ws[r].vals)
+		}
+		if err == nil {
+			err = cfgs[r].Reconfigure(drift[r].in, drift[r].out)
+		}
+		for pass := 0; pass < 3 && err == nil; pass++ {
+			_, err = cfgs[r].Reduce(drift[r].vals)
+		}
+		return err
+	})
+	extra := liveHeap() - before
+	for _, c := range cfgs {
+		extra -= heldBytes(c)
+	}
+	t.Logf("ranks keep %d B each beyond their arena, routing state and sets", extra/int64(len(cfgs)))
+	if extra > perRank*int64(len(cfgs)) {
+		t.Errorf("%d ranks keep %d B beyond their arena, routing state and sets (%d B each), want at most %d B each",
+			len(cfgs), extra, extra/int64(len(cfgs)), perRank)
+	}
+	runtime.KeepAlive(ws)
+	runtime.KeepAlive(drift)
 }

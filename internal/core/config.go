@@ -25,9 +25,9 @@ import (
 // The pass allocates the routing state the returned Config retains —
 // each layer's unions and maps in a block a direction, taken from the
 // blocks earlier passes retired where one fits (Scratch) — and one block
-// of payload headers per layer that ships more than markers. Transient
-// state (receive staging, union work arenas, split offsets) lives in
-// machine scratch, and a fused pass's values in the reduction arena.
+// of payload headers per layer that ships more than markers. Receive
+// staging lives in machine scratch, the kernels' work space is borrowed
+// per call (kernelWork), a fused pass's values live in the arena.
 //
 // Configure continues from the Scratch's base when a predecessor Machine
 // left it — the Config of the last configuration pass on this rank and
@@ -292,23 +292,24 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 		// A delta is applied to that piece; a direction spelled as the other
 		// is, over a symmetric layer, is the other's piece.
 		inP, outP := cs.inP[:d], cs.outP[:d]
-		cs.keys = cs.keys[:0]
+		kw := borrowWork()
+		defer workPool.Put(kw) // nothing below blocks
 		symLayer := stored && &ls.inMaps[0] == &ls.outMaps[0]
 		for t, q := range got {
 			var err error
-			if inP[t], err = cs.receivedPiece(q.In, q.InSame, q.InDelta, ls.inUnion, ls.inMaps, t); err != nil {
+			if inP[t], err = kw.receivedPiece(q.In, q.InSame, q.InDelta, ls.inUnion, ls.inMaps, t); err != nil {
 				return fmt.Errorf("in piece from %d: %w", group[t], err)
 			}
 			if symLayer && q.InSame == q.OutSame && q.InDelta == q.OutDelta && (q.InSame || q.InDelta != nil) {
 				outP[t] = inP[t]
-			} else if outP[t], err = cs.receivedPiece(q.Out, q.OutSame, q.OutDelta, ls.outUnion, ls.outMaps, t); err != nil {
+			} else if outP[t], err = kw.receivedPiece(q.Out, q.OutSame, q.OutDelta, ls.outUnion, ls.outMaps, t); err != nil {
 				return fmt.Errorf("out piece from %d: %w", group[t], err)
 			}
 		}
 		if ls.blocks[0] != nil {
 			cs.supersede(ls)
 		}
-		m.buildUnions(ls, inP, outP)
+		m.buildUnions(ls, &kw.uni, inP, outP)
 		clear(inP)
 		clear(outP)
 	}
@@ -359,9 +360,9 @@ func landSet(same bool, delta *comm.PieceDelta, shipped sparse.Set, stored bool,
 // out of the union it was merged into, whose position map sends its
 // j-th key to union[maps[t][j]] — for a marker, with a delta applied
 // for a delta: the kept keys gathered run by run, the added ones merged
-// in as they come. The copies live in machine scratch, like every piece
-// between its arrival and the rebuild of the unions.
-func (cs *Scratch) receivedPiece(shipped sparse.Set, same bool, delta *comm.PieceDelta, union sparse.Set, maps [][]int32, t int) (sparse.Set, error) {
+// in as they come. The copies live in the borrowed work space, until
+// the rebuild of the unions.
+func (kw *kernelWork) receivedPiece(shipped sparse.Set, same bool, delta *comm.PieceDelta, union sparse.Set, maps [][]int32, t int) (sparse.Set, error) {
 	if !same && delta == nil {
 		return shipped, nil
 	}
@@ -373,9 +374,9 @@ func (cs *Scratch) receivedPiece(shipped sparse.Set, same bool, delta *comm.Piec
 			return nil, fmt.Errorf("delta length %d, its counts give %d", n, len(m)-len(rm)+len(add))
 		}
 	}
-	at := len(cs.keys)
-	cs.keys = slices.Grow(cs.keys, n)[:at+n]
-	out := cs.keys[at : at+n : at+n]
+	at := len(kw.keys)
+	kw.keys = slices.Grow(kw.keys, n)[:at+n]
+	out := kw.keys[at : at+n : at+n]
 	w, j, from, next := 0, 0, 0, noKey // next is add[j], or past every key
 	if len(add) > 0 {
 		next = add[0]
@@ -417,8 +418,8 @@ const noKey = ^sparse.Key(0)
 // leaves it in full else; equal in and out pieces over equal ones share
 // one merge and one delta. The piece a rank sends itself is a marker or
 // in full: it crosses no wire, so a delta would only cost both ends a
-// merge. Diff writes into machine scratch, sized for the whole layer;
-// the deltas ride in payloads, so they then move into one block of
+// merge. Diff writes into a borrowed work space, sized for the whole
+// layer; the deltas ride in payloads, so they then move into one block of
 // positions and one of keys of their own size, which with the block of
 // their headers are retired at once but stamped a pass later than
 // supersede stamps: peers read them during this pass and are done with
@@ -430,8 +431,10 @@ func (c *Config) spell(x *cfgPass, ls *layerState, hdrs []comm.ConfigPiece) {
 	if !sym {
 		np, nk, nd = np+len(x.wasOut), nk+len(x.out), 2*nd
 	}
-	cs.dpos, cs.keys = slices.Grow(cs.dpos[:0], np)[:np], slices.Grow(cs.keys[:0], nk)[:nk]
-	pos, keys, deltas := cs.dpos, cs.keys, cs.deltaBlocks.get(nd, cs.done)
+	kw := borrowWork()
+	defer workPool.Put(kw) // spell runs before the layer's sends
+	kw.pos, kw.keys = slices.Grow(kw.pos[:0], np)[:np], slices.Grow(kw.keys, nk)[:nk]
+	pos, keys, deltas := kw.pos, kw.keys, cs.deltaBlocks.get(nd, cs.done)
 	cs.deltaBlocks.put(deltas, cs.done+2)
 	np, nk, nd = 0, 0, 0
 	// one spells member t's piece now against was: a marker, a delta, or
@@ -472,8 +475,8 @@ func (c *Config) spell(x *cfgPass, ls *layerState, hdrs []comm.ConfigPiece) {
 }
 
 // buildUnions computes a layer's in/out unions and position maps from
-// the received pieces. Each union is merged in the machine's reusable
-// arena and cloned out, and a direction's d position maps are carved
+// the received pieces. Each union is merged in the borrowed arena u and
+// copied out, and a direction's d position maps are carved
 // from a single data block.
 //
 // When every member sent the same set in both directions — what a
@@ -485,11 +488,11 @@ func (c *Config) spell(x *cfgPass, ls *layerState, hdrs []comm.ConfigPiece) {
 // invisible to the reduction and to Digest. The comparison is O(1) per
 // piece on every transport: zero-copy ones hand over the one slice, and
 // a symmetric piece decodes with Out aliasing In.
-func (m *Machine) buildUnions(ls *layerState, inPieces, outPieces []sparse.Set) {
-	ls.inUnion, ls.inMaps, ls.blocks[0] = m.unionMaps(inPieces)
+func (m *Machine) buildUnions(ls *layerState, u *sparse.UnionScratch, inPieces, outPieces []sparse.Set) {
+	ls.inUnion, ls.inMaps, ls.blocks[0] = m.unionMaps(u, inPieces)
 	for t, p := range inPieces {
 		if !p.Equal(outPieces[t]) {
-			ls.outUnion, ls.outMaps, ls.blocks[1] = m.unionMaps(outPieces)
+			ls.outUnion, ls.outMaps, ls.blocks[1] = m.unionMaps(u, outPieces)
 			return
 		}
 	}
@@ -500,7 +503,7 @@ func (m *Machine) buildUnions(ls *layerState, inPieces, outPieces []sparse.Set) 
 // pieces, their position maps into it, and the one block the maps are
 // carved from, for supersede to retire. Union and block are retired ones
 // where one fits.
-func (m *Machine) unionMaps(pieces []sparse.Set) (sparse.Set, [][]int32, []int32) {
+func (m *Machine) unionMaps(u *sparse.UnionScratch, pieces []sparse.Set) (sparse.Set, [][]int32, []int32) {
 	s := m.cfg
 	total := 0
 	for _, p := range pieces {
@@ -511,7 +514,7 @@ func (m *Machine) unionMaps(pieces []sparse.Set) (sparse.Set, [][]int32, []int32
 	for t, p := range pieces {
 		maps[t], data = data[:len(p):len(p)], data[len(p):]
 	}
-	merged := s.uni.UnionMaps(pieces, maps)
+	merged := u.UnionMaps(pieces, maps)
 	union := sparse.Set(s.keyBlocks.get(len(merged), s.done))
 	copy(union, merged)
 	return union, maps, block

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"kylix/internal/comm"
@@ -87,7 +88,7 @@ type genBufs struct {
 }
 
 // Scratch is a machine's reusable memory: the configuration pass's
-// transient state, the two-generation reduction arena and the base a
+// receive staging, the two-generation reduction arena and the base a
 // successor Machine's Configure continues from. One instance serves
 // every pass on a Machine (one goroutine, passes never overlap) and
 // nothing in it outlives a pass except as capacity (retired blocks too)
@@ -123,24 +124,16 @@ type Scratch struct {
 	// canonical-order fold — the float view (valP) beside the payload it
 	// may alias (plP), which is released after the fold; seen guards both
 	// against duplicate deliveries. inP/outP line a rebuilding layer's
-	// pieces up for the union kernel, and keys holds the ones read back
-	// out of the old unions for it (capacity kept across passes). Each
-	// layer clears what it uses.
+	// pieces up for the union kernel. Each layer clears what it uses; all
+	// are held across a receive (what is not is borrowed: kernelWork).
 	got       []*comm.ConfigPiece
 	inP, outP []sparse.Set
 	valP      [][]float32
 	plP       []comm.Payload
 	seen      []bool
-	keys      []sparse.Key
-	// uni is the tree-union arena; unions are cloned out of it into the
-	// retained layerState, so only the final deduplicated keys are paid
-	// for per configuration.
-	uni sparse.UnionScratch
 	// offs stages a layer's split offsets, in then out, until the pass
-	// knows whether the split moved (2*(maxDeg+1) entries). dpos stages
-	// the positions of a layer's deltas, keys their added keys, until
-	// Config.spell moves them into blocks of their own size.
-	offs, dpos []int32
+	// knows whether the split moved (2*(maxDeg+1) entries).
+	offs []int32
 	// gen is the arena generation of the latest arena pass; stamps counts
 	// the Config.stamps handed out.
 	gen    int
@@ -163,6 +156,31 @@ type Scratch struct {
 	intBlocks   retireList[int32]
 	deltaBlocks retireList[comm.PieceDelta]
 	done        uint64
+}
+
+// kernelWork is what the configuration kernels use only between a
+// receive and the next send: the union arena, the pieces read back out
+// of old unions and sparse.Diff's staging. Borrowed from workPool per
+// call, the spaces out at once track the goroutines running, not ranks.
+type kernelWork struct {
+	uni  sparse.UnionScratch
+	keys []sparse.Key
+	pos  []int32
+}
+
+var workPool = sync.Pool{New: func() any { return new(kernelWork) }}
+
+// borrowWork takes a work space from the pool, its keys emptied and the
+// rest stale: another call's, which PoisonArena turns to garbage.
+func borrowWork() *kernelWork {
+	kw := workPool.Get().(*kernelWork)
+	if poisonArena.Load() {
+		kw.uni.Poison()
+		sparse.Scribble(kw.keys, noKey)
+		sparse.Scribble(kw.pos, -1)
+	}
+	kw.keys = kw.keys[:0]
+	return kw
 }
 
 // retireSlots is how many blocks of each kind the retire list parks (a
@@ -216,7 +234,7 @@ func (l *retireList[T]) get(n int, done uint64) []T {
 // a position of -1, or a delta of length -1, which no piece applies.
 func (s *Scratch) poisonRetired() {
 	if poisonArena.Load() {
-		poisonBlocks(s.keyBlocks, s.done, ^sparse.Key(0))
+		poisonBlocks(s.keyBlocks, s.done, noKey)
 		poisonBlocks(s.intBlocks, s.done, -1)
 		poisonBlocks(s.deltaBlocks, s.done, comm.PieceDelta{Len: -1})
 	}
@@ -225,9 +243,7 @@ func (s *Scratch) poisonRetired() {
 func poisonBlocks[T any](l retireList[T], pass uint64, bad T) {
 	for _, e := range l {
 		if e.pass == pass {
-			for i := range e.b {
-				e.b[i] = bad
-			}
+			sparse.Scribble(e.b, bad)
 		}
 	}
 }
@@ -275,12 +291,8 @@ func PoisonArena(on bool) { poisonArena.Store(on) }
 var poisonArena atomic.Bool
 
 func poison(f []float32, b []byte) {
-	for i := range f {
-		f[i] = float32(math.NaN())
-	}
-	for i := range b {
-		b[i] = 0xFF
-	}
+	sparse.Scribble(f, float32(math.NaN()))
+	sparse.Scribble(b, 0xFF)
 }
 
 // take cuts the next n elements off a slab, starting on a multiple of 16

@@ -1,6 +1,9 @@
 package sparse
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // mergeInto appends the sorted union of a and b to out, which must have
 // capacity for len(a)+len(b) more elements (all callers pre-size their
@@ -78,8 +81,7 @@ func TreeUnion(sets []Set) Set {
 	// Bottom-up rounds: merge neighbours until one set remains. Each
 	// round halves the count, so inputs of similar size meet inputs of
 	// similar size.
-	cur := make([]Set, len(sets))
-	copy(cur, sets)
+	cur := slices.Clone(sets)
 	for len(cur) > 1 {
 		free := arenas[gen][:0]
 		gen = 1 - gen
@@ -121,6 +123,24 @@ type UnionScratch struct {
 	spanHi   []int32
 }
 
+// Poison fills the scratch to capacity with all-ones keys and -1
+// positions, so a caller that hands one scratch from call to call can
+// prove that no call reads what another left.
+func (u *UnionScratch) Poison() {
+	Scribble(u.arenas[0], ^Key(0))
+	Scribble(u.arenas[1], ^Key(0))
+	Scribble(u.pairMaps, -1)
+}
+
+// Scribble sets every element of s up to its capacity to v: the poison
+// hooks' fill, which leaves nothing stale past the length either.
+func Scribble[T any](s []T, v T) {
+	s = s[:cap(s)]
+	for i := range s {
+		s[i] = v
+	}
+}
+
 // UnionMaps computes the union of sets and, in the same single pass,
 // the position map of every input into the union: maps[t][i] becomes
 // the union position of sets[t][i]. maps[t] must have len(sets[t])
@@ -155,26 +175,14 @@ func (u *UnionScratch) UnionMaps(sets []Set, maps [][]int32) Set {
 	for _, s := range sets {
 		total += len(s)
 	}
-	if cap(u.arenas[0]) < total {
-		u.arenas[0] = make(Set, 0, total)
-	}
+	u.arenas[0] = grow(u.arenas[0], total)
 	if k == 2 {
 		// Binary groups are common enough (every degree-2 layer) to
 		// deserve the no-composition direct path.
 		return mergeMaps2Into(u.arenas[0][:0], sets[0], sets[1], maps[0], maps[1])
 	}
-	if cap(u.arenas[1]) < total {
-		u.arenas[1] = make(Set, 0, total)
-	}
-	if cap(u.pairMaps) < total {
-		u.pairMaps = make([]int32, total)
-	}
-	if cap(u.work) < k {
-		u.work = make([]Set, 0, k)
-	}
-	if cap(u.spanHi) < k {
-		u.spanHi = make([]int32, 0, k)
-	}
+	u.arenas[1], u.pairMaps = grow(u.arenas[1], total), grow(u.pairMaps, total)
+	u.work, u.spanHi = grow(u.work, k), grow(u.spanHi, k)
 
 	// Level 0 merges the original inputs pairwise, writing their maps
 	// directly (composition with an identity map is a copy, so skip it).
@@ -292,16 +300,10 @@ func mergeMaps2Into(out Set, a, b Set, ma, mb []int32) Set {
 // and the allgather pass extract outgoing values, in constant time per
 // element. An error is returned if sub contains a key missing from union.
 func PositionMap(sub, union Set) ([]int32, error) {
-	m := make([]int32, len(sub))
-	j := 0
-	for i, k := range sub {
-		for j < len(union) && union[j] < k {
-			j++
-		}
-		if j >= len(union) || union[j] != k {
-			return nil, fmt.Errorf("sparse: key %d (index %d) not present in union", uint64(k), k.Index())
-		}
-		m[i] = int32(j)
+	m, missing := PartialPositionMap(sub, union)
+	if missing > 0 {
+		k := sub[slices.Index(m, -1)]
+		return nil, fmt.Errorf("sparse: key %d (index %d) not present in union", uint64(k), k.Index())
 	}
 	return m, nil
 }

@@ -65,25 +65,41 @@ stage_benchgate() {
 
 # A quick pass over every fuzz target: the fault fabric's determinism,
 # the payload decoder, the mailbox model, the TCP frame reader, the
-# index codec, NewSet, and the value codec's bit identity with its
+# index codec, NewSet, the value codec's bit identity with its
 # reference (each input sweeps 65,536 float32 words, so the fuzzer walks
-# the full 2^32 over time). The two decoders of peer bytes run with the
-# heap target held at 256 MiB, so a run stays small on a shared box;
-# what they may allocate on a short input is pinned by the tier-1
+# the full 2^32 over time) and the union kernel's maps under scratch
+# reuse. The two decoders of peer bytes run with the heap target held at
+# 256 MiB, so a run stays small on a shared box; what they may allocate
+# on a short input is pinned by the tier-1
 # TestDecodeAllocatesWhatTheBytesYield, whose inputs seed both corpora.
+# The list is kept by hand, so before fuzzing anything the stage fails,
+# naming the target, on any `func Fuzz...` in a test file it leaves out.
 # Not in the default stage list: CI runs it as its own job.
 stage_fuzz() {
+    targets() {
+        fuzz FuzzDecide ./internal/faultnet/
+        fuzz FuzzDecodePayload ./internal/comm/ GOMEMLIMIT=256MiB
+        fuzz FuzzMailbox ./internal/comm/
+        fuzz FuzzFrameStream ./internal/tcpnet/
+        fuzz FuzzKeysCodec ./internal/sparse/ GOMEMLIMIT=256MiB
+        fuzz FuzzNewSet ./internal/sparse/
+        fuzz FuzzQuantizeMatchesReference ./internal/sparse/
+        fuzz FuzzUnionMaps ./internal/sparse/
+    }
+    listed=" "
+    fuzz() { listed="$listed$1 "; }
+    targets
+    for t in $(grep -rhoE --include='*_test.go' '^func Fuzz[A-Za-z0-9_]+' . | cut -c6-); do
+        case "$listed" in
+            *" $t "*) ;;
+            *) echo "check: fuzz target $t is missing from stage_fuzz's list" >&2; exit 1 ;;
+        esac
+    done
     fuzz() { # target package [env]
         echo "== fuzz $1 ($2)"
         env ${3:-} go test -run "^$1\$" -fuzz "^$1\$" -fuzztime 10s "$2"
     }
-    fuzz FuzzDecide ./internal/faultnet/
-    fuzz FuzzDecodePayload ./internal/comm/ GOMEMLIMIT=256MiB
-    fuzz FuzzMailbox ./internal/comm/
-    fuzz FuzzFrameStream ./internal/tcpnet/
-    fuzz FuzzKeysCodec ./internal/sparse/ GOMEMLIMIT=256MiB
-    fuzz FuzzNewSet ./internal/sparse/
-    fuzz FuzzQuantizeMatchesReference ./internal/sparse/
+    targets
 }
 
 if [ $# -eq 0 ]; then

@@ -28,8 +28,8 @@ const maxQuantVals = 1 << 26
 //
 // Like the Floats headers in the reduction arena, QVals values are
 // reused round over round: Data's contents must stay untouched until
-// the two-generation scratch quiescence bound allows the buffer's
-// reuse (see core's scratch documentation).
+// the receiver has read them, which core's arena argues per direction
+// of the piece (see core's Scratch documentation).
 type QVals struct {
 	// Mode is the sparse.Quantization the block was encoded with
 	// (QuantFP16 or QuantINT8; QuantOff blocks ship as Floats).

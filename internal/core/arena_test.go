@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,11 +25,12 @@ type arenaStep struct {
 	op  string // configure, fused, reduce, reconfigure
 }
 
-// arenaSchedule interleaves three Configs of different sizes on one
-// Machine: 0 is small, 1 medium and born in a fused pass, 2 the largest
-// and configured only after both arena generations have been carved, so
-// each slab is replaced mid-sequence while pieces of the old one may
-// still be in flight by reference. Configuration-only passes (a plain
+// arenaSchedule interleaves four Configs of growing sizes on one
+// Machine: 0 is small, 1 medium and born in a fused pass, 2 large and
+// configured only after both arena generations have been carved, 3 the
+// largest and configured late, so the result slabs and both one-copy
+// slabs are replaced mid-sequence while pieces of the old ones may still
+// be in flight by reference. Configuration-only passes (a plain
 // Configure, a Reconfigure that moves config 1 to other sets) sit
 // between arena passes.
 var arenaSchedule = []arenaStep{
@@ -36,21 +39,23 @@ var arenaSchedule = []arenaStep{
 	{1, "reduce"}, {2, "reduce"}, {0, "reduce"}, {2, "reduce"},
 	{1, "reconfigure"},
 	{1, "reduce"}, {0, "reduce"}, {2, "reduce"}, {1, "reduce"}, {0, "reduce"}, {0, "reduce"}, {2, "reduce"},
+	{3, "configure"},
+	{1, "reduce"}, {3, "reduce"}, {0, "reduce"}, {3, "reduce"}, {2, "reduce"}, {3, "reduce"}, {1, "reduce"},
 }
 
 // runArenaSchedule runs the schedule's steps on one Machine — all of
 // them, or with only >= 0 just that Config's — and returns one digest
 // per step: the routing state's after a configuration step, the reduced
-// values' after a reduction. ws[c] is Config c's workload, ws[3] the one
+// values' after a reduction. ws[c] is Config c's workload, ws[4] the one
 // Config 1 is reconfigured to.
-func runArenaSchedule(ep comm.Endpoint, bf *topo.Butterfly, opts Options, ws [4][]workload, only int) ([]uint64, error) {
+func runArenaSchedule(ep comm.Endpoint, bf *topo.Butterfly, opts Options, ws [5][]workload, only int) ([]uint64, error) {
 	m, err := NewMachine(ep, bf, opts)
 	if err != nil {
 		return nil, err
 	}
 	r := ep.Rank()
-	var cfgs [3]*Config
-	cur := [3]workload{ws[0][r], ws[1][r], ws[2][r]}
+	var cfgs [4]*Config
+	cur := [4]workload{ws[0][r], ws[1][r], ws[2][r], ws[3][r]}
 	digests := make([]uint64, len(arenaSchedule))
 	for k, st := range arenaSchedule {
 		if only >= 0 && st.cfg != only {
@@ -68,8 +73,8 @@ func runArenaSchedule(ep comm.Endpoint, bf *topo.Butterfly, opts Options, ws [4]
 		case "fused":
 			cfgs[st.cfg], res, err = m.ConfigureReduce(w.in, w.out, vals)
 		case "reconfigure":
-			cur[st.cfg] = ws[3][r]
-			err = cfgs[st.cfg].Reconfigure(ws[3][r].in, ws[3][r].out)
+			cur[st.cfg] = ws[4][r]
+			err = cfgs[st.cfg].Reconfigure(ws[4][r].in, ws[4][r].out)
 		case "reduce":
 			res, err = cfgs[st.cfg].Reduce(vals)
 		}
@@ -83,29 +88,30 @@ func runArenaSchedule(ep comm.Endpoint, bf *topo.Butterfly, opts Options, ws [4]
 	return digests, nil
 }
 
-// TestInterleavedConfigsShareOneArena is the machine-level quiescence
+// TestInterleavedConfigsShareOneArena is the machine-level lifetime
 // argument under test: Configs of different sizes reduced round-robin
 // on one Machine — so every pass carves the arena anew, over memory that
-// held another Config's pieces two passes earlier and is poisoned in
-// between — must give, bit for bit, what each gives alone on a Machine
-// of its own. It runs over memnet under a delay+duplicate plan, where
-// every piece travels by reference and stragglers outlive their pass,
-// and over loopback sockets, raw and quantized.
+// held another Config's pieces the pass before, poisoned at the earliest
+// point the argument allows — must give, bit for bit, what each gives
+// alone on a Machine of its own. It runs over memnet under a
+// delay+duplicate plan, where every piece travels by reference and
+// stragglers outlive their pass, and over loopback sockets, raw and
+// quantized.
 func TestInterleavedConfigsShareOneArena(t *testing.T) {
 	PoisonArena(true)
 	defer PoisonArena(false)
 	bf := topo.MustNew([]int{4, 2})
 	const width = 2
 	rng := rand.New(rand.NewSource(811))
-	var ws [4][]workload
-	for c, avg := range []int{12, 40, 90, 25} {
+	var ws [5][]workload
+	for c, avg := range []int{12, 40, 90, 150, 25} {
 		ws[c] = randWorkloads(rng, bf.M(), 600, avg, width, true)
 	}
 	for _, quant := range []sparse.Quantization{sparse.QuantOff, sparse.QuantFP16, sparse.QuantINT8} {
 		opts := Options{Width: width, Quant: quant}
 		// Each Config alone, on its own Machines over a quiet network.
 		alone := make([][]uint64, bf.M())
-		for only := 0; only < 3; only++ {
+		for only := 0; only < 4; only++ {
 			runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
 				ds, err := runArenaSchedule(ep, bf, opts, ws, only)
 				if alone[ep.Rank()] == nil {
@@ -165,11 +171,11 @@ func TestScratchOutlivesItsMachine(t *testing.T) {
 		kept[r] = new(Scratch)
 	}
 	for i, topology := range []*topo.Butterfly{bf, bf, other, bf} {
-		var slabs [][2]*float32
+		var slabs [][4]*float32
 		if i == 1 {
-			slabs = make([][2]*float32, bf.M())
+			slabs = make([][4]*float32, bf.M())
 			for r, s := range kept {
-				slabs[r] = [2]*float32{&s.bufs[0].f[0], &s.bufs[1].f[0]}
+				slabs[r] = slabHeads(s)
 			}
 		}
 		runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
@@ -191,11 +197,17 @@ func TestScratchOutlivesItsMachine(t *testing.T) {
 			if fmt.Sprint(s.degrees) != fmt.Sprint(topology.Degrees()) {
 				t.Fatalf("machine %d rank %d: scratch shaped for %v on topology %v", i, r, s.degrees, topology.Degrees())
 			}
-			if slabs != nil && (slabs[r] != [2]*float32{&s.bufs[0].f[0], &s.bufs[1].f[0]}) {
+			if slabs != nil && slabs[r] != slabHeads(s) {
 				t.Fatalf("rank %d: the successor Machine replaced slabs that were large enough", r)
 			}
 		}
 	}
+}
+
+// slabHeads names a Scratch's float slabs by their first elements: the
+// two result slabs, the pass-local slab and the up slab.
+func slabHeads(s *Scratch) [4]*float32 {
+	return [4]*float32{&s.bufs[0].result[0], &s.bufs[1].result[0], &s.local.f[0], &s.up.f[0]}
 }
 
 // TestReduceResultOutlivesTheNextPass pins the result's documented
@@ -255,43 +267,37 @@ func TestReduceResultOutlivesTheNextPass(t *testing.T) {
 }
 
 // arenaFormula is DESIGN.md's arena formula for a Config in its
-// Machine's options, each buffer counted from a cache line of 16
-// elements: the floats each generation's slab holds (the stage, and what
-// a peer or the caller may read after the pass), the floats of the
-// pass-local slab (what only the pass reads), the bytes of each
-// generation's byte slab and the floats of the Config's residual slab.
-func arenaFormula(c *Config) (gen, local, bytes, res int) {
+// Machine's options fed through StageOut, each buffer counted from a
+// cache line of 16 elements: the floats of each generation's result
+// slab, of the pass-local slab (the stage, what goes down and what only
+// the pass reads) and of the up slab (what goes up), the bytes of the
+// pass-local and up byte slabs, and the floats of the Config's residual
+// slab.
+func arenaFormula(c *Config) extent {
 	w, quant := c.mach.opts.Width, c.mach.opts.Quant
-	gen = line(len(c.outSet)*w) + line(len(c.inSet)*w) // the stage and the result
+	n := extent{result: line(len(c.inSet) * w), local: line(len(c.outSet) * w)}
 	for i := range c.layers {
 		ls := &c.layers[i]
-		acc := line(len(ls.outUnion) * w)
+		n.local += line(len(ls.outUnion) * w) // acc[i]
 		if i > 0 {
-			local += line(len(c.layers[i-1].inUnion) * w) // next[i]
+			n.local += line(len(c.layers[i-1].inUnion) * w) // next[i]
 		}
-		up, land := 0, 0
 		for t := range ls.group {
 			nd, nu := int(ls.outOffsets[t+1]-ls.outOffsets[t])*w, len(ls.inMaps[t])*w
-			up += line(nu)
-			land += line(len(ls.outMaps[t]) * w)
-			if quant != sparse.QuantOff {
-				bytes += line(sparse.QuantizedSize(quant, nd)) + line(sparse.QuantizedSize(quant, nu))
-				res += line(nd) + line(nu)
+			if quant == sparse.QuantOff {
+				n.up += line(nu)
+				continue
 			}
-		}
-		switch {
-		case quant != sparse.QuantOff:
-			local += acc + up + land
-		case i < len(c.layers)-1:
-			gen += acc + up
-		default:
-			gen, local = gen+up, local+acc
+			n.local += line(nu) + line(len(ls.outMaps[t])*w) // the upward f.Vals and land
+			n.localB += line(sparse.QuantizedSize(quant, nd))
+			n.upB += line(sparse.QuantizedSize(quant, nu))
+			n.res += line(nd) + line(nu)
 		}
 	}
 	if c.bottomMap != nil {
-		local += line(len(c.layers[len(c.layers)-1].inUnion) * w) // inVals
+		n.local += line(len(c.layers[len(c.layers)-1].inUnion) * w) // inVals
 	}
-	return gen, local, bytes, res
+	return n
 }
 
 // line is n elements rounded up to a cache line of 16, as take carves.
@@ -299,9 +305,8 @@ func line(n int) int { return (n + 15) &^ 15 }
 
 // TestArenaSlabsMatchTheFormula: after warm passes on one Config fed
 // through StageOut, each rank's slabs are exactly as long as the formula
-// says — two generations of the stage and of what may be read after the
-// pass, one copy of what only the pass reads — up to the last buffer's
-// padding to its cache line.
+// says — two generations of the result, one copy of everything else —
+// up to the last buffer's padding to its cache line.
 func TestArenaSlabsMatchTheFormula(t *testing.T) {
 	bf := topo.MustNew([]int{4, 2})
 	const width = 2
@@ -324,12 +329,14 @@ func TestArenaSlabsMatchTheFormula(t *testing.T) {
 		})
 		for r, c := range cfgs {
 			s := c.mach.cfg
-			gen, local, bytes, res := arenaFormula(c)
-			got := [6]int{line(len(s.bufs[0].f)), line(len(s.bufs[1].f)), line(len(s.local)),
-				line(len(s.bufs[0].b)), line(len(s.bufs[1].b)), line(len(c.res))}
-			if want := [6]int{gen, gen, local, bytes, bytes, res}; got != want {
-				t.Errorf("%v rank %d: slabs (float gen 0, gen 1, pass-local, bytes gen 0, gen 1, residuals) %v, formula %v",
-					quant, r, got, want)
+			want := arenaFormula(c)
+			for _, g := range s.bufs {
+				got := extent{line(len(g.result)), line(len(s.local.f)), line(len(s.local.b)),
+					line(len(s.up.f)), line(len(s.up.b)), line(len(c.res))}
+				if got != want {
+					t.Errorf("%v rank %d: slabs (result, pass-local floats, bytes, up floats, bytes, residuals) %+v, formula %+v",
+						quant, r, got, want)
+				}
 			}
 		}
 	}
@@ -351,7 +358,7 @@ func liveHeap() int64 {
 // the retired blocks, each as the allocator sized it.
 func heldBytes(c *Config) int64 {
 	s := c.mach.cfg
-	n := alloc(s.local, c.res, s.bufs[0].f, s.bufs[1].f) + alloc(s.bufs[0].b, s.bufs[1].b) + alloc(c.bottomMap)
+	n := alloc(s.local.f, s.up.f, c.res, s.bufs[0].result, s.bufs[1].result) + alloc(s.local.b, s.up.b) + alloc(c.bottomMap)
 	for _, g := range s.bufs {
 		n += alloc(g.scatter...) + alloc(g.gather...)
 	}
@@ -447,4 +454,93 @@ func TestRanksRetainOnlyWhatAPassHoldsAcrossAReceive(t *testing.T) {
 	}
 	runtime.KeepAlive(ws)
 	runtime.KeepAlive(drift)
+}
+
+// failGather fails its machine's first gather send while armed: every
+// rank's pass then fails after each has shipped its down pieces and
+// none its up ones, so none is stranded.
+type failGather struct {
+	comm.Endpoint
+	armed bool
+}
+
+var errInjected = errors.New("injected send failure")
+
+func (e *failGather) Send(to int, tag comm.Tag, p comm.Payload) error {
+	if e.armed && tag.Kind() == comm.KindGather {
+		e.armed = false
+		return errInjected
+	}
+	return e.Endpoint.Send(to, tag, p)
+}
+
+// sameBits says two float slices hold the same bits, NaNs included.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+}
+
+// TestFailedPassAbandonsItsSlabs: a straggler may read a failed pass's
+// one-copy slabs for as long as it likes, so the Machine's next arena
+// pass carves fresh pass-local and up slabs, and leaves the failed pass's
+// bit for bit as it left them, poisoning included, while its sums stay
+// right.
+func TestFailedPassAbandonsItsSlabs(t *testing.T) {
+	PoisonArena(true)
+	defer PoisonArena(false)
+	bf := topo.MustNew([]int{4, 2})
+	const width = 2
+	ws := randWorkloads(rand.New(rand.NewSource(40)), bf.M(), 500, 40, width, true)
+	want := refReduce(ws, sparse.Sum, width)
+	for _, quant := range []sparse.Quantization{sparse.QuantOff, sparse.QuantINT8} {
+		t.Run(quant.String(), func(t *testing.T) {
+			runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
+				r := ep.Rank()
+				fe := &failGather{Endpoint: ep}
+				m, err := NewMachine(fe, bf, Options{Width: width, Quant: quant})
+				if err != nil {
+					return err
+				}
+				cfg, err := m.Configure(ws[r].in, ws[r].out)
+				if err == nil {
+					_, err = cfg.Reduce(ws[r].vals)
+				}
+				if err != nil {
+					return err
+				}
+				s := m.cfg
+				local, up := s.local, s.up
+				fe.armed = true
+				stage := cfg.StageOut()
+				copy(stage, ws[r].vals)
+				if _, err := cfg.Reduce(stage); !errors.Is(err, errInjected) {
+					return fmt.Errorf("the pass with a failing send returned %v", err)
+				}
+				if &stage[0] != &local.f[0] {
+					return errors.New("the failed pass staged outside the slab it carved")
+				}
+				left := [2]slabs{{slices.Clone(local.f), slices.Clone(local.b)}, {slices.Clone(up.f), slices.Clone(up.b)}}
+				for pass := 0; pass < 2; pass++ {
+					stage := cfg.StageOut()
+					copy(stage, ws[r].vals)
+					res, err := cfg.Reduce(stage)
+					if err != nil {
+						return err
+					}
+					if quant == sparse.QuantOff && !almostEqual(res, want[r], 1e-4) {
+						return fmt.Errorf("pass %d after the failure: wrong sums", pass)
+					}
+				}
+				for i, sl := range [2][2]slabs{{local, s.local}, {up, s.up}} {
+					old, now := sl[0], sl[1]
+					if !sameBits(old.f, left[i].f) || !bytes.Equal(old.b, left[i].b) {
+						return fmt.Errorf("slab %d: a pass after the failure rewrote what the failed pass left", i)
+					}
+					if len(old.f) > 0 && &old.f[0] == unsafe.SliceData(now.f) || len(old.b) > 0 && &old.b[0] == unsafe.SliceData(now.b) {
+						return fmt.Errorf("slab %d: a pass after the failure carved the failed pass's slab", i)
+					}
+				}
+				return nil
+			})
+		})
+	}
 }

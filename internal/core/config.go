@@ -123,6 +123,7 @@ func (c *Config) configure(what string, kind comm.Kind, inSet, outSet sparse.Set
 	defer func() {
 		if err != nil {
 			c.poisoned = true
+			m.cfg.abandon()
 		} else { // what the pass superseded becomes takeable
 			m.cfg.done++
 			m.cfg.poisonRetired()
@@ -322,11 +323,10 @@ func (c *Config) configureLayer(x *cfgPass, layer int, sp *obs.Span) error {
 	x.in, x.out, x.wasIn, x.wasOut = ls.inUnion, ls.outUnion, wasIn, wasOut
 
 	if fused {
-		// The accumulator, the next layer's vals, rides in payloads past
-		// this call like the stage: it extends the stage of the generation
-		// the gather flips to, made fresh until that flip grows the slab.
-		g := &cs.bufs[cs.gen^1]
-		acc := take(g.f, &g.staged, len(ls.outUnion)*w)
+		// The accumulator, the next layer's vals, rides down in payloads
+		// like the stage: it extends the stage in the pass-local slab, made
+		// fresh until the gather's flip grows the slab.
+		acc := take(cs.local.f, &cs.staged, len(ls.outUnion)*w)
 		if acc == nil {
 			acc = make([]float32, len(ls.outUnion)*w)
 		}

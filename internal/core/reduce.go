@@ -18,20 +18,20 @@ import (
 // The hot path is pipelined and allocation-free: within each layer all
 // pieces are sent before any receive is posted, incoming pieces are
 // taken in arrival order (so a slow member never blocks combining the
-// fast ones), and every buffer is carved from the machine's
-// two-generation arena (see Scratch). Arrival order does not change
-// results — pieces are staged per sender and folded in canonical member
-// order, so the float combine sequence is bit-identical to a fully
-// in-order run.
+// fast ones), and every buffer is carved from the machine's arena (see
+// Scratch). Arrival order does not change results — pieces are staged
+// per sender and folded in canonical member order, so the float combine
+// sequence is bit-identical to a fully in-order run.
 //
 // When Options.Tracer is set, the pass records a whole-pass span
 // (layer 0) nesting one span per communication layer, each carrying the
 // layer's wire bytes in/out and group size; the zero-alloc property is
 // preserved (spans are stack values recorded into preallocated rings).
 //
-// The returned slice is owned by the arena: it stays valid until the
-// second-following arena pass (Reduce or ConfigureReduce, of any Config)
-// on this Machine. Callers that retain results longer must copy them out.
+// The returned slice is owned by the arena, which keeps two generations
+// of it and of nothing else: it stays valid until the second-following
+// arena pass (Reduce or ConfigureReduce, of any Config) on this Machine.
+// Callers that retain results longer must copy them out.
 //
 //kylix:hotpath
 func (c *Config) Reduce(outVals []float32) (res []float32, err error) {
@@ -50,7 +50,13 @@ func (c *Config) Reduce(outVals []float32) (res []float32, err error) {
 	tr.CountRound()
 	tr.CountArenaFlip()
 	outer := tr.Begin(comm.KindReduce, 0)
-	defer func() { outer.Err = err; tr.End(&outer) }()
+	defer func() {
+		if err != nil {
+			m.cfg.abandon()
+		}
+		outer.Err = err
+		tr.End(&outer)
+	}()
 
 	// Downward scatter-reduce.
 	cur := outVals
@@ -137,6 +143,9 @@ func (c *Config) gatherUp(cur []float32, round uint32, g *genBufs) (res []float3
 	tr := m.opts.Tracer
 	outer := tr.Begin(comm.KindGather, 0)
 	defer func() { outer.Err = err; tr.End(&outer) }()
+	if poisonArena.Load() { // every peer has landed the last pass's up pieces
+		poison(m.cfg.up.f, m.cfg.up.b)
+	}
 
 	// Bottom turnaround: look the in-union's values up in the reduced
 	// out-union (v_in^l := v_out^l restricted to the requested indices).

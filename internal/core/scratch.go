@@ -21,15 +21,15 @@ type piece struct {
 	// ships (raw) or encodes from (quantized): on the way down a segment
 	// of the current value vector, on the way up an arena buffer
 	// (len = |inMaps[t]| * width) refilled by GatherInto. Raw, a peer
-	// may read it by reference after the round ends (memnet, a delaying
-	// fabric, a self-send), so the upward one is per generation;
-	// quantized, only this rank reads it, within the pass, so it is
-	// pass-local.
+	// may read it by reference until it sends this rank its next piece
+	// (memnet, a delaying fabric, a self-send), so the upward one is in
+	// the up slab; quantized, only this rank reads it, within the pass,
+	// so it is pass-local.
 	f comm.Floats
 	// q is the packed wire form under a lossy Options.Quant; its Data,
 	// sized exactly by sparse.QuantizedSize, is refilled by the quantize
-	// kernel and is what ships, so it is per generation: a peer may read
-	// it by reference after the round ends.
+	// kernel and is what ships, by reference like f: the downward one in
+	// the pass-local byte slab, the upward one in the up byte slab.
 	q comm.QVals
 	// res is the error-feedback residual of the piece sent (len =
 	// len(f.Vals)): each round's quantization error is left here and
@@ -44,19 +44,39 @@ type piece struct {
 	land []float32
 }
 
+// slabs is a grow-only pair of slabs, floats and bytes, that carves cut
+// buffers from.
+type slabs struct {
+	f []float32
+	b []byte
+}
+
+// fit replaces *b with n new elements if it is shorter — never resized in
+// place, for payloads may still point into the old one — and counts 1 if
+// it did.
+func fit[T any](b *[]T, n int) int {
+	if n <= len(*b) {
+		return 0
+	}
+	*b = make([]T, n)
+	return 1
+}
+
+// extent is how much of each slab one carve takes.
+type extent struct{ result, local, localB, up, upB, res int }
+
 // genBufs is one generation of a machine's reduction arena: headers
-// shaped by the topology and built once, and the two grow-only slabs
-// that what a peer or the caller may read after the pass is carved from.
-// What only this rank reads, within the pass, is carved from the
-// Scratch's pass-local slab, which both generations share. A pass
-// allocates nothing once the slabs have reached the largest Config the
-// machine has seen.
+// shaped by the topology and built once, and the grow-only slab the
+// result is carved from. Everything else the headers point at has one
+// copy, in the Scratch's pass-local and up slabs, which both generations
+// share; the headers themselves alternate, because a carve rewrites them
+// at the flip, when a slow peer may still read the last pass's up-piece
+// header. A pass allocates nothing once the slabs have reached the
+// largest Config the machine has seen.
 type genBufs struct {
 	// acc[i] is layer i+1's scatter-reduce accumulator
-	// (len = |outUnion| * width). Raw, the next layer ships segments of it
-	// by reference, so it is per generation; the last layer's, which feeds
-	// only the turnaround, and every one under quantization are
-	// pass-local.
+	// (len = |outUnion| * width), pass-local: the next layer ships
+	// segments of it down by reference.
 	acc [][]float32
 	// scatter[i][t] / gather[i][t] are the pieces exchanged with layer
 	// i+1's member t on the way down / up.
@@ -67,20 +87,13 @@ type genBufs struct {
 	// next[i] is the allgather assembly buffer below layer i+1
 	// (len = |inSet| * width for i == 0, |layers[i-1].inUnion| * width
 	// otherwise). next[0] is the vector handed back to the caller, valid
-	// until the second-following arena pass, so it is per generation;
-	// the others are pass-local.
-	next [][]float32
-	// f and b are the slabs. f[:staged] is the stage of the pass that
-	// flips into this generation: the out values StageOut handed out (none
-	// when the caller feeds Reduce its own vector) and, in a fused pass,
-	// the accumulators its layers folded into. That pass carves after it;
-	// staged may pass len(f) until the flip grows f.
-	f      []float32
-	b      []byte
-	staged int
+	// until the second-following arena pass, so it is cut from result,
+	// the one slab of each generation; the others are pass-local.
+	next   [][]float32
+	result []float32
 	// stamp and from name the carve the headers hold: the Config.stamp it
 	// was made for and the stage it follows (stamp 0: none, or one into a
-	// pass-local slab since replaced). A pass that finds its own skips the
+	// shared slab since replaced). A pass that finds its own skips the
 	// carve — peers hold the piece headers cached, and rewriting one, even
 	// unchanged, costs both sides a miss.
 	stamp uint64
@@ -88,26 +101,33 @@ type genBufs struct {
 }
 
 // Scratch is a machine's reusable memory: the configuration pass's
-// receive staging, the two-generation reduction arena and the base a
-// successor Machine's Configure continues from. One instance serves
-// every pass on a Machine (one goroutine, passes never overlap) and
-// nothing in it outlives a pass except as capacity (retired blocks too)
-// and as the base, so a successor Machine on the same rank, peers and
-// options may inherit it (Options.Scratch) once every rank has finished
-// the predecessor's work without error: then the slabs and retired
-// blocks are quiescent and every rank's base is of the same pass.
+// receive staging, the reduction arena and the base a successor
+// Machine's Configure continues from. One instance serves every pass on
+// a Machine (one goroutine, passes never overlap) and nothing in it
+// outlives a pass except as capacity (retired blocks too) and as the
+// base, so a successor Machine on the same rank, peers and options may
+// inherit it (Options.Scratch) once every rank has finished the
+// predecessor's work without error: then every rank's base is of the
+// same pass, and the slabs are covered by the argument below.
 //
-// The arena alternates generations by arena pass — a Reduce or the
-// gather of a fused ConfigureReduce, of whichever Config: pass N rewrites
-// the buffers of pass N-2, which every peer has consumed by then, because
-// pass N-1 took a message from every member of every layer group, down
-// and up, sent only after that member finished pass N-2. The groups are
-// the topology's, not a Config's, so the argument and the arena are the
-// machine's (in full, with the two senders outside it: DESIGN.md, "Hot
-// path & memory discipline"). A slab that must grow is replaced, not
-// resized, so payloads pointing into the old one stay intact. Only what
-// a peer or the caller may still read needs the two generations; what
-// the pass alone reads has one copy, rewritten by every pass.
+// Only the result alternates, by arena pass — a Reduce or the gather of
+// a fused ConfigureReduce, of whichever Config — for the caller, who may
+// read it until the second-following pass. Every buffer that ships by
+// reference has one copy, in one of two slabs picked by its direction.
+// What goes down (the stage, the accumulators, the downward q.Data) is
+// pass-local: a member folds a down piece before it sends this rank the
+// gather piece of that layer, which this rank's pass waits for, so the
+// piece is read before the next StageOut or pass rewrites it. What goes
+// up (raw upward f.Vals, upward q.Data) is in the up slab, written only
+// in a pass's gather half, which starts once every member of every
+// layer group has sent this rank a piece of the pass — each sent after
+// that member finished the last pass and so landed every up piece of
+// it. The groups are the topology's, not a Config's, so the argument
+// and the arena are the machine's (in full, with the senders outside
+// it: DESIGN.md, "Hot path & memory discipline"). A slab that must grow
+// is replaced, not resized, and so are both shared slabs after a pass
+// that failed (abandon): payloads pointing into the old ones stay
+// intact.
 type Scratch struct {
 	// rank and degrees are what the topology-shaped state below was built
 	// for; a Machine that differs rebuilds everything.
@@ -139,10 +159,16 @@ type Scratch struct {
 	gen    int
 	bufs   [2]genBufs
 	stamps uint64
-	// local is the pass-local slab: the buffers only this rank reads, and
-	// only within an arena pass (see carve). Passes never overlap, so both
-	// generations' headers point into this one copy.
-	local []float32
+	// local and up are the slabs both generations' headers point into
+	// (see carve): local the pass-local one, what goes down and what only
+	// this rank reads within a pass; up what goes up. local.f[:staged] is
+	// the stage of the next arena pass: the out values StageOut handed
+	// out (none when the caller feeds Reduce its own vector) and, in a
+	// fused pass, the accumulators its layers folded into. That pass
+	// carves after it; staged may pass len(local.f) until the flip grows
+	// the slab.
+	local, up slabs
+	staged    int
 	// base is the Config of the latest configuration pass; only a
 	// successor Machine's Configure continues from it.
 	base *Config
@@ -283,9 +309,11 @@ func (m *Machine) RetireSet(set sparse.Set, perm []int32) {
 }
 
 // PoisonArena is a test hook: while on, every flip scribbles over the
-// generation's recycled slabs and the pass-local slab — NaN floats past
-// the stage, 0xFF bytes — so a pass that read a value it did not write
-// would compute garbage instead of a plausible stale sum.
+// generation's result slab and the pass-local slab past the stage, and
+// every gather half over the up slab, each at the earliest point its
+// argument (Scratch) allows — NaN floats, 0xFF bytes — so a pass that
+// read a value it did not write, or a peer that read a piece past its
+// lifetime, would compute garbage instead of a plausible stale sum.
 func PoisonArena(on bool) { poisonArena.Store(on) }
 
 var poisonArena atomic.Bool
@@ -313,7 +341,7 @@ func take[T any](slab []T, at *int, n int) []T {
 
 // flip advances the machine's arena to its next generation and carves it
 // for this Config unless it still is, allocating only if the Config is
-// the generation's largest yet.
+// the largest the slabs have seen.
 //
 //kylix:hotpath
 func (c *Config) flip() *genBufs {
@@ -321,114 +349,115 @@ func (c *Config) flip() *genBufs {
 	s.gen ^= 1
 	g := &s.bufs[s.gen]
 	if poisonArena.Load() {
-		poison(g.f[min(g.staged, len(g.f)):], g.b)
-		poison(s.local, nil)
+		poison(g.result, nil)
+		poison(s.local.f[min(s.staged, len(s.local.f)):], s.local.b)
 	}
-	if g.stamp != c.stamp || g.from != g.staged {
-		if nf, nl, nb, nr := c.carve(g); nf > len(g.f) || nl > len(s.local) || nb > len(g.b) || nr > len(c.res) {
-			c.grow(g, nf, nl, nb, nr)
+	if g.stamp != c.stamp || g.from != s.staged {
+		if c.grow(g, c.carve(g)) {
 			c.carve(g)
 		}
-		g.stamp, g.from = c.stamp, g.staged
+		g.stamp, g.from = c.stamp, s.staged
 	}
-	g.staged = 0
+	s.staged = 0
 	return g
 }
 
-// carve points a generation's headers at segments of its slabs and of
-// the pass-local slab, sized by this Config's routing state, and the
+// carve points a generation's headers at segments of its result slab and
+// of the shared slabs, sized by this Config's routing state, and the
 // pieces' residuals at segments of the Config's own slab; it returns how
-// much of each it took. A buffer a peer or the caller may read after the
-// pass goes in the generation's slabs: the result, q.Data, and raw the
-// accumulators and upward pieces that ship by reference. The rest is
-// read only by this rank within the pass and goes in the pass-local slab.
+// much of each it took. The result goes in the generation's slab, what
+// goes up and ships by reference (raw f.Vals, q.Data) in the up slab,
+// and the rest — what goes down, and what only this rank reads — in the
+// pass-local slab, after the stage.
 //
 //kylix:hotpath
-func (c *Config) carve(g *genBufs) (nf, nl, nb, nr int) {
+func (c *Config) carve(g *genBufs) (n extent) {
 	w := c.mach.opts.Width
 	quant, feedback := c.mach.opts.Quant, !c.mach.opts.QuantNoFeedback
-	local := c.mach.cfg.local
-	nf = g.staged
-	ship, at := g.f, &nf
+	s := c.mach.cfg
+	n.local = s.staged
+	upF, upAt := s.up.f, &n.up
 	if quant != sparse.QuantOff {
-		ship, at = local, &nl // only q.Data crosses
+		upF, upAt = s.local.f, &n.local // only q.Data crosses
 	}
 	below := c.inSet
 	for i := range c.layers {
 		ls := &c.layers[i]
-		if i < len(c.layers)-1 {
-			g.acc[i] = take(ship, at, len(ls.outUnion)*w)
-		} else {
-			g.acc[i] = take(local, &nl, len(ls.outUnion)*w) // feeds only the turnaround
-		}
+		g.acc[i] = take(s.local.f, &n.local, len(ls.outUnion)*w)
 		if i == 0 {
-			g.next[i] = take(g.f, &nf, len(below)*w) // the result
+			g.next[i] = take(g.result, &n.result, len(below)*w)
 		} else {
-			g.next[i] = take(local, &nl, len(below)*w)
+			g.next[i] = take(s.local.f, &n.local, len(below)*w)
 		}
 		below = ls.inUnion
 		for t := range ls.group {
 			down, up := &g.scatter[i][t], &g.gather[i][t]
 			nd, nu := int(ls.outOffsets[t+1]-ls.outOffsets[t])*w, len(ls.inMaps[t])*w
-			up.f.Vals = take(ship, at, nu)
+			up.f.Vals = take(upF, upAt, nu)
 			if quant == sparse.QuantOff {
 				continue
 			}
-			down.q = comm.QVals{Mode: quant, N: nd, Data: take(g.b, &nb, sparse.QuantizedSize(quant, nd))}
-			up.q = comm.QVals{Mode: quant, N: nu, Data: take(g.b, &nb, sparse.QuantizedSize(quant, nu))}
-			down.land = take(local, &nl, len(ls.outMaps[t])*w)
+			down.q = comm.QVals{Mode: quant, N: nd, Data: take(s.local.b, &n.localB, sparse.QuantizedSize(quant, nd))}
+			up.q = comm.QVals{Mode: quant, N: nu, Data: take(s.up.b, &n.upB, sparse.QuantizedSize(quant, nu))}
+			down.land = take(s.local.f, &n.local, len(ls.outMaps[t])*w)
 			if feedback {
-				down.res, up.res = take(c.res, &nr, nd), take(c.res, &nr, nu)
+				down.res, up.res = take(c.res, &n.res, nd), take(c.res, &n.res, nu)
 			}
 		}
 	}
 	g.inVals = nil // an identity turnaround (nil bottomMap) needs none
 	if c.bottomMap != nil {
-		g.inVals = take(local, &nl, len(below)*w) // the bottom in-union
+		g.inVals = take(s.local.f, &n.local, len(below)*w) // the bottom in-union
 	}
-	return nf, nl, nb, nr
+	return n
 }
 
-// grow replaces whichever slabs a carve found short, exactly sized. A
-// new pass-local slab leaves both generations' carves stale, so neither
-// keeps the old one alive by skipping its next carve. The residuals must
-// start at zero (no prior error to fold in) and are dropped when a pass
-// moves a piece size: made here, or taken from a finished Run's Config
-// (continueFrom).
+// grow replaces whichever slabs a carve found short, exactly sized, and
+// reports whether it replaced any. A new shared slab leaves both
+// generations' carves stale, so neither keeps the old one alive by
+// skipping its next carve. The residuals must start at zero (no prior
+// error to fold in) and are dropped when a pass moves a piece size: made
+// here, or taken from a finished Run's Config (continueFrom).
 //
 //kylix:coldpath
-func (c *Config) grow(g *genBufs, nf, nl, nb, nr int) {
-	if nf > len(g.f) {
-		g.f = make([]float32, nf)
-	}
-	if s := c.mach.cfg; nl > len(s.local) {
-		s.local = make([]float32, nl)
+func (c *Config) grow(g *genBufs, n extent) bool {
+	s := c.mach.cfg
+	shared := fit(&s.local.f, n.local) + fit(&s.local.b, n.localB) + fit(&s.up.f, n.up) + fit(&s.up.b, n.upB)
+	if shared > 0 {
 		s.bufs[0].stamp, s.bufs[1].stamp = 0, 0
 	}
-	if nb > len(g.b) {
-		g.b = make([]byte, nb)
-	}
-	if nr > len(c.res) {
-		c.res = make([]float32, nr)
-	}
+	return shared+fit(&g.result, n.result)+fit(&c.res, n.res) > 0
+}
+
+// abandon gives up the shared slabs after a pass that failed: a
+// straggler may still read them, so the machine's next pass carves new
+// ones and nothing rewrites these.
+//
+//kylix:coldpath
+func (s *Scratch) abandon() {
+	s.local, s.up, s.staged = slabs{}, slabs{}, 0
+	s.bufs[0].stamp, s.bufs[1].stamp = 0, 0
 }
 
 // StageOut returns the buffer the machine's next arena pass should be
-// fed from: n values at the head of the float slab of the generation
-// that pass will flip to. Layer-1 pieces are slices of a pass's argument,
-// sent without copying, so a caller that cannot leave its own vector
-// alone that long fills this one, next written two arena passes later.
+// fed from: n values at the head of the pass-local slab. Layer-1 pieces
+// are slices of a pass's argument, sent without copying: peers have read
+// them once the pass returns without error, and stragglers of one that
+// failed may read them later. A caller that stages its values fills
+// this buffer, which is next written by the next StageOut (or an arena
+// pass fed from elsewhere) and is given up with its slab if the pass
+// fails (abandon).
 //
 //kylix:hotpath
 func (m *Machine) StageOut(n int) []float32 {
 	s := m.scratch()
-	g := &s.bufs[s.gen^1]
-	g.staged = n
-	if len(g.f) < n {
+	s.staged = n
+	if len(s.local.f) < n {
 		//kylix:allow hotpathalloc:make -- grows to the largest stage the machine has seen
-		g.f = make([]float32, n)
+		s.local.f = make([]float32, n)
+		s.bufs[0].stamp, s.bufs[1].stamp = 0, 0
 	}
-	return g.f[:n:n]
+	return s.local.f[:n:n]
 }
 
 // StageOut is Machine.StageOut sized for the next Reduce on this Config:

@@ -467,9 +467,9 @@ func (n *Node) Size() int { return len(n.addrs) }
 // waits only when the window is full (see windowBound). A send to the
 // node itself is the exception: it is delivered by reference, like
 // memnet's, so the payload is not the caller's again until the message
-// has been received (core's two-generation arena is what makes that safe
-// for the reduction), and what the receiver gets has no pool to go back
-// to. With FailFast, a peer whose stream was terminally lost returns its
+// has been received (core's arena keeps a piece it ships until the
+// receiver must have read it), and what the receiver gets has no pool to
+// go back to. With FailFast, a peer whose stream was terminally lost returns its
 // recorded error; otherwise dead-peer traffic drops silently (replication
 // masks it) and the error surfaces on Close.
 func (n *Node) Send(to int, tag comm.Tag, p comm.Payload) error {

@@ -259,7 +259,7 @@ func (n *Node) TreeAllreduce(in, out []int32, outVals []float32) ([]float32, int
 		return nil, 0, err
 	}
 	// A tree pass exchanges nothing with the layer groups, so the arena's
-	// quiescence argument does not cover it: it stages in a fresh buffer.
+	// lifetime argument does not cover it: it stages in a fresh buffer.
 	staged := make([]float32, len(outSet)*n.width)
 	if err := om.stageOut(staged, outVals, n.width); err != nil {
 		return nil, 0, err

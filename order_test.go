@@ -472,7 +472,8 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 		}
 		defer cluster.Close()
 		// check compares what the measured passes allocated with the
-		// parent's figure less the two generations every pass carves and
+		// parent's figure less twice ArenaBytes — what the per-Config arena
+		// the parent made for every Config cost, by the union sizes — and
 		// the kept bytes a pass no longer builds.
 		arena := make([]int, orderRanks)
 		check := func(t *testing.T, parentKiB float64, kept int, before, after *runtime.MemStats) {

@@ -47,7 +47,10 @@
 #                               # Figure 2 sweep to show loopback
 #                               # throughput rising from 1 KB to 4 MB
 #                               # packets (a wall-clock shape, so it is
-#                               # gated here and not in go test ./...)
+#                               # gated here and not in go test ./...).
+#                               # It also prints ReduceWarmObs over
+#                               # ReduceWarmQuick from the same run, a
+#                               # ratio reported and not gated.
 #
 # BENCH_reduce.json is the checked-in record of the hot-path numbers;
 # regenerate it with a bare run when the hot path changes and commit
@@ -278,6 +281,10 @@ else
     done
 
     obs_ns="$(awk '/^BenchmarkReduceWarmObs/ { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") print $(i-1) }' "$out")"
+    quick_ns="$(awk '/^BenchmarkReduceWarmQuick/ { for (i = 2; i <= NF; i++) if ($(i) == "ns/op") print $(i-1) }' "$out")"
+    if [ -n "$obs_ns" ] && [ -n "$quick_ns" ]; then
+        echo "bench report: ReduceWarmObs / ReduceWarmQuick = $(awk -v o="$obs_ns" -v q="$quick_ns" 'BEGIN { printf "%.3f", o / q }') in this run (reported, not gated)"
+    fi
     tol="${KYLIX_BENCH_TOLERANCE:-10}"
     if [ -n "$prev_obs_ns" ] && [ -n "$obs_ns" ]; then
         if awk -v cur="$obs_ns" -v prev="$prev_obs_ns" -v tol="$tol" \

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -105,6 +106,32 @@ func TestEncodeDecodeQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestFloatsByteOrderPaths: the raw-float codec's memory copy, the path
+// of a little-endian host, and its per-value loop, the path of a
+// big-endian one, write and read the same wire bytes. (The test flips
+// the host's byte order flag, so it must not run in parallel.)
+func TestFloatsByteOrderPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	vals := make([]float32, 67)
+	for i := range vals {
+		vals[i] = math.Float32frombits(rng.Uint32())
+	}
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	var wire [2][]byte
+	for i, le := range []bool{true, false} {
+		littleEndian = le
+		wire[i] = (&Floats{Vals: vals}).AppendTo(nil)
+		got := make([]float32, len(vals))
+		getFloats(got, wire[i][5:])
+		if !bytes.Equal((&Floats{Vals: got}).AppendTo(nil), wire[0]) {
+			t.Fatalf("littleEndian=%v: floats do not round-trip", le)
+		}
+	}
+	if !bytes.Equal(wire[0], wire[1]) {
+		t.Fatal("the memory copy and the per-value loop write different bytes")
 	}
 }
 

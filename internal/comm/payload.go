@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"kylix/internal/sparse"
 )
@@ -152,22 +153,18 @@ func appendFloats(buf []byte, vals []float32) []byte {
 }
 
 // putFloats fills dst, 4*len(vals) bytes, with vals as little-endian
-// float32 bits — four values a step through windows of fixed size, which
-// the compiler bounds-checks once each instead of once per value.
+// float32 bits: on a little-endian host the bits are already the wire
+// form, so it is one copy.
 //
 //kylix:hotpath
 func putFloats(dst []byte, vals []float32) {
 	dst = dst[:4*len(vals)]
-	n := len(vals) &^ 3
-	for i := 0; i < n; i += 4 {
-		d, v := dst[4*i:4*i+16:4*i+16], vals[i:i+4:i+4]
-		binary.LittleEndian.PutUint32(d[0:4], math.Float32bits(v[0]))
-		binary.LittleEndian.PutUint32(d[4:8], math.Float32bits(v[1]))
-		binary.LittleEndian.PutUint32(d[8:12], math.Float32bits(v[2]))
-		binary.LittleEndian.PutUint32(d[12:16], math.Float32bits(v[3]))
+	if littleEndian {
+		copy(dst, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(dst)))
+		return
 	}
-	for i := n; i < len(vals); i++ {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(vals[i]))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
 	}
 }
 
@@ -175,18 +172,16 @@ func putFloats(dst []byte, vals []float32) {
 // 4*len(vals) bytes of src.
 func getFloats(vals []float32, src []byte) {
 	src = src[:4*len(vals)]
-	n := len(vals) &^ 3
-	for i := 0; i < n; i += 4 {
-		s, v := src[4*i:4*i+16:4*i+16], vals[i:i+4:i+4]
-		v[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:4]))
-		v[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:8]))
-		v[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:12]))
-		v[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:16]))
+	if littleEndian {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(src)), src)
+		return
 	}
-	for i := n; i < len(vals); i++ {
+	for i := range vals {
 		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
 	}
 }
+
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1 // a float32 in memory is its wire form
 
 // WireSize implements Payload.
 func (p *KeysVals) WireSize() int { return 1 + 4 + 4 + 8*len(p.Keys) + 4*len(p.Vals) }

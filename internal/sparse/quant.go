@@ -29,8 +29,9 @@ import (
 //     plus a float32 ulp (fl(0.49999997 + 0.5) = 1); non-finite inputs
 //     are not representable (they quantize to 0 and belong in FP16 mode).
 //
-// Each kernel runs a call-free fast path on what a pass ships and hands
-// the rest to the code it replaced (the oracle in quant_ref_test.go).
+// Each kernel's Go form runs a call-free fast path on what a pass ships and
+// hands the rest to the code it replaced (the oracle in quant_ref_test.go).
+// On amd64 without -race (codecAsm) that fast path runs in SSE2 instead.
 //
 // Lossy encodings drift if the dropped precision is discarded: a value
 // forever below the quantization step never contributes. The encode
@@ -195,6 +196,18 @@ func widenFP16(h uint16) (w uint32, ok bool) {
 //
 //kylix:hotpath
 func QuantizeFP16(dst []byte, vals, res []float32) {
+	if !codecAsm || res == nil {
+		quantizeFP16Go(dst, vals, res)
+		return
+	}
+	for j, n := 0, len(vals); j < n; j += 4 { // the assembly stops at a group it refuses, or at the tail
+		j += quantizeFP16SSE2(dst[2*j:2*n], vals[j:], res[j:n])
+		e := min(j+4, n)
+		quantizeFP16Go(dst[2*j:2*e], vals[j:e], res[j:e])
+	}
+}
+
+func quantizeFP16Go(dst []byte, vals, res []float32) {
 	if len(vals) == 0 {
 		return
 	}
@@ -223,6 +236,18 @@ func QuantizeFP16(dst []byte, vals, res []float32) {
 //
 //kylix:hotpath
 func DequantizeFP16(dst []float32, src []byte) {
+	if !codecAsm {
+		dequantizeFP16Go(dst, src)
+		return
+	}
+	for j, n := 0, len(dst); j < n; j += 4 { // as in QuantizeFP16
+		j += dequantizeFP16SSE2(dst[j:], src[2*j:2*n])
+		e := min(j+4, n)
+		dequantizeFP16Go(dst[j:e], src[2*j:2*e])
+	}
+}
+
+func dequantizeFP16Go(dst []float32, src []byte) {
 	if len(dst) == 0 {
 		return
 	}
@@ -256,6 +281,13 @@ func DequantizeFP16(dst []float32, src []byte) {
 //
 //kylix:hotpath
 func QuantizeINT8(dst []byte, vals, res []float32) {
+	if n := len(vals); codecAsm && res != nil && n > 0 && quantizeINT8SSE2(dst[:4+n], vals, res[:n]) {
+		return // else a slow-path block, which the assembly left untouched
+	}
+	quantizeINT8Go(dst, vals, res)
+}
+
+func quantizeINT8Go(dst []byte, vals, res []float32) {
 	n := len(vals)
 	if res == nil {
 		quantizeINT8Slow(dst, vals, res)
@@ -385,6 +417,14 @@ func abs32(v float32) float32 {
 //
 //kylix:hotpath
 func DequantizeINT8(dst []float32, src []byte) {
+	if codecAsm && len(dst) > 0 {
+		dequantizeINT8SSE2(dst, src[:4+len(dst)])
+		return
+	}
+	dequantizeINT8Go(dst, src)
+}
+
+func dequantizeINT8Go(dst []float32, src []byte) {
 	if len(dst) == 0 {
 		return
 	}

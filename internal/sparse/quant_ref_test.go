@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -182,6 +183,21 @@ func refQuantInt8(r float32) int8 {
 	}
 }
 
+// codecKernels pairs each kernel with its reference: the exported
+// kernels, which run assembly where codecAsm is set, and their Go forms
+// by name. The INT8 decoder's reference is its Go form, unchanged since
+// the codec's first version.
+var codecKernels = []struct {
+	q        Quantization
+	enc, ref func(dst []byte, vals, res []float32)
+	dec, rdc func(dst []float32, src []byte)
+}{
+	{QuantFP16, QuantizeFP16, refQuantizeFP16, DequantizeFP16, refDequantizeFP16},
+	{QuantFP16, quantizeFP16Go, refQuantizeFP16, dequantizeFP16Go, refDequantizeFP16},
+	{QuantINT8, QuantizeINT8, refQuantizeINT8, DequantizeINT8, dequantizeINT8Go},
+	{QuantINT8, quantizeINT8Go, refQuantizeINT8, dequantizeINT8Go, dequantizeINT8Go},
+}
+
 // checkCodecs runs every kernel and converter against its reference on
 // vals: the converters elementwise, each encoder without feedback and
 // with a copy of res (bytes and residual bits), and each decoder on the
@@ -193,15 +209,7 @@ func checkCodecs(t testing.TB, vals, res []float32) {
 			t.Fatalf("Float32ToFP16Bits(%#08x) = %#04x, reference %#04x", math.Float32bits(v), got, want)
 		}
 	}
-	kernels := []struct {
-		q        Quantization
-		enc, ref func(dst []byte, vals, res []float32)
-		dec, rdc func(dst []float32, src []byte)
-	}{
-		{QuantFP16, QuantizeFP16, refQuantizeFP16, DequantizeFP16, refDequantizeFP16},
-		{QuantINT8, QuantizeINT8, refQuantizeINT8, DequantizeINT8, DequantizeINT8},
-	}
-	for _, k := range kernels {
+	for _, k := range codecKernels {
 		for _, feedback := range []bool{false, true} {
 			got, want := make([]byte, QuantizedSize(k.q, len(vals))), make([]byte, QuantizedSize(k.q, len(vals)))
 			var gotRes, wantRes []float32
@@ -227,6 +235,130 @@ func checkCodecs(t testing.TB, vals, res []float32) {
 			if !slices.Equal(bitsOf(gotDec), bitsOf(wantDec)) {
 				t.Fatalf("%v: decoded bits differ from the reference", k.q)
 			}
+		}
+	}
+}
+
+// TestCodecKernelEdges runs every kernel in codecKernels against its
+// reference on every block length 0-67 at every start offset of 0-3
+// values, and 0-15 bytes on the encoded side, as slices into larger
+// buffers. Values and residuals past the slice are NaN or huge, so a
+// kernel that reads past its block shows in its output; every word past
+// what a kernel may write must keep its fill. The encoders see positive
+// blocks (the INT8 unsigned rounding), mixed signs, blocks sprinkled
+// with values whose group the FP16 fast paths refuse, blocks with a NaN
+// or an Inf (the INT8 slow path) and zeros; the decoders see random
+// bytes that include 0x80 under normal, zero, NaN and Inf INT8 scales,
+// and halves that include zeros, subnormals, Inf and NaN.
+func TestCodecKernelEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	edges := []float32{0, float32(math.Copysign(0, -1)), 1e-6, -3e-5, 6e-8, 40000, -70000, 1e-40}
+	classes := []func(j int) float32{
+		func(int) float32 { return 0.5 + rng.Float32() },
+		func(int) float32 { return float32(rng.NormFloat64()) },
+		func(int) float32 {
+			if rng.Intn(6) == 0 {
+				return edges[rng.Intn(len(edges))]
+			}
+			return float32(rng.NormFloat64())
+		},
+		func(j int) float32 {
+			if j == 0 {
+				return [...]float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))}[rng.Intn(3)]
+			}
+			return float32(rng.NormFloat64())
+		},
+		func(int) float32 { return 0 },
+	}
+	const fill, pad = 0xa5, 4 // bytes of fill; values either side of a block
+	junk := func(j int) float32 { return [...]float32{float32(math.NaN()), 1e30, -1e30}[j%3] }
+	for n := 0; n <= 67; n++ {
+		for off := 0; off < 64; off++ {
+			vo, bo := off%4, off/4 // value and byte offsets 0-3 and 0-15
+			for ci, class := range classes {
+				vbuf, rbuf := make([]float32, n+2*pad), make([]float32, n+2*pad)
+				for j := range vbuf {
+					vbuf[j], rbuf[j] = junk(j), junk(j+1)
+				}
+				vals, res := vbuf[vo:vo+n], rbuf[vo:vo+n]
+				perm := rng.Perm(n) // where the class's first value lands
+				for j := range vals {
+					vals[perm[j]] = class(j)
+					res[j] = float32(rng.NormFloat64()) * 1e-3
+				}
+				for _, k := range codecKernels {
+					for _, feedback := range []bool{false, true} {
+						size := QuantizedSize(k.q, n)
+						got, want := make([]byte, size+32), make([]byte, size)
+						for i := range got {
+							got[i] = fill
+						}
+						gotBuf := append([]float32(nil), rbuf...)
+						var gotRes, wantRes []float32
+						if feedback {
+							gotRes, wantRes = gotBuf[vo:vo+n], append([]float32(nil), res...)
+						}
+						k.enc(got[bo:bo+size], vals, gotRes)
+						k.ref(want, vals, wantRes)
+						name := fmt.Sprintf("%v encode, n=%d, offsets %d/%d, class %d, feedback %v", k.q, n, vo, bo, ci, feedback)
+						if string(got[bo:bo+size]) != string(want) {
+							t.Fatalf("%s: bytes\n% x\nreference\n% x", name, got[bo:bo+size], want)
+						}
+						if !slices.Equal(bitsOf(gotRes), bitsOf(wantRes)) {
+							t.Fatalf("%s: residuals %x, reference %x", name, bitsOf(gotRes), bitsOf(wantRes))
+						}
+						checkFill(t, name, got, bo, size, fill)
+						if !slices.Equal(bitsOf(gotBuf[:vo]), bitsOf(rbuf[:vo])) || !slices.Equal(bitsOf(gotBuf[vo+n:]), bitsOf(rbuf[vo+n:])) {
+							t.Fatalf("%s: a residual outside the block was written", name)
+						}
+					}
+				}
+			}
+			for ci := 0; ci < 4; ci++ {
+				for _, k := range codecKernels {
+					size := QuantizedSize(k.q, n)
+					src := make([]byte, size+bo)[bo:]
+					rng.Read(src)
+					if k.q == QuantINT8 && n > 0 {
+						scale := [...]uint32{0x3c010204, 0, 0x7fc00001, 0x7f800000}[ci]
+						binary.LittleEndian.PutUint32(src, scale|uint32(rng.Intn(2))<<31)
+						src[4+rng.Intn(n)] = 0x80
+					}
+					if k.q == QuantFP16 && ci < 3 {
+						for j := 0; j < n; j++ { // normal halves, but for ci 1-2 a zero, subnormal, Inf or NaN in some groups
+							h := uint16(1+rng.Intn(30))<<10 | uint16(rng.Intn(1<<11))&0x83ff
+							if ci > 0 && rng.Intn(4*ci) == 0 {
+								h = [...]uint16{0x0000, 0x8000, 0x0001, 0x83ff, 0x7c00, 0xfc00, 0x7e01, 0xfd00}[rng.Intn(8)]
+							}
+							binary.LittleEndian.PutUint16(src[2*j:], h)
+						}
+					}
+					dbuf, want := make([]float32, n+2*pad), make([]float32, n)
+					for j := range dbuf {
+						dbuf[j] = junk(j)
+					}
+					outside := append([]float32(nil), dbuf...)
+					k.dec(dbuf[vo:vo+n], src)
+					k.rdc(want, src)
+					name := fmt.Sprintf("%v decode, n=%d, offsets %d/%d, class %d", k.q, n, vo, bo, ci)
+					if !slices.Equal(bitsOf(dbuf[vo:vo+n]), bitsOf(want)) {
+						t.Fatalf("%s: %x, reference %x (src % x)", name, bitsOf(dbuf[vo:vo+n]), bitsOf(want), src)
+					}
+					if !slices.Equal(bitsOf(dbuf[:vo]), bitsOf(outside[:vo])) || !slices.Equal(bitsOf(dbuf[vo+n:]), bitsOf(outside[vo+n:])) {
+						t.Fatalf("%s: a value outside the block was written", name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkFill fails unless buf outside [at, at+size) still holds fill.
+func checkFill(t *testing.T, name string, buf []byte, at, size int, fill byte) {
+	t.Helper()
+	for i, b := range buf {
+		if (i < at || i >= at+size) && b != fill {
+			t.Fatalf("%s: byte %d outside the block [%d, %d) was written", name, i, at, at+size)
 		}
 	}
 }

@@ -319,15 +319,15 @@ func codecInputs() []codecInput {
 	return in
 }
 
-// benchEncode runs an encoder and, in the same run, its reference on
-// every codec input, so scripts/bench.sh --gate can hold the fast/ref
-// ratio — which a noisy box moves far less than ns/op.
-func benchEncode(b *testing.B, q Quantization, fast, ref func(dst []byte, vals, res []float32)) {
+// benchEncode runs an encoder and, in the same run, its Go form and its
+// reference on every codec input, so scripts/bench.sh --gate can hold
+// the fast/ref ratio — which a noisy box moves far less than ns/op.
+func benchEncode(b *testing.B, q Quantization, fast, goForm, ref func(dst []byte, vals, res []float32)) {
 	for _, in := range codecInputs() {
 		for _, k := range []struct {
 			name string
 			enc  func(dst []byte, vals, res []float32)
-		}{{"fast", fast}, {"ref", ref}} {
+		}{{"fast", fast}, {"go", goForm}, {"ref", ref}} {
 			b.Run(in.name+"/"+k.name, func(b *testing.B) {
 				dst := make([]byte, QuantizedSize(q, len(in.vals)))
 				res := append([]float32(nil), in.res...)
@@ -342,15 +342,15 @@ func benchEncode(b *testing.B, q Quantization, fast, ref func(dst []byte, vals, 
 }
 
 // benchDecode is benchEncode for a decoder, on each input's encoding;
-// a nil ref benchmarks the decoder alone.
-func benchDecode(b *testing.B, q Quantization, fast, ref func(dst []float32, src []byte)) {
+// a nil Go form is the reference itself.
+func benchDecode(b *testing.B, q Quantization, fast, goForm, ref func(dst []float32, src []byte)) {
 	for _, in := range codecInputs() {
 		src := make([]byte, QuantizedSize(q, len(in.vals)))
 		Quantize(q, src, in.vals, nil)
 		for _, k := range []struct {
 			name string
 			dec  func(dst []float32, src []byte)
-		}{{"fast", fast}, {"ref", ref}} {
+		}{{"fast", fast}, {"go", goForm}, {"ref", ref}} {
 			if k.dec == nil {
 				continue
 			}
@@ -366,13 +366,20 @@ func benchDecode(b *testing.B, q Quantization, fast, ref func(dst []float32, src
 	}
 }
 
-func BenchmarkQuantizeFP16(b *testing.B) { benchEncode(b, QuantFP16, QuantizeFP16, refQuantizeFP16) }
-
-func BenchmarkDequantizeFP16(b *testing.B) {
-	benchDecode(b, QuantFP16, DequantizeFP16, refDequantizeFP16)
+func BenchmarkQuantizeFP16(b *testing.B) {
+	benchEncode(b, QuantFP16, QuantizeFP16, quantizeFP16Go, refQuantizeFP16)
 }
 
-func BenchmarkQuantizeINT8(b *testing.B) { benchEncode(b, QuantINT8, QuantizeINT8, refQuantizeINT8) }
+func BenchmarkDequantizeFP16(b *testing.B) {
+	benchDecode(b, QuantFP16, DequantizeFP16, dequantizeFP16Go, refDequantizeFP16)
+}
 
-// BenchmarkDequantizeINT8 has no reference: the decoder kept its code.
-func BenchmarkDequantizeINT8(b *testing.B) { benchDecode(b, QuantINT8, DequantizeINT8, nil) }
+func BenchmarkQuantizeINT8(b *testing.B) {
+	benchEncode(b, QuantINT8, QuantizeINT8, quantizeINT8Go, refQuantizeINT8)
+}
+
+// BenchmarkDequantizeINT8's reference is its Go form: the decoder has
+// kept its code since the codec's first version.
+func BenchmarkDequantizeINT8(b *testing.B) {
+	benchDecode(b, QuantINT8, DequantizeINT8, nil, dequantizeINT8Go)
+}

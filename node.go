@@ -366,16 +366,13 @@ func (om *orderMaps) stageOut(dst, outVals []float32, width int) error {
 //
 //kylix:hotpath
 func (om *orderMaps) unstageIn(dst, gathered []float32, width int) []float32 {
-	n := len(gathered)
-	if om.in != nil {
-		n = len(om.in) * width
+	if om.in == nil {
+		//kylix:allow hotpathalloc:append -- growing a result the caller gave no room for is the one allocation a pass makes; append skips slices.Grow's clear
+		return append(dst[:0], gathered...)
 	}
-	// Growing a result the caller gave no room for is the one allocation a pass makes.
-	if dst = slices.Grow(dst[:0], n)[:n]; om.in == nil {
-		copy(dst, gathered)
-	} else {
-		sparse.GatherInto(dst, om.in, gathered, width, 0)
-	}
+	n := len(om.in) * width
+	dst = slices.Grow(dst[:0], n)[:n] // the same allocation; the gather writes every row
+	sparse.GatherInto(dst, om.in, gathered, width, 0)
 	return dst
 }
 

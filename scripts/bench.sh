@@ -253,18 +253,22 @@ else
     echo "bench gate OK: fp16 value payload ${valx}x smaller than raw float32"
 
     # Value-codec speed gate: each kernel against its pre-fast-path
-    # reference (quant_ref_test.go), both timed in this run so the box's
-    # speed cancels out. The bar is on the geometric mean of fast/ref
-    # ns/op over the kernel's inputs. Thirteen runs on the 2-vCPU box read
-    # at most 0.41 (fp16 encode), 0.55 (fp16 decode) and 0.81 (int8
-    # encode) — one row can swing 2x with the host's load, so the bars
-    # sit well above that and below the 1.0 of a lost fast path.
-    for entry in BenchmarkQuantizeFP16=0.6 BenchmarkDequantizeFP16=0.8 BenchmarkQuantizeINT8=0.95; do
+    # reference (quant_ref_test.go; the int8 decoder's is its Go form),
+    # both timed in this run so the box's speed cancels out. The bar is
+    # on the geometric mean of fast/ref ns/op over the kernel's inputs.
+    # On amd64 the fast rows are the SSE2 kernels: runs on the
+    # 2-vCPU box read at most 0.074 (fp16 encode), 0.121 (fp16 decode),
+    # 0.214 (int8 encode) and 0.209 (int8 decode), where the Go forms
+    # read about 0.33, 0.49, 0.66 and 1.0. One row can swing 2x with the
+    # host's load, so each bar sits well above the assembly and below
+    # its Go form: a build that lost the assembly fails. The /go rows
+    # are reported, not gated.
+    for entry in BenchmarkQuantizeFP16=0.2 BenchmarkDequantizeFP16=0.3 BenchmarkQuantizeINT8=0.4 BenchmarkDequantizeINT8=0.6; do
         b="${entry%%=*}"
         bar="${entry##*=}"
         ratio="$(awk -v b="$b" '$1 ~ "^"b"/" {
             n = $1; sub(/-[0-9]+$/, "", n); k = n; sub(/\/(fast|ref)$/, "", k)
-            for (i = 2; i <= NF; i++) if ($(i) == "ns/op") { if (n ~ /\/fast$/) f[k] = $(i-1); else r[k] = $(i-1) }
+            for (i = 2; i <= NF; i++) if ($(i) == "ns/op") { if (n ~ /\/fast$/) f[k] = $(i-1); else if (n ~ /\/ref$/) r[k] = $(i-1) }
         } END {
             c = 0; for (k in f) if (k in r) { s += log(f[k] / r[k]); c++ }
             if (c) printf "%.3f", exp(s / c)

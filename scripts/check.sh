@@ -21,9 +21,19 @@ stage_vet() {
     go vet -vettool=bin/kylix-vet ./...
 }
 
+# The value codec's fast paths are amd64 assembly (internal/sparse/
+# quant_amd64.s, checked by go vet's asmdecl pass in stage_vet); every
+# other GOARCH runs their Go forms, so the build stage also vets a 64-bit
+# and builds a 32-bit port. benchmark/ is left out of the 32-bit build:
+# benchmark/probes.go writes 1<<32 into an int, which does not compile
+# where int is 32 bits.
 stage_build() {
     echo "== go build ./..."
     go build ./...
+    echo "== GOARCH=arm64 go vet ./... (the codec's Go forms)"
+    GOARCH=arm64 go vet ./...
+    echo "== GOARCH=386 go build (every package but benchmark/)"
+    GOARCH=386 go build $(go list ./... | grep -v '^kylix/benchmark$')
 }
 
 stage_test() {
@@ -35,14 +45,16 @@ stage_test() {
 # core since the mailbox free lists and the arena flip are exactly where
 # a data race would corrupt results silently, membership for its
 # ticker-vs-receiver agents, par for its own pool tests (core no longer
-# uses it) and stream for the tenant registry's admission and id claims;
+# uses it), stream for the tenant registry's admission and id claims, and
+# sparse, whose -race build must link the codec's Go forms (the detector
+# cannot see inside assembly: TestRaceBuildRunsTheGoForms);
 # then the root package's stream-lifecycle tests, the
 # cross-process tenancy contract (Node.Stream tenants on ListenNode
 # sockets) and the warm-Reduce-over-TCP workload (arena buffers refilled
 # right behind the transport, digests against the in-memory run).
 stage_race() {
-    echo "== go test -race -short (comm, core, faultnet, tcpnet, replica, obs, membership, par, stream)"
-    go test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/...
+    echo "== go test -race -short (comm, core, faultnet, tcpnet, replica, obs, membership, par, stream, sparse)"
+    go test -race -short ./internal/comm/... ./internal/core/... ./internal/faultnet/... ./internal/tcpnet/... ./internal/replica/... ./internal/obs/... ./internal/membership/... ./internal/par/... ./internal/stream/... ./internal/sparse/...
     echo "== go test -race (stream lifecycle: concurrent tenants, close hammer; Node.Stream over sockets; warm Reduce over TCP; elastic churn in memory; drifting sets under faults in memory; the int8 arena under faults in memory)"
     go test -race -run 'TestStreamIsolation64|TestStreamBackpressure|TestStreamCloseSemantics|TestClusterClose|TestNodeStreamsOverListenNode|TestNodeStreamAndOpenStreamNeverShareAnID|TestWarmTCPMatchesMemory|TestElasticChurnMemory|TestMinibatchChaosSoakMemory|TestReconfigureChaosSoakMemory|TestQuantizedChaosSoakINT8$' -count=1 -timeout 600s .
 }

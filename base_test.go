@@ -476,6 +476,49 @@ func TestConfigureStartsFreshWithinAMachine(t *testing.T) {
 	})
 }
 
+// TestConfigureStartsFreshWithinAKeptRun: on nodes their namespace
+// kept, a Run's first Configure continues the last Run's base, and the
+// rule TestConfigureStartsFreshWithinAMachine pins still holds after it.
+// A Strict Configure that fails on one rank only leaves this Run's bases
+// different across ranks, so the corrected Configure that follows starts
+// fresh, succeeds on every rank and reduces exactly as a fresh cluster
+// does.
+func TestConfigureStartsFreshWithinAKeptRun(t *testing.T) {
+	const m = 4
+	sets := zipfSets(t, m, 2048, 128)
+	orphan := unheld(sets)
+	opts := []kylix.Option{kylix.WithDegrees(2, 2), kylix.WithStrict()}
+	want := freshBase(t, sets, opts...)
+	c, err := kylix.NewCluster(m, append(opts, kylix.WithRecvTimeout(5*time.Second))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := baseRun(c.Run, sets, false); err != nil {
+		t.Fatal(err)
+	}
+	failed := make([]bool, m)
+	got, err := baseRun(func(fn func(*kylix.Node) error) error {
+		return c.Run(func(node *kylix.Node) error {
+			q := node.Rank()
+			in := sets[(q+1)%m]
+			if q == 0 {
+				in = append(slices.Clone(in), orphan)
+			}
+			_, err := node.Configure(in, sets[q])
+			failed[q] = err != nil
+			return fn(node)
+		})
+	}, sets, false)
+	if err != nil {
+		t.Fatalf("the corrected Configure: %v", err)
+	}
+	if n := len(slices.DeleteFunc(failed, func(f bool) bool { return !f })); n != 1 {
+		t.Fatalf("the Strict Configure failed on %d ranks, want exactly 1", n)
+	}
+	want.check(t, "the corrected Configure", got)
+}
+
 // TestCloseReleasesMachineMemory: a namespace keeps its ranks' machine
 // memory — the arena slabs and the base — between Runs and lets it go
 // when it closes: a Stream at Stream.Close, the default namespace at
@@ -515,52 +558,93 @@ func TestCloseReleasesMachineMemory(t *testing.T) {
 	}
 }
 
-// TestStreamRunKeepsItsPreparedSets: a Stream.Run whose lists are
-// element-equal to the last Run's, in new slices, configures from the
-// very Sets that Run prepared, so core's whole-set checks against the
-// base alias in O(1). The key is the lists' content, not their slices:
-// the same slices rewritten in place (here two positions swapped, the
-// same Set in another order) get Sets of their own.
+// TestStreamRunKeepsItsPreparedSets: a Configure whose lists are
+// element-equal to the node's last ones, in new slices, configures from
+// the very Sets that one prepared, so core's whole-set checks against
+// the base alias in O(1). The key is the lists' content, not their
+// slices: the same slices rewritten in place (here two positions
+// swapped, the same Set in another order) get Sets of their own. Every
+// node keeps its entry: one a Stream keeps across its Runs, and a
+// ListenNode node across its Configures.
 func TestStreamRunKeepsItsPreparedSets(t *testing.T) {
 	// Retired Sets are poisoned: one the entry still holds would no longer
 	// match the lists it was made from.
 	core.PoisonArena(true)
 	defer core.PoisonArena(false)
 	const m = 4
-	c, err := kylix.NewCluster(m, kylix.WithDegrees(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.OpenStream()
-	if err != nil {
-		t.Fatal(err)
-	}
-	configure := func(lists [][]int32) []*sparse.Key {
-		data := make([]*sparse.Key, m)
-		if err := st.Run(func(node *kylix.Node) error {
-			red, err := node.Configure(lists[node.Rank()], lists[node.Rank()])
-			if err == nil {
-				data[node.Rank()] = red.InSetData()
+	// check runs the three Configures through configure, which calls
+	// Configure on every rank with its list and returns each rank's in-Set.
+	check := func(t *testing.T, configure func(lists [][]int32) []*sparse.Key) {
+		lists := zipfSets(t, m, 2048, 128)
+		first := configure(lists)
+		lists = cloneSets(lists)
+		if again := configure(lists); !slices.Equal(again, first) {
+			t.Fatalf("equal lists in new slices got Sets %v, the last Configure prepared %v", again, first)
+		}
+		for _, list := range lists {
+			list[0], list[1] = list[1], list[0]
+		}
+		for q, data := range configure(lists) {
+			if data == first[q] {
+				t.Fatalf("rank %d: lists rewritten in place got the Set prepared for what they held before", q)
 			}
-			return err
-		}); err != nil {
+		}
+	}
+	t.Run("stream-run", func(t *testing.T) {
+		c, err := kylix.NewCluster(m, kylix.WithDegrees(2, 2))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return data
-	}
-	lists := zipfSets(t, m, 2048, 128)
-	first := configure(lists)
-	lists = cloneSets(lists)
-	if again := configure(lists); !slices.Equal(again, first) {
-		t.Fatalf("equal lists in new slices got Sets %v, the last Run prepared %v", again, first)
-	}
-	for _, list := range lists {
-		list[0], list[1] = list[1], list[0]
-	}
-	for q, data := range configure(lists) {
-		if data == first[q] {
-			t.Fatalf("rank %d: lists rewritten in place got the Set prepared for what they held before", q)
+		defer c.Close()
+		st, err := c.OpenStream()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		check(t, func(lists [][]int32) []*sparse.Key {
+			data := make([]*sparse.Key, m)
+			if err := st.Run(func(node *kylix.Node) error {
+				red, err := node.Configure(lists[node.Rank()], lists[node.Rank()])
+				if err == nil {
+					data[node.Rank()] = red.InSetData()
+				}
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			return data
+		})
+	})
+	t.Run("listen-node", func(t *testing.T) {
+		addrs, err := reservePorts(m)
+		if err != nil {
+			t.Skip("cannot reserve ports:", err)
+		}
+		nodes := make([]*kylix.Node, m)
+		for r := range nodes {
+			if nodes[r], err = kylix.ListenNode(r, addrs, kylix.WithDegrees(2, 2), kylix.WithRecvTimeout(30*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			defer nodes[r].Close()
+		}
+		check(t, func(lists [][]int32) []*sparse.Key {
+			data := make([]*sparse.Key, m)
+			errs := make([]error, m)
+			var wg sync.WaitGroup
+			for r, node := range nodes {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var red *kylix.Reduction
+					if red, errs[r] = node.Configure(lists[r], lists[r]); errs[r] == nil {
+						data[r] = red.InSetData()
+					}
+				}()
+			}
+			wg.Wait()
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			return data
+		})
+	})
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"kylix/internal/comm"
-	"kylix/internal/core"
 	"kylix/internal/faultnet"
 	"kylix/internal/membership"
 	"kylix/internal/memnet"
@@ -57,8 +56,9 @@ type Cluster struct {
 	// replica-race cancellations would swallow them). Tenant streams
 	// keep their own bases — each stream id is a whole fresh tag space.
 	roundBase atomic.Uint32
-	// scratch is the default namespace's machine memory (see rankScratch).
-	scratch atomic.Pointer[rankScratch]
+	// nodes is what the default namespace keeps for its next Run (see
+	// keptNodes).
+	nodes atomic.Pointer[keptNodes]
 	// closed latches Cluster.Close: set exactly once (Close is
 	// idempotent), checked by every pass after it enters the run gate so
 	// the close-time drain covers it.
@@ -290,38 +290,35 @@ func (c *Cluster) Observability() *Observatory { return c.obs }
 // the cluster shape a fresh deployment of those machines would have.
 //
 // A Reduction is usable only inside the Run that made it: the next Run
-// builds new machines on tags past every round this one used.
+// resets the nodes it keeps, whose tags start past every round this one
+// used, and a Configure there takes over the last Run's routing state.
 func (c *Cluster) Run(fn func(*Node) error) error {
-	return c.runPass(c.cfg, &c.roundBase, &c.scratch, fn)
+	return c.runPass(c.cfg, &c.roundBase, &c.nodes, fn)
 }
 
-// rankScratch is one tag namespace's memory per physical rank, as a pass
-// hands it to the next: the machine's (core.Scratch: the arena, and the
-// base the next Configure ships its markers against) and the sets of the
-// rank's last Configure, which an equal one reuses. A pass takes all of it
-// and puts its own back only if it returned nil on every rank: a failed
-// pass's memory may still be read by a straggler, and its ranks' bases
-// may differ. Memory of another membership epoch is dropped too — a
-// Replace can keep a survivor's rank and degrees but not its peers'
-// bases. A second concurrent pass in one namespace (which tag accounting
-// does not support anyway) finds nothing and starts fresh.
-type rankScratch struct {
-	epoch uint64 // the membership epoch of the pass that left it
-	ranks []*rankMemory
-}
-
-// rankMemory is one rank's share of a rankScratch.
-type rankMemory struct {
-	mach core.Scratch
-	sets preparedSets
+// keptNodes is one tag namespace's Nodes, one per physical rank, as a
+// Run hands them to the next: each with its wrapped endpoint, its
+// machine (the arena, and the base the next Configure ships its markers
+// against) and the sets of its last Configure, which an equal one
+// reuses. A Run takes them all and puts its own back only if it returned
+// nil on every rank: a failed Run's memory may still be read by a
+// straggler, and its ranks' bases may differ. Nodes of another
+// membership epoch are dropped too — a Replace can keep a survivor's
+// rank and degrees but not its peers' bases. A second concurrent pass in
+// one namespace (which tag accounting does not support anyway) finds
+// nothing and builds fresh.
+type keptNodes struct {
+	epoch uint64 // the membership epoch of the Run that left them
+	ranks []*Node
 }
 
 // runPass is the shared collective-pass runner behind Cluster.Run and
 // Stream.Run: it executes fn on every live machine with nodes built
-// from cfg, accounting consumed tag rounds into base so the caller's
-// next pass starts on fresh tags. cfg.stream selects the tag namespace
-// the pass's nodes mint into; scratch is that namespace's.
-func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch *atomic.Pointer[rankScratch], fn func(*Node) error) error {
+// from cfg, or kept from the namespace's last Run, accounting consumed
+// tag rounds into base so the caller's next pass starts on fresh tags.
+// cfg.stream selects the tag namespace the pass's nodes mint into; kept
+// is that namespace's.
+func (c *Cluster) runPass(cfg config, base *atomic.Uint32, kept *atomic.Pointer[keptNodes], fn func(*Node) error) error {
 	// Enter the gate before the closed check: Close sets the flag and
 	// then drains the gate, so every pass that got past this check is
 	// covered by the close-time drain, and every pass entering after the
@@ -348,26 +345,25 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch *atomic.Point
 		}
 		members, bf, epoch = rec.Members, ebf, rec.Epoch
 	}
-	held := scratch.Swap(nil)
+	held := kept.Swap(nil)
 	if held == nil || held.epoch != epoch {
-		held = &rankScratch{ranks: make([]*rankMemory, c.capacity)}
+		held = &keptNodes{ranks: make([]*Node, c.capacity)}
 	}
-	taken := &rankScratch{epoch: epoch, ranks: make([]*rankMemory, c.capacity)}
+	taken := &keptNodes{epoch: epoch, ranks: make([]*Node, c.capacity)}
 	baseRound := base.Load()
 	var maxUsed atomic.Uint32
-	body := func(ep comm.Endpoint) error {
+	body := func(ep comm.Endpoint) (err error) {
 		physRank := ep.Rank()
-		mem := held.ranks[physRank]
-		if mem == nil {
-			mem = new(rankMemory)
+		node := held.ranks[physRank]
+		if node == nil {
+			if node, err = newNode(ep, members, bf, cfg, physRank); err != nil {
+				return err
+			}
+			node.streams = c.streams
 		}
-		node, err := newNode(ep, members, bf, cfg, baseRound, physRank, &mem.mach)
-		if err != nil {
-			return err
-		}
-		node.streams, node.sets = c.streams, &mem.sets
+		node.reset(baseRound)
 		if err = fn(node); err == nil {
-			taken.ranks[physRank] = mem // nil stays for a rank that did not run
+			taken.ranks[physRank] = node // nil stays for a rank that did not run
 		}
 		if err != nil && c.fabric != nil && c.fabric.Killed(physRank) {
 			// The machine crash-stopped under the fault plan: its own
@@ -387,7 +383,7 @@ func (c *Cluster) runPass(cfg config, base *atomic.Uint32, scratch *atomic.Point
 	err := comm.Run(c.eps, c.deadRank, body, members...)
 	base.Store(baseRound + maxUsed.Load())
 	if err == nil {
-		scratch.Store(taken)
+		kept.Store(taken)
 	}
 	return err
 }
@@ -417,7 +413,8 @@ func (c *Cluster) ResetTraffic() {
 // closeDrainTimeout) so live passes finish before their transports are
 // torn down. A drain that times out proceeds anyway — stragglers fail
 // with comm.ErrClosed rather than hanging teardown forever. The default
-// namespace's machine memory goes with them (a Stream's with its Close).
+// namespace's kept nodes and their machine memory go with them (a
+// Stream's with its Close).
 //
 // The returned error joins the terminal stream errors of the TCP
 // transports: a run that silently degraded (sticky stream failures,
@@ -437,7 +434,7 @@ func (c *Cluster) Close() error {
 	if c.mem != nil {
 		c.mem.Close()
 	}
-	c.scratch.Store(nil)
+	c.nodes.Store(nil)
 	return tcpnet.CloseAll(c.tcp)
 }
 
@@ -504,7 +501,7 @@ func ListenNode(rank int, addrs []string, opts ...Option) (*Node, error) {
 		ep = fab.Wrap(tn)
 		closer = &fabricCloser{fab: fab, under: tn}
 	}
-	node, err := newNode(ep, nil, bf, cfg, 0, rank, nil)
+	node, err := newNode(ep, nil, bf, cfg, rank)
 	if err != nil {
 		_ = tn.Close()
 		return nil, err

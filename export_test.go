@@ -21,26 +21,26 @@ func (s *Stream) Inflight() int { return int(s.inflight.Load()) }
 // ListenNode node's transport, for the external tests.
 func (n *Node) StreamPending(id uint16) int { return n.tn.StreamPending(comm.StreamID(id)) }
 
-// HeldScratch counts the ranks whose machine memory the default
-// namespace keeps for its next Run.
-func (c *Cluster) HeldScratch() int { return heldRanks(&c.scratch, false) }
-
-// HeldScratch counts the ranks whose machine memory the stream keeps for
-// its next Run.
-func (s *Stream) HeldScratch() int { return heldRanks(&s.scratch, false) }
-
-// HeldSets counts the ranks whose last Configure's prepared sets the
+// HeldScratch counts the ranks whose node, with its machine memory, the
 // default namespace keeps for its next Run.
-func (c *Cluster) HeldSets() int { return heldRanks(&c.scratch, true) }
+func (c *Cluster) HeldScratch() int { return heldRanks(&c.nodes, false) }
 
-// HeldSets counts the ranks whose last Configure's prepared sets the
+// HeldScratch counts the ranks whose node, with its machine memory, the
 // stream keeps for its next Run.
-func (s *Stream) HeldSets() int { return heldRanks(&s.scratch, true) }
+func (s *Stream) HeldScratch() int { return heldRanks(&s.nodes, false) }
 
-func heldRanks(s *atomic.Pointer[rankScratch], sets bool) int {
+// HeldSets counts the kept nodes that hold their last Configure's
+// prepared sets for the default namespace's next Run.
+func (c *Cluster) HeldSets() int { return heldRanks(&c.nodes, true) }
+
+// HeldSets counts the kept nodes that hold their last Configure's
+// prepared sets for the stream's next Run.
+func (s *Stream) HeldSets() int { return heldRanks(&s.nodes, true) }
+
+func heldRanks(kept *atomic.Pointer[keptNodes], sets bool) int {
 	n := 0
-	for _, mem := range held(s) {
-		if mem != nil && (!sets || mem.sets.inSet != nil) {
+	for _, node := range held(kept) {
+		if node != nil && (!sets || node.sets.inSet != nil) {
 			n++
 		}
 	}

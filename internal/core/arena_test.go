@@ -14,6 +14,7 @@ import (
 
 	"kylix/internal/comm"
 	"kylix/internal/faultnet"
+	"kylix/internal/memnet"
 	"kylix/internal/sparse"
 	"kylix/internal/topo"
 )
@@ -157,33 +158,40 @@ func TestInterleavedConfigsShareOneArena(t *testing.T) {
 	}
 }
 
-// TestScratchOutlivesItsMachine: a Scratch handed to a successor Machine
-// on the same rank keeps its slabs — the successor's passes allocate no
-// arena — and one handed to a Machine of another topology is started
-// over instead of being carved with the wrong shape.
+// TestScratchOutlivesItsMachine: a Machine kept from one run of passes
+// to the next, and Reset in between, keeps its slabs — the later run's
+// passes allocate no arena — and when the topology moves, the Machine
+// built for the new one shapes its own Scratch instead of carving one of
+// the wrong shape.
 func TestScratchOutlivesItsMachine(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	bf, other := topo.MustNew([]int{2, 2}), topo.MustNew([]int{4})
 	ws := randWorkloads(rng, bf.M(), 300, 40, 1, true)
 	want := refReduce(ws, sparse.Sum, 1)
-	kept := make([]*Scratch, bf.M())
-	for r := range kept {
-		kept[r] = new(Scratch)
-	}
+	n := memnet.New(bf.M())
+	defer n.Close()
+	kept := make([]*Machine, bf.M())
+	var base uint32 // where the next run's tags start
 	for i, topology := range []*topo.Butterfly{bf, bf, other, bf} {
 		var slabs [][4]*float32
 		if i == 1 {
 			slabs = make([][4]*float32, bf.M())
-			for r, s := range kept {
-				slabs[r] = slabHeads(s)
+			for r, m := range kept {
+				slabs[r] = slabHeads(m.cfg)
 			}
 		}
-		runOnTransport(t, false, bf.M(), func(ep comm.Endpoint) error {
+		used := make([]uint32, bf.M())
+		err := memnet.Run(n, func(ep comm.Endpoint) error {
 			r := ep.Rank()
-			m, err := NewMachine(ep, topology, Options{Scratch: kept[r]})
-			if err != nil {
-				return err
+			m := kept[r]
+			if m == nil || m.bf != topology {
+				var err error
+				if m, err = NewMachine(ep, topology, Options{}); err != nil {
+					return err
+				}
+				kept[r] = m
 			}
+			m.Reset(base)
 			cfg, err := m.Configure(ws[r].in, ws[r].out)
 			for pass := 0; pass < 3 && err == nil; pass++ {
 				var res []float32
@@ -191,17 +199,31 @@ func TestScratchOutlivesItsMachine(t *testing.T) {
 					err = fmt.Errorf("machine %d pass %d: wrong sums", i, pass)
 				}
 			}
+			used[r] = m.RoundsUsed()
 			return err
 		})
-		for r, s := range kept {
-			if fmt.Sprint(s.degrees) != fmt.Sprint(topology.Degrees()) {
-				t.Fatalf("machine %d rank %d: scratch shaped for %v on topology %v", i, r, s.degrees, topology.Degrees())
+		if err != nil {
+			t.Fatal(err)
+		}
+		base += slices.Max(used)
+		for r, m := range kept {
+			if fmt.Sprint(shape(m.cfg)) != fmt.Sprint(topology.Degrees()) {
+				t.Fatalf("machine %d rank %d: scratch shaped for %v on topology %v", i, r, shape(m.cfg), topology.Degrees())
 			}
-			if slabs != nil && slabs[r] != slabHeads(s) {
-				t.Fatalf("rank %d: the successor Machine replaced slabs that were large enough", r)
+			if slabs != nil && slabs[r] != slabHeads(m.cfg) {
+				t.Fatalf("rank %d: the kept Machine replaced slabs that were large enough", r)
 			}
 		}
 	}
+}
+
+// shape is the degrees a Scratch's topology-shaped state was built for.
+func shape(s *Scratch) []int {
+	degrees := make([]int, len(s.groupOf))
+	for i, group := range s.groupOf {
+		degrees[i] = len(group)
+	}
+	return degrees
 }
 
 // slabHeads names a Scratch's float slabs by their first elements: the

@@ -29,22 +29,22 @@ import (
 // staging lives in machine scratch, the kernels' work space is borrowed
 // per call (kernelWork), a fused pass's values live in the arena.
 //
-// Configure continues from the Scratch's base when a predecessor Machine
-// left it — the Config of the last configuration pass on this rank and
-// namespace, handed on only after every rank finished that Machine's
-// work without error (Options.Scratch), so every rank holds the same
+// Configure continues from the machine's base when an earlier run of
+// passes left it — the Config of the machine's last configuration pass
+// before its latest Reset, which the caller makes only after every rank
+// finished those passes without error, so every rank holds the same
 // one. It then runs as a Reconfigure of the base: an unchanged piece
 // crosses as a two-byte marker, a changed one as a delta where that is
 // smaller, and a layer of markers keeps its unions, at the cost of an
 // Equal scan of each set (of a merge of each piece, where a set
 // changed), and the result is bit-identical to a Configure from nothing
-// (Digest). A base of this Machine is never continued: a pass that
+// (Digest). A base of the current run is never continued: a pass that
 // failed on one rank only leaves the ranks' bases different, and no
 // rank can tell.
 func (m *Machine) Configure(inSet, outSet sparse.Set) (*Config, error) {
 	cfg := m.newConfig()
-	if b := m.cfg.base; b != nil && b.mach != m && !b.poisoned {
-		cfg.continueFrom(b)
+	if s := m.cfg; s.carried && !s.base.poisoned {
+		cfg.continueFrom(s.base)
 	}
 	if _, err := cfg.configure("config", comm.KindConfig, inSet, outSet, nil); err != nil {
 		return nil, err
@@ -53,8 +53,8 @@ func (m *Machine) Configure(inSet, outSet sparse.Set) (*Config, error) {
 }
 
 // continueFrom starts c at b's state, sharing b's layer states (nothing
-// writes them once built). b is a predecessor Machine's, so it belongs
-// to a finished Run, whose Reductions are dead: c takes its residual
+// writes them once built). b belongs to an earlier run of passes, whose
+// Reductions are dead by the caller's contract: c takes its residual
 // slab, zeroed, as a fresh Config starts, and its stamp, so a pass that
 // keeps every piece size skips the arena's carve.
 func (c *Config) continueFrom(b *Config) {
@@ -128,7 +128,7 @@ func (c *Config) configure(what string, kind comm.Kind, inSet, outSet sparse.Set
 			m.cfg.done++
 			m.cfg.poisonRetired()
 		}
-		m.cfg.base = c // a successor Machine's Configure continues from here unless poisoned
+		m.cfg.base, m.cfg.carried = c, false // the next run's Configure continues from here unless poisoned
 	}()
 	tr := m.opts.Tracer
 	if fused {

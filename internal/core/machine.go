@@ -42,11 +42,11 @@ type Options struct {
 	// round space.
 	Stream comm.StreamID
 	// RoundBase offsets this Machine's tag sequence. Tags must never be
-	// reused on an endpoint: a caller that creates successive Machines
-	// over the same endpoint (e.g. kylix.Cluster.Run called repeatedly)
-	// must start each new Machine past the rounds its predecessor
-	// consumed, or stale replica-race cancellations from earlier rounds
-	// would swallow the reused tags.
+	// reused on an endpoint: a caller that runs successive Machines over
+	// the same endpoint must start each new one past the rounds its
+	// predecessor consumed (and Reset moves a kept one there), or stale
+	// replica-race cancellations from earlier rounds would swallow the
+	// reused tags.
 	RoundBase uint32
 	// Tracer records per-pass and per-layer spans for this machine. Nil
 	// (the default) disables tracing at the cost of a nil check per
@@ -73,11 +73,6 @@ type Options struct {
 	// smaller than half a quantization step are silently lost every
 	// round instead of accumulating until they ship.
 	QuantNoFeedback bool
-	// Scratch is the reusable memory a predecessor Machine on this rank
-	// left behind (see Scratch for when that is safe); nil makes the
-	// Machine build its own. Wiring, not tuning: no result depends on it,
-	// only what a Configure ships and allocates.
-	Scratch *Scratch
 }
 
 func (o Options) withDefaults() Options {
@@ -98,9 +93,10 @@ type Machine struct {
 	bf    *topo.Butterfly
 	opts  Options
 	round uint32 // tag sequence; advances identically on every machine
-	// cfg is the machine's reusable memory (configuration staging, union
-	// arenas, the reduction arena): Options.Scratch or its own, readied at
-	// the first pass and shared by every Config this machine produces.
+	// cfg is the machine's reusable memory (configuration staging, the
+	// retire list, the reduction arena, the base): built at the first pass,
+	// kept for the machine's life across Resets and shared by every Config
+	// it produces.
 	cfg *Scratch
 }
 
@@ -137,9 +133,23 @@ func (m *Machine) nextRound() uint32 {
 	return r
 }
 
-// RoundsUsed reports how many tag rounds this Machine has consumed,
-// for callers that chain Machines over one endpoint via RoundBase.
+// RoundsUsed reports how many tag rounds this Machine has consumed
+// since it was built or last Reset, for callers that chain runs of
+// passes over one endpoint via RoundBase.
 func (m *Machine) RoundsUsed() uint32 { return m.round }
+
+// Reset readies the Machine for another run of passes on its endpoint:
+// its tag sequence restarts at roundBase, which must lie past every
+// round it has used, and its next Configure may continue from the base
+// its last configuration pass left (Configure). The caller resets a
+// Machine only once every rank has finished its earlier passes without
+// error, as kylix does between the Runs of a namespace.
+func (m *Machine) Reset(roundBase uint32) {
+	m.opts.RoundBase, m.round = roundBase, 0
+	if m.cfg != nil {
+		m.cfg.carried = m.cfg.base != nil
+	}
+}
 
 // tag mints a protocol tag in this machine's stream namespace. Every
 // tag the protocol passes to the endpoint goes through here, so a

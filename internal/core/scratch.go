@@ -101,14 +101,14 @@ type genBufs struct {
 }
 
 // Scratch is a machine's reusable memory: the configuration pass's
-// receive staging, the reduction arena and the base a successor
-// Machine's Configure continues from. One instance serves every pass on
-// a Machine (one goroutine, passes never overlap) and nothing in it
-// outlives a pass except as capacity (retired blocks too) and as the
-// base, so a successor Machine on the same rank, peers and options may
-// inherit it (Options.Scratch) once every rank has finished the
-// predecessor's work without error: then every rank's base is of the
-// same pass, and the slabs are covered by the argument below.
+// receive staging, the reduction arena and the base the next run's
+// Configure continues from. The Machine owns it outright: it serves
+// every pass on the Machine (one goroutine, passes never overlap), and
+// nothing in it outlives a pass except as capacity (retired blocks too)
+// and as the base, so it carries across a Reset as it stands once every
+// rank has finished the earlier passes without error: then every rank's
+// base is of the same pass, and the slabs are covered by the argument
+// below.
 //
 // Only the result alternates, by arena pass — a Reduce or the gather of
 // a fused ConfigureReduce, of whichever Config — for the caller, who may
@@ -129,10 +129,6 @@ type genBufs struct {
 // that failed (abandon): payloads pointing into the old ones stay
 // intact.
 type Scratch struct {
-	// rank and degrees are what the topology-shaped state below was built
-	// for; a Machine that differs rebuilds everything.
-	rank    int
-	degrees []int
 	// groupOf[layer-1] is this machine's layer group (topology-fixed;
 	// retained read-only by every Config's layerStates).
 	groupOf [][]int
@@ -169,9 +165,10 @@ type Scratch struct {
 	// the slab.
 	local, up slabs
 	staged    int
-	// base is the Config of the latest configuration pass; only a
-	// successor Machine's Configure continues from it.
-	base *Config
+	// base is the Config of the latest configuration pass; carried says a
+	// Reset has come since, so the next Configure continues from it.
+	base    *Config
+	carried bool
 	// keyBlocks, intBlocks and deltaBlocks are the retire list: union,
 	// map, top-Set and order-map blocks and the blocks sent deltas ride
 	// in, each stamped with the configuration pass that superseded it;
@@ -468,27 +465,18 @@ func (c *Config) StageOut() []float32 {
 	return c.mach.StageOut(len(c.outSet) * c.mach.opts.Width)
 }
 
-// scratch returns the machine's Scratch — the one it was given, or its
-// own — building the topology-shaped parts (receive groups, staging,
-// arena headers) on first use. One built for another rank or topology
-// (an elastic epoch moved the members) is started over.
+// scratch returns the machine's Scratch, building it — the
+// topology-shaped parts: receive groups, staging, arena headers — on
+// first use.
 //
 //kylix:coldpath
 func (m *Machine) scratch() *Scratch {
 	if m.cfg != nil {
 		return m.cfg
 	}
-	s := m.opts.Scratch
-	if s == nil {
-		s = new(Scratch)
-	}
-	m.cfg = s
-	degrees := m.bf.Degrees()
-	if s.rank == m.Rank() && slices.Equal(s.degrees, degrees) { // never true of a zero Scratch
-		return s
-	}
 	L := m.bf.Layers()
-	*s = Scratch{rank: m.Rank(), degrees: degrees, groupOf: make([][]int, L), groups: make([][][]int, L)}
+	s := &Scratch{groupOf: make([][]int, L), groups: make([][][]int, L)}
+	m.cfg = s
 	maxDeg := 0
 	for layer := 1; layer <= L; layer++ {
 		group := m.bf.Group(m.Rank(), layer)

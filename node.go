@@ -29,10 +29,9 @@ type Node struct {
 	// tn is the node's raw TCP transport when built by ListenNode —
 	// CloseStream purges through it. Nil for in-process cluster nodes.
 	tn *tcpnet.Node
-	// sets is the rank's last Configure in the namespace, kept with its
-	// machine memory (rankMemory); nil on ListenNode and Node.Stream
-	// nodes, which prepare afresh.
-	sets *preparedSets
+	// sets is what the node's last Configure prepared, which an equal one
+	// reuses — across Runs too, on a node its namespace keeps.
+	sets preparedSets
 	// streams is the cluster's registry on a NewCluster node, which
 	// Stream claims derived ids from; nil on a ListenNode node.
 	streams *stream.Registry
@@ -48,23 +47,27 @@ type Node struct {
 // mapped by replica.Wrap onto the dense logical ranks of members (nil
 // unless elastic: every machine) at the configured replication. physRank
 // is ep.Rank(), the machine's position in the physical cluster;
-// observability is keyed by it. scratch is what an earlier node of this
-// rank and namespace left, or nil.
-func newNode(ep comm.Endpoint, members []int, bf *topo.Butterfly, cfg config, roundBase uint32, physRank int, scratch *core.Scratch) (*Node, error) {
+// observability is keyed by it. Its tags start at round 0 until a reset.
+func newNode(ep comm.Endpoint, members []int, bf *topo.Butterfly, cfg config, physRank int) (*Node, error) {
 	lep, err := replica.Wrap(ep, members, cfg.replication)
 	if err != nil {
 		return nil, err
 	}
-	opts := coreOptions(cfg, roundBase, physRank)
-	opts.Scratch = scratch
-	mach, err := core.NewMachine(lep, bf, opts)
+	mach, err := core.NewMachine(lep, bf, coreOptions(cfg, 0, physRank))
 	if err != nil {
 		return nil, err
 	}
-	return &Node{
-		mach: mach, ep: lep, bf: bf, cfg: cfg, base: roundBase,
-		physRank: physRank, width: cfg.width,
-	}, nil
+	return &Node{mach: mach, ep: lep, bf: bf, cfg: cfg, physRank: physRank, width: cfg.width}, nil
+}
+
+// reset readies a node its namespace kept for the next Run, whose tags
+// start at base: the machine restarts its tag sequence there and may
+// continue the last Run's base (core.Machine.Reset), and the networks
+// derived in the last Run are forgotten, so this one may derive their
+// ids again.
+func (n *Node) reset(base uint32) {
+	n.base, n.derived = base, nil
+	n.mach.Reset(base)
 }
 
 // coreOptions is the one place a node's config becomes its machine's
@@ -225,7 +228,7 @@ func (n *Node) Configure(in, out []int32) (*Reduction, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reduction{node: n, cfg: cfg, om: om, own: n.sets == nil}, nil
+	return &Reduction{node: n, cfg: cfg, om: om}, nil
 }
 
 // ConfigureReduce fuses configuration and reduction into one network
@@ -296,7 +299,7 @@ func sameSlice(in, out []int32) bool {
 	return len(in) == len(out) && (len(in) == 0 || &in[0] == &out[0])
 }
 
-// preparedSets is what prepareSets made for one rank's last Configure.
+// preparedSets is what prepareSets made for a node's last Configure.
 // The Sets and maps are the key: they rebuild the caller's lists
 // exactly, so a call is checked against them element by element and
 // callers may rewrite a slice in place.
@@ -308,12 +311,12 @@ type preparedSets struct {
 // prepare is prepareSets through the entry: lists element-equal to the
 // ones it was made from get its very Sets, so core's whole-set checks
 // against a base configured from them alias in O(1); other lists
-// refill it. A nil entry prepares afresh.
+// refill it.
 func (p *preparedSets) prepare(m *core.Machine, in, out []int32) (inSet, outSet sparse.Set, om orderMaps, err error) {
-	if p != nil && p.inSet != nil && madeFrom(in, p.inSet, p.om.in) && madeFrom(out, p.outSet, p.om.out) {
+	if p.inSet != nil && madeFrom(in, p.inSet, p.om.in) && madeFrom(out, p.outSet, p.om.out) {
 		return p.inSet, p.outSet, p.om, nil
 	}
-	if inSet, outSet, om, err = prepareSets(m, in, out); err == nil && p != nil {
+	if inSet, outSet, om, err = prepareSets(m, in, out); err == nil {
 		p.inSet, p.outSet, p.om = inSet, outSet, om
 	}
 	return inSet, outSet, om, err

@@ -458,8 +458,8 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 		quant     kylix.Quantization
 		transport kylix.Transport
 		// fresh: a pass is ConfigureReduce + Reduce inside one Cluster.Run;
-		// stream: a pass is one Stream.Run of Configure + 4 x Reduce, whose
-		// machines are new every time and inherit the stream's memory.
+		// stream: a pass is one Stream.Run of Configure + 4 x Reduce on the
+		// nodes the stream keeps.
 		fresh, stream float64
 	}{
 		{kylix.QuantOff, kylix.TransportMemory, 1613, 2016}, {kylix.QuantINT8, kylix.TransportMemory, 2184, 2596},
@@ -554,50 +554,72 @@ func TestReduceAllocatesOnlyTheResult(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			check(t, tc.stream, preparedBytes(width), &before, &after)
 		})
-		t.Run(fmt.Sprintf("stream-run/unchanged/%v/%v", tc.transport, tc.quant), func(t *testing.T) {
-			if raceEnabled {
-				t.Skip("under the race detector sync.Pool drops items at random, and NewSet's and the index codec's pooled sort scratch is allocated anew")
-			}
-			st, err := cluster.OpenStream()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			// What a Run must allocate: on every rank, its results. The sets
-			// the last Run prepared are the stream's, kept for this one.
-			inputs, owned := make([]orderCase, orderRanks), 0
-			for r := range inputs {
-				inputs[r] = arenaInputs(r, width)
-				owned += 4 * len(inputs[r].in) * width * 4
-			}
-			var before, after runtime.MemStats
-			for i := 0; i < warm+passes; i++ {
-				if i == warm {
-					runtime.ReadMemStats(&before)
+		// A Run on unchanged sets allocates its results, 4 a rank, and
+		// beyond them a fixed count of objects, whatever the sets' size (each
+		// row runs at two, one four times the other): on every rank its
+		// Reduction, its Config and the Config's layer states (3), and over
+		// TCP the markers it receives, one from each peer of each layer group
+		// (2 on 2x2); once a Run, the fan-out — comm.Run's tables and two
+		// closures a rank, runPass's hand-on table and closures, fn itself: 2
+		// a rank and 8. That is 28 objects on memory and 36 over TCP. The
+		// nodes the namespace keeps hold the rest: the Machine, Node and
+		// wrapped endpoint, the prepared sets, unions, maps and residuals,
+		// whose rebuild alone would be tens of objects a rank. The slack of 2
+		// a Run is the runtime's own, such as goroutine descriptors made when
+		// its free list runs dry.
+		fixed := orderRanks*3 + orderRanks*2 + 8
+		if tc.transport == kylix.TransportTCP {
+			fixed += orderRanks * 2
+		}
+		for _, via := range []string{"cluster-run", "stream-run"} {
+			t.Run(fmt.Sprintf("%s/unchanged/%v/%v", via, tc.transport, tc.quant), func(t *testing.T) {
+				if raceEnabled {
+					t.Skip("under the race detector sync.Pool drops items at random, and NewSet's and the index codec's pooled sort scratch is allocated anew")
 				}
-				if err := st.Run(func(node *kylix.Node) error {
-					c := &inputs[node.Rank()]
-					red, err := node.Configure(c.in, c.out)
-					for j := 0; j < 4 && err == nil; j++ {
-						_, err = red.Reduce(c.vals)
+				run := cluster.Run
+				if via == "stream-run" {
+					st, err := cluster.OpenStream()
+					if err != nil {
+						t.Fatal(err)
 					}
-					return err
-				}); err != nil {
-					t.Fatal(err)
+					defer st.Close()
+					run = st.Run
 				}
-			}
-			runtime.ReadMemStats(&after)
-			perPass := float64(after.TotalAlloc-before.TotalAlloc) / passes
-			beyond := (perPass - float64(owned)) / 1024 / orderRanks
-			t.Logf("%.1f KiB per Run, %.1f KiB of it results, %.1f KiB per rank beyond", perPass/1024, float64(owned)/1024, beyond)
-			// Beyond those, a rank allocates its Machine, Node, Reduction and
-			// Config headers and, over TCP, the markers it receives: a few KiB.
-			// Unions and maps alone would be tens of KiB, and so would int8
-			// residuals.
-			if beyond > 16 {
-				t.Fatalf("a Run on unchanged sets allocated %.1f KiB per rank beyond its results, want at most 16: it rebuilt sets, routing state or residuals", beyond)
-			}
-		})
+				for _, draws := range []int{3000, 12000} {
+					t.Run(fmt.Sprintf("%d-draws", draws), func(t *testing.T) {
+						const warm, passes = 5, 40
+						inputs := make([]orderCase, orderRanks)
+						for r := range inputs {
+							inputs[r] = sizedInputs(r, width, draws)
+						}
+						var before, after runtime.MemStats
+						for i := 0; i < warm+passes; i++ {
+							if i == warm {
+								runtime.ReadMemStats(&before)
+							}
+							if err := run(func(node *kylix.Node) error {
+								c := &inputs[node.Rank()]
+								red, err := node.Configure(c.in, c.out)
+								for j := 0; j < 4 && err == nil; j++ {
+									_, err = red.Reduce(c.vals)
+								}
+								return err
+							}); err != nil {
+								t.Fatal(err)
+							}
+						}
+						runtime.ReadMemStats(&after)
+						beyond := float64(after.Mallocs-before.Mallocs)/passes - 4*orderRanks
+						t.Logf("%.1f objects per Run beyond the results (fixed %d), %.1f KiB per Run in all",
+							beyond, fixed, float64(after.TotalAlloc-before.TotalAlloc)/passes/1024)
+						if beyond > float64(fixed+2) {
+							t.Fatalf("a Run on unchanged sets allocated %.1f objects beyond its results, want at most %d and 2 of slack: it rebuilt nodes, sets, routing state or residuals",
+								beyond, fixed)
+						}
+					})
+				}
+			})
+		}
 	}
 }
 
@@ -700,11 +722,14 @@ func preparedBytes(width int) int {
 // arenaInputs is rank r's sets and values for the allocation rows that
 // weigh the arena: large enough that it stands clear of the odd stray
 // allocation, in the caller's (shuffled) order.
-func arenaInputs(r, width int) orderCase {
+func arenaInputs(r, width int) orderCase { return sizedInputs(r, width, 3000) }
+
+// sizedInputs is arenaInputs drawing n indices from twice as many.
+func sizedInputs(r, width, n int) orderCase {
 	rng := rand.New(rand.NewSource(int64(4000 + r)))
-	idx := make([]int32, 3000)
+	idx := make([]int32, n)
 	for i := range idx {
-		idx[i] = int32(rng.Intn(6000))
+		idx[i] = int32(rng.Intn(2 * n))
 	}
 	out := sparse.MustNewSet(idx).Indices()
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })

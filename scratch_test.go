@@ -45,8 +45,8 @@ func scratchPass(run func(func(*Node) error) error, ranks, width int, seed int64
 }
 
 // held is what a namespace keeps for its next Run, per physical rank.
-func held(s *atomic.Pointer[rankScratch]) []*rankMemory {
-	if h := s.Load(); h != nil {
+func held(kept *atomic.Pointer[keptNodes]) []*Node {
+	if h := kept.Load(); h != nil {
 		return h.ranks
 	}
 	return nil
@@ -55,9 +55,9 @@ func held(s *atomic.Pointer[rankScratch]) []*rankMemory {
 // TestFailedRunDropsItsScratch: a Run that fails — a machine killed
 // mid-pass, replication 1, the survivors timing out on its pieces —
 // leaves payloads nobody will ever consume pointing into its machines'
-// memory, so none of it may be handed on: the next Run, on the
-// survivors' epoch, starts from fresh scratch and returns exactly what a
-// freshly built cluster of that shape returns.
+// memory, so none of its nodes may be kept: the next Run, on the
+// survivors' epoch, builds fresh ones and returns exactly what a freshly
+// built cluster of that shape returns.
 func TestFailedRunDropsItsScratch(t *testing.T) {
 	core.PoisonArena(true)
 	defer core.PoisonArena(false)
@@ -71,7 +71,7 @@ func TestFailedRunDropsItsScratch(t *testing.T) {
 	if _, err := scratchPass(c.Run, m, width, 7); err != nil {
 		t.Fatal(err)
 	}
-	for r, sc := range held(&c.scratch)[:m] {
+	for r, sc := range held(&c.nodes)[:m] {
 		if sc == nil {
 			t.Fatalf("rank %d: a successful Run put no scratch back", r)
 		}
@@ -96,7 +96,7 @@ func TestFailedRunDropsItsScratch(t *testing.T) {
 	if err == nil {
 		t.Fatal("the Run survived losing an unreplicated machine")
 	}
-	for r, sc := range held(&c.scratch) {
+	for r, sc := range held(&c.nodes) {
 		if sc != nil {
 			t.Fatalf("rank %d: a failed Run put its scratch back", r)
 		}
@@ -129,10 +129,11 @@ func TestFailedRunDropsItsScratch(t *testing.T) {
 }
 
 // TestStreamsKeepTheirOwnScratch: every namespace — the default one and
-// each Stream — hands its machines' memory from one of its Runs to the
-// next and to no other namespace, whatever the interleaving, so tenants
-// of different width and quantization never carve each other's slabs,
-// and each sees exactly what it sees alone on a cluster.
+// each Stream — hands its nodes, with their machines' memory, from one
+// of its Runs to the next and to no other namespace, whatever the
+// interleaving, so tenants of different width and quantization never
+// carve each other's slabs, and each sees exactly what it sees alone on
+// a cluster.
 func TestStreamsKeepTheirOwnScratch(t *testing.T) {
 	core.PoisonArena(true)
 	defer core.PoisonArena(false)
@@ -174,7 +175,7 @@ func TestStreamsKeepTheirOwnScratch(t *testing.T) {
 	}
 
 	c, streams := open()
-	var first [][]*rankMemory // per namespace, the scratch its first Run left
+	var first [][]*Node // per namespace, the nodes its first Run left
 	for i := 0; i < rounds; i++ {
 		got := make([][]uint64, len(tenants))
 		errs := make([]error, len(tenants))
@@ -203,11 +204,11 @@ func TestStreamsKeepTheirOwnScratch(t *testing.T) {
 				t.Fatalf("round %d tenant %d: digests %x interleaved, %x alone", i, k, got[k], alone[k][i])
 			}
 		}
-		now := [][]*rankMemory{held(&c.scratch), held(&streams[0].scratch), held(&streams[1].scratch)}
+		now := [][]*Node{held(&c.nodes), held(&streams[0].nodes), held(&streams[1].nodes)}
 		if first == nil {
 			first = now
 		}
-		owner := map[*rankMemory]int{}
+		owner := map[*Node]int{}
 		for ns, scs := range now {
 			for r, sc := range scs {
 				if sc == nil || sc != first[ns][r] {

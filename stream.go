@@ -62,8 +62,8 @@ type Stream struct {
 	// base is the stream's private tag-round cursor; each stream id is
 	// a whole fresh tag space, so streams never coordinate on rounds.
 	base atomic.Uint32
-	// scratch is the stream's own machine memory (see rankScratch).
-	scratch atomic.Pointer[rankScratch]
+	// nodes is what the stream keeps for its next Run (see keptNodes).
+	nodes atomic.Pointer[keptNodes]
 	// mu serializes the stream's passes; Close takes it to wait for the
 	// in-flight pass to drain before purging mailbox state.
 	mu sync.Mutex //kylix:lock stream-pass
@@ -128,7 +128,7 @@ func (s *Stream) Run(fn func(*Node) error) error {
 	if s.closed.Load() {
 		return ErrStreamClosed
 	}
-	err := s.c.runPass(s.cfg, &s.base, &s.scratch, fn)
+	err := s.c.runPass(s.cfg, &s.base, &s.nodes, fn)
 	if err != nil {
 		s.counters.Errors.Inc()
 	} else {
@@ -151,7 +151,7 @@ func (s *Stream) Close() error {
 	// Passes queued on mu see the closed flag once they get it.
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.scratch.Store(nil)
+	s.nodes.Store(nil)
 	s.c.closeStreamTransports(s.id)
 	s.c.streams.Close(s.id)
 	s.c.smet.StreamsClosed.Inc()

@@ -386,10 +386,14 @@ func TestStreamCloseSemantics(t *testing.T) {
 	go func() {
 		queued <- st.Run(func(node *kylix.Node) error { return nil })
 	}()
-	time.Sleep(10 * time.Millisecond) // let the second pass queue on the stream
+	for st.Inflight() != 2 { // the second pass is admitted and queues on the stream
+		runtime.Gosched()
+	}
 	closed := make(chan error, 1)
 	go func() { closed <- st.Close() }()
-	time.Sleep(10 * time.Millisecond)
+	for !st.Closed() { // Close has latched the flag and waits on the in-flight pass
+		runtime.Gosched()
+	}
 	close(release) // drain the in-flight pass
 
 	if err := <-inflight; err != nil {
